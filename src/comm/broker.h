@@ -139,15 +139,13 @@ class Broker {
   /// Install the forwarding sink toward another machine's broker.
   void set_remote_sink(std::uint16_t machine, RemoteSink sink);
 
-  /// Ingress path for messages arriving from another machine: verifies the
-  /// body CRC when the header carries one, re-hosts the body in the local
-  /// object store, and fans the header out to local ID queues. Local
-  /// workhorses never perceive the difference (Section 3.2.1).
-  /// Returns false only on an integrity reject (CRC mismatch) — the signal
-  /// a reliable link uses to withhold its ack so the sender retransmits.
-  /// Routing drops (no local destination, closed queue) still return true:
-  /// the frame arrived intact, retransmitting it cannot help.
-  bool deliver_remote(MessageHeader header, Payload body);
+  /// Ingress path for messages arriving from another machine: re-hosts the
+  /// body in the local object store and fans the header out to local ID
+  /// queues. Local workhorses never perceive the difference (Section 3.2.1).
+  /// The caller has already checked the wire frame's CRC; routing drops (no
+  /// local destination, closed queue) are counted here, and retransmitting
+  /// cannot repair them.
+  void deliver_remote(MessageHeader header, Payload body);
 
   /// Ingress accounting for a corrupted *wire frame*: the whole frame failed
   /// its chained CRC, so every sub-frame it carried is rejected exactly once

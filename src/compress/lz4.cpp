@@ -1,5 +1,7 @@
 #include "compress/lz4.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace xt::lz4 {
@@ -12,9 +14,19 @@ constexpr std::size_t kLastLiterals = 5;
 constexpr std::size_t kMfLimit = 12;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr int kHashLog = 16;
+// Reference LZ4's skip acceleration: every 2^kSkipTrigger consecutive failed
+// probes lengthen the search step by one byte, so incompressible stretches
+// cost a probe per stride instead of a probe per byte.
+constexpr unsigned kSkipTrigger = 6;
 
 std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+std::uint64_t read_u64(const std::uint8_t* p) {
+  std::uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
@@ -23,12 +35,44 @@ std::uint32_t hash4(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashLog);
 }
 
-void write_length(Bytes& out, std::size_t len) {
+/// Length of the common prefix of `a` and `b` (with a < b), reading no byte
+/// at or past `b_limit`: eight bytes per step, the last few one at a time.
+std::size_t common_length(const std::uint8_t* a, const std::uint8_t* b,
+                          const std::uint8_t* b_limit) {
+  const std::uint8_t* const start = b;
+  while (b + 8 <= b_limit) {
+    const std::uint64_t diff = read_u64(a) ^ read_u64(b);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return static_cast<std::size_t>(b - start) + static_cast<std::size_t>(bit / 8);
+    }
+    a += 8;
+    b += 8;
+  }
+  while (b < b_limit && *a == *b) {
+    ++a;
+    ++b;
+  }
+  return static_cast<std::size_t>(b - start);
+}
+
+std::uint8_t* write_length(std::uint8_t* op, std::size_t len) {
   while (len >= 255) {
-    out.push_back(255);
+    *op++ = 255;
     len -= 255;
   }
-  out.push_back(static_cast<std::uint8_t>(len));
+  *op++ = static_cast<std::uint8_t>(len);
+  return op;
+}
+
+/// Position table, kept per thread so a call does not allocate 256 KB.
+/// Positions are stored +1 so that 0 means "empty".
+std::uint32_t* cleared_hash_table() {
+  thread_local std::vector<std::uint32_t> table(std::size_t{1} << kHashLog);
+  std::fill(table.begin(), table.end(), 0u);
+  return table.data();
 }
 
 }  // namespace
@@ -38,79 +82,68 @@ std::size_t compress_bound(std::size_t n) {
 }
 
 Bytes compress(const Bytes& input) {
-  Bytes out;
-  out.reserve(compress_bound(input.size()));
   const std::size_t n = input.size();
   const std::uint8_t* src = input.data();
-
-  if (n < kMfLimit + 1) {
-    // Too small for any match: one literals-only sequence.
-    out.push_back(static_cast<std::uint8_t>(n < 15 ? n << 4 : 0xF0));
-    if (n >= 15) write_length(out, n - 15);
-    out.insert(out.end(), src, src + n);
-    return out;
-  }
-
-  std::vector<std::uint32_t> table(1u << kHashLog, 0);
-  // Positions in `table` are stored +1 so that 0 means "empty".
+  Bytes out(compress_bound(n));
+  std::uint8_t* op = out.data();
   std::size_t anchor = 0;  // start of pending literals
-  std::size_t pos = 0;
-  const std::size_t match_limit = n - kMfLimit;
 
-  while (pos < match_limit) {
-    const std::uint32_t h = hash4(read_u32(src + pos));
-    const std::uint32_t candidate_plus1 = table[h];
-    table[h] = static_cast<std::uint32_t>(pos + 1);
+  // Inputs too small for any match are one literals-only sequence.
+  if (n >= kMfLimit + 1) {
+    std::uint32_t* table = cleared_hash_table();
+    const std::size_t match_limit = n - kMfLimit;
+    const std::uint8_t* const extend_limit = src + n - kLastLiterals;
+    std::size_t pos = 0;
+    std::size_t misses = 0;  // consecutive failed probes
 
-    bool found = false;
-    std::size_t match_pos = 0;
-    if (candidate_plus1 != 0) {
-      match_pos = candidate_plus1 - 1;
-      if (pos - match_pos <= kMaxOffset &&
-          read_u32(src + match_pos) == read_u32(src + pos)) {
-        found = true;
+    while (pos < match_limit) {
+      const std::uint32_t h = hash4(read_u32(src + pos));
+      const std::uint32_t candidate_plus1 = table[h];
+      table[h] = static_cast<std::uint32_t>(pos + 1);
+
+      const std::size_t match_pos = candidate_plus1 - 1;
+      if (candidate_plus1 == 0 || pos - match_pos > kMaxOffset ||
+          read_u32(src + match_pos) != read_u32(src + pos)) {
+        pos += 1 + (misses++ >> kSkipTrigger);
+        continue;
       }
-    }
-    if (!found) {
-      ++pos;
-      continue;
-    }
+      misses = 0;
 
-    // Extend the match forward (bounded so the last 5 bytes stay literals).
-    std::size_t match_len = kMinMatch;
-    const std::size_t max_len = n - kLastLiterals - pos;
-    while (match_len < max_len &&
-           src[match_pos + match_len] == src[pos + match_len]) {
-      ++match_len;
-    }
+      // Extend the match forward (bounded so the last 5 bytes stay literals).
+      const std::size_t match_len =
+          kMinMatch + common_length(src + match_pos + kMinMatch,
+                                    src + pos + kMinMatch, extend_limit);
 
-    // Emit token + literals + offset + extended match length.
-    const std::size_t lit_len = pos - anchor;
-    const std::size_t ml_code = match_len - kMinMatch;
-    std::uint8_t token = 0;
-    token |= static_cast<std::uint8_t>((lit_len < 15 ? lit_len : 15) << 4);
-    token |= static_cast<std::uint8_t>(ml_code < 15 ? ml_code : 15);
-    out.push_back(token);
-    if (lit_len >= 15) write_length(out, lit_len - 15);
-    out.insert(out.end(), src + anchor, src + anchor + lit_len);
-    const auto offset = static_cast<std::uint16_t>(pos - match_pos);
-    out.push_back(static_cast<std::uint8_t>(offset & 0xFF));
-    out.push_back(static_cast<std::uint8_t>(offset >> 8));
-    if (ml_code >= 15) write_length(out, ml_code - 15);
+      // Emit token + literals + offset + extended match length.
+      const std::size_t lit_len = pos - anchor;
+      const std::size_t ml_code = match_len - kMinMatch;
+      std::uint8_t* const token = op++;
+      *token = static_cast<std::uint8_t>(((lit_len < 15 ? lit_len : 15) << 4) |
+                                         (ml_code < 15 ? ml_code : 15));
+      if (lit_len >= 15) op = write_length(op, lit_len - 15);
+      std::memcpy(op, src + anchor, lit_len);
+      op += lit_len;
+      const std::size_t offset = pos - match_pos;
+      *op++ = static_cast<std::uint8_t>(offset & 0xFF);
+      *op++ = static_cast<std::uint8_t>(offset >> 8);
+      if (ml_code >= 15) op = write_length(op, ml_code - 15);
 
-    pos += match_len;
-    anchor = pos;
-    if (pos < match_limit) {
-      // Seed the table with an intermediate position for better ratios.
-      table[hash4(read_u32(src + pos - 2))] = static_cast<std::uint32_t>(pos - 1);
+      pos += match_len;
+      anchor = pos;
+      if (pos < match_limit) {
+        // Seed the table with an intermediate position for better ratios.
+        table[hash4(read_u32(src + pos - 2))] = static_cast<std::uint32_t>(pos - 1);
+      }
     }
   }
 
   // Final literals-only sequence.
   const std::size_t lit_len = n - anchor;
-  out.push_back(static_cast<std::uint8_t>(lit_len < 15 ? lit_len << 4 : 0xF0));
-  if (lit_len >= 15) write_length(out, lit_len - 15);
-  out.insert(out.end(), src + anchor, src + n);
+  *op++ = static_cast<std::uint8_t>(lit_len < 15 ? lit_len << 4 : 0xF0);
+  if (lit_len >= 15) op = write_length(op, lit_len - 15);
+  if (lit_len != 0) std::memcpy(op, src + anchor, lit_len);  // src is null if n == 0
+  op += lit_len;
+  out.resize(static_cast<std::size_t>(op - out.data()));
   return out;
 }
 

@@ -14,9 +14,13 @@ namespace xt::lz4 {
 /// Compress `input` into the LZ4 block format. Always succeeds; the output
 /// is at most compress_bound(input.size()) bytes.
 ///
-/// This is a from-scratch greedy hash-chain compressor in the spirit of the
-/// LZ4 fast path: 4-byte hashes into a 64Ki-entry position table, min-match
-/// of 4, token/extended-length encoding, 16-bit backward offsets.
+/// This is a from-scratch greedy compressor in the spirit of the LZ4 fast
+/// path: 4-byte hashes into a 64Ki-entry per-thread position table, min-match
+/// of 4, token/extended-length encoding, 16-bit backward offsets. Like
+/// reference LZ4 it lengthens its search step after every 64 consecutive
+/// failed probes (skip acceleration), so incompressible input is crossed in
+/// strides instead of with a hash probe per byte, and it extends matches
+/// eight bytes at a time.
 [[nodiscard]] Bytes compress(const Bytes& input);
 
 /// Decompress an LZ4 block produced by compress(). `expected_size` is the

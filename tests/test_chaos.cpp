@@ -120,8 +120,11 @@ TEST(ChaosRun, SurvivesFaultyLinkAndWorkerDeaths) {
   DeploymentConfig deployment;
   deployment.explorers_per_machine = {0, 2};  // all rollouts cross the wire
   deployment.learner_machine = 0;
-  deployment.max_steps_consumed = 2'500;
-  deployment.max_seconds = 60.0;
+  // Wall-clock-bounded, not step-bounded: a fast host reaches any fixed
+  // step budget before the supervisor has noticed (1s heartbeat timeout)
+  // and repaired both injected deaths.
+  deployment.max_steps_consumed = 0;
+  deployment.max_seconds = 5.0;
 
   deployment.link = LinkConfig{1e9, 10'000, 64};
   deployment.link.faults.seed = 11;
@@ -133,7 +136,9 @@ TEST(ChaosRun, SurvivesFaultyLinkAndWorkerDeaths) {
 
   deployment.supervision.enabled = true;
   deployment.supervision.heartbeat_every_s = 0.1;
-  deployment.supervision.heartbeat_timeout_s = 0.5;
+  // Long enough that a loaded (e.g. sanitizer) host running the whole run
+  // does not read a slow respawn as a second death and degrade the worker.
+  deployment.supervision.heartbeat_timeout_s = 1.0;
   deployment.supervision.max_restarts_per_worker = 3;
 
   deployment.checkpoint_path = ::testing::TempDir() + "xt_chaos_run.ckpt";
@@ -200,8 +205,11 @@ TEST(ChaosRun, OverloadAndBlackoutShedExperienceWithoutFalseRespawns) {
   DeploymentConfig deployment;
   deployment.explorers_per_machine = {0, 2};  // all rollouts cross the wire
   deployment.learner_machine = 0;
-  deployment.max_steps_consumed = 1'500;
-  deployment.max_seconds = 45.0;
+  // Wall-clock-bounded, not step-bounded: a fast host reaches any fixed
+  // step budget before the blackout below opens at 0.3s. The run must
+  // outlast the blackout and the 1.0s suspect grace after it (~2s).
+  deployment.max_steps_consumed = 0;
+  deployment.max_seconds = 4.0;
 
   // A deliberately narrow pipe: two CartPole explorers produce far more
   // experience than 500 KB/s at 5k frames/s can carry.

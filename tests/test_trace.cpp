@@ -190,7 +190,7 @@ TEST(TraceScope, RecordsOnceOnFinishAndDestruction) {
 TEST(MessageHeader, TracingAddsNoHeaderBytes) {
   // trace_id is aliased to msg_id: enabling the telemetry layer must not
   // grow the struct copied once per destination. (The budget covers the
-  // wire-protocol fields — body_crc/crc_present/link_seq and the weight
+  // wire-protocol fields — link_seq and the weight
   // codec_id/base_tag pair — which telemetry must not push past.)
   EXPECT_LE(sizeof(MessageHeader), 120u);
   MessageHeader header;
