@@ -224,7 +224,7 @@ Algorithm::TrainResult DqnAlgorithm::train_session() {
       }
     }
   }
-  (void)q_net_.backward(grad);
+  q_net_.backward(grad);
   optimizer_.step(q_net_.parameters(), q_net_.gradients());
 
   if (prioritized_) {

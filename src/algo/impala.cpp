@@ -142,7 +142,7 @@ Algorithm::TrainResult ImpalaAlgorithm::train() {
   // Policy gradient with the V-trace advantages as coefficients.
   const nn::Matrix pg = nn::policy_gradient(logits, actions, vt.pg_advantages,
                                             config_.entropy_coef);
-  (void)policy_net_.backward(pg);
+  policy_net_.backward(pg);
   nn::clip_gradients(policy_net_.gradients(), config_.max_grad_norm);
   policy_opt_.step(policy_net_.parameters(), policy_net_.gradients());
 
@@ -154,7 +154,7 @@ Algorithm::TrainResult ImpalaAlgorithm::train() {
   nn::Matrix vgrad;
   const float value_loss = nn::mse_loss(v, target, vgrad);
   vgrad.scale_inplace(config_.value_coef);
-  (void)value_net_.backward(vgrad);
+  value_net_.backward(vgrad);
   nn::clip_gradients(value_net_.gradients(), config_.max_grad_norm);
   value_opt_.step(value_net_.parameters(), value_net_.gradients());
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "algo/returns.h"
 
@@ -176,6 +177,12 @@ Algorithm::TrainResult PpoAlgorithm::train() {
   const std::size_t minibatch = config_.minibatch == 0 ? n : config_.minibatch;
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
+  // Minibatch rows are copied straight from the session's observation
+  // matrix into one reused matrix. The per-step vectors are freed once
+  // copied into it.
+  const nn::Matrix session_obs = nn::Matrix::from_rows(std::exchange(all_obs, {}));
+  const std::size_t obs_dim = session_obs.cols();
+  nn::Matrix x;
 
   double last_policy_loss = 0.0, last_value_loss = 0.0, last_entropy = 0.0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -187,18 +194,17 @@ Algorithm::TrainResult PpoAlgorithm::train() {
       const std::size_t end = std::min(n, start + minibatch);
       const std::size_t m = end - start;
 
-      std::vector<std::vector<float>> mb_obs(m);
+      if (x.rows() != m) x = nn::Matrix(m, obs_dim);
       std::vector<std::int32_t> mb_actions(m);
       std::vector<float> mb_old_logp(m), mb_adv(m), mb_ret(m);
       for (std::size_t i = 0; i < m; ++i) {
         const std::size_t src = order[start + i];
-        mb_obs[i] = all_obs[src];
+        std::copy_n(session_obs.row_ptr(src), obs_dim, x.row_ptr(i));
         mb_actions[i] = all_actions[src];
         mb_old_logp[i] = all_old_logp[src];
         mb_adv[i] = all_advantages[src];
         mb_ret[i] = all_returns[src];
       }
-      const nn::Matrix x = nn::Matrix::from_rows(mb_obs);
 
       // Policy update: clipped surrogate.
       policy_net_.zero_grad();
@@ -220,7 +226,7 @@ Algorithm::TrainResult PpoAlgorithm::train() {
       policy_loss /= static_cast<double>(m);
       const nn::Matrix pg =
           nn::policy_gradient(logits, mb_actions, coefs, config_.entropy_coef);
-      (void)policy_net_.backward(pg);
+      policy_net_.backward(pg);
       nn::clip_gradients(policy_net_.gradients(), config_.max_grad_norm);
       policy_opt_.step(policy_net_.parameters(), policy_net_.gradients());
 
@@ -232,15 +238,17 @@ Algorithm::TrainResult PpoAlgorithm::train() {
       nn::Matrix vgrad;
       const float value_loss = nn::mse_loss(v, target, vgrad);
       vgrad.scale_inplace(config_.value_coef);
-      (void)value_net_.backward(vgrad);
+      value_net_.backward(vgrad);
       nn::clip_gradients(value_net_.gradients(), config_.max_grad_norm);
       value_opt_.step(value_net_.parameters(), value_net_.gradients());
 
       last_policy_loss = policy_loss;
       last_value_loss = value_loss;
-      const auto ent = nn::entropy(logits);
-      last_entropy =
-          std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
+      if (epoch + 1 == config_.epochs && end == n) {  // the reported minibatch
+        const auto ent = nn::entropy(logits);
+        last_entropy =
+            std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
+      }
     }
   }
 

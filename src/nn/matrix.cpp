@@ -2,7 +2,8 @@
 // matmul variants (plus the fused bias forward) are written as fixed-size
 // micro-kernels — kMr x kNr output tiles whose accumulators live in local
 // arrays the compiler keeps in vector registers — and are partitioned over
-// output rows onto the shared compute pool (common/thread_pool.h).
+// output rows onto the shared compute pool (common/thread_pool.h). The tanh
+// activation is a vectorized rational approximation run on the caller.
 //
 // Determinism contract (see DESIGN.md "Compute kernels"):
 //  * `[compute] threads = 0` dispatches to the scalar kernels in
@@ -10,7 +11,8 @@
 //  * In blocked mode every output element is accumulated by exactly one
 //    chunk, in a fixed order (ascending k; fixed pairwise combine for the
 //    dot-product kernel), so results do not depend on thread count or
-//    chunk boundaries.
+//    chunk boundaries. The tanh kernel computes every element, the tail
+//    included, with the same vector operations.
 
 #include "nn/matrix.h"
 
@@ -387,6 +389,35 @@ void gemm_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
   }
 }
 
+// ---- tanh kernel ----------------------------------------------------------
+
+// Inputs are clamped to the range the rational below is fitted on; past it
+// the rational leaves [-1, 1].
+constexpr float kTanhClamp = 7.90531110763549805f;
+
+/// tanh as a rational minimax approximation (Eigen's float coefficients):
+/// an odd degree-13 numerator over an even degree-6 denominator. Written
+/// once for a float and for a Vf16, so every lane runs the same operations.
+template <typename V>
+V tanh_rational(V x) {
+  const V hi = V{} + kTanhClamp;
+  const V lo = V{} - kTanhClamp;
+  // Both comparisons are false for NaN, which passes through unclamped.
+  x = x > hi ? hi : x;
+  x = x < lo ? lo : x;
+  const V x2 = x * x;
+  V p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
+  p = x2 * p - 8.60467152213735e-11f;
+  p = x2 * p + 5.12229709037114e-08f;
+  p = x2 * p + 1.48572235717979e-05f;
+  p = x2 * p + 6.37261928875436e-04f;
+  p = x2 * p + 4.89352455891786e-03f;
+  V q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
+  q = x2 * q + 2.26843463243900e-03f;
+  q = x2 * q + 4.89352518554385e-03f;
+  return x * p / q;
+}
+
 // ---- per-kernel telemetry -------------------------------------------------
 
 struct KernelSink {
@@ -539,6 +570,30 @@ Matrix col_sums(const Matrix& x) {
     }
   });
   return out;
+}
+
+void tanh_inplace(Matrix& x) {
+  if (compute_threads() == 0) {
+    reference::tanh_inplace(x);
+    return;
+  }
+  float* v = x.data().data();
+  const std::size_t n = x.size();
+#if XT_VEC_EXT
+  std::size_t i = 0;
+  for (; i + kNr <= n; i += kNr) store16(v + i, tanh_rational(load16(v + i)));
+  if (i < n) {
+    // The tail is padded into one more vector: a scalar tail may round
+    // differently, and an element's bits would then depend on its position.
+    const std::size_t tail_bytes = (n - i) * sizeof(float);
+    Vf16 tail{};
+    __builtin_memcpy(&tail, v + i, tail_bytes);
+    tail = tanh_rational(tail);
+    __builtin_memcpy(v + i, &tail, tail_bytes);
+  }
+#else
+  for (std::size_t i = 0; i < n; ++i) v[i] = tanh_rational(v[i]);
+#endif
 }
 
 }  // namespace xt::nn

@@ -80,6 +80,11 @@ class Matrix {
 void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// 1 x n column sums of X (bias gradient).
 [[nodiscard]] Matrix col_sums(const Matrix& x);
+/// Elementwise tanh, in place, on the calling thread. Blocked mode runs a
+/// vectorized rational approximation (absolute error below 3e-7, |y| <= 1,
+/// NaN stays NaN) whose bits for an element depend only on that element;
+/// serial mode is reference::tanh_inplace.
+void tanh_inplace(Matrix& x);
 
 /// The retained scalar kernels — the exact pre-optimization implementations,
 /// built in their own translation unit with the project's stock flags. They
@@ -90,6 +95,8 @@ namespace reference {
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
+/// std::tanh on every element.
+void tanh_inplace(Matrix& x);
 }  // namespace reference
 
 /// Record per-kernel telemetry for matmuls run on the calling thread into

@@ -1,11 +1,12 @@
-// The scalar reference kernels: byte-for-byte the matmul family this repo
-// shipped before the blocked/pooled compute layer. Kept in a separate
-// translation unit, built with the project's stock flags (no -march
-// widening), so that (a) `[compute] threads = 0` reproduces pre-pool runs
-// bit-exactly on any host, and (b) bench_kernels' "scalar" baseline really
-// is the pre-PR kernel, not the new code de-tuned.
+// The scalar reference kernels: byte-for-byte the matmul family and the
+// std::tanh activation this repo shipped before the blocked/pooled compute
+// layer. Kept in a separate translation unit, built with the project's
+// stock flags (no -march widening), so that (a) `[compute] threads = 0`
+// reproduces pre-pool runs bit-exactly on any host, and (b) bench_kernels'
+// "scalar" baseline really is the pre-PR kernel, not the new code de-tuned.
 
 #include <cassert>
+#include <cmath>
 
 #include "nn/matrix.h"
 
@@ -58,6 +59,10 @@ Matrix matmul_bt(const Matrix& a, const Matrix& b) {
     }
   }
   return c;
+}
+
+void tanh_inplace(Matrix& x) {
+  for (float& v : x.data()) v = std::tanh(v);
 }
 
 }  // namespace xt::nn::reference

@@ -1,7 +1,6 @@
 #include "nn/mlp.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "common/thread_pool.h"
 #include "serial/binio.h"
@@ -49,34 +48,31 @@ void Mlp::apply_activation(Matrix& m, Activation act) {
                            });
       return;
     case Activation::kTanh:
-      compute_parallel_for(m.size(), kActivationGrain,
-                           [v](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i) v[i] = std::tanh(v[i]);
-                           });
+      // Cheaper than a pool dispatch at these sizes.
+      tanh_inplace(m);
       return;
   }
 }
 
-void Mlp::apply_activation_grad(Matrix& grad, const Matrix& preact, Activation act) {
+void Mlp::apply_activation_grad(Matrix& grad, const Matrix& output, Activation act) {
   float* g = grad.data().data();
-  const float* z = preact.data().data();
+  const float* h = output.data().data();
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
       compute_parallel_for(grad.size(), kActivationGrain,
-                           [g, z](std::size_t b, std::size_t e) {
+                           [g, h](std::size_t b, std::size_t e) {
                              for (std::size_t i = b; i < e; ++i) {
-                               if (z[i] <= 0.0f) g[i] = 0.0f;
+                               if (h[i] <= 0.0f) g[i] = 0.0f;
                              }
                            });
       return;
     case Activation::kTanh:
       compute_parallel_for(grad.size(), kActivationGrain,
-                           [g, z](std::size_t b, std::size_t e) {
+                           [g, h](std::size_t b, std::size_t e) {
                              for (std::size_t i = b; i < e; ++i) {
-                               const float t = std::tanh(z[i]);
-                               g[i] *= 1.0f - t * t;
+                               g[i] *= 1.0f - h[i] * h[i];
                              }
                            });
       return;
@@ -94,33 +90,28 @@ Matrix Mlp::forward(const Matrix& x) const {
 }
 
 Matrix Mlp::forward_train(const Matrix& x) {
-  Matrix h = x;
+  cached_input_ = x;
+  const Matrix* h = &cached_input_;
   for (Layer& layer : layers_) {
-    layer.cached_input = h;
-    Matrix z = matmul_bias(h, layer.weight, layer.bias);
-    layer.cached_preact = z;
+    Matrix z = matmul_bias(*h, layer.weight, layer.bias);
     apply_activation(z, layer.activation);
-    h = std::move(z);
+    layer.cached_output = std::move(z);
+    h = &layer.cached_output;
   }
-  return h;
+  return *h;
 }
 
-Matrix Mlp::backward(const Matrix& grad_out) {
+void Mlp::backward(const Matrix& grad_out) {
+  assert(!cached_input_.empty() && "backward() requires forward_train()");
   Matrix grad = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    Layer& layer = *it;
-    assert(!layer.cached_input.empty() && "backward() requires forward_train()");
-    apply_activation_grad(grad, layer.cached_preact, layer.activation);
-    layer.grad_weight.add_inplace(matmul_at(layer.cached_input, grad));
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    Layer& layer = layers_[l];
+    const Matrix& input = l == 0 ? cached_input_ : layers_[l - 1].cached_output;
+    apply_activation_grad(grad, layer.cached_output, layer.activation);
+    layer.grad_weight.add_inplace(matmul_at(input, grad));
     layer.grad_bias.add_inplace(col_sums(grad));
-    if (it + 1 != layers_.rend()) {
-      grad = matmul_bt(grad, layer.weight);
-    } else {
-      Matrix input_grad = matmul_bt(grad, layer.weight);
-      return input_grad;
-    }
+    if (l > 0) grad = matmul_bt(grad, layer.weight);
   }
-  return grad;
 }
 
 void Mlp::zero_grad() {

@@ -18,8 +18,8 @@ struct LayerSpec {
 
 /// Multi-layer perceptron with explicit forward/backward passes. This is
 /// the Model substrate for every DNN in the repo (Q networks, policy
-/// networks, value networks). Training mode caches per-layer inputs and
-/// pre-activations so backward() can accumulate parameter gradients.
+/// networks, value networks). Training mode caches the input batch and each
+/// layer's output so backward() can accumulate parameter gradients.
 class Mlp {
  public:
   Mlp() = default;
@@ -36,8 +36,9 @@ class Mlp {
   [[nodiscard]] Matrix forward_train(const Matrix& x);
 
   /// Backprop: `grad_out` is dLoss/dOutput for the last forward_train batch.
-  /// Accumulates into the parameter gradients; returns dLoss/dInput.
-  Matrix backward(const Matrix& grad_out);
+  /// Accumulates into the parameter gradients. dLoss/dInput is not computed:
+  /// no caller trains what feeds the network.
+  void backward(const Matrix& grad_out);
 
   void zero_grad();
 
@@ -64,16 +65,20 @@ class Mlp {
     Matrix grad_weight;
     Matrix grad_bias;
     Activation activation = Activation::kIdentity;
-    // Training caches.
-    Matrix cached_input;
-    Matrix cached_preact;
+    /// Post-activation output of the last forward_train; the next layer's
+    /// input.
+    Matrix cached_output;
   };
 
   static void apply_activation(Matrix& m, Activation act);
-  static void apply_activation_grad(Matrix& grad, const Matrix& preact, Activation act);
+  /// Scales `grad` by the activation's derivative, written in terms of the
+  /// layer's output h: tanh' = 1 - h^2, ReLU' = [h > 0].
+  static void apply_activation_grad(Matrix& grad, const Matrix& output, Activation act);
 
   std::size_t input_dim_ = 0;
   std::vector<Layer> layers_;
+  /// Layer 0's input from the last forward_train.
+  Matrix cached_input_;
 };
 
 }  // namespace xt::nn

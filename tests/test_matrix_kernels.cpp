@@ -4,7 +4,10 @@
 // latter is in the TSan CI job's target list.
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
+#include "nn/mlp.h"
 #include "obs/metrics.h"
 
 namespace xt::nn {
@@ -115,6 +119,12 @@ TEST_F(MatrixKernels, SerialModeBitIdenticalToScalarReference) {
   EXPECT_TRUE(matmul_at(a, c) == reference::matmul_at(a, c));
   const Matrix d = random(11, 53, rng);
   EXPECT_TRUE(matmul_bt(a, d) == reference::matmul_bt(a, d));
+  Matrix t = random(37, 53, rng);
+  t.scale_inplace(4.0f);
+  Matrix want = t;
+  for (float& v : want.data()) v = std::tanh(v);
+  tanh_inplace(t);
+  EXPECT_TRUE(t == want);
 }
 
 // Blocked-mode results must not depend on how many threads computed them:
@@ -125,15 +135,88 @@ TEST_F(MatrixKernels, BlockedResultsInvariantAcrossThreadCounts) {
   const Matrix a = random(123, 67, rng);
   const Matrix b = random(67, 95, rng);
   const Matrix bt = random(95, 67, rng);
+  // A tanh Mlp's training step: its forward_train output, then every
+  // parameter gradient. The first layer is big enough to be pooled.
+  const Matrix grad_out = random(123, 5, rng);
+  const auto train_step = [&a, &grad_out] {
+    Rng init_rng(7);
+    Mlp net(67, {{95, Activation::kTanh}, {33, Activation::kTanh},
+                 {5, Activation::kIdentity}}, init_rng);
+    std::vector<Matrix> out = {net.forward_train(a)};
+    net.backward(grad_out);
+    for (const Matrix* g : net.gradients()) out.push_back(*g);
+    return out;
+  };
   set_compute_threads(1);
   const Matrix c1 = matmul(a, b);
   const Matrix at1 = matmul_at(a, matmul(a, b));
   const Matrix bt1 = matmul_bt(a, bt);
+  const std::vector<Matrix> step1 = train_step();
   for (int threads : {2, 3, 8}) {
     set_compute_threads(threads);
     EXPECT_TRUE(matmul(a, b) == c1) << "threads=" << threads;
     EXPECT_TRUE(matmul_at(a, matmul(a, b)) == at1) << "threads=" << threads;
     EXPECT_TRUE(matmul_bt(a, bt) == bt1) << "threads=" << threads;
+    EXPECT_TRUE(train_step() == step1) << "threads=" << threads;
+  }
+}
+
+/// One row holding lo, lo + step, ..., hi.
+Matrix grid(double lo, double hi, double step) {
+  const auto n = static_cast<std::size_t>(std::llround((hi - lo) / step));
+  Matrix m(1, n + 1);
+  for (std::size_t i = 0; i <= n; ++i)
+    m.data()[i] = static_cast<float>(lo + static_cast<double>(i) * step);
+  return m;
+}
+
+// The blocked tanh against std::tanh on a dense grid, and near zero, where
+// the relative error is largest: absolute error, range and odd symmetry.
+TEST_F(MatrixKernels, TanhKernelAccurateBoundedAndOdd) {
+  set_compute_threads(1);
+  for (const Matrix& x : {grid(-12.0, 12.0, 1e-4), grid(-1e-3, 1e-3, 1e-8)}) {
+    Matrix y = x;
+    tanh_inplace(y);
+    Matrix y_neg = x;
+    y_neg.scale_inplace(-1.0f);
+    tanh_inplace(y_neg);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const float xi = x.data()[i];
+      const float yi = y.data()[i];
+      ASSERT_LE(std::abs(yi - std::tanh(xi)), 5e-7f) << "x=" << xi;
+      ASSERT_LE(std::abs(yi), 1.0f) << "x=" << xi;
+      ASSERT_EQ(y_neg.data()[i], -yi) << "x=" << xi;
+    }
+  }
+}
+
+TEST_F(MatrixKernels, TanhKernelSaturatesAndKeepsNan) {
+  set_compute_threads(1);
+  const float inf = std::numeric_limits<float>::infinity();
+  Matrix m = Matrix::from_row({inf, -inf, std::numeric_limits<float>::quiet_NaN()});
+  tanh_inplace(m);
+  EXPECT_NEAR(m.at(0, 0), 1.0f, 5e-7f);
+  EXPECT_LE(m.at(0, 0), 1.0f);
+  EXPECT_EQ(m.at(0, 1), -m.at(0, 0));
+  EXPECT_TRUE(std::isnan(m.at(0, 2)));
+}
+
+// An element's bits must not depend on where it sits: 4097 is one past a
+// multiple of the vector width, so the last element takes the padded tail,
+// and a lone element takes nothing else.
+TEST_F(MatrixKernels, TanhKernelBitsIndependentOfPosition) {
+  set_compute_threads(1);
+  Rng rng(108);
+  Matrix x = random(1, 4097, rng);
+  x.scale_inplace(4.0f);
+  Matrix all = x;
+  tanh_inplace(all);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    Matrix one(1, 1, x.data()[i]);
+    tanh_inplace(one);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(one.data()[0]),
+              std::bit_cast<std::uint32_t>(all.data()[i]))
+        << "i=" << i << " x=" << x.data()[i];
   }
 }
 

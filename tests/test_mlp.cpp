@@ -1,7 +1,10 @@
 #include "nn/mlp.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "nn/grad_check.h"
 #include "nn/losses.h"
 
@@ -57,7 +60,7 @@ TEST_P(MlpGradCheckTest, BackpropMatchesNumericalGradients) {
     const Matrix pred = net.forward_train(x);
     Matrix grad;
     const float loss = mse_loss(pred, target, grad);
-    (void)net.backward(grad);
+    net.backward(grad);
     return loss;
   };
   // ReLU kinks make the numeric derivative discontinuous at a few params;
@@ -71,15 +74,83 @@ INSTANTIATE_TEST_SUITE_P(Activations, MlpGradCheckTest,
                                            Activation::kTanh,
                                            Activation::kRelu));
 
-TEST(Mlp, BackwardReturnsInputGradient) {
-  Mlp net = small_net(Activation::kTanh, 7);
-  Rng rng(5);
-  const Matrix x = Matrix::he_normal(2, 3, rng);
-  (void)net.forward_train(x);
-  Matrix grad_out(2, 2, 1.0f);
-  const Matrix grad_in = net.backward(grad_out);
-  EXPECT_EQ(grad_in.rows(), 2u);
-  EXPECT_EQ(grad_in.cols(), 3u);
+/// Runs the enclosing scope at `[compute] threads = 0`.
+struct SerialMode {
+  SerialMode() { set_compute_threads(0); }
+  ~SerialMode() { set_compute_threads(-1); }
+};
+
+struct TrainStep {
+  Matrix output;
+  std::vector<Matrix> gradients;  ///< weight, bias per layer
+};
+
+/// One training step of a net with zeroed gradients, written out by hand:
+/// scalar reference matmuls, a std::tanh or max(z, 0) forward, and each
+/// activation's derivative recomputed from its pre-activation.
+TrainStep reference_train_step(Mlp& net, const std::vector<Activation>& acts,
+                               const Matrix& x, const Matrix& grad_out) {
+  const std::vector<Matrix*> params = net.parameters();
+  std::vector<Matrix> inputs, preacts;
+  Matrix h = x;
+  for (std::size_t l = 0; l < acts.size(); ++l) {
+    const Matrix& bias = *params[2 * l + 1];
+    Matrix z = reference::matmul(h, *params[2 * l]);
+    for (std::size_t i = 0; i < z.rows(); ++i)
+      for (std::size_t j = 0; j < z.cols(); ++j) z.at(i, j) += bias.at(0, j);
+    inputs.push_back(h);
+    preacts.push_back(z);
+    for (float& v : z.data()) {
+      if (acts[l] == Activation::kTanh) v = std::tanh(v);
+      if (acts[l] == Activation::kRelu) v = v > 0.0f ? v : 0.0f;
+    }
+    h = z;
+  }
+
+  TrainStep step{h, std::vector<Matrix>(2 * acts.size())};
+  Matrix g = grad_out;
+  for (std::size_t l = acts.size(); l-- > 0;) {
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      const float z = preacts[l].data()[i];
+      if (acts[l] == Activation::kTanh) {
+        const float t = std::tanh(z);
+        g.data()[i] *= 1.0f - t * t;
+      }
+      if (acts[l] == Activation::kRelu && z <= 0.0f) g.data()[i] = 0.0f;
+    }
+    step.gradients[2 * l] = reference::matmul_at(inputs[l], g);
+    Matrix bias_grad(1, g.cols());
+    for (std::size_t i = 0; i < g.rows(); ++i)
+      for (std::size_t j = 0; j < g.cols(); ++j) bias_grad.at(0, j) += g.at(i, j);
+    step.gradients[2 * l + 1] = bias_grad;
+    if (l > 0) g = reference::matmul_bt(g, *params[2 * l]);
+  }
+  return step;
+}
+
+// Caching layer outputs, deriving tanh' and ReLU' from them, and skipping
+// the input gradient must leave the serial training step bit-identical to
+// the computation it replaced.
+TEST(Mlp, SerialTrainingStepBitIdenticalToReference) {
+  SerialMode serial;
+  for (Activation act : {Activation::kTanh, Activation::kRelu}) {
+    const std::vector<Activation> acts = {act, act, Activation::kIdentity};
+    Rng init_rng(41);
+    Mlp net(6, {{16, acts[0]}, {12, acts[1]}, {3, acts[2]}}, init_rng);
+    Rng data_rng(43);
+    const Matrix x = Matrix::he_normal(9, 6, data_rng);
+    const Matrix grad_out = Matrix::he_normal(9, 3, data_rng);
+    const TrainStep want = reference_train_step(net, acts, x, grad_out);
+
+    EXPECT_TRUE(net.forward_train(x) == want.output);
+    net.backward(grad_out);
+    const std::vector<Matrix*> grads = net.gradients();
+    ASSERT_EQ(grads.size(), want.gradients.size());
+    for (std::size_t i = 0; i < grads.size(); ++i) {
+      EXPECT_TRUE(*grads[i] == want.gradients[i])
+          << "gradient " << i << ", activation " << static_cast<int>(act);
+    }
+  }
 }
 
 TEST(Mlp, ZeroGradClearsAccumulation) {
@@ -87,7 +158,7 @@ TEST(Mlp, ZeroGradClearsAccumulation) {
   Rng rng(5);
   const Matrix x = Matrix::he_normal(2, 3, rng);
   (void)net.forward_train(x);
-  (void)net.backward(Matrix(2, 2, 1.0f));
+  net.backward(Matrix(2, 2, 1.0f));
   net.zero_grad();
   for (Matrix* g : net.gradients()) {
     for (float v : g->data()) EXPECT_FLOAT_EQ(v, 0.0f);
@@ -99,10 +170,10 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   Rng rng(5);
   const Matrix x = Matrix::he_normal(2, 3, rng);
   (void)net.forward_train(x);
-  (void)net.backward(Matrix(2, 2, 1.0f));
+  net.backward(Matrix(2, 2, 1.0f));
   const auto first = net.gradients()[0]->data();
   (void)net.forward_train(x);
-  (void)net.backward(Matrix(2, 2, 1.0f));
+  net.backward(Matrix(2, 2, 1.0f));
   const auto second = net.gradients()[0]->data();
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_NEAR(second[i], 2.0f * first[i], 1e-5);
