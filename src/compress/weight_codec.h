@@ -36,7 +36,7 @@ inline constexpr std::uint8_t kWeightCodecCount = 6;
 /// Delta/top-k frames reference a base version; everything else is standalone.
 [[nodiscard]] bool weight_codec_uses_base(WeightCodec codec);
 
-/// `[codec]` config section (see config_file.h for the parse-time bounds).
+/// `[codec]` config section (README.md "Configuration reference" gives the bounds).
 struct WeightSyncConfig {
   WeightCodec codec = WeightCodec::kFp32;
   /// Fraction of each tensor's entries a kTopK frame carries. (0, 0.5].

@@ -1,8 +1,20 @@
 #include "framework/config_file.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "envs/registry.h"
 
 namespace xt {
 namespace {
@@ -14,655 +26,452 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-bool parse_double(const std::string& value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  return end != value.c_str() && *end == '\0';
+/// nullopt once a value is stored; otherwise the rest of its "bad <key>"
+/// error message, which says what the key wants.
+using Rejection = std::optional<std::string>;
+
+/// Parses one value and stores it into the config.
+using Store = std::function<Rejection(LaunchConfig&, const std::string& value)>;
+
+/// One `[section] key` of the launch configuration.
+struct Key {
+  std::string_view section;
+  std::string_view name;
+  Store store;
+};
+
+/// `XT_FIELDS(c.a, c.b)` names the config fields one key writes. They share
+/// one type, and the value is parsed into that type.
+#define XT_FIELDS(...) [](LaunchConfig& c) { return std::tie(__VA_ARGS__); }
+
+template <typename Fields>
+using FieldRefs = std::invoke_result_t<Fields, LaunchConfig&>;
+
+template <typename Fields>
+using FieldType = std::remove_reference_t<std::tuple_element_t<0, FieldRefs<Fields>>>;
+
+template <typename T, typename Fields>
+void assign(LaunchConfig& config, const Fields& fields, const T& value) {
+  std::apply(
+      [&](auto&... field) {
+        static_assert((std::is_same_v<decltype(field), T&> && ...),
+                      "the fields of one key must share one type");
+        ((field = value), ...);
+      },
+      fields(config));
 }
 
-bool parse_u64(const std::string& value, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(value.c_str(), &end, 10);
-  return end != value.c_str() && *end == '\0';
-}
+constexpr auto kNoMax = std::numeric_limits<std::uint64_t>::max();
 
-bool parse_bool(const std::string& value, bool* out) {
-  if (value == "on" || value == "true" || value == "1") {
-    *out = true;
-    return true;
-  }
-  if (value == "off" || value == "false" || value == "0") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
+/// Parses all of `text` as a T. A sign is accepted only by a signed T, and
+/// overflow of T is a failure.
 template <typename T>
-bool parse_list(const std::string& value, std::vector<T>* out) {
-  out->clear();
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    std::uint64_t v;
-    if (!parse_u64(item, &v)) return false;
-    out->push_back(static_cast<T>(v));
-  }
-  return !out->empty();
+bool parse_integer(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
-bool fail(std::string* error, int line, const std::string& message) {
-  if (error != nullptr) {
-    *error = "line " + std::to_string(line) + ": " + message;
+/// True if `x` converts to T without overflow; false for NaN and infinity.
+template <typename T>
+bool fits(double x) {
+  if constexpr (std::is_integral_v<T>) {
+    return x >= static_cast<double>(std::numeric_limits<T>::min()) &&
+           x < std::ldexp(1.0, std::numeric_limits<T>::digits);
+  } else {
+    return std::fabs(x) <= std::numeric_limits<T>::max();
   }
-  return false;
 }
 
-bool apply_algorithm_key(LaunchConfig& config, const std::string& key,
-                         const std::string& value, int line, std::string* error) {
-  AlgoSetup& setup = config.setup;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  if (key == "kind") {
-    if (value == "impala") {
-      setup.kind = AlgoKind::kImpala;
-    } else if (value == "dqn") {
-      setup.kind = AlgoKind::kDqn;
-    } else if (value == "ppo") {
-      setup.kind = AlgoKind::kPpo;
-    } else if (value == "a2c") {
-      setup.kind = AlgoKind::kA2c;
-    } else {
-      return fail(error, line, "unknown algorithm kind '" + value + "'");
+/// An integer of the fields' own type within [lo, hi] that still fits that
+/// type once multiplied by `scale`.
+template <typename Fields>
+Store integer(Fields fields, std::int64_t lo = 0, std::uint64_t hi = kNoMax,
+              std::uint64_t scale = 1) {
+  using T = FieldType<Fields>;
+  hi = std::min<std::uint64_t>(hi, std::numeric_limits<T>::max() / scale);
+  const std::string want =
+      " (want " + std::to_string(lo) + ".." + std::to_string(hi) + ")";
+  return [=](LaunchConfig& config, const std::string& value) -> Rejection {
+    T parsed{};
+    if (!parse_integer(value, &parsed) || std::cmp_less(parsed, lo) ||
+        std::cmp_greater(parsed, hi)) {
+      return want;
     }
-    return true;
-  }
-  if (key == "env") {
-    setup.env_name = value;
-    return true;
-  }
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad seed");
-    setup.seed = u;
-    return true;
-  }
-  if (key == "lr") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad lr");
-    setup.dqn.lr = setup.ppo.lr = setup.impala.lr = static_cast<float>(d);
-    return true;
-  }
-  if (key == "gamma") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad gamma");
-    setup.dqn.gamma = setup.ppo.gamma = setup.impala.gamma = static_cast<float>(d);
-    return true;
-  }
-  if (key == "hidden") {
-    std::vector<std::size_t> widths;
-    if (!parse_list(value, &widths)) return fail(error, line, "bad hidden list");
-    setup.dqn.hidden = setup.ppo.hidden = setup.impala.hidden = widths;
-    return true;
-  }
-  if (key == "fragment_len") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad fragment_len");
-    setup.ppo.fragment_len = setup.impala.fragment_len = u;
-    return true;
-  }
-  if (key == "frame_bytes_per_step") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad frame_bytes_per_step");
-    setup.dqn.frame_bytes_per_step = setup.ppo.frame_bytes_per_step =
-        setup.impala.frame_bytes_per_step = u;
-    return true;
-  }
-  if (key == "replay_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad replay_capacity");
-    setup.dqn.replay_capacity = u;
-    return true;
-  }
-  if (key == "train_start") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad train_start");
-    setup.dqn.train_start = u;
-    return true;
-  }
-  if (key == "batch_size") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad batch_size");
-    setup.dqn.batch_size = u;
-    return true;
-  }
-  if (key == "double_dqn") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad double_dqn");
-    setup.dqn.double_dqn = b;
-    return true;
-  }
-  if (key == "prioritized_replay") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad prioritized_replay");
-    setup.dqn.prioritized = b;
-    return true;
-  }
-  if (key == "epochs") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad epochs");
-    setup.ppo.epochs = static_cast<int>(u);
-    return true;
-  }
-  if (key == "clip") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad clip");
-    setup.ppo.clip = static_cast<float>(d);
-    return true;
-  }
-  if (key == "entropy_coef") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad entropy_coef");
-    setup.ppo.entropy_coef = setup.impala.entropy_coef = static_cast<float>(d);
-    return true;
-  }
-  return fail(error, line, "unknown [algorithm] key '" + key + "'");
+    assign<T>(config, fields, static_cast<T>(parsed * static_cast<T>(scale)));
+    return std::nullopt;
+  };
 }
 
-bool apply_deployment_key(LaunchConfig& config, const std::string& key,
-                          const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  if (key == "explorers_per_machine") {
-    std::vector<int> counts;
-    if (!parse_list(value, &counts)) {
-      return fail(error, line, "bad explorers_per_machine list");
-    }
-    deployment.explorers_per_machine = counts;
-    return true;
+/// Bounds on a real; an open end excludes its own value.
+struct Interval {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+
+std::string describe(const Interval& range) {
+  const auto bound = [](const char* op, double value) {
+    char text[32];
+    std::snprintf(text, sizeof(text), "%s%g", op, value);
+    return std::string(text);
+  };
+  std::string out;
+  if (std::isfinite(range.lo)) out = bound(range.lo_open ? ">" : ">=", range.lo);
+  if (std::isfinite(range.hi)) {
+    out += (out.empty() ? "" : " and ") + bound(range.hi_open ? "<" : "<=", range.hi);
   }
-  if (key == "learner_machine") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad learner_machine");
-    deployment.learner_machine = static_cast<std::uint16_t>(u);
-    return true;
-  }
-  if (key == "max_steps") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad max_steps");
-    deployment.max_steps_consumed = u;
-    return true;
-  }
-  if (key == "max_seconds") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad max_seconds");
-    deployment.max_seconds = d;
-    return true;
-  }
-  if (key == "target_return") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad target_return");
-    deployment.target_return = d;
-    return true;
-  }
-  if (key == "target_return_window") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad target_return_window");
-    deployment.target_return_window = static_cast<int>(u);
-    return true;
-  }
-  if (key == "nic_bandwidth_mbps") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad nic_bandwidth_mbps");
-    deployment.link.bandwidth_bytes_per_sec = d * 1e6;
-    return true;
-  }
-  if (key == "ipc_bandwidth_mbps") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad ipc_bandwidth_mbps");
-    deployment.broker.ipc_bandwidth_bytes_per_sec = d * 1e6;
-    return true;
-  }
-  if (key == "compression") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad compression");
-    deployment.broker.compression.enabled = b;
-    return true;
-  }
-  if (key == "compression_threshold_kb") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad compression_threshold_kb");
-    deployment.broker.compression.threshold_bytes = u * 1024;
-    return true;
-  }
-  if (key == "explorer_send_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad explorer_send_capacity");
-    deployment.explorer_send_capacity = u;
-    return true;
-  }
-  if (key == "stats_csv") {
-    deployment.stats_csv_path = value;
-    return true;
-  }
-  if (key == "tracing") {
-    bool b = false;
-    if (!parse_bool(value, &b)) return fail(error, line, "bad tracing");
-    deployment.obs.tracing = b;
-    return true;
-  }
-  if (key == "trace_capacity") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad trace_capacity");
-    if (u == 0) return fail(error, line, "bad trace_capacity");
-    deployment.obs.trace_capacity = u;
-    return true;
-  }
-  if (key == "chrome_trace") {
-    deployment.obs.chrome_trace_path = value;
-    return true;
-  }
-  if (key == "prometheus_dump") {
-    deployment.obs.prometheus_path = value;
-    return true;
-  }
-  if (key == "stats_line_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad stats_line_every_s");
-    deployment.obs.stats_line_every_s = d;
-    return true;
-  }
-  return fail(error, line, "unknown [deployment] key '" + key + "'");
+  return out.empty() ? "a finite number" : out;
 }
 
-bool apply_faults_key(LaunchConfig& config, const std::string& key,
-                      const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  FaultPlan& faults = deployment.link.faults;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "seed") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad seed");
-    faults.seed = u;
-    return true;
-  }
-  if (key == "drop_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad drop_prob");
-    faults.drop_probability = d;
-    return true;
-  }
-  if (key == "corrupt_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad corrupt_prob");
-    faults.corrupt_probability = d;
-    return true;
-  }
-  if (key == "delay_prob") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad delay_prob");
-    faults.delay_probability = d;
-    return true;
-  }
-  if (key == "delay_ms") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad delay_ms");
-    faults.delay_ns = static_cast<std::int64_t>(d * 1e6);
-    return true;
-  }
-  if (key == "blackout_start_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad blackout_start_s");
-    faults.blackout_start_s = d;
-    return true;
-  }
-  if (key == "blackout_duration_s") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad blackout_duration_s");
+/// A finite real within `range`, stored as value * scale in the fields' own
+/// type (float, double or an integer), which the product must fit.
+template <typename Fields>
+Store real(Fields fields, Interval range = {}, double scale = 1.0) {
+  using T = FieldType<Fields>;
+  const std::string want = " (want " + describe(range) + ")";
+  return [=](LaunchConfig& config, const std::string& value) -> Rejection {
+    double parsed = 0.0;
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+    const double scaled = parsed * scale;
+    if (ec != std::errc() || stop != end || !fits<T>(scaled) ||
+        (range.lo_open ? parsed <= range.lo : parsed < range.lo) ||
+        (range.hi_open ? parsed >= range.hi : parsed > range.hi)) {
+      return want;
     }
-    faults.blackout_duration_s = d;
-    return true;
-  }
-  if (key == "blackout_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad blackout_every_s");
-    faults.blackout_every_s = d;
-    return true;
-  }
-  if (key == "reliable") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad reliable");
-    deployment.reliability.enabled = b;
-    return true;
-  }
-  if (key == "retransmit_timeout_ms") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad retransmit_timeout_ms");
-    }
-    deployment.reliability.rto_ms = d;
-    return true;
-  }
-  if (key == "retransmit_backoff") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad retransmit_backoff");
-    deployment.reliability.backoff = d;
-    return true;
-  }
-  if (key == "retransmit_max_ms") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad retransmit_max_ms");
-    deployment.reliability.max_rto_ms = d;
-    return true;
-  }
-  if (key == "retransmit_max_retries") {
-    if (!parse_u64(value, &u)) {
-      return fail(error, line, "bad retransmit_max_retries");
-    }
-    deployment.reliability.max_retries = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "supervision") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad supervision");
-    deployment.supervision.enabled = b;
-    return true;
-  }
-  if (key == "heartbeat_every_s") {
-    if (!parse_double(value, &d)) return fail(error, line, "bad heartbeat_every_s");
-    deployment.supervision.heartbeat_every_s = d;
-    return true;
-  }
-  if (key == "heartbeat_timeout_s") {
-    if (!parse_double(value, &d)) {
-      return fail(error, line, "bad heartbeat_timeout_s");
-    }
-    deployment.supervision.heartbeat_timeout_s = d;
-    return true;
-  }
-  if (key == "max_worker_restarts") {
-    if (!parse_u64(value, &u)) return fail(error, line, "bad max_worker_restarts");
-    deployment.supervision.max_restarts_per_worker = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "suspect_grace_s") {
-    if (!parse_double(value, &d) || d < 0.0) {
-      return fail(error, line, "bad suspect_grace_s (want >= 0)");
-    }
-    deployment.supervision.suspect_grace_s = d;
-    return true;
-  }
-  if (key == "respawn_min_interval_s") {
-    if (!parse_double(value, &d) || d < 0.0) {
-      return fail(error, line, "bad respawn_min_interval_s (want >= 0)");
-    }
-    deployment.supervision.respawn_min_interval_s = d;
-    return true;
-  }
-  if (key == "checkpoint") {
-    deployment.checkpoint_path = value;
-    return true;
-  }
-  if (key == "checkpoint_every_versions") {
-    if (!parse_u64(value, &u)) {
-      return fail(error, line, "bad checkpoint_every_versions");
-    }
-    deployment.checkpoint_every_versions = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  return fail(error, line, "unknown [faults] key '" + key + "'");
+    assign<T>(config, fields, static_cast<T>(scaled));
+    return std::nullopt;
+  };
 }
 
-bool apply_comm_key(LaunchConfig& config, const std::string& key,
-                    const std::string& value, int line, std::string* error) {
-  DeploymentConfig& deployment = config.deployment;
-  CoalesceConfig& coalesce = deployment.coalesce;
-  OverloadConfig& overload = deployment.overload;
-  double d = 0.0;
-  std::uint64_t u = 0;
-  bool b = false;
-  if (key == "router_shards") {
-    if (!parse_u64(value, &u) || u == 0 || u > 64) {
-      return fail(error, line, "bad router_shards (want 1..64)");
+/// An on/off switch.
+template <typename Fields>
+Store flag(Fields fields) {
+  return [=](LaunchConfig& config, const std::string& value) -> Rejection {
+    const bool on = value == "on" || value == "true" || value == "1";
+    if (!on && value != "off" && value != "false" && value != "0") {
+      return " (want on, off, true, false, 1 or 0)";
     }
-    deployment.broker.router_shards = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "coalescing") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad coalescing");
-    coalesce.enabled = b;
-    return true;
-  }
-  if (key == "coalesce_max_bytes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_max_bytes");
-    }
-    coalesce.max_subframe_bytes = u;
-    return true;
-  }
-  if (key == "coalesce_flush_bytes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_flush_bytes");
-    }
-    coalesce.flush_bytes = u;
-    return true;
-  }
-  if (key == "coalesce_max_subframes") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_max_subframes");
-    }
-    coalesce.max_subframes = u;
-    return true;
-  }
-  if (key == "coalesce_flush_us") {
-    if (!parse_u64(value, &u) || u == 0) {
-      return fail(error, line, "bad coalesce_flush_us");
-    }
-    coalesce.flush_us = static_cast<std::int64_t>(u);
-    return true;
-  }
-  // Overload policy. Out-of-range values are rejected here with the exact
-  // bound in the message — never silently clamped, a clamped watermark is a
-  // config the operator did not write.
-  if (key == "overload_high_watermark") {
-    if (!parse_u64(value, &u) || u > 100'000'000) {
-      return fail(error, line,
-                  "bad overload_high_watermark (want 0..100000000; 0 disables"
-                  " bounding)");
-    }
-    overload.high_watermark = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (key == "overload_low_watermark") {
-    if (!parse_u64(value, &u) || u > 100'000'000) {
-      return fail(error, line,
-                  "bad overload_low_watermark (want 0..100000000; 0 means"
-                  " high/2)");
-    }
-    overload.low_watermark = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (key == "shed_policy") {
-    if (value == "oldest") {
-      overload.shed_policy = ShedPolicy::kOldest;
-    } else if (value == "newest") {
-      overload.shed_policy = ShedPolicy::kNewest;
-    } else {
-      return fail(error, line,
-                  "bad shed_policy '" + value + "' (want oldest or newest)");
-    }
-    return true;
-  }
-  if (key == "weights_block_ms") {
-    if (!parse_double(value, &d) || d < 0.0 || d > 60'000.0) {
-      return fail(error, line, "bad weights_block_ms (want 0..60000)");
-    }
-    overload.weights_block_ms = d;
-    return true;
-  }
-  if (key == "breaker_failures") {
-    if (!parse_u64(value, &u) || u > 1024) {
-      return fail(error, line,
-                  "bad breaker_failures (want 0..1024; 0 disables the"
-                  " breaker)");
-    }
-    overload.breaker_failures = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "breaker_probe_ms") {
-    if (!parse_double(value, &d) || d <= 0.0 || d > 60'000.0) {
-      return fail(error, line, "bad breaker_probe_ms (want >0 and <=60000)");
-    }
-    overload.breaker_probe_ms = d;
-    return true;
-  }
-  return fail(error, line, "unknown [comm] key '" + key + "'");
+    assign<bool>(config, fields, on);
+    return std::nullopt;
+  };
 }
 
-bool apply_profile_key(LaunchConfig& config, const std::string& key,
-                       const std::string& value, int line, std::string* error) {
-  ProfileConfig& profile = config.deployment.profile;
-  double d = 0.0;
-  bool b = false;
-  if (key == "enabled") {
-    if (!parse_bool(value, &b)) return fail(error, line, "bad enabled");
-    profile.enabled = b;
-    return true;
-  }
-  if (key == "hz") {
-    if (!parse_double(value, &d) || d <= 0.0) return fail(error, line, "bad hz");
-    profile.hz = d;
-    return true;
-  }
-  if (key == "saturation_hz") {
-    if (!parse_double(value, &d) || d <= 0.0) {
-      return fail(error, line, "bad saturation_hz");
-    }
-    profile.saturation_hz = d;
-    return true;
-  }
-  if (key == "profile_json") {
-    profile.profile_json_path = value;
-    return true;
-  }
-  return fail(error, line, "unknown [profile] key '" + key + "'");
+/// Free text, such as an output path (empty = no output).
+template <typename Fields>
+Store text(Fields fields) {
+  return [=](LaunchConfig& config, const std::string& value) -> Rejection {
+    assign<std::string>(config, fields, value);
+    return std::nullopt;
+  };
 }
 
-bool apply_codec_key(LaunchConfig& config, const std::string& key,
-                     const std::string& value, int line, std::string* error) {
-  WeightSyncConfig& codec = config.deployment.weight_sync;
-  std::uint64_t u = 0;
-  double d = 0.0;
-  if (key == "weights") {
-    const auto parsed = parse_weight_codec(value);
-    if (!parsed) {
-      return fail(error, line,
-                  "bad weights codec '" + value +
-                      "' (want fp32, fp16, bf16, int8, delta, or topk)");
+/// A non-empty comma list of integers of the fields' element type, each 0
+/// or more.
+template <typename Fields>
+Store list(Fields fields) {
+  using T = FieldType<Fields>;
+  using Item = typename T::value_type;
+  const std::string want = " (want a comma list of 0.." +
+                           std::to_string(std::numeric_limits<Item>::max()) + ")";
+  return [=](LaunchConfig& config, const std::string& value) -> Rejection {
+    T items;
+    std::stringstream ss(value);
+    for (std::string item; std::getline(ss, item, ',');) {
+      Item parsed{};
+      if (!parse_integer(trim(item), &parsed) || std::cmp_less(parsed, 0)) return want;
+      items.push_back(parsed);
     }
-    codec.codec = *parsed;
-    return true;
-  }
-  if (key == "topk_fraction") {
-    if (!parse_double(value, &d) || d <= 0.0 || d > 0.5) {
-      return fail(error, line, "bad topk_fraction (want >0 and <=0.5)");
-    }
-    codec.topk_fraction = d;
-    return true;
-  }
-  if (key == "keyframe_every") {
-    if (!parse_u64(value, &u) || u == 0 || u > 100'000) {
-      return fail(error, line, "bad keyframe_every (want 1..100000)");
-    }
-    codec.keyframe_every = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  if (key == "lazy_threshold") {
-    if (!parse_double(value, &d) || d < 0.0 || d >= 1.0) {
-      return fail(error, line,
-                  "bad lazy_threshold (want 0..1 exclusive of 1; 0 disables"
-                  " lazy broadcast)");
-    }
-    codec.lazy_threshold = d;
-    return true;
-  }
-  if (key == "max_staleness") {
-    if (!parse_u64(value, &u) || u == 0 || u > 100'000) {
-      return fail(error, line, "bad max_staleness (want 1..100000)");
-    }
-    codec.max_staleness = static_cast<std::uint32_t>(u);
-    return true;
-  }
-  return fail(error, line, "unknown [codec] key '" + key + "'");
+    if (items.empty()) return want;
+    assign<T>(config, fields, items);
+    return std::nullopt;
+  };
 }
 
-bool apply_compute_key(LaunchConfig& config, const std::string& key,
-                       const std::string& value, int line, std::string* error) {
-  if (key == "threads") {
-    if (value == "auto") {
-      config.deployment.compute_threads = -1;
-      return true;
+// The keys whose values are names.
+
+Rejection algo_kind(LaunchConfig& config, const std::string& value) {
+  const std::pair<const char*, AlgoKind> kinds[] = {
+      {"impala", AlgoKind::kImpala},
+      {"dqn", AlgoKind::kDqn},
+      {"ppo", AlgoKind::kPpo},
+      {"a2c", AlgoKind::kA2c},
+  };
+  for (const auto& [name, kind] : kinds) {
+    if (value == name) {
+      config.setup.kind = kind;
+      return std::nullopt;
     }
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || parsed < -1 || parsed > 4096) {
-      return fail(error, line, "bad threads (want auto, -1, 0, or a count)");
-    }
-    config.deployment.compute_threads = static_cast<int>(parsed);
-    return true;
   }
-  return fail(error, line, "unknown [compute] key '" + key + "'");
+  return " '" + value + "' (want impala, dqn, ppo or a2c)";
+}
+
+/// The runtime sizes its networks from an environment of this name, so an
+/// unknown one is rejected here rather than at launch.
+Rejection env_by_name(LaunchConfig& config, const std::string& value) {
+  const std::vector<std::string> names = registered_environments();
+  if (std::find(names.begin(), names.end(), value) != names.end()) {
+    config.setup.env_name = value;
+    return std::nullopt;
+  }
+  std::string want;
+  for (const std::string& name : names) want += (want.empty() ? "" : ", ") + name;
+  return " '" + value + "' (want one of " + want + ")";
+}
+
+Rejection shed_policy(LaunchConfig& config, const std::string& value) {
+  if (value != "oldest" && value != "newest") {
+    return " '" + value + "' (want oldest or newest)";
+  }
+  config.deployment.overload.shed_policy =
+      value == "oldest" ? ShedPolicy::kOldest : ShedPolicy::kNewest;
+  return std::nullopt;
+}
+
+Rejection weights_codec(LaunchConfig& config, const std::string& value) {
+  const auto codec = parse_weight_codec(value);
+  if (!codec) {
+    return " codec '" + value + "' (want fp32, fp16, bf16, int8, delta, or topk)";
+  }
+  config.deployment.weight_sync.codec = *codec;
+  return std::nullopt;
+}
+
+/// `auto` is -1: one compute thread per hardware thread.
+Store compute_threads() {
+  const Store count = integer(XT_FIELDS(c.deployment.compute_threads), -1, 4096);
+  return [count](LaunchConfig& config, const std::string& value) -> Rejection {
+    if (count(config, value == "auto" ? "-1" : value)) {
+      return " (want auto or -1..4096)";
+    }
+    return std::nullopt;
+  };
+}
+
+/// Every key, in the order README's configuration reference lists them.
+const std::vector<Key>& key_table() {
+  static const std::vector<Key> table = {
+      {"algorithm", "kind", algo_kind},
+      {"algorithm", "env", env_by_name},
+      {"algorithm", "seed", integer(XT_FIELDS(c.setup.seed))},
+      {"algorithm", "lr",
+       real(XT_FIELDS(c.setup.dqn.lr, c.setup.ppo.lr, c.setup.impala.lr))},
+      {"algorithm", "gamma",
+       real(XT_FIELDS(c.setup.dqn.gamma, c.setup.ppo.gamma, c.setup.impala.gamma))},
+      {"algorithm", "hidden",
+       list(XT_FIELDS(c.setup.dqn.hidden, c.setup.ppo.hidden, c.setup.impala.hidden))},
+      {"algorithm", "fragment_len",
+       integer(XT_FIELDS(c.setup.ppo.fragment_len, c.setup.impala.fragment_len))},
+      {"algorithm", "frame_bytes_per_step",
+       integer(XT_FIELDS(c.setup.dqn.frame_bytes_per_step,
+                         c.setup.ppo.frame_bytes_per_step,
+                         c.setup.impala.frame_bytes_per_step))},
+      {"algorithm", "replay_capacity",
+       integer(XT_FIELDS(c.setup.dqn.replay_capacity), 1)},
+      {"algorithm", "train_start", integer(XT_FIELDS(c.setup.dqn.train_start))},
+      {"algorithm", "batch_size", integer(XT_FIELDS(c.setup.dqn.batch_size))},
+      {"algorithm", "double_dqn", flag(XT_FIELDS(c.setup.dqn.double_dqn))},
+      {"algorithm", "prioritized_replay", flag(XT_FIELDS(c.setup.dqn.prioritized))},
+      {"algorithm", "epochs", integer(XT_FIELDS(c.setup.ppo.epochs))},
+      {"algorithm", "clip", real(XT_FIELDS(c.setup.ppo.clip))},
+      {"algorithm", "entropy_coef",
+       real(XT_FIELDS(c.setup.ppo.entropy_coef, c.setup.impala.entropy_coef))},
+
+      {"deployment", "explorers_per_machine",
+       list(XT_FIELDS(c.deployment.explorers_per_machine))},
+      {"deployment", "learner_machine",
+       integer(XT_FIELDS(c.deployment.learner_machine))},
+      {"deployment", "max_steps", integer(XT_FIELDS(c.deployment.max_steps_consumed))},
+      {"deployment", "max_seconds", real(XT_FIELDS(c.deployment.max_seconds))},
+      {"deployment", "target_return", real(XT_FIELDS(c.deployment.target_return))},
+      {"deployment", "target_return_window",
+       integer(XT_FIELDS(c.deployment.target_return_window))},
+      {"deployment", "nic_bandwidth_mbps",
+       real(XT_FIELDS(c.deployment.link.bandwidth_bytes_per_sec), {}, 1e6)},
+      {"deployment", "ipc_bandwidth_mbps",
+       real(XT_FIELDS(c.deployment.broker.ipc_bandwidth_bytes_per_sec), {}, 1e6)},
+      {"deployment", "compression",
+       flag(XT_FIELDS(c.deployment.broker.compression.enabled))},
+      {"deployment", "compression_threshold_kb",
+       integer(XT_FIELDS(c.deployment.broker.compression.threshold_bytes), 0, kNoMax,
+               1024)},
+      {"deployment", "explorer_send_capacity",
+       integer(XT_FIELDS(c.deployment.explorer_send_capacity))},
+      {"deployment", "stats_csv", text(XT_FIELDS(c.deployment.stats_csv_path))},
+      {"deployment", "tracing", flag(XT_FIELDS(c.deployment.obs.tracing))},
+      {"deployment", "trace_capacity",
+       integer(XT_FIELDS(c.deployment.obs.trace_capacity), 1)},
+      {"deployment", "chrome_trace",
+       text(XT_FIELDS(c.deployment.obs.chrome_trace_path))},
+      {"deployment", "prometheus_dump",
+       text(XT_FIELDS(c.deployment.obs.prometheus_path))},
+      {"deployment", "stats_line_every_s",
+       real(XT_FIELDS(c.deployment.obs.stats_line_every_s))},
+
+      {"compute", "threads", compute_threads()},
+
+      {"profile", "enabled", flag(XT_FIELDS(c.deployment.profile.enabled))},
+      {"profile", "hz",
+       real(XT_FIELDS(c.deployment.profile.hz), {.lo = 0, .lo_open = true})},
+      {"profile", "saturation_hz",
+       real(XT_FIELDS(c.deployment.profile.saturation_hz), {.lo = 0, .lo_open = true})},
+      {"profile", "profile_json",
+       text(XT_FIELDS(c.deployment.profile.profile_json_path))},
+
+      {"comm", "router_shards",
+       integer(XT_FIELDS(c.deployment.broker.router_shards), 1, 64)},
+      {"comm", "coalescing", flag(XT_FIELDS(c.deployment.coalesce.enabled))},
+      {"comm", "coalesce_max_bytes",
+       integer(XT_FIELDS(c.deployment.coalesce.max_subframe_bytes), 1)},
+      {"comm", "coalesce_flush_bytes",
+       integer(XT_FIELDS(c.deployment.coalesce.flush_bytes), 1)},
+      {"comm", "coalesce_max_subframes",
+       integer(XT_FIELDS(c.deployment.coalesce.max_subframes), 1)},
+      {"comm", "coalesce_flush_us",
+       integer(XT_FIELDS(c.deployment.coalesce.flush_us), 1)},
+      {"comm", "overload_high_watermark",
+       integer(XT_FIELDS(c.deployment.overload.high_watermark), 0, 100'000'000)},
+      {"comm", "overload_low_watermark",
+       integer(XT_FIELDS(c.deployment.overload.low_watermark), 0, 100'000'000)},
+      {"comm", "shed_policy", shed_policy},
+      {"comm", "weights_block_ms",
+       integer(XT_FIELDS(c.deployment.overload.weights_block_ms), 0, 60'000)},
+      {"comm", "breaker_failures",
+       integer(XT_FIELDS(c.deployment.overload.breaker_failures), 0, 1024)},
+      {"comm", "breaker_probe_ms",
+       integer(XT_FIELDS(c.deployment.overload.breaker_probe_ms), 1, 60'000)},
+
+      {"codec", "weights", weights_codec},
+      {"codec", "topk_fraction",
+       real(XT_FIELDS(c.deployment.weight_sync.topk_fraction),
+            {.lo = 0, .hi = 0.5, .lo_open = true})},
+      {"codec", "keyframe_every",
+       integer(XT_FIELDS(c.deployment.weight_sync.keyframe_every), 1, 100'000)},
+      {"codec", "lazy_threshold",
+       real(XT_FIELDS(c.deployment.weight_sync.lazy_threshold),
+            {.lo = 0, .hi = 1, .hi_open = true})},
+      {"codec", "max_staleness",
+       integer(XT_FIELDS(c.deployment.weight_sync.max_staleness), 1, 100'000)},
+
+      {"faults", "seed", integer(XT_FIELDS(c.deployment.link.faults.seed))},
+      {"faults", "drop_prob",
+       real(XT_FIELDS(c.deployment.link.faults.drop_probability), {.lo = 0, .hi = 1})},
+      {"faults", "corrupt_prob",
+       real(XT_FIELDS(c.deployment.link.faults.corrupt_probability),
+            {.lo = 0, .hi = 1})},
+      {"faults", "delay_prob",
+       real(XT_FIELDS(c.deployment.link.faults.delay_probability), {.lo = 0, .hi = 1})},
+      {"faults", "delay_ms",
+       real(XT_FIELDS(c.deployment.link.faults.delay_ns), {}, 1e6)},
+      {"faults", "blackout_start_s",
+       real(XT_FIELDS(c.deployment.link.faults.blackout_start_s))},
+      {"faults", "blackout_duration_s",
+       real(XT_FIELDS(c.deployment.link.faults.blackout_duration_s))},
+      {"faults", "blackout_every_s",
+       real(XT_FIELDS(c.deployment.link.faults.blackout_every_s))},
+      {"faults", "reliable", flag(XT_FIELDS(c.deployment.reliability.enabled))},
+      {"faults", "retransmit_timeout_ms",
+       real(XT_FIELDS(c.deployment.reliability.rto_ms))},
+      {"faults", "retransmit_backoff",
+       real(XT_FIELDS(c.deployment.reliability.backoff))},
+      {"faults", "retransmit_max_ms",
+       real(XT_FIELDS(c.deployment.reliability.max_rto_ms))},
+      {"faults", "retransmit_max_retries",
+       integer(XT_FIELDS(c.deployment.reliability.max_retries))},
+      {"faults", "supervision", flag(XT_FIELDS(c.deployment.supervision.enabled))},
+      {"faults", "heartbeat_every_s",
+       real(XT_FIELDS(c.deployment.supervision.heartbeat_every_s))},
+      {"faults", "heartbeat_timeout_s",
+       real(XT_FIELDS(c.deployment.supervision.heartbeat_timeout_s))},
+      {"faults", "max_worker_restarts",
+       integer(XT_FIELDS(c.deployment.supervision.max_restarts_per_worker))},
+      {"faults", "suspect_grace_s",
+       real(XT_FIELDS(c.deployment.supervision.suspect_grace_s), {.lo = 0})},
+      {"faults", "respawn_min_interval_s",
+       real(XT_FIELDS(c.deployment.supervision.respawn_min_interval_s), {.lo = 0})},
+      {"faults", "checkpoint", text(XT_FIELDS(c.deployment.checkpoint_path))},
+      {"faults", "checkpoint_every_versions",
+       integer(XT_FIELDS(c.deployment.checkpoint_every_versions))},
+  };
+  return table;
+}
+
+#undef XT_FIELDS
+
+std::nullopt_t fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return std::nullopt;
 }
 
 }  // namespace
 
+std::vector<std::pair<std::string, std::string>> launch_config_keys() {
+  std::vector<std::pair<std::string, std::string>> keys;
+  for (const Key& key : key_table()) keys.emplace_back(key.section, key.name);
+  return keys;
+}
+
 std::optional<LaunchConfig> parse_launch_config(const std::string& contents,
                                                 std::string* error) {
+  const std::vector<Key>& table = key_table();
   LaunchConfig config;
   std::string section;
   std::stringstream ss(contents);
   std::string raw_line;
   int line = 0;
+  const auto fail_at_line = [&](const std::string& message) {
+    return fail(error, "line " + std::to_string(line) + ": " + message);
+  };
   while (std::getline(ss, raw_line)) {
     ++line;
-    std::string text = raw_line;
-    const auto comment = text.find('#');
-    if (comment != std::string::npos) text = text.substr(0, comment);
-    text = trim(text);
+    const std::string text = trim(raw_line.substr(0, raw_line.find('#')));
     if (text.empty()) continue;
 
     if (text.front() == '[') {
-      if (text.back() != ']') {
-        fail(error, line, "unterminated section header");
-        return std::nullopt;
-      }
+      if (text.back() != ']') return fail_at_line("unterminated section header");
       section = text.substr(1, text.size() - 2);
-      if (section != "algorithm" && section != "deployment" &&
-          section != "faults" && section != "compute" &&
-          section != "profile" && section != "comm" && section != "codec") {
-        fail(error, line, "unknown section [" + section + "]");
-        return std::nullopt;
+      if (std::none_of(table.begin(), table.end(),
+                       [&](const Key& key) { return key.section == section; })) {
+        return fail_at_line("unknown section [" + section + "]");
       }
       continue;
     }
 
     const auto eq = text.find('=');
-    if (eq == std::string::npos) {
-      fail(error, line, "expected 'key = value'");
-      return std::nullopt;
-    }
-    const std::string key = trim(text.substr(0, eq));
+    if (eq == std::string::npos) return fail_at_line("expected 'key = value'");
+    const std::string name = trim(text.substr(0, eq));
     const std::string value = trim(text.substr(eq + 1));
-    if (section.empty()) {
-      fail(error, line, "key outside any section");
-      return std::nullopt;
+    if (section.empty()) return fail_at_line("key outside any section");
+    const auto entry = std::find_if(table.begin(), table.end(), [&](const Key& key) {
+      return key.section == section && key.name == name;
+    });
+    if (entry == table.end()) {
+      return fail_at_line("unknown [" + section + "] key '" + name + "'");
     }
-    bool ok = false;
-    if (section == "algorithm") {
-      ok = apply_algorithm_key(config, key, value, line, error);
-    } else if (section == "deployment") {
-      ok = apply_deployment_key(config, key, value, line, error);
-    } else if (section == "compute") {
-      ok = apply_compute_key(config, key, value, line, error);
-    } else if (section == "profile") {
-      ok = apply_profile_key(config, key, value, line, error);
-    } else if (section == "comm") {
-      ok = apply_comm_key(config, key, value, line, error);
-    } else if (section == "codec") {
-      ok = apply_codec_key(config, key, value, line, error);
-    } else {
-      ok = apply_faults_key(config, key, value, line, error);
+    if (const Rejection why = entry->store(config, value)) {
+      return fail_at_line("bad " + name + *why);
     }
-    if (!ok) return std::nullopt;
   }
 
-  // Cross-field validation of the overload watermarks, after every key is in
-  // (so key order in the file does not matter): a low watermark without a
-  // high one gates nothing, and the hysteresis band needs low < high.
+  // Cross-field checks run after every key is in, so key order in the file
+  // does not matter. A low watermark without a high one gates nothing, and
+  // the hysteresis band needs low < high.
   const OverloadConfig& overload = config.deployment.overload;
   if (overload.low_watermark > 0 && overload.high_watermark == 0) {
-    if (error != nullptr) {
-      *error = "[comm] overload_low_watermark requires overload_high_watermark";
-    }
-    return std::nullopt;
+    return fail(error,
+                "[comm] overload_low_watermark requires overload_high_watermark");
   }
-  if (overload.low_watermark > 0 &&
-      overload.low_watermark >= overload.high_watermark) {
-    if (error != nullptr) {
-      *error =
-          "[comm] overload_low_watermark must be below overload_high_watermark";
-    }
-    return std::nullopt;
+  if (overload.low_watermark > 0 && overload.low_watermark >= overload.high_watermark) {
+    return fail(error,
+                "[comm] overload_low_watermark must be below overload_high_watermark");
+  }
+  const std::size_t machines = config.deployment.explorers_per_machine.size();
+  if (config.deployment.learner_machine >= machines) {
+    return fail(error,
+                "[deployment] learner_machine must be below the machine count (" +
+                    std::to_string(machines) + ")");
   }
 
   // PPO's learner must know the explorer count; keep them consistent.

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <tuple>
 
 namespace xt {
 namespace {
@@ -494,6 +499,145 @@ TEST(ConfigFile, CommSectionRejectsBadValues) {
   EXPECT_FALSE(
       parse_launch_config("[comm]\nbogus = 1\n", &error).has_value());
   EXPECT_NE(error.find("[comm]"), std::string::npos);
+}
+
+TEST(ConfigFile, RejectsConfigsThatWouldCrashTheRuntime) {
+  // Each of these used to parse, then crash the runtime where its asserts
+  // are compiled out: a null environment probe, an out-of-range broker
+  // index, and a zero-capacity replay ring.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"[algorithm]\nenv = Pong\n", "bad env 'Pong'"},
+      {"[deployment]\nexplorers_per_machine = 1,1\nlearner_machine = 5\n",
+       "learner_machine"},
+      {"[algorithm]\nkind = dqn\nreplay_capacity = 0\n", "bad replay_capacity"},
+  };
+  for (const auto& [text, message] : cases) {
+    std::string error;
+    EXPECT_FALSE(parse_launch_config(text, &error)) << text;
+    EXPECT_NE(error.find(message), std::string::npos) << text << " -> " << error;
+  }
+  // The learner may sit on any machine that exists.
+  EXPECT_TRUE(parse_launch_config(
+      "[deployment]\nexplorers_per_machine = 1,1\nlearner_machine = 1\n"));
+}
+
+TEST(ConfigFile, RejectsValuesThatWouldBeWrappedTruncatedOrNan) {
+  // Values an earlier parser accepted and silently changed: negative
+  // integers wrapped, overflow saturated or truncated to a narrower field,
+  // fractions cast to integers, values that overflow once scaled or
+  // narrowed, and NaN, which passes every < and > bound.
+  const std::vector<std::tuple<std::string, std::string, std::string>> cases = {
+      {"algorithm", "seed", "-1"},
+      {"algorithm", "seed", "99999999999999999999999"},
+      {"deployment", "explorers_per_machine", "-1"},
+      {"deployment", "learner_machine", "65541"},
+      {"algorithm", "epochs", "4294967296"},
+      {"faults", "max_worker_restarts", "4294967297"},
+      {"algorithm", "hidden", "-1"},
+      {"deployment", "trace_capacity", "-1"},
+      {"comm", "breaker_probe_ms", "0.5"},
+      {"comm", "weights_block_ms", "0.5"},
+      {"comm", "weights_block_ms", "nan"},
+      {"comm", "breaker_probe_ms", "nan"},
+      {"profile", "hz", "nan"},
+      {"profile", "hz", "inf"},
+      {"codec", "topk_fraction", "nan"},
+      {"codec", "lazy_threshold", "nan"},
+      {"algorithm", "lr", "nan"},
+      {"faults", "drop_prob", "2"},
+      {"faults", "drop_prob", "-0.5"},
+      {"algorithm", "lr", "1e39"},  // past float's range
+      {"deployment", "compression_threshold_kb", "18014398509481984"},  // * 1024
+      {"faults", "delay_ms", "1e13"},  // 1e19 ns overflows int64
+  };
+  for (const auto& [section, key, value] : cases) {
+    const std::string text = "[" + section + "]\n" + key + " = " + value + "\n";
+    std::string error;
+    EXPECT_FALSE(parse_launch_config(text, &error)) << text;
+    EXPECT_EQ(error.rfind("line 2: bad " + key, 0), 0u) << text << " -> " << error;
+  }
+}
+
+TEST(ConfigFile, EveryKeyButPathsRejectsNan) {
+  const std::set<std::string> paths = {"stats_csv", "chrome_trace", "prometheus_dump",
+                                       "checkpoint", "profile_json"};
+  std::size_t paths_seen = 0;
+  for (const auto& [section, key] : launch_config_keys()) {
+    const std::string text = "[" + section + "]\n" + key + " = nan\n";
+    std::string error;
+    if (paths.count(key) != 0) {
+      ++paths_seen;
+      EXPECT_TRUE(parse_launch_config(text, &error)) << text << " -> " << error;
+      continue;
+    }
+    EXPECT_FALSE(parse_launch_config(text, &error)) << text;
+    EXPECT_EQ(error.rfind("line 2: bad " + key, 0), 0u) << text << " -> " << error;
+  }
+  EXPECT_EQ(paths_seen, paths.size());
+}
+
+std::string read_source_file(const std::string& relative) {
+  std::ifstream file(std::string(XT_SOURCE_DIR) + "/" + relative);
+  std::stringstream contents;
+  contents << file.rdbuf();
+  return contents.str();
+}
+
+using KeySet = std::set<std::pair<std::string, std::string>>;
+
+/// The `[section] key` pairs an ini text sets.
+KeySet keys_set_by(const std::string& ini) {
+  KeySet keys;
+  std::stringstream lines(ini);
+  std::string section;
+  for (std::string line; std::getline(lines, line);) {
+    line = line.substr(0, line.find('#'));
+    line.erase(0, line.find_first_not_of(" \t"));
+    if (line.starts_with('[')) {
+      section = line.substr(1, line.find(']') - 1);
+    } else if (line.find('=') != std::string::npos) {
+      keys.emplace(section, line.substr(0, line.find_first_of(" \t=")));
+    }
+  }
+  return keys;
+}
+
+TEST(ConfigFile, ReadmeReferenceAndShippedConfigsMatchTheParser) {
+  // README's "Configuration reference" block lists exactly the parser's
+  // keys and parses; README's other ini examples and every configs/*.conf
+  // parse too.
+  const std::string readme = read_source_file("README.md");
+  const std::size_t reference_at = readme.find("## Configuration reference");
+  ASSERT_NE(reference_at, std::string::npos);
+  std::string reference;
+  const std::string fence = "```ini\n";
+  for (std::size_t at = readme.find(fence); at != std::string::npos;
+       at = readme.find(fence, at + 1)) {
+    const std::size_t begin = at + fence.size();
+    const std::size_t end = readme.find("```", begin);
+    ASSERT_NE(end, std::string::npos);
+    const std::string block = readme.substr(begin, end - begin);
+    if (reference.empty() && at > reference_at) reference = block;
+    std::string error;
+    EXPECT_TRUE(parse_launch_config(block, &error))
+        << "README ini block at offset " << at << ": " << error;
+  }
+
+  const auto table = launch_config_keys();
+  const KeySet parser_keys(table.begin(), table.end());
+  EXPECT_EQ(parser_keys.size(), table.size()) << "a key is declared twice";
+  EXPECT_EQ(keys_set_by(reference), parser_keys);
+
+  const std::string configs_dir = std::string(XT_SOURCE_DIR) + "/configs";
+  int configs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(configs_dir)) {
+    if (entry.path().extension() != ".conf") continue;
+    ++configs;
+    std::string error;
+    EXPECT_TRUE(load_launch_config(entry.path().string(), &error))
+        << entry.path() << ": " << error;
+  }
+  EXPECT_GT(configs, 0);
 }
 
 }  // namespace
