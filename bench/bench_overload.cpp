@@ -5,7 +5,9 @@
 //  - 512 simulated explorers (3 driver machines around one learner machine)
 //    offer ~1.5x each paced link's byte budget in experience while a live
 //    control plane (heartbeats toward the center controller) rides the same
-//    links.
+//    links. Every message is its own wire frame. Stats records also go to
+//    the controller, but they are experience class, so they are shed like
+//    rollouts; the report prints the two rates apart.
 //  - Every comm queue is bounded by the `[comm]` overload config, so the
 //    excess is shed (oldest-first) instead of accumulating: queue depth is
 //    sampled throughout the run and must stay at the watermark, not grow.
@@ -69,7 +71,9 @@ struct OverloadResult {
   int explorers = 0;
   double control_p99_ms = 0.0;        ///< heartbeat created -> controller
   double delivered_control_per_s = 0.0;
-  double delivered_experience_per_s = 0.0;
+  double delivered_experience_per_s = 0.0;  ///< rollouts + stats
+  double delivered_rollouts_per_s = 0.0;
+  double delivered_stats_per_s = 0.0;
   std::uint64_t messages_shed = 0;    ///< broker queues (router + inbox)
   std::uint64_t frames_shed = 0;      ///< pipe transmit queues
   std::size_t max_queue_depth = 0;    ///< deepest comm queue ever sampled
@@ -158,9 +162,7 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   link.faults.seed = 29;
   link.faults.drop_probability = 0.02;
   link.faults.corrupt_probability = 0.01;
-  CoalesceConfig coalesce;
-  coalesce.enabled = true;  // the control plane batches; bulk never waits
-  Fabric fabric(link, ReliabilityConfig{}, coalesce);
+  Fabric fabric(link);
   for (std::uint16_t m = 1; m <= kDriverMachines; ++m) {
     fabric.connect(*brokers[0], *brokers[m]);  // star around the learner
   }
@@ -299,8 +301,6 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
     result.frames_shed += pipe->frames_shed();
     result.faults_injected += pipe->frames_dropped();
   }
-  // The controller receives heartbeats (control class) plus stats
-  // (experience class); the learner receives rollouts (experience).
   std::sort(control_latencies_ms.begin(), control_latencies_ms.end());
   if (!control_latencies_ms.empty()) {
     const auto idx = static_cast<std::size_t>(
@@ -309,12 +309,15 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
     result.delivered_control_per_s =
         static_cast<double>(control_latencies_ms.size()) / seconds;
   }
-  const std::uint64_t delivered_total = (learner_after - learner_before) +
-                                        (controller_after - controller_before);
+  // The learner receives rollouts; the controller receives heartbeats
+  // (control class) plus stats (experience class).
+  result.delivered_rollouts_per_s =
+      static_cast<double>(learner_after - learner_before) / seconds;
+  result.delivered_stats_per_s =
+      static_cast<double>(controller_after - controller_before) / seconds -
+      result.delivered_control_per_s;
   result.delivered_experience_per_s =
-      (static_cast<double>(delivered_total) - result.delivered_control_per_s *
-                                                  seconds) /
-      seconds;
+      result.delivered_rollouts_per_s + result.delivered_stats_per_s;
   return result;
 }
 
@@ -350,6 +353,9 @@ int main(int argc, char** argv) {
   std::printf("%26s %14.0f\n", "control delivered/s", r.delivered_control_per_s);
   std::printf("%26s %14.0f\n", "experience delivered/s",
               r.delivered_experience_per_s);
+  std::printf("%26s %14.0f\n", "rollouts delivered/s",
+              r.delivered_rollouts_per_s);
+  std::printf("%26s %14.0f\n", "stats delivered/s", r.delivered_stats_per_s);
   std::printf("%26s %14llu\n", "messages shed",
               static_cast<unsigned long long>(r.messages_shed));
   std::printf("%26s %14llu\n", "frames shed",

@@ -24,11 +24,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("launching %s on %s: %d explorer(s) across %zu machine(s), "
+  std::printf("launching %s on %s: %lld explorer(s) across %zu machine(s), "
               "learner on machine %u\n",
               xt::algo_kind_name(config->setup.kind),
               config->setup.env_name.c_str(),
-              config->deployment.total_explorers(),
+              static_cast<long long>(config->deployment.total_explorers()),
               config->deployment.explorers_per_machine.size(),
               config->deployment.learner_machine);
 

@@ -446,11 +446,9 @@ void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
   }
 }
 
-void Broker::reject_corrupt_frame(std::size_t subframes) {
+void Broker::reject_corrupt_frame() {
   inst_.corrupted.inc();
-  for (std::size_t i = 0; i < subframes; ++i) {
-    note_drop(DropReason::kCrcFail);
-  }
+  note_drop(DropReason::kCrcFail);
 }
 
 std::uint64_t Broker::shard_drops(std::uint32_t shard) const {

@@ -147,11 +147,11 @@ class Broker {
   /// cannot repair them.
   void deliver_remote(MessageHeader header, Payload body);
 
-  /// Ingress accounting for a corrupted *wire frame*: the whole frame failed
-  /// its chained CRC, so every sub-frame it carried is rejected exactly once
-  /// — one corrupted-frame tick, one CRC-fail drop per sub-frame. The caller
-  /// (fabric or reliable channel) never delivers any of its messages.
-  void reject_corrupt_frame(std::size_t subframes);
+  /// Ingress accounting for a corrupted *wire frame*: it failed its chained
+  /// CRC, so its message is rejected exactly once — one corrupted-frame
+  /// tick and one CRC-fail drop. The caller (fabric or reliable channel)
+  /// never delivers it.
+  void reject_corrupt_frame();
 
   /// Stop the router threads (idempotent). In-flight headers are drained.
   void stop();

@@ -89,7 +89,7 @@ struct MessageHeader {
   std::int64_t created_ns = 0;  ///< when the workhorse produced the message
   std::uint32_t tag = 0;        ///< free-form (e.g. training iteration, PBT rank)
   /// Overload arbitration lane (see TrafficClass). Stamped by make_outbound
-  /// from the message type and carried on the wire per sub-frame.
+  /// from the message type and carried in its wire frame's control segment.
   TrafficClass tclass = TrafficClass::kExperience;
 
   /// Weight-frame metadata (DESIGN.md §11), meaningful only for kWeights.

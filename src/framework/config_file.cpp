@@ -322,15 +322,6 @@ const std::vector<Key>& key_table() {
 
       {"comm", "router_shards",
        integer(XT_FIELDS(c.deployment.broker.router_shards), 1, 64)},
-      {"comm", "coalescing", flag(XT_FIELDS(c.deployment.coalesce.enabled))},
-      {"comm", "coalesce_max_bytes",
-       integer(XT_FIELDS(c.deployment.coalesce.max_subframe_bytes), 1)},
-      {"comm", "coalesce_flush_bytes",
-       integer(XT_FIELDS(c.deployment.coalesce.flush_bytes), 1)},
-      {"comm", "coalesce_max_subframes",
-       integer(XT_FIELDS(c.deployment.coalesce.max_subframes), 1)},
-      {"comm", "coalesce_flush_us",
-       integer(XT_FIELDS(c.deployment.coalesce.flush_us), 1)},
       {"comm", "overload_high_watermark",
        integer(XT_FIELDS(c.deployment.overload.high_watermark), 0, 100'000'000)},
       {"comm", "overload_low_watermark",
@@ -472,6 +463,11 @@ std::optional<LaunchConfig> parse_launch_config(const std::string& contents,
     return fail(error,
                 "[deployment] learner_machine must be below the machine count (" +
                     std::to_string(machines) + ")");
+  }
+  // Explorer ids carry a 16-bit global index.
+  if (config.deployment.total_explorers() > 65'536) {
+    return fail(error, "[deployment] explorers_per_machine must total at most "
+                       "65536 explorers");
   }
 
   // PPO's learner must know the explorer count; keep them consistent.

@@ -8,7 +8,6 @@
 #include "common/stats.h"
 #include "compress/weight_codec.h"
 #include "framework/supervisor.h"
-#include "netsim/frame_coalescer.h"
 #include "netsim/paced_pipe.h"
 #include "netsim/reliable_link.h"
 #include "obs/critical_path.h"
@@ -65,7 +64,6 @@ struct DeploymentConfig {
   ObservabilityConfig obs;         ///< metrics / tracing / exporters
   ProfileConfig profile;           ///< sampling profiler + saturation gauges
   ReliabilityConfig reliability;   ///< ack/retransmit on cross-machine links
-  CoalesceConfig coalesce;         ///< control-frame batching on those links
   SupervisionConfig supervision;   ///< heartbeats + worker respawn
   /// `[comm]` overload policy (watermarks, shed policy, breaker knobs).
   /// When bounded, the runtime applies it to broker queues, endpoint
@@ -109,8 +107,9 @@ struct DeploymentConfig {
   /// "collects and visualizes statistics" role (Section 3.2.2).
   std::string stats_csv_path;
 
-  [[nodiscard]] int total_explorers() const {
-    int total = 0;
+  /// Summed in 64 bits: the parser bounds each entry only by `int`.
+  [[nodiscard]] std::int64_t total_explorers() const {
+    std::int64_t total = 0;
     for (int n : explorers_per_machine) total += n;
     return total;
   }

@@ -157,8 +157,7 @@ XingTianRuntime::XingTianRuntime(AlgoSetup setup, DeploymentConfig config)
   for (std::uint16_t m = 0; m < n_machines; ++m) {
     brokers_.push_back(std::make_unique<Broker>(m, config_.broker));
   }
-  fabric_ = std::make_unique<Fabric>(config_.link, config_.reliability,
-                                     config_.coalesce);
+  fabric_ = std::make_unique<Fabric>(config_.link, config_.reliability);
   for (std::uint16_t a = 0; a < n_machines; ++a) {
     for (std::uint16_t b = a + 1; b < n_machines; ++b) {
       fabric_->connect(*brokers_[a], *brokers_[b]);

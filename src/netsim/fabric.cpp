@@ -1,31 +1,12 @@
 #include "netsim/fabric.h"
 
-#include <functional>
+#include <optional>
 #include <utility>
 
 namespace xt {
-namespace {
 
-/// Ack batching rides on data-frame coalescing: when frames carry up to N
-/// sub-frames each, acking every frame individually would still burn one
-/// reverse-pipe frame slot per data frame, so by default batch acks to the
-/// same depth. An explicit ack_coalesce_max in the config wins.
-ReliabilityConfig derive_reliability(ReliabilityConfig reliability,
-                                     const CoalesceConfig& coalesce) {
-  if (coalesce.enabled && reliability.ack_coalesce_max <= 1) {
-    reliability.ack_coalesce_max =
-        static_cast<std::uint32_t>(coalesce.max_subframes);
-  }
-  return reliability;
-}
-
-}  // namespace
-
-Fabric::Fabric(LinkConfig default_link, ReliabilityConfig reliability,
-               CoalesceConfig coalesce)
-    : default_link_(default_link),
-      reliability_(derive_reliability(reliability, coalesce)),
-      coalesce_(coalesce) {}
+Fabric::Fabric(LinkConfig default_link, ReliabilityConfig reliability)
+    : default_link_(default_link), reliability_(reliability) {}
 
 Fabric::~Fabric() { stop(); }
 
@@ -79,11 +60,6 @@ void Fabric::connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
   const std::string name = data_pipe->name();
   const std::string label = "{link=\"" + name + "\"}";
 
-  // Every message leaves as a wire frame. Build this direction's frame path
-  // first; the coalescer (when enabled) and the per-message remote sink both
-  // feed it.
-  std::function<void(WireFrame)> frame_sender;
-
   if (reliability_.enabled) {
     ReliableChannel::Instruments inst;
     inst.retransmits =
@@ -102,89 +78,58 @@ void Fabric::connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
         name, reliability_, *data_pipe, *target, inst);
     ReliableChannel* ch = channel.get();
     // Acks ride the reverse pipe so they share its fault plan: a lost or
-    // corrupted ack frame leaves its seqs pending and the sender
-    // retransmits. A batched ack frame pays the base framing cost once plus
-    // a few bytes per extra seq — that, not politeness, is why batching
-    // matters at high explorer counts.
+    // corrupted ack frame leaves its seq pending and the sender
+    // retransmits.
     const std::size_t ack_wire = reliability_.ack_wire_bytes;
-    const std::size_t ack_extra = reliability_.ack_extra_seq_bytes;
-    channel->set_ack_sender(
-        [ch, ack_pipe, ack_wire, ack_extra](
-            const std::vector<std::uint64_t>& seqs) {
-          const std::size_t wire = ack_wire + ack_extra * (seqs.size() - 1);
-          auto shared = std::make_shared<std::vector<std::uint64_t>>(seqs);
-          // Acks are control: a bounded reverse pipe must never shed them
-          // behind bulk experience, or every loss becomes a retransmit storm.
-          ack_pipe->send_faultable(
-              wire,
-              [ch, shared](const FaultOutcome& o) {
-                if (!o.corrupt) ch->on_acks(*shared);
-              },
-              /*trace_id=*/0, TrafficClass::kControl);
-        });
-    frame_sender = [ch](WireFrame frame) { ch->send_frame(std::move(frame)); };
+    channel->set_ack_sender([ch, ack_pipe, ack_wire](std::uint64_t seq) {
+      // Acks are control: a bounded reverse pipe must never shed them
+      // behind bulk experience, or every loss becomes a retransmit storm.
+      ack_pipe->send_faultable(
+          ack_wire,
+          [ch, seq](const FaultOutcome& o) {
+            if (!o.corrupt) ch->on_ack(seq);
+          },
+          /*trace_id=*/0, TrafficClass::kControl);
+    });
+    from.set_remote_sink(to.machine(),
+                         [ch](MessageHeader header, Payload body) {
+                           ch->send(header, std::move(body));
+                         });
     std::scoped_lock lock(mu_);
     channels_.push_back(std::move(channel));
-  } else {
-    // Unreliable path. The frame CRC is stamped only when the link can
-    // actually corrupt frames, keeping the fault-free benchmark path free of
-    // checksum work. (Corrupt outcomes only occur with faults enabled, so a
-    // corruptible frame always carries its CRC.)
-    PacedPipe* raw = data_pipe;
-    const bool stamp_crc = link.faults.enabled();
-    frame_sender = [raw, target, stamp_crc](WireFrame frame) {
-      if (stamp_crc && !frame.crc_present) {
-        frame.crc = wire_frame_crc(frame);
-        frame.crc_present = true;
-      }
-      const std::size_t wire = frame.wire_size();
-      const std::uint64_t trace_id = frame.trace_id;
-      const TrafficClass cls = frame.tclass;
-      auto shared = std::make_shared<WireFrame>(std::move(frame));
-      raw->send_faultable(
-          wire,
-          [target, shared](const FaultOutcome& outcome) {
-            const std::optional<std::vector<WireSubFrame>> subframes =
-                decode_wire_frame(apply_corruption(*shared, outcome));
-            if (!subframes.has_value()) {
-              // The whole frame failed its chained CRC: every sub-frame it
-              // carried is rejected exactly once.
-              target->reject_corrupt_frame(shared->subframes());
-              return;
-            }
-            for (const WireSubFrame& sub : *subframes) {
-              target->deliver_remote(sub.header, sub.body);
-            }
-          },
-          trace_id, cls);
-    };
+    return;
   }
 
-  FrameCoalescer* coalescer = nullptr;
-  if (coalesce_.enabled) {
-    auto co = std::make_unique<FrameCoalescer>(
-        name, coalesce_, frame_sender,
-        &from.metrics().counter("xt_frames_coalesced_total" + label));
-    coalescer = co.get();
-    std::scoped_lock lock(mu_);
-    coalescers_.push_back(std::move(co));
-  }
-
+  // Unreliable path. The frame CRC is stamped only when the link can
+  // actually corrupt frames, keeping the fault-free benchmark path free of
+  // checksum work. (Corrupt outcomes only occur with faults enabled, so a
+  // corruptible frame always carries its CRC.)
+  const bool stamp_crc = link.faults.enabled();
   from.set_remote_sink(
       to.machine(),
-      [coalescer, frame_sender](MessageHeader header, Payload body) {
-        if (coalescer != nullptr && coalescer->offer(header, body)) return;
-        frame_sender(encode_wire_frame(
-            {WireSubFrame{std::move(header), std::move(body)}},
-            /*with_crc=*/false));
+      [data_pipe, target, stamp_crc](MessageHeader header, Payload body) {
+        auto frame = std::make_shared<WireFrame>(
+            encode_wire_frame(header, std::move(body), stamp_crc));
+        data_pipe->send_faultable(
+            frame->wire_size(),
+            [target, frame](const FaultOutcome& outcome) {
+              std::optional<Message> message =
+                  decode_wire_frame(apply_corruption(*frame, outcome));
+              if (!message.has_value()) {
+                target->reject_corrupt_frame();
+                return;
+              }
+              target->deliver_remote(std::move(message->header),
+                                     std::move(message->body));
+            },
+            frame->trace_id, frame->tclass);
       });
 }
 
 void Fabric::stop() {
   std::scoped_lock lock(mu_);
-  // Coalescers first (they flush into the channels/pipes), then channels
-  // (their retransmitter threads enqueue onto the pipes), then the pipes.
-  for (auto& coalescer : coalescers_) coalescer->stop();
+  // Channels first (their retransmitter threads enqueue onto the pipes),
+  // then the pipes.
   for (auto& channel : channels_) channel->stop();
   for (auto& pipe : pipes_) pipe->stop();
 }
@@ -210,15 +155,6 @@ std::vector<const ReliableChannel*> Fabric::channels() const {
   out.reserve(channels_.size());
   for (const auto& channel : channels_) out.push_back(channel.get());
   return out;
-}
-
-std::uint64_t Fabric::coalesced_subframes() const {
-  std::scoped_lock lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& coalescer : coalescers_) {
-    total += coalescer->coalesced_subframes();
-  }
-  return total;
 }
 
 }  // namespace xt

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "comm/broker.h"
-#include "netsim/frame_coalescer.h"
 #include "netsim/paced_pipe.h"
 #include "netsim/reliable_link.h"
 
@@ -16,26 +15,22 @@ namespace xt {
 /// The controller establishes these routes during initialization; the
 /// machine hosting the learner is the natural center of traffic.
 ///
-/// Everything crossing a link travels as a WireFrame: one control segment
-/// (encoded headers) plus the body payloads as shared scatter-gather
-/// segments — the body buffer on the wire is the same object-store
-/// allocation the sender's workhorse produced. With coalescing enabled each
-/// direction additionally gets a FrameCoalescer that batches small
-/// control-plane messages into shared frames, which is what keeps per-frame
-/// overhead from collapsing throughput past a few hundred explorers.
+/// Every message crossing a link travels as its own WireFrame: one control
+/// segment (the encoded header) plus the body as a shared scatter-gather
+/// segment — the body buffer on the wire is the same object-store
+/// allocation the sender's workhorse produced.
 ///
 /// When the link's FaultPlan is enabled every outgoing frame carries a
-/// chained CRC over all segments so corruption is caught at the far side —
-/// a corrupted frame rejects every sub-frame exactly once. With reliability
+/// chained CRC over both segments so corruption is caught at the far side —
+/// a corrupted frame rejects its message exactly once. With reliability
 /// enabled each direction gets a ReliableChannel layered on its pipe (frame
-/// seq numbers, batched acks over the reverse pipe, retransmit with capped
-/// exponential backoff). With faults, reliability, and coalescing all off,
-/// the wiring is the zero-overhead path the benchmarks measure.
+/// seq numbers, one ack per frame over the reverse pipe, retransmit with
+/// capped exponential backoff). With faults and reliability off, the wiring
+/// is the zero-overhead path the benchmarks measure.
 class Fabric {
  public:
   explicit Fabric(LinkConfig default_link = {},
-                  ReliabilityConfig reliability = {},
-                  CoalesceConfig coalesce = {});
+                  ReliabilityConfig reliability = {});
   ~Fabric();
 
   Fabric(const Fabric&) = delete;
@@ -47,8 +42,8 @@ class Fabric {
   void connect(Broker& a, Broker& b);
   void connect(Broker& a, Broker& b, LinkConfig link);
 
-  /// Stop all coalescers, channels and pipes (idempotent). Call before
-  /// destroying the brokers.
+  /// Stop all channels and pipes (idempotent). Call before destroying the
+  /// brokers.
   void stop();
 
   /// Total bytes moved across all links (both directions).
@@ -60,10 +55,6 @@ class Fabric {
   /// Reliable channels, one per direction (empty when reliability is off).
   [[nodiscard]] std::vector<const ReliableChannel*> channels() const;
 
-  /// Sub-frames that shared a coalesced wire frame, summed across links
-  /// (0 when coalescing is off — the fig11 sweep asserts it is not).
-  [[nodiscard]] std::uint64_t coalesced_subframes() const;
-
  private:
   PacedPipe* make_pipe(Broker& from, Broker& to, const LinkConfig& link);
   void connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
@@ -71,12 +62,9 @@ class Fabric {
 
   const LinkConfig default_link_;
   const ReliabilityConfig reliability_;
-  const CoalesceConfig coalesce_;
   mutable std::mutex mu_;
-  // Destruction order matters: coalescers flush into channels/pipes and
-  // pipe transmit-thread closures reference the channels, so pipes_ is
-  // declared last (destroyed first), then channels_, then coalescers_.
-  std::vector<std::unique_ptr<FrameCoalescer>> coalescers_;
+  // Destruction order matters: pipe delivery closures reference the
+  // channels, so pipes_ is declared last (destroyed first).
   std::vector<std::unique_ptr<ReliableChannel>> channels_;
   std::vector<std::unique_ptr<PacedPipe>> pipes_;
 };

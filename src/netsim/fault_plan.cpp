@@ -42,33 +42,18 @@ FaultOutcome FaultInjector::next_frame(double elapsed_s) {
   return outcome;
 }
 
-Payload apply_corruption(Payload body, const FaultOutcome& outcome) {
-  if (!outcome.corrupt || !body || body->empty()) return body;
-  Bytes copy(*body);
-  copy[outcome.corrupt_offset % copy.size()] ^= outcome.corrupt_mask;
-  return make_payload(std::move(copy));
-}
-
 WireFrame apply_corruption(WireFrame frame, const FaultOutcome& outcome) {
   const std::size_t wire = frame.wire_size();
   if (!outcome.corrupt || wire == 0) return frame;
-  std::size_t offset = outcome.corrupt_offset % wire;
+  const std::size_t offset = outcome.corrupt_offset % wire;
   if (offset < frame.control.size()) {
     frame.control[offset] ^= outcome.corrupt_mask;
     return frame;
   }
-  offset -= frame.control.size();
-  for (Payload& body : frame.bodies) {
-    const std::size_t size = body ? body->size() : 0;
-    if (offset < size) {
-      Bytes copy(*body);
-      copy[offset] ^= outcome.corrupt_mask;
-      body = make_payload(std::move(copy));
-      return frame;
-    }
-    offset -= size;
-  }
-  return frame;  // unreachable: offset < wire by construction
+  Bytes copy(*frame.body);
+  copy[offset - frame.control.size()] ^= outcome.corrupt_mask;
+  frame.body = make_payload(std::move(copy));
+  return frame;
 }
 
 }  // namespace xt

@@ -85,18 +85,12 @@ class FaultInjector {
   std::uint64_t blackouts_ = 0;
 };
 
-/// Apply a corrupt outcome to a payload: returns a flipped-byte copy (the
-/// original is immutable and may be shared with local destinations and the
-/// sender's object store). No-op for non-corrupt outcomes / empty bodies.
-[[nodiscard]] Payload apply_corruption(Payload body, const FaultOutcome& outcome);
-
 /// Apply a corrupt outcome to a wire frame: the flipped byte lands at
 /// corrupt_offset modulo the frame's wire size, counted across the control
-/// segment then each body segment in order. Only the hit segment is copied
-/// (control in place on the returned frame, or one body replaced by a
-/// flipped copy); all other body segments stay shared. The frame's stamped
-/// CRC is left untouched, so a decode on the far side fails — which is the
-/// point. No-op for non-corrupt outcomes / empty frames.
+/// segment then the body. Only the hit segment is copied (control in place
+/// on the returned frame, or the body replaced by a flipped copy). The
+/// frame's stamped CRC is left untouched, so a decode on the far side fails
+/// — which is the point. No-op for non-corrupt outcomes / empty frames.
 [[nodiscard]] WireFrame apply_corruption(WireFrame frame,
                                          const FaultOutcome& outcome);
 

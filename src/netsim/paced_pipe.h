@@ -32,16 +32,21 @@ struct LinkConfig {
   OverloadConfig overload;
 };
 
-/// One direction of a simulated NIC: frames are delivered in order, paced in
-/// real wall-clock time at the configured bandwidth. The delivery action
-/// runs on the pipe's own thread, so a slow consumer models head-of-line
-/// blocking exactly as a TCP stream would.
+/// One direction of a simulated NIC, paced in real wall-clock time at the
+/// configured bandwidth. Propagation is pipelined the way a real link
+/// overlaps it: the transmit thread holds the wire only for a frame's
+/// serialization time, then hands the frame to a FIFO delay line, and the
+/// pipe's delivery thread runs the delivery action `latency_ns` later while
+/// the wire already carries the next frame. Frames are delivered in order —
+/// none overtakes an earlier one — so delivery actions must not block: a
+/// slow one holds back every frame behind it.
 ///
 /// With an enabled FaultPlan the pipe becomes a lossy link: dropped and
 /// blacked-out frames still consume send-side bandwidth but never deliver,
 /// corrupted frames deliver with `FaultOutcome::corrupt` set (the consumer
 /// applies the byte flip — bodies are immutable shared payloads), and
-/// latency spikes stretch the propagation delay.
+/// latency spikes stretch one frame's propagation delay, holding back the
+/// frames behind it without idling the link.
 class PacedPipe {
  public:
   /// Delivery callback; the outcome describes faults injected into this
@@ -53,7 +58,9 @@ class PacedPipe {
   /// be null.
   struct Observability {
     TraceCollector* trace = nullptr;
-    Histogram* transmit_ms = nullptr;  ///< modeled serialize + propagation time
+    /// Serialization start to far-end delivery (with the `pipe.transmit`
+    /// span, recorded at delivery; dropped frames record neither).
+    Histogram* transmit_ms = nullptr;
     Counter* wire_bytes = nullptr;
     Counter* frames = nullptr;
     Counter* faults_dropped = nullptr;
@@ -71,9 +78,10 @@ class PacedPipe {
   PacedPipe(const PacedPipe&) = delete;
   PacedPipe& operator=(const PacedPipe&) = delete;
 
-  /// Queue a frame of `wire_bytes` for transmission; `deliver` runs once the
-  /// simulated transfer completes. `trace_id` labels the frame's
-  /// `pipe.transmit` span (0 = untraced). Returns false after stop().
+  /// Queue a frame of `wire_bytes` for transmission; `deliver` runs on the
+  /// delivery thread once the simulated transfer completes. `trace_id`
+  /// labels the frame's `pipe.transmit` span (0 = untraced). Returns false
+  /// after stop().
   /// Under an enabled FaultPlan the frame may be dropped (deliver never
   /// runs); corruption is invisible through this overload.
   bool send(std::size_t wire_bytes, std::function<void()> deliver,
@@ -90,7 +98,8 @@ class PacedPipe {
                       std::uint64_t trace_id = 0,
                       TrafficClass cls = TrafficClass::kExperience);
 
-  /// Drain and stop the transmit thread (idempotent).
+  /// Drain and stop (idempotent): the transmit queue is paced out, then
+  /// every frame in flight is delivered at its due time.
   void stop();
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -107,6 +116,7 @@ class PacedPipe {
   [[nodiscard]] std::uint64_t frames_shed() const {
     return frames_shed_.load(std::memory_order_relaxed);
   }
+  /// Frames waiting for the wire (not those already propagating).
   [[nodiscard]] std::size_t queued_frames() const { return queue_.size(); }
 
  private:
@@ -116,18 +126,31 @@ class PacedPipe {
     std::uint64_t trace_id;
   };
 
+  /// A frame off the wire, propagating toward the far end.
+  struct InFlight {
+    Frame frame;
+    FaultOutcome outcome;
+    std::int64_t start_ns;  ///< serialization start
+    std::int64_t due_ns;    ///< far-end delivery time
+  };
+
   void transmit_loop();
+  void delivery_loop();
 
   const std::string name_;
   const LinkConfig config_;
   const Observability obs_;
   std::unique_ptr<FaultInjector> injector_;  ///< transmit thread only
   ClassedQueue<Frame> queue_;
+  /// The delay line. Unbounded: deliver actions never block, so it holds at
+  /// most about latency / minimum serialization time frames.
+  BlockingQueue<InFlight> in_flight_;
   std::atomic<std::uint64_t> bytes_transferred_{0};
   std::atomic<std::uint64_t> frames_transferred_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> frames_shed_{0};
   std::thread transmitter_;
+  std::thread deliverer_;
 };
 
 }  // namespace xt

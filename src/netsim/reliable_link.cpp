@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/log.h"
@@ -52,14 +54,6 @@ void ReliableChannel::stop() {
   }
   cv_.notify_all();
   if (retransmitter_.joinable()) retransmitter_.join();
-  // Flush batched acks so the peer's pending map doesn't keep frames the
-  // receiving side already delivered.
-  std::vector<std::uint64_t> flush;
-  {
-    std::scoped_lock lock(recv_mu_);
-    flush.swap(ack_pending_);
-  }
-  send_acks(flush);
 }
 
 void ReliableChannel::set_ack_sender(AckSender sender) {
@@ -136,16 +130,8 @@ void ReliableChannel::note_give_up_locked(std::int64_t now) {
               << shed << " pending frame(s)";
 }
 
-void ReliableChannel::send(MessageHeader header, Payload body) {
-  send_frame(encode_wire_frame({WireSubFrame{header, std::move(body)}},
-                               /*with_crc=*/false));
-}
-
-void ReliableChannel::send_frame(WireFrame frame) {
-  if (!frame.crc_present) {
-    frame.crc = wire_frame_crc(frame);
-    frame.crc_present = true;
-  }
+void ReliableChannel::send(const MessageHeader& header, Payload body) {
+  WireFrame frame = encode_wire_frame(header, std::move(body), /*with_crc=*/true);
   std::uint64_t seq = 0;
   {
     std::scoped_lock lock(mu_);
@@ -175,75 +161,52 @@ void ReliableChannel::transmit(std::uint64_t seq, const WireFrame& frame) {
 void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
                               const FaultOutcome& outcome) {
   // Dedup first: a retransmit racing its own late ack must not reach the
-  // broker twice. Re-ack duplicates immediately (flushing anything batched
-  // with them) — a duplicate means the sender never saw the original ack and
-  // is burning retransmit slots until it does.
+  // broker twice. Re-ack duplicates immediately — a duplicate means the
+  // sender never saw the original ack and is burning retransmit slots until
+  // it does.
+  bool duplicate = false;
   {
-    std::vector<std::uint64_t> flush;
-    {
-      std::scoped_lock lock(recv_mu_);
-      if (seq <= recv_floor_ || recv_seen_.count(seq) != 0) {
-        if (inst_.duplicates != nullptr) inst_.duplicates->inc();
-        flush.swap(ack_pending_);
-        flush.push_back(seq);
-      }
-    }
-    if (!flush.empty()) {
-      send_acks(flush);
-      return;
-    }
+    std::scoped_lock lock(recv_mu_);
+    duplicate = seq <= recv_floor_ || recv_seen_.count(seq) != 0;
   }
-  const std::optional<std::vector<WireSubFrame>> subframes =
-      decode_wire_frame(apply_corruption(frame, outcome));
-  if (!subframes.has_value()) {
-    // The whole frame failed its chained CRC: every sub-frame is rejected
-    // together, and the withheld ack makes one retransmit repair them all.
-    receiver_.reject_corrupt_frame(frame.subframes());
+  if (duplicate) {
+    if (inst_.duplicates != nullptr) inst_.duplicates->inc();
+    send_ack(seq);
     return;
   }
-  for (const WireSubFrame& sub : *subframes) {
-    // Integrity was already enforced frame-wide; routing drops inside
-    // deliver_remote (no local dest, closed queue) are not repairable by a
-    // retransmit, so they never withhold the frame's ack.
-    receiver_.deliver_remote(sub.header, sub.body);
+  std::optional<Message> message =
+      decode_wire_frame(apply_corruption(frame, outcome));
+  if (!message.has_value()) {
+    // The frame failed its chained CRC: the message is rejected, and the
+    // withheld ack makes a retransmit repair it.
+    receiver_.reject_corrupt_frame();
+    return;
   }
-  std::vector<std::uint64_t> flush;
+  // Integrity was already enforced; routing drops inside deliver_remote (no
+  // local dest, closed queue) are not repairable by a retransmit, so they
+  // never withhold the frame's ack.
+  receiver_.deliver_remote(std::move(message->header), std::move(message->body));
   {
     std::scoped_lock lock(recv_mu_);
     recv_seen_.insert(seq);
     while (recv_seen_.erase(recv_floor_ + 1) != 0) ++recv_floor_;
-    queue_ack_locked(seq, &flush);
   }
-  send_acks(flush);
+  send_ack(seq);
 }
 
-void ReliableChannel::queue_ack_locked(std::uint64_t seq,
-                                       std::vector<std::uint64_t>* flush) {
-  if (ack_pending_.empty()) ack_oldest_ns_ = now_ns();
-  ack_pending_.push_back(seq);
-  const std::uint32_t batch_max =
-      std::max<std::uint32_t>(config_.ack_coalesce_max, 1);
-  if (ack_pending_.size() >= batch_max ||
-      now_ns() - ack_oldest_ns_ >= config_.ack_flush_us * 1'000) {
-    flush->swap(ack_pending_);
-  }
+void ReliableChannel::send_ack(std::uint64_t seq) {
+  if (!ack_sender_) return;
+  if (inst_.acks != nullptr) inst_.acks->inc();
+  ack_sender_(seq);
 }
 
-void ReliableChannel::send_acks(const std::vector<std::uint64_t>& seqs) {
-  if (!ack_sender_ || seqs.empty()) return;
-  if (inst_.acks != nullptr) inst_.acks->inc(seqs.size());
-  ack_sender_(seqs);
-}
-
-void ReliableChannel::on_acks(const std::vector<std::uint64_t>& seqs) {
+void ReliableChannel::on_ack(std::uint64_t seq) {
   bool erased = false;
   bool reopened = false;
   {
     std::scoped_lock lock(mu_);
-    for (const std::uint64_t seq : seqs) {
-      erased = (pending_.erase(seq) != 0) || erased;
-    }
-    if (!seqs.empty() && config_.breaker_failures != 0) {
+    erased = pending_.erase(seq) != 0;
+    if (config_.breaker_failures != 0) {
       // Any ack proves the link carries traffic end to end again: reset the
       // failure streak and close the breaker.
       consecutive_give_ups_ = 0;
@@ -277,7 +240,7 @@ void ReliableChannel::retransmit_loop() {
       continue;
     }
     // Collect everything past deadline, then retransmit outside the lock so
-    // on_acks / send never contend with the (paced, potentially slow) pipe.
+    // on_ack / send never contend with the (paced, potentially slow) pipe.
     std::vector<WireFrame> due;
     std::uint64_t abandoned = 0;
     for (auto it = pending_.begin(); it != pending_.end();) {

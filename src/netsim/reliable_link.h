@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
-#include <vector>
 
 #include "comm/broker.h"
 #include "comm/message.h"
@@ -26,17 +25,6 @@ struct ReliabilityConfig {
   double max_rto_ms = 2000.0;  ///< RTO cap
   std::uint32_t max_retries = 12;  ///< then the frame is abandoned
   std::size_t ack_wire_bytes = 16; ///< modeled size of an ack frame
-  /// Receiver-side ack batching: up to this many acks ride one reverse-pipe
-  /// frame (1 = ack every frame immediately, the classic behavior). The
-  /// fabric raises it alongside data-frame coalescing so ack framing stops
-  /// competing with data for reverse-link frame slots.
-  std::uint32_t ack_coalesce_max = 1;
-  /// Batched acks are flushed at the latest this long (µs) after the first
-  /// pending ack, piggybacked on the next delivery — kept well under rto_ms
-  /// so batching never looks like loss to the sender.
-  std::int64_t ack_flush_us = 5'000;
-  /// Modeled wire cost of each additional ack in a batched ack frame.
-  std::size_t ack_extra_seq_bytes = 8;
   /// Circuit breaker: this many *consecutive* retransmit give-ups open the
   /// link (0 = disabled, the historical retransmit-forever behaviour).
   /// An open link sheds non-control traffic instead of feeding a dead pipe;
@@ -59,16 +47,15 @@ enum class LinkState : std::uint8_t {
 [[nodiscard]] const char* link_state_name(LinkState state);
 
 /// One direction of a reliable cross-machine link, layered on a lossy
-/// PacedPipe. The unit of the protocol is the *wire frame* (possibly many
-/// coalesced sub-frames): every frame carries a sequence number and a
-/// chained CRC over its control + body segments; the receiving side acks
-/// intact frames over the reverse pipe (so acks themselves can be lost or
-/// corrupted), dedups retransmitted ones, and a dedicated retransmitter
-/// thread re-sends anything unacked past its deadline with capped
-/// exponential backoff. A corrupted frame fails decode as a whole, so all
-/// of its sub-frames are rejected together and repaired by one retransmit.
-/// The router thread only ever enqueues onto the pipe — it never blocks on
-/// the protocol.
+/// PacedPipe. The unit of the protocol is the *wire frame* (one message):
+/// every frame carries a sequence number and a chained CRC over its control
+/// + body segments; the receiving side acks each intact frame over the
+/// reverse pipe (so acks themselves can be lost or corrupted), dedups
+/// retransmitted ones, and a dedicated retransmitter thread re-sends
+/// anything unacked past its deadline with capped exponential backoff. A
+/// corrupted frame fails decode, is rejected, and is repaired by the
+/// retransmit its withheld ack triggers. The router thread only ever
+/// enqueues onto the pipe — it never blocks on the protocol.
 ///
 /// Frames that exhaust max_retries are abandoned (counted as give-ups):
 /// in a DRL workload every stream is either redundant (rollouts — the
@@ -77,9 +64,9 @@ enum class LinkState : std::uint8_t {
 /// ever-growing retransmit queue.
 class ReliableChannel {
  public:
-  /// Sends one ack frame carrying `seqs` back to the transmitting side
-  /// (over the reverse pipe, so it shares that direction's fault plan).
-  using AckSender = std::function<void(const std::vector<std::uint64_t>& seqs)>;
+  /// Sends one ack frame carrying `seq` back to the transmitting side (over
+  /// the reverse pipe, so it shares that direction's fault plan).
+  using AckSender = std::function<void(std::uint64_t seq)>;
 
   struct Instruments {
     Counter* retransmits = nullptr;  ///< xt_retransmits_total{link=...}
@@ -101,22 +88,16 @@ class ReliableChannel {
   /// Must be installed during fabric wiring, before any traffic flows.
   void set_ack_sender(AckSender sender);
 
-  /// Transmit one message reliably: wrapped into a single-sub-frame wire
-  /// frame and sent through send_frame().
-  void send(MessageHeader header, Payload body);
+  /// Transmit one message reliably. Called from the sending broker's router
+  /// shards: builds the CRC-stamped wire frame, stamps its seq, tracks it
+  /// for retransmission, and enqueues it on the pipe (non-blocking).
+  void send(const MessageHeader& header, Payload body);
 
-  /// Transmit one wire frame reliably. Called from the sending broker's
-  /// router shards (directly or through the coalescer); stamps seq + the
-  /// frame CRC, tracks the frame for retransmission, and enqueues it on the
-  /// pipe (non-blocking).
-  void send_frame(WireFrame frame);
-
-  /// Acks received from the far side; forgets the pending frames.
-  void on_acks(const std::vector<std::uint64_t>& seqs);
+  /// An ack received from the far side; forgets the pending frame.
+  void on_ack(std::uint64_t seq);
 
   /// Stop the retransmitter thread (idempotent). Pending frames are
-  /// abandoned and pending batched acks flushed; call after the underlying
-  /// pipes are quiescent.
+  /// abandoned.
   void stop();
 
   [[nodiscard]] std::uint64_t retransmits() const {
@@ -152,12 +133,10 @@ class ReliableChannel {
   /// One give-up observed (mu_ held): trips the breaker after
   /// breaker_failures consecutive ones, dropping pending non-control frames.
   void note_give_up_locked(std::int64_t now);
-  /// Runs on the data pipe's transmit thread when a frame survives the wire.
+  /// Runs on the data pipe's delivery thread when a frame survives the wire.
   void deliver(std::uint64_t seq, const WireFrame& frame,
                const FaultOutcome& outcome);
-  /// Queue an ack; flushes the batch on size/deadline (recv_mu_ held).
-  void queue_ack_locked(std::uint64_t seq, std::vector<std::uint64_t>* flush);
-  void send_acks(const std::vector<std::uint64_t>& seqs);
+  void send_ack(std::uint64_t seq);
   void retransmit_loop();
 
   const std::string name_;
@@ -180,13 +159,11 @@ class ReliableChannel {
   std::int64_t probe_deadline_ns_ = 0;
   bool probe_in_flight_ = false;
 
-  // Receiver-side state: dedup (everything <= floor was delivered, plus the
-  // out-of-order set above it) and the batched-ack buffer.
+  // Receiver-side dedup: everything <= floor was delivered, plus the
+  // out-of-order set above it.
   std::mutex recv_mu_;
   std::uint64_t recv_floor_ = 0;
   std::unordered_set<std::uint64_t> recv_seen_;
-  std::vector<std::uint64_t> ack_pending_;
-  std::int64_t ack_oldest_ns_ = 0;
 
   std::thread retransmitter_;
 };

@@ -182,6 +182,10 @@ TEST(BrokerEndpoint, CountersTrackTraffic) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(receiver.receive_for(std::chrono::seconds(5)).has_value());
   }
+  // The sender thread counts a message after handing it to the broker, so
+  // the receiver can see it first; joining both threads publishes every count.
+  sender.stop();
+  receiver.stop();
   EXPECT_EQ(sender.counters().messages_sent.load(), 3u);
   EXPECT_EQ(sender.counters().bytes_sent.load(), 300u);
   EXPECT_EQ(receiver.counters().messages_received.load(), 3u);

@@ -283,24 +283,13 @@ TEST(ConfigFile, LoadFromDiskAndMissingFile) {
 }
 
 TEST(ConfigFile, CommSection) {
-  const std::string text = R"(
-[comm]
-router_shards = 4
-coalescing = on
-coalesce_max_bytes = 512
-coalesce_flush_bytes = 4096
-coalesce_max_subframes = 16
-coalesce_flush_us = 750
-)";
   std::string error;
-  const auto config = parse_launch_config(text, &error);
+  const auto config = parse_launch_config("[comm]\nrouter_shards = 4\n", &error);
   ASSERT_TRUE(config.has_value()) << error;
   EXPECT_EQ(config->deployment.broker.router_shards, 4u);
-  EXPECT_TRUE(config->deployment.coalesce.enabled);
-  EXPECT_EQ(config->deployment.coalesce.max_subframe_bytes, 512u);
-  EXPECT_EQ(config->deployment.coalesce.flush_bytes, 4096u);
-  EXPECT_EQ(config->deployment.coalesce.max_subframes, 16u);
-  EXPECT_EQ(config->deployment.coalesce.flush_us, 750);
+  // A removed key is an unknown key, not one that is silently ignored.
+  EXPECT_FALSE(parse_launch_config("[comm]\ncoalescing = on\n", &error));
+  EXPECT_NE(error.find("unknown [comm] key"), std::string::npos) << error;
 }
 
 TEST(ConfigFile, CommSectionDefaultsOffAndSingleShard) {
@@ -308,7 +297,6 @@ TEST(ConfigFile, CommSectionDefaultsOffAndSingleShard) {
   const auto config = parse_launch_config("", &error);
   ASSERT_TRUE(config.has_value()) << error;
   EXPECT_EQ(config->deployment.broker.router_shards, 1u);
-  EXPECT_FALSE(config->deployment.coalesce.enabled);
 }
 
 TEST(ConfigFile, CommOverloadSection) {
@@ -493,10 +481,6 @@ TEST(ConfigFile, CommSectionRejectsBadValues) {
   EXPECT_FALSE(
       parse_launch_config("[comm]\nrouter_shards = 65\n", &error).has_value());
   EXPECT_FALSE(
-      parse_launch_config("[comm]\ncoalescing = maybe\n", &error).has_value());
-  EXPECT_FALSE(
-      parse_launch_config("[comm]\ncoalesce_flush_us = 0\n", &error).has_value());
-  EXPECT_FALSE(
       parse_launch_config("[comm]\nbogus = 1\n", &error).has_value());
   EXPECT_NE(error.find("[comm]"), std::string::npos);
 }
@@ -504,21 +488,29 @@ TEST(ConfigFile, CommSectionRejectsBadValues) {
 TEST(ConfigFile, RejectsConfigsThatWouldCrashTheRuntime) {
   // Each of these used to parse, then crash the runtime where its asserts
   // are compiled out: a null environment probe, an out-of-range broker
-  // index, and a zero-capacity replay ring.
+  // index, and a zero-capacity replay ring. The last two overflowed the
+  // explorer total's int, or gave two explorers one 16-bit id.
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"[algorithm]\nenv = Pong\n", "bad env 'Pong'"},
       {"[deployment]\nexplorers_per_machine = 1,1\nlearner_machine = 5\n",
        "learner_machine"},
       {"[algorithm]\nkind = dqn\nreplay_capacity = 0\n", "bad replay_capacity"},
+      {"[deployment]\nexplorers_per_machine = 2147483647,1\n",
+       "explorers_per_machine must total"},
+      {"[deployment]\nexplorers_per_machine = 65537\n",
+       "explorers_per_machine must total"},
   };
   for (const auto& [text, message] : cases) {
     std::string error;
     EXPECT_FALSE(parse_launch_config(text, &error)) << text;
     EXPECT_NE(error.find(message), std::string::npos) << text << " -> " << error;
   }
-  // The learner may sit on any machine that exists.
+  // The learner may sit on any machine that exists, and every explorer id
+  // up to the 16-bit limit is addressable.
   EXPECT_TRUE(parse_launch_config(
       "[deployment]\nexplorers_per_machine = 1,1\nlearner_machine = 1\n"));
+  EXPECT_TRUE(parse_launch_config(
+      "[deployment]\nexplorers_per_machine = 65535,1\n"));
 }
 
 TEST(ConfigFile, RejectsValuesThatWouldBeWrappedTruncatedOrNan) {

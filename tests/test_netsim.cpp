@@ -3,29 +3,115 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "comm/endpoint.h"
 #include "common/clock.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "serial/wire_format.h"
 
 namespace xt {
 namespace {
 
-TEST(PacedPipe, DeliversFramesInOrder) {
-  PacedPipe pipe("test", LinkConfig{1e9, 0, 0});
-  std::vector<int> delivered;
+Payload bytes_payload(std::size_t n, std::uint8_t fill) {
+  return make_payload(Bytes(n, fill));
+}
+
+MessageHeader control_header(MsgType type, NodeId dst, const Payload& body,
+                             std::uint32_t tag = 0) {
+  MessageHeader header;
+  header.msg_id = next_message_id();
+  header.src = explorer_id(0, 0);
+  header.dsts = {dst};
+  header.type = type;
+  header.tclass = traffic_class_of(type);
+  header.body_size = body->size();
+  header.created_ns = 123;
+  header.tag = tag;
+  return header;
+}
+
+/// Spin until `done` or a 10 s deadline.
+bool wait_for(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+/// Sends one frame per entry of `sizes` and returns the order in which they
+/// were delivered, once stop() has drained the pipe.
+std::vector<int> delivery_order(const LinkConfig& link,
+                                const std::vector<std::size_t>& sizes) {
+  PacedPipe pipe("order", link);
   std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(pipe.send(8, [&, i] {
+  std::vector<int> delivered;
+  for (int i = 0; i < static_cast<int>(sizes.size()); ++i) {
+    EXPECT_TRUE(pipe.send(sizes[i], [&, i] {
       std::scoped_lock lock(mu);
       delivered.push_back(i);
-      cv.notify_one();
     }));
   }
-  std::unique_lock lock(mu);
-  cv.wait(lock, [&] { return delivered.size() == 10; });
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(delivered[i], i);
+  pipe.stop();
+  return delivered;
+}
+
+TEST(PacedPipe, DeliversFramesInOrder) {
+  std::vector<int> expected(10);
+  for (int i = 0; i < 10; ++i) expected[i] = i;
+  EXPECT_EQ(delivery_order(LinkConfig{1e9, 0, 0},
+                           std::vector<std::size_t>(10, 8)),
+            expected);
+
+  // With propagation in flight: a 10 ms frame ahead of small ones, on a
+  // 5 ms link. None of the small frames overtakes it or each other.
+  std::vector<std::size_t> sizes(10, 8);
+  sizes[0] = 100'000;
+  EXPECT_EQ(delivery_order(LinkConfig{10e6, 5'000'000, 0}, sizes), expected);
+
+  // A delay fault holds back the frames behind it: half the frames take an
+  // extra 20 ms, and still none overtakes a delayed one.
+  LinkConfig delayed{1e9, 1'000'000, 0};
+  delayed.faults.seed = 3;
+  delayed.faults.delay_probability = 0.5;
+  delayed.faults.delay_ns = 20'000'000;
+  EXPECT_EQ(delivery_order(delayed, std::vector<std::size_t>(10, 8)), expected);
+}
+
+TEST(PacedPipe, PropagationOverlapsSerialization) {
+  // Ten tiny frames on a 50 ms link. Each frame holds the wire only for its
+  // serialization, so all of them land about one latency after the first
+  // send, not ten latencies (500 ms) later.
+  PacedPipe pipe("overlap", LinkConfig{1e12, 50'000'000, 0});
+  std::atomic<int> delivered{0};
+  const Stopwatch clock;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
+  }
+  ASSERT_TRUE(wait_for([&] { return delivered.load() == 10; }));
+  EXPECT_GE(clock.elapsed_ms(), 49.0);
+  EXPECT_LT(clock.elapsed_ms(), 250.0);
+}
+
+TEST(PacedPipe, StopDeliversFramesInFlight) {
+  PacedPipe pipe("drain", LinkConfig{1e12, 20'000'000, 0});
+  std::atomic<int> delivered{0};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
+  }
+  // Every frame has left the wire queue and is propagating.
+  ASSERT_TRUE(wait_for([&] { return pipe.queued_frames() == 0; }));
+  pipe.stop();
+  EXPECT_EQ(delivered.load(), 5);
 }
 
 TEST(PacedPipe, PacesAtConfiguredBandwidth) {
@@ -49,12 +135,27 @@ TEST(PacedPipe, AppliesPropagationLatency) {
   link.bandwidth_bytes_per_sec = 1e12;
   link.latency_ns = 20'000'000;  // 20 ms
   link.frame_overhead_bytes = 0;
-  PacedPipe pipe("lat", link);
+  MetricsRegistry metrics;
+  TraceCollector trace;
+  trace.enable();
+  PacedPipe::Observability obs;
+  obs.trace = &trace;
+  obs.transmit_ms = &metrics.histogram("xt_pipe_transmit_ms");
+  PacedPipe pipe("lat", link, obs);
   std::atomic<bool> done{false};
   const Stopwatch clock;
-  ASSERT_TRUE(pipe.send(1, [&] { done.store(true); }));
+  ASSERT_TRUE(pipe.send(1, [&] { done.store(true); }, /*trace_id=*/7));
   while (!done.load()) std::this_thread::yield();
   EXPECT_GE(clock.elapsed_ms(), 19.0);
+  // The transmit histogram and span still run to the far-end delivery, so
+  // they include the propagation delay, not just serialization.
+  EXPECT_EQ(obs.transmit_ms->count(), 1u);
+  EXPECT_GE(obs.transmit_ms->sum(), 19.0);
+  const std::vector<TraceSpan> spans = trace.snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "pipe.transmit");
+  EXPECT_EQ(spans[0].trace_id, 7u);
+  EXPECT_GE(spans[0].dur_ns, 19'000'000);
 }
 
 TEST(PacedPipe, CountsBytesAndFrames) {
@@ -241,6 +342,162 @@ TEST(Fabric, ThreeMachineStarThroughLearnerCenter) {
   e1.stop();
   e2.stop();
   fabric.stop();
+}
+
+TEST(WireFrame, RoundTripSharesBodySegments) {
+  const Payload stats_body = bytes_payload(64, 7);
+  const MessageHeader stats =
+      control_header(MsgType::kStats, controller_id(1), stats_body, 9);
+  WireFrame frame = encode_wire_frame(stats, stats_body, /*with_crc=*/true);
+  EXPECT_TRUE(frame.crc_present);
+  EXPECT_EQ(frame.wire_size(), frame.control.size() + 64);
+  EXPECT_EQ(frame.trace_id, stats.trace_id());
+  EXPECT_EQ(frame.tclass, TrafficClass::kExperience);
+  frame.link_seq = 42;
+
+  const auto decoded = decode_wire_frame(frame);
+  ASSERT_TRUE(decoded.has_value());
+  const MessageHeader& header = decoded->header;
+  EXPECT_EQ(header.msg_id, stats.msg_id);
+  EXPECT_EQ(header.src, stats.src);
+  ASSERT_EQ(header.dsts.size(), 1u);
+  EXPECT_EQ(header.dsts[0], controller_id(1));
+  EXPECT_EQ(header.type, MsgType::kStats);
+  EXPECT_EQ(header.body_size, 64u);
+  EXPECT_EQ(header.tag, 9u);
+  EXPECT_EQ(header.created_ns, 123);
+  // The frame's link seq is propagated to the message.
+  EXPECT_EQ(header.link_seq, 42u);
+  // Scatter-gather: the decoded body IS the encoded segment — the same
+  // buffer the sender's object store held, never copied onto the wire.
+  EXPECT_EQ(decoded->body.get(), stats_body.get());
+
+  // A body-less control message rides with an empty segment.
+  const MessageHeader beat =
+      control_header(MsgType::kHeartbeat, controller_id(1), empty_payload());
+  const WireFrame beat_frame =
+      encode_wire_frame(beat, empty_payload(), /*with_crc=*/false);
+  EXPECT_EQ(beat_frame.tclass, TrafficClass::kControl);
+  EXPECT_EQ(beat_frame.wire_size(), beat_frame.control.size());
+  const auto beat_decoded = decode_wire_frame(beat_frame);
+  ASSERT_TRUE(beat_decoded.has_value());
+  EXPECT_EQ(beat_decoded->header.type, MsgType::kHeartbeat);
+  EXPECT_EQ(beat_decoded->header.body_size, 0u);
+}
+
+TEST(WireFrame, ChainedCrcCoversControlAndEveryBody) {
+  const Payload body = bytes_payload(32, 1);
+  const WireFrame frame = encode_wire_frame(
+      control_header(MsgType::kStats, controller_id(1), body), body,
+      /*with_crc=*/true);
+  ASSERT_TRUE(decode_wire_frame(frame).has_value());
+
+  // A flip in the control segment fails the frame.
+  WireFrame control_hit = frame;
+  control_hit.control[3] ^= 0x10;
+  EXPECT_FALSE(decode_wire_frame(control_hit).has_value());
+
+  // A flip in the body segment fails it too: the CRC chains across both.
+  FaultOutcome outcome;
+  outcome.corrupt = true;
+  outcome.corrupt_offset = frame.control.size() + 5;
+  outcome.corrupt_mask = 0x40;
+  const WireFrame body_hit = apply_corruption(frame, outcome);
+  EXPECT_FALSE(decode_wire_frame(body_hit).has_value());
+  // Copy-on-corrupt: the hit body was replaced; the original frame still
+  // shares the sender's buffer and still decodes.
+  EXPECT_NE(body_hit.body.get(), frame.body.get());
+  EXPECT_EQ(frame.body.get(), body.get());
+  EXPECT_TRUE(decode_wire_frame(frame).has_value());
+}
+
+TEST(Fabric, ControlMessagesDeliverInOrder) {
+  Broker a(0);
+  Broker b(1);
+  Fabric fabric;
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint receiver(controller_id(1), b);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
+                                          MsgType::kHeartbeat,
+                                          bytes_payload(16, 1), /*tag=*/i)));
+  }
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(10));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->header.tag, i);
+  }
+  sender.stop();
+  receiver.stop();
+  fabric.stop();
+  a.stop();
+  b.stop();
+}
+
+TEST(Fabric, CorruptWireFrameRejectsItsMessageExactlyOnce) {
+  Broker a(0);
+  Broker b(1);
+  LinkConfig link;
+  link.faults.seed = 7;
+  link.faults.corrupt_probability = 1.0;  // every frame takes a byte flip
+  Fabric fabric(link);
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint receiver(controller_id(1), b);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
+                                          MsgType::kHeartbeat,
+                                          bytes_payload(16, 2), /*tag=*/i)));
+  }
+  ASSERT_TRUE(wait_for([&] { return b.corrupted_frames() >= 3; }));
+  // One corrupted wire frame and one CRC drop per message, and none of the
+  // messages delivered.
+  EXPECT_EQ(b.corrupted_frames(), 3u);
+  EXPECT_EQ(b.dropped_messages(DropReason::kCrcFail), 3u);
+  EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(100)).has_value());
+  sender.stop();
+  receiver.stop();
+  fabric.stop();
+  a.stop();
+  b.stop();
+}
+
+TEST(ReliableLink, LossyLinkDeliversEveryMessageOnce) {
+  Broker a(0);
+  Broker b(1);
+  LinkConfig link;
+  link.faults.seed = 13;
+  link.faults.drop_probability = 0.25;
+  ReliabilityConfig reliability;
+  reliability.enabled = true;
+  reliability.rto_ms = 10.0;
+  Fabric fabric(link, reliability);
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint receiver(controller_id(1), b);
+  constexpr std::uint32_t kMessages = 40;
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
+                                          MsgType::kHeartbeat,
+                                          bytes_payload(16, 4), /*tag=*/i)));
+  }
+  std::vector<std::uint32_t> tags;
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(20));
+    ASSERT_TRUE(msg.has_value());
+    tags.push_back(msg->header.tag);
+  }
+  // Retransmits may reorder messages but every one arrives exactly once
+  // (dedup by frame seq), and nothing more follows.
+  std::sort(tags.begin(), tags.end());
+  for (std::uint32_t i = 0; i < kMessages; ++i) EXPECT_EQ(tags[i], i);
+  EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(100)).has_value());
+  sender.stop();
+  receiver.stop();
+  fabric.stop();
+  a.stop();
+  b.stop();
 }
 
 }  // namespace

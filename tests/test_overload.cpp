@@ -271,7 +271,7 @@ struct BreakerHarness {
     inst.breaker_shed = shed_counter;
     channel = std::make_unique<ReliableChannel>("breaker-test", cfg, *pipe,
                                                 broker, inst);
-    channel->set_ack_sender([](const std::vector<std::uint64_t>&) {});
+    channel->set_ack_sender([](std::uint64_t) {});
   }
 
   ~BreakerHarness() {
@@ -337,7 +337,7 @@ TEST(CircuitBreaker, AckFromFarSideClosesTheBreaker) {
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }));
   // Any ack is proof the link works again, whatever state the breaker is in.
-  h.channel->on_acks({9999});
+  h.channel->on_ack(9999);
   EXPECT_EQ(h.channel->state(), LinkState::kClosed);
   // Traffic is admitted again (tracked as pending, not shed).
   const std::uint64_t shed_before = h.shed();
