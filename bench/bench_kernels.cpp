@@ -9,6 +9,7 @@
 
 #include "bench_util.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -30,24 +31,37 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+enum class Kernel { kMatmul, kMatmulAt, kMatmulBt };
+
+constexpr unsigned bit(Kernel k) { return 1u << static_cast<unsigned>(k); }
+constexpr unsigned kAllKernels = bit(Kernel::kMatmul) | bit(Kernel::kMatmulAt) |
+                                 bit(Kernel::kMatmulBt);
+
 struct Shape {
   const char* why;  ///< what hot-path call this shape stands for
   std::size_t m, k, n;
+  unsigned kernels = kAllKernels;  ///< the kernels that run this shape
 };
 
-// MLP-substrate shapes (hidden = 64, fragment_len = 500 as in bench_fig7)
-// plus square sizes the acceptance gate tracks.
+// MLP-substrate shapes (hidden = 64, fragment_len = 500 as in bench_fig7),
+// ppo_sync_2m's learner products (256-row minibatches, hidden 128, a 4-wide
+// output layer; each kernel in the orientation the learner calls it), plus
+// square sizes the acceptance gate tracks.
 const Shape kShapes[] = {
     {"inference (1 obs x 64x64 layer)", 1, 64, 64},
     {"train fwd (500-step fragment)", 500, 64, 64},
     {"train fwd (128-d observations)", 500, 128, 64},
+    {"ppo fwd (256-row minibatch)", 256, 128, 128, bit(Kernel::kMatmul)},
+    {"ppo fwd, thin N (4-wide output)", 256, 128, 4, bit(Kernel::kMatmul)},
+    {"ppo dW (256-row minibatch)", 128, 256, 128, bit(Kernel::kMatmulAt)},
+    {"ppo dW, thin N (4-wide output)", 128, 256, 4, bit(Kernel::kMatmulAt)},
+    {"ppo dX (256-row minibatch)", 256, 128, 128, bit(Kernel::kMatmulBt)},
+    {"ppo dX, thin K (4-wide output)", 256, 4, 128, bit(Kernel::kMatmulBt)},
     {"square 128", 128, 128, 128},
     {"square 256", 256, 256, 256},
     {"square 384", 384, 384, 384},
     {"square 512", 512, 512, 512},
 };
-
-enum class Kernel { kMatmul, kMatmulAt, kMatmulBt };
 
 const char* kernel_name(Kernel k) {
   switch (k) {
@@ -138,6 +152,7 @@ int main(int argc, char** argv) {
   std::vector<Entry> entries;
   for (const Kernel kernel : {Kernel::kMatmul, Kernel::kMatmulAt, Kernel::kMatmulBt}) {
     for (const Shape& shape : kShapes) {
+      if ((shape.kernels & bit(kernel)) == 0) continue;
       Entry e{kernel, shape, 0, 0, 0};
       set_compute_threads(0);
       e.scalar_gflops = measure_gflops(kernel, shape, /*scalar=*/true, rng);
@@ -157,11 +172,14 @@ int main(int argc, char** argv) {
   }
   set_compute_threads(-1);
 
-  // The acceptance shape: on big square products the blocked+pooled path
-  // must beat the pre-PR scalar kernel clearly (>= 4x on the matmul the MLP
-  // forward rides; relative, so any host judges itself).
+  // The acceptance shape: on big products the blocked+pooled path must beat
+  // the pre-PR scalar kernel clearly (>= 4x on the matmul the MLP forward
+  // rides; relative, so any host judges itself). The thin output-layer
+  // shape is not big: its 2^18 flops just reach the pool, whose dispatch
+  // then costs as much as the product.
   for (const Entry& e : entries) {
-    if (e.kernel == Kernel::kMatmul && e.shape.m >= 256) {
+    if (e.kernel == Kernel::kMatmul && e.shape.m >= 256 &&
+        std::min(e.shape.k, e.shape.n) >= 64) {
       char what[96];
       std::snprintf(what, sizeof(what),
                     "matmul %zux%zux%zu: pooled >= 4x scalar (%.2f vs %.2f GFLOP/s)",

@@ -143,8 +143,8 @@ Algorithm::TrainResult ImpalaAlgorithm::train() {
   const nn::Matrix pg = nn::policy_gradient(logits, actions, vt.pg_advantages,
                                             config_.entropy_coef);
   policy_net_.backward(pg);
-  nn::clip_gradients(policy_net_.gradients(), config_.max_grad_norm);
-  policy_opt_.step(policy_net_.parameters(), policy_net_.gradients());
+  policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
+                   config_.max_grad_norm);
 
   // Value regression toward the V-trace targets vs_t.
   value_net_.zero_grad();
@@ -155,8 +155,8 @@ Algorithm::TrainResult ImpalaAlgorithm::train() {
   const float value_loss = nn::mse_loss(v, target, vgrad);
   vgrad.scale_inplace(config_.value_coef);
   value_net_.backward(vgrad);
-  nn::clip_gradients(value_net_.gradients(), config_.max_grad_norm);
-  value_opt_.step(value_net_.parameters(), value_net_.gradients());
+  value_opt_.step(value_net_.parameters(), value_net_.gradients(),
+                  config_.max_grad_norm);
 
   ++version_;
   result.steps_consumed = n;

@@ -227,8 +227,8 @@ Algorithm::TrainResult PpoAlgorithm::train() {
       const nn::Matrix pg =
           nn::policy_gradient(logits, mb_actions, coefs, config_.entropy_coef);
       policy_net_.backward(pg);
-      nn::clip_gradients(policy_net_.gradients(), config_.max_grad_norm);
-      policy_opt_.step(policy_net_.parameters(), policy_net_.gradients());
+      policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
+                       config_.max_grad_norm);
 
       // Value update: MSE to the GAE returns.
       value_net_.zero_grad();
@@ -239,8 +239,8 @@ Algorithm::TrainResult PpoAlgorithm::train() {
       const float value_loss = nn::mse_loss(v, target, vgrad);
       vgrad.scale_inplace(config_.value_coef);
       value_net_.backward(vgrad);
-      nn::clip_gradients(value_net_.gradients(), config_.max_grad_norm);
-      value_opt_.step(value_net_.parameters(), value_net_.gradients());
+      value_opt_.step(value_net_.parameters(), value_net_.gradients(),
+                      config_.max_grad_norm);
 
       last_policy_loss = policy_loss;
       last_value_loss = value_loss;

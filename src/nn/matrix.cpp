@@ -1,18 +1,22 @@
-// Blocked, register-tiled compute kernels for the NN hot path. The three
-// matmul variants (plus the fused bias forward) are written as fixed-size
-// micro-kernels — kMr x kNr output tiles whose accumulators live in local
-// arrays the compiler keeps in vector registers — and are partitioned over
-// output rows onto the shared compute pool (common/thread_pool.h). The tanh
-// activation is a vectorized rational approximation run on the caller.
+// Blocked, register-tiled compute kernels for the NN hot path. All four
+// matmul variants (matmul, matmul_bias, matmul_at, matmul_bt) run one
+// micro-kernel: kMr x kNr output tiles whose accumulators are vector values
+// the compiler keeps in registers. The kernel reads A through a row and a
+// column stride, so A^T needs no copy, and B as K x kNr column panels:
+// slices of B itself, or zero-padded copies for a transposed B and for a
+// last partial panel. Output row blocks are partitioned onto the shared
+// compute pool (common/thread_pool.h). The elementwise kernels (tanh, the
+// activation gradients, sums, the fused clip+Adam step) run inline on the
+// caller in the same vector type.
 //
 // Determinism contract (see DESIGN.md "Compute kernels"):
 //  * `[compute] threads = 0` dispatches to the scalar kernels in
-//    matrix_ref.cpp, bit-identical to the pre-pool implementation.
+//    matrix_ref.cpp, and Adam::step to its scalar clip and update loops,
+//    bit-identical to the pre-pool implementation.
 //  * In blocked mode every output element is accumulated by exactly one
-//    chunk, in a fixed order (ascending k; fixed pairwise combine for the
-//    dot-product kernel), so results do not depend on thread count or
-//    chunk boundaries. The tanh kernel computes every element, the tail
-//    included, with the same vector operations.
+//    chunk, in ascending k, so results do not depend on thread count or
+//    chunk boundaries. Elementwise kernels pad a tail into one more vector,
+//    so an element's bits depend only on its inputs, never on its position.
 
 #include "nn/matrix.h"
 
@@ -22,6 +26,7 @@
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
+#include "nn/optimizer.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
@@ -65,37 +70,21 @@ void Matrix::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
 namespace {
 
-// Register tile of the matmul micro-kernels: kMr output rows by kNr output
+// Register tile of the matmul micro-kernel: kMr output rows by kNr output
 // columns of accumulators the compiler keeps in vector registers (8 zmm
 // with AVX-512, the full ymm file with AVX2; see DESIGN.md).
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 16;
-// Dot-product unroll width of the B-transposed kernel.
-constexpr std::size_t kKu = 8;
 // A product below this many flops is not worth farming out.
 constexpr double kMinParallelFlops = 1 << 18;
-// Elementwise loops shorter than this run inline.
-constexpr std::size_t kElementwiseGrain = 1 << 14;
 
-// The micro-kernels express their accumulator tiles directly as GCC/Clang
-// vector extensions: GCC's autovectorizer turns the equivalent scalar
-// formulations into permute-heavy code (it vectorizes across reduction
-// iterations), an order of magnitude off. This is not ISA-specific —
-// vector_size lowers to plain scalar ops on targets without SIMD — and
-// every use keeps a portable scalar fallback for other compilers. Each
-// accumulator lane receives exactly the products the scalar version gives
-// it, in the same k-ascending order, so the determinism contract
-// (thread-count invariance) is unchanged.
-#if defined(__GNUC__) || defined(__clang__)
-#define XT_VEC_EXT 1
-typedef float Vf8 __attribute__((vector_size(kKu * sizeof(float))));
+// The kernels express their vectors directly as GCC/Clang vector
+// extensions, which the build's compilers (GCC and Clang) both provide:
+// GCC's autovectorizer turns the equivalent scalar formulations into
+// permute-heavy code (it vectorizes across reduction iterations), an order
+// of magnitude off. This is not ISA-specific: vector_size lowers to plain
+// scalar ops on targets without SIMD.
 typedef float Vf16 __attribute__((vector_size(kNr * sizeof(float))));
-
-inline Vf8 load8(const float* p) {
-  Vf8 v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 inline Vf16 load16(const float* p) {
   Vf16 v;
@@ -103,291 +92,196 @@ inline Vf16 load16(const float* p) {
   return v;
 }
 
-inline void store16(float* p, Vf16 v) { __builtin_memcpy(p, &v, sizeof(v)); }
-
-// The vec-ext tile bodies name their kMr accumulators individually.
-static_assert(kMr == 8, "vec-ext micro-kernels are written for kMr == 8");
-
-/// Combine the kKu lanes of a dot product in a fixed pairwise order, so
-/// the value never depends on how rows were chunked.
-inline float combine(Vf8 s) {
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+/// The w <= kNr floats at p, zero-padded to a full vector.
+inline Vf16 load(const float* p, std::size_t w) {
+  if (w == kNr) return load16(p);
+  Vf16 v{};
+  __builtin_memcpy(&v, p, w * sizeof(float));
+  return v;
 }
-#else
-inline float combine(const float* s) {
-  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-}
-#endif
 
-/// Partition `rows` output rows over the compute pool when the product is
-/// big enough, inline otherwise. Chunks are sized so each holds roughly
-/// half the parallel threshold of work.
+/// Writes the first w <= kNr lanes of v to p. A full vector takes the
+/// constant-size copy, which compiles to one vector store.
+inline void store(float* p, Vf16 v, std::size_t w) {
+  if (w == kNr) {
+    __builtin_memcpy(p, &v, sizeof(v));
+  } else {
+    __builtin_memcpy(p, &v, w * sizeof(float));
+  }
+}
+
+/// Calls body(i, w) for i = 0, kNr, 2 kNr, ... covering [0, n), with w the
+/// lanes in use (kNr but for a last, shorter vector). A tail is padded into
+/// one more vector rather than finished by a scalar loop: scalar code may
+/// round differently, and an element's bits would then depend on its
+/// position.
 template <typename Body>
-void run_rows(std::size_t rows, double flops, const Body& body) {
-  if (rows == 0) return;
+void for_lanes(std::size_t n, const Body& body) {
+  std::size_t i = 0;
+  for (; i + kNr <= n; i += kNr) body(i, kNr);
+  if (i < n) body(i, n - i);
+}
+
+/// Per-lane square root: one vsqrtps where the host has it, because the
+/// file is built with -fno-math-errno (nothing in the project reads errno).
+inline Vf16 sqrt16(Vf16 x) {
+  for (std::size_t l = 0; l < kNr; ++l) x[l] = __builtin_sqrtf(x[l]);
+  return x;
+}
+
+/// The lanes' sum, combined in a fixed pairwise order.
+inline float lane_sum(Vf16 s) {
+  for (std::size_t half = kNr / 2; half > 0; half /= 2) {
+    for (std::size_t l = 0; l < half; ++l) s[l] += s[l + half];
+  }
+  return s[0];
+}
+
+// ---- GEMM -----------------------------------------------------------------
+
+/// A strided operand: element (r, c) is p[r * rs + c * cs].
+struct View {
+  const float* p;
+  std::size_t rs, cs;
+};
+
+/// One product C (M x N) = A (M x K) * B (K x N) (+ a bias row) as the
+/// micro-kernel reads it. Panel q holds B's columns [q kNr, (q + 1) kNr).
+/// Panels below `first_packed` are read in place from a row-major B; the
+/// rest are zero-padded K x kNr copies at `packed`.
+struct Gemm {
+  View a;
+  std::size_t K, N;
+  View b;
+  const float* packed;
+  std::size_t first_packed;
+  const float* bias;
+  float* c;
+};
+
+/// Copies B's columns from j0 on into zero-padded K x kNr panels, in a
+/// buffer of the calling thread's that lives until its next call.
+const float* pack_panels(View b, std::size_t K, std::size_t N, std::size_t j0) {
+  thread_local std::vector<float> buf;
+  buf.assign((N - j0 + kNr - 1) / kNr * K * kNr, 0.0f);
+  for (std::size_t j = j0; j < N; ++j) {
+    float* dst = buf.data() + (j - j0) / kNr * K * kNr + (j - j0) % kNr;
+    for (std::size_t k = 0; k < K; ++k) dst[k * kNr] = b.p[k * b.rs + j * b.cs];
+  }
+  return buf.data();
+}
+
+/// Rows [i, i + MR) of C by panels [q, q + NP), which are all read in place
+/// or all packed: MR x NP accumulator vectors, seeded with the bias, gather
+/// A(row, k) * panel row k in ascending k.
+template <std::size_t MR, std::size_t NP>
+void gemm_tile(const Gemm& g, std::size_t i, std::size_t q) {
+  // Panel q's first row, the stride between its rows, and the offset from
+  // one panel to the next.
+  const float* b = g.b.p + q * kNr;
+  std::size_t ldb = g.b.rs;
+  std::size_t next = kNr;
+  if (q >= g.first_packed) {
+    b = g.packed + (q - g.first_packed) * g.K * kNr;
+    ldb = kNr;
+    next = g.K * kNr;
+  }
+  const float* a = g.a.p + i * g.a.rs;
+  const auto width = [&g, q](std::size_t p) {
+    return std::min(kNr, g.N - (q + p) * kNr);
+  };
+  Vf16 acc[MR][NP];
+#pragma GCC unroll 8
+  for (std::size_t p = 0; p < NP; ++p) {
+    const Vf16 init = g.bias ? load(g.bias + (q + p) * kNr, width(p)) : Vf16{};
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r) acc[r][p] = init;
+  }
+  for (std::size_t k = 0; k < g.K; ++k) {
+    const float* bk = b + k * ldb;
+    const float* ak = a + k * g.a.cs;
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < NP; ++p) {
+      const Vf16 bv = load16(bk + p * next);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < MR; ++r) acc[r][p] += ak[r * g.a.rs] * bv;
+    }
+  }
+  for (std::size_t r = 0; r < MR; ++r) {
+    for (std::size_t p = 0; p < NP; ++p) {
+      store(g.c + (i + r) * g.N + (q + p) * kNr, acc[r][p], width(p));
+    }
+  }
+}
+
+/// Row i of C: up to kMr panels at a time, so a lone row runs kMr
+/// independent chains of FMAs instead of one latency-bound chain.
+void gemm_row(const Gemm& g, std::size_t i) {
+  const std::size_t panels = (g.N + kNr - 1) / kNr;
+  for (std::size_t q = 0; q < panels;) {
+    const std::size_t alike = (q < g.first_packed ? g.first_packed : panels) - q;
+    if (alike >= kMr) {
+      gemm_tile<1, kMr>(g, i, q);
+      q += kMr;
+    } else if (alike >= kMr / 2) {
+      gemm_tile<1, kMr / 2>(g, i, q);
+      q += kMr / 2;
+    } else {
+      gemm_tile<1, 1>(g, i, q++);
+    }
+  }
+}
+
+/// C = A * B (+ bias). Row blocks of kMr go to the compute pool when the
+/// product is big enough, in chunks of roughly half the parallel threshold;
+/// the last M % kMr rows take the one-row path, as does a single-row
+/// product (explorer inference), which then packs nothing but a partial
+/// last panel.
+Matrix gemm(View a, View b, std::size_t M, std::size_t K, std::size_t N,
+            const float* bias) {
+  Matrix c(M, N);
+  if (K == 0) {  // nothing to accumulate, and no operand memory to point into
+    for (std::size_t r = 0; bias != nullptr && r < M; ++r) {
+      std::copy(bias, bias + N, c.row_ptr(r));
+    }
+    return c;
+  }
+  const std::size_t first_packed = b.cs == 1 ? N / kNr : 0;
+  const Gemm g{a, K, N, b, pack_panels(b, K, N, first_packed * kNr),
+               first_packed, bias, c.data().data()};
+  const auto body = [&g, M](std::size_t b0, std::size_t b1) {
+    for (std::size_t i = b0 * kMr; i < std::min(b1 * kMr, M);) {
+      if (i + kMr <= M) {
+        for (std::size_t q = 0; q * kNr < g.N; ++q) gemm_tile<kMr, 1>(g, i, q);
+        i += kMr;
+      } else {
+        gemm_row(g, i++);
+      }
+    }
+  };
+  const std::size_t blocks = (M + kMr - 1) / kMr;
+  const double flops = 2.0 * static_cast<double>(M) * static_cast<double>(K) *
+                       static_cast<double>(N);
   std::shared_ptr<ThreadPool> pool;
   if (flops >= kMinParallelFlops) pool = compute_pool();
   if (!pool) {
-    body(0, rows);
-    return;
+    body(0, blocks);
+    return c;
   }
-  const double flops_per_row = flops / static_cast<double>(rows);
-  auto grain = static_cast<std::size_t>(kMinParallelFlops / 2 / flops_per_row);
+  const double flops_per_block = flops / static_cast<double>(blocks);
+  const auto grain = static_cast<std::size_t>(kMinParallelFlops / 2 / flops_per_block);
   // The scope also attaches the pool's "xt-compute" workers to the profiler
   // the first time they execute a chunk.
-  pool->parallel_for(rows, std::max(grain, kMr),
-                     [&body](std::size_t b, std::size_t e) {
+  pool->parallel_for(blocks, std::max<std::size_t>(grain, 1),
+                     [&body](std::size_t b0, std::size_t b1) {
                        ProfScope prof("gemm");
-                       body(b, e);
+                       body(b0, b1);
                      });
+  return c;
 }
 
-/// Rows [r0, r1) of C = A * B (+ optional bias row broadcast).
-void gemm_rows(const Matrix& a, const Matrix& b, const float* bias, Matrix& c,
-               std::size_t r0, std::size_t r1) {
-  const std::size_t K = a.cols();
-  const std::size_t N = b.cols();
-  std::size_t i = r0;
-  for (; i + kMr <= r1; i += kMr) {
-    const float* arow[kMr];
-    for (std::size_t ii = 0; ii < kMr; ++ii) arow[ii] = a.row_ptr(i + ii);
-    std::size_t j = 0;
-    for (; j + kNr <= N; j += kNr) {
-#if XT_VEC_EXT
-      const Vf16 init = bias ? load16(bias + j) : Vf16{};
-      Vf16 c0 = init, c1 = init, c2 = init, c3 = init;
-      Vf16 c4 = init, c5 = init, c6 = init, c7 = init;
-      for (std::size_t k = 0; k < K; ++k) {
-        const Vf16 bk = load16(b.row_ptr(k) + j);
-        c0 += arow[0][k] * bk;
-        c1 += arow[1][k] * bk;
-        c2 += arow[2][k] * bk;
-        c3 += arow[3][k] * bk;
-        c4 += arow[4][k] * bk;
-        c5 += arow[5][k] * bk;
-        c6 += arow[6][k] * bk;
-        c7 += arow[7][k] * bk;
-      }
-      const Vf16 cv[kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
-      for (std::size_t ii = 0; ii < kMr; ++ii)
-        store16(c.row_ptr(i + ii) + j, cv[ii]);
-#else
-      float acc[kMr][kNr];
-      for (std::size_t ii = 0; ii < kMr; ++ii)
-        for (std::size_t jj = 0; jj < kNr; ++jj)
-          acc[ii][jj] = bias ? bias[j + jj] : 0.0f;
-      for (std::size_t k = 0; k < K; ++k) {
-        const float* bk = b.row_ptr(k) + j;
-        for (std::size_t ii = 0; ii < kMr; ++ii) {
-          const float v = arow[ii][k];
-          for (std::size_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += v * bk[jj];
-        }
-      }
-      for (std::size_t ii = 0; ii < kMr; ++ii) {
-        float* ci = c.row_ptr(i + ii) + j;
-        for (std::size_t jj = 0; jj < kNr; ++jj) ci[jj] = acc[ii][jj];
-      }
-#endif
-    }
-    if (j < N) {
-      const std::size_t nr = N - j;
-      float acc[kMr][kNr] = {};
-      if (bias) {
-        for (std::size_t ii = 0; ii < kMr; ++ii)
-          for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] = bias[j + jj];
-      }
-      for (std::size_t k = 0; k < K; ++k) {
-        const float* bk = b.row_ptr(k) + j;
-        for (std::size_t ii = 0; ii < kMr; ++ii) {
-          const float v = arow[ii][k];
-          for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += v * bk[jj];
-        }
-      }
-      for (std::size_t ii = 0; ii < kMr; ++ii) {
-        float* ci = c.row_ptr(i + ii) + j;
-        for (std::size_t jj = 0; jj < nr; ++jj) ci[jj] = acc[ii][jj];
-      }
-    }
-  }
-  for (; i < r1; ++i) {  // leftover rows, one at a time
-    const float* ai = a.row_ptr(i);
-    std::size_t j = 0;
-#if XT_VEC_EXT
-    for (; j + kNr <= N; j += kNr) {
-      Vf16 acc = bias ? load16(bias + j) : Vf16{};
-      for (std::size_t k = 0; k < K; ++k) acc += ai[k] * load16(b.row_ptr(k) + j);
-      store16(c.row_ptr(i) + j, acc);
-    }
-#endif
-    for (; j < N; j += kNr) {
-      const std::size_t nr = std::min(kNr, N - j);
-      float acc[kNr] = {};
-      if (bias) {
-        for (std::size_t jj = 0; jj < nr; ++jj) acc[jj] = bias[j + jj];
-      }
-      for (std::size_t k = 0; k < K; ++k) {
-        const float v = ai[k];
-        const float* bk = b.row_ptr(k) + j;
-        for (std::size_t jj = 0; jj < nr; ++jj) acc[jj] += v * bk[jj];
-      }
-      float* ci = c.row_ptr(i) + j;
-      for (std::size_t jj = 0; jj < nr; ++jj) ci[jj] = acc[jj];
-    }
-  }
-}
-
-/// Rows [r0, r1) of C = A^T * B; C rows index A columns, reduction runs
-/// over A/B rows. A[r][i..i+kMr) is contiguous, so the tile loads stream.
-void gemm_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
-                  std::size_t r1) {
-  const std::size_t R = a.rows();
-  const std::size_t N = b.cols();
-  std::size_t i = r0;
-  for (; i + kMr <= r1; i += kMr) {
-    std::size_t j = 0;
-    for (; j + kNr <= N; j += kNr) {
-#if XT_VEC_EXT
-      Vf16 c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
-      for (std::size_t r = 0; r < R; ++r) {
-        const float* ar = a.row_ptr(r) + i;
-        const Vf16 br = load16(b.row_ptr(r) + j);
-        c0 += ar[0] * br;
-        c1 += ar[1] * br;
-        c2 += ar[2] * br;
-        c3 += ar[3] * br;
-        c4 += ar[4] * br;
-        c5 += ar[5] * br;
-        c6 += ar[6] * br;
-        c7 += ar[7] * br;
-      }
-      const Vf16 cv[kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
-      for (std::size_t ii = 0; ii < kMr; ++ii)
-        store16(c.row_ptr(i + ii) + j, cv[ii]);
-#else
-      float acc[kMr][kNr] = {};
-      for (std::size_t r = 0; r < R; ++r) {
-        const float* ar = a.row_ptr(r) + i;
-        const float* br = b.row_ptr(r) + j;
-        for (std::size_t ii = 0; ii < kMr; ++ii) {
-          const float v = ar[ii];
-          for (std::size_t jj = 0; jj < kNr; ++jj) acc[ii][jj] += v * br[jj];
-        }
-      }
-      for (std::size_t ii = 0; ii < kMr; ++ii) {
-        float* ci = c.row_ptr(i + ii) + j;
-        for (std::size_t jj = 0; jj < kNr; ++jj) ci[jj] = acc[ii][jj];
-      }
-#endif
-    }
-    if (j < N) {
-      const std::size_t nr = N - j;
-      float acc[kMr][kNr] = {};
-      for (std::size_t r = 0; r < R; ++r) {
-        const float* ar = a.row_ptr(r) + i;
-        const float* br = b.row_ptr(r) + j;
-        for (std::size_t ii = 0; ii < kMr; ++ii)
-          for (std::size_t jj = 0; jj < nr; ++jj) acc[ii][jj] += ar[ii] * br[jj];
-      }
-      for (std::size_t ii = 0; ii < kMr; ++ii) {
-        float* ci = c.row_ptr(i + ii) + j;
-        for (std::size_t jj = 0; jj < nr; ++jj) ci[jj] = acc[ii][jj];
-      }
-    }
-  }
-  for (; i < r1; ++i) {
-    std::size_t j = 0;
-#if XT_VEC_EXT
-    for (; j + kNr <= N; j += kNr) {
-      Vf16 acc{};
-      for (std::size_t r = 0; r < R; ++r)
-        acc += a.row_ptr(r)[i] * load16(b.row_ptr(r) + j);
-      store16(c.row_ptr(i) + j, acc);
-    }
-#endif
-    for (; j < N; j += kNr) {
-      const std::size_t nr = std::min(kNr, N - j);
-      float acc[kNr] = {};
-      for (std::size_t r = 0; r < R; ++r) {
-        const float v = a.row_ptr(r)[i];
-        const float* br = b.row_ptr(r) + j;
-        for (std::size_t jj = 0; jj < nr; ++jj) acc[jj] += v * br[jj];
-      }
-      float* ci = c.row_ptr(i) + j;
-      for (std::size_t jj = 0; jj < nr; ++jj) ci[jj] = acc[jj];
-    }
-  }
-}
-
-/// Rows [r0, r1) of C = A * B^T: dot products of A rows against B rows,
-/// kKu-wide partial sums for ILP, four B rows per pass.
-void gemm_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
-                  std::size_t r1) {
-  const std::size_t K = a.cols();
-  const std::size_t M = b.rows();
-  for (std::size_t i = r0; i < r1; ++i) {
-    const float* ai = a.row_ptr(i);
-    float* ci = c.row_ptr(i);
-    std::size_t j = 0;
-    for (; j + 4 <= M; j += 4) {
-      const float* b0 = b.row_ptr(j);
-      const float* b1 = b.row_ptr(j + 1);
-      const float* b2 = b.row_ptr(j + 2);
-      const float* b3 = b.row_ptr(j + 3);
-      std::size_t k = 0;
-      float sum[4];
-#if XT_VEC_EXT
-      Vf8 s0{}, s1{}, s2{}, s3{};
-      for (; k + kKu <= K; k += kKu) {
-        const Vf8 av = load8(ai + k);
-        s0 += av * load8(b0 + k);
-        s1 += av * load8(b1 + k);
-        s2 += av * load8(b2 + k);
-        s3 += av * load8(b3 + k);
-      }
-      sum[0] = combine(s0);
-      sum[1] = combine(s1);
-      sum[2] = combine(s2);
-      sum[3] = combine(s3);
-#else
-      float s[4][kKu] = {};
-      for (; k + kKu <= K; k += kKu) {
-        for (std::size_t u = 0; u < kKu; ++u) {
-          const float av = ai[k + u];
-          s[0][u] += av * b0[k + u];
-          s[1][u] += av * b1[k + u];
-          s[2][u] += av * b2[k + u];
-          s[3][u] += av * b3[k + u];
-        }
-      }
-      for (std::size_t jj = 0; jj < 4; ++jj) sum[jj] = combine(s[jj]);
-#endif
-      const float* brow[4] = {b0, b1, b2, b3};
-      for (std::size_t jj = 0; jj < 4; ++jj) {
-        float v = sum[jj];
-        for (std::size_t kk = k; kk < K; ++kk) v += ai[kk] * brow[jj][kk];
-        ci[j + jj] = v;
-      }
-    }
-    for (; j < M; ++j) {
-      const float* bj = b.row_ptr(j);
-      std::size_t k = 0;
-      float sum;
-#if XT_VEC_EXT
-      Vf8 s{};
-      for (; k + kKu <= K; k += kKu) s += load8(ai + k) * load8(bj + k);
-      sum = combine(s);
-#else
-      float s[kKu] = {};
-      for (; k + kKu <= K; k += kKu) {
-        for (std::size_t u = 0; u < kKu; ++u) s[u] += ai[k + u] * bj[k + u];
-      }
-      sum = combine(s);
-#endif
-      for (; k < K; ++k) sum += ai[k] * bj[k];
-      ci[j] = sum;
-    }
-  }
-}
+View plain(const Matrix& m) { return {m.data().data(), m.cols(), 1}; }
+View transposed(const Matrix& m) { return {m.data().data(), 1, m.cols()}; }
 
 // ---- tanh kernel ----------------------------------------------------------
 
@@ -396,23 +290,22 @@ void gemm_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
 constexpr float kTanhClamp = 7.90531110763549805f;
 
 /// tanh as a rational minimax approximation (Eigen's float coefficients):
-/// an odd degree-13 numerator over an even degree-6 denominator. Written
-/// once for a float and for a Vf16, so every lane runs the same operations.
-template <typename V>
-V tanh_rational(V x) {
-  const V hi = V{} + kTanhClamp;
-  const V lo = V{} - kTanhClamp;
+/// an odd degree-13 numerator over an even degree-6 denominator, in Vf16
+/// lanes.
+Vf16 tanh_rational(Vf16 x) {
+  const Vf16 hi = Vf16{} + kTanhClamp;
+  const Vf16 lo = Vf16{} - kTanhClamp;
   // Both comparisons are false for NaN, which passes through unclamped.
   x = x > hi ? hi : x;
   x = x < lo ? lo : x;
-  const V x2 = x * x;
-  V p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
+  const Vf16 x2 = x * x;
+  Vf16 p = x2 * -2.76076847742355e-16f + 2.00018790482477e-13f;
   p = x2 * p - 8.60467152213735e-11f;
   p = x2 * p + 5.12229709037114e-08f;
   p = x2 * p + 1.48572235717979e-05f;
   p = x2 * p + 6.37261928875436e-04f;
   p = x2 * p + 4.89352455891786e-03f;
-  V q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
+  Vf16 q = x2 * 1.19825839466702e-06f + 1.18534705686654e-04f;
   q = x2 * q + 2.26843463243900e-03f;
   q = x2 * q + 4.89352518554385e-03f;
   return x * p / q;
@@ -430,8 +323,10 @@ thread_local KernelSink t_kernel_sink;
 /// Times one matmul call into the thread's bound sink; free when unbound.
 class KernelScope {
  public:
-  explicit KernelScope(double flops)
-      : active_(t_kernel_sink.gemm_ms != nullptr), flops_(flops) {}
+  KernelScope(std::size_t m, std::size_t k, std::size_t n)
+      : active_(t_kernel_sink.gemm_ms != nullptr),
+        flops_(2.0 * static_cast<double>(m) * static_cast<double>(k) *
+               static_cast<double>(n)) {}
   ~KernelScope() {
     if (!active_) return;
     t_kernel_sink.gemm_ms->observe(watch_.elapsed_ms());
@@ -458,20 +353,18 @@ void bind_kernel_metrics(MetricsRegistry* registry, const std::string& labels) {
 
 void Matrix::add_inplace(const Matrix& other) {
   assert(rows_ == other.rows_ && cols_ == other.cols_);
-  float* dst = data_.data();
-  const float* src = other.data_.data();
-  compute_parallel_for(data_.size(), kElementwiseGrain,
-                       [dst, src](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i) dst[i] += src[i];
-                       });
+  float* x = data_.data();
+  const float* y = other.data_.data();
+  for_lanes(size(), [x, y](std::size_t i, std::size_t w) {
+    store(x + i, load(x + i, w) + load(y + i, w), w);
+  });
 }
 
 void Matrix::scale_inplace(float s) {
-  float* dst = data_.data();
-  compute_parallel_for(data_.size(), kElementwiseGrain,
-                       [dst, s](std::size_t b, std::size_t e) {
-                         for (std::size_t i = b; i < e; ++i) dst[i] *= s;
-                       });
+  float* x = data_.data();
+  for_lanes(size(), [x, s](std::size_t i, std::size_t w) {
+    store(x + i, load(x + i, w) * s, w);
+  });
 }
 
 bool allclose(const Matrix& a, const Matrix& b, float atol, float rtol) {
@@ -487,87 +380,55 @@ bool allclose(const Matrix& a, const Matrix& b, float atol, float rtol) {
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
-  const double flops = 2.0 * static_cast<double>(a.rows()) *
-                       static_cast<double>(b.cols()) * static_cast<double>(a.cols());
-  KernelScope scope(flops);
+  KernelScope scope(a.rows(), a.cols(), b.cols());
   if (compute_threads() == 0) return reference::matmul(a, b);
-  Matrix c(a.rows(), b.cols());
-  run_rows(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows(a, b, nullptr, c, r0, r1);
-  });
-  return c;
+  return gemm(plain(a), plain(b), a.rows(), a.cols(), b.cols(), nullptr);
 }
 
 Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias_row) {
   assert(a.cols() == b.rows());
   assert(bias_row.rows() == 1 && bias_row.cols() == b.cols());
-  const double flops = 2.0 * static_cast<double>(a.rows()) *
-                       static_cast<double>(b.cols()) * static_cast<double>(a.cols());
-  KernelScope scope(flops);
+  KernelScope scope(a.rows(), a.cols(), b.cols());
   if (compute_threads() == 0) {
     Matrix c = reference::matmul(a, b);
     add_row_inplace(c, bias_row);
     return c;
   }
-  Matrix c(a.rows(), b.cols());
-  const float* bias = bias_row.row_ptr(0);
-  run_rows(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-    gemm_rows(a, b, bias, c, r0, r1);
-  });
-  return c;
+  return gemm(plain(a), plain(b), a.rows(), a.cols(), b.cols(), bias_row.row_ptr(0));
 }
 
 Matrix matmul_at(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
-  const double flops = 2.0 * static_cast<double>(a.cols()) *
-                       static_cast<double>(b.cols()) * static_cast<double>(a.rows());
-  KernelScope scope(flops);
+  KernelScope scope(a.cols(), a.rows(), b.cols());
   if (compute_threads() == 0) return reference::matmul_at(a, b);
-  Matrix c(a.cols(), b.cols());
-  run_rows(a.cols(), flops, [&](std::size_t r0, std::size_t r1) {
-    gemm_at_rows(a, b, c, r0, r1);
-  });
-  return c;
+  return gemm(transposed(a), plain(b), a.cols(), a.rows(), b.cols(), nullptr);
 }
 
 Matrix matmul_bt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
-  const double flops = 2.0 * static_cast<double>(a.rows()) *
-                       static_cast<double>(b.rows()) * static_cast<double>(a.cols());
-  KernelScope scope(flops);
+  KernelScope scope(a.rows(), a.cols(), b.rows());
   if (compute_threads() == 0) return reference::matmul_bt(a, b);
-  Matrix c(a.rows(), b.rows());
-  run_rows(a.rows(), flops, [&](std::size_t r0, std::size_t r1) {
-    gemm_bt_rows(a, b, c, r0, r1);
-  });
-  return c;
+  return gemm(plain(a), transposed(b), a.rows(), a.cols(), b.rows(), nullptr);
 }
 
 void add_row_inplace(Matrix& x, const Matrix& bias_row) {
   assert(bias_row.rows() == 1 && bias_row.cols() == x.cols());
-  const std::size_t cols = x.cols();
   const float* bias = bias_row.row_ptr(0);
-  const std::size_t grain = std::max<std::size_t>(1, kElementwiseGrain / std::max<std::size_t>(1, cols));
-  compute_parallel_for(x.rows(), grain, [&x, bias, cols](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      float* xi = x.row_ptr(i);
-      for (std::size_t j = 0; j < cols; ++j) xi[j] += bias[j];
-    }
-  });
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    float* xr = x.row_ptr(r);
+    for_lanes(x.cols(), [xr, bias](std::size_t j, std::size_t w) {
+      store(xr + j, load(xr + j, w) + load(bias + j, w), w);
+    });
+  }
 }
 
 Matrix col_sums(const Matrix& x) {
   Matrix out(1, x.cols());
-  const std::size_t rows = x.rows();
-  // Partitioned over columns: each column's sum accumulates rows in
-  // ascending order regardless of chunking, so results stay deterministic.
-  const std::size_t grain = std::max<std::size_t>(1, kElementwiseGrain / std::max<std::size_t>(1, rows));
-  float* o = out.row_ptr(0);
-  compute_parallel_for(x.cols(), grain, [&x, o, rows](std::size_t b, std::size_t e) {
-    for (std::size_t i = 0; i < rows; ++i) {
-      const float* xi = x.row_ptr(i);
-      for (std::size_t j = b; j < e; ++j) o[j] += xi[j];
-    }
+  // Each column's sum accumulates the rows in ascending order.
+  for_lanes(x.cols(), [&x, &out](std::size_t j, std::size_t w) {
+    Vf16 sum{};
+    for (std::size_t r = 0; r < x.rows(); ++r) sum += load(x.row_ptr(r) + j, w);
+    store(out.row_ptr(0) + j, sum, w);
   });
   return out;
 }
@@ -578,22 +439,74 @@ void tanh_inplace(Matrix& x) {
     return;
   }
   float* v = x.data().data();
-  const std::size_t n = x.size();
-#if XT_VEC_EXT
-  std::size_t i = 0;
-  for (; i + kNr <= n; i += kNr) store16(v + i, tanh_rational(load16(v + i)));
-  if (i < n) {
-    // The tail is padded into one more vector: a scalar tail may round
-    // differently, and an element's bits would then depend on its position.
-    const std::size_t tail_bytes = (n - i) * sizeof(float);
-    Vf16 tail{};
-    __builtin_memcpy(&tail, v + i, tail_bytes);
-    tail = tanh_rational(tail);
-    __builtin_memcpy(v + i, &tail, tail_bytes);
+  for_lanes(x.size(), [v](std::size_t i, std::size_t w) {
+    store(v + i, tanh_rational(load(v + i, w)), w);
+  });
+}
+
+void tanh_grad_inplace(Matrix& grad, const Matrix& h) {
+  assert(grad.size() == h.size());
+  if (compute_threads() == 0) {
+    reference::tanh_grad_inplace(grad, h);
+    return;
   }
-#else
-  for (std::size_t i = 0; i < n; ++i) v[i] = tanh_rational(v[i]);
-#endif
+  float* g = grad.data().data();
+  const float* y = h.data().data();
+  for_lanes(grad.size(), [g, y](std::size_t i, std::size_t w) {
+    const Vf16 hi = load(y + i, w);
+    store(g + i, load(g + i, w) * (1.0f - hi * hi), w);
+  });
+}
+
+void relu_grad_inplace(Matrix& grad, const Matrix& h) {
+  assert(grad.size() == h.size());
+  float* g = grad.data().data();
+  const float* y = h.data().data();
+  for_lanes(grad.size(), [g, y](std::size_t i, std::size_t w) {
+    store(g + i, load(y + i, w) <= 0.0f ? Vf16{} : load(g + i, w), w);
+  });
+}
+
+float adam_kernel(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads,
+                  std::vector<std::vector<float>>& m,
+                  std::vector<std::vector<float>>& v, const AdamCoefficients& c,
+                  std::optional<float> max_norm) {
+  float norm = 0.0f;
+  float scale = 1.0f;
+  if (max_norm) {
+    Vf16 sq{};
+    for (const Matrix* g : grads) {
+      const float* x = g->data().data();
+      for_lanes(g->size(), [x, &sq](std::size_t i, std::size_t w) {
+        const Vf16 xi = load(x + i, w);
+        sq += xi * xi;
+      });
+    }
+    norm = __builtin_sqrtf(lane_sum(sq));
+    if (norm > *max_norm && norm > 0.0f) scale = *max_norm / norm;
+  }
+  // m_hat / (sqrt(v_hat) + eps) with the bias corrections folded into two
+  // constants: step = lr / bias1 and 1 / sqrt(bias2).
+  const float b1 = c.beta1, b2 = c.beta2;
+  const float step = c.lr / c.bias1;
+  const float inv_sqrt_bias2 = 1.0f / __builtin_sqrtf(c.bias2);
+  const float eps = c.eps;
+  for (std::size_t t = 0; t < params.size(); ++t) {
+    float* p = params[t]->data().data();
+    float* g = grads[t]->data().data();
+    float* mt = m[t].data();
+    float* vt = v[t].data();
+    for_lanes(params[t]->size(), [=](std::size_t i, std::size_t w) {
+      const Vf16 gi = load(g + i, w) * scale;
+      const Vf16 mi = b1 * load(mt + i, w) + (1.0f - b1) * gi;
+      const Vf16 vi = b2 * load(vt + i, w) + (1.0f - b2) * gi * gi;
+      store(g + i, gi, w);
+      store(mt + i, mi, w);
+      store(vt + i, vi, w);
+      store(p + i, load(p + i, w) - step * mi / (sqrt16(vi) * inv_sqrt_bias2 + eps), w);
+    });
+  }
+  return norm;
 }
 
 }  // namespace xt::nn

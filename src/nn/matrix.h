@@ -85,6 +85,11 @@ void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// NaN stays NaN) whose bits for an element depend only on that element;
 /// serial mode is reference::tanh_inplace.
 void tanh_inplace(Matrix& x);
+/// grad *= 1 - h^2: tanh's derivative, written in terms of its output h.
+/// Serial mode is reference::tanh_grad_inplace.
+void tanh_grad_inplace(Matrix& grad, const Matrix& h);
+/// grad = 0 wherever h <= 0: ReLU's derivative, in terms of its output h.
+void relu_grad_inplace(Matrix& grad, const Matrix& h);
 
 /// The retained scalar kernels — the exact pre-optimization implementations,
 /// built in their own translation unit with the project's stock flags. They
@@ -97,6 +102,7 @@ namespace reference {
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 /// std::tanh on every element.
 void tanh_inplace(Matrix& x);
+void tanh_grad_inplace(Matrix& grad, const Matrix& h);
 }  // namespace reference
 
 /// Record per-kernel telemetry for matmuls run on the calling thread into

@@ -1,9 +1,10 @@
-// The scalar reference kernels: byte-for-byte the matmul family and the
-// std::tanh activation this repo shipped before the blocked/pooled compute
-// layer. Kept in a separate translation unit, built with the project's
-// stock flags (no -march widening), so that (a) `[compute] threads = 0`
-// reproduces pre-pool runs bit-exactly on any host, and (b) bench_kernels'
-// "scalar" baseline really is the pre-PR kernel, not the new code de-tuned.
+// The scalar reference kernels: byte-for-byte the matmul family, the
+// std::tanh activation and its gradient this repo shipped before the
+// blocked/pooled compute layer. Kept in a separate translation unit, built
+// with the project's stock flags (no -march widening, so no FMA
+// contraction), so that (a) `[compute] threads = 0` reproduces pre-pool
+// runs bit-exactly on any host, and (b) bench_kernels' "scalar" baseline
+// really is the pre-PR kernel, not the new code de-tuned.
 
 #include <cassert>
 #include <cmath>
@@ -63,6 +64,13 @@ Matrix matmul_bt(const Matrix& a, const Matrix& b) {
 
 void tanh_inplace(Matrix& x) {
   for (float& v : x.data()) v = std::tanh(v);
+}
+
+void tanh_grad_inplace(Matrix& grad, const Matrix& h) {
+  assert(grad.size() == h.size());
+  float* g = grad.data().data();
+  const float* y = h.data().data();
+  for (std::size_t i = 0; i < grad.size(); ++i) g[i] *= 1.0f - y[i] * y[i];
 }
 
 }  // namespace xt::nn::reference

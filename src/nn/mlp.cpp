@@ -55,26 +55,14 @@ void Mlp::apply_activation(Matrix& m, Activation act) {
 }
 
 void Mlp::apply_activation_grad(Matrix& grad, const Matrix& output, Activation act) {
-  float* g = grad.data().data();
-  const float* h = output.data().data();
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      compute_parallel_for(grad.size(), kActivationGrain,
-                           [g, h](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i) {
-                               if (h[i] <= 0.0f) g[i] = 0.0f;
-                             }
-                           });
+      relu_grad_inplace(grad, output);
       return;
     case Activation::kTanh:
-      compute_parallel_for(grad.size(), kActivationGrain,
-                           [g, h](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i) {
-                               g[i] *= 1.0f - h[i] * h[i];
-                             }
-                           });
+      tanh_grad_inplace(grad, output);
       return;
   }
 }

@@ -7,43 +7,11 @@
 
 namespace xt::nn {
 
-namespace {
-
-// The update rules are elementwise, so chunking onto the compute pool never
-// changes results (each index is computed independently, serial included).
-constexpr std::size_t kStepGrain = 1 << 14;
-
-}  // namespace
-
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {}
-
-void Sgd::step(const std::vector<Matrix*>& params,
-               const std::vector<Matrix*>& grads) {
-  assert(params.size() == grads.size());
-  if (velocity_.size() != params.size()) {
-    velocity_.clear();
-    for (const Matrix* p : params) velocity_.emplace_back(p->size(), 0.0f);
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto& p = params[i]->data();
-    const auto& g = grads[i]->data();
-    auto& vel = velocity_[i];
-    assert(p.size() == g.size());
-    compute_parallel_for(p.size(), kStepGrain,
-                         [&p, &g, &vel, this](std::size_t b, std::size_t e) {
-                           for (std::size_t j = b; j < e; ++j) {
-                             vel[j] = momentum_ * vel[j] + g[j];
-                             p[j] -= lr_ * vel[j];
-                           }
-                         });
-  }
-}
-
 Adam::Adam(float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-void Adam::step(const std::vector<Matrix*>& params,
-                const std::vector<Matrix*>& grads) {
+float Adam::step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads,
+                 std::optional<float> max_norm) {
   assert(params.size() == grads.size());
   if (m_.size() != params.size()) {
     m_.clear();
@@ -56,36 +24,38 @@ void Adam::step(const std::vector<Matrix*>& params,
   ++t_;
   const float bias1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  if (compute_threads() != 0) {
+    return adam_kernel(params, grads, m_, v_, {lr_, beta1_, beta2_, eps_, bias1, bias2},
+                       max_norm);
+  }
+  // Serial mode: the pre-kernel scalar loops, built with the stock flags of
+  // this translation unit, so results stay bit-identical to them.
+  float norm = 0.0f;
+  if (max_norm) {
+    double sq = 0.0;
+    for (const Matrix* g : grads) {
+      for (float v : g->data()) sq += static_cast<double>(v) * v;
+    }
+    norm = static_cast<float>(std::sqrt(sq));
+    if (norm > *max_norm && norm > 0.0f) {
+      const float scale = *max_norm / norm;
+      for (Matrix* g : grads) {
+        for (float& v : g->data()) v *= scale;
+      }
+    }
+  }
   for (std::size_t i = 0; i < params.size(); ++i) {
     auto& p = params[i]->data();
     const auto& g = grads[i]->data();
     auto& m = m_[i];
     auto& v = v_[i];
     assert(p.size() == g.size());
-    compute_parallel_for(
-        p.size(), kStepGrain,
-        [&p, &g, &m, &v, bias1, bias2, this](std::size_t b, std::size_t e) {
-          for (std::size_t j = b; j < e; ++j) {
-            m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
-            v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
-            const float m_hat = m[j] / bias1;
-            const float v_hat = v[j] / bias2;
-            p[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-          }
-        });
-  }
-}
-
-float clip_gradients(const std::vector<Matrix*>& grads, float max_norm) {
-  double sq = 0.0;
-  for (const Matrix* g : grads) {
-    for (float v : g->data()) sq += static_cast<double>(v) * v;
-  }
-  const auto norm = static_cast<float>(std::sqrt(sq));
-  if (norm > max_norm && norm > 0.0f) {
-    const float scale = max_norm / norm;
-    for (Matrix* g : grads) {
-      for (float& v : g->data()) v *= scale;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      m[j] = beta1_ * m[j] + (1.0f - beta1_) * g[j];
+      v[j] = beta2_ * v[j] + (1.0f - beta2_) * g[j] * g[j];
+      const float m_hat = m[j] / bias1;
+      const float v_hat = v[j] / bias2;
+      p[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
     }
   }
   return norm;

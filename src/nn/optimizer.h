@@ -1,40 +1,26 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "nn/matrix.h"
 
 namespace xt::nn {
 
-/// Optimizer interface over flat parameter/gradient views.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update step; params[i] and grads[i] are paired.
-  virtual void step(const std::vector<Matrix*>& params,
-                    const std::vector<Matrix*>& grads) = 0;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f);
-  void step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
 /// Adam (Kingma & Ba) — the optimizer used for all three algorithms.
-class Adam final : public Optimizer {
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f);
-  void step(const std::vector<Matrix*>& params,
-            const std::vector<Matrix*>& grads) override;
+  /// Apply one update step; params[i] and grads[i] are paired. With
+  /// `max_norm`, the gradients are first scaled in place so that their
+  /// global L2 norm is at most *max_norm (global-norm clipping), and the
+  /// pre-clip norm is returned; without it, 0. Serial mode
+  /// (`[compute] threads = 0`) runs the scalar clip and update loops;
+  /// blocked mode runs adam_kernel.
+  float step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads,
+             std::optional<float> max_norm = std::nullopt);
 
  private:
   float lr_, beta1_, beta2_, eps_;
@@ -43,7 +29,20 @@ class Adam final : public Optimizer {
   std::vector<std::vector<float>> v_;
 };
 
-/// Global-norm gradient clipping; returns the pre-clip norm.
-float clip_gradients(const std::vector<Matrix*>& grads, float max_norm);
+/// One step's Adam constants; bias1 and bias2 are 1 - beta^t.
+struct AdamCoefficients {
+  float lr, beta1, beta2, eps;
+  float bias1, bias2;
+};
+
+/// Blocked mode's clip+Adam kernel, defined in matrix.cpp, the translation
+/// unit built for the host's vector ISA: a fixed-order pass takes the global
+/// gradient norm (only with `max_norm`), then one vector pass per tensor
+/// scales each gradient, updates the moments m and v, and steps the
+/// parameter. Returns the pre-clip norm, or 0 without `max_norm`.
+float adam_kernel(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads,
+                  std::vector<std::vector<float>>& m,
+                  std::vector<std::vector<float>>& v, const AdamCoefficients& c,
+                  std::optional<float> max_norm);
 
 }  // namespace xt::nn

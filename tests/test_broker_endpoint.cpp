@@ -1,5 +1,6 @@
 #include "comm/broker.h"
 #include "comm/endpoint.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -317,8 +318,12 @@ TEST(BrokerSharding, DeliveredSequencesAreShardCountInvariant) {
 }
 
 TEST(BrokerSharding, DropCountersAttributePerShard) {
+  // A registry of its own: with the process-wide default, drops that an
+  // earlier test's broker counted on machine 0 would add to these.
+  MetricsRegistry metrics;
   Broker::Options options;
   options.router_shards = 4;
+  options.metrics = &metrics;
   Broker broker(0, options);
   Endpoint sender(explorer_id(0, 0), broker);
   constexpr std::uint64_t kUnrouted = 12;

@@ -161,6 +161,25 @@ TEST_F(MatrixKernels, BlockedResultsInvariantAcrossThreadCounts) {
   }
 }
 
+// A row's bits do not depend on the path that computes it: a lone row (the
+// one-row path, several panels at a time) matches the same row inside an
+// 8-row block. N = 200 is twelve full panels and a partial one.
+TEST_F(MatrixKernels, OneRowPathBitIdenticalToRowBlocks) {
+  set_compute_threads(1);
+  Rng rng(109);
+  const Matrix a = random(9, 70, rng);
+  const Matrix b = random(70, 200, rng);
+  const Matrix bias = random(1, 200, rng);
+  const Matrix bt = random(200, 70, rng);
+  const Matrix block = matmul_bias(a, b, bias);
+  const Matrix block_bt = matmul_bt(a, bt);
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const Matrix row = Matrix::from_row(a.row(i));
+    EXPECT_EQ(matmul_bias(row, b, bias).row(0), block.row(i)) << "row " << i;
+    EXPECT_EQ(matmul_bt(row, bt).row(0), block_bt.row(i)) << "row " << i;
+  }
+}
+
 /// One row holding lo, lo + step, ..., hi.
 Matrix grid(double lo, double hi, double step) {
   const auto n = static_cast<std::size_t>(std::llround((hi - lo) / step));

@@ -4,6 +4,7 @@
 
 #include "algo/factory.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace xt {
 namespace {
@@ -125,6 +126,45 @@ TEST(PpoAlgorithm, MinibatchModeTrains) {
   algorithm.prepare_data(fragment_from_agent(agent, 4, rng));
   const auto result = algorithm.train();
   EXPECT_EQ(result.steps_consumed, 32u);
+}
+
+// Blocked kernels give the same bits at every thread count, so a whole
+// training session does too. The session has ppo_sync_2m's shape: hidden
+// 128, 128; one 500-step fragment of 128-float observations from each of 4
+// explorers; 4 epochs of 256-row minibatches, clipped and stepped by Adam.
+TEST(PpoAlgorithm, TrainingSessionInvariantAcrossThreadCounts) {
+  PpoConfig config;
+  config.hidden = {128, 128};
+  config.fragment_len = 500;
+  config.n_explorers = 4;
+  config.epochs = 4;
+  config.minibatch = 256;
+  constexpr std::size_t kObsDim = 128;
+  constexpr std::int32_t kActions = 3;
+  std::vector<RolloutBatch> fragments;
+  {
+    const PpoAlgorithm algorithm(config, kObsDim, kActions, 1);
+    Rng rng(8);
+    for (std::uint32_t e = 0; e < config.n_explorers; ++e) {
+      PpoAgent agent(config, kObsDim, kActions, e, 20 + e);
+      const std::uint32_t version = algorithm.weights_version();
+      ASSERT_TRUE(agent.apply_weights(algorithm.weights(), version));
+      fragments.push_back(fragment_from_agent(agent, kObsDim, rng));
+    }
+  }
+  const auto session = [&](int threads) {
+    set_compute_threads(threads);
+    PpoAlgorithm algorithm(config, kObsDim, kActions, 1);
+    for (const RolloutBatch& fragment : fragments) algorithm.prepare_data(fragment);
+    EXPECT_TRUE(algorithm.ready_to_train());
+    EXPECT_EQ(algorithm.train().steps_consumed, 2'000u);
+    return algorithm.weights();
+  };
+  const Bytes one = session(1);
+  for (int threads : {3, 8}) {
+    EXPECT_TRUE(session(threads) == one) << "threads=" << threads;
+  }
+  set_compute_threads(-1);
 }
 
 // Learning smoke test on a contextual bandit: action 0 pays +1, action 1
