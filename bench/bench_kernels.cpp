@@ -5,7 +5,7 @@
 //   pooled: the blocked kernels on the shared pool (hardware threads)
 // — and a machine-readable BENCH_kernels.json artifact that the CI
 // bench-smoke job archives and gates on (pooled must stay within 2x of
-// scalar on the same machine; see .github/workflows/ci.yml).
+// serial on the same machine; see .github/workflows/ci.yml).
 
 #include "bench_util.h"
 
@@ -175,8 +175,8 @@ int main(int argc, char** argv) {
   // The acceptance shape: on big products the blocked+pooled path must beat
   // the pre-PR scalar kernel clearly (>= 4x on the matmul the MLP forward
   // rides; relative, so any host judges itself). The thin output-layer
-  // shape is not big: its 2^18 flops just reach the pool, whose dispatch
-  // then costs as much as the product.
+  // shape is not big, and runs inline: a product under one panel wide or
+  // deep stays on the caller.
   for (const Entry& e : entries) {
     if (e.kernel == Kernel::kMatmul && e.shape.m >= 256 &&
         std::min(e.shape.k, e.shape.n) >= 64) {

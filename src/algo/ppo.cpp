@@ -7,6 +7,8 @@
 #include <utility>
 
 #include "algo/returns.h"
+#include "common/thread_pool.h"
+#include "obs/profiler.h"
 
 namespace xt {
 namespace {
@@ -183,6 +185,7 @@ Algorithm::TrainResult PpoAlgorithm::train() {
   const nn::Matrix session_obs = nn::Matrix::from_rows(std::exchange(all_obs, {}));
   const std::size_t obs_dim = session_obs.cols();
   nn::Matrix x;
+  const nn::KernelMetrics trainer_metrics = nn::kernel_metrics();
 
   double last_policy_loss = 0.0, last_value_loss = 0.0, last_entropy = 0.0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -206,49 +209,67 @@ Algorithm::TrainResult PpoAlgorithm::train() {
         mb_ret[i] = all_returns[src];
       }
 
+      // The last minibatch of the last epoch reports its entropy.
+      const bool reported = epoch + 1 == config_.epochs && end == n;
       // Policy update: clipped surrogate.
-      policy_net_.zero_grad();
-      const nn::Matrix logits = policy_net_.forward_train(x);
-      const std::vector<float> logp = nn::action_log_probs(logits, mb_actions);
-      std::vector<float> coefs(m);
-      double policy_loss = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float ratio = std::exp(logp[i] - mb_old_logp[i]);
-        const float clipped =
-            std::clamp(ratio, 1.0f - config_.clip, 1.0f + config_.clip);
-        const float unclipped_obj = ratio * mb_adv[i];
-        const float clipped_obj = clipped * mb_adv[i];
-        policy_loss -= std::min(unclipped_obj, clipped_obj);
-        // d surrogate / d logp is ratio * A when the unclipped branch is
-        // active; zero once the clip binds.
-        coefs[i] = unclipped_obj <= clipped_obj ? ratio * mb_adv[i] : 0.0f;
-      }
-      policy_loss /= static_cast<double>(m);
-      const nn::Matrix pg =
-          nn::policy_gradient(logits, mb_actions, coefs, config_.entropy_coef);
-      policy_net_.backward(pg);
-      policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
-                       config_.max_grad_norm);
-
+      const auto update_policy = [&] {
+        policy_net_.zero_grad();
+        const nn::Matrix logits = policy_net_.forward_train(x);
+        const std::vector<float> logp = nn::action_log_probs(logits, mb_actions);
+        std::vector<float> coefs(m);
+        double policy_loss = 0.0;
+        for (std::size_t i = 0; i < m; ++i) {
+          const float ratio = std::exp(logp[i] - mb_old_logp[i]);
+          const float clipped =
+              std::clamp(ratio, 1.0f - config_.clip, 1.0f + config_.clip);
+          const float unclipped_obj = ratio * mb_adv[i];
+          const float clipped_obj = clipped * mb_adv[i];
+          policy_loss -= std::min(unclipped_obj, clipped_obj);
+          // d surrogate / d logp is ratio * A when the unclipped branch is
+          // active; zero once the clip binds.
+          coefs[i] = unclipped_obj <= clipped_obj ? ratio * mb_adv[i] : 0.0f;
+        }
+        last_policy_loss = policy_loss / static_cast<double>(m);
+        const nn::Matrix pg =
+            nn::policy_gradient(logits, mb_actions, coefs, config_.entropy_coef);
+        policy_net_.backward(pg);
+        policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
+                         config_.max_grad_norm);
+        if (reported) {
+          const auto ent = nn::entropy(logits);
+          last_entropy =
+              std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
+        }
+      };
       // Value update: MSE to the GAE returns.
-      value_net_.zero_grad();
-      const nn::Matrix v = value_net_.forward_train(x);
-      nn::Matrix target(m, 1);
-      for (std::size_t i = 0; i < m; ++i) target.at(i, 0) = mb_ret[i];
-      nn::Matrix vgrad;
-      const float value_loss = nn::mse_loss(v, target, vgrad);
-      vgrad.scale_inplace(config_.value_coef);
-      value_net_.backward(vgrad);
-      value_opt_.step(value_net_.parameters(), value_net_.gradients(),
-                      config_.max_grad_norm);
-
-      last_policy_loss = policy_loss;
-      last_value_loss = value_loss;
-      if (epoch + 1 == config_.epochs && end == n) {  // the reported minibatch
-        const auto ent = nn::entropy(logits);
-        last_entropy =
-            std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
-      }
+      const auto update_value = [&] {
+        value_net_.zero_grad();
+        const nn::Matrix v = value_net_.forward_train(x);
+        nn::Matrix target(m, 1);
+        for (std::size_t i = 0; i < m; ++i) target.at(i, 0) = mb_ret[i];
+        nn::Matrix vgrad;
+        last_value_loss = nn::mse_loss(v, target, vgrad);
+        vgrad.scale_inplace(config_.value_coef);
+        value_net_.backward(vgrad);
+        value_opt_.step(value_net_.parameters(), value_net_.gradients(),
+                        config_.max_grad_norm);
+      };
+      // The two nets, optimizers and caches are disjoint and the minibatch
+      // is read-only, so the updates run as the two tasks of one pool job
+      // (inline, policy first, without a pool), and every bit of the
+      // session stays the same. A task that lands on a pool worker takes
+      // this thread's kernel metrics and profiler label with it.
+      compute_parallel_for(2, 1, [&](std::size_t first, std::size_t last) {
+        const nn::KernelMetricsScope metrics(trainer_metrics);
+        ProfScope prof("train");
+        for (std::size_t task = first; task < last; ++task) {
+          if (task == 0) {
+            update_policy();
+          } else {
+            update_value();
+          }
+        }
+      });
     }
   }
 

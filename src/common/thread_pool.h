@@ -23,6 +23,14 @@ namespace xt {
 /// Chunking never splits an index, so a body that writes only its own
 /// indices (the compute kernels partition output rows this way) produces
 /// results independent of worker count and chunk boundaries.
+///
+/// Nesting: a chunk body may itself call parallel_for on the same pool
+/// (PPO's update tasks run pooled GEMMs). A caller runs only its own job's
+/// chunks, then waits for those other threads claimed, and never runs
+/// another job's chunk meanwhile. So every wait is on a deeper job whose
+/// chunks are already running, which cannot deadlock, and what a caller
+/// keeps for the length of its call (the GEMM's thread-local packed panels)
+/// is never overwritten while other threads read it.
 class ThreadPool {
  public:
   /// Spawns `workers` threads. 0 workers is valid: every parallel_for then
@@ -34,8 +42,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   [[nodiscard]] std::size_t workers() const { return threads_.size(); }
-  /// Alias for workers(), for saturation-probe symmetry with pending().
-  [[nodiscard]] std::size_t worker_count() const { return threads_.size(); }
 
   /// Chunks submitted but not yet claimed by any participant, summed over
   /// the queued jobs. A sustained non-zero value means callers are producing

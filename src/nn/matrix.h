@@ -7,6 +7,8 @@
 #include "common/rng.h"
 
 namespace xt {
+class Counter;
+class Histogram;
 class MetricsRegistry;
 }
 
@@ -112,5 +114,31 @@ void tanh_grad_inplace(Matrix& grad, const Matrix& h);
 /// Thread-local: worker threads bind their runtime's registry at loop
 /// entry; pass nullptr to unbind (e.g. before the registry dies).
 void bind_kernel_metrics(MetricsRegistry* registry, const std::string& labels = "");
+
+/// A thread's kernel telemetry binding, as a value that work handed to
+/// another thread can carry along. Both handles are null when unbound.
+struct KernelMetrics {
+  Histogram* gemm_ms = nullptr;
+  Counter* gemm_flops = nullptr;
+};
+
+/// The calling thread's binding.
+[[nodiscard]] KernelMetrics kernel_metrics();
+
+/// Binds `metrics` on the calling thread for the scope's lifetime, then
+/// restores the thread's own binding. A pool task opens one with its
+/// submitter's kernel_metrics(), so the task's matmuls are counted under the
+/// submitter's labels on whichever thread runs it.
+class KernelMetricsScope {
+ public:
+  explicit KernelMetricsScope(KernelMetrics metrics);
+  ~KernelMetricsScope();
+
+  KernelMetricsScope(const KernelMetricsScope&) = delete;
+  KernelMetricsScope& operator=(const KernelMetricsScope&) = delete;
+
+ private:
+  KernelMetrics saved_;
+};
 
 }  // namespace xt::nn

@@ -8,6 +8,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <thread>
@@ -180,6 +182,45 @@ TEST_F(MatrixKernels, OneRowPathBitIdenticalToRowBlocks) {
   }
 }
 
+// Nested pool use with the packed-panel path: matmul_bt packs all of B^T
+// into its calling thread's buffer, which the pool's threads read until the
+// product returns. Two such products run as the two tasks of one
+// compute_parallel_for (as PPO runs its policy and value updates) give the
+// bits they give one after the other. Several callers do this at once, so
+// the queue holds unclaimed tasks while products wait for their chunks: a
+// waiting thread that ran one of them would repack the panels under its
+// own product's readers. Shapes differ, so a buffer shared between threads
+// or repacked too early shows up as wrong bits.
+TEST_F(MatrixKernels, ConcurrentPackedProductsMatchSequential) {
+  Rng rng(110);
+  const Matrix a0 = random(256, 128, rng);
+  const Matrix b0 = random(128, 128, rng);
+  const Matrix a1 = random(200, 96, rng);
+  const Matrix b1 = random(112, 96, rng);
+  for (int threads : {2, 3, 4}) {
+    set_compute_threads(threads);
+    const Matrix want0 = matmul_bt(a0, b0);
+    const Matrix want1 = matmul_bt(a1, b1);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 3; ++c) {
+      callers.emplace_back([&] {
+        for (int round = 0; round < 20; ++round) {
+          Matrix got[2];
+          compute_parallel_for(2, 1, [&](std::size_t first, std::size_t last) {
+            for (std::size_t task = first; task < last; ++task) {
+              got[task] = task == 0 ? matmul_bt(a0, b0) : matmul_bt(a1, b1);
+            }
+          });
+          if (!(got[0] == want0) || !(got[1] == want1)) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    EXPECT_EQ(mismatches.load(), 0) << "threads=" << threads;
+  }
+}
+
 /// One row holding lo, lo + step, ..., hi.
 Matrix grid(double lo, double hi, double step) {
   const auto n = static_cast<std::size_t>(std::llround((hi - lo) / step));
@@ -327,6 +368,55 @@ TEST(ThreadPool, ConcurrentCallersHammer) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// A chunk body may call parallel_for on its own pool (PPO's update tasks
+// run pooled GEMMs). Several callers run outer loops whose chunk bodies run
+// inner loops on the same pool: every inner index is covered exactly once,
+// and every call returns. A caller that left its own chunks to the workers,
+// all busy in outer bodies, would wait forever; stuck threads cannot be
+// joined, so a hang ends the process as a failure.
+TEST(ThreadPool, NestedParallelForFromChunkBodies) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 50;
+  constexpr std::size_t kOuter = 8;
+  constexpr std::size_t kInner = 1'024;
+  std::atomic<int> failures{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kOuter * kInner);
+        pool.parallel_for(kOuter, 1, [&](std::size_t b, std::size_t e) {
+          for (std::size_t o = b; o < e; ++o) {
+            pool.parallel_for(kInner, 64, [&, o](std::size_t ib, std::size_t ie) {
+              for (std::size_t i = ib; i < ie; ++i) hits[o * kInner + i].fetch_add(1);
+            });
+          }
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            failures.fetch_add(1);
+            break;
+          }
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kCallers) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "nested parallel_for did not finish in 60 s\n");
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 // pending() is the saturation probe's view of the pool: chunks submitted
 // but not yet claimed. A single parallel_for never shows any (chunks are
 // capped at one per participant), so saturate the pool with more concurrent
@@ -334,7 +424,7 @@ TEST(ThreadPool, ConcurrentCallersHammer) {
 // unclaimed, and drain to zero once the gate opens.
 TEST(ThreadPool, PendingReportsUnclaimedChunks) {
   ThreadPool pool(1);
-  EXPECT_EQ(pool.worker_count(), 1u);
+  EXPECT_EQ(pool.workers(), 1u);
   EXPECT_EQ(pool.pending(), 0u);
 
   std::atomic<bool> release{false};

@@ -1,10 +1,17 @@
 #include "algo/ppo.h"
 
+#include <bit>
+#include <map>
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "algo/factory.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nn/matrix.h"
+#include "obs/metrics.h"
 
 namespace xt {
 namespace {
@@ -128,43 +135,84 @@ TEST(PpoAlgorithm, MinibatchModeTrains) {
   EXPECT_EQ(result.steps_consumed, 32u);
 }
 
-// Blocked kernels give the same bits at every thread count, so a whole
-// training session does too. The session has ppo_sync_2m's shape: hidden
-// 128, 128; one 500-step fragment of 128-float observations from each of 4
-// explorers; 4 epochs of 256-row minibatches, clipped and stepped by Adam.
-TEST(PpoAlgorithm, TrainingSessionInvariantAcrossThreadCounts) {
+/// ppo_sync_2m's learner shape: hidden 128, 128; one 500-step fragment of
+/// 128-float observations from each of 4 explorers; 4 epochs of 256-row
+/// minibatches, clipped and stepped by Adam.
+struct Sync2mSession {
+  static constexpr std::size_t kObsDim = 128;
+  static constexpr std::int32_t kActions = 3;
   PpoConfig config;
-  config.hidden = {128, 128};
-  config.fragment_len = 500;
-  config.n_explorers = 4;
-  config.epochs = 4;
-  config.minibatch = 256;
-  constexpr std::size_t kObsDim = 128;
-  constexpr std::int32_t kActions = 3;
   std::vector<RolloutBatch> fragments;
-  {
+
+  Sync2mSession() {
+    config.hidden = {128, 128};
+    config.fragment_len = 500;
+    config.n_explorers = 4;
+    config.epochs = 4;
+    config.minibatch = 256;
     const PpoAlgorithm algorithm(config, kObsDim, kActions, 1);
     Rng rng(8);
     for (std::uint32_t e = 0; e < config.n_explorers; ++e) {
       PpoAgent agent(config, kObsDim, kActions, e, 20 + e);
-      const std::uint32_t version = algorithm.weights_version();
-      ASSERT_TRUE(agent.apply_weights(algorithm.weights(), version));
+      EXPECT_TRUE(agent.apply_weights(algorithm.weights(), algorithm.weights_version()));
       fragments.push_back(fragment_from_agent(agent, kObsDim, rng));
     }
   }
-  const auto session = [&](int threads) {
+
+  /// Trains one session at `threads` on a fresh learner; returns its
+  /// serialized policy weights and stats.
+  std::pair<Bytes, std::map<std::string, double>> train(int threads) const {
     set_compute_threads(threads);
     PpoAlgorithm algorithm(config, kObsDim, kActions, 1);
     for (const RolloutBatch& fragment : fragments) algorithm.prepare_data(fragment);
     EXPECT_TRUE(algorithm.ready_to_train());
-    EXPECT_EQ(algorithm.train().steps_consumed, 2'000u);
-    return algorithm.weights();
-  };
-  const Bytes one = session(1);
-  for (int threads : {3, 8}) {
-    EXPECT_TRUE(session(threads) == one) << "threads=" << threads;
+    Algorithm::TrainResult result = algorithm.train();
+    EXPECT_EQ(result.steps_consumed, 2'000u);
+    set_compute_threads(-1);
+    return {algorithm.weights(), std::move(result.stats)};
   }
-  set_compute_threads(-1);
+};
+
+/// The stats with each value as its bit pattern, for exact comparison.
+std::map<std::string, std::uint64_t> bits(const std::map<std::string, double>& stats) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, value] : stats) out[key] = std::bit_cast<std::uint64_t>(value);
+  return out;
+}
+
+// Blocked kernels give the same bits at every thread count, and the policy
+// and value updates share no state, so a whole training session does too,
+// whether the two updates run inline (threads 1), contend for one pool
+// worker with their own GEMM jobs (threads 2) or run side by side.
+TEST(PpoAlgorithm, TrainingSessionInvariantAcrossThreadCounts) {
+  const Sync2mSession session;
+  const auto [weights, stats] = session.train(1);
+  EXPECT_EQ(stats.size(), 3u);
+  for (int threads : {2, 3, 8}) {
+    const auto [got_weights, got_stats] = session.train(threads);
+    EXPECT_TRUE(got_weights == weights) << "threads=" << threads;
+    EXPECT_EQ(bits(got_stats), bits(stats)) << "threads=" << threads;
+  }
+}
+
+// The trainer thread's kernel metrics follow an update onto the pool worker
+// that runs it, so a session records the same matmuls at any thread count.
+TEST(PpoAlgorithm, KernelMetricsFollowUpdatesOntoPoolWorkers) {
+  const Sync2mSession session;
+  const auto recorded = [&session](int threads) {
+    MetricsRegistry registry;
+    nn::bind_kernel_metrics(&registry, "role=\"learner\"");
+    (void)session.train(threads);
+    nn::bind_kernel_metrics(nullptr);
+    return std::pair{
+        registry.counter("xt_gemm_flops_total{role=\"learner\"}").value(),
+        registry.histogram("xt_gemm_ms{role=\"learner\"}").count()};
+  };
+  const auto [flops, calls] = recorded(1);
+  EXPECT_GT(flops, 0u);
+  const auto [pooled_flops, pooled_calls] = recorded(4);
+  EXPECT_EQ(pooled_flops, flops);
+  EXPECT_EQ(pooled_calls, calls);
 }
 
 // Learning smoke test on a contextual bandit: action 0 pays +1, action 1
