@@ -233,10 +233,10 @@ void gemm_row(const Gemm& g, std::size_t i) {
 }
 
 /// C = A * B (+ bias). Row blocks of kMr go to the compute pool when the
-/// product is big enough and at least a panel wide and deep, in chunks of
-/// roughly half the parallel threshold; the last M % kMr rows take the
-/// one-row path, as does a single-row product (explorer inference), which
-/// then packs nothing but a partial last panel.
+/// product is big enough, in chunks of roughly half the parallel threshold;
+/// the last M % kMr rows take the one-row path, as does a single-row
+/// product (explorer inference), which then packs nothing but a partial
+/// last panel.
 Matrix gemm(View a, View b, std::size_t M, std::size_t K, std::size_t N,
             const float* bias) {
   Matrix c(M, N);
@@ -262,11 +262,8 @@ Matrix gemm(View a, View b, std::size_t M, std::size_t K, std::size_t N,
   const std::size_t blocks = (M + kMr - 1) / kMr;
   const double flops = 2.0 * static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
-  // A thin product (N or K under one panel) stays on the caller too: its
-  // tiles are a few FMAs or one padded panel each, and the pool's round
-  // trip costs more than they do.
   std::shared_ptr<ThreadPool> pool;
-  if (flops >= kMinParallelFlops && N >= kNr && K >= kNr) pool = compute_pool();
+  if (flops >= kMinParallelFlops) pool = compute_pool();
   if (!pool) {
     body(0, blocks);
     return c;
