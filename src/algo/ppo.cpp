@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "algo/returns.h"
-#include "common/thread_pool.h"
-#include "obs/profiler.h"
 
 namespace xt {
 namespace {
@@ -105,59 +103,82 @@ void PpoAlgorithm::prepare_data(RolloutBatch batch) {
     ++stale_dropped_;
     return;
   }
-  fragments_.push_back(std::move(batch));
+  Fragment fragment{std::move(batch)};
+  // A fragment the next train() consumes is prepared now, while the learner
+  // waits for the rest: no training runs before that train(), so its values
+  // are the ones train() would compute. A later session's fragment waits
+  // for the value net of its own session.
+  if (fragments_.size() < config_.n_explorers) prepare(fragment);
+  fragments_.push_back(std::move(fragment));
+}
+
+void PpoAlgorithm::prepare(Fragment& fragment) const {
+  const std::vector<RolloutStep>& steps = fragment.batch.steps;
+  nn::Matrix obs(steps.size(), value_net_.input_dim());
+  std::vector<float> rewards;
+  std::vector<std::uint8_t> dones;
+  rewards.reserve(steps.size());
+  dones.reserve(steps.size());
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    // The copy is bounded by the row even for a malformed observation.
+    const std::vector<float>& o = steps[i].observation;
+    assert(o.size() == obs.cols());
+    std::copy_n(o.begin(), std::min(o.size(), obs.cols()), obs.row_ptr(i));
+    rewards.push_back(steps[i].reward);
+    dones.push_back(steps[i].done ? 1 : 0);
+  }
+
+  const nn::Matrix values_m = value_net_.forward(obs);
+  std::vector<float> values(values_m.rows());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = values_m.at(i, 0);
+
+  float bootstrap = 0.0f;
+  const std::vector<float>& final_obs = fragment.batch.final_observation;
+  if (!final_obs.empty() && !steps.back().done) {
+    bootstrap = value_net_.forward(nn::Matrix::from_row(final_obs)).at(0, 0);
+  }
+  fragment.advantages = gae_advantages(rewards, dones, values, bootstrap, config_.gamma,
+                                       config_.lambda, &fragment.returns);
+  fragment.prepared = true;
 }
 
 bool PpoAlgorithm::ready_to_train() const {
   return fragments_.size() >= config_.n_explorers;
 }
 
+namespace {
+
+// Rows per phase (a) task: a 256-row minibatch gives each net two shards,
+// four tasks in all. Phase (b) cuts the weight gradients into about four
+// parts' worth of tasks: each of ppo_sync_2m's four 128 x 256 x 128
+// products is one. Neither depends on the thread count, so a session runs
+// the same kernel calls at any thread count.
+constexpr std::size_t kShardRows = 128;
+constexpr std::size_t kWeightGradParts = 4;
+
+}  // namespace
+
 Algorithm::TrainResult PpoAlgorithm::train() {
   TrainResult result;
 
-  // Gather per-fragment GAE, then concatenate into one flat batch.
+  // Concatenate the prepared fragments into one flat batch.
   std::vector<std::vector<float>> all_obs;
   std::vector<std::int32_t> all_actions;
   std::vector<float> all_old_logp, all_advantages, all_returns;
 
   std::size_t n_fragments = 0;
   while (!fragments_.empty() && n_fragments < config_.n_explorers) {
-    RolloutBatch fragment = std::move(fragments_.front());
+    Fragment fragment = std::move(fragments_.front());
     fragments_.pop_front();
     ++n_fragments;
-
-    std::vector<std::vector<float>> obs;
-    std::vector<float> rewards;
-    std::vector<std::uint8_t> dones;
-    obs.reserve(fragment.steps.size());
-    for (RolloutStep& step : fragment.steps) {
-      obs.push_back(std::move(step.observation));
-      rewards.push_back(step.reward);
-      dones.push_back(step.done ? 1 : 0);
-    }
-
-    const nn::Matrix values_m = value_net_.forward(nn::Matrix::from_rows(obs));
-    std::vector<float> values(values_m.rows());
-    for (std::size_t i = 0; i < values.size(); ++i) values[i] = values_m.at(i, 0);
-
-    float bootstrap = 0.0f;
-    if (!fragment.final_observation.empty() && !fragment.steps.back().done) {
-      const nn::Matrix v = value_net_.forward(
-          nn::Matrix::from_row(fragment.final_observation));
-      bootstrap = v.at(0, 0);
-    }
-
-    std::vector<float> returns;
-    std::vector<float> advantages =
-        gae_advantages(rewards, dones, values, bootstrap, config_.gamma,
-                       config_.lambda, &returns);
-
-    for (std::size_t i = 0; i < obs.size(); ++i) {
-      all_obs.push_back(std::move(obs[i]));
-      all_actions.push_back(fragment.steps[i].action);
-      all_old_logp.push_back(fragment.steps[i].behavior_logp);
-      all_advantages.push_back(advantages[i]);
-      all_returns.push_back(returns[i]);
+    if (!fragment.prepared) prepare(fragment);
+    for (std::size_t i = 0; i < fragment.batch.steps.size(); ++i) {
+      RolloutStep& step = fragment.batch.steps[i];
+      all_obs.push_back(std::move(step.observation));
+      all_actions.push_back(step.action);
+      all_old_logp.push_back(step.behavior_logp);
+      all_advantages.push_back(fragment.advantages[i]);
+      all_returns.push_back(fragment.returns[i]);
     }
   }
   if (all_obs.empty()) return result;
@@ -179,13 +200,55 @@ Algorithm::TrainResult PpoAlgorithm::train() {
   const std::size_t minibatch = config_.minibatch == 0 ? n : config_.minibatch;
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  // Minibatch rows are copied straight from the session's observation
-  // matrix into one reused matrix. The per-step vectors are freed once
-  // copied into it.
+  // Each net's phase (a) tasks copy their minibatch rows straight from the
+  // session's observation matrix into the net's input. The per-step vectors
+  // are freed once copied into it.
   const nn::Matrix session_obs = nn::Matrix::from_rows(std::exchange(all_obs, {}));
   const std::size_t obs_dim = session_obs.cols();
-  nn::Matrix x;
-  const nn::KernelMetrics trainer_metrics = nn::kernel_metrics();
+  std::size_t start = 0, m = 0;
+  std::vector<std::int32_t> mb_actions;
+  std::vector<float> mb_old_logp, mb_adv, mb_ret, objective;
+  const auto gather = [&](nn::Mlp& net, std::size_t r0, std::size_t r1) {
+    for (std::size_t i = r0; i < r1; ++i) {
+      const float* src = session_obs.row_ptr(order[start + i]);
+      std::copy_n(src, obs_dim, net.input().row_ptr(i));
+    }
+  };
+
+  // The policy update: the clipped surrogate's gradient for rows [r0, r1) of
+  // the minibatch, and each row's objective for the reported loss.
+  const auto policy_shard = [&](std::size_t r0, std::size_t r1) {
+    gather(policy_net_, r0, r1);
+    const nn::Matrix logits = policy_net_.forward_rows(r0, r1);
+    const auto first = mb_actions.begin();
+    const std::vector<std::int32_t> actions(first + r0, first + r1);
+    const std::vector<float> logp = nn::action_log_probs(logits, actions);
+    std::vector<float> coefs(r1 - r0);
+    for (std::size_t i = 0; i < coefs.size(); ++i) {
+      const std::size_t row = r0 + i;
+      const float ratio = std::exp(logp[i] - mb_old_logp[row]);
+      const float clipped = std::clamp(ratio, 1.0f - config_.clip, 1.0f + config_.clip);
+      const float unclipped_obj = ratio * mb_adv[row];
+      const float clipped_obj = clipped * mb_adv[row];
+      objective[row] = std::min(unclipped_obj, clipped_obj);
+      // d surrogate / d logp is ratio * A when the unclipped branch is
+      // active; zero once the clip binds.
+      coefs[i] = unclipped_obj <= clipped_obj ? ratio * mb_adv[row] : 0.0f;
+    }
+    policy_net_.backward_rows(
+        nn::policy_gradient(logits, actions, coefs, config_.entropy_coef, m), r0);
+  };
+  // The value update: MSE to the GAE returns, for rows [r0, r1).
+  const auto value_shard = [&](std::size_t r0, std::size_t r1) {
+    gather(value_net_, r0, r1);
+    const nn::Matrix v = value_net_.forward_rows(r0, r1);
+    nn::Matrix target(r1 - r0, 1);
+    for (std::size_t i = 0; i < target.rows(); ++i) target.at(i, 0) = mb_ret[r0 + i];
+    nn::Matrix vgrad;
+    (void)nn::mse_loss(v, target, vgrad, m);
+    vgrad.scale_inplace(config_.value_coef);
+    value_net_.backward_rows(vgrad, r0);
+  };
 
   double last_policy_loss = 0.0, last_value_loss = 0.0, last_entropy = 0.0;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
@@ -193,83 +256,70 @@ Algorithm::TrainResult PpoAlgorithm::train() {
     for (std::size_t i = n; i > 1; --i) {
       std::swap(order[i - 1], order[rng_.uniform_index(i)]);
     }
-    for (std::size_t start = 0; start < n; start += minibatch) {
+    for (start = 0; start < n; start += minibatch) {
       const std::size_t end = std::min(n, start + minibatch);
-      const std::size_t m = end - start;
+      m = end - start;
 
-      if (x.rows() != m) x = nn::Matrix(m, obs_dim);
-      std::vector<std::int32_t> mb_actions(m);
-      std::vector<float> mb_old_logp(m), mb_adv(m), mb_ret(m);
+      mb_actions.resize(m);
+      mb_old_logp.resize(m);
+      mb_adv.resize(m);
+      mb_ret.resize(m);
+      objective.resize(m);
       for (std::size_t i = 0; i < m; ++i) {
         const std::size_t src = order[start + i];
-        std::copy_n(session_obs.row_ptr(src), obs_dim, x.row_ptr(i));
         mb_actions[i] = all_actions[src];
         mb_old_logp[i] = all_old_logp[src];
         mb_adv[i] = all_advantages[src];
         mb_ret[i] = all_returns[src];
       }
+      policy_net_.begin_train(m);
+      value_net_.begin_train(m);
 
-      // The last minibatch of the last epoch reports its entropy.
-      const bool reported = epoch + 1 == config_.epochs && end == n;
-      // Policy update: clipped surrogate.
-      const auto update_policy = [&] {
-        policy_net_.zero_grad();
-        const nn::Matrix logits = policy_net_.forward_train(x);
-        const std::vector<float> logp = nn::action_log_probs(logits, mb_actions);
-        std::vector<float> coefs(m);
-        double policy_loss = 0.0;
-        for (std::size_t i = 0; i < m; ++i) {
-          const float ratio = std::exp(logp[i] - mb_old_logp[i]);
-          const float clipped =
-              std::clamp(ratio, 1.0f - config_.clip, 1.0f + config_.clip);
-          const float unclipped_obj = ratio * mb_adv[i];
-          const float clipped_obj = clipped * mb_adv[i];
-          policy_loss -= std::min(unclipped_obj, clipped_obj);
-          // d surrogate / d logp is ratio * A when the unclipped branch is
-          // active; zero once the clip binds.
-          coefs[i] = unclipped_obj <= clipped_obj ? ratio * mb_adv[i] : 0.0f;
-        }
-        last_policy_loss = policy_loss / static_cast<double>(m);
-        const nn::Matrix pg =
-            nn::policy_gradient(logits, mb_actions, coefs, config_.entropy_coef);
-        policy_net_.backward(pg);
-        policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
-                         config_.max_grad_norm);
-        if (reported) {
-          const auto ent = nn::entropy(logits);
-          last_entropy =
-              std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
-        }
-      };
-      // Value update: MSE to the GAE returns.
-      const auto update_value = [&] {
-        value_net_.zero_grad();
-        const nn::Matrix v = value_net_.forward_train(x);
-        nn::Matrix target(m, 1);
-        for (std::size_t i = 0; i < m; ++i) target.at(i, 0) = mb_ret[i];
-        nn::Matrix vgrad;
-        last_value_loss = nn::mse_loss(v, target, vgrad);
-        vgrad.scale_inplace(config_.value_coef);
-        value_net_.backward(vgrad);
-        value_opt_.step(value_net_.parameters(), value_net_.gradients(),
-                        config_.max_grad_norm);
-      };
-      // The two nets, optimizers and caches are disjoint and the minibatch
-      // is read-only, so the updates run as the two tasks of one pool job
-      // (inline, policy first, without a pool), and every bit of the
-      // session stays the same. A task that lands on a pool worker takes
-      // this thread's kernel metrics and profiler label with it.
-      compute_parallel_for(2, 1, [&](std::size_t first, std::size_t last) {
-        const nn::KernelMetricsScope metrics(trainer_metrics);
-        ProfScope prof("train");
-        for (std::size_t task = first; task < last; ++task) {
-          if (task == 0) {
-            update_policy();
-          } else {
-            update_value();
-          }
+      // The two nets share only read-only inputs, and every piece below is
+      // row-local or a full-minibatch product, so the session's bits do not
+      // depend on the thread count. Threads 0 and 1 run the same phases
+      // inline. (a) Per net and row shard: forward, loss gradient and
+      // backward to each layer's dY. Phase (b) adds into the gradients, so
+      // each net's first shard clears them meanwhile.
+      const std::size_t shards = (m + kShardRows - 1) / kShardRows;
+      nn::train_tasks(2 * shards, [&](std::size_t task) {
+        const bool policy = task < shards;
+        const std::size_t r0 = task % shards * kShardRows;
+        const std::size_t r1 = std::min(m, r0 + kShardRows);
+        if (r0 == 0) (policy ? policy_net_ : value_net_).zero_grad();
+        if (policy) {
+          policy_shard(r0, r1);
+        } else {
+          value_shard(r0, r1);
         }
       });
+      // (b) Every layer's dW = X^T dY and db over the whole minibatch.
+      nn::Mlp::accumulate_weight_grads({&policy_net_, &value_net_}, kWeightGradParts);
+      // (c) Clip and Adam, one task per net.
+      nn::train_tasks(2, [&](std::size_t task) {
+        if (task == 0) {
+          policy_opt_.step(policy_net_.parameters(), policy_net_.gradients(),
+                           config_.max_grad_norm);
+        } else {
+          value_opt_.step(value_net_.parameters(), value_net_.gradients(),
+                          config_.max_grad_norm);
+        }
+      });
+
+      // The last minibatch of the last epoch reports its losses and
+      // entropy, each summed over the minibatch in row order.
+      if (epoch + 1 == config_.epochs && end == n) {
+        double policy_loss = 0.0;
+        for (float o : objective) policy_loss -= o;
+        last_policy_loss = policy_loss / static_cast<double>(m);
+        nn::Matrix target(m, 1);
+        for (std::size_t i = 0; i < m; ++i) target.at(i, 0) = mb_ret[i];
+        nn::Matrix unused;
+        last_value_loss = nn::mse_loss(value_net_.output(), target, unused);
+        const auto ent = nn::entropy(policy_net_.output());
+        last_entropy =
+            std::accumulate(ent.begin(), ent.end(), 0.0) / static_cast<double>(m);
+      }
     }
   }
 

@@ -61,7 +61,9 @@ class PpoAgent final : public Agent {
 
 /// Learner-side PPO: waits for one fragment from every explorer, computes
 /// GAE with its local value network, then runs several epochs of clipped
-/// surrogate updates.
+/// surrogate updates. Each minibatch updates the policy and value nets in
+/// three flat compute-pool phases (DESIGN.md §8), so a session's bits do
+/// not depend on the thread count.
 class PpoAlgorithm final : public Algorithm {
  public:
   PpoAlgorithm(PpoConfig config, std::size_t obs_dim, std::int32_t n_actions,
@@ -81,13 +83,24 @@ class PpoAlgorithm final : public Algorithm {
   [[nodiscard]] std::uint64_t stale_fragments_dropped() const { return stale_dropped_; }
 
  private:
+  /// A queued fragment and, once prepared, its GAE advantages and returns.
+  struct Fragment {
+    RolloutBatch batch;
+    std::vector<float> advantages;
+    std::vector<float> returns;
+    bool prepared = false;
+  };
+  /// Computes the fragment's values, bootstrap value and GAE with the
+  /// current value net.
+  void prepare(Fragment& fragment) const;
+
   const PpoConfig config_;
   nn::Mlp policy_net_;
   nn::Mlp value_net_;
   nn::Adam policy_opt_;
   nn::Adam value_opt_;
   Rng rng_;
-  std::deque<RolloutBatch> fragments_;
+  std::deque<Fragment> fragments_;
   std::uint32_t version_ = 1;
   std::uint64_t stale_dropped_ = 0;
 };

@@ -84,17 +84,31 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t grain,
   if (n == 0) return;
   if (grain == 0) grain = 1;
   const std::size_t wanted = (n + grain - 1) / grain;
-  if (threads_.empty() || wanted <= 1) {
+  // At most one chunk per participant: dynamic claiming balances the load,
+  // and fewer chunks means less claim/notify overhead.
+  const std::size_t chunks = std::min(wanted, threads_.size() + 1);
+  run(n, (n + chunks - 1) / chunks, chunks, body);
+}
+
+void ThreadPool::parallel_tasks(std::size_t n,
+                                const std::function<void(std::size_t)>& task) {
+  run(n, 1, n, [&task](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) task(i);
+  });
+}
+
+void ThreadPool::run(std::size_t n, std::size_t chunk, std::size_t chunks,
+                     const std::function<void(std::size_t, std::size_t)>& body) {
+  if (n == 0) return;
+  if (threads_.empty() || chunks <= 1) {
     body(0, n);
     return;
   }
   auto job = std::make_shared<Job>();
   job->body = &body;
   job->n = n;
-  // At most one chunk per participant: dynamic claiming balances the load,
-  // and fewer chunks means less claim/notify overhead.
-  job->chunks = std::min(wanted, threads_.size() + 1);
-  job->chunk = (n + job->chunks - 1) / job->chunks;
+  job->chunks = chunks;
+  job->chunk = chunk;
   job->pending.store(job->chunks, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -164,17 +178,11 @@ std::shared_ptr<ThreadPool> compute_pool() {
   return g_pool;
 }
 
-void compute_parallel_for(std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (n <= grain) {
-    body(0, n);
-    return;
-  }
-  if (const auto pool = compute_pool()) {
-    pool->parallel_for(n, grain, body);
+void compute_tasks(std::size_t n, const std::function<void(std::size_t)>& task) {
+  if (const auto pool = compute_pool(); pool && n > 1) {
+    pool->parallel_tasks(n, task);
   } else {
-    body(0, n);
+    for (std::size_t i = 0; i < n; ++i) task(i);
   }
 }
 

@@ -25,7 +25,7 @@ namespace xt {
 /// results independent of worker count and chunk boundaries.
 ///
 /// Nesting: a chunk body may itself call parallel_for on the same pool
-/// (PPO's update tasks run pooled GEMMs). A caller runs only its own job's
+/// (a task that runs a pooled GEMM). A caller runs only its own job's
 /// chunks, then waits for those other threads claimed, and never runs
 /// another job's chunk meanwhile. So every wait is on a deeper job whose
 /// chunks are already running, which cannot deadlock, and what a caller
@@ -55,9 +55,18 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// Run task(i) for every i in [0, n), each index a chunk of its own that
+  /// any participant may claim, so tasks of uneven cost, or threads of
+  /// uneven speed, balance themselves. Claimed in index order; returns when
+  /// every task has finished. The nesting rules of parallel_for apply.
+  void parallel_tasks(std::size_t n, const std::function<void(std::size_t)>& task);
+
  private:
   struct Job;
   void worker_loop();
+  /// Runs body over [0, n) in `chunks` chunks of `chunk` indices.
+  void run(std::size_t n, std::size_t chunk, std::size_t chunks,
+           const std::function<void(std::size_t, std::size_t)>& body);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -88,9 +97,8 @@ void set_compute_threads(int threads);
 /// out). Hold the returned shared_ptr for the duration of use.
 [[nodiscard]] std::shared_ptr<ThreadPool> compute_pool();
 
-/// Run body over [0, n) on the shared compute pool when it pays off, inline
-/// otherwise (serial mode, no pool, or n <= grain).
-void compute_parallel_for(std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& body);
+/// Run task(i) for each i in [0, n) as ThreadPool::parallel_tasks on the
+/// shared compute pool; inline, in index order, without a pool.
+void compute_tasks(std::size_t n, const std::function<void(std::size_t)>& task);
 
 }  // namespace xt

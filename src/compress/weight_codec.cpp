@@ -409,13 +409,6 @@ bool weight_codec_uses_base(WeightCodec codec) {
   return codec == WeightCodec::kDeltaInt8 || codec == WeightCodec::kTopK;
 }
 
-bool is_weight_frame(const Bytes& payload) {
-  if (payload.size() < sizeof(kWeightFrameMagic)) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, payload.data(), sizeof(magic));
-  return magic == kWeightFrameMagic;
-}
-
 std::optional<WeightFrameInfo> peek_weight_frame(const Bytes& payload) {
   Cursor c(payload);
   return parse_frame_header(&c);
@@ -816,24 +809,12 @@ void WeightDecoderSession::ring_push(std::uint32_t version,
   while (ring_.size() > kWeightRingCapacity) ring_.pop_front();
 }
 
-WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload,
-                                                         std::uint32_t header_version) {
+WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload) {
   Result result;
   if (payload == nullptr) {
     result.outcome = Outcome::kCorrupt;
     return result;
   }
-  if (!is_weight_frame(*payload)) {
-    // Legacy sender shipping a raw fp32 blob: pass through untouched.
-    result.outcome = Outcome::kApplied;
-    result.fp32 = payload;
-    result.version = header_version;
-    ring_push(header_version, payload);
-    version_ = std::max(version_, header_version);
-    applied_any_ = true;
-    return result;
-  }
-
   const auto info = peek_weight_frame(*payload);
   if (!info) {
     if (instruments_ != nullptr && instruments_->decode_failures != nullptr) {

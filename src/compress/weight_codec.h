@@ -85,8 +85,6 @@ struct WeightFrameInfo {
   std::uint64_t raw_size = 0;
 };
 
-/// True when `payload` starts with the weight-frame magic.
-[[nodiscard]] bool is_weight_frame(const Bytes& payload);
 /// Header-only parse; nullopt when the header is malformed.
 [[nodiscard]] std::optional<WeightFrameInfo> peek_weight_frame(const Bytes& payload);
 
@@ -208,10 +206,9 @@ class WeightDecoderSession {
   explicit WeightDecoderSession(const WeightCodecInstruments* instruments = nullptr)
       : instruments_(instruments) {}
 
-  /// Decodes one received weights body. Payloads without the frame magic are
-  /// passed through verbatim as fp32 (legacy senders), tagged with
-  /// `header_version`.
-  [[nodiscard]] Result apply(const Payload& payload, std::uint32_t header_version);
+  /// Decodes one received weights body, a weight frame that carries its own
+  /// version. Anything else, a raw fp32 blob included, is kCorrupt.
+  [[nodiscard]] Result apply(const Payload& payload);
 
   /// Newest applied version (meaningful once applied_any()).
   [[nodiscard]] std::uint32_t version() const { return version_; }

@@ -86,7 +86,7 @@ void ExplorerProcess::drain_inbox() {
 }
 
 void ExplorerProcess::handle_weights(const Message& msg) {
-  const auto result = decoder_.apply(msg.body, msg.header.tag);
+  const auto result = decoder_.apply(msg.body);
   switch (result.outcome) {
     case WeightDecoderSession::Outcome::kApplied:
       if (agent_->apply_weights(*result.fp32, result.version)) {

@@ -86,9 +86,14 @@ std::int32_t argmax_row(const float* values, std::size_t n) {
 }
 
 float mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad) {
+  return mse_loss(pred, target, grad, pred.rows());
+}
+
+float mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad,
+               std::size_t batch_rows) {
   assert(pred.rows() == target.rows() && pred.cols() == target.cols());
   grad = Matrix::zeros(pred.rows(), pred.cols());
-  const auto n = static_cast<float>(pred.size());
+  const auto n = static_cast<float>(batch_rows * pred.cols());
   double loss = 0.0;
   for (std::size_t i = 0; i < pred.size(); ++i) {
     const float d = pred.data()[i] - target.data()[i];
@@ -121,11 +126,18 @@ float huber_loss_selected(const Matrix& pred, const std::vector<float>& targets,
 Matrix policy_gradient(const Matrix& logits,
                        const std::vector<std::int32_t>& actions,
                        const std::vector<float>& coefs, float entropy_coef) {
+  return policy_gradient(logits, actions, coefs, entropy_coef, logits.rows());
+}
+
+Matrix policy_gradient(const Matrix& logits,
+                       const std::vector<std::int32_t>& actions,
+                       const std::vector<float>& coefs, float entropy_coef,
+                       std::size_t batch_rows) {
   assert(actions.size() == logits.rows() && coefs.size() == logits.rows());
   const Matrix probs = softmax(logits);
   const Matrix logp = log_softmax(logits);
   Matrix grad = Matrix::zeros(logits.rows(), logits.cols());
-  const auto n = static_cast<float>(logits.rows());
+  const auto n = static_cast<float>(batch_rows);
 
   for (std::size_t r = 0; r < logits.rows(); ++r) {
     const auto a = static_cast<std::size_t>(actions[r]);

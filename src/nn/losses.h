@@ -30,6 +30,11 @@ namespace xt::nn {
 /// Mean squared error loss and its gradient wrt predictions (pred - target)
 /// * 2 / N. Returns the scalar loss; writes the gradient into `grad`.
 float mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad);
+/// The same for some rows of a batch of `batch_rows` rows: N is the whole
+/// batch's element count (one column), so a batch's gradient rows get the
+/// same bits however it is cut. The returned loss covers only these rows.
+float mse_loss(const Matrix& pred, const Matrix& target, Matrix& grad,
+               std::size_t batch_rows);
 
 /// Huber loss (delta = 1) on selected entries; used by DQN. `pred` is the
 /// N x A Q-matrix, targets/actions are length-N. Gradient is sparse: only
@@ -46,5 +51,11 @@ float huber_loss_selected(const Matrix& pred, const std::vector<float>& targets,
                                      const std::vector<std::int32_t>& actions,
                                      const std::vector<float>& coefs,
                                      float entropy_coef);
+/// The same for some rows of a batch of `batch_rows` rows: N is the whole
+/// batch's row count, so a batch's rows get the same bits however it is cut.
+[[nodiscard]] Matrix policy_gradient(const Matrix& logits,
+                                     const std::vector<std::int32_t>& actions,
+                                     const std::vector<float>& coefs,
+                                     float entropy_coef, std::size_t batch_rows);
 
 }  // namespace xt::nn

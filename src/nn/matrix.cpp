@@ -1,13 +1,15 @@
 // Blocked, register-tiled compute kernels for the NN hot path. All four
 // matmul variants (matmul, matmul_bias, matmul_at, matmul_bt) run one
-// micro-kernel: kMr x kNr output tiles whose accumulators are vector values
-// the compiler keeps in registers. The kernel reads A through a row and a
-// column stride, so A^T needs no copy, and B as K x kNr column panels:
-// slices of B itself, or zero-padded copies for a transposed B and for a
-// last partial panel. Output row blocks are partitioned onto the shared
-// compute pool (common/thread_pool.h). The elementwise kernels (tanh, the
-// activation gradients, sums, the fused clip+Adam step) run inline on the
-// caller in the same vector type.
+// micro-kernel: kMr x kNr output tiles, or kMr x 2 kNr where the ISA holds
+// them, whose accumulators are vector values the compiler keeps in
+// registers. The kernel reads A through a row and a column stride, so A^T
+// needs no copy, and B as K x kNr column panels: slices of B itself, or
+// zero-padded copies for a transposed B and for a last partial panel.
+// Output row blocks are partitioned onto the shared compute pool
+// (common/thread_pool.h); the row-range forms compute some rows on the
+// calling thread. The elementwise kernels (tanh, the activations and their
+// gradients, sums, the fused clip+Adam step) run inline on the caller in
+// the same vector type.
 //
 // Determinism contract (see DESIGN.md "Compute kernels"):
 //  * `[compute] threads = 0` dispatches to the scalar kernels in
@@ -66,7 +68,20 @@ std::vector<float> Matrix::row(std::size_t r) const {
   return {row_ptr(r), row_ptr(r) + cols_};
 }
 
+Matrix Matrix::slice_rows(std::size_t r0, std::size_t r1) const {
+  assert(r0 <= r1 && r1 <= rows_);
+  Matrix m(r1 - r0, cols_);
+  std::copy(row_ptr(r0), row_ptr(r1), m.data_.begin());
+  return m;
+}
+
 void Matrix::fill(float v) { std::fill(data_.begin(), data_.end(), v); }
+
+void Matrix::resize(std::size_t rows, std::size_t cols) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(rows * cols);
+}
 
 namespace {
 
@@ -75,8 +90,14 @@ namespace {
 // with AVX-512, the full ymm file with AVX2; see DESIGN.md).
 constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 16;
-// A product below this many flops is not worth farming out.
-constexpr double kMinParallelFlops = 1 << 18;
+// AVX-512's 32 vector registers hold a kMr x 2 kNr tile: 16 accumulators
+// take two panel loads and 8 broadcasts for 16 FMAs a k step, where one
+// panel takes 9 loads for 8. AVX2's 16 registers do not hold it.
+#ifdef __AVX512F__
+constexpr bool kPanelPairs = true;
+#else
+constexpr bool kPanelPairs = false;
+#endif
 
 // The kernels express their vectors directly as GCC/Clang vector
 // extensions, which the build's compilers (GCC and Clang) both provide:
@@ -148,7 +169,8 @@ struct View {
 /// One product C (M x N) = A (M x K) * B (K x N) (+ a bias row) as the
 /// micro-kernel reads it. Panel q holds B's columns [q kNr, (q + 1) kNr).
 /// Panels below `first_packed` are read in place from a row-major B; the
-/// rest are zero-padded K x kNr copies at `packed`.
+/// rest are zero-padded K x kNr copies at `packed`. With `accumulate`, the
+/// tile adds its result to C's old value instead of overwriting it.
 struct Gemm {
   View a;
   std::size_t K, N;
@@ -157,6 +179,7 @@ struct Gemm {
   std::size_t first_packed;
   const float* bias;
   float* c;
+  bool accumulate;
 };
 
 /// Copies B's columns from j0 on into zero-padded K x kNr panels, in a
@@ -169,6 +192,16 @@ const float* pack_panels(View b, std::size_t K, std::size_t N, std::size_t j0) {
     for (std::size_t k = 0; k < K; ++k) dst[k * kNr] = b.p[k * b.rs + j * b.cs];
   }
   return buf.data();
+}
+
+/// The Gemm for C = A * B (+ bias) into c, with B's panels packed into the
+/// calling thread's buffer: a partial last panel of a row-major B, or every
+/// panel of a transposed one.
+Gemm make_gemm(View a, View b, std::size_t K, std::size_t N, const float* bias,
+               float* c, bool accumulate) {
+  const std::size_t first_packed = b.cs == 1 ? N / kNr : 0;
+  const float* packed = pack_panels(b, K, N, first_packed * kNr);
+  return {a, K, N, b, packed, first_packed, bias, c, accumulate};
 }
 
 /// Rows [i, i + MR) of C by panels [q, q + NP), which are all read in place
@@ -209,7 +242,9 @@ void gemm_tile(const Gemm& g, std::size_t i, std::size_t q) {
   }
   for (std::size_t r = 0; r < MR; ++r) {
     for (std::size_t p = 0; p < NP; ++p) {
-      store(g.c + (i + r) * g.N + (q + p) * kNr, acc[r][p], width(p));
+      float* c = g.c + (i + r) * g.N + (q + p) * kNr;
+      const std::size_t w = width(p);
+      store(c, g.accumulate ? load(c, w) + acc[r][p] : acc[r][p], w);
     }
   }
 }
@@ -232,6 +267,48 @@ void gemm_row(const Gemm& g, std::size_t i) {
   }
 }
 
+/// Rows [r0, r1) of C on the calling thread: kMr-row blocks from r0 on, each
+/// over pairs of like panels where the ISA holds the pair tile, then the
+/// last rows one at a time. Every path gives an element the same FMAs in
+/// ascending k, so its bits do not depend on the path or the row range.
+void gemm_rows(const Gemm& g, std::size_t r0, std::size_t r1) {
+  const std::size_t panels = (g.N + kNr - 1) / kNr;
+  std::size_t i = r0;
+  for (; i + kMr <= r1; i += kMr) {
+    for (std::size_t q = 0; q < panels;) {
+      const bool in_place = q + 1 < g.first_packed;
+      const bool packed = q >= g.first_packed && q + 1 < panels;
+      if (kPanelPairs && (in_place || packed)) {
+        gemm_tile<kMr, 2>(g, i, q);
+        q += 2;
+      } else {
+        gemm_tile<kMr, 1>(g, i, q++);
+      }
+    }
+  }
+  for (; i < r1; ++i) gemm_row(g, i);
+}
+
+/// C = A * B (+ bias) into c, rows [r0, r1) only, on the calling thread. With
+/// no K to accumulate over (and no operand memory to point into), a row is
+/// its bias or zero, and an accumulating product adds nothing.
+void gemm_rows(View a, View b, std::size_t K, std::size_t N, const float* bias,
+               float* c, bool accumulate, std::size_t r0, std::size_t r1) {
+  if (r0 >= r1 || (K == 0 && accumulate)) return;
+  if (K == 0) {
+    for (std::size_t r = r0; r < r1; ++r) {
+      float* row = c + r * N;
+      if (bias != nullptr) {
+        std::copy(bias, bias + N, row);
+      } else {
+        std::fill(row, row + N, 0.0f);
+      }
+    }
+    return;
+  }
+  gemm_rows(make_gemm(a, b, K, N, bias, c, accumulate), r0, r1);
+}
+
 /// C = A * B (+ bias). Row blocks of kMr go to the compute pool when the
 /// product is big enough, in chunks of roughly half the parallel threshold;
 /// the last M % kMr rows take the one-row path, as does a single-row
@@ -240,32 +317,18 @@ void gemm_row(const Gemm& g, std::size_t i) {
 Matrix gemm(View a, View b, std::size_t M, std::size_t K, std::size_t N,
             const float* bias) {
   Matrix c(M, N);
-  if (K == 0) {  // nothing to accumulate, and no operand memory to point into
-    for (std::size_t r = 0; bias != nullptr && r < M; ++r) {
-      std::copy(bias, bias + N, c.row_ptr(r));
-    }
+  if (K == 0) {
+    gemm_rows(a, b, K, N, bias, c.data().data(), false, 0, M);
     return c;
   }
-  const std::size_t first_packed = b.cs == 1 ? N / kNr : 0;
-  const Gemm g{a, K, N, b, pack_panels(b, K, N, first_packed * kNr),
-               first_packed, bias, c.data().data()};
-  const auto body = [&g, M](std::size_t b0, std::size_t b1) {
-    for (std::size_t i = b0 * kMr; i < std::min(b1 * kMr, M);) {
-      if (i + kMr <= M) {
-        for (std::size_t q = 0; q * kNr < g.N; ++q) gemm_tile<kMr, 1>(g, i, q);
-        i += kMr;
-      } else {
-        gemm_row(g, i++);
-      }
-    }
-  };
+  const Gemm g = make_gemm(a, b, K, N, bias, c.data().data(), false);
   const std::size_t blocks = (M + kMr - 1) / kMr;
   const double flops = 2.0 * static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
   std::shared_ptr<ThreadPool> pool;
   if (flops >= kMinParallelFlops) pool = compute_pool();
   if (!pool) {
-    body(0, blocks);
+    gemm_rows(g, 0, M);
     return c;
   }
   const double flops_per_block = flops / static_cast<double>(blocks);
@@ -273,9 +336,9 @@ Matrix gemm(View a, View b, std::size_t M, std::size_t K, std::size_t N,
   // The scope also attaches the pool's "xt-compute" workers to the profiler
   // the first time they execute a chunk.
   pool->parallel_for(blocks, std::max<std::size_t>(grain, 1),
-                     [&body](std::size_t b0, std::size_t b1) {
+                     [&g, M](std::size_t b0, std::size_t b1) {
                        ProfScope prof("gemm");
-                       body(b0, b1);
+                       gemm_rows(g, b0 * kMr, std::min(b1 * kMr, M));
                      });
   return c;
 }
@@ -414,6 +477,60 @@ Matrix matmul_bt(const Matrix& a, const Matrix& b) {
   return gemm(plain(a), transposed(b), a.rows(), a.cols(), b.rows(), nullptr);
 }
 
+void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias_row,
+                      Matrix& c, std::size_t r0, std::size_t r1) {
+  assert(a.cols() == b.rows() && c.rows() == a.rows() && c.cols() == b.cols());
+  assert(bias_row.rows() == 1 && bias_row.cols() == b.cols());
+  assert(r0 <= r1 && r1 <= c.rows());
+  KernelScope scope(r1 - r0, a.cols(), b.cols());
+  const float* bias = bias_row.row_ptr(0);
+  if (compute_threads() != 0) {
+    float* out = c.data().data();
+    gemm_rows(plain(a), plain(b), a.cols(), b.cols(), bias, out, false, r0, r1);
+    return;
+  }
+  reference::matmul_rows(a, b, c, r0, r1);
+  for (std::size_t r = r0; r < r1; ++r) {
+    float* cr = c.row_ptr(r);
+    for_lanes(c.cols(), [cr, bias](std::size_t j, std::size_t w) {
+      store(cr + j, load(cr + j, w) + load(bias + j, w), w);
+    });
+  }
+}
+
+void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                    std::size_t r1) {
+  assert(a.cols() == b.cols() && c.rows() == a.rows() && c.cols() == b.rows());
+  assert(r0 <= r1 && r1 <= c.rows());
+  KernelScope scope(r1 - r0, a.cols(), b.rows());
+  if (compute_threads() == 0) {
+    reference::matmul_bt_rows(a, b, c, r0, r1);
+    return;
+  }
+  float* out = c.data().data();
+  gemm_rows(plain(a), transposed(b), a.cols(), b.rows(), nullptr, out, false, r0, r1);
+}
+
+void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                        std::size_t r1) {
+  assert(a.rows() == b.rows() && c.rows() == a.cols() && c.cols() == b.cols());
+  assert(r0 <= r1 && r1 <= c.rows());
+  KernelScope scope(r1 - r0, a.rows(), b.cols());
+  if (compute_threads() != 0) {
+    float* out = c.data().data();
+    gemm_rows(transposed(a), plain(b), a.rows(), b.cols(), nullptr, out, true, r0, r1);
+    return;
+  }
+  // The reference product of these rows, then the add.
+  Matrix product(c.rows(), c.cols());
+  reference::matmul_at_rows(a, b, product, r0, r1);
+  float* x = c.row_ptr(r0);
+  const float* y = product.row_ptr(r0);
+  for_lanes((r1 - r0) * c.cols(), [x, y](std::size_t i, std::size_t w) {
+    store(x + i, load(x + i, w) + load(y + i, w), w);
+  });
+}
+
 void add_row_inplace(Matrix& x, const Matrix& bias_row) {
   assert(bias_row.rows() == 1 && bias_row.cols() == x.cols());
   const float* bias = bias_row.row_ptr(0);
@@ -436,37 +553,39 @@ Matrix col_sums(const Matrix& x) {
   return out;
 }
 
-void tanh_inplace(Matrix& x) {
+void tanh_inplace(Matrix& x) { tanh_inplace(x.data().data(), x.size()); }
+
+void tanh_inplace(float* x, std::size_t n) {
   if (compute_threads() == 0) {
-    reference::tanh_inplace(x);
+    reference::tanh_inplace(x, n);
     return;
   }
-  float* v = x.data().data();
-  for_lanes(x.size(), [v](std::size_t i, std::size_t w) {
-    store(v + i, tanh_rational(load(v + i, w)), w);
+  for_lanes(n, [x](std::size_t i, std::size_t w) {
+    store(x + i, tanh_rational(load(x + i, w)), w);
   });
 }
 
-void tanh_grad_inplace(Matrix& grad, const Matrix& h) {
-  assert(grad.size() == h.size());
-  if (compute_threads() == 0) {
-    reference::tanh_grad_inplace(grad, h);
-    return;
-  }
-  float* g = grad.data().data();
-  const float* y = h.data().data();
-  for_lanes(grad.size(), [g, y](std::size_t i, std::size_t w) {
-    const Vf16 hi = load(y + i, w);
-    store(g + i, load(g + i, w) * (1.0f - hi * hi), w);
+void relu_inplace(float* x, std::size_t n) {
+  for_lanes(n, [x](std::size_t i, std::size_t w) {
+    const Vf16 xi = load(x + i, w);
+    store(x + i, xi > 0.0f ? xi : Vf16{}, w);
   });
 }
 
-void relu_grad_inplace(Matrix& grad, const Matrix& h) {
-  assert(grad.size() == h.size());
-  float* g = grad.data().data();
-  const float* y = h.data().data();
-  for_lanes(grad.size(), [g, y](std::size_t i, std::size_t w) {
-    store(g + i, load(y + i, w) <= 0.0f ? Vf16{} : load(g + i, w), w);
+void tanh_grad_inplace(float* grad, const float* h, std::size_t n) {
+  if (compute_threads() == 0) {
+    reference::tanh_grad_inplace(grad, h, n);
+    return;
+  }
+  for_lanes(n, [grad, h](std::size_t i, std::size_t w) {
+    const Vf16 hi = load(h + i, w);
+    store(grad + i, load(grad + i, w) * (1.0f - hi * hi), w);
+  });
+}
+
+void relu_grad_inplace(float* grad, const float* h, std::size_t n) {
+  for_lanes(n, [grad, h](std::size_t i, std::size_t w) {
+    store(grad + i, load(h + i, w) <= 0.0f ? Vf16{} : load(grad + i, w), w);
   });
 }
 

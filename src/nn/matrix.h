@@ -43,8 +43,13 @@ class Matrix {
   [[nodiscard]] const std::vector<float>& data() const { return data_; }
 
   [[nodiscard]] std::vector<float> row(std::size_t r) const;
+  /// Rows [r0, r1) as a matrix of their own.
+  [[nodiscard]] Matrix slice_rows(std::size_t r0, std::size_t r1) const;
 
   void fill(float v);
+  /// Gives the matrix the shape rows x cols, keeping its storage where it
+  /// is large enough. Contents are unspecified afterwards.
+  void resize(std::size_t rows, std::size_t cols);
   /// this += other (same shape).
   void add_inplace(const Matrix& other);
   /// this *= s.
@@ -68,6 +73,10 @@ class Matrix {
 [[nodiscard]] bool allclose(const Matrix& a, const Matrix& b, float atol = 1e-5f,
                             float rtol = 1e-6f);
 
+/// A product below this many flops runs on the calling thread: the pool's
+/// claim and notify cost would exceed the work.
+inline constexpr double kMinParallelFlops = 1 << 18;
+
 /// C = A (m x k) * B (k x n).
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 /// C = A^T (k x m -> m x k view) * B; used for weight gradients dW = X^T dY.
@@ -78,6 +87,25 @@ class Matrix {
 /// In serial mode decomposes into reference::matmul + add_row_inplace so
 /// the result stays bit-identical to the pre-fusion pipeline.
 [[nodiscard]] Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias_row);
+
+// Row-range forms for callers that spread a batch's rows over threads
+// themselves (nn::Mlp's training pieces). Each computes rows [r0, r1) of
+// its product into the same rows of `c`, which the caller sized to the
+// whole product, on the calling thread. A row's bits equal those the
+// whole-matrix function gives it, at any thread count and under any row
+// partition.
+
+/// Rows of matmul_bias(a, b, bias_row).
+void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias_row,
+                      Matrix& c, std::size_t r0, std::size_t r1);
+/// Rows of matmul_bt(a, b).
+void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                    std::size_t r1);
+/// Adds rows of matmul_at(a, b) to c's rows, as c.add_inplace(matmul_at(a, b))
+/// does: a weight gradient's rows accumulate dW = X^T dY.
+void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                        std::size_t r1);
+
 /// Add a 1 x n bias row to every row of X, in place.
 void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// 1 x n column sums of X (bias gradient).
@@ -87,11 +115,16 @@ void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// NaN stays NaN) whose bits for an element depend only on that element;
 /// serial mode is reference::tanh_inplace.
 void tanh_inplace(Matrix& x);
+/// The elementwise kernels over the n floats at x (a run of whole rows, say).
+/// An element's bits depend only on its inputs, never on its position.
+void tanh_inplace(float* x, std::size_t n);
+/// x = max(x, 0), with NaN mapped to 0: ReLU.
+void relu_inplace(float* x, std::size_t n);
 /// grad *= 1 - h^2: tanh's derivative, written in terms of its output h.
 /// Serial mode is reference::tanh_grad_inplace.
-void tanh_grad_inplace(Matrix& grad, const Matrix& h);
+void tanh_grad_inplace(float* grad, const float* h, std::size_t n);
 /// grad = 0 wherever h <= 0: ReLU's derivative, in terms of its output h.
-void relu_grad_inplace(Matrix& grad, const Matrix& h);
+void relu_grad_inplace(float* grad, const float* h, std::size_t n);
 
 /// The retained scalar kernels — the exact pre-optimization implementations,
 /// built in their own translation unit with the project's stock flags. They
@@ -102,9 +135,17 @@ namespace reference {
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
-/// std::tanh on every element.
-void tanh_inplace(Matrix& x);
-void tanh_grad_inplace(Matrix& grad, const Matrix& h);
+/// The same loops over output rows [r0, r1) only, into those rows of `c`
+/// (sized to the whole product), which they overwrite.
+void matmul_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                 std::size_t r1);
+void matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                    std::size_t r1);
+void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
+                    std::size_t r1);
+/// std::tanh on each of the n floats at x.
+void tanh_inplace(float* x, std::size_t n);
+void tanh_grad_inplace(float* grad, const float* h, std::size_t n);
 }  // namespace reference
 
 /// Record per-kernel telemetry for matmuls run on the calling thread into

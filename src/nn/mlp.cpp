@@ -1,8 +1,12 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <functional>
 
 #include "common/thread_pool.h"
+#include "obs/profiler.h"
 #include "serial/binio.h"
 
 namespace xt::nn {
@@ -27,42 +31,66 @@ std::size_t Mlp::output_dim() const {
   return layers_.empty() ? input_dim_ : layers_.back().weight.cols();
 }
 
+void train_tasks(std::size_t n, const std::function<void(std::size_t)>& task) {
+  const KernelMetrics metrics = kernel_metrics();
+  compute_tasks(n, [&](std::size_t i) {
+    const KernelMetricsScope scope(metrics);
+    ProfScope prof("train");
+    task(i);
+  });
+}
+
 namespace {
 
-// Elementwise loops are chunk-invariant (each element is computed on its
-// own), so pooling them never changes results, even against serial mode.
-constexpr std::size_t kActivationGrain = 1 << 14;
+/// Rows per block of a GEMM's output: row chunks are whole blocks.
+constexpr std::size_t kRowBlock = 8;
+
+/// Runs body over rows [0, rows) in chunks of whole row blocks, one train
+/// task each, as a GEMM partitions its output rows: about half the parallel
+/// threshold's flops a chunk, at most one chunk per thread, and one chunk
+/// below the threshold.
+void for_row_chunks(std::size_t rows, double flops_per_row,
+                    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (rows == 0) return;
+  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+  const double flops = flops_per_row * static_cast<double>(rows);
+  std::size_t chunks = 1;
+  if (flops >= kMinParallelFlops) {
+    const auto threads = static_cast<std::size_t>(std::max(compute_threads(), 1));
+    const auto by_flops = static_cast<std::size_t>(flops / (kMinParallelFlops / 2));
+    chunks = std::min({by_flops, blocks, threads});
+  }
+  const std::size_t chunk_rows = (blocks + chunks - 1) / chunks * kRowBlock;
+  train_tasks((rows + chunk_rows - 1) / chunk_rows, [&](std::size_t i) {
+    body(i * chunk_rows, std::min((i + 1) * chunk_rows, rows));
+  });
+}
 
 }  // namespace
 
-void Mlp::apply_activation(Matrix& m, Activation act) {
-  float* v = m.data().data();
+void Mlp::apply_activation(float* x, std::size_t n, Activation act) {
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      compute_parallel_for(m.size(), kActivationGrain,
-                           [v](std::size_t b, std::size_t e) {
-                             for (std::size_t i = b; i < e; ++i)
-                               v[i] = v[i] > 0.0f ? v[i] : 0.0f;
-                           });
+      relu_inplace(x, n);
       return;
     case Activation::kTanh:
-      // Cheaper than a pool dispatch at these sizes.
-      tanh_inplace(m);
+      tanh_inplace(x, n);
       return;
   }
 }
 
-void Mlp::apply_activation_grad(Matrix& grad, const Matrix& output, Activation act) {
+void Mlp::apply_activation_grad(float* grad, const float* h, std::size_t n,
+                                Activation act) {
   switch (act) {
     case Activation::kIdentity:
       return;
     case Activation::kRelu:
-      relu_grad_inplace(grad, output);
+      relu_grad_inplace(grad, h, n);
       return;
     case Activation::kTanh:
-      tanh_grad_inplace(grad, output);
+      tanh_grad_inplace(grad, h, n);
       return;
   }
 }
@@ -71,35 +99,138 @@ Matrix Mlp::forward(const Matrix& x) const {
   Matrix h = x;
   for (const Layer& layer : layers_) {
     Matrix z = matmul_bias(h, layer.weight, layer.bias);
-    apply_activation(z, layer.activation);
+    apply_activation(z.data().data(), z.size(), layer.activation);
     h = std::move(z);
   }
   return h;
 }
 
 Matrix Mlp::forward_train(const Matrix& x) {
+  assert(x.cols() == input_dim_);
+  begin_train(x.rows());
   cached_input_ = x;
-  const Matrix* h = &cached_input_;
-  for (Layer& layer : layers_) {
-    Matrix z = matmul_bias(*h, layer.weight, layer.bias);
-    apply_activation(z, layer.activation);
-    layer.cached_output = std::move(z);
-    h = &layer.cached_output;
+  double flops_per_row = 0.0;
+  for (const Layer& layer : layers_) {
+    flops_per_row += 2.0 * static_cast<double>(layer.weight.size());
   }
-  return *h;
+  for_row_chunks(x.rows(), flops_per_row,
+                 [this](std::size_t r0, std::size_t r1) { forward_block(r0, r1); });
+  return output();
 }
 
 void Mlp::backward(const Matrix& grad_out) {
   assert(!cached_input_.empty() && "backward() requires forward_train()");
-  Matrix grad = grad_out;
+  if (layers_.empty()) return;
+  Matrix& grad = layers_.back().cached_grad;
+  assert(grad_out.rows() == grad.rows() && grad_out.cols() == grad.cols());
+  grad = grad_out;
+  // Layer 0's input gradient is not computed, so its product is not counted.
+  double bt_flops_per_row = 0.0;
+  double dw_flops = 0.0;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const double size = static_cast<double>(layers_[l].weight.size());
+    if (l > 0) bt_flops_per_row += 2.0 * size;
+    dw_flops += 2.0 * size * static_cast<double>(grad.rows());
+  }
+  for_row_chunks(grad.rows(), bt_flops_per_row,
+                 [this](std::size_t r0, std::size_t r1) { backward_block(r0, r1); });
+  const auto threads = static_cast<std::size_t>(std::max(compute_threads(), 1));
+  accumulate_weight_grads({this}, dw_flops >= kMinParallelFlops ? threads : 1);
+}
+
+void Mlp::begin_train(std::size_t rows) {
+  cached_input_.resize(rows, input_dim_);
+  for (Layer& layer : layers_) {
+    layer.cached_output.resize(rows, layer.weight.cols());
+    layer.cached_grad.resize(rows, layer.weight.cols());
+  }
+}
+
+void Mlp::forward_block(std::size_t r0, std::size_t r1) {
+  const Matrix* in = &cached_input_;
+  for (Layer& layer : layers_) {
+    Matrix& out = layer.cached_output;
+    matmul_bias_rows(*in, layer.weight, layer.bias, out, r0, r1);
+    apply_activation(out.row_ptr(r0), (r1 - r0) * out.cols(), layer.activation);
+    in = &out;
+  }
+}
+
+Matrix Mlp::forward_rows(std::size_t r0, std::size_t r1) {
+  forward_block(r0, r1);
+  return output().slice_rows(r0, r1);
+}
+
+const Matrix& Mlp::output() const {
+  return layers_.empty() ? cached_input_ : layers_.back().cached_output;
+}
+
+void Mlp::backward_rows(const Matrix& grad, std::size_t r0) {
+  assert(!layers_.empty());
+  Matrix& out_grad = layers_.back().cached_grad;
+  assert(grad.cols() == out_grad.cols() && r0 + grad.rows() <= out_grad.rows());
+  std::copy(grad.data().begin(), grad.data().end(), out_grad.row_ptr(r0));
+  backward_block(r0, r0 + grad.rows());
+}
+
+void Mlp::backward_block(std::size_t r0, std::size_t r1) {
   for (std::size_t l = layers_.size(); l-- > 0;) {
     Layer& layer = layers_[l];
-    const Matrix& input = l == 0 ? cached_input_ : layers_[l - 1].cached_output;
-    apply_activation_grad(grad, layer.cached_output, layer.activation);
-    layer.grad_weight.add_inplace(matmul_at(input, grad));
-    layer.grad_bias.add_inplace(col_sums(grad));
-    if (l > 0) grad = matmul_bt(grad, layer.weight);
+    Matrix& grad = layer.cached_grad;
+    apply_activation_grad(grad.row_ptr(r0), layer.cached_output.row_ptr(r0),
+                          (r1 - r0) * grad.cols(), layer.activation);
+    if (l > 0) matmul_bt_rows(grad, layer.weight, layers_[l - 1].cached_grad, r0, r1);
   }
+}
+
+void Mlp::add_weight_grad_rows(std::size_t l, std::size_t r0, std::size_t r1) {
+  Layer& layer = layers_[l];
+  const Matrix& input = l == 0 ? cached_input_ : layers_[l - 1].cached_output;
+  add_matmul_at_rows(input, layer.cached_grad, layer.grad_weight, r0, r1);
+  if (r0 == 0) layer.grad_bias.add_inplace(col_sums(layer.cached_grad));
+}
+
+void Mlp::accumulate_weight_grads(const std::vector<Mlp*>& nets, std::size_t parts) {
+  // A layer's product is one piece, or, where it holds several parts' worth
+  // of the flops, that many row ranges of whole blocks. Pieces run biggest
+  // first, each claimed by whichever thread is free.
+  struct Piece {
+    Mlp* net;
+    std::size_t layer, r0, r1;
+    double flops;
+  };
+  const auto layer_flops = [](const Mlp& net, std::size_t l) {
+    return 2.0 * static_cast<double>(net.cached_input_.rows()) *
+           static_cast<double>(net.layers_[l].weight.size());
+  };
+  double total = 0.0;
+  for (const Mlp* net : nets) {
+    for (std::size_t l = 0; l < net->layers_.size(); ++l) total += layer_flops(*net, l);
+  }
+  const double per_part = total / static_cast<double>(parts);
+  std::vector<Piece> pieces;
+  for (Mlp* net : nets) {
+    for (std::size_t l = 0; l < net->layers_.size(); ++l) {
+      const double flops = layer_flops(*net, l);
+      const std::size_t rows = net->layers_[l].weight.rows();
+      if (rows == 0) continue;
+      const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+      const double share = per_part > 0.0 ? flops / per_part : 0.0;
+      const auto rounded = static_cast<std::size_t>(std::llround(share));
+      const std::size_t splits = std::clamp<std::size_t>(rounded, 1, blocks);
+      const std::size_t per_split = (blocks + splits - 1) / splits * kRowBlock;
+      const double row_flops = flops / static_cast<double>(rows);
+      for (std::size_t r0 = 0; r0 < rows; r0 += per_split) {
+        const std::size_t r1 = std::min(rows, r0 + per_split);
+        pieces.push_back({net, l, r0, r1, row_flops * static_cast<double>(r1 - r0)});
+      }
+    }
+  }
+  std::stable_sort(pieces.begin(), pieces.end(),
+                   [](const Piece& a, const Piece& b) { return a.flops > b.flops; });
+  train_tasks(pieces.size(), [&pieces](std::size_t i) {
+    pieces[i].net->add_weight_grad_rows(pieces[i].layer, pieces[i].r0, pieces[i].r1);
+  });
 }
 
 void Mlp::zero_grad() {

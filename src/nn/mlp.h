@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -18,8 +19,18 @@ struct LayerSpec {
 
 /// Multi-layer perceptron with explicit forward/backward passes. This is
 /// the Model substrate for every DNN in the repo (Q networks, policy
-/// networks, value networks). Training mode caches the input batch and each
-/// layer's output so backward() can accumulate parameter gradients.
+/// networks, value networks). Training mode caches the input batch, each
+/// layer's output and each layer's output gradient, so backward() can
+/// accumulate parameter gradients.
+///
+/// A training step is made of three kinds of pieces (DESIGN.md §8):
+/// forward_rows() and backward_rows() work on a range of the batch's rows,
+/// and accumulate_weight_grads() on all of them at once. forward_train() and
+/// backward() compose them; a caller that trains several nets per batch
+/// (PPO) runs the pieces of all its nets as flat compute-pool phases. Row
+/// pieces are row-local, so a row's bits do not depend on how the batch is
+/// cut, and the weight gradients are full-batch products, so a step's bits
+/// do not depend on how it was run.
 class Mlp {
  public:
   Mlp() = default;
@@ -33,12 +44,38 @@ class Mlp {
   [[nodiscard]] Matrix forward(const Matrix& x) const;
 
   /// Training forward: caches activations for the subsequent backward().
+  /// begin_train for x's rows, then forward_rows over the batch in row
+  /// chunks on the compute pool.
   [[nodiscard]] Matrix forward_train(const Matrix& x);
 
   /// Backprop: `grad_out` is dLoss/dOutput for the last forward_train batch.
   /// Accumulates into the parameter gradients. dLoss/dInput is not computed:
-  /// no caller trains what feeds the network.
+  /// no caller trains what feeds the network. backward_rows over the batch
+  /// in row chunks on the compute pool, then accumulate_weight_grads.
   void backward(const Matrix& grad_out);
+
+  /// Starts a training step on a batch of `rows` rows: sizes the input and
+  /// every layer's output and gradient caches to them. The caller fills a
+  /// row of input() before forward_rows reads it.
+  void begin_train(std::size_t rows);
+  /// The training batch: the first layer's input.
+  [[nodiscard]] Matrix& input() { return cached_input_; }
+  /// Forward pass of batch rows [r0, r1) on the calling thread; returns
+  /// those rows of the output.
+  [[nodiscard]] Matrix forward_rows(std::size_t r0, std::size_t r1);
+  /// Backward pass of batch rows [r0, r0 + grad.rows()) on the calling
+  /// thread: `grad` is dLoss/dOutput of those rows, and each layer's
+  /// gradient cache gets dLoss/dZ for them.
+  void backward_rows(const Matrix& grad, std::size_t r0);
+  /// The step's weight and bias gradients over all batch rows, added to
+  /// every layer's parameter gradients, for each of `nets`, as one
+  /// compute-pool job (train_tasks). A layer's product is one task, or, where
+  /// it holds several of `parts` equal shares of the flops, that many tasks
+  /// by output row; the biggest run first.
+  static void accumulate_weight_grads(const std::vector<Mlp*>& nets, std::size_t parts);
+  /// The last layer's output for the whole training batch, as far as
+  /// forward_rows has computed it.
+  [[nodiscard]] const Matrix& output() const;
 
   void zero_grad();
 
@@ -65,20 +102,36 @@ class Mlp {
     Matrix grad_weight;
     Matrix grad_bias;
     Activation activation = Activation::kIdentity;
-    /// Post-activation output of the last forward_train; the next layer's
+    /// Post-activation output of the training batch; the next layer's
     /// input.
     Matrix cached_output;
+    /// dLoss/dZ (pre-activation) of the training batch, once backward_rows
+    /// has run over its rows.
+    Matrix cached_grad;
   };
 
-  static void apply_activation(Matrix& m, Activation act);
-  /// Scales `grad` by the activation's derivative, written in terms of the
-  /// layer's output h: tanh' = 1 - h^2, ReLU' = [h > 0].
-  static void apply_activation_grad(Matrix& grad, const Matrix& output, Activation act);
+  /// Applies `act` to the n floats at x.
+  static void apply_activation(float* x, std::size_t n, Activation act);
+  /// Scales the n floats at grad by the activation's derivative, written in
+  /// terms of the layer's output h: tanh' = 1 - h^2, ReLU' = [h > 0].
+  static void apply_activation_grad(float* grad, const float* h, std::size_t n,
+                                    Activation act);
+  void forward_block(std::size_t r0, std::size_t r1);
+  /// Backward pass of rows [r0, r1) from the last layer's gradient cache.
+  void backward_block(std::size_t r0, std::size_t r1);
+  /// Rows [r0, r1) of layer l's weight gradient X^T dY over every batch
+  /// row, plus its bias gradient with the piece that holds row 0.
+  void add_weight_grad_rows(std::size_t l, std::size_t r0, std::size_t r1);
 
   std::size_t input_dim_ = 0;
   std::vector<Layer> layers_;
   /// Layer 0's input from the last forward_train.
   Matrix cached_input_;
 };
+
+/// compute_tasks whose tasks run under the calling thread's kernel metrics
+/// binding and a "train" profile label, on whichever thread runs them: the
+/// pool job of a training phase.
+void train_tasks(std::size_t n, const std::function<void(std::size_t)>& task);
 
 }  // namespace xt::nn

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace xt::nn {
 namespace {
@@ -138,6 +143,34 @@ TEST(Losses, PolicyGradientZeroCoefGivesOnlyEntropyTerm) {
   Matrix logits = Matrix::from_row({1.0f, -1.0f, 0.0f});
   const Matrix g0 = policy_gradient(logits, {0}, {0.0f}, 0.0f);
   for (float v : g0.data()) EXPECT_FLOAT_EQ(v, 0.0f);
+}
+
+// A batch's gradient rows, computed a few rows at a time with the whole
+// batch's row count, are the rows of the gradient over the whole batch.
+TEST(Losses, GradientsOfRowSlicesNormalizeByWholeBatch) {
+  Rng rng(17);
+  const Matrix logits = Matrix::he_normal(9, 3, rng);
+  const Matrix pred = Matrix::he_normal(9, 1, rng);
+  const Matrix target = Matrix::he_normal(9, 1, rng);
+  const std::vector<std::int32_t> actions = {0, 2, 1, 1, 0, 2, 2, 0, 1};
+  std::vector<float> coefs(actions.size());
+  for (float& c : coefs) c = static_cast<float>(rng.normal());
+  const Matrix pg = policy_gradient(logits, actions, coefs, 0.01f);
+  Matrix mse_grad;
+  (void)mse_loss(pred, target, mse_grad);
+  using Rows = std::pair<std::size_t, std::size_t>;
+  for (const std::size_t cut : {1, 4, 8}) {
+    for (const auto& [r0, r1] : {Rows{0, cut}, Rows{cut, 9}}) {
+      const std::vector<std::int32_t> a(actions.begin() + r0, actions.begin() + r1);
+      const std::vector<float> c(coefs.begin() + r0, coefs.begin() + r1);
+      EXPECT_TRUE(policy_gradient(logits.slice_rows(r0, r1), a, c, 0.01f, 9) ==
+                  pg.slice_rows(r0, r1))
+          << "rows " << r0 << "-" << r1;
+      Matrix grad;
+      (void)mse_loss(pred.slice_rows(r0, r1), target.slice_rows(r0, r1), grad, 9);
+      EXPECT_TRUE(grad == mse_grad.slice_rows(r0, r1)) << "rows " << r0 << "-" << r1;
+    }
+  }
 }
 
 }  // namespace

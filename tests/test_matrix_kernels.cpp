@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -165,32 +166,72 @@ TEST_F(MatrixKernels, BlockedResultsInvariantAcrossThreadCounts) {
 
 // A row's bits do not depend on the path that computes it: a lone row (the
 // one-row path, several panels at a time) matches the same row inside an
-// 8-row block. N = 200 is twelve full panels and a partial one.
+// 8-row block, whose tile runs two like panels at once where the ISA holds
+// that tile. N = 200 is six in-place panel pairs and a packed partial
+// panel; N = 56 an in-place pair, a lone in-place panel, then a packed
+// partial panel. matmul_bt packs every panel, so its pairs are all packed,
+// the last one partial at N = 56.
 TEST_F(MatrixKernels, OneRowPathBitIdenticalToRowBlocks) {
   set_compute_threads(1);
   Rng rng(109);
   const Matrix a = random(9, 70, rng);
-  const Matrix b = random(70, 200, rng);
-  const Matrix bias = random(1, 200, rng);
-  const Matrix bt = random(200, 70, rng);
-  const Matrix block = matmul_bias(a, b, bias);
-  const Matrix block_bt = matmul_bt(a, bt);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const Matrix row = Matrix::from_row(a.row(i));
-    EXPECT_EQ(matmul_bias(row, b, bias).row(0), block.row(i)) << "row " << i;
-    EXPECT_EQ(matmul_bt(row, bt).row(0), block_bt.row(i)) << "row " << i;
+  const Matrix at = random(70, 9, rng);
+  for (std::size_t n : {200, 56}) {
+    const Matrix b = random(70, n, rng);
+    const Matrix bias = random(1, n, rng);
+    const Matrix bt = random(n, 70, rng);
+    const Matrix block = matmul_bias(a, b, bias);
+    const Matrix block_bt = matmul_bt(a, bt);
+    const Matrix block_at = matmul_at(at, b);
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      const Matrix row = Matrix::from_row(a.row(i));
+      Matrix column(at.rows(), 1);
+      for (std::size_t k = 0; k < at.rows(); ++k) column.at(k, 0) = at.at(k, i);
+      SCOPED_TRACE("N " + std::to_string(n) + " row " + std::to_string(i));
+      EXPECT_EQ(matmul_bias(row, b, bias).row(0), block.row(i));
+      EXPECT_EQ(matmul_bt(row, bt).row(0), block_bt.row(i));
+      EXPECT_EQ(matmul_at(column, b).row(0), block_at.row(i));
+    }
   }
 }
 
-// Nested pool use with the packed-panel path: matmul_bt packs all of B^T
-// into its calling thread's buffer, which the pool's threads read until the
-// product returns. Two such products run as the two tasks of one
-// compute_parallel_for (as PPO runs its policy and value updates) give the
-// bits they give one after the other. Several callers do this at once, so
-// the queue holds unclaimed tasks while products wait for their chunks: a
-// waiting thread that ran one of them would repack the panels under its
-// own product's readers. Shapes differ, so a buffer shared between threads
-// or repacked too early shows up as wrong bits.
+// The row-range forms give a row the bits of the whole-matrix product,
+// wherever the range starts: 7 and 201 cut the 8-row blocks off their
+// usual boundaries. add_matmul_at_rows adds to what the rows held.
+TEST_F(MatrixKernels, RowRangeFormsMatchWholeProducts) {
+  Rng rng(111);
+  const Matrix a = random(208, 40, rng);
+  const Matrix b = random(40, 56, rng);
+  const Matrix bias = random(1, 56, rng);
+  const Matrix bt = random(56, 40, rng);
+  const Matrix dy = random(208, 56, rng);
+  const Matrix old = random(40, 56, rng);
+  for (int threads : {0, 1, 4}) {
+    set_compute_threads(threads);
+    Matrix want_at = old;
+    want_at.add_inplace(matmul_at(a, dy));
+    Matrix got(208, 56), got_bt(208, 56), got_at = old;
+    using Rows = std::pair<std::size_t, std::size_t>;
+    for (const auto& [r0, r1] : {Rows{0, 7}, Rows{7, 208}}) {
+      matmul_bias_rows(a, b, bias, got, r0, r1);
+      matmul_bt_rows(a, bt, got_bt, r0, r1);
+    }
+    add_matmul_at_rows(a, dy, got_at, 0, 13);
+    add_matmul_at_rows(a, dy, got_at, 13, 40);
+    EXPECT_TRUE(got == matmul_bias(a, b, bias)) << "threads=" << threads;
+    EXPECT_TRUE(got_bt == matmul_bt(a, bt)) << "threads=" << threads;
+    EXPECT_TRUE(got_at == want_at) << "threads=" << threads;
+  }
+}
+
+// Nested pool use with the packed-panel path: matmul_bt packs all of B^T into
+// its calling thread's buffer, which the pool's threads read until the product
+// returns. Two such products run as the two tasks of one compute_tasks job
+// give the bits they give one after the other. Several callers do this at once,
+// so the queue holds unclaimed tasks while products wait for their chunks: a
+// waiting thread that ran one of them would repack the panels under its own
+// product's readers. Shapes differ, so a buffer shared between threads or
+// repacked too early shows up as wrong bits.
 TEST_F(MatrixKernels, ConcurrentPackedProductsMatchSequential) {
   Rng rng(110);
   const Matrix a0 = random(256, 128, rng);
@@ -207,10 +248,8 @@ TEST_F(MatrixKernels, ConcurrentPackedProductsMatchSequential) {
       callers.emplace_back([&] {
         for (int round = 0; round < 20; ++round) {
           Matrix got[2];
-          compute_parallel_for(2, 1, [&](std::size_t first, std::size_t last) {
-            for (std::size_t task = first; task < last; ++task) {
-              got[task] = task == 0 ? matmul_bt(a0, b0) : matmul_bt(a1, b1);
-            }
+          compute_tasks(2, [&](std::size_t task) {
+            got[task] = task == 0 ? matmul_bt(a0, b0) : matmul_bt(a1, b1);
           });
           if (!(got[0] == want0) || !(got[1] == want1)) mismatches.fetch_add(1);
         }
@@ -368,12 +407,21 @@ TEST(ThreadPool, ConcurrentCallersHammer) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// A chunk body may call parallel_for on its own pool (PPO's update tasks
-// run pooled GEMMs). Several callers run outer loops whose chunk bodies run
-// inner loops on the same pool: every inner index is covered exactly once,
-// and every call returns. A caller that left its own chunks to the workers,
-// all busy in outer bodies, would wait forever; stuck threads cannot be
-// joined, so a hang ends the process as a failure.
+// More tasks than threads, and fewer: every index runs exactly once.
+TEST(ThreadPool, TasksRunEachIndexOnce) {
+  ThreadPool pool(3);
+  for (std::size_t n : {0, 1, 2, 7, 64}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallel_tasks(n, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "n=" << n;
+  }
+}
+
+// A chunk body may call parallel_for on its own pool. Several callers run outer
+// loops whose chunk bodies run inner loops on the same pool: every inner index
+// is covered exactly once, and every call returns. A caller that left its own
+// chunks to the workers, all busy in outer bodies, would wait forever; stuck
+// threads cannot be joined, so a hang ends the process as a failure.
 TEST(ThreadPool, NestedParallelForFromChunkBodies) {
   ThreadPool pool(3);
   constexpr int kCallers = 3;
@@ -451,15 +499,12 @@ TEST(ThreadPool, PendingReportsUnclaimedChunks) {
   EXPECT_EQ(pool.pending(), 0u);
 }
 
-TEST(ThreadPool, ComputeParallelForHonoursSerialMode) {
+TEST(ThreadPool, ComputeTasksHonourSerialMode) {
   set_compute_threads(0);
-  std::atomic<int> calls{0};
-  compute_parallel_for(100'000, 10, [&](std::size_t b, std::size_t e) {
-    calls.fetch_add(1);
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 100'000u);
-  });
-  EXPECT_EQ(calls.load(), 1);  // serial: one inline chunk, no pool
+  std::vector<std::size_t> order;
+  compute_tasks(5, [&order](std::size_t i) { order.push_back(i); });
+  // Serial: inline on the caller, in index order, no pool.
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(compute_pool(), nullptr);
   set_compute_threads(3);
   EXPECT_NE(compute_pool(), nullptr);

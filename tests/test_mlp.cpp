@@ -1,6 +1,9 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -151,6 +154,54 @@ TEST(Mlp, SerialTrainingStepBitIdenticalToReference) {
           << "gradient " << i << ", activation " << static_cast<int>(act);
     }
   }
+}
+
+// The pieces of a training step: row shards of the forward and backward
+// passes, then the full-batch weight gradients, give every bit that
+// forward_train + backward give on the whole batch, wherever the shards are
+// cut (104 + 104, and 7 + 201, off the 8-row blocks), in serial mode and
+// at any thread count. Widths 48 and 40 run the GEMM's panel pairs, a lone
+// panel and packed partial panels.
+TEST(Mlp, RowShardStepBitIdenticalToWholeBatch) {
+  Rng data_rng(61);
+  const Matrix x = Matrix::he_normal(208, 24, data_rng);
+  const Matrix grad_out = Matrix::he_normal(208, 5, data_rng);
+  using Rows = std::pair<std::size_t, std::size_t>;
+  for (int threads : {0, 1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    set_compute_threads(threads);
+    for (Activation act : {Activation::kTanh, Activation::kRelu}) {
+      SCOPED_TRACE("activation " + std::to_string(static_cast<int>(act)));
+      const auto make_net = [act] {
+        Rng init_rng(62);
+        return Mlp(24, {{48, act}, {40, act}, {5, Activation::kIdentity}}, init_rng);
+      };
+      Mlp whole = make_net();
+      const Matrix want_out = whole.forward_train(x);
+      whole.backward(grad_out);
+      const std::vector<Matrix*> want = whole.gradients();
+      for (const std::size_t cut : {104, 7}) {
+        SCOPED_TRACE("cut " + std::to_string(cut));
+        Mlp net = make_net();
+        net.begin_train(x.rows());
+        net.input() = x;
+        Matrix out(x.rows(), 5);
+        for (const auto& [r0, r1] : {Rows{0, cut}, Rows{cut, x.rows()}}) {
+          const Matrix rows = net.forward_rows(r0, r1);
+          std::copy(rows.data().begin(), rows.data().end(), out.row_ptr(r0));
+          net.backward_rows(grad_out.slice_rows(r0, r1), r0);
+        }
+        Mlp::accumulate_weight_grads({&net}, 3);
+        EXPECT_TRUE(out == want_out);
+        EXPECT_TRUE(net.output() == want_out);
+        const std::vector<Matrix*> grads = net.gradients();
+        for (std::size_t i = 0; i < grads.size(); ++i) {
+          EXPECT_TRUE(*grads[i] == *want[i]) << "gradient " << i;
+        }
+      }
+    }
+  }
+  set_compute_threads(-1);
 }
 
 TEST(Mlp, ZeroGradClearsAccumulation) {

@@ -180,23 +180,25 @@ std::map<std::string, std::uint64_t> bits(const std::map<std::string, double>& s
   return out;
 }
 
-// Blocked kernels give the same bits at every thread count, and the policy
-// and value updates share no state, so a whole training session does too,
-// whether the two updates run inline (threads 1), contend for one pool
-// worker with their own GEMM jobs (threads 2) or run side by side.
+// Blocked kernels give the same bits at every thread count, and each
+// minibatch's phases are row-local pieces or full-minibatch products, so a
+// whole training session does too, whether the phases run inline (threads
+// 1), on fewer threads than tasks (2, 3), one task per thread (4) or with
+// threads to spare (8).
 TEST(PpoAlgorithm, TrainingSessionInvariantAcrossThreadCounts) {
   const Sync2mSession session;
   const auto [weights, stats] = session.train(1);
   EXPECT_EQ(stats.size(), 3u);
-  for (int threads : {2, 3, 8}) {
+  for (int threads : {2, 3, 4, 8}) {
     const auto [got_weights, got_stats] = session.train(threads);
     EXPECT_TRUE(got_weights == weights) << "threads=" << threads;
     EXPECT_EQ(bits(got_stats), bits(stats)) << "threads=" << threads;
   }
 }
 
-// The trainer thread's kernel metrics follow an update onto the pool worker
-// that runs it, so a session records the same matmuls at any thread count.
+// The trainer thread's kernel metrics follow a phase's tasks onto the pool
+// workers that run them, and the tasks do not depend on the thread count,
+// so a session records the same matmuls at any thread count.
 TEST(PpoAlgorithm, KernelMetricsFollowUpdatesOntoPoolWorkers) {
   const Sync2mSession session;
   const auto recorded = [&session](int threads) {
@@ -213,6 +215,43 @@ TEST(PpoAlgorithm, KernelMetricsFollowUpdatesOntoPoolWorkers) {
   const auto [pooled_flops, pooled_calls] = recorded(4);
   EXPECT_EQ(pooled_flops, flops);
   EXPECT_EQ(pooled_calls, calls);
+}
+
+// A fragment that arrives while the next session's are still missing is
+// prepared on arrival, with the value net that session trains with; one
+// that arrives for a later session waits for that session's value net. So
+// fragments queued two sessions deep train as those fed one session at a
+// time.
+TEST(PpoAlgorithm, FragmentsQueuedForLaterSessionsTrainAsFedOneByOne) {
+  PpoConfig config = small_config();
+  Rng rng(9);
+  std::vector<RolloutBatch> fragments;
+  {
+    PpoAlgorithm algorithm(config, 4, 2, 1);
+    for (std::uint32_t e = 0; e < 2 * config.n_explorers; ++e) {
+      PpoAgent agent(config, 4, 2, e % config.n_explorers, 30 + e);
+      EXPECT_TRUE(agent.apply_weights(algorithm.weights(), 1));
+      fragments.push_back(fragment_from_agent(agent, 4, rng));
+    }
+  }
+  const auto sessions = [&](bool queued) {
+    PpoAlgorithm algorithm(config, 4, 2, 1);
+    std::vector<Bytes> out;
+    for (std::size_t i = 0; i < fragments.size(); ++i) {
+      algorithm.prepare_data(fragments[i]);
+      const bool last_of_session = (i + 1) % config.n_explorers == 0;
+      if ((queued && i + 1 == fragments.size()) || (!queued && last_of_session)) {
+        while (algorithm.ready_to_train()) {
+          (void)algorithm.train();
+          out.push_back(algorithm.weights());
+        }
+      }
+    }
+    return out;
+  };
+  const std::vector<Bytes> one_by_one = sessions(false);
+  ASSERT_EQ(one_by_one.size(), 2u);
+  EXPECT_EQ(sessions(true), one_by_one);
 }
 
 // Learning smoke test on a contextual bandit: action 0 pays +1, action 1

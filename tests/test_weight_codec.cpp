@@ -84,7 +84,7 @@ Bytes must_encode_keyframe(const Bytes& blob, WeightCodec codec,
 TEST(WeightCodecRoundTrip, Fp32IsBitExact) {
   const Bytes blob = random_blob(1);
   const Bytes payload = must_encode_keyframe(blob, WeightCodec::kFp32);
-  EXPECT_TRUE(is_weight_frame(payload));
+  EXPECT_TRUE(peek_weight_frame(payload).has_value());
   const auto decoded = decode_weight_frame(payload, nullptr);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, blob);  // byte-identical, not just tolerance-close
@@ -234,7 +234,7 @@ TEST(WeightCodec, PeekExposesHeaderFields) {
   EXPECT_EQ(info->base_version, 0u);
   EXPECT_TRUE(info->keyframe);
   EXPECT_EQ(info->raw_size, blob.size());
-  EXPECT_FALSE(is_weight_frame(blob));  // raw Mlp blobs are not frames
+  EXPECT_FALSE(peek_weight_frame(blob).has_value());  // raw Mlp blobs are not frames
 }
 
 TEST(WeightCodecHardening, TruncationsAndBitFlipsNeverCrash) {
@@ -302,7 +302,7 @@ TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
     ASSERT_TRUE(pub.has_value());
     // First frame (and only it) is a keyframe; later ones chain off acks.
     EXPECT_EQ(pub->keyframe, v == 1);
-    const auto result = dec.apply(pub->payload, v);
+    const auto result = dec.apply(pub->payload);
     ASSERT_EQ(result.outcome, WeightDecoderSession::Outcome::kApplied);
     EXPECT_EQ(result.version, v);
     acked = v;
@@ -345,7 +345,7 @@ TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
   WeightDecoderSession dec;
   Bytes blob = random_blob(22);
   auto v1 = enc.encode(blob, 1, dsts(), false);
-  ASSERT_EQ(dec.apply(v1->payload, 1).outcome,
+  ASSERT_EQ(dec.apply(v1->payload).outcome,
             WeightDecoderSession::Outcome::kApplied);
   for (const auto& d : dsts()) enc.note_ack(d, 1);
 
@@ -358,7 +358,7 @@ TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
   auto v3 = enc.encode(blob, 3, dsts(), false);  // still encoded vs acked v1
   ASSERT_TRUE(v3.has_value());
   EXPECT_EQ(v3->base_version, 1u);
-  const auto result = dec.apply(v3->payload, 3);
+  const auto result = dec.apply(v3->payload);
   EXPECT_EQ(result.outcome, WeightDecoderSession::Outcome::kApplied);
   EXPECT_EQ(dec.version(), 3u);
 }
@@ -378,12 +378,12 @@ TEST(WeightSessions, MissingBaseForcesKeyframeRecovery) {
   ASSERT_TRUE(v2.has_value());
   ASSERT_FALSE(v2->keyframe);
 
-  const auto miss = stale_dec.apply(v2->payload, 2);
+  const auto miss = stale_dec.apply(v2->payload);
   EXPECT_EQ(miss.outcome, WeightDecoderSession::Outcome::kNeedKeyframe);
 
   const auto reply = enc.encode_keyframe(blob, 2);
   EXPECT_TRUE(reply.keyframe);
-  const auto recovered = stale_dec.apply(reply.payload, 2);
+  const auto recovered = stale_dec.apply(reply.payload);
   EXPECT_EQ(recovered.outcome, WeightDecoderSession::Outcome::kApplied);
   EXPECT_EQ(stale_dec.version(), 2u);
 }
@@ -437,28 +437,52 @@ TEST(WeightSessions, DecoderRejectsStaleAndCorrupt) {
   WeightDecoderSession dec;
   const Bytes blob = random_blob(26);
   auto v2 = enc.encode(blob, 2, dsts(), false);
-  ASSERT_EQ(dec.apply(v2->payload, 2).outcome,
+  ASSERT_EQ(dec.apply(v2->payload).outcome,
             WeightDecoderSession::Outcome::kApplied);
   auto v1 = enc.encode_keyframe(blob, 1);  // late arrival of an older version
-  EXPECT_EQ(dec.apply(v1.payload, 1).outcome,
+  EXPECT_EQ(dec.apply(v1.payload).outcome,
             WeightDecoderSession::Outcome::kStale);
   auto v3 = enc.encode_keyframe(blob, 3);
   Bytes corrupt = *v3.payload;
   corrupt.resize(corrupt.size() / 2);
-  EXPECT_EQ(dec.apply(make_payload(std::move(corrupt)), 3).outcome,
+  EXPECT_EQ(dec.apply(make_payload(std::move(corrupt))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
   // Version 3 was never applied, so the real frame still lands.
-  EXPECT_EQ(dec.apply(v3.payload, 3).outcome,
+  EXPECT_EQ(dec.apply(v3.payload).outcome,
             WeightDecoderSession::Outcome::kApplied);
 }
 
-TEST(WeightSessions, RawBlobPassthroughKeepsLegacySendersWorking) {
-  WeightDecoderSession dec;
+// Every weights body is a frame: a raw fp32 blob, or a frame whose magic was
+// corrupted, is rejected as corrupt, counted, and moves no version, so the
+// explorer asks for a keyframe and the genuine frame still applies.
+TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
+  MetricsRegistry registry;
+  WeightCodecInstruments instruments;
+  instruments.decode_failures = &registry.counter("decode_failures");
+  WeightEncoderSession enc(config_for(WeightCodec::kFp16));
+  WeightDecoderSession dec(&instruments);
   const Bytes blob = random_blob(27);
-  const auto result = dec.apply(make_payload(Bytes(blob)), 7);
-  EXPECT_EQ(result.outcome, WeightDecoderSession::Outcome::kApplied);
-  EXPECT_EQ(*result.fp32, blob);
-  EXPECT_EQ(result.version, 7u);
+  EXPECT_EQ(dec.apply(make_payload(Bytes(blob))).outcome,
+            WeightDecoderSession::Outcome::kCorrupt);
+  EXPECT_FALSE(dec.applied_any());
+  ASSERT_EQ(dec.apply(enc.encode_keyframe(blob, 1).payload).outcome,
+            WeightDecoderSession::Outcome::kApplied);
+
+  const auto v2 = enc.encode_keyframe(perturb(blob, 1e-3, 2), 2);
+  Bytes flipped = *v2.payload;
+  flipped[0] ^= 0x01;
+  for (Bytes body : {blob, flipped}) {
+    const auto result = dec.apply(make_payload(std::move(body)));
+    EXPECT_EQ(result.outcome, WeightDecoderSession::Outcome::kCorrupt);
+    EXPECT_EQ(result.fp32, nullptr);
+    EXPECT_EQ(dec.version(), 1u);
+  }
+  EXPECT_EQ(registry.counter("decode_failures").value(), 3u);
+
+  const auto genuine = dec.apply(v2.payload);
+  EXPECT_EQ(genuine.outcome, WeightDecoderSession::Outcome::kApplied);
+  EXPECT_EQ(genuine.version, 2u);
+  EXPECT_EQ(dec.version(), 2u);
 }
 
 TEST(WeightSessions, InstrumentsCountTheProtocol) {
@@ -484,7 +508,7 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   auto pub = enc.encode(blob, 1, dsts(), false);
   ASSERT_TRUE(pub.has_value());
   EXPECT_FALSE(enc.encode(perturb(blob, 1e-6, 1000), 2, dsts(), false).has_value());
-  ASSERT_EQ(dec.apply(pub->payload, 1).outcome,
+  ASSERT_EQ(dec.apply(pub->payload).outcome,
             WeightDecoderSession::Outcome::kApplied);
   // A torn frame of a *newer* version (stateless encode: the session counters
   // must only reflect the decoder's failure, not a second publish).
@@ -492,7 +516,7 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   ASSERT_TRUE(torn.has_value());
   Bytes corrupt = torn->payload;
   corrupt.resize(corrupt.size() - 3);
-  EXPECT_EQ(dec.apply(make_payload(std::move(corrupt)), 3).outcome,
+  EXPECT_EQ(dec.apply(make_payload(std::move(corrupt))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
 
   EXPECT_EQ(registry.counter("skipped").value(), 1u);
