@@ -171,6 +171,7 @@ Algorithm::TrainResult PpoAlgorithm::train() {
     Fragment fragment = std::move(fragments_.front());
     fragments_.pop_front();
     ++n_fragments;
+    if (fragment.batch.weights_version < version_) ++consumed_behind_;
     if (!fragment.prepared) prepare(fragment);
     for (std::size_t i = 0; i < fragment.batch.steps.size(); ++i) {
       RolloutStep& step = fragment.batch.steps[i];

@@ -81,6 +81,12 @@ class PpoAlgorithm final : public Algorithm {
 
   [[nodiscard]] std::size_t queued_fragments() const { return fragments_.size(); }
   [[nodiscard]] std::uint64_t stale_fragments_dropped() const { return stale_dropped_; }
+  /// Fragments that train() consumed one version behind the weights it
+  /// trained from (two or more behind are dropped above). Zero while the
+  /// explorers stay in lockstep with the learner.
+  [[nodiscard]] std::uint64_t fragments_consumed_behind() const {
+    return consumed_behind_;
+  }
 
  private:
   /// A queued fragment and, once prepared, its GAE advantages and returns.
@@ -103,6 +109,7 @@ class PpoAlgorithm final : public Algorithm {
   std::deque<Fragment> fragments_;
   std::uint32_t version_ = 1;
   std::uint64_t stale_dropped_ = 0;
+  std::uint64_t consumed_behind_ = 0;
 };
 
 }  // namespace xt

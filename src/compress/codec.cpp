@@ -21,12 +21,12 @@ EncodedBody maybe_compress(const Payload& body, const CompressionConfig& config,
     return out;
   }
   const Stopwatch clock;
-  Bytes packed = lz4::compress(*body);
+  std::optional<Bytes> packed = lz4::compress_if_worthwhile(*body);
   if (instruments != nullptr && instruments->compress_ms != nullptr) {
     instruments->compress_ms->observe(clock.elapsed_ms());
   }
-  if (packed.size() >= body->size()) {
-    // Incompressible: ship the original, zero-copy.
+  if (!packed || packed->size() >= body->size()) {
+    // Not worth it or incompressible: ship the original, zero-copy.
     out.data = body;
     out.compressed = false;
     if (instruments != nullptr && instruments->bytes_out != nullptr) {
@@ -35,12 +35,12 @@ EncodedBody maybe_compress(const Payload& body, const CompressionConfig& config,
     return out;
   }
   if (instruments != nullptr) {
-    if (instruments->bytes_out != nullptr) instruments->bytes_out->inc(packed.size());
+    if (instruments->bytes_out != nullptr) instruments->bytes_out->inc(packed->size());
     if (instruments->messages_compressed != nullptr) {
       instruments->messages_compressed->inc();
     }
   }
-  out.data = make_payload(std::move(packed));
+  out.data = make_payload(std::move(*packed));
   out.compressed = true;
   return out;
 }

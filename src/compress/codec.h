@@ -9,9 +9,14 @@
 namespace xt {
 
 /// Body compression policy, mirroring the paper Section 4.1: compression is
-/// a configurable option; bodies larger than the threshold (1 MB by default)
+/// a configurable option; bodies at or above the threshold (1 MB by default)
 /// are LZ4-compressed when inserted into the object store and decompressed
-/// when fetched into receive buffers.
+/// when fetched into receive buffers. Both fields are the paper's ablation
+/// hooks. A body at the threshold is compressed only when its first LZ4
+/// window (64 KB) shrinks by at least 1/16 (lz4::compress_if_worthwhile);
+/// otherwise the sender gives up after that window and ships it raw, since
+/// its sender thread would spend more on LZ4 than the smaller put saves
+/// (DESIGN.md §4 item 5).
 struct CompressionConfig {
   bool enabled = true;
   std::size_t threshold_bytes = 1u << 20;  // 1 MB, the paper's default
@@ -38,8 +43,11 @@ struct CodecInstruments {
   Counter* messages_compressed = nullptr;   ///< bodies that shrank and shipped packed
 };
 
-/// Compress `body` if the policy says so. Falls back to the original bytes
-/// when compression would not shrink them.
+/// Compress `body` if the policy says so: compression on, the body at or
+/// above the threshold, and its first window worth compressing. Falls back
+/// to the original bytes, zero-copy, when the first window does not pay or
+/// the whole body would not shrink. `compress_ms` times the attempt either
+/// way.
 [[nodiscard]] EncodedBody maybe_compress(const Payload& body,
                                          const CompressionConfig& config,
                                          const CodecInstruments* instruments = nullptr);

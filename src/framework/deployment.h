@@ -161,7 +161,9 @@ struct RunReport {
   std::uint64_t weights_raw_bytes = 0;   ///< fp32-equivalent bytes per encode attempt
   std::uint64_t weights_skipped = 0;     ///< versions lazily not broadcast
   std::uint64_t weights_keyframes = 0;   ///< standalone frames published
-  std::uint64_t weights_keyframe_requests = 0;  ///< explorer fallback requests served
+  /// Keyframe requests served: explorer fallbacks after a decode failure or
+  /// base-version miss, and respawned on-policy explorers asking for weights.
+  std::uint64_t weights_keyframe_requests = 0;
   std::uint64_t weights_decode_failures = 0;    ///< corrupt frames rejected
   /// p99 of learner publish -> explorer apply (xt_weights_broadcast_ms,
   /// merged across every explorer's histogram).

@@ -12,12 +12,14 @@ namespace xt {
 ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
                                  Broker& broker, std::unique_ptr<Environment> env,
                                  std::unique_ptr<Agent> agent, NodeId learner,
-                                 NodeId controller, const DeploymentConfig& config)
+                                 NodeId controller, const DeploymentConfig& config,
+                                 bool respawned)
     : node_(node),
       explorer_index_(explorer_index),
       learner_(learner),
       controller_(controller),
       stats_every_episodes_(config.stats_every_episodes),
+      respawned_(respawned),
       endpoint_(node, broker, config.explorer_send_capacity),
       env_(std::move(env)),
       agent_(std::move(agent)),
@@ -159,29 +161,29 @@ void ExplorerProcess::ship_batch() {
     if (heartbeat_) heartbeat_->tick();
   });
 
-  if (agent_->requires_fresh_weights()) {
-    // On-policy (PPO): block this explorer until the learner's next
-    // broadcast. Other explorers keep exploring; their transmissions
-    // overlap with our waiting (Section 3.2.1).
-    const Stopwatch wait_clock;
-    ProfScope prof("wait_weights", /*idle=*/true);
-    TraceScope wait_span(trace_, "explorer.wait_weights", "app", 0,
-                         node_.machine);
-    while (!stop_.load() && !crashed_.load() &&
-           agent_->weights_version() <= sent_version) {
-      if (heartbeat_) heartbeat_->tick();
-      auto msg = endpoint_.receive_for(std::chrono::milliseconds(20));
-      if (!msg) continue;
-      if (msg->header.type == MsgType::kWeights) {
-        handle_weights(*msg);
-      } else if (msg->header.type == MsgType::kCommand) {
-        stop_.store(true);
-      }
-    }
-    wait_span.finish();
-    wait_weights_hist_.observe(wait_clock.elapsed_ms());
-  }
+  // On-policy (PPO): block this explorer until the learner's next broadcast.
+  if (agent_->requires_fresh_weights()) await_weights_newer_than(sent_version);
   rollout_start_ns_ = now_ns();
+}
+
+void ExplorerProcess::await_weights_newer_than(std::uint32_t version) {
+  // Other explorers keep exploring; their transmissions overlap with our
+  // waiting (Section 3.2.1).
+  const Stopwatch wait_clock;
+  ProfScope prof("wait_weights", /*idle=*/true);
+  TraceScope wait_span(trace_, "explorer.wait_weights", "app", 0, node_.machine);
+  while (!stop_.load() && !crashed_.load() && agent_->weights_version() <= version) {
+    if (heartbeat_) heartbeat_->tick();
+    auto msg = endpoint_.receive_for(std::chrono::milliseconds(20));
+    if (!msg) continue;
+    if (msg->header.type == MsgType::kWeights) {
+      handle_weights(*msg);
+    } else if (msg->header.type == MsgType::kCommand) {
+      stop_.store(true);
+    }
+  }
+  wait_span.finish();
+  wait_weights_hist_.observe(wait_clock.elapsed_ms());
 }
 
 void ExplorerProcess::report_episode(double episode_return,
@@ -201,6 +203,14 @@ void ExplorerProcess::report_episode(double episode_return,
 }
 
 void ExplorerProcess::worker_loop() {
+  if (agent_->requires_fresh_weights()) {
+    // On-policy: take no step under the agent's own initial weights, or the
+    // first fragment trains a session one version behind the learner. The
+    // learner's start-up broadcast reaches every explorer built with the
+    // runtime; a respawned one missed it and asks for the current weights.
+    if (respawned_) request_keyframe(agent_->weights_version());
+    await_weights_newer_than(agent_->weights_version());
+  }
   std::uint64_t episode_seed = explorer_index_ * 1'000'003ULL + 17;
   rollout_start_ns_ = now_ns();
   std::vector<float> obs = env_->reset(episode_seed++);

@@ -21,9 +21,12 @@ namespace xt {
 class ExplorerProcess {
  public:
   /// `explorer_index` is global across machines; `node` carries the machine.
+  /// A `respawned` explorer is built after the learner's start-up weights
+  /// broadcast went out, so an on-policy one asks the learner for them.
   ExplorerProcess(NodeId node, std::uint32_t explorer_index, Broker& broker,
                   std::unique_ptr<Environment> env, std::unique_ptr<Agent> agent,
-                  NodeId learner, NodeId controller, const DeploymentConfig& config);
+                  NodeId learner, NodeId controller, const DeploymentConfig& config,
+                  bool respawned = false);
   ~ExplorerProcess();
 
   ExplorerProcess(const ExplorerProcess&) = delete;
@@ -53,6 +56,9 @@ class ExplorerProcess {
   /// error or base-version miss, request a keyframe instead of crashing.
   void handle_weights(const Message& msg);
   void request_keyframe(std::uint32_t version);
+  /// Block (heartbeating, honoring stop) until the agent holds weights newer
+  /// than `version`.
+  void await_weights_newer_than(std::uint32_t version);
   void ship_batch();
   void report_episode(double episode_return, std::uint64_t episode_steps);
 
@@ -61,6 +67,7 @@ class ExplorerProcess {
   const NodeId learner_;
   const NodeId controller_;
   const int stats_every_episodes_;
+  const bool respawned_;
 
   Endpoint endpoint_;
   std::unique_ptr<Environment> env_;

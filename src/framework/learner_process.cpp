@@ -56,6 +56,11 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
     checkpointer_ = std::make_unique<Checkpointer>(
         config.checkpoint_path, config.checkpoint_every_versions);
   }
+}
+
+LearnerProcess::~LearnerProcess() { shutdown(); }
+
+void LearnerProcess::start() {
   trainer_ = std::thread([this] {
     set_current_thread_name("train-" + node_.name());
     // Attribute this thread's matmul time/flops to the run's registry
@@ -65,8 +70,6 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
     trainer_loop();
   });
 }
-
-LearnerProcess::~LearnerProcess() { shutdown(); }
 
 void LearnerProcess::request_stop() { stop_.store(true); }
 
@@ -100,7 +103,8 @@ bool LearnerProcess::ingest(Message message) {
       return true;
     case MsgType::kWeightsReq:
       // The explorer hit a decode error or a base-version miss (DESIGN.md
-      // §11 fallback protocol): restart its chain from a standalone frame.
+      // §11 fallback protocol), or it is a respawned on-policy explorer
+      // that holds no weights yet: restart its chain from a standalone frame.
       keyframe_requests_counter_.inc();
       send_keyframe(message.header.src);
       return true;

@@ -35,6 +35,10 @@ class LearnerProcess {
   LearnerProcess(const LearnerProcess&) = delete;
   LearnerProcess& operator=(const LearnerProcess&) = delete;
 
+  /// Start the trainer thread, whose first act is the start-up weights
+  /// broadcast. Call it exactly once, after every explorer endpoint of the
+  /// run exists, so that broadcast reaches them all.
+  void start();
   void request_stop();
   void shutdown();
 

@@ -190,6 +190,7 @@ XingTianRuntime::XingTianRuntime(AlgoSetup setup, DeploymentConfig config)
         make_agent(setup_, obs_dim, n_actions, i), learner_id_, controller_id_,
         config_));
   }
+  learner_->start();
 
   if (!config_.stats_csv_path.empty()) {
     stats_csv_ = std::fopen(config_.stats_csv_path.c_str(), "w");
@@ -431,14 +432,15 @@ bool XingTianRuntime::respawn_explorer(std::size_t global_index,
   XT_LOG_INFO << "respawning " << id.name() << " (attempt " << attempt << ")";
   // Tear down the dead worker (joins its exited thread, unregisters its
   // endpoint) and rebuild it under the same NodeId with a fresh env+agent;
-  // the first weight broadcast it receives brings it back on-policy.
+  // the first weight broadcast it receives brings it back on-policy. It
+  // missed the start-up broadcast, so an on-policy one asks for weights.
   explorers_[global_index].reset();
   explorers_[global_index] = std::make_unique<ExplorerProcess>(
       id, static_cast<std::uint32_t>(global_index), *brokers_[id.machine],
       make_environment(setup_.env_name),
       make_agent(setup_, obs_dim_, n_actions_,
                  static_cast<std::uint32_t>(global_index)),
-      learner_id_, controller_id_, config_);
+      learner_id_, controller_id_, config_, /*respawned=*/true);
   return true;
 }
 
@@ -470,6 +472,7 @@ bool XingTianRuntime::respawn_learner(std::uint32_t attempt) {
       learner_id_, *brokers_[config_.learner_machine],
       make_algorithm(setup, obs_dim_, n_actions_), explorer_ids_,
       controller_id_, config_, steps);
+  learner_->start();
   return true;
 }
 

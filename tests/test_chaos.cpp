@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "algo/ppo.h"
 #include "netsim/fabric.h"
 #include "netsim/fault_plan.h"
 
@@ -183,6 +184,55 @@ TEST(ChaosRun, SurvivesFaultyLinkAndWorkerDeaths) {
   EXPECT_EQ(report.degraded_workers, 0u);
 
   std::remove(deployment.checkpoint_path.c_str());
+}
+
+// A respawned explorer is built after the learner's start-up weights
+// broadcast. Synchronous PPO trains only once every explorer's fragment is
+// in, so a respawned explorer that rolled out under its own initial weights
+// would ship a fragment the learner drops as stale and then wait for a
+// broadcast that never comes. It must ask for the current weights instead.
+TEST(ChaosRun, RespawnedPpoExplorerRejoinsOnCurrentWeights) {
+  AlgoSetup setup;
+  setup.kind = AlgoKind::kPpo;
+  setup.env_name = "CartPole";
+  setup.seed = 5;
+  setup.ppo.hidden = {16};
+  setup.ppo.fragment_len = 50;
+  setup.ppo.n_explorers = 2;
+  setup.ppo.epochs = 1;
+
+  DeploymentConfig deployment;
+  deployment.explorers_per_machine = {1, 1};
+  // Ten sessions before the kill, at least twenty after the respawn; a
+  // pipeline that stalls ends at the wall clock short of the goal.
+  deployment.max_steps_consumed = 3'000;
+  deployment.max_seconds = 10.0;
+  deployment.supervision.enabled = true;
+  deployment.supervision.heartbeat_every_s = 0.1;
+  deployment.supervision.heartbeat_timeout_s = 1.0;
+  deployment.supervision.max_restarts_per_worker = 3;
+
+  XingTianRuntime runtime(setup, deployment);
+  std::atomic<bool> stop_killer{false};
+  std::thread killer([&] {
+    while (!stop_killer.load()) {
+      if (runtime.learner_steps() >= 1'000) {
+        runtime.inject_explorer_crash(1);  // the explorer across the link
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const RunReport report = runtime.run();
+  stop_killer.store(true);
+  killer.join();
+
+  EXPECT_GE(report.steps_consumed, 3'000u);
+  EXPECT_GE(report.explorer_restarts, 1u);
+  EXPECT_GE(report.weights_keyframe_requests, 1u);
+  const auto& ppo = dynamic_cast<const PpoAlgorithm&>(runtime.learner().algorithm());
+  EXPECT_EQ(ppo.fragments_consumed_behind(), 0u);
+  EXPECT_EQ(ppo.stale_fragments_dropped(), 0u);
 }
 
 // --- Overload + blackout: shed experience, keep weights, no false kills -----

@@ -38,6 +38,7 @@ TEST(FaultInjection, LearnerSurvivesGarbageRolloutMessage) {
   LearnerProcess learner(learner_id_, broker,
                          make_algorithm(tiny_setup(), 4, 2), {rogue},
                          controller, tiny_deployment());
+  learner.start();
   Endpoint attacker(rogue, broker);
 
   // A rollout message whose body is not a serialized RolloutBatch.
@@ -72,6 +73,7 @@ TEST(FaultInjection, LearnerIgnoresUnknownMessageTypes) {
   LearnerProcess learner(learner_id_, broker,
                          make_algorithm(tiny_setup(), 4, 2), {rogue},
                          controller_id(0), tiny_deployment());
+  learner.start();
   Endpoint attacker(rogue, broker);
 
   // Weights/stats/dummy messages at the learner are not rollouts.

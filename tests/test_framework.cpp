@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/ppo.h"
 #include "framework/dummy_transmission.h"
 
 namespace xt {
@@ -56,6 +57,33 @@ TEST(XingTianRuntime, PpoSynchronousRunWorks) {
   // PPO consumes one fragment per explorer per session.
   EXPECT_GE(report.training_sessions, 4);
   EXPECT_GT(report.weight_broadcasts, 0u);
+}
+
+TEST(XingTianRuntime, SyncPpoAcrossMachinesTrainsOnlyCurrentFragments) {
+  // A remote explorer rolls a 50-step CartPole fragment out in well under
+  // the 10 ms the learner's start-up broadcast takes to reach its machine.
+  // It must still wait for the learner's weights, or its first fragment
+  // trains a session one version behind, and every fragment after it too.
+  AlgoSetup setup;
+  setup.kind = AlgoKind::kPpo;
+  setup.env_name = "CartPole";
+  setup.ppo.hidden = {16};
+  setup.ppo.fragment_len = 50;
+  setup.ppo.n_explorers = 4;
+  setup.ppo.epochs = 1;
+
+  DeploymentConfig deployment;
+  deployment.explorers_per_machine = {2, 2};
+  deployment.link.latency_ns = 10'000'000;
+  deployment.max_steps_consumed = 12 * 4 * 50;  // 12 sessions
+  deployment.max_seconds = 30.0;
+
+  XingTianRuntime runtime(setup, deployment);
+  const RunReport report = runtime.run();
+  ASSERT_GE(report.training_sessions, 10);
+  const auto& ppo = dynamic_cast<const PpoAlgorithm&>(runtime.learner().algorithm());
+  EXPECT_EQ(ppo.fragments_consumed_behind(), 0u);
+  EXPECT_EQ(ppo.stale_fragments_dropped(), 0u);
 }
 
 TEST(XingTianRuntime, DqnRunWithLearnerLocalReplay) {
