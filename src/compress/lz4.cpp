@@ -264,8 +264,17 @@ std::optional<Bytes> decompress(const Bytes& input, std::size_t expected_size) {
     if (offset >= match_len) {
       std::memcpy(op, from, match_len);
     } else {
-      // Overlapping (RLE-style) match: each byte may be one this copy wrote.
-      for (std::size_t i = 0; i < match_len; ++i) op[i] = from[i];
+      // Overlapping (RLE-style) match: the output repeats with period
+      // `offset`, so copy forward in spans that double, each a whole number
+      // of periods already written ([from, d) never overlaps [d, ...)).
+      std::uint8_t* d = op;
+      std::uint8_t* const end = op + match_len;
+      while (d < end) {
+        const std::size_t span = std::min(static_cast<std::size_t>(d - from),
+                                          static_cast<std::size_t>(end - d));
+        std::memcpy(d, from, span);
+        d += span;
+      }
     }
   }
 
