@@ -76,7 +76,9 @@ TEST(XingTianRuntime, SyncPpoAcrossMachinesTrainsOnlyCurrentFragments) {
   deployment.explorers_per_machine = {2, 2};
   deployment.link.latency_ns = 10'000'000;
   deployment.max_steps_consumed = 12 * 4 * 50;  // 12 sessions
-  deployment.max_seconds = 30.0;
+  // Passes in well under a second; a local explorer that missed the
+  // start-up broadcast stalls the run until this cap.
+  deployment.max_seconds = 10.0;
 
   XingTianRuntime runtime(setup, deployment);
   const RunReport report = runtime.run();
