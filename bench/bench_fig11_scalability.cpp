@@ -9,12 +9,11 @@
 // regime where per-frame cost, not bytes, loads a paced link: 1024
 // explorers put ~20k frames/s on each link direction. The pipe overlaps
 // each frame's propagation with the next frame's serialization, so only
-// bandwidth bounds a direction's frame rate, and router sharding
-// (`[comm] router_shards`) keeps header routing off one hot thread. The
-// 1024-point must hold >= 0.5x the per-explorer throughput of the 64-point
-// (acceptance gate; in practice it is flat). Results land in
-// BENCH_fig11.json and CI diffs them against the checked-in baseline via
-// tools/perf_diff.
+// bandwidth bounds a direction's frame rate, and one router thread per
+// machine keeps up with the headers of all 1024 explorers. The 1024-point
+// must hold >= 0.5x the per-explorer throughput of the 64-point (acceptance
+// gate; in practice it is flat). Results land in BENCH_fig11.json and CI
+// diffs them against the checked-in baseline via tools/perf_diff.
 //
 // Part 2 (no-arg mode): the original scaled-down RL sweep — IMPALA
 // end-to-end, 2..32 explorers over 1, 2 and 4 machines vs the pull-based
@@ -56,7 +55,6 @@ constexpr std::size_t kRolloutBytes = 4096;
 constexpr std::size_t kStatsBytes = 256;
 constexpr std::size_t kHeartbeatBytes = 16;
 constexpr int kDriverMachines = 3;  // explorers live on machines 1..3
-constexpr std::uint32_t kShards = 4;
 constexpr double kWarmupSeconds = 0.8;
 constexpr double kMeasureSeconds = 2.0;
 
@@ -125,11 +123,9 @@ void driver_loop(Broker& broker, std::uint16_t machine, int explorers,
 }
 
 SweepPoint run_comm_point(int explorers) {
-  Broker::Options options;
-  options.router_shards = kShards;
   std::vector<std::unique_ptr<Broker>> brokers;
   for (std::uint16_t m = 0; m < kDriverMachines + 1; ++m) {
-    brokers.push_back(std::make_unique<Broker>(m, options));
+    brokers.push_back(std::make_unique<Broker>(m));
   }
   Fabric fabric;
   for (std::uint16_t m = 1; m <= kDriverMachines; ++m) {
@@ -237,7 +233,6 @@ void run_rl_sweep() {
     DeploymentConfig xt_deploy;
     xt_deploy.explorers_per_machine = spread(config.explorers, config.machines);
     xt_deploy.broker.compression.enabled = false;
-    xt_deploy.broker.router_shards = 4;
     xt_deploy.explorer_send_capacity = 4;
     xt_deploy.broker.ipc_bandwidth_bytes_per_sec = kIpcBandwidth;
     xt_deploy.link.bandwidth_bytes_per_sec = kNicBandwidth;
@@ -300,9 +295,9 @@ int main(int argc, char** argv) {
   banner("Fig. 11: Scalability — comm-core sweep to 1024 explorers");
 
   const int kExplorerPoints[] = {64, 128, 256, 512, 1024};
-  std::printf("\nrouter_shards=%u, %d driver machines, "
+  std::printf("\n%d driver machines, "
               "%.0f bulk + %.0f control msgs/s/explorer\n\n",
-              kShards, kDriverMachines, kRolloutsPerExplorerPerSec,
+              kDriverMachines, kRolloutsPerExplorerPerSec,
               kControlPerExplorerPerSec);
   std::printf("%10s %16s %22s\n", "explorers", "delivered/s",
               "per-explorer msgs/s");
@@ -327,8 +322,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_fig11\",\n");
-  std::fprintf(out, "  \"router_shards\": %u,\n  \"driver_machines\": %d,\n",
-               kShards, kDriverMachines);
+  std::fprintf(out, "  \"driver_machines\": %d,\n", kDriverMachines);
   std::fprintf(out, "  \"entries\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];

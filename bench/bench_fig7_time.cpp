@@ -83,10 +83,6 @@ int main() {
     // from piling up when explorers outrun the paced channel.
     xt_deploy.explorer_send_capacity = 2;
     xt_deploy.broker.ipc_bandwidth_bytes_per_sec = kIpcBandwidth;
-    // The comm-core scaling machinery must not disturb the latency story:
-    // the critical-path sum check below still has to hold with the router
-    // sharded.
-    xt_deploy.broker.router_shards = 2;
     xt_deploy.max_steps_consumed = test_case.steps;
     xt_deploy.max_seconds = 120.0;
     // Continuous profiling on the XingTian run: the trace ring feeds the

@@ -150,7 +150,6 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   overload.shed_policy = ShedPolicy::kOldest;
 
   Broker::Options options;
-  options.router_shards = 4;
   options.overload = overload;
   std::vector<std::unique_ptr<Broker>> brokers;
   for (std::uint16_t m = 0; m < kDriverMachines + 1; ++m) {

@@ -1,6 +1,5 @@
 #include "comm/broker.h"
 
-#include <algorithm>
 #include <set>
 
 #include "common/clock.h"
@@ -24,12 +23,6 @@ std::string drop_label(std::uint16_t machine, DropReason reason) {
          drop_reason_name(reason) + "\"}";
 }
 
-std::string shard_label(const char* base, std::uint16_t machine,
-                        std::uint32_t shard) {
-  return std::string(base) + "{machine=\"" + std::to_string(machine) +
-         "\",shard=\"" + std::to_string(shard) + "\"}";
-}
-
 std::string shed_label(std::uint16_t machine, const char* reason) {
   // Only experience is ever shed by the queue policy (control is never
   // dropped, weights are backpressured), so the class label is fixed.
@@ -37,19 +30,6 @@ std::string shed_label(std::uint16_t machine, const char* reason) {
          std::to_string(machine) + "\",class=\"experience\",reason=\"" +
          reason + "\"}";
 }
-
-/// 64-bit finalizer (murmur3) spreading packed NodeIds — whose entropy sits
-/// in a few low bit groups — uniformly over the shard space.
-std::uint64_t mix64(std::uint64_t key) {
-  key ^= key >> 33;
-  key *= 0xff51afd7ed558ccdULL;
-  key ^= key >> 33;
-  key *= 0xc4ceb9fe1a85ec53ULL;
-  key ^= key >> 33;
-  return key;
-}
-
-constexpr std::uint32_t kMaxRouterShards = 64;
 
 }  // namespace
 
@@ -83,7 +63,17 @@ Broker::Broker(std::uint16_t machine, Options options)
             metrics_.histogram(machine_label("xt_broker_route_ms", machine)),
             metrics_.histogram(machine_label("xt_queue_wait_ms", machine)),
             metrics_.counter(
-                machine_label("xt_frames_corrupted_total", machine))} {
+                machine_label("xt_frames_corrupted_total", machine))},
+      // A shed header owned every store reference submit() took for it;
+      // release them all so the refcount stays balanced.
+      router_queue_(options_.overload,
+                    [this](TrafficClass /*cls*/, MessageHeader&& header) {
+                      const std::uint32_t refs = expected_fetches(header);
+                      for (std::uint32_t i = 0; i < refs; ++i) {
+                        store_.release(header.object_id);
+                      }
+                      shed_router_->inc();
+                    }) {
   for (std::size_t i = 0; i < drop_by_reason_.size(); ++i) {
     drop_by_reason_[i] =
         &metrics_.counter(drop_label(machine, static_cast<DropReason>(i)));
@@ -113,50 +103,17 @@ Broker::Broker(std::uint16_t machine, Options options)
   shed_router_ = &metrics_.counter(shed_label(machine, "router_overflow"));
   shed_inbox_ = &metrics_.counter(shed_label(machine, "inbox_overflow"));
 
-  const std::uint32_t n_shards = std::clamp<std::uint32_t>(
-      options_.router_shards == 0 ? 1 : options_.router_shards, 1,
-      kMaxRouterShards);
-  shards_.reserve(n_shards);
-  for (std::uint32_t s = 0; s < n_shards; ++s) {
-    // A shed header owned this shard's share of the submit-time store
-    // references; release exactly those so the refcount stays balanced.
-    auto shard = std::make_unique<RouterShard>(
-        options_.overload,
-        [this, s](TrafficClass /*cls*/, MessageHeader&& header) {
-          const std::uint32_t refs = shard_share(header, s);
-          for (std::uint32_t i = 0; i < refs; ++i) {
-            store_.release(header.object_id);
-          }
-          shed_router_->inc();
-        });
-    shard->depth =
-        &metrics_.gauge(shard_label("xt_router_shard_depth", machine, s));
-    shard->drops = &metrics_.counter(
-        shard_label("xt_router_shard_drops_total", machine, s));
-    shards_.push_back(std::move(shard));
-  }
-  for (std::uint32_t s = 0; s < n_shards; ++s) {
-    RouterShard* shard = shards_[s].get();
-    // Single-shard brokers keep the classic "router-mN" thread name so
-    // profiles and saturation dumps from pre-sharding runs stay comparable.
-    const std::string thread_name =
-        n_shards == 1 ? "router-m" + std::to_string(machine_)
-                      : "router-m" + std::to_string(machine_) + "/s" +
-                            std::to_string(s);
-    shard->thread = std::thread([this, shard, s, thread_name] {
-      set_current_thread_name(thread_name);
-      router_loop(*shard, s);
-    });
-  }
+  router_ = std::thread([this] {
+    set_current_thread_name("router-m" + std::to_string(machine_));
+    router_loop();
+  });
 }
 
 Broker::~Broker() { stop(); }
 
 void Broker::stop() {
-  for (auto& shard : shards_) shard->queue.close();
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
-  }
+  router_queue_.close();
+  if (router_.joinable()) router_.join();
 }
 
 std::shared_ptr<IdQueue> Broker::register_endpoint(const NodeId& id) {
@@ -183,95 +140,15 @@ void Broker::unregister_endpoint(const NodeId& id) {
   queue->close();
 }
 
-std::uint32_t Broker::shard_of(std::uint64_t key) const {
-  return static_cast<std::uint32_t>(mix64(key) % shards_.size());
-}
-
-std::uint64_t Broker::machine_shard_key(std::uint16_t machine) {
-  // Remote forwards hash by destination machine, in the same key space as
-  // local destinations: the machine's broker is the logical destination.
-  return NodeId{machine, NodeKind::kBroker, 0}.packed();
-}
-
 bool Broker::submit(MessageHeader header) {
   const TrafficClass cls = header.tclass;
-  if (shards_.size() == 1) {
-    // kShed counts as accepted: the shed callback already released the
-    // header's store references, so the caller must not release them again.
-    const PushResult result = shards_[0]->queue.push(cls, std::move(header));
-    if (result == PushResult::kClosed) return false;
-    publish_total_depth();
-    return true;
+  // kShed counts as accepted: the shed callback already released the
+  // header's store references, so the caller must not release them again.
+  if (router_queue_.push(cls, std::move(header)) == PushResult::kClosed) {
+    return false;
   }
-  // Fan the header to every shard that owns at least one of its local
-  // destinations or remote target machines. Each shard routes only its own
-  // subset, so across shards every destination is handled exactly once and
-  // the store refcount from expected_fetches() still balances. `share[s]`
-  // counts the store references shard s will consume: if its queue is
-  // already closed (shutdown race) those references are released here so
-  // shards that did accept keep a balanced count.
-  std::array<std::uint32_t, kMaxRouterShards> share{};
-  std::set<std::uint16_t> remote_machines;
-  for (const NodeId& dst : header.dsts) {
-    if (dst.machine == machine_) {
-      ++share[shard_of(dst.packed())];
-    } else if (remote_machines.insert(dst.machine).second) {
-      ++share[shard_of(machine_shard_key(dst.machine))];
-    }
-  }
-  bool any_consumer = false;
-  bool any_accepted = false;
-  std::uint32_t rejected_refs = 0;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (share[s] == 0) continue;
-    any_consumer = true;
-    // kShed is "accepted": the shard's shed callback released share[s]
-    // references itself (via shard_share). Only a closed queue leaves its
-    // share unbalanced.
-    if (shards_[s]->queue.push(cls, header) != PushResult::kClosed) {
-      any_accepted = true;
-    } else {
-      rejected_refs += share[s];
-    }
-  }
-  if (any_accepted) {
-    // Balance the store references of closed shards; with false the caller
-    // releases every reference itself, so nothing is released here.
-    for (std::uint32_t i = 0; i < rejected_refs; ++i) {
-      store_.release(header.object_id);
-    }
-  }
-  // Destination-less headers still drain through shard 0 (legacy behavior).
-  if (!any_consumer) {
-    any_accepted = shards_[0]->queue.push(cls, header) != PushResult::kClosed;
-  }
-  if (any_accepted) publish_total_depth();
-  return any_accepted;
-}
-
-std::uint32_t Broker::shard_share(const MessageHeader& header,
-                                  std::uint32_t shard) const {
-  if (shards_.size() == 1) return expected_fetches(header);
-  std::uint32_t share = 0;
-  std::set<std::uint16_t> remote_machines;
-  for (const NodeId& dst : header.dsts) {
-    if (dst.machine == machine_) {
-      if (shard_of(dst.packed()) == shard) ++share;
-    } else if (remote_machines.insert(dst.machine).second &&
-               shard_of(machine_shard_key(dst.machine)) == shard) {
-      ++share;
-    }
-  }
-  // Destination-less headers drain through shard 0 and were stored with one
-  // reference (expected_fetches floors at 1).
-  if (header.dsts.empty() && shard == 0) return 1;
-  return share;
-}
-
-void Broker::publish_total_depth() {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.size();
-  inst_.queue_depth.set(static_cast<double>(total));
+  inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
+  return true;
 }
 
 std::uint32_t Broker::expected_fetches(const MessageHeader& header) const {
@@ -293,20 +170,17 @@ void Broker::set_remote_sink(std::uint16_t machine, RemoteSink sink) {
   remote_sinks_[machine] = std::move(sink);
 }
 
-void Broker::router_loop(RouterShard& shard, std::uint32_t shard_index) {
-  while (auto header = shard.queue.pop()) {
-    shard.depth->set(static_cast<double>(shard.queue.size()));
-    publish_total_depth();
-    route(std::move(*header), shard_index, shard);
+void Broker::router_loop() {
+  while (auto header = router_queue_.pop()) {
+    inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
+    route(std::move(*header));
   }
-  shard.depth->set(0.0);
-  publish_total_depth();
+  inst_.queue_depth.set(0.0);
 }
 
-void Broker::note_drop(DropReason reason, RouterShard* shard) {
+void Broker::note_drop(DropReason reason) {
   inst_.dropped.inc();
   drop_by_reason_[static_cast<std::size_t>(reason)]->inc();
-  if (shard != nullptr) shard->drops->inc();
   bool warn = false;
   std::uint64_t total = 0;
   std::uint64_t since = 0;
@@ -330,8 +204,7 @@ void Broker::note_drop(DropReason reason, RouterShard* shard) {
   }
 }
 
-void Broker::route(MessageHeader header, std::uint32_t shard_index,
-                   RouterShard& shard) {
+void Broker::route(MessageHeader header) {
   const Stopwatch route_clock;
   ProfScope prof("route");
   TraceScope route_span(trace_, "router.route", "comm", header.trace_id(),
@@ -339,23 +212,15 @@ void Broker::route(MessageHeader header, std::uint32_t shard_index,
 
   // Partition destinations: local endpoints get the header directly through
   // their ID queue; every distinct remote machine gets one forwarded copy of
-  // (header, body) through its sink. With several shards this shard only
-  // handles the destinations/machines that hash onto it — the other shards
-  // received their own copy of the header from submit().
-  const bool sharded = shards_.size() > 1;
+  // (header, body) through its sink.
   std::set<std::uint16_t> remote_machines;
   for (const NodeId& dst : header.dsts) {
-    if (dst.machine == machine_) continue;
-    if (sharded && shard_of(machine_shard_key(dst.machine)) != shard_index) {
-      continue;
-    }
-    remote_machines.insert(dst.machine);
+    if (dst.machine != machine_) remote_machines.insert(dst.machine);
   }
 
   const std::int64_t routed_ns = now_ns();
   for (const NodeId& dst : header.dsts) {
     if (dst.machine != machine_) continue;
-    if (sharded && shard_of(dst.packed()) != shard_index) continue;
     std::shared_ptr<IdQueue> queue;
     {
       std::scoped_lock lock(mu_);
@@ -364,9 +229,9 @@ void Broker::route(MessageHeader header, std::uint32_t shard_index,
     }
     if (!queue) {
       store_.release(header.object_id);
-      note_drop(DropReason::kUnknownDest, &shard);
+      note_drop(DropReason::kUnknownDest);
     } else {
-      push_inbox(*queue, header, routed_ns, &shard);
+      push_inbox(*queue, header, routed_ns);
     }
   }
 
@@ -380,10 +245,10 @@ void Broker::route(MessageHeader header, std::uint32_t shard_index,
     Payload body = store_.fetch(header.object_id);
     if (!sink || !body) {
       if (body == nullptr) {
-        note_drop(DropReason::kMissingBody, &shard);
+        note_drop(DropReason::kMissingBody);
       } else {
         store_.release(header.object_id);
-        note_drop(DropReason::kNoSink, &shard);
+        note_drop(DropReason::kNoSink);
       }
       continue;
     }
@@ -424,13 +289,13 @@ void Broker::deliver_remote(MessageHeader header, Payload body) {
       store_.release(header.object_id);
       note_drop(DropReason::kUnknownDest);
     } else {
-      push_inbox(*queue, header, routed_ns, nullptr);
+      push_inbox(*queue, header, routed_ns);
     }
   }
 }
 
 void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
-                        std::int64_t routed_ns, RouterShard* shard) {
+                        std::int64_t routed_ns) {
   switch (queue.push(header.tclass, RoutedHeader{header, routed_ns})) {
     case PushResult::kEnqueued:
       inst_.routed.inc();
@@ -441,7 +306,7 @@ void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
       break;
     case PushResult::kClosed:
       store_.release(header.object_id);
-      note_drop(DropReason::kClosedDest, shard);
+      note_drop(DropReason::kClosedDest);
       break;
   }
 }
@@ -449,11 +314,6 @@ void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
 void Broker::reject_corrupt_frame() {
   inst_.corrupted.inc();
   note_drop(DropReason::kCrcFail);
-}
-
-std::uint64_t Broker::shard_drops(std::uint32_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  return static_cast<std::uint64_t>(shards_[shard]->drops->value());
 }
 
 std::uint64_t Broker::dropped_messages() const {
@@ -477,16 +337,7 @@ std::uint64_t Broker::shed_messages() const {
 
 std::vector<std::pair<std::string, std::size_t>> Broker::queue_depths() const {
   std::vector<std::pair<std::string, std::size_t>> out;
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->queue.size();
-  out.emplace_back("router-m" + std::to_string(machine_), total);
-  if (shards_.size() > 1) {
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      out.emplace_back("router-m" + std::to_string(machine_) + "/s" +
-                           std::to_string(s),
-                       shards_[s]->queue.size());
-    }
-  }
+  out.emplace_back("router-m" + std::to_string(machine_), router_queue_.size());
   std::scoped_lock lock(mu_);
   out.reserve(out.size() + endpoints_.size());
   for (const auto& [id, queue] : endpoints_) {

@@ -59,8 +59,7 @@ enum class DropReason : std::uint8_t {
 
 /// The broker process (paper Section 3.2.1): owns the shared-memory
 /// communicator (header queues + object store) and runs the
-/// algorithm-agnostic router — one thread per shard (Options::router_shards,
-/// default one, the paper's layout).
+/// algorithm-agnostic router on one thread, `router-mN`.
 ///
 /// The router only parses headers — source, destinations, object id — and
 /// never inspects message bodies, so the same broker serves every DRL
@@ -70,13 +69,6 @@ class Broker {
   struct Options {
     CompressionConfig compression;
     bool deep_copy_store = false;  ///< ablation: copy bodies instead of sharing
-    /// Router shard count (`[comm] router_shards`). 1 = the classic single
-    /// router thread, bit-identical to the pre-sharding broker. With N > 1
-    /// the router is split into N threads, each owning the destinations (and
-    /// remote machines) whose id hashes onto it — so per-destination FIFO
-    /// order is preserved while unrelated destinations route in parallel.
-    /// Clamped to [1, 64].
-    std::uint32_t router_shards = 1;
     /// Modeled serialize+copy bandwidth into the shared-memory object store
     /// (0 = unpaced). The sender thread sleeps body_size / bandwidth per
     /// message, reproducing the per-byte cost the Python system pays when
@@ -90,7 +82,7 @@ class Broker {
     /// injects its per-run instances here.
     MetricsRegistry* metrics = nullptr;
     TraceCollector* trace = nullptr;
-    /// Overload policy for the router shard queues and every ID queue
+    /// Overload policy for the router queue and every ID queue
     /// (`[comm] overload_high_watermark` etc.). Default = unbounded, the
     /// historical behaviour.
     OverloadConfig overload;
@@ -153,7 +145,7 @@ class Broker {
   /// never delivers it.
   void reject_corrupt_frame();
 
-  /// Stop the router threads (idempotent). In-flight headers are drained.
+  /// Stop the router thread (idempotent). In-flight headers are drained.
   void stop();
 
   /// Messages that could not be delivered (any reason). Also surfaced as
@@ -169,34 +161,16 @@ class Broker {
   [[nodiscard]] std::uint64_t corrupted_frames() const;
 
   /// Experience messages shed by bounded queues on this machine (router
-  /// shards + ID queues). Also `xt_messages_shed_total{machine,class,reason}`.
+  /// queue + ID queues). Also `xt_messages_shed_total{machine,class,reason}`.
   /// Deliberately separate from dropped_messages(): a shed is the overload
   /// policy working as designed, a drop is a routing/integrity failure.
   [[nodiscard]] std::uint64_t shed_messages() const;
 
   /// Depth snapshot for the saturation sampler: the router's header queue
-  /// ("router-mN", total across shards, plus "router-mN/sK" per shard when
-  /// sharded) and every registered endpoint's ID queue ("inbox-<node>").
+  /// ("router-mN") and every registered endpoint's ID queue ("inbox-<node>").
   /// Thread-safe; a point-in-time read, not a fence.
   [[nodiscard]] std::vector<std::pair<std::string, std::size_t>> queue_depths()
       const;
-
-  /// Resolved shard count (>= 1).
-  [[nodiscard]] std::uint32_t router_shards() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-
-  /// Which router shard owns a destination (or, via machine_shard_key, a
-  /// remote machine). Deterministic for a given shard count, so the same
-  /// destination always routes through the same shard.
-  [[nodiscard]] std::uint32_t shard_of(std::uint64_t key) const;
-
-  /// Shard-hash key for forwarding to a remote machine.
-  [[nodiscard]] static std::uint64_t machine_shard_key(std::uint16_t machine);
-
-  /// Drops attributed to one router shard (local routing + forwarding only;
-  /// ingress drops from deliver_remote happen on pipe threads, not shards).
-  [[nodiscard]] std::uint64_t shard_drops(std::uint32_t shard) const;
 
  private:
   /// Telemetry handles resolved once at construction; hot-path updates are
@@ -212,34 +186,15 @@ class Broker {
     Counter& corrupted;         ///< CRC-failed cross-machine frames
   };
 
-  /// One router shard: its own header queue, thread, and telemetry handles.
-  struct RouterShard {
-    RouterShard(const OverloadConfig& cfg,
-                ClassedQueue<MessageHeader>::ShedFn on_shed)
-        : queue(cfg, std::move(on_shed)) {}
-    ClassedQueue<MessageHeader> queue;
-    Gauge* depth = nullptr;    ///< xt_router_shard_depth{machine,shard}
-    Counter* drops = nullptr;  ///< xt_router_shard_drops_total{machine,shard}
-    std::thread thread;
-  };
-
-  void router_loop(RouterShard& shard, std::uint32_t shard_index);
-  void route(MessageHeader header, std::uint32_t shard_index,
-             RouterShard& shard);
-  void publish_total_depth();
-  /// Store references shard `shard` will consume for `header` — the share of
-  /// expected_fetches() that submit() routed to it. Used by the shard shed
-  /// callback to release exactly the references the shed header owned.
-  [[nodiscard]] std::uint32_t shard_share(const MessageHeader& header,
-                                          std::uint32_t shard) const;
+  void router_loop();
+  void route(MessageHeader header);
   /// Push a routed header into an ID queue, translating the outcome into
   /// ref-accounting + drop/shed telemetry (shared by route/deliver_remote).
   void push_inbox(IdQueue& queue, const MessageHeader& header,
-                  std::int64_t routed_ns, RouterShard* shard);
-  /// Count a drop (total + per-reason, plus per-shard when attributable) and
-  /// emit a rate-limited warning (one line per warning interval, not one per
-  /// dropped message).
-  void note_drop(DropReason reason, RouterShard* shard = nullptr);
+                  std::int64_t routed_ns);
+  /// Count a drop (total + per-reason) and emit a rate-limited warning (one
+  /// line per warning interval, not one per dropped message).
+  void note_drop(DropReason reason);
 
   const std::uint16_t machine_;
   const Options options_;
@@ -252,7 +207,6 @@ class Broker {
   Counter* shed_inbox_ = nullptr;   ///< xt_messages_shed_total{...inbox_overflow}
   CodecInstruments codec_instruments_;
   ObjectStore store_;
-  std::vector<std::unique_ptr<RouterShard>> shards_;
 
   mutable std::mutex mu_;
   std::unordered_map<NodeId, std::shared_ptr<IdQueue>> endpoints_;
@@ -261,6 +215,10 @@ class Broker {
   std::int64_t last_drop_warn_ns_ = 0;
   std::uint64_t dropped_at_last_warn_ = 0;
   bool warned_once_ = false;
+
+  /// Headers submitted on this machine, waiting for the router thread.
+  ClassedQueue<MessageHeader> router_queue_;
+  std::thread router_;  ///< declared last: it uses every member above
 };
 
 }  // namespace xt

@@ -320,8 +320,6 @@ const std::vector<Key>& key_table() {
       {"profile", "profile_json",
        text(XT_FIELDS(c.deployment.profile.profile_json_path))},
 
-      {"comm", "router_shards",
-       integer(XT_FIELDS(c.deployment.broker.router_shards), 1, 64)},
       {"comm", "overload_high_watermark",
        integer(XT_FIELDS(c.deployment.overload.high_watermark), 0, 100'000'000)},
       {"comm", "overload_low_watermark",

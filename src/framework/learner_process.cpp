@@ -208,7 +208,6 @@ void LearnerProcess::trainer_loop() {
     }
     train_span.finish();
     const double trained_ms = train_clock.elapsed_ms();
-    train_ms_.add(trained_ms);
     train_hist_.observe(trained_ms);
 
     steps_consumed_.fetch_add(result.steps_consumed, std::memory_order_relaxed);

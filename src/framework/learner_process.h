@@ -70,7 +70,6 @@ class LearnerProcess {
 
   [[nodiscard]] const ThroughputSeries& throughput() const { return throughput_; }
   [[nodiscard]] const LatencyRecorder& wait_times_ms() const { return wait_ms_; }
-  [[nodiscard]] const LatencyRecorder& train_times_ms() const { return train_ms_; }
   [[nodiscard]] const LatencyRecorder& transmission_ms() const { return transmission_ms_; }
 
  private:
@@ -99,8 +98,10 @@ class LearnerProcess {
   /// version (PPO); resolved once from the algorithm.
   bool force_every_broadcast_ = false;
 
-  // Telemetry: histogram twins of the LatencyRecorders below (exported via
-  // Prometheus / the runtime stats line) plus "app"-category trace spans.
+  // Telemetry: the wait and train histograms (exported via Prometheus / the
+  // runtime stats line; RunReport reads its train time from train_hist_)
+  // plus "app"-category trace spans. Raw samples are kept only where a
+  // report needs them (the recorders below).
   TraceCollector* trace_;
   MetricsRegistry& metrics_;
   Histogram& wait_hist_;
@@ -118,9 +119,8 @@ class LearnerProcess {
   std::atomic<std::uint64_t> rollout_bytes_{0};
 
   ThroughputSeries throughput_{1.0};
-  LatencyRecorder wait_ms_;
-  LatencyRecorder train_ms_;
-  LatencyRecorder transmission_ms_;
+  LatencyRecorder wait_ms_;          ///< RunReport.wait_cdf (Fig. 8(c))
+  LatencyRecorder transmission_ms_;  ///< rollout latency quantiles (xt_bench)
   std::uint32_t last_broadcast_version_ = 0;
   int trains_since_broadcast_ = 0;
 

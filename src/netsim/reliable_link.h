@@ -89,7 +89,7 @@ class ReliableChannel {
   void set_ack_sender(AckSender sender);
 
   /// Transmit one message reliably. Called from the sending broker's router
-  /// shards: builds the CRC-stamped wire frame, stamps its seq, tracks it
+  /// thread: builds the CRC-stamped wire frame, stamps its seq, tracks it
   /// for retransmission, and enqueues it on the pipe (non-blocking).
   void send(const MessageHeader& header, Payload body);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 namespace xt {
@@ -246,124 +247,81 @@ TEST(BrokerEndpoint, DeepCopyAblationStillDelivers) {
   EXPECT_NE(ma->body.get(), mb->body.get());  // copies, not shared
 }
 
-
-TEST(BrokerSharding, SameDestinationOrderingPreservedAcrossShards) {
-  Broker::Options options;
-  options.router_shards = 4;
-  Broker broker(0, options);
-  EXPECT_EQ(broker.router_shards(), 4u);
-  Endpoint sender(explorer_id(0, 0), broker);
-  Endpoint receiver(learner_id(0), broker);
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
-                                          MsgType::kDummy, bytes_payload(8, 1),
-                                          /*tag=*/i)));
-  }
-  // One destination hashes onto exactly one shard, so its stream stays FIFO
-  // no matter how many shards exist.
-  for (std::uint32_t i = 0; i < 200; ++i) {
-    const auto msg = receiver.receive_for(std::chrono::seconds(5));
-    ASSERT_TRUE(msg.has_value());
-    EXPECT_EQ(msg->header.tag, i);
-  }
-}
-
-TEST(BrokerSharding, DeliveredSequencesAreShardCountInvariant) {
-  // The same mixed broadcast/point-to-point workload against 1, 2, and 8
-  // shards must hand every destination the identical tag sequence: sharding
-  // parallelizes unrelated destinations, never reorders one destination's
-  // stream or changes what is delivered.
+TEST(BrokerEndpoint, MixedBroadcastAndPointToPointArriveInSendOrder) {
+  // Every third message is a broadcast to all receivers, the rest go to
+  // one receiver each. Each receiver must see its tags in send order, the
+  // sequence recorded while sending.
   constexpr std::uint16_t kReceivers = 6;
   constexpr std::uint32_t kMessages = 120;
-  auto run = [&](std::uint32_t shards) {
-    Broker::Options options;
-    options.router_shards = shards;
-    Broker broker(0, options);
-    Endpoint sender(controller_id(0), broker);
-    std::vector<std::unique_ptr<Endpoint>> receivers;
-    std::vector<NodeId> all;
-    for (std::uint16_t i = 0; i < kReceivers; ++i) {
-      receivers.push_back(std::make_unique<Endpoint>(explorer_id(0, i), broker));
-      all.push_back(receivers.back()->id());
+  Broker broker(0);
+  Endpoint sender(controller_id(0), broker);
+  std::vector<std::unique_ptr<Endpoint>> receivers;
+  std::vector<NodeId> all;
+  for (std::uint16_t i = 0; i < kReceivers; ++i) {
+    receivers.push_back(std::make_unique<Endpoint>(explorer_id(0, i), broker));
+    all.push_back(receivers.back()->id());
+  }
+  std::vector<std::vector<std::uint32_t>> expected(kReceivers);
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    std::vector<NodeId> dsts;
+    if (i % 3 == 0) {
+      dsts = all;
+      for (auto& tags : expected) tags.push_back(i);
+    } else {
+      dsts = {all[i % kReceivers]};
+      expected[i % kReceivers].push_back(i);
     }
-    std::vector<std::size_t> expected(kReceivers, 0);
-    for (std::uint32_t i = 0; i < kMessages; ++i) {
-      std::vector<NodeId> dsts;
-      if (i % 3 == 0) {
-        dsts = all;
-        for (auto& n : expected) ++n;
-      } else {
-        dsts = {all[i % kReceivers]};
-        ++expected[i % kReceivers];
-      }
-      EXPECT_TRUE(sender.send(make_outbound(sender.id(), dsts,
-                                            MsgType::kCommand,
-                                            bytes_payload(4, 2), /*tag=*/i)));
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), dsts, MsgType::kCommand,
+                                          bytes_payload(4, 2), /*tag=*/i)));
+  }
+  for (std::uint16_t r = 0; r < kReceivers; ++r) {
+    std::vector<std::uint32_t> got;
+    while (got.size() < expected[r].size()) {
+      const auto msg = receivers[r]->receive_for(std::chrono::seconds(5));
+      if (!msg.has_value()) break;
+      got.push_back(msg->header.tag);
     }
-    std::vector<std::vector<std::uint32_t>> got(kReceivers);
-    for (std::uint16_t r = 0; r < kReceivers; ++r) {
-      for (std::size_t k = 0; k < expected[r]; ++k) {
-        const auto msg = receivers[r]->receive_for(std::chrono::seconds(5));
-        if (!msg.has_value()) break;
-        got[r].push_back(msg->header.tag);
-      }
-    }
-    return got;
-  };
-  const auto one = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, eight);
+    EXPECT_EQ(got, expected[r]) << "receiver " << r;
+  }
 }
 
-TEST(BrokerSharding, DropCountersAttributePerShard) {
-  // A registry of its own: with the process-wide default, drops that an
-  // earlier test's broker counted on machine 0 would add to these.
-  MetricsRegistry metrics;
-  Broker::Options options;
-  options.router_shards = 4;
-  options.metrics = &metrics;
-  Broker broker(0, options);
-  Endpoint sender(explorer_id(0, 0), broker);
-  constexpr std::uint64_t kUnrouted = 12;
-  for (std::uint16_t i = 0; i < kUnrouted; ++i) {
-    // Distinct never-registered destinations, spread across the shards.
-    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {learner_id(0, i)},
-                                          MsgType::kDummy, bytes_payload(4, 3))));
+TEST(BrokerEndpoint, QueueDepthSnapshotListsTheRouterAndEveryInbox) {
+  // The runtime's saturation sampler exports each entry as
+  // xt_queue_depth{queue=...}, and its congestion probe compares them with
+  // the overload watermark: one router queue, one inbox per endpoint.
+  Broker broker(0);
+  Endpoint learner(learner_id(0), broker);
+  Endpoint explorer(explorer_id(0, 0), broker);
+  // An inbox nobody drains keeps what the router delivers into it.
+  const auto parked = broker.register_endpoint(explorer_id(0, 1));
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    MessageHeader header;
+    header.msg_id = next_message_id();
+    header.src = learner.id();
+    header.dsts = {explorer_id(0, 1)};
+    header.object_id = broker.store().put(bytes_payload(4, 1), 1);
+    ASSERT_TRUE(broker.submit(header));
   }
-  for (int i = 0; i < 2500 && broker.dropped_messages() < kUnrouted; ++i) {
+  for (int i = 0; i < 2500 && parked->size() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(broker.dropped_messages(DropReason::kUnknownDest), kUnrouted);
-  std::uint64_t by_shard = 0;
-  for (std::uint32_t s = 0; s < broker.router_shards(); ++s) {
-    by_shard += broker.shard_drops(s);
+  std::map<std::string, std::size_t> depths;
+  std::size_t entries = 0;
+  for (const auto& [queue, depth] : broker.queue_depths()) {
+    depths[queue] = depth;
+    ++entries;
   }
-  EXPECT_EQ(by_shard, kUnrouted);
-}
-
-TEST(BrokerSharding, QueueDepthSnapshotListsPerShardQueues) {
-  Broker::Options options;
-  options.router_shards = 2;
-  Broker broker(0, options);
-  const auto depths = broker.queue_depths();
-  auto has = [&](const std::string& name) {
-    for (const auto& [queue, depth] : depths) {
-      if (queue == name) return true;
-    }
-    return false;
+  EXPECT_EQ(entries, depths.size()) << "a queue is listed twice";
+  const std::map<std::string, std::size_t> expected = {
+      {"router-m0", 0},
+      {"inbox-learner-m0-0", 0},
+      {"inbox-explorer-m0-0", 0},
+      {"inbox-explorer-m0-1", 3},
   };
-  EXPECT_TRUE(has("router-m0"));
-  EXPECT_TRUE(has("router-m0/s0"));
-  EXPECT_TRUE(has("router-m0/s1"));
-}
-
-TEST(BrokerSharding, ShardCountIsClamped) {
-  Broker::Options options;
-  options.router_shards = 1000;
-  Broker broker(0, options);
-  EXPECT_EQ(broker.router_shards(), 64u);
+  EXPECT_EQ(depths, expected);
+  while (auto routed = parked->try_pop()) {
+    broker.store().release(routed->header.object_id);
+  }
 }
 
 }  // namespace

@@ -284,19 +284,11 @@ TEST(ConfigFile, LoadFromDiskAndMissingFile) {
 
 TEST(ConfigFile, CommSection) {
   std::string error;
-  const auto config = parse_launch_config("[comm]\nrouter_shards = 4\n", &error);
-  ASSERT_TRUE(config.has_value()) << error;
-  EXPECT_EQ(config->deployment.broker.router_shards, 4u);
   // A removed key is an unknown key, not one that is silently ignored.
   EXPECT_FALSE(parse_launch_config("[comm]\ncoalescing = on\n", &error));
   EXPECT_NE(error.find("unknown [comm] key"), std::string::npos) << error;
-}
-
-TEST(ConfigFile, CommSectionDefaultsOffAndSingleShard) {
-  std::string error;
-  const auto config = parse_launch_config("", &error);
-  ASSERT_TRUE(config.has_value()) << error;
-  EXPECT_EQ(config->deployment.broker.router_shards, 1u);
+  EXPECT_FALSE(parse_launch_config("[comm]\nrouter_shards = 4\n", &error));
+  EXPECT_NE(error.find("unknown [comm] key"), std::string::npos) << error;
 }
 
 TEST(ConfigFile, CommOverloadSection) {
@@ -475,11 +467,6 @@ TEST(ConfigFile, CodecSectionRejectsOutOfRangeValues) {
 
 TEST(ConfigFile, CommSectionRejectsBadValues) {
   std::string error;
-  EXPECT_FALSE(
-      parse_launch_config("[comm]\nrouter_shards = 0\n", &error).has_value());
-  EXPECT_NE(error.find("router_shards"), std::string::npos);
-  EXPECT_FALSE(
-      parse_launch_config("[comm]\nrouter_shards = 65\n", &error).has_value());
   EXPECT_FALSE(
       parse_launch_config("[comm]\nbogus = 1\n", &error).has_value());
   EXPECT_NE(error.find("[comm]"), std::string::npos);

@@ -6,16 +6,23 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/endpoint.h"
 #include "common/clock.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serial/wire_format.h"
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
 
 namespace xt {
 namespace {
@@ -409,6 +416,109 @@ TEST(WireFrame, ChainedCrcCoversControlAndEveryBody) {
   EXPECT_NE(body_hit.body.get(), frame.body.get());
   EXPECT_EQ(frame.body.get(), body.get());
   EXPECT_TRUE(decode_wire_frame(frame).has_value());
+}
+
+// --- decode_wire_frame fuzz target (tests/fuzz/wire_frame_fuzz.cpp) -------
+// Its input is a 2-byte little-endian control size, the control segment and
+// then the body; it aborts on a broken invariant, so a crash here is a
+// failure.
+
+struct FrameInput {
+  std::string name;
+  Bytes control;
+  Bytes body;
+};
+
+Bytes fuzz_input(const Bytes& control, const Bytes& body) {
+  Bytes out = {static_cast<std::uint8_t>(control.size()),
+               static_cast<std::uint8_t>(control.size() >> 8)};
+  out.insert(out.end(), control.begin(), control.end());
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+void run_fuzz_target(const Bytes& input) {
+  (void)LLVMFuzzerTestOneInput(input.data(), input.size());
+}
+
+std::vector<FrameInput> wire_frame_corpus() {
+  std::vector<FrameInput> entries;
+  const std::filesystem::path dir =
+      std::filesystem::path(XT_SOURCE_DIR) / "tests/fuzz/corpus/wire_frame";
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    const Bytes bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    if (bytes.size() < 2) continue;
+    const std::size_t control_size =
+        std::min<std::size_t>(bytes[0] | bytes[1] << 8, bytes.size() - 2);
+    const auto body_begin =
+        bytes.begin() + 2 + static_cast<std::ptrdiff_t>(control_size);
+    entries.push_back({file.path().filename().string(),
+                       Bytes(bytes.begin() + 2, body_begin),
+                       Bytes(body_begin, bytes.end())});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const FrameInput& a, const FrameInput& b) { return a.name < b.name; });
+  return entries;
+}
+
+TEST(WireFrameFuzz, CorpusReplays) {
+  const std::vector<FrameInput> corpus = wire_frame_corpus();
+  ASSERT_GE(corpus.size(), 12u);
+  for (const FrameInput& entry : corpus) {
+    SCOPED_TRACE(entry.name);
+    run_fuzz_target(fuzz_input(entry.control, entry.body));
+    // ok_* entries are frames encode_wire_frame built; bad_* entries each
+    // break one rule of the control segment or its agreement with the body.
+    WireFrame frame;
+    frame.control = entry.control;
+    frame.body = make_payload(entry.body);
+    EXPECT_EQ(decode_wire_frame(frame).has_value(), entry.name.rfind("ok_", 0) == 0);
+  }
+}
+
+TEST(WireFrameFuzz, SeededMutationsOfCorpus) {
+  // Truncations of the control segment and of the body, bit flips anywhere
+  // in the input (its size prefix included), and every control byte forced
+  // to 0x00 and 0xFF, over every well-formed corpus frame.
+  Rng rng(53);
+  std::size_t cases = 0;
+  const auto check = [&](const Bytes& input) {
+    run_fuzz_target(input);
+    ++cases;
+  };
+  const auto prefix = [](const Bytes& bytes, std::size_t len) {
+    return Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+  };
+  for (const FrameInput& seed : wire_frame_corpus()) {
+    if (seed.name.rfind("ok_", 0) != 0) continue;
+    SCOPED_TRACE(seed.name);
+    const Bytes& control = seed.control;
+    for (std::size_t len = 0; len < control.size(); ++len) {
+      check(fuzz_input(prefix(control, len), seed.body));
+    }
+    for (std::size_t len = 0; len < seed.body.size(); len += 1 + len / 8) {
+      check(fuzz_input(control, prefix(seed.body, len)));
+    }
+    const Bytes input = fuzz_input(control, seed.body);
+    for (int i = 0; i < 400; ++i) {
+      Bytes mangled = input;
+      for (int flips = 1 + static_cast<int>(rng.uniform_index(3)); flips > 0; --flips) {
+        mangled[rng.uniform_index(mangled.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      }
+      check(mangled);
+    }
+    for (std::size_t at = 0; at < control.size(); ++at) {
+      for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+        Bytes forced = control;
+        forced[at] = value;
+        check(fuzz_input(forced, seed.body));
+      }
+    }
+  }
+  EXPECT_GT(cases, 2'000u);
 }
 
 TEST(Fabric, ControlMessagesDeliverInOrder) {
