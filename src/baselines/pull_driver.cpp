@@ -10,6 +10,7 @@
 #include "common/thread_util.h"
 #include "envs/registry.h"
 #include "obs/exporters.h"
+#include "obs/metrics.h"
 
 namespace xt::baselines {
 namespace {
@@ -23,27 +24,19 @@ struct DriverState {
         pull_bytes(registry.counter("xt_pull_bytes_total")) {}
 
   ThroughputSeries throughput{1.0};
-  LatencyRecorder wait_ms;       ///< time blocked pulling rollouts per session
-  LatencyRecorder train_ms;
-  LatencyRecorder transmission_ms;  ///< per-message pull duration
-  Histogram& wait_hist;             ///< exporter twins of the recorders
+  LatencyRecorder wait_ms;  ///< RunReport.wait_cdf (Fig. 8(c))
+  Histogram& wait_hist;     ///< time blocked pulling rollouts per session
   Histogram& train_hist;
-  Histogram& transmission_hist;
-  Counter& pulls;
-  Counter& pull_bytes;
+  Histogram& transmission_hist;  ///< per-message pull duration
+  Counter& pulls;                ///< RunReport.rollout_messages
+  Counter& pull_bytes;           ///< RunReport.rollout_bytes
   std::uint64_t steps_consumed = 0;
   int sessions = 0;
-  std::uint64_t rollout_messages = 0;
-  std::uint64_t rollout_bytes = 0;
   std::uint64_t weight_broadcasts = 0;
 
   void add_wait(double ms) {
     wait_ms.add(ms);
     wait_hist.observe(ms);
-  }
-  void add_transmission(double ms) {
-    transmission_ms.add(ms);
-    transmission_hist.observe(ms);
   }
 };
 
@@ -68,8 +61,6 @@ bool goal_reached(const PullDeployment& deployment, const DriverState& state,
 }
 
 void consume(DriverState& state, Algorithm& algorithm, const Bytes& data) {
-  ++state.rollout_messages;
-  state.rollout_bytes += data.size();
   state.pulls.inc();
   state.pull_bytes.inc(data.size());
   auto batch = RolloutBatch::deserialize(data);
@@ -80,9 +71,7 @@ void train_once(DriverState& state, Algorithm& algorithm, const Stopwatch& clock
                 Algorithm::TrainResult& result) {
   Stopwatch train_clock;
   result = algorithm.train();
-  const double trained_ms = train_clock.elapsed_ms();
-  state.train_ms.add(trained_ms);
-  state.train_hist.observe(trained_ms);
+  state.train_hist.observe(train_clock.elapsed_ms());
   state.steps_consumed += result.steps_consumed;
   ++state.sessions;
   state.throughput.add(clock.elapsed_s(),
@@ -125,9 +114,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
     algorithm = make_algorithm(setup, obs_dim, n_actions);
   }
 
-  MetricsRegistry& registry = deployment.metrics != nullptr
-                                  ? *deployment.metrics
-                                  : MetricsRegistry::global();
+  MetricsRegistry registry;
   DriverState state(registry);
   const Stopwatch clock;
 
@@ -144,7 +131,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
       for (std::size_t i = 0; i < workers.size(); ++i) {
         Stopwatch pull_clock;
         const Bytes data = workers[i]->sample_get(tickets[i]);
-        state.add_transmission(pull_clock.elapsed_ms());
+        state.transmission_hist.observe(pull_clock.elapsed_ms());
         consume(state, *algorithm, data);
       }
       state.add_wait(wait_clock.elapsed_ms());
@@ -186,7 +173,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
 
       Stopwatch pull_clock;
       const Bytes data = workers[chosen]->sample_get(tickets[chosen]);
-      state.add_transmission(pull_clock.elapsed_ms());
+      state.transmission_hist.observe(pull_clock.elapsed_ms());
       state.add_wait(wait_clock.elapsed_ms());
       consume(state, *algorithm, data);
 
@@ -208,7 +195,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
       Stopwatch wait_clock;
       Stopwatch pull_clock;
       const Bytes data = worker.sample_get(ticket);
-      state.add_transmission(pull_clock.elapsed_ms());
+      state.transmission_hist.observe(pull_clock.elapsed_ms());
       consume(state, *algorithm, data);  // forwards into the replay actor
       state.add_wait(wait_clock.elapsed_ms());
       if (!algorithm->ready_to_train()) continue;
@@ -240,15 +227,15 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
   report.avg_throughput =
       wall > 0 ? static_cast<double>(state.steps_consumed) / wall : 0.0;
   report.throughput_series = state.throughput.series();
-  report.mean_transmission_ms = state.transmission_ms.mean();
-  report.mean_wait_ms = state.wait_ms.mean();
-  report.mean_train_ms = state.train_ms.mean();
+  report.mean_transmission_ms = state.transmission_hist.mean();
+  report.mean_wait_ms = state.wait_hist.mean();
+  report.mean_train_ms = state.train_hist.mean();
   if (const LatencyRecorder* sample = algorithm->replay_sample_latency()) {
     report.mean_replay_sample_ms = sample->mean();
   }
   report.wait_cdf = state.wait_ms.cdf(101);
-  report.rollout_messages = state.rollout_messages;
-  report.rollout_bytes = state.rollout_bytes;
+  report.rollout_messages = state.pulls.value();
+  report.rollout_bytes = state.pull_bytes.value();
   report.weight_broadcasts = state.weight_broadcasts;
   report.prometheus = prometheus_text(registry);
   return report;

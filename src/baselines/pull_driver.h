@@ -6,7 +6,6 @@
 #include "algo/factory.h"
 #include "baselines/rpc.h"
 #include "framework/deployment.h"
-#include "obs/metrics.h"
 
 namespace xt::baselines {
 
@@ -20,11 +19,6 @@ struct PullDeployment {
   double max_seconds = 0.0;
   double target_return = 0.0;
   int target_return_window = 20;
-
-  /// Registry for the baseline's `xt_pull_*` metrics (null = process global).
-  /// run_pullhub also dumps it into RunReport::prometheus, so XingTian and
-  /// pull-based runs are compared from the same exporter.
-  MetricsRegistry* metrics = nullptr;
 };
 
 /// Run a full DRL algorithm on the pull-based baseline framework (the
@@ -39,7 +33,9 @@ struct PullDeployment {
 ///
 /// Reuses the identical Agent/Algorithm/Environment implementations as the
 /// XingTian runtime, so measured differences isolate the communication
-/// model.
+/// model. Each run records its `xt_pull_*` metrics in a registry of its own
+/// and dumps it into RunReport::prometheus, so XingTian and pull-based runs
+/// are compared from the same exporter.
 [[nodiscard]] RunReport run_pullhub(const AlgoSetup& setup,
                                     const PullDeployment& deployment);
 

@@ -7,7 +7,6 @@
 #include "common/blocking_queue.h"
 #include "common/clock.h"
 #include "common/thread_util.h"
-#include "obs/metrics.h"
 
 namespace xt::baselines {
 namespace {
@@ -96,13 +95,6 @@ DummyResult run_dummy_transmission_pullhub(const DummyConfig& config,
     }
   }
 
-  // Pull-side telemetry mirrors the instrumented main framework so the
-  // Table 1 contrast can be read off one Prometheus dump.
-  MetricsRegistry& registry = MetricsRegistry::global();
-  Histogram& pull_hist = registry.histogram("xt_pull_dummy_pull_ms");
-  Counter& pull_messages = registry.counter("xt_pull_dummy_messages_total");
-  Counter& pull_bytes = registry.counter("xt_pull_dummy_bytes_total");
-
   DummyResult result;
   const Stopwatch clock;
   for (int round = 0; round < config.messages_per_explorer; ++round) {
@@ -112,11 +104,7 @@ DummyResult run_dummy_transmission_pullhub(const DummyConfig& config,
     for (auto& worker : workers) slots.push_back(worker->produce_async());
     // ...then ask for the data, one synchronous pull after another.
     for (std::size_t i = 0; i < workers.size(); ++i) {
-      Stopwatch pull_clock;
       const Bytes data = workers[i]->get(slots[i], transport);
-      pull_hist.observe(pull_clock.elapsed_ms());
-      pull_messages.inc();
-      pull_bytes.inc(data.size());
       ++result.messages_received;
       result.bytes_received += data.size();
     }

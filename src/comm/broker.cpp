@@ -51,10 +51,11 @@ Broker::Broker(std::uint16_t machine) : Broker(machine, Options{}) {}
 Broker::Broker(std::uint16_t machine, Options options)
     : machine_(machine),
       options_(std::move(options)),
-      metrics_(options_.metrics != nullptr ? *options_.metrics
-                                           : MetricsRegistry::global()),
-      trace_(options_.trace != nullptr ? options_.trace
-                                       : &TraceCollector::global()),
+      owned_metrics_(options_.metrics != nullptr
+                         ? nullptr
+                         : std::make_unique<MetricsRegistry>()),
+      metrics_(options_.metrics != nullptr ? *options_.metrics : *owned_metrics_),
+      trace_(options_.trace),
       inst_{metrics_.counter(machine_label("xt_broker_routed_total", machine)),
             metrics_.counter(machine_label("xt_broker_forwarded_total", machine)),
             metrics_.counter(machine_label("xt_broker_rehosted_total", machine)),

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/blocking_queue.h"
 #include "compress/codec.h"
 #include "comm/message.h"
 #include "comm/object_store.h"
@@ -77,9 +76,9 @@ class Broker {
     /// to the paper's measured effective rate (~65 MB/s: 13.8 MB IMPALA
     /// rollouts took 212 ms end to end in XingTian, Fig. 8(b)).
     double ipc_bandwidth_bytes_per_sec = 0.0;
-    /// Telemetry sinks. Null means the process-wide defaults
-    /// (MetricsRegistry::global() / TraceCollector::global()); the runtime
-    /// injects its per-run instances here.
+    /// Telemetry sinks; the runtime injects its per-run instances here. A
+    /// broker without a registry records into one it owns, and a broker
+    /// without a collector records no spans.
     MetricsRegistry* metrics = nullptr;
     TraceCollector* trace = nullptr;
     /// Overload policy for the router queue and every ID queue
@@ -99,7 +98,8 @@ class Broker {
   [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] ObjectStore& store() { return store_; }
 
-  /// Telemetry sinks resolved from Options (never null).
+  /// Telemetry sinks resolved from Options; trace() is null when no
+  /// collector was injected.
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] TraceCollector* trace() { return trace_; }
   /// Shared codec hooks for every endpoint on this machine.
@@ -198,6 +198,8 @@ class Broker {
 
   const std::uint16_t machine_;
   const Options options_;
+  /// Set only when Options::metrics is null.
+  std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry& metrics_;
   TraceCollector* trace_;
   Instruments inst_;

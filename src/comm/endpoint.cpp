@@ -18,7 +18,7 @@ std::string shed_label(std::uint16_t machine, const char* reason) {
          reason + "\"}";
 }
 
-/// Endpoint buffers follow the broker's `[comm]` overload policy when one is
+/// The send buffer follows the broker's `[comm]` overload policy when one is
 /// configured; otherwise a legacy capacity becomes a degenerate config whose
 /// high and low watermarks coincide, reproducing the historical
 /// block-until-a-slot-frees semantics exactly (capacity 0 stays unbounded).
@@ -33,8 +33,7 @@ OverloadConfig buffer_config(const OverloadConfig& overload,
 
 }  // namespace
 
-Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity,
-                   std::size_t recv_capacity)
+Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
     : id_(id),
       broker_(broker),
       inst_{broker.metrics().counter(
@@ -56,12 +55,11 @@ Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity,
             broker.metrics().histogram(
                 machine_label("xt_transmission_ms", id.machine))},
       id_queue_(broker.register_endpoint(id)),
-      overload_bounded_(broker.options().overload.bounded()),
       send_buffer_(buffer_config(broker.options().overload, send_capacity),
                    [this](TrafficClass /*cls*/, Outbound&& /*message*/) {
                      shed_send_->inc();
                    }),
-      recv_buffer_(buffer_config(broker.options().overload, recv_capacity),
+      recv_buffer_(broker.options().overload,
                    [this](TrafficClass /*cls*/, Message&& /*message*/) {
                      shed_recv_->inc();
                    }) {
@@ -227,16 +225,10 @@ void Endpoint::receiver_loop() {
     if (latency_recorder_ != nullptr) {
       latency_recorder_->add(ns_to_ms(now_ns() - header.created_ns));
     }
+    // Never stall the receiver thread: a bounded buffer sheds experience
+    // (counted as recvbuf_overflow) so control keeps flowing.
     const TrafficClass cls = header.tclass;
-    Message message{std::move(header), std::move(*body)};
-    if (overload_bounded_) {
-      // Overload mode: never stall the receiver thread — shed experience
-      // (counted as recvbuf_overflow) so control keeps flowing.
-      recv_buffer_.push(cls, std::move(message));
-    } else {
-      // Legacy mode: a bounded recv buffer blocks until the consumer drains.
-      recv_buffer_.push_gated(cls, std::move(message));
-    }
+    recv_buffer_.push(cls, Message{std::move(header), std::move(*body)});
   }
 }
 

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "common/blocking_queue.h"
 #include "common/stats.h"
 #include "comm/broker.h"
 #include "comm/message.h"
@@ -39,10 +38,11 @@ class Endpoint {
   /// send() blocks the workhorse until the sender thread drains a slot.
   /// This is the natural backpressure of a fixed-size shared-memory object
   /// store (Arrow plasma in the Python system) and keeps memory bounded
-  /// when explorers outproduce the channel. `recv_capacity` likewise bounds
-  /// the receive buffer (the receiver thread stalls when the consumer lags).
-  Endpoint(NodeId id, Broker& broker, std::size_t send_capacity = 0,
-           std::size_t recv_capacity = 0);
+  /// when explorers outproduce the channel. A bounded `[comm]` overload
+  /// config on the broker overrides it. The receive buffer follows that
+  /// overload config: it sheds experience instead of stalling the receiver
+  /// thread, and is unbounded by default.
+  Endpoint(NodeId id, Broker& broker, std::size_t send_capacity = 0);
   ~Endpoint();
 
   Endpoint(const Endpoint&) = delete;
@@ -109,10 +109,6 @@ class Endpoint {
   Counter* shed_recv_ = nullptr;  ///< xt_messages_shed_total{...recvbuf_overflow}
   std::shared_ptr<IdQueue> id_queue_;
 
-  /// True when the broker's `[comm]` overload config bounds the comm core;
-  /// the receive buffer then sheds experience instead of stalling the
-  /// receiver thread (legacy capacities keep their blocking semantics).
-  const bool overload_bounded_;
   ClassedQueue<Outbound> send_buffer_;
   ClassedQueue<Message> recv_buffer_;
 

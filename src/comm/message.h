@@ -92,14 +92,6 @@ struct MessageHeader {
   /// from the message type and carried in its wire frame's control segment.
   TrafficClass tclass = TrafficClass::kExperience;
 
-  /// Weight-frame metadata (DESIGN.md §11), meaningful only for kWeights.
-  /// `codec_id` is the WeightCodec the body was encoded with and `base_tag`
-  /// the version a delta/top-k frame builds on (0 = standalone keyframe).
-  /// Carried in the header so endpoints can triage a frame — stale? base
-  /// missing? — without fetching or parsing the body.
-  std::uint8_t codec_id = 0;
-  std::uint32_t base_tag = 0;
-
   /// Per-link sequence number assigned by the reliable channel (0 = none).
   /// Wire integrity is checked per frame, not per message (WireFrame::crc).
   std::uint64_t link_seq = 0;

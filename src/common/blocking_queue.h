@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -10,78 +9,42 @@
 
 namespace xt {
 
-/// Multi-producer multi-consumer blocking queue, the C++ analogue of the
-/// `queue.Queue` / `multiprocessing.Queue` channels XingTian is built on
-/// (paper Section 4.1). A blocking `pop` wakes the instant an element is
-/// pushed, which is what lets the sender/receiver/router threads move
-/// messages through the channel in an event-driven manner.
+/// Unbounded multi-producer multi-consumer blocking queue, the C++ analogue
+/// of the `queue.Queue` / `multiprocessing.Queue` channels XingTian is built
+/// on (paper Section 4.1). A blocking `pop` wakes the instant an element is
+/// pushed, which is what lets worker threads move requests through the
+/// channel in an event-driven manner.
 ///
 /// `close()` releases all blocked consumers; a closed queue still drains
-/// already-enqueued elements, then `pop` returns nullopt. This is the only
-/// shutdown mechanism in the codebase: threads exit when their input queue
-/// is closed and drained, never by being killed.
+/// already-enqueued elements, then `pop` returns nullopt. Threads fed by a
+/// queue exit when it is closed and drained, never by being killed.
 template <typename T>
 class BlockingQueue {
  public:
-  /// capacity == 0 means unbounded.
-  explicit BlockingQueue(std::size_t capacity = 0) : capacity_(capacity) {}
+  BlockingQueue() = default;
 
   BlockingQueue(const BlockingQueue&) = delete;
   BlockingQueue& operator=(const BlockingQueue&) = delete;
 
-  /// Blocks while the queue is full (bounded queues only).
   /// Returns false if the queue is closed (element is dropped).
   bool push(T value) {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock, [&] { return closed_ || !full_locked(); });
-    if (closed_) return false;
-    return push_and_notify_locked(lock, std::move(value));
-  }
-
-  /// Blocks up to `timeout` while full; false on timeout or closed. A push
-  /// against a stalled consumer fails deterministically instead of hanging
-  /// the producer forever — the primitive the overload credit gate builds on.
-  template <typename Rep, typename Period>
-  bool push_for(T value, std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mu_);
-    if (!not_full_.wait_for(lock, timeout,
-                            [&] { return closed_ || !full_locked(); })) {
-      return false;
+    {
+      std::scoped_lock lock(mu_);
+      if (closed_) return false;
+      items_.push_back(std::move(value));
     }
-    if (closed_) return false;
-    return push_and_notify_locked(lock, std::move(value));
-  }
-
-  /// Non-blocking push; returns false if full or closed.
-  bool try_push(T value) {
-    std::unique_lock lock(mu_);
-    if (closed_ || full_locked()) return false;
-    return push_and_notify_locked(lock, std::move(value));
+    not_empty_.notify_one();
+    return true;
   }
 
   /// Blocks until an element is available or the queue is closed and drained.
   std::optional<T> pop() {
     std::unique_lock lock(mu_);
     not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    return pop_locked(lock);
-  }
-
-  /// Blocks up to `timeout`; nullopt on timeout or closed-and-drained.
-  template <typename Rep, typename Period>
-  std::optional<T> pop_for(std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock lock(mu_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [&] { return closed_ || !items_.empty(); })) {
-      return std::nullopt;
-    }
-    return pop_locked(lock);
-  }
-
-  /// Non-blocking pop.
-  std::optional<T> try_pop() {
-    std::unique_lock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    return pop_locked(lock);
+    if (items_.empty()) return std::nullopt;  // closed and drained
+    T value = std::move(items_.front());
+    items_.pop_front();
+    return value;
   }
 
   /// Close the queue: producers fail fast, consumers drain then see nullopt.
@@ -91,12 +54,6 @@ class BlockingQueue {
       closed_ = true;
     }
     not_empty_.notify_all();
-    not_full_.notify_all();
-  }
-
-  [[nodiscard]] bool closed() const {
-    std::scoped_lock lock(mu_);
-    return closed_;
   }
 
   [[nodiscard]] std::size_t size() const {
@@ -104,37 +61,10 @@ class BlockingQueue {
     return items_.size();
   }
 
-  [[nodiscard]] bool empty() const { return size() == 0; }
-
  private:
-  [[nodiscard]] bool full_locked() const {
-    return capacity_ != 0 && items_.size() >= capacity_;
-  }
-
-  /// All push paths funnel through here so every successful enqueue wakes a
-  /// consumer outside the lock; an inconsistent notify on one path would be
-  /// a lost-wakeup bug that only shows up under contention.
-  bool push_and_notify_locked(std::unique_lock<std::mutex>& lock, T value) {
-    items_.push_back(std::move(value));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  std::optional<T> pop_locked(std::unique_lock<std::mutex>& lock) {
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T value = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return value;
-  }
-
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> items_;
-  const std::size_t capacity_;
   bool closed_ = false;
 };
 

@@ -1,32 +1,9 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace xt {
-
-void RunningStat::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  if (n_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
-double RunningStat::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void RunningStat::reset() { *this = RunningStat{}; }
 
 namespace {
 std::uint64_t splitmix64(std::uint64_t& state) {
@@ -40,7 +17,8 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 LatencyRecorder::LatencyRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity), rng_state_(0x5EEDC0DEull) {}
 
-void LatencyRecorder::add_locked(double value) {
+void LatencyRecorder::add(double value) {
+  std::scoped_lock lock(mu_);
   ++n_;
   sum_ += value;
   if (samples_.size() < capacity_) {
@@ -55,16 +33,6 @@ void LatencyRecorder::add_locked(double value) {
     samples_[j] = value;
     sorted_ = false;
   }
-}
-
-void LatencyRecorder::add(double value) {
-  std::scoped_lock lock(mu_);
-  add_locked(value);
-}
-
-void LatencyRecorder::add_batch(const std::vector<double>& values) {
-  std::scoped_lock lock(mu_);
-  for (double value : values) add_locked(value);
 }
 
 std::size_t LatencyRecorder::count() const {
@@ -102,15 +70,6 @@ double LatencyRecorder::quantile(double q) const {
   return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
-double LatencyRecorder::fraction_below(double threshold) const {
-  std::scoped_lock lock(mu_);
-  if (samples_.empty()) return 0.0;
-  ensure_sorted_locked();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), threshold);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
 std::vector<std::pair<double, double>> LatencyRecorder::cdf(std::size_t points) const {
   std::vector<std::pair<double, double>> out;
   if (points == 0) return out;
@@ -136,7 +95,6 @@ void ThroughputSeries::add(double t_seconds, double amount) {
   if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0.0);
   buckets_[idx] += amount;
   total_ += amount;
-  last_t_ = std::max(last_t_, t_seconds);
 }
 
 std::vector<ThroughputSeries::Point> ThroughputSeries::series() const {
@@ -152,12 +110,6 @@ std::vector<ThroughputSeries::Point> ThroughputSeries::series() const {
 double ThroughputSeries::total() const {
   std::scoped_lock lock(mu_);
   return total_;
-}
-
-double ThroughputSeries::average_rate() const {
-  std::scoped_lock lock(mu_);
-  if (last_t_ <= 0.0) return 0.0;
-  return total_ / last_t_;
 }
 
 std::string format_bytes(double bytes) {

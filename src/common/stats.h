@@ -8,30 +8,6 @@
 
 namespace xt {
 
-/// Streaming mean/variance/min/max accumulator (Welford).
-class RunningStat {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  void reset();
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 /// Sample reservoir that can report quantiles and a CDF table. Used for the
 /// wait-time CDF of paper Fig. 8(c).
 ///
@@ -47,7 +23,6 @@ class LatencyRecorder {
   explicit LatencyRecorder(std::size_t capacity = kDefaultCapacity);
 
   void add(double value);
-  void add_batch(const std::vector<double>& values);
 
   /// Total observations (exact, not capped by the reservoir).
   [[nodiscard]] std::size_t count() const;
@@ -55,18 +30,13 @@ class LatencyRecorder {
   [[nodiscard]] double mean() const;
   /// Samples currently held (== count() until the capacity is reached).
   [[nodiscard]] std::size_t reservoir_size() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// q in [0,1]; returns 0 when empty. Exact below capacity, a uniform
   /// reservoir estimate above.
   [[nodiscard]] double quantile(double q) const;
-  /// Fraction of samples <= threshold.
-  [[nodiscard]] double fraction_below(double threshold) const;
   /// (value, cumulative fraction) pairs at `points` evenly spaced quantiles.
   [[nodiscard]] std::vector<std::pair<double, double>> cdf(std::size_t points) const;
 
  private:
-  void add_locked(double value);
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
   mutable std::vector<double> samples_;
@@ -91,14 +61,12 @@ class ThroughputSeries {
   };
   [[nodiscard]] std::vector<Point> series() const;
   [[nodiscard]] double total() const;
-  [[nodiscard]] double average_rate() const;
 
  private:
   mutable std::mutex mu_;
   double window_;
   std::vector<double> buckets_;
   double total_ = 0.0;
-  double last_t_ = 0.0;
 };
 
 /// Render helpers for benchmark output tables.

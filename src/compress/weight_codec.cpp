@@ -17,7 +17,9 @@ namespace {
 constexpr std::uint32_t kWeightFrameMagic = 0x43575458u;
 constexpr std::uint8_t kWeightFrameVersion = 1;
 constexpr std::uint8_t kFlagKeyframe = 0x01;
-constexpr std::uint8_t kFlagOpaque = 0x02;
+// nn::Activation's values (identity, relu, tanh): Mlp::deserialize rejects
+// any other activation byte, so a frame that names one is corrupt.
+constexpr std::uint8_t kActivationCount = 3;
 
 // ---------------------------------------------------------------------------
 // Mlp weight blob view: structure metadata + byte spans of the f32 tensors.
@@ -373,7 +375,12 @@ std::optional<WeightFrameInfo> parse_frame_header(Cursor* c) {
   }
   info.codec = static_cast<WeightCodec>(codec);
   info.keyframe = (flags & kFlagKeyframe) != 0;
-  info.opaque = (flags & kFlagOpaque) != 0;
+  // The encoder writes no other flag and a zero reserved byte. A frame is a
+  // keyframe exactly when its codec needs no base, and a keyframe names no
+  // base version.
+  if ((flags & ~kFlagKeyframe) != 0 || reserved != 0) return std::nullopt;
+  if (info.keyframe == weight_codec_uses_base(info.codec)) return std::nullopt;
+  if (info.keyframe && info.base_version != 0) return std::nullopt;
   return info;
 }
 
@@ -419,22 +426,11 @@ std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
                                                       const WeightSyncConfig& config,
                                                       bool keyframe, const Bytes* base,
                                                       std::uint32_t base_version) {
-  EncodedWeightFrame out;
   const auto view = parse_weight_blob(fp32_blob);
-  if (!view) {
-    // Not an Mlp weight blob (custom algorithm): ship verbatim, keep working.
-    out.payload.reserve(kFrameHeaderBytes + fp32_blob.size());
-    append_frame_header(WeightCodec::kFp32, kFlagKeyframe | kFlagOpaque, version, 0,
-                        fp32_blob.size(), &out.payload);
-    out.payload.insert(out.payload.end(), fp32_blob.begin(), fp32_blob.end());
-    out.reconstructed = fp32_blob;
-    out.codec = WeightCodec::kFp32;
-    out.keyframe = true;
-    return out;
-  }
+  if (!view) return std::nullopt;
 
+  EncodedWeightFrame out;
   const WeightCodec frame_codec = frame_codec_for(config.codec, keyframe);
-  out.codec = frame_codec;
   std::optional<WeightBlobView> base_view;
   if (weight_codec_uses_base(frame_codec)) {
     if (base == nullptr) return std::nullopt;
@@ -444,13 +440,10 @@ std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
     base_version = 0;
   }
 
-  std::uint8_t flags = 0;
-  if (keyframe || !weight_codec_uses_base(frame_codec)) flags |= kFlagKeyframe;
-  out.keyframe = (flags & kFlagKeyframe) != 0;
-  out.base_version = base_version;
+  out.keyframe = !weight_codec_uses_base(frame_codec);
   out.payload.reserve(kFrameHeaderBytes + fp32_blob.size() / 2);
-  append_frame_header(frame_codec, flags, version, base_version, fp32_blob.size(),
-                      &out.payload);
+  append_frame_header(frame_codec, out.keyframe ? kFlagKeyframe : 0, version,
+                      base_version, fp32_blob.size(), &out.payload);
 
   // Structure segment: enough to rebuild the exact Mlp::serialize stream.
   write_scalar(view->input_dim, &out.payload);
@@ -515,12 +508,6 @@ std::optional<Bytes> decode_weight_frame(const Bytes& payload, const Bytes* base
   Cursor c(payload);
   const auto info = parse_frame_header(&c);
   if (!info) return std::nullopt;
-  if (info->opaque) {
-    std::size_t offset = 0;
-    const std::size_t rest = payload.size() - kFrameHeaderBytes;
-    if (info->raw_size != rest || !c.span(rest, &offset)) return std::nullopt;
-    return Bytes(payload.begin() + static_cast<std::ptrdiff_t>(offset), payload.end());
-  }
 
   std::uint64_t input_dim = 0;
   std::uint32_t n_layers = 0;
@@ -529,7 +516,7 @@ std::optional<Bytes> decode_weight_frame(const Bytes& payload, const Bytes* base
   std::vector<LayerMeta> layers(n_layers);
   for (LayerMeta& layer : layers) {
     if (!c.scalar(&layer.rows) || !c.scalar(&layer.cols) ||
-        !c.scalar(&layer.activation)) {
+        !c.scalar(&layer.activation) || layer.activation >= kActivationCount) {
       return std::nullopt;
     }
     // Tensor sizes must be consistent with what the frame can possibly hold;
@@ -647,6 +634,27 @@ double relative_update_norm(const Bytes& cur, const Bytes& prev) {
 }
 
 // ---------------------------------------------------------------------------
+// Version ring.
+// ---------------------------------------------------------------------------
+
+const Bytes* WeightRing::find(std::uint32_t version) const {
+  for (const Entry& e : entries_) {
+    if (e.version == version) return e.blob.get();
+  }
+  return nullptr;
+}
+
+const Bytes* WeightRing::newest() const {
+  return entries_.empty() ? nullptr : entries_.back().blob.get();
+}
+
+void WeightRing::push(std::uint32_t version, std::shared_ptr<const Bytes> blob) {
+  if (find(version) != nullptr) return;
+  entries_.push_back({version, std::move(blob)});
+  while (entries_.size() > kWeightRingCapacity) entries_.pop_front();
+}
+
+// ---------------------------------------------------------------------------
 // Encoder session.
 // ---------------------------------------------------------------------------
 
@@ -654,33 +662,19 @@ WeightEncoderSession::WeightEncoderSession(WeightSyncConfig config,
                                            const WeightCodecInstruments* instruments)
     : config_(config), instruments_(instruments) {}
 
-const WeightEncoderSession::RingEntry* WeightEncoderSession::ring_find(
-    std::uint32_t version) const {
-  for (const RingEntry& e : ring_) {
-    if (e.version == version) return &e;
-  }
-  return nullptr;
-}
-
-void WeightEncoderSession::ring_push(std::uint32_t version, Bytes reconstructed) {
-  if (ring_find(version) != nullptr) return;
-  ring_.push_back({version, std::make_shared<const Bytes>(std::move(reconstructed))});
-  while (ring_.size() > kWeightRingCapacity) ring_.pop_front();
-}
-
-const WeightEncoderSession::RingEntry* WeightEncoderSession::pick_base(
+std::optional<std::uint32_t> WeightEncoderSession::common_ack(
     const std::vector<std::string>& dst_keys) const {
-  if (dst_keys.empty()) return nullptr;
+  if (dst_keys.empty()) return std::nullopt;
   std::uint32_t base = std::numeric_limits<std::uint32_t>::max();
   for (const std::string& key : dst_keys) {
     const auto it = acked_.find(key);
-    if (it == acked_.end()) return nullptr;  // never acked: needs a keyframe
+    if (it == acked_.end()) return std::nullopt;  // never acked: needs a keyframe
     base = std::min(base, it->second);
   }
-  return ring_find(base);
+  return base;
 }
 
-std::optional<WeightEncoderSession::Publish> WeightEncoderSession::encode(
+std::optional<Payload> WeightEncoderSession::encode(
     const Bytes& fp32_blob, std::uint32_t version,
     const std::vector<std::string>& dst_keys, bool force) {
   if (instruments_ != nullptr && instruments_->raw_bytes != nullptr) {
@@ -688,12 +682,11 @@ std::optional<WeightEncoderSession::Publish> WeightEncoderSession::encode(
   }
 
   // LAPG-style lazy broadcast: small updates are not worth a broadcast.
-  if (!force && config_.lazy_threshold > 0.0 && !ring_.empty() &&
+  const Bytes* last = ring_.newest();
+  if (!force && config_.lazy_threshold > 0.0 && last != nullptr &&
       skip_streak_ < config_.max_staleness) {
-    const double norm = relative_update_norm(fp32_blob, *ring_.back().blob);
-    if (norm < config_.lazy_threshold) {
+    if (relative_update_norm(fp32_blob, *last) < config_.lazy_threshold) {
       ++skip_streak_;
-      ++skipped_;
       if (instruments_ != nullptr && instruments_->skipped != nullptr) {
         instruments_->skipped->inc();
       }
@@ -702,87 +695,60 @@ std::optional<WeightEncoderSession::Publish> WeightEncoderSession::encode(
   }
   // After max_staleness consecutive skips the next publish restarts every
   // decoder chain from truth.
-  const bool staleness_keyframe = skip_streak_ >= config_.max_staleness;
-
   bool keyframe = true;
-  const RingEntry* base = nullptr;
+  std::uint32_t base_version = 0;
+  const Bytes* base = nullptr;
   if (weight_codec_uses_base(config_.codec)) {
-    keyframe = force_keyframe_ || staleness_keyframe || ring_.empty() ||
+    keyframe = skip_streak_ >= config_.max_staleness || last == nullptr ||
                since_keyframe_ + 1 >= config_.keyframe_every;
     if (!keyframe) {
-      base = pick_base(dst_keys);
-      if (base == nullptr) keyframe = true;  // no commonly-acked base in the ring
+      // The newest version every destination acked, if the ring holds it.
+      if (const auto acked = common_ack(dst_keys)) {
+        base_version = *acked;
+        base = ring_.find(base_version);
+      }
+      keyframe = base == nullptr;
     }
   }
 
-  Stopwatch clock;
-  auto frame = encode_weight_frame(fp32_blob, version, config_, keyframe,
-                                   base != nullptr ? base->blob.get() : nullptr,
-                                   base != nullptr ? base->version : 0);
-  if (!frame && !keyframe) {
+  const Stopwatch clock;
+  auto frame = encode_weight_frame(fp32_blob, version, config_, keyframe, base,
+                                   base_version);
+  if (!frame && base != nullptr) {
     // Base structure mismatch (e.g. architecture change): fall back hard.
-    keyframe = true;
     frame = encode_weight_frame(fp32_blob, version, config_, true, nullptr, 0);
   }
-  if (!frame) return std::nullopt;  // unreachable: keyframes cannot fail
+  if (!frame) return std::nullopt;  // not Mlp weights
+  skip_streak_ = 0;
+  since_keyframe_ = frame->keyframe ? 0 : since_keyframe_ + 1;
+  return publish(std::move(*frame), version, fp32_blob.size(), clock.elapsed_ms());
+}
 
+std::optional<Payload> WeightEncoderSession::encode_keyframe(const Bytes& fp32_blob,
+                                                             std::uint32_t version) {
+  const Stopwatch clock;
+  auto frame = encode_weight_frame(fp32_blob, version, config_, true, nullptr, 0);
+  if (!frame) return std::nullopt;
+  return publish(std::move(*frame), version, fp32_blob.size(), clock.elapsed_ms());
+}
+
+Payload WeightEncoderSession::publish(EncodedWeightFrame frame, std::uint32_t version,
+                                      std::size_t raw_size, double encode_ms) {
   if (instruments_ != nullptr) {
-    if (instruments_->encode_ms != nullptr) {
-      instruments_->encode_ms->observe(clock.elapsed_ms());
-    }
+    if (instruments_->encode_ms != nullptr) instruments_->encode_ms->observe(encode_ms);
     if (instruments_->bytes_out != nullptr) {
-      instruments_->bytes_out->inc(frame->payload.size());
+      instruments_->bytes_out->inc(frame.payload.size());
     }
-    if (instruments_->compression_ratio != nullptr && !frame->payload.empty()) {
+    if (instruments_->compression_ratio != nullptr) {
       instruments_->compression_ratio->observe(
-          static_cast<double>(fp32_blob.size()) /
-          static_cast<double>(frame->payload.size()));
+          static_cast<double>(raw_size) / static_cast<double>(frame.payload.size()));
     }
-    if (frame->keyframe && instruments_->keyframes != nullptr) {
+    if (frame.keyframe && instruments_->keyframes != nullptr) {
       instruments_->keyframes->inc();
     }
   }
-
-  Publish out;
-  out.codec = frame->codec;
-  out.keyframe = frame->keyframe;
-  out.base_version = frame->base_version;
-  out.payload = make_payload(std::move(frame->payload));
-  ring_push(version, std::move(frame->reconstructed));
-  skip_streak_ = 0;
-  if (frame->keyframe) {
-    since_keyframe_ = 0;
-    force_keyframe_ = false;
-    ++keyframes_;
-  } else {
-    ++since_keyframe_;
-  }
-  ++published_;
-  return out;
-}
-
-WeightEncoderSession::Publish WeightEncoderSession::encode_keyframe(
-    const Bytes& fp32_blob, std::uint32_t version) {
-  Stopwatch clock;
-  auto frame = encode_weight_frame(fp32_blob, version, config_, true, nullptr, 0);
-  // Keyframes never fail: unparseable blobs ship opaque.
-  Publish out;
-  out.codec = frame->codec;
-  out.keyframe = true;
-  out.base_version = 0;
-  if (instruments_ != nullptr) {
-    if (instruments_->encode_ms != nullptr) {
-      instruments_->encode_ms->observe(clock.elapsed_ms());
-    }
-    if (instruments_->bytes_out != nullptr) {
-      instruments_->bytes_out->inc(frame->payload.size());
-    }
-    if (instruments_->keyframes != nullptr) instruments_->keyframes->inc();
-  }
-  out.payload = make_payload(std::move(frame->payload));
-  ring_push(version, std::move(frame->reconstructed));
-  ++keyframes_;
-  return out;
+  ring_.push(version, std::make_shared<const Bytes>(std::move(frame.reconstructed)));
+  return make_payload(std::move(frame.payload));
 }
 
 void WeightEncoderSession::note_ack(const std::string& dst_key, std::uint32_t version) {
@@ -793,21 +759,6 @@ void WeightEncoderSession::note_ack(const std::string& dst_key, std::uint32_t ve
 // ---------------------------------------------------------------------------
 // Decoder session.
 // ---------------------------------------------------------------------------
-
-const WeightDecoderSession::RingEntry* WeightDecoderSession::ring_find(
-    std::uint32_t version) const {
-  for (const RingEntry& e : ring_) {
-    if (e.version == version) return &e;
-  }
-  return nullptr;
-}
-
-void WeightDecoderSession::ring_push(std::uint32_t version,
-                                     std::shared_ptr<const Bytes> blob) {
-  if (ring_find(version) != nullptr) return;
-  ring_.push_back({version, std::move(blob)});
-  while (ring_.size() > kWeightRingCapacity) ring_.pop_front();
-}
 
 WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload) {
   Result result;
@@ -830,14 +781,13 @@ WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload)
   }
 
   const Bytes* base = nullptr;
-  if (weight_codec_uses_base(info->codec) && !info->keyframe) {
-    const RingEntry* entry = ring_find(info->base_version);
-    if (entry == nullptr) {
+  if (!info->keyframe) {
+    base = ring_.find(info->base_version);
+    if (base == nullptr) {
       result.outcome = Outcome::kNeedKeyframe;
       result.version = info->version;
       return result;
     }
-    base = entry->blob.get();
   }
 
   Stopwatch clock;
@@ -855,7 +805,7 @@ WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload)
   }
 
   auto blob = std::make_shared<const Bytes>(std::move(*decoded));
-  ring_push(info->version, blob);
+  ring_.push(info->version, blob);
   version_ = info->version;
   applied_any_ = true;
   result.outcome = Outcome::kApplied;

@@ -73,13 +73,12 @@ struct WeightCodecInstruments {
 // byte layout nn::Mlp::serialize emits, so Agent::apply_weights is untouched.
 // ---------------------------------------------------------------------------
 
-/// Parsed frame header, readable without decoding the tensors. Endpoints and
-/// tests use this to inspect frames cheaply.
+/// Parsed frame header, readable without decoding the tensors. The frame
+/// header is the only record of a frame's codec, keyframe flag and base
+/// version; the decoder session and tests read them from here.
 struct WeightFrameInfo {
   WeightCodec codec = WeightCodec::kFp32;
   bool keyframe = false;
-  /// Payload is a verbatim non-Mlp blob wrapped at fp32 (structure unknown).
-  bool opaque = false;
   std::uint32_t version = 0;
   std::uint32_t base_version = 0;
   std::uint64_t raw_size = 0;
@@ -94,18 +93,15 @@ struct EncodedWeightFrame {
   /// stores this (not the true weights) so delta bases match decoder state
   /// bit for bit.
   Bytes reconstructed;
-  /// The encoding actually used (keyframes of delta/top-k ship as kFp32).
-  WeightCodec codec = WeightCodec::kFp32;
   bool keyframe = false;
-  std::uint32_t base_version = 0;
 };
 
-/// Encodes one fp32 weight blob. `keyframe` forces a standalone frame; for
-/// base-referencing codecs a non-keyframe encode requires `base` (the
-/// reconstructed blob of `base_version`). Blobs that do not parse as Mlp
-/// weights are wrapped verbatim as opaque fp32 keyframes, never rejected.
-/// Returns nullopt only for internal inconsistencies (base structure
-/// mismatch), in which case the caller should retry as a keyframe.
+/// Encodes one fp32 weight blob (nn::Mlp::serialize output). `keyframe`
+/// forces a standalone frame; for base-referencing codecs a non-keyframe
+/// encode requires `base` (the reconstructed blob of `base_version`).
+/// Returns nullopt when the blob does not parse as Mlp weights, or when a
+/// delta's base has another structure (the caller then retries as a
+/// keyframe).
 [[nodiscard]] std::optional<EncodedWeightFrame> encode_weight_frame(
     const Bytes& fp32_blob, std::uint32_t version, const WeightSyncConfig& config,
     bool keyframe, const Bytes* base, std::uint32_t base_version);
@@ -129,64 +125,64 @@ struct EncodedWeightFrame {
 /// Recent reconstructed blobs both sessions retain as delta bases.
 inline constexpr std::size_t kWeightRingCapacity = 8;
 
+/// The last kWeightRingCapacity versions a session published or applied,
+/// oldest evicted first.
+class WeightRing {
+ public:
+  /// The blob of `version`; nullptr when the ring does not hold it.
+  [[nodiscard]] const Bytes* find(std::uint32_t version) const;
+  /// The blob pushed last; nullptr when the ring is empty.
+  [[nodiscard]] const Bytes* newest() const;
+  /// Keeps `blob` as `version` unless the ring already holds that version.
+  void push(std::uint32_t version, std::shared_ptr<const Bytes> blob);
+
+ private:
+  struct Entry {
+    std::uint32_t version = 0;
+    std::shared_ptr<const Bytes> blob;
+  };
+  std::deque<Entry> entries_;
+};
+
 class WeightEncoderSession {
  public:
   explicit WeightEncoderSession(WeightSyncConfig config,
                                 const WeightCodecInstruments* instruments = nullptr);
 
-  struct Publish {
-    Payload payload;
-    /// Frame encoding, for the MessageHeader codec_id field.
-    WeightCodec codec = WeightCodec::kFp32;
-    bool keyframe = false;
-    std::uint32_t base_version = 0;
-  };
-
   /// Decides and encodes the broadcast of `version` to the destinations in
   /// `dst_keys` (stable per-explorer keys; used to pick an acked delta
-  /// base). Returns nullopt when the lazy policy skips this version.
-  /// `force` disables lazy skipping (initial broadcast, algorithms whose
-  /// explorers block on fresh weights).
-  [[nodiscard]] std::optional<Publish> encode(const Bytes& fp32_blob,
+  /// base). Returns the frame, or nullopt when the lazy policy skips this
+  /// version or the blob is not Mlp weights. `force` disables lazy skipping
+  /// (initial broadcast, algorithms whose explorers block on fresh weights).
+  [[nodiscard]] std::optional<Payload> encode(const Bytes& fp32_blob,
                                               std::uint32_t version,
                                               const std::vector<std::string>& dst_keys,
                                               bool force);
 
-  /// Encodes a standalone keyframe of `version` (keyframe-request replies).
-  /// Does not advance the keyframe cadence or lazy state.
-  [[nodiscard]] Publish encode_keyframe(const Bytes& fp32_blob, std::uint32_t version);
+  /// Encodes a standalone keyframe of `version` (keyframe-request replies);
+  /// nullopt when the blob is not Mlp weights. Does not advance the
+  /// keyframe cadence or lazy state.
+  [[nodiscard]] std::optional<Payload> encode_keyframe(const Bytes& fp32_blob,
+                                                       std::uint32_t version);
 
   /// Records that `dst_key` applied `version` (kWeightsAck).
   void note_ack(const std::string& dst_key, std::uint32_t version);
-  /// Forces the next encode() to emit a keyframe (kWeightsReq fallback).
-  void note_keyframe_request() { force_keyframe_ = true; }
-
-  [[nodiscard]] std::uint64_t skipped() const { return skipped_; }
-  [[nodiscard]] std::uint64_t published() const { return published_; }
-  [[nodiscard]] std::uint64_t keyframes() const { return keyframes_; }
-  [[nodiscard]] const WeightSyncConfig& config() const { return config_; }
 
  private:
-  struct RingEntry {
-    std::uint32_t version = 0;
-    std::shared_ptr<const Bytes> blob;  ///< reconstructed, decoder-identical
-  };
-  [[nodiscard]] const RingEntry* ring_find(std::uint32_t version) const;
-  void ring_push(std::uint32_t version, Bytes reconstructed);
-  /// Highest version every destination in `dst_keys` has acked and that is
-  /// still in the ring; nullptr when any destination lacks a usable ack.
-  [[nodiscard]] const RingEntry* pick_base(const std::vector<std::string>& dst_keys) const;
+  /// Highest version every destination in `dst_keys` has acked; nullopt
+  /// when any destination has never acked.
+  [[nodiscard]] std::optional<std::uint32_t> common_ack(
+      const std::vector<std::string>& dst_keys) const;
+  /// Records one encoded frame in the instruments and the ring.
+  Payload publish(EncodedWeightFrame frame, std::uint32_t version,
+                  std::size_t raw_size, double encode_ms);
 
   WeightSyncConfig config_;
   const WeightCodecInstruments* instruments_;
-  std::deque<RingEntry> ring_;
+  WeightRing ring_;
   std::unordered_map<std::string, std::uint32_t> acked_;
   std::uint32_t since_keyframe_ = 0;  ///< publishes since the last keyframe
   std::uint32_t skip_streak_ = 0;     ///< consecutive lazily skipped versions
-  bool force_keyframe_ = false;
-  std::uint64_t skipped_ = 0;
-  std::uint64_t published_ = 0;
-  std::uint64_t keyframes_ = 0;
 };
 
 class WeightDecoderSession {
@@ -215,15 +211,8 @@ class WeightDecoderSession {
   [[nodiscard]] bool applied_any() const { return applied_any_; }
 
  private:
-  struct RingEntry {
-    std::uint32_t version = 0;
-    std::shared_ptr<const Bytes> blob;
-  };
-  [[nodiscard]] const RingEntry* ring_find(std::uint32_t version) const;
-  void ring_push(std::uint32_t version, std::shared_ptr<const Bytes> blob);
-
   const WeightCodecInstruments* instruments_;
-  std::deque<RingEntry> ring_;
+  WeightRing ring_;
   std::uint32_t version_ = 0;
   bool applied_any_ = false;
 };

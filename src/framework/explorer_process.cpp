@@ -125,7 +125,6 @@ void ExplorerProcess::request_keyframe(std::uint32_t version) {
 void ExplorerProcess::ship_batch() {
   RolloutBatch batch = agent_->take_batch();
   const std::uint32_t sent_version = batch.weights_version;
-  batches_sent_.fetch_add(1, std::memory_order_relaxed);
   batches_counter_.inc();
 
   // Deferred producer: serialization runs on the sender thread, so the
@@ -188,16 +187,16 @@ void ExplorerProcess::await_weights_newer_than(std::uint32_t version) {
 
 void ExplorerProcess::report_episode(double episode_return,
                                      std::uint64_t episode_steps) {
-  const auto n = episodes_.fetch_add(1, std::memory_order_relaxed) + 1;
+  ++episodes_;
   if (stats_every_episodes_ <= 0 ||
-      n % static_cast<std::uint64_t>(stats_every_episodes_) != 0) {
+      episodes_ % static_cast<std::uint64_t>(stats_every_episodes_) != 0) {
     return;
   }
   StatsRecord record;
   record.source = node_.name();
   record.values["episode_return"] = episode_return;
   record.values["episode_steps"] = static_cast<double>(episode_steps);
-  record.values["env_steps"] = static_cast<double>(env_steps_.load());
+  record.values["env_steps"] = static_cast<double>(env_steps_);
   (void)endpoint_.send(make_outbound(node_, {controller_}, MsgType::kStats,
                                      make_payload(record.serialize())));
 }
@@ -227,7 +226,7 @@ void ExplorerProcess::worker_loop() {
     const StepResult result = env_->step(action);
     agent_->handle_env_feedback(obs, action, result.reward, result.done,
                                 result.observation);
-    env_steps_.fetch_add(1, std::memory_order_relaxed);
+    ++env_steps_;
     env_steps_counter_.inc();
     episode_return += result.reward;
     ++episode_steps;

@@ -44,10 +44,6 @@ class ExplorerProcess {
   void inject_crash();
   [[nodiscard]] bool crashed() const { return crashed_.load(); }
 
-  [[nodiscard]] std::uint64_t env_steps() const { return env_steps_.load(); }
-  [[nodiscard]] std::uint64_t episodes() const { return episodes_.load(); }
-  [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_.load(); }
-
  private:
   void worker_loop();
   /// Drain the receive buffer; apply the newest weights; honor commands.
@@ -85,6 +81,8 @@ class ExplorerProcess {
   Histogram& broadcast_ms_hist_;      ///< weights created -> applied here
   MetricsRegistry& metrics_;     ///< kernel-telemetry binding for the worker
   std::int64_t rollout_start_ns_ = 0;  ///< worker thread only
+  std::uint64_t env_steps_ = 0;        ///< worker thread only
+  std::uint64_t episodes_ = 0;         ///< worker thread only
 
   // Weight codec (DESIGN.md §11); worker thread only.
   WeightCodecInstruments codec_instruments_;
@@ -98,9 +96,6 @@ class ExplorerProcess {
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> crashed_{false};
-  std::atomic<std::uint64_t> env_steps_{0};
-  std::atomic<std::uint64_t> episodes_{0};
-  std::atomic<std::uint64_t> batches_sent_{0};
 
   std::thread worker_;
 };

@@ -115,12 +115,10 @@ bool LearnerProcess::ingest(Message message) {
 
 void LearnerProcess::send_keyframe(const NodeId& dst) {
   const std::uint32_t version = algorithm_->weights_version();
-  auto publish = encoder_->encode_keyframe(algorithm_->weights(), version);
-  Outbound out = make_outbound(node_, {dst}, MsgType::kWeights,
-                               std::move(publish.payload), version);
-  out.header.codec_id = static_cast<std::uint8_t>(publish.codec);
-  out.header.base_tag = 0;
-  (void)endpoint_.send(std::move(out));
+  auto frame = encoder_->encode_keyframe(algorithm_->weights(), version);
+  if (!frame) return;
+  (void)endpoint_.send(
+      make_outbound(node_, {dst}, MsgType::kWeights, std::move(*frame), version));
 }
 
 void LearnerProcess::broadcast_weights(const std::vector<std::uint32_t>& respond_to,
@@ -143,18 +141,12 @@ void LearnerProcess::broadcast_weights(const std::vector<std::uint32_t>& respond
   std::vector<std::string> dst_keys;
   dst_keys.reserve(dsts.size());
   for (const NodeId& dst : dsts) dst_keys.push_back(dst.name());
-  auto publish = encoder_->encode(weights, version, dst_keys,
-                                  force || force_every_broadcast_);
-  if (!publish) {
-    // Lazy broadcast: the update norm was below threshold, nothing shipped.
-    weights_skipped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Outbound out = make_outbound(node_, std::move(dsts), MsgType::kWeights,
-                               std::move(publish->payload), version);
-  out.header.codec_id = static_cast<std::uint8_t>(publish->codec);
-  out.header.base_tag = publish->base_version;
-  (void)endpoint_.send(std::move(out));
+  auto frame = encoder_->encode(weights, version, dst_keys,
+                                force || force_every_broadcast_);
+  // Lazy broadcast: the update norm was below threshold, nothing shipped.
+  if (!frame) return;
+  (void)endpoint_.send(make_outbound(node_, std::move(dsts), MsgType::kWeights,
+                                     std::move(*frame), version));
   broadcasts_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -55,8 +55,6 @@ class LearnerProcess {
   [[nodiscard]] std::uint64_t steps_consumed() const { return steps_consumed_.load(); }
   [[nodiscard]] int training_sessions() const { return sessions_.load(); }
   [[nodiscard]] std::uint64_t weight_broadcasts() const { return broadcasts_.load(); }
-  /// Weight versions the lazy-broadcast policy decided not to publish.
-  [[nodiscard]] std::uint64_t weights_skipped() const { return weights_skipped_.load(); }
   [[nodiscard]] std::uint64_t rollout_messages() const { return rollout_messages_.load(); }
   [[nodiscard]] std::uint64_t rollout_bytes() const { return rollout_bytes_.load(); }
 
@@ -114,7 +112,6 @@ class LearnerProcess {
   std::atomic<std::uint32_t> checkpoints_{0};
   std::atomic<int> sessions_{0};
   std::atomic<std::uint64_t> broadcasts_{0};
-  std::atomic<std::uint64_t> weights_skipped_{0};
   std::atomic<std::uint64_t> rollout_messages_{0};
   std::atomic<std::uint64_t> rollout_bytes_{0};
 

@@ -140,9 +140,4 @@ std::vector<std::pair<std::string, const Histogram*>> MetricsRegistry::histogram
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // never destroyed
-  return *registry;
-}
-
 }  // namespace xt

@@ -105,10 +105,6 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
 
-  /// Process-wide default registry (used when no per-runtime registry is
-  /// injected, e.g. standalone brokers in unit tests).
-  [[nodiscard]] static MetricsRegistry& global();
-
  private:
   static constexpr std::size_t kShards = 8;
   struct Shard {

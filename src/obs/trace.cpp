@@ -76,9 +76,4 @@ void TraceCollector::clear() {
   threads_.clear();
 }
 
-TraceCollector& TraceCollector::global() {
-  static TraceCollector* collector = new TraceCollector();  // never destroyed
-  return *collector;
-}
-
 }  // namespace xt

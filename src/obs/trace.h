@@ -69,9 +69,6 @@ class TraceCollector {
 
   void clear();
 
-  /// Process-wide default collector (disabled until enable() is called).
-  [[nodiscard]] static TraceCollector& global();
-
  private:
   std::atomic<bool> enabled_{false};
   const std::size_t capacity_;

@@ -13,7 +13,9 @@ namespace {
 /// v2: per-sub-frame traffic-class byte (overload arbitration, DESIGN.md §10).
 /// v3: weight-codec id + base-version per sub-frame (DESIGN.md §11).
 /// v4: one message per frame; the sub-frame count is gone.
-constexpr std::uint8_t kWireFormatVersion = 4;
+/// v5: the weight-codec id and base version are gone; the weight frame's own
+/// header carries them (DESIGN.md §11).
+constexpr std::uint8_t kWireFormatVersion = 5;
 
 void encode_node(BinWriter& writer, const NodeId& id) {
   writer.u16(id.machine);
@@ -51,8 +53,6 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
   writer.u64(header.uncompressed_size);
   writer.i64(header.created_ns);
   writer.u32(header.tag);
-  writer.u8(header.codec_id);
-  writer.u32(header.base_tag);
   frame.control = writer.take();
   if (with_crc) {
     frame.crc_present = true;
@@ -106,10 +106,8 @@ std::optional<Message> decode_wire_frame(const WireFrame& frame) {
   const auto uncompressed = reader.u64();
   const auto created = reader.i64();
   const auto tag = reader.u32();
-  const auto codec_id = reader.u8();
-  const auto base_tag = reader.u32();
   if (!compressed || !body_size || !uncompressed || !created || !tag ||
-      !codec_id || !base_tag || !reader.exhausted()) {
+      !reader.exhausted()) {
     return std::nullopt;
   }
   if (*body_size != frame.body->size()) return std::nullopt;
@@ -118,8 +116,6 @@ std::optional<Message> decode_wire_frame(const WireFrame& frame) {
   header.uncompressed_size = *uncompressed;
   header.created_ns = *created;
   header.tag = *tag;
-  header.codec_id = *codec_id;
-  header.base_tag = *base_tag;
   header.link_seq = frame.link_seq;
   message.body = frame.body;
   return message;

@@ -30,7 +30,6 @@ bool same_fields(const xt::MessageHeader& a, const xt::MessageHeader& b) {
          a.compressed == b.compressed && a.body_size == b.body_size &&
          a.uncompressed_size == b.uncompressed_size &&
          a.created_ns == b.created_ns && a.tag == b.tag &&
-         a.codec_id == b.codec_id && a.base_tag == b.base_tag &&
          a.link_seq == b.link_seq;
 }
 

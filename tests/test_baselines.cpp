@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/clock.h"
 
 namespace xt::baselines {
@@ -161,6 +163,31 @@ TEST(PullDriver, MultiMachineImpalaRuns) {
 
   const RunReport report = run_pullhub(setup, deployment);
   EXPECT_GE(report.steps_consumed, 500u);
+}
+
+// Each run records into a registry of its own, so a later run's dump does
+// not carry an earlier run's pulls.
+TEST(PullDriver, EachRunDumpsOnlyItsOwnMetrics) {
+  AlgoSetup setup;
+  setup.kind = AlgoKind::kImpala;
+  setup.env_name = "CartPole";
+  setup.impala.hidden = {16};
+  setup.impala.fragment_len = 50;
+
+  PullDeployment deployment;
+  deployment.explorers_per_machine = {2};
+  deployment.rpc.dispatch_ns = 10'000;
+  deployment.max_steps_consumed = 300;
+  deployment.max_seconds = 30.0;
+
+  const RunReport first = run_pullhub(setup, deployment);
+  ASSERT_GT(first.rollout_messages, 0u);
+  const RunReport second = run_pullhub(setup, deployment);
+  const std::string line = "\nxt_pull_messages_total ";
+  const std::size_t at = second.prometheus.find(line);
+  ASSERT_NE(at, std::string::npos) << second.prometheus;
+  EXPECT_EQ(std::stoull(second.prometheus.substr(at + line.size())),
+            second.rollout_messages);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,37 +21,14 @@ TEST(BlockingQueue, PushPopPreservesFifoOrder) {
   }
 }
 
-TEST(BlockingQueue, TryPopOnEmptyReturnsNullopt) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
 TEST(BlockingQueue, SizeAndEmptyTrackContents) {
   BlockingQueue<std::string> q;
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
   q.push("a");
   q.push("b");
   EXPECT_EQ(q.size(), 2u);
   (void)q.pop();
   EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(BlockingQueue, PopForTimesOutWhenEmpty) {
-  BlockingQueue<int> q;
-  const auto result = q.pop_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(result.has_value());
-}
-
-TEST(BlockingQueue, PopForReturnsValueThatArrivesDuringWait) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    q.push(42);
-  });
-  const auto result = q.pop_for(std::chrono::milliseconds(500));
-  producer.join();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, 42);
 }
 
 TEST(BlockingQueue, CloseWakesBlockedConsumer) {
@@ -67,7 +46,6 @@ TEST(BlockingQueue, ClosedQueueRejectsPush) {
   BlockingQueue<int> q;
   q.close();
   EXPECT_FALSE(q.push(1));
-  EXPECT_FALSE(q.try_push(1));
 }
 
 TEST(BlockingQueue, ClosedQueueDrainsRemainingItems) {
@@ -78,146 +56,6 @@ TEST(BlockingQueue, ClosedQueueDrainsRemainingItems) {
   EXPECT_EQ(q.pop().value(), 1);
   EXPECT_EQ(q.pop().value(), 2);
   EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BlockingQueue, PopForReturnsPromptlyWhenClosedMidWait) {
-  // A consumer parked in pop_for must wake on close() well before its
-  // timeout — this is how every worker thread in the runtime shuts down.
-  BlockingQueue<int> q;
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    const auto result = q.pop_for(std::chrono::seconds(30));
-    EXPECT_FALSE(result.has_value());
-    done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(done.load());
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(BlockingQueue, PopForDrainsClosedQueueThenReturnsNullopt) {
-  // close() must not discard staged elements: pop_for keeps yielding them
-  // (with no timeout wait) until the queue is empty, then reports closure.
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.close();
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(1)).value(), 1);
-  EXPECT_EQ(q.pop_for(std::chrono::milliseconds(1)).value(), 2);
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(1)).has_value());
-  // And again: a drained closed queue stays terminal.
-  EXPECT_FALSE(q.pop_for(std::chrono::milliseconds(1)).has_value());
-}
-
-TEST(BlockingQueue, BoundedQueueRejectsTryPushWhenFull) {
-  BlockingQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  (void)q.pop();
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(BlockingQueue, BoundedPushBlocksUntilSpace) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.push(2);  // blocks until the consumer pops
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(BlockingQueue, CloseWakesBlockedBoundedProducer) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  q.close();
-  producer.join();
-}
-
-TEST(BlockingQueue, PushForTimesOutWhenFull) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.push_for(2, std::chrono::milliseconds(20)));
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_GE(waited, std::chrono::milliseconds(15));
-  // The staged element is untouched by the failed timed push.
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BlockingQueue, PushForSucceedsWhenSpaceFreesDuringWait) {
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_EQ(q.pop().value(), 1);
-  });
-  EXPECT_TRUE(q.push_for(2, std::chrono::seconds(5)));
-  consumer.join();
-  EXPECT_EQ(q.pop().value(), 2);
-}
-
-TEST(BlockingQueue, PushForOnUnboundedQueueNeverWaits) {
-  BlockingQueue<int> q;
-  EXPECT_TRUE(q.push_for(1, std::chrono::milliseconds(0)));
-  EXPECT_EQ(q.pop().value(), 1);
-}
-
-TEST(BlockingQueue, PushForFailsFastOnClosedQueue) {
-  BlockingQueue<int> q(1);
-  q.close();
-  EXPECT_FALSE(q.push_for(1, std::chrono::seconds(5)));
-}
-
-TEST(BlockingQueue, CloseWhileFullWakesTimedProducer) {
-  // A producer parked in push_for on a full queue must wake on close()
-  // well before its timeout and report failure — the value is not lost
-  // silently into a dead queue.
-  BlockingQueue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> done{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(q.push_for(2, std::chrono::seconds(30)));
-    done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(done.load());
-  q.close();
-  producer.join();
-  EXPECT_TRUE(done.load());
-  // The element staged before close still drains.
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BlockingQueue, TryPushWakesBlockedConsumer) {
-  // try_push must notify waiting consumers just like push: a consumer
-  // parked in pop() has to see the element promptly, not on the next
-  // unrelated wakeup.
-  BlockingQueue<int> q(4);
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    const auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 9);
-    got.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(q.try_push(9));
-  consumer.join();
-  EXPECT_TRUE(got.load());
 }
 
 TEST(BlockingQueue, MoveOnlyTypesPassThrough) {
@@ -251,8 +89,7 @@ TEST(BlockingQueue, ManyProducersManyConsumersDeliverEverythingOnce) {
     });
   }
   for (auto& t : producers) t.join();
-  // Wait for drain, then close to release consumers.
-  while (!q.empty()) std::this_thread::yield();
+  // Consumers drain what is left, then see the close and exit.
   q.close();
   for (auto& t : consumers) t.join();
 
@@ -261,10 +98,8 @@ TEST(BlockingQueue, ManyProducersManyConsumersDeliverEverythingOnce) {
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
-class BlockingQueueCapacityTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BlockingQueueCapacityTest, StressDeliversAllItemsAtAnyCapacity) {
-  BlockingQueue<int> q(GetParam());
+TEST(BlockingQueue, ConcurrentConsumerSeesFifoOrder) {
+  BlockingQueue<int> q;
   constexpr int kItems = 5'000;
   std::thread consumer([&] {
     for (int i = 0; i < kItems; ++i) {
@@ -276,9 +111,6 @@ TEST_P(BlockingQueueCapacityTest, StressDeliversAllItemsAtAnyCapacity) {
   for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
   consumer.join();
 }
-
-INSTANTIATE_TEST_SUITE_P(Capacities, BlockingQueueCapacityTest,
-                         ::testing::Values(0, 1, 2, 16, 1024));
 
 }  // namespace
 }  // namespace xt

@@ -121,6 +121,21 @@ TEST(BrokerEndpoint, UnknownDestinationIsDroppedAndCounted) {
   EXPECT_EQ(broker.dropped_messages(DropReason::kCrcFail), 0u);
 }
 
+// A broker built without telemetry sinks owns its registry and records no
+// spans: another broker of the same machine id shares none of its counters.
+TEST(BrokerEndpoint, StandaloneBrokersCountOnlyTheirOwnRejects) {
+  Broker first(1);
+  Broker second(1);
+  first.reject_corrupt_frame();
+  first.reject_corrupt_frame();
+  second.reject_corrupt_frame();
+  EXPECT_EQ(first.corrupted_frames(), 2u);
+  EXPECT_EQ(second.corrupted_frames(), 1u);
+  EXPECT_EQ(first.dropped_messages(DropReason::kCrcFail), 2u);
+  EXPECT_EQ(second.dropped_messages(DropReason::kCrcFail), 1u);
+  EXPECT_EQ(first.trace(), nullptr);
+}
+
 TEST(BrokerEndpoint, DeliverRemoteWithoutLocalDestinationStillAcks) {
   // A routing miss is not an integrity failure: retransmitting cannot help,
   // so it is counted as a routing drop, never as a corrupted frame (the

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <string>
 
 #include "algo/rollout.h"
@@ -305,12 +306,29 @@ TEST(Lz4, CompressIfWorthwhileJudgesOnlyTheFirstWindow) {
   EXPECT_EQ(*judged, lz4::compress(input));
 }
 
-// `pattern` is a size_t so the struct has no padding: gtest names each case
-// by printing the struct's bytes, and padding bytes would be indeterminate.
+enum class Lz4Pattern { kRandom, kRepetitive, kText, kZeros };
+
+const char* pattern_name(Lz4Pattern pattern) {
+  switch (pattern) {
+    case Lz4Pattern::kRandom: return "random";
+    case Lz4Pattern::kRepetitive: return "repetitive";
+    case Lz4Pattern::kText: return "text";
+    case Lz4Pattern::kZeros: return "zeros";
+  }
+  return "unknown";
+}
+
 struct Lz4Case {
   std::size_t size;
-  std::size_t pattern;  // 0 random, 1 repetitive, 2 text, 3 zeros
+  Lz4Pattern pattern;
 };
+
+std::string case_name(const Lz4Case& c) {
+  return "n" + std::to_string(c.size) + "_" + pattern_name(c.pattern);
+}
+
+// gtest prints a case by its name, not by dumping its bytes.
+void PrintTo(const Lz4Case& c, std::ostream* os) { *os << case_name(c); }
 
 class Lz4PropertyTest : public ::testing::TestWithParam<Lz4Case> {};
 
@@ -318,10 +336,18 @@ TEST_P(Lz4PropertyTest, RoundTrip) {
   const auto& param = GetParam();
   Bytes input;
   switch (param.pattern) {
-    case 0: input = random_bytes(param.size, param.size * 31 + 1); break;
-    case 1: input = repetitive_bytes(param.size); break;
-    case 2: input = text_like_bytes(param.size, param.size + 5); break;
-    default: input = Bytes(param.size, 0); break;
+    case Lz4Pattern::kRandom:
+      input = random_bytes(param.size, param.size * 31 + 1);
+      break;
+    case Lz4Pattern::kRepetitive:
+      input = repetitive_bytes(param.size);
+      break;
+    case Lz4Pattern::kText:
+      input = text_like_bytes(param.size, param.size + 5);
+      break;
+    case Lz4Pattern::kZeros:
+      input = Bytes(param.size, 0);
+      break;
   }
   expect_roundtrip(input);
 }
@@ -329,13 +355,20 @@ TEST_P(Lz4PropertyTest, RoundTrip) {
 std::vector<Lz4Case> lz4_cases() {
   std::vector<Lz4Case> cases;
   for (std::size_t size : {1u, 13u, 64u, 255u, 4096u, 65'537u, 1'000'000u}) {
-    for (std::size_t pattern : {0u, 1u, 2u, 3u}) cases.push_back({size, pattern});
+    for (Lz4Pattern pattern : {Lz4Pattern::kRandom, Lz4Pattern::kRepetitive,
+                               Lz4Pattern::kText, Lz4Pattern::kZeros}) {
+      cases.push_back({size, pattern});
+    }
   }
   return cases;
 }
 
+// Cases are named by size and pattern, e.g. n65537_random.
 INSTANTIATE_TEST_SUITE_P(SizesAndPatterns, Lz4PropertyTest,
-                         ::testing::ValuesIn(lz4_cases()));
+                         ::testing::ValuesIn(lz4_cases()),
+                         [](const ::testing::TestParamInfo<Lz4Case>& info) {
+                           return case_name(info.param);
+                         });
 
 TEST(Codec, ImpalaShapedRolloutShipsRaw) {
   // A 28 KB frame beside ~540 bytes of observation and step fields: LZ4

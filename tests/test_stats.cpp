@@ -5,31 +5,6 @@
 namespace xt {
 namespace {
 
-TEST(RunningStat, MeanVarianceMinMax) {
-  RunningStat s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStat, ResetClears) {
-  RunningStat s;
-  s.add(5.0);
-  s.reset();
-  EXPECT_EQ(s.count(), 0u);
-}
-
 TEST(LatencyRecorder, QuantilesOnKnownData) {
   LatencyRecorder r;
   for (int i = 1; i <= 100; ++i) r.add(i);
@@ -38,14 +13,6 @@ TEST(LatencyRecorder, QuantilesOnKnownData) {
   EXPECT_NEAR(r.quantile(0.0), 1.0, 1e-9);
   EXPECT_NEAR(r.quantile(1.0), 100.0, 1e-9);
   EXPECT_NEAR(r.quantile(0.5), 50.5, 1.0);
-}
-
-TEST(LatencyRecorder, FractionBelowThreshold) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 10; ++i) r.add(i);
-  EXPECT_DOUBLE_EQ(r.fraction_below(5.0), 0.5);
-  EXPECT_DOUBLE_EQ(r.fraction_below(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(r.fraction_below(100.0), 1.0);
 }
 
 TEST(LatencyRecorder, CdfIsMonotonic) {

@@ -1,18 +1,30 @@
 // Weight codec layer (DESIGN.md §11): per-codec round-trip properties,
 // encoder/decoder session protocol (delta chains, keyframe recovery, lazy
-// broadcast staleness bound), and hostile-input hardening.
+// broadcast staleness bound), and the decoder's fuzz target replayed over its
+// corpus and seeded mutations of it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "compress/weight_codec.h"
 #include "nn/mlp.h"
 
+// tests/fuzz/weight_frame_fuzz.cpp
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
+
 namespace xt {
+
+Bytes weight_frame_fuzz_base();  // tests/fuzz/weight_frame_fuzz.cpp
+
 namespace {
 
 Bytes random_blob(std::uint64_t seed, std::size_t input_dim = 6,
@@ -67,6 +79,13 @@ WeightSyncConfig config_for(WeightCodec codec) {
   WeightSyncConfig config;
   config.codec = codec;
   return config;
+}
+
+/// The header of a frame a session published.
+WeightFrameInfo header_of(const Payload& frame) {
+  const auto info = peek_weight_frame(*frame);
+  EXPECT_TRUE(info.has_value());
+  return info.value_or(WeightFrameInfo{});
 }
 
 Bytes must_encode_keyframe(const Bytes& blob, WeightCodec codec,
@@ -135,7 +154,7 @@ TEST(WeightCodecRoundTrip, DeltaReconstructsAgainstBase) {
                                    false, &base_recon, 1);
   ASSERT_TRUE(frame.has_value());
   EXPECT_FALSE(frame->keyframe);
-  EXPECT_EQ(frame->base_version, 1u);
+  EXPECT_EQ(peek_weight_frame(frame->payload)->base_version, 1u);
   const auto decoded = decode_weight_frame(frame->payload, &base_recon);
   ASSERT_TRUE(decoded.has_value());
   // Delta magnitude <= perturbation bound, so error <= 0.02/127 * 0.5-ish.
@@ -206,20 +225,16 @@ TEST(WeightCodecRoundTrip, AllCodecsSurviveRandomArchitectures) {
   }
 }
 
-TEST(WeightCodec, OpaqueFallbackForNonMlpBlobs) {
-  // A weights blob the codec cannot parse (future algorithm) must still ship
-  // and round-trip verbatim instead of being rejected.
-  Bytes blob = {1, 2, 3, 4, 5, 6, 7, 8, 9};
-  auto frame =
-      encode_weight_frame(blob, 3, config_for(WeightCodec::kInt8), true, nullptr, 0);
-  ASSERT_TRUE(frame.has_value());
-  const auto info = peek_weight_frame(frame->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->opaque);
-  EXPECT_EQ(info->codec, WeightCodec::kFp32);
-  const auto decoded = decode_weight_frame(frame->payload, nullptr);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, blob);
+TEST(WeightCodec, NonMlpBlobsAreNotEncoded) {
+  // Every algorithm's weights are Mlp::serialize output; anything else is a
+  // bug upstream, and no frame is made of it.
+  const Bytes blob = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_FALSE(encode_weight_frame(blob, 3, config_for(WeightCodec::kInt8), true,
+                                   nullptr, 0)
+                   .has_value());
+  WeightEncoderSession enc(config_for(WeightCodec::kFp32));
+  EXPECT_FALSE(enc.encode(blob, 1, {"E0"}, true).has_value());
+  EXPECT_FALSE(enc.encode_keyframe(blob, 1).has_value());
 }
 
 TEST(WeightCodec, PeekExposesHeaderFields) {
@@ -235,42 +250,6 @@ TEST(WeightCodec, PeekExposesHeaderFields) {
   EXPECT_TRUE(info->keyframe);
   EXPECT_EQ(info->raw_size, blob.size());
   EXPECT_FALSE(peek_weight_frame(blob).has_value());  // raw Mlp blobs are not frames
-}
-
-TEST(WeightCodecHardening, TruncationsAndBitFlipsNeverCrash) {
-  const Bytes base = random_blob(9);
-  const Bytes next = perturb(base, 0.02, 101);
-  for (std::uint8_t c = 0; c < kWeightCodecCount; ++c) {
-    const auto codec = static_cast<WeightCodec>(c);
-    const bool keyframe = !weight_codec_uses_base(codec);
-    auto frame = encode_weight_frame(next, 2, config_for(codec), keyframe,
-                                     keyframe ? nullptr : &base, 1);
-    ASSERT_TRUE(frame.has_value());
-    const Bytes& payload = frame->payload;
-    // Every strict prefix must be rejected, never misread.
-    for (std::size_t len = 0; len < payload.size();
-         len += std::max<std::size_t>(1, payload.size() / 64)) {
-      const Bytes truncated(payload.begin(),
-                            payload.begin() + static_cast<std::ptrdiff_t>(len));
-      EXPECT_FALSE(decode_weight_frame(truncated, keyframe ? nullptr : &base)
-                       .has_value());
-    }
-    // Bit flips in the header/structure region must never crash or read out
-    // of bounds; a flip may still decode (e.g. a flipped version number),
-    // but whatever comes out must be a real blob, not garbage memory.
-    Rng rng(300 + c);
-    for (int flip = 0; flip < 200; ++flip) {
-      Bytes mutated = payload;
-      const std::size_t at =
-          rng.uniform_index(std::min<std::size_t>(mutated.size(), 96));
-      mutated[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_index(8));
-      const auto decoded =
-          decode_weight_frame(mutated, keyframe ? nullptr : &base);
-      if (decoded) {
-        EXPECT_FALSE(decoded->empty());
-      }
-    }
-  }
 }
 
 TEST(WeightCodec, RelativeUpdateNormBehaves) {
@@ -291,7 +270,10 @@ std::vector<std::string> dsts() { return {"E0", "E1"}; }
 TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 100;  // keep cadence out of the way
-  WeightEncoderSession enc(config);
+  MetricsRegistry registry;
+  WeightCodecInstruments instruments;
+  instruments.keyframes = &registry.counter("keyframes");
+  WeightEncoderSession enc(config, &instruments);
   WeightDecoderSession dec;
 
   Bytes blob = random_blob(20);
@@ -301,14 +283,14 @@ TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
     auto pub = enc.encode(blob, v, dsts(), false);
     ASSERT_TRUE(pub.has_value());
     // First frame (and only it) is a keyframe; later ones chain off acks.
-    EXPECT_EQ(pub->keyframe, v == 1);
-    const auto result = dec.apply(pub->payload);
+    EXPECT_EQ(header_of(*pub).keyframe, v == 1);
+    const auto result = dec.apply(*pub);
     ASSERT_EQ(result.outcome, WeightDecoderSession::Outcome::kApplied);
     EXPECT_EQ(result.version, v);
     acked = v;
     for (const auto& d : dsts()) enc.note_ack(d, acked);
   }
-  EXPECT_EQ(enc.keyframes(), 1u);
+  EXPECT_EQ(registry.counter("keyframes").value(), 1u);
   EXPECT_EQ(dec.version(), 6u);
 }
 
@@ -319,21 +301,21 @@ TEST(WeightSessions, UnackedDestinationForcesKeyframe) {
   Bytes blob = random_blob(21);
   auto first = enc.encode(blob, 1, dsts(), false);
   ASSERT_TRUE(first.has_value());
-  EXPECT_TRUE(first->keyframe);
+  EXPECT_TRUE(header_of(*first).keyframe);
   // Only E0 acks; E1 stays silent -> the next broadcast cannot assume a base.
   enc.note_ack("E0", 1);
   blob = perturb(blob, 0.01, 500);
   auto second = enc.encode(blob, 2, dsts(), false);
   ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->keyframe);
+  EXPECT_TRUE(header_of(*second).keyframe);
   // Once both acked, deltas engage against the *older* commonly-held version.
   enc.note_ack("E0", 2);
   enc.note_ack("E1", 1);
   blob = perturb(blob, 0.01, 501);
   auto third = enc.encode(blob, 3, dsts(), false);
   ASSERT_TRUE(third.has_value());
-  EXPECT_FALSE(third->keyframe);
-  EXPECT_EQ(third->base_version, 1u);
+  EXPECT_FALSE(header_of(*third).keyframe);
+  EXPECT_EQ(header_of(*third).base_version, 1u);
 }
 
 TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
@@ -345,20 +327,20 @@ TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
   WeightDecoderSession dec;
   Bytes blob = random_blob(22);
   auto v1 = enc.encode(blob, 1, dsts(), false);
-  ASSERT_EQ(dec.apply(v1->payload).outcome,
+  ASSERT_EQ(dec.apply(*v1).outcome,
             WeightDecoderSession::Outcome::kApplied);
   for (const auto& d : dsts()) enc.note_ack(d, 1);
 
   blob = perturb(blob, 0.01, 600);
   auto v2 = enc.encode(blob, 2, dsts(), false);  // dropped on the wire
   ASSERT_TRUE(v2.has_value());
-  EXPECT_EQ(v2->base_version, 1u);
+  EXPECT_EQ(header_of(*v2).base_version, 1u);
 
   blob = perturb(blob, 0.01, 601);
   auto v3 = enc.encode(blob, 3, dsts(), false);  // still encoded vs acked v1
   ASSERT_TRUE(v3.has_value());
-  EXPECT_EQ(v3->base_version, 1u);
-  const auto result = dec.apply(v3->payload);
+  EXPECT_EQ(header_of(*v3).base_version, 1u);
+  const auto result = dec.apply(*v3);
   EXPECT_EQ(result.outcome, WeightDecoderSession::Outcome::kApplied);
   EXPECT_EQ(dec.version(), 3u);
 }
@@ -376,14 +358,15 @@ TEST(WeightSessions, MissingBaseForcesKeyframeRecovery) {
   blob = perturb(blob, 0.01, 700);
   auto v2 = enc.encode(blob, 2, dsts(), false);
   ASSERT_TRUE(v2.has_value());
-  ASSERT_FALSE(v2->keyframe);
+  ASSERT_FALSE(header_of(*v2).keyframe);
 
-  const auto miss = stale_dec.apply(v2->payload);
+  const auto miss = stale_dec.apply(*v2);
   EXPECT_EQ(miss.outcome, WeightDecoderSession::Outcome::kNeedKeyframe);
 
   const auto reply = enc.encode_keyframe(blob, 2);
-  EXPECT_TRUE(reply.keyframe);
-  const auto recovered = stale_dec.apply(reply.payload);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(header_of(*reply).keyframe);
+  const auto recovered = stale_dec.apply(*reply);
   EXPECT_EQ(recovered.outcome, WeightDecoderSession::Outcome::kApplied);
   EXPECT_EQ(stale_dec.version(), 2u);
 }
@@ -398,7 +381,7 @@ TEST(WeightSessions, KeyframeCadenceIsHonored) {
     blob = perturb(blob, 0.01, 800 + v);
     auto pub = enc.encode(blob, v, dsts(), false);
     ASSERT_TRUE(pub.has_value());
-    keyframes.push_back(pub->keyframe);
+    keyframes.push_back(header_of(*pub).keyframe);
     for (const auto& d : dsts()) enc.note_ack(d, v);
   }
   // Publish 1 starts the chain; every 3rd publish is a fresh keyframe.
@@ -410,7 +393,10 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
   WeightSyncConfig config = config_for(WeightCodec::kFp16);
   config.lazy_threshold = 0.5;  // huge: everything after the first is "small"
   config.max_staleness = 3;
-  WeightEncoderSession enc(config);
+  MetricsRegistry registry;
+  WeightCodecInstruments instruments;
+  instruments.skipped = &registry.counter("skipped");
+  WeightEncoderSession enc(config, &instruments);
   const Bytes blob = random_blob(25);
   ASSERT_TRUE(enc.encode(blob, 1, dsts(), false).has_value());
   std::uint32_t version = 1;
@@ -422,8 +408,8 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
   }
   auto forced = enc.encode(perturb(blob, 1e-5, 950), ++version, dsts(), false);
   ASSERT_TRUE(forced.has_value());
-  EXPECT_TRUE(forced->keyframe);
-  EXPECT_EQ(enc.skipped(), 3u);
+  EXPECT_TRUE(header_of(*forced).keyframe);
+  EXPECT_EQ(registry.counter("skipped").value(), 3u);
   // A genuinely large update is never skipped.
   auto big = enc.encode(perturb(blob, 10.0, 951), ++version, dsts(), false);
   EXPECT_TRUE(big.has_value());
@@ -437,18 +423,16 @@ TEST(WeightSessions, DecoderRejectsStaleAndCorrupt) {
   WeightDecoderSession dec;
   const Bytes blob = random_blob(26);
   auto v2 = enc.encode(blob, 2, dsts(), false);
-  ASSERT_EQ(dec.apply(v2->payload).outcome,
-            WeightDecoderSession::Outcome::kApplied);
+  ASSERT_EQ(dec.apply(*v2).outcome, WeightDecoderSession::Outcome::kApplied);
   auto v1 = enc.encode_keyframe(blob, 1);  // late arrival of an older version
-  EXPECT_EQ(dec.apply(v1.payload).outcome,
-            WeightDecoderSession::Outcome::kStale);
+  EXPECT_EQ(dec.apply(*v1).outcome, WeightDecoderSession::Outcome::kStale);
   auto v3 = enc.encode_keyframe(blob, 3);
-  Bytes corrupt = *v3.payload;
+  Bytes corrupt = **v3;
   corrupt.resize(corrupt.size() / 2);
   EXPECT_EQ(dec.apply(make_payload(std::move(corrupt))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
   // Version 3 was never applied, so the real frame still lands.
-  EXPECT_EQ(dec.apply(v3.payload).outcome,
+  EXPECT_EQ(dec.apply(*v3).outcome,
             WeightDecoderSession::Outcome::kApplied);
 }
 
@@ -465,11 +449,11 @@ TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
   EXPECT_EQ(dec.apply(make_payload(Bytes(blob))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
   EXPECT_FALSE(dec.applied_any());
-  ASSERT_EQ(dec.apply(enc.encode_keyframe(blob, 1).payload).outcome,
+  ASSERT_EQ(dec.apply(*enc.encode_keyframe(blob, 1)).outcome,
             WeightDecoderSession::Outcome::kApplied);
 
   const auto v2 = enc.encode_keyframe(perturb(blob, 1e-3, 2), 2);
-  Bytes flipped = *v2.payload;
+  Bytes flipped = **v2;
   flipped[0] ^= 0x01;
   for (Bytes body : {blob, flipped}) {
     const auto result = dec.apply(make_payload(std::move(body)));
@@ -479,7 +463,7 @@ TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
   }
   EXPECT_EQ(registry.counter("decode_failures").value(), 3u);
 
-  const auto genuine = dec.apply(v2.payload);
+  const auto genuine = dec.apply(*v2);
   EXPECT_EQ(genuine.outcome, WeightDecoderSession::Outcome::kApplied);
   EXPECT_EQ(genuine.version, 2u);
   EXPECT_EQ(dec.version(), 2u);
@@ -508,7 +492,7 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   auto pub = enc.encode(blob, 1, dsts(), false);
   ASSERT_TRUE(pub.has_value());
   EXPECT_FALSE(enc.encode(perturb(blob, 1e-6, 1000), 2, dsts(), false).has_value());
-  ASSERT_EQ(dec.apply(pub->payload).outcome,
+  ASSERT_EQ(dec.apply(*pub).outcome,
             WeightDecoderSession::Outcome::kApplied);
   // A torn frame of a *newer* version (stateless encode: the session counters
   // must only reflect the decoder's failure, not a second publish).
@@ -528,6 +512,89 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   EXPECT_EQ(registry.histogram("encode_ms").count(), 1u);
   EXPECT_EQ(registry.histogram("decode_ms").count(), 2u);  // applied + torn
   EXPECT_GE(registry.histogram("ratio").quantile(0.5), 2.0);
+}
+
+// ---------------------------------------------------------------------------
+// decode_weight_frame fuzz target (tests/fuzz/weight_frame_fuzz.cpp). It
+// aborts on a broken invariant, so a crash here is a failure.
+// ---------------------------------------------------------------------------
+
+void run_fuzz_target(const Bytes& input) {
+  (void)LLVMFuzzerTestOneInput(input.data(), input.size());
+}
+
+std::vector<std::pair<std::string, Bytes>> weight_frame_corpus() {
+  std::vector<std::pair<std::string, Bytes>> entries;
+  const std::filesystem::path dir =
+      std::filesystem::path(XT_SOURCE_DIR) / "tests/fuzz/corpus/weight_frame";
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    entries.emplace_back(file.path().filename().string(),
+                         Bytes((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>()));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST(WeightFrameFuzz, CorpusReplays) {
+  const Bytes base = weight_frame_fuzz_base();
+  std::vector<bool> codec_seen(kWeightCodecCount, false);
+  for (const auto& [name, frame] : weight_frame_corpus()) {
+    SCOPED_TRACE(name);
+    run_fuzz_target(frame);
+    // ok_* entries are frames encode_weight_frame built, one per codec, the
+    // base-referencing ones against the fuzz target's base; bad_* entries
+    // each break one rule of the frame.
+    if (name.rfind("ok_", 0) == 0) {
+      EXPECT_TRUE(decode_weight_frame(frame, &base).has_value());
+      codec_seen[static_cast<std::size_t>(peek_weight_frame(frame)->codec)] = true;
+    } else {
+      EXPECT_FALSE(decode_weight_frame(frame, &base).has_value());
+      EXPECT_FALSE(decode_weight_frame(frame, nullptr).has_value());
+    }
+  }
+  EXPECT_EQ(std::count(codec_seen.begin(), codec_seen.end(), true), kWeightCodecCount);
+}
+
+TEST(WeightFrameFuzz, SeededMutationsOfCorpus) {
+  // Over every well-formed corpus frame: each strict prefix, which must be
+  // rejected, never misread; bit flips anywhere and in the header and
+  // structure region; and every header byte forced to 0x00 and 0xFF.
+  const Bytes base = weight_frame_fuzz_base();
+  Rng rng(59);
+  std::size_t cases = 0;
+  const auto check = [&](const Bytes& input) {
+    run_fuzz_target(input);
+    ++cases;
+  };
+  for (const auto& [name, frame] : weight_frame_corpus()) {
+    if (name.rfind("ok_", 0) != 0) continue;
+    SCOPED_TRACE(name);
+    for (std::size_t len = 0; len < frame.size(); ++len) {
+      const Bytes prefix(frame.begin(),
+                         frame.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(decode_weight_frame(prefix, &base).has_value());
+      check(prefix);
+    }
+    for (int i = 0; i < 400; ++i) {
+      Bytes mangled = frame;
+      const std::size_t region = i % 2 == 0 ? mangled.size() : 96;
+      for (int flips = 1 + static_cast<int>(rng.uniform_index(3)); flips > 0; --flips) {
+        mangled[rng.uniform_index(std::min(region, mangled.size()))] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      }
+      check(mangled);
+    }
+    for (std::size_t at = 0; at < 24; ++at) {
+      for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+        Bytes forced = frame;
+        forced[at] = value;
+        check(forced);
+      }
+    }
+  }
+  EXPECT_GT(cases, 3'000u);
 }
 
 TEST(WeightCodec, NameParsingRoundTrips) {
