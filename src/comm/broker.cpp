@@ -23,6 +23,9 @@ std::string drop_label(std::uint16_t machine, DropReason reason) {
          drop_reason_name(reason) + "\"}";
 }
 
+/// Only a message's first chunk header may be shed; the rest are committed.
+bool pinned_chunk(const MessageHeader& header) { return header.chunk_index != 0; }
+
 std::string shed_label(std::uint16_t machine, const char* reason) {
   // Only experience is ever shed by the queue policy (control is never
   // dropped, weights are backpressured), so the class label is fixed.
@@ -41,6 +44,7 @@ const char* drop_reason_name(DropReason reason) {
     case DropReason::kNoSink: return "no_sink";
     case DropReason::kMissingBody: return "missing_body";
     case DropReason::kNoLocalDest: return "no_local_dest";
+    case DropReason::kIncompleteBody: return "incomplete_body";
     case DropReason::kCount: break;
   }
   return "unknown";
@@ -65,16 +69,15 @@ Broker::Broker(std::uint16_t machine, Options options)
             metrics_.histogram(machine_label("xt_queue_wait_ms", machine)),
             metrics_.counter(
                 machine_label("xt_frames_corrupted_total", machine))},
-      // A shed header owned every store reference submit() took for it;
-      // release them all so the refcount stays balanced.
+      // A one-chunk message's shed header owned every store reference
+      // submit() took for it; a longer message keeps them until the router
+      // skips its last chunk.
       router_queue_(options_.overload,
                     [this](TrafficClass /*cls*/, MessageHeader&& header) {
-                      const std::uint32_t refs = expected_fetches(header);
-                      for (std::uint32_t i = 0; i < refs; ++i) {
-                        store_.release(header.object_id);
-                      }
+                      if (header.chunk_count == 1) release_refs(header);
                       shed_router_->inc();
-                    }) {
+                    },
+                    pinned_chunk) {
   for (std::size_t i = 0; i < drop_by_reason_.size(); ++i) {
     drop_by_reason_[i] =
         &metrics_.counter(drop_label(machine, static_cast<DropReason>(i)));
@@ -166,6 +169,11 @@ std::uint32_t Broker::expected_fetches(const MessageHeader& header) const {
   return total == 0 ? 1 : total;
 }
 
+void Broker::release_refs(const MessageHeader& header) {
+  const std::uint32_t refs = expected_fetches(header);
+  for (std::uint32_t i = 0; i < refs; ++i) store_.release(header.object_id);
+}
+
 void Broker::set_remote_sink(std::uint16_t machine, RemoteSink sink) {
   std::scoped_lock lock(mu_);
   remote_sinks_[machine] = std::move(sink);
@@ -208,8 +216,23 @@ void Broker::note_drop(DropReason reason) {
 void Broker::route(MessageHeader header) {
   const Stopwatch route_clock;
   ProfScope prof("route");
-  TraceScope route_span(trace_, "router.route", "comm", header.trace_id(),
-                        machine_, header.body_size);
+  // Like its wire frame, only a message's last chunk is traced as its own.
+  const bool last = header.last_chunk();
+  const std::uint64_t trace_id = last ? header.trace_id() : 0;
+  TraceScope route_span(trace_, "router.route", "comm", trace_id, machine_,
+                        header.body_size);
+
+  if (header.chunk_count > 1) {
+    // A message whose first chunk never reached the router was shed there:
+    // skip its chunks, and release its references with the last one.
+    if (header.chunk_index == 0) {
+      streaming_.insert(header.msg_id);
+    } else if (!streaming_.contains(header.msg_id)) {
+      if (last) release_refs(header);
+      return;
+    }
+    if (last) streaming_.erase(header.msg_id);
+  }
 
   // Partition destinations: local endpoints get the header directly through
   // their ID queue; every distinct remote machine gets one forwarded copy of
@@ -221,7 +244,7 @@ void Broker::route(MessageHeader header) {
 
   const std::int64_t routed_ns = now_ns();
   for (const NodeId& dst : header.dsts) {
-    if (dst.machine != machine_) continue;
+    if (!last || dst.machine != machine_) continue;
     std::shared_ptr<IdQueue> queue;
     {
       std::scoped_lock lock(mu_);
@@ -243,8 +266,14 @@ void Broker::route(MessageHeader header) {
       auto it = remote_sinks_.find(machine);
       if (it != remote_sinks_.end()) sink = it->second;
     }
-    Payload body = store_.fetch(header.object_id);
+    // Earlier chunks read the body in place; the last takes the machine's
+    // reference and accounts for a failed forward. An earlier chunk finds
+    // no body only when its sender met a stopping broker and released the
+    // references itself.
+    Payload body =
+        last ? store_.fetch(header.object_id) : store_.peek(header.object_id);
     if (!sink || !body) {
+      if (!last) continue;
       if (body == nullptr) {
         note_drop(DropReason::kMissingBody);
       } else {
@@ -253,14 +282,82 @@ void Broker::route(MessageHeader header) {
       }
       continue;
     }
-    inst_.forwarded.inc();
+    if (last) inst_.forwarded.inc();
     sink(header, std::move(body));
   }
 
   inst_.route_ms.observe(route_clock.elapsed_ms());
 }
 
+bool Broker::reassemble(const MessageHeader& header, Payload& body) {
+  const bool in_order = header.link_seq == 0;
+  bool complete = header.chunk_count == 1;
+  std::uint32_t lost = 0;
+  {
+    std::scoped_lock lock(partial_mu_);
+    if (in_order && !partial_.empty()) {
+      // An older body from this sender and class still missing chunks has
+      // lost them: its chunks left before this message's.
+      for (auto it = partial_.begin(); it != partial_.end();) {
+        const PartialBody& older = it->second;
+        if (it->first != header.msg_id && older.in_order && older.src == header.src &&
+            older.tclass == header.tclass) {
+          if (!older.lost) ++lost;
+          it = partial_.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    if (!complete) {
+      auto [it, fresh] = partial_.try_emplace(header.msg_id);
+      PartialBody& partial = it->second;
+      if (fresh) {
+        partial.src = header.src;
+        partial.tclass = header.tclass;
+        partial.in_order = in_order;
+        partial.body = body;
+      }
+      if (in_order && header.chunk_index != partial.arrived && !partial.lost) {
+        partial.lost = true;  // a gap: the chunks between were lost
+        partial.body = nullptr;
+        ++lost;
+      }
+      ++partial.arrived;
+      partial.touched = ++partial_clock_;
+      if (!partial.lost && partial.arrived == header.chunk_count) {
+        complete = true;
+        body = std::move(partial.body);
+        partial_.erase(it);
+      } else if (in_order && header.last_chunk()) {
+        if (!partial.lost) ++lost;
+        partial_.erase(it);
+      } else if (partial_.size() > kMaxPartialBodies) {
+        auto stalest = partial_.begin();
+        for (auto e = partial_.begin(); e != partial_.end(); ++e) {
+          if (e->second.touched < stalest->second.touched) stalest = e;
+        }
+        if (!stalest->second.lost) ++lost;
+        partial_.erase(stalest);
+      }
+    }
+  }
+  // The chunks share the sender's buffer; it must hold exactly the body.
+  if (complete && body->size() != header.body_size) {
+    complete = false;
+    ++lost;
+  }
+  for (; lost > 0; --lost) note_drop(DropReason::kIncompleteBody);
+  return complete;
+}
+
+std::size_t Broker::partial_bodies() const {
+  std::scoped_lock lock(partial_mu_);
+  return partial_.size();
+}
+
 void Broker::deliver_remote(MessageHeader header, Payload body) {
+  if (!reassemble(header, body)) return;
   ProfScope prof("rehost");
   TraceScope rehost_span(trace_, "broker.rehost", "comm", header.trace_id(),
                          machine_, body->size());

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -45,12 +46,13 @@ using RemoteSink = std::function<void(MessageHeader, Payload)>;
 /// `xt_broker_dropped_total{machine=...,reason=...}` counter so chaos runs
 /// can tell integrity rejects from routing failures at a glance.
 enum class DropReason : std::uint8_t {
-  kUnknownDest = 0,   ///< destination was never registered
-  kClosedDest = 1,    ///< destination queue closed (endpoint shut down)
-  kCrcFail = 2,       ///< cross-machine frame failed its CRC check
-  kNoSink = 3,        ///< no forwarding sink for the destination machine
-  kMissingBody = 4,   ///< object store had no body for a remote forward
-  kNoLocalDest = 5,   ///< remote delivery addressed nothing on this machine
+  kUnknownDest = 0,     ///< destination was never registered
+  kClosedDest = 1,      ///< destination queue closed (endpoint shut down)
+  kCrcFail = 2,         ///< cross-machine frame failed its CRC check
+  kNoSink = 3,          ///< no forwarding sink for the destination machine
+  kMissingBody = 4,     ///< object store had no body for a remote forward
+  kNoLocalDest = 5,     ///< remote delivery addressed nothing on this machine
+  kIncompleteBody = 6,  ///< a remote body lost a chunk, so it never completed
   kCount,
 };
 
@@ -70,11 +72,11 @@ class Broker {
     bool deep_copy_store = false;  ///< ablation: copy bodies instead of sharing
     /// Modeled serialize+copy bandwidth into the shared-memory object store
     /// (0 = unpaced). The sender thread sleeps body_size / bandwidth per
-    /// message, reproducing the per-byte cost the Python system pays when
-    /// pickling into the Arrow store — off the workhorse's critical path,
-    /// which is exactly the overlap the paper exploits. Benchmarks set this
-    /// to the paper's measured effective rate (~65 MB/s: 13.8 MB IMPALA
-    /// rollouts took 212 ms end to end in XingTian, Fig. 8(b)).
+    /// message, chunk by chunk, reproducing the per-byte cost the Python
+    /// system pays when pickling into the Arrow store — off the workhorse's
+    /// critical path, which is exactly the overlap the paper exploits.
+    /// Benchmarks set this to the paper's measured effective rate (~65 MB/s:
+    /// 13.8 MB IMPALA rollouts took 212 ms end to end in XingTian, Fig. 8(b)).
     double ipc_bandwidth_bytes_per_sec = 0.0;
     /// Telemetry sinks; the runtime injects its per-run instances here. A
     /// broker without a registry records into one it owns, and a broker
@@ -118,9 +120,13 @@ class Broker {
   void unregister_endpoint(const NodeId& id);
 
   /// Submit a header whose body is already in the object store with a
-  /// reference count equal to local_fanout(header) computed at submit time.
-  /// Returns false if the broker is shutting down (caller must release the
-  /// store references itself in that case).
+  /// reference count equal to expected_fetches(header) computed at submit
+  /// time. A body of several chunks is submitted as one header per chunk, in
+  /// order, as each chunk is sealed; the router forwards each chunk to
+  /// remote machines at once, hands local destinations the last one, and
+  /// consumes the references with the last. Returns false if the broker is
+  /// shutting down (caller must release the store references itself in that
+  /// case, even when earlier chunks went through).
   [[nodiscard]] bool submit(MessageHeader header);
 
   /// Number of store references `submit` expects for this header from this
@@ -131,17 +137,30 @@ class Broker {
   /// Install the forwarding sink toward another machine's broker.
   void set_remote_sink(std::uint16_t machine, RemoteSink sink);
 
-  /// Ingress path for messages arriving from another machine: re-hosts the
-  /// body in the local object store and fans the header out to local ID
-  /// queues. Local workhorses never perceive the difference (Section 3.2.1).
-  /// The caller has already checked the wire frame's CRC; routing drops (no
-  /// local destination, closed queue) are counted here, and retransmitting
-  /// cannot repair them.
+  /// Ingress path for message chunks arriving from another machine: once
+  /// every chunk of the body has arrived, re-hosts the body in the local
+  /// object store and fans the header out to local ID queues. Local
+  /// workhorses never perceive the difference (Section 3.2.1). The caller
+  /// has already checked the wire frame's CRC; routing drops (no local
+  /// destination, closed queue, a body that lost a chunk) are counted here,
+  /// and retransmitting cannot repair them.
+  ///
+  /// A chunk without a link sequence number came over a link that does not
+  /// retransmit, which delivers one sender's messages of one class in
+  /// order: a gap in a body's chunks, its last chunk arriving short, or a
+  /// newer message from the same sender and class ends the body as one
+  /// kIncompleteBody drop. Chunks from a reliable link may arrive out of
+  /// order; a body that never completes there stays until the table holds
+  /// kMaxPartialBodies and it is the least recently extended.
   void deliver_remote(MessageHeader header, Payload body);
 
+  /// Remote bodies with some chunks in and some missing.
+  static constexpr std::size_t kMaxPartialBodies = 64;
+  [[nodiscard]] std::size_t partial_bodies() const;
+
   /// Ingress accounting for a corrupted *wire frame*: it failed its chained
-  /// CRC, so its message is rejected exactly once — one corrupted-frame
-  /// tick and one CRC-fail drop. The caller (fabric or reliable channel)
+  /// CRC, so its chunk is rejected exactly once — one corrupted-frame tick
+  /// and one CRC-fail drop. The caller (fabric or reliable channel)
   /// never delivers it.
   void reject_corrupt_frame();
 
@@ -186,8 +205,24 @@ class Broker {
     Counter& corrupted;         ///< CRC-failed cross-machine frames
   };
 
+  /// A remote body streaming in as chunks.
+  struct PartialBody {
+    NodeId src;
+    TrafficClass tclass = TrafficClass::kExperience;
+    bool in_order = true;
+    bool lost = false;          ///< a chunk is gone for good (drop counted)
+    std::uint32_t arrived = 0;
+    std::uint64_t touched = 0;  ///< ingress order of its latest chunk
+    Payload body;
+  };
+
   void router_loop();
   void route(MessageHeader header);
+  /// Release every store reference submit() took for the header's message.
+  void release_refs(const MessageHeader& header);
+  /// Account one remote chunk; true when it completes its body, which is
+  /// then in `body`.
+  [[nodiscard]] bool reassemble(const MessageHeader& header, Payload& body);
   /// Push a routed header into an ID queue, translating the outcome into
   /// ref-accounting + drop/shed telemetry (shared by route/deliver_remote).
   void push_inbox(IdQueue& queue, const MessageHeader& header,
@@ -217,6 +252,13 @@ class Broker {
   std::int64_t last_drop_warn_ns_ = 0;
   std::uint64_t dropped_at_last_warn_ = 0;
   bool warned_once_ = false;
+
+  /// Remote bodies by msg_id; deliver_remote runs on every incoming pipe.
+  mutable std::mutex partial_mu_;
+  std::unordered_map<std::uint64_t, PartialBody> partial_;
+  std::uint64_t partial_clock_ = 0;
+  /// Router thread only: multi-chunk messages whose first chunk it routed.
+  std::unordered_set<std::uint64_t> streaming_;
 
   /// Headers submitted on this machine, waiting for the router thread.
   ClassedQueue<MessageHeader> router_queue_;

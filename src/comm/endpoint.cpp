@@ -138,27 +138,39 @@ void Endpoint::sender_loop() {
     // Pay the modeled object-store insertion cost here, on the sender
     // thread — the workhorse already moved on. The store.put span covers
     // pacing + insert: together they are the per-message serialize/copy cost
-    // of paper Fig. 8(b).
+    // of paper Fig. 8(b). The body goes into the store once; the modeled
+    // copy is paced chunk by chunk against absolute deadlines, so it still
+    // takes size / ipc_bw in all, and each chunk's header is submitted as
+    // the chunk is sealed, so the router streams it while the rest is put.
     {
       ProfScope prof("store.put");
       TraceScope span(trace, "store.put", "comm", header.trace_id(),
                       id_.machine, encoded.data->size());
       const Stopwatch clock;
       const double ipc_bw = broker_.options().ipc_bandwidth_bytes_per_sec;
-      if (ipc_bw > 0.0) {
-        precise_sleep_ns(static_cast<std::int64_t>(
-            static_cast<double>(encoded.data->size()) / ipc_bw * 1e9));
-      }
 
       header.body_size = encoded.data->size();
       header.compressed = encoded.compressed;
       header.uncompressed_size = encoded.uncompressed_size;
+      header.chunk_count =
+          static_cast<std::uint32_t>(chunk_count_for(header.body_size));
 
       const std::uint32_t fetches = broker_.expected_fetches(header);
       header.object_id = broker_.store().put(std::move(encoded.data), fetches);
-      inst_.store_put_ms.observe(clock.elapsed_ms());
 
-      if (!broker_.submit(header)) {
+      bool submitted = true;
+      std::uint64_t sealed = 0;
+      for (std::uint32_t i = 0; i < header.chunk_count && submitted; ++i) {
+        sealed += chunk_length(header.body_size, i);
+        if (ipc_bw > 0.0) {
+          const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
+          precise_sleep_ns(static_cast<std::int64_t>(due_ns) - clock.elapsed_ns());
+        }
+        header.chunk_index = i;
+        submitted = broker_.submit(header);
+      }
+      inst_.store_put_ms.observe(clock.elapsed_ms());
+      if (!submitted) {
         // Broker is shutting down: balance the store references we created.
         for (std::uint32_t i = 0; i < fetches; ++i) {
           broker_.store().release(header.object_id);

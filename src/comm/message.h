@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -74,6 +76,28 @@ inline constexpr std::uint8_t kTrafficClassCount = 3;
   return "experience";
 }
 
+/// Bodies stream in chunks of this size (DESIGN.md §9). The sender paces its
+/// modeled put chunk by chunk and submits one header per chunk, the router
+/// forwards each chunk to remote machines at once, and each chunk crosses a
+/// link as its own wire frame, so the put and the link overlap. A body of at
+/// most one chunk is a message of one chunk.
+inline constexpr std::size_t kChunkBytes = std::size_t{256} * 1024;
+
+/// Chunks a body of `body_size` bytes streams as (an empty body is one).
+[[nodiscard]] constexpr std::uint64_t chunk_count_for(std::uint64_t body_size) {
+  if (body_size <= kChunkBytes) return 1;
+  return body_size / kChunkBytes + (body_size % kChunkBytes != 0 ? 1 : 0);
+}
+
+/// Bytes of chunk `index` of a body of `body_size` bytes; it starts at
+/// `index * kChunkBytes`.
+[[nodiscard]] constexpr std::uint64_t chunk_length(std::uint64_t body_size,
+                                                   std::uint32_t index) {
+  const std::uint64_t begin = std::uint64_t{index} * kChunkBytes;
+  if (begin >= body_size) return 0;
+  return std::min<std::uint64_t>(kChunkBytes, body_size - begin);
+}
+
 /// Lightweight metadata that travels through header/ID queues. Bodies move
 /// separately through the zero-copy object store; only this struct is
 /// copied per destination.
@@ -91,6 +115,13 @@ struct MessageHeader {
   /// Overload arbitration lane (see TrafficClass). Stamped by make_outbound
   /// from the message type and carried in its wire frame's control segment.
   TrafficClass tclass = TrafficClass::kExperience;
+
+  /// The chunk of the body this header announces, and how many the body
+  /// streams as (chunk_count_for(body_size)). Every other field is the same
+  /// in each chunk's header; local destinations see only the last one.
+  std::uint32_t chunk_index = 0;
+  std::uint32_t chunk_count = 1;
+  [[nodiscard]] bool last_chunk() const { return chunk_index + 1 == chunk_count; }
 
   /// Per-link sequence number assigned by the reliable channel (0 = none).
   /// Wire integrity is checked per frame, not per message (WireFrame::crc).

@@ -41,6 +41,12 @@ Payload ObjectStore::fetch(std::uint64_t object_id) {
   return body;
 }
 
+Payload ObjectStore::peek(std::uint64_t object_id) const {
+  std::scoped_lock lock(mu_);
+  auto it = objects_.find(object_id);
+  return it == objects_.end() ? nullptr : it->second.body;
+}
+
 void ObjectStore::release(std::uint64_t object_id) {
   std::scoped_lock lock(mu_);
   auto it = objects_.find(object_id);

@@ -46,6 +46,11 @@ class ObjectStore {
   /// unknown (already fully consumed or never inserted).
   [[nodiscard]] Payload fetch(std::uint64_t object_id);
 
+  /// The body without taking a claim: the router forwards a streaming
+  /// body's earlier chunks this way and fetches only with its last one.
+  /// Returns nullptr if the id is unknown.
+  [[nodiscard]] Payload peek(std::uint64_t object_id) const;
+
   /// Drop one destination's claim without fetching (e.g. the destination
   /// endpoint has shut down). Keeps refcounts balanced.
   void release(std::uint64_t object_id);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <condition_variable>
@@ -87,16 +88,22 @@ enum class PushResult : std::uint8_t {
 ///
 /// Every shed item is handed to the `ShedFn` so the owner can release
 /// object-store references and bump `xt_messages_shed_total`. The callback
-/// runs outside the queue lock. Items rejected because the queue is *closed*
-/// do not go through the callback — that mirrors `BlockingQueue::push`
-/// returning false, and callers already balance references on that path.
+/// runs outside the queue lock. Items the `PinFn` names are never shed or
+/// displaced; they soft-overflow the watermark like weights. The broker pins
+/// each chunk header after a body's first, because a message whose first
+/// chunk was admitted is committed to the rest. Items rejected because the
+/// queue is *closed* do not go through the callback — that mirrors
+/// `BlockingQueue::push` returning false, and callers already balance
+/// references on that path.
 template <typename T>
 class ClassedQueue {
  public:
   using ShedFn = std::function<void(TrafficClass, T&&)>;
+  using PinFn = std::function<bool(const T&)>;
 
-  explicit ClassedQueue(OverloadConfig cfg = {}, ShedFn on_shed = nullptr)
-      : cfg_(cfg), on_shed_(std::move(on_shed)) {}
+  explicit ClassedQueue(OverloadConfig cfg = {}, ShedFn on_shed = nullptr,
+                        PinFn pinned = nullptr)
+      : cfg_(cfg), on_shed_(std::move(on_shed)), pinned_(std::move(pinned)) {}
 
   ClassedQueue(const ClassedQueue&) = delete;
   ClassedQueue& operator=(const ClassedQueue&) = delete;
@@ -236,7 +243,7 @@ class ClassedQueue {
                     std::vector<std::pair<TrafficClass, T>>& shed) {
     auto& lane = lanes_[lane_index(cls)];
     if (cls == TrafficClass::kControl || !cfg_.bounded() ||
-        data_size_locked() < cfg_.high_watermark) {
+        data_size_locked() < cfg_.high_watermark || (pinned_ && pinned_(value))) {
       lane.push_back(std::move(value));
       return true;
     }
@@ -244,13 +251,13 @@ class ClassedQueue {
     if (cls == TrafficClass::kWeights) {
       // Weights are never dropped: evict queued experience to make room, or
       // soft-overflow the watermark when there is none to evict.
-      if (!experience.empty()) shed_front_locked(experience, shed);
+      shed_oldest_locked(experience, shed);
       lane.push_back(std::move(value));
       return true;
     }
     // Experience at the watermark: shed per policy.
-    if (cfg_.shed_policy == ShedPolicy::kOldest && !experience.empty()) {
-      shed_front_locked(experience, shed);
+    if (cfg_.shed_policy == ShedPolicy::kOldest &&
+        shed_oldest_locked(experience, shed)) {
       lane.push_back(std::move(value));
       return true;
     }
@@ -259,12 +266,17 @@ class ClassedQueue {
     return false;
   }
 
-  void shed_front_locked(std::deque<T>& experience,
-                         std::vector<std::pair<TrafficClass, T>>& shed) {
+  /// Sheds the oldest queued experience that is not pinned; false when
+  /// there is none.
+  bool shed_oldest_locked(std::deque<T>& experience,
+                          std::vector<std::pair<TrafficClass, T>>& shed) {
+    auto it = experience.begin();
+    if (pinned_) it = std::find_if_not(it, experience.end(), pinned_);
+    if (it == experience.end()) return false;
     sheds_[lane_index(TrafficClass::kExperience)]++;
-    shed.emplace_back(TrafficClass::kExperience,
-                      std::move(experience.front()));
-    experience.pop_front();
+    shed.emplace_back(TrafficClass::kExperience, std::move(*it));
+    experience.erase(it);
+    return true;
   }
 
   void run_shed_callbacks(std::vector<std::pair<TrafficClass, T>>& shed) {
@@ -304,6 +316,7 @@ class ClassedQueue {
   std::array<std::uint64_t, kTrafficClassCount> sheds_{};
   const OverloadConfig cfg_;
   const ShedFn on_shed_;
+  const PinFn pinned_;
   bool closed_ = false;
 };
 

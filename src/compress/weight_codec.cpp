@@ -726,6 +726,9 @@ std::optional<Payload> WeightEncoderSession::encode(
 
 std::optional<Payload> WeightEncoderSession::encode_keyframe(const Bytes& fp32_blob,
                                                              std::uint32_t version) {
+  if (instruments_ != nullptr && instruments_->raw_bytes != nullptr) {
+    instruments_->raw_bytes->inc(fp32_blob.size());
+  }
   const Stopwatch clock;
   auto frame = encode_weight_frame(fp32_blob, version, config_, true, nullptr, 0);
   if (!frame) return std::nullopt;

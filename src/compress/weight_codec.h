@@ -60,7 +60,8 @@ struct WeightCodecInstruments {
   Histogram* decode_ms = nullptr;
   Histogram* compression_ratio = nullptr;  ///< raw bytes / encoded bytes, per frame
   Counter* bytes_out = nullptr;        ///< xt_weights_bytes_total{codec=...}
-  Counter* raw_bytes = nullptr;        ///< fp32-equivalent bytes per encode attempt
+  Counter* raw_bytes = nullptr;        ///< fp32-equivalent bytes per encode
+                                       ///< attempt and keyframe reply
   Counter* skipped = nullptr;          ///< xt_weights_skipped_total
   Counter* keyframes = nullptr;        ///< keyframes published
   Counter* decode_failures = nullptr;  ///< corrupt frames rejected by a decoder

@@ -15,14 +15,16 @@ namespace xt {
 /// The controller establishes these routes during initialization; the
 /// machine hosting the learner is the natural center of traffic.
 ///
-/// Every message crossing a link travels as its own WireFrame: one control
-/// segment (the encoded header) plus the body as a shared scatter-gather
-/// segment — the body buffer on the wire is the same object-store
-/// allocation the sender's workhorse produced.
+/// Every chunk of a message crossing a link travels as its own WireFrame
+/// (DESIGN.md §9): one control segment (the encoded header) plus the
+/// chunk's byte range of the body as a shared scatter-gather segment — the
+/// body buffer on the wire is the same object-store allocation the sender's
+/// workhorse produced. The far broker reassembles the chunks.
 ///
 /// When the link's FaultPlan is enabled every outgoing frame carries a
 /// chained CRC over both segments so corruption is caught at the far side —
-/// a corrupted frame rejects its message exactly once. With reliability
+/// a corrupted frame rejects its chunk exactly once, so its body never
+/// completes. With reliability
 /// enabled each direction gets a ReliableChannel layered on its pipe (frame
 /// seq numbers, one ack per frame over the reverse pipe, retransmit with
 /// capped exponential backoff). With faults and reliability off, the wiring

@@ -50,9 +50,11 @@ WireFrame apply_corruption(WireFrame frame, const FaultOutcome& outcome) {
     frame.control[offset] ^= outcome.corrupt_mask;
     return frame;
   }
-  Bytes copy(*frame.body);
+  const std::span<const std::uint8_t> segment = frame.segment();
+  Bytes copy(segment.begin(), segment.end());
   copy[offset - frame.control.size()] ^= outcome.corrupt_mask;
   frame.body = make_payload(std::move(copy));
+  frame.body_offset = 0;
   return frame;
 }
 

@@ -87,8 +87,9 @@ class FaultInjector {
 
 /// Apply a corrupt outcome to a wire frame: the flipped byte lands at
 /// corrupt_offset modulo the frame's wire size, counted across the control
-/// segment then the body. Only the hit segment is copied (control in place
-/// on the returned frame, or the body replaced by a flipped copy). The
+/// segment then the body segment. Only the hit segment is copied (control in
+/// place on the returned frame, or the body segment's range replaced by a
+/// flipped copy of just that range, never the whole shared body). The
 /// frame's stamped CRC is left untouched, so a decode on the far side fails
 /// — which is the point. No-op for non-corrupt outcomes / empty frames.
 [[nodiscard]] WireFrame apply_corruption(WireFrame frame,

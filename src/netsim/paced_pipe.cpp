@@ -15,9 +15,10 @@ PacedPipe::PacedPipe(std::string name, LinkConfig config, Observability obs)
     : name_(std::move(name)),
       config_(config),
       obs_(obs),
-      queue_(config.overload, [this](TrafficClass /*cls*/, Frame&& /*frame*/) {
+      queue_(config.overload, [this](TrafficClass /*cls*/, Frame&& frame) {
         frames_shed_.fetch_add(1, std::memory_order_relaxed);
         if (obs_.frames_shed != nullptr) obs_.frames_shed->inc();
+        if (frame.on_start) frame.on_start();
       }) {
   if (config_.faults.enabled()) {
     injector_ = std::make_unique<FaultInjector>(config_.faults);
@@ -52,13 +53,14 @@ bool PacedPipe::send(std::size_t wire_bytes, std::function<void()> deliver,
 }
 
 bool PacedPipe::send_faultable(std::size_t wire_bytes, FaultableDeliver deliver,
-                               std::uint64_t trace_id, TrafficClass cls) {
+                               std::uint64_t trace_id, TrafficClass cls,
+                               StartHook on_start) {
   // kShed still returns true: the frame was accepted by the link and then
   // dropped by its overload policy — from the sender's perspective exactly
   // like a frame lost downstream (a reliable channel recovers it the same
   // way, through the missing ack).
-  return queue_.push(cls, Frame{wire_bytes, std::move(deliver), trace_id}) !=
-         PushResult::kClosed;
+  return queue_.push(cls, Frame{wire_bytes, std::move(deliver), trace_id,
+                                std::move(on_start)}) != PushResult::kClosed;
 }
 
 void PacedPipe::transmit_loop() {
@@ -68,6 +70,7 @@ void PacedPipe::transmit_loop() {
     // occupancy — so this thread's busy% reads as link utilization.
     ProfScope prof("transmit");
     const std::int64_t start_ns = now_ns();
+    if (frame->on_start) frame->on_start();
     FaultOutcome outcome;
     if (injector_) outcome = injector_->next_frame(link_clock.elapsed_s());
 

@@ -52,6 +52,11 @@ class PacedPipe {
   /// Delivery callback; the outcome describes faults injected into this
   /// frame (never a drop — dropped frames are simply not delivered).
   using FaultableDeliver = std::function<void(const FaultOutcome&)>;
+  /// Runs on the transmit thread when the frame stops waiting in the queue:
+  /// as the link starts serializing it, or as the overload policy sheds it.
+  /// A reliable link arms its retransmit timer here, so time spent queued
+  /// behind other frames never reads as a loss.
+  using StartHook = std::function<void()>;
 
   /// Optional telemetry: the `pipe.transmit` lifecycle span plus bytes/
   /// frames-on-wire metrics and injected-fault counters. All pointers may
@@ -96,7 +101,8 @@ class PacedPipe {
   /// thread that must not stall on a congested link.
   bool send_faultable(std::size_t wire_bytes, FaultableDeliver deliver,
                       std::uint64_t trace_id = 0,
-                      TrafficClass cls = TrafficClass::kExperience);
+                      TrafficClass cls = TrafficClass::kExperience,
+                      StartHook on_start = nullptr);
 
   /// Drain and stop (idempotent): the transmit queue is paced out, then
   /// every frame in flight is delivered at its due time.
@@ -124,6 +130,7 @@ class PacedPipe {
     std::size_t wire_bytes;
     FaultableDeliver deliver;
     std::uint64_t trace_id;
+    StartHook on_start;
   };
 
   /// A frame off the wire, propagating toward the far end.

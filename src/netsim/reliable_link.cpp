@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -18,6 +19,10 @@ namespace {
 std::int64_t ms_to_ns(double ms) {
   return static_cast<std::int64_t>(std::llround(ms * 1e6));
 }
+
+/// Deadline of a frame still waiting for the pipe: its timer starts when the
+/// pipe starts serializing it.
+constexpr std::int64_t kUnarmed = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
@@ -142,10 +147,9 @@ void ReliableChannel::send(const MessageHeader& header, Payload body) {
     Pending entry;
     entry.frame = frame;
     entry.rto_ns = ms_to_ns(config_.rto_ms);
-    entry.deadline_ns = now_ns() + entry.rto_ns;
+    entry.deadline_ns = kUnarmed;
     pending_.emplace(seq, std::move(entry));
   }
-  cv_.notify_one();  // the retransmitter may need an earlier deadline
   transmit(seq, frame);
 }
 
@@ -155,7 +159,17 @@ void ReliableChannel::transmit(std::uint64_t seq, const WireFrame& frame) {
       [this, seq, frame](const FaultOutcome& outcome) {
         deliver(seq, frame, outcome);
       },
-      frame.trace_id, frame.tclass);
+      frame.trace_id, frame.tclass, [this, seq] { arm(seq); });
+}
+
+void ReliableChannel::arm(std::uint64_t seq) {
+  {
+    std::scoped_lock lock(mu_);
+    auto it = pending_.find(seq);
+    if (it == pending_.end()) return;
+    it->second.deadline_ns = now_ns() + it->second.rto_ns;
+  }
+  cv_.notify_one();  // the retransmitter may need an earlier deadline
 }
 
 void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
@@ -226,13 +240,13 @@ void ReliableChannel::on_ack(std::uint64_t seq) {
 void ReliableChannel::retransmit_loop() {
   std::unique_lock lock(mu_);
   while (!stopping_) {
-    if (pending_.empty()) {
-      cv_.wait(lock, [this] { return stopping_ || !pending_.empty(); });
-      continue;
-    }
-    std::int64_t earliest = pending_.begin()->second.deadline_ns;
+    std::int64_t earliest = kUnarmed;
     for (const auto& [seq, entry] : pending_) {
       earliest = std::min(earliest, entry.deadline_ns);
+    }
+    if (earliest == kUnarmed) {  // nothing pending, or nothing on the wire yet
+      cv_.wait(lock);
+      continue;
     }
     const std::int64_t now = now_ns();
     if (earliest > now) {
@@ -265,7 +279,7 @@ void ReliableChannel::retransmit_loop() {
           static_cast<std::int64_t>(
               static_cast<double>(entry.rto_ns) * config_.backoff),
           ms_to_ns(config_.max_rto_ms));
-      entry.deadline_ns = now + entry.rto_ns;
+      entry.deadline_ns = kUnarmed;  // re-armed as the retransmit starts
       due.push_back(entry.frame);
       ++it;
     }

@@ -47,12 +47,14 @@ enum class LinkState : std::uint8_t {
 [[nodiscard]] const char* link_state_name(LinkState state);
 
 /// One direction of a reliable cross-machine link, layered on a lossy
-/// PacedPipe. The unit of the protocol is the *wire frame* (one message):
-/// every frame carries a sequence number and a chained CRC over its control
-/// + body segments; the receiving side acks each intact frame over the
-/// reverse pipe (so acks themselves can be lost or corrupted), dedups
-/// retransmitted ones, and a dedicated retransmitter thread re-sends
+/// PacedPipe. The unit of the protocol is the *wire frame* (one chunk of a
+/// message): every frame carries a sequence number and a chained CRC over
+/// its control + body segments; the receiving side acks each intact frame
+/// over the reverse pipe (so acks themselves can be lost or corrupted),
+/// dedups retransmitted ones, and a dedicated retransmitter thread re-sends
 /// anything unacked past its deadline with capped exponential backoff. A
+/// frame's timer starts when the pipe starts serializing it, not when it is
+/// queued, so a frame waiting behind others is never resent for the wait. A
 /// corrupted frame fails decode, is rejected, and is repaired by the
 /// retransmit its withheld ack triggers. The router thread only ever
 /// enqueues onto the pipe — it never blocks on the protocol.
@@ -88,9 +90,10 @@ class ReliableChannel {
   /// Must be installed during fabric wiring, before any traffic flows.
   void set_ack_sender(AckSender sender);
 
-  /// Transmit one message reliably. Called from the sending broker's router
-  /// thread: builds the CRC-stamped wire frame, stamps its seq, tracks it
-  /// for retransmission, and enqueues it on the pipe (non-blocking).
+  /// Transmit one chunk of a message reliably. Called from the sending
+  /// broker's router thread: builds the CRC-stamped wire frame, stamps its
+  /// seq, tracks it for retransmission, and enqueues it on the pipe
+  /// (non-blocking).
   void send(const MessageHeader& header, Payload body);
 
   /// An ack received from the far side; forgets the pending frame.
@@ -125,6 +128,9 @@ class ReliableChannel {
   };
 
   void transmit(std::uint64_t seq, const WireFrame& frame);
+  /// Start the retransmit timer of a pending frame; runs on the pipe's
+  /// transmit thread as the frame's serialization starts.
+  void arm(std::uint64_t seq);
   /// Breaker admission for one outgoing frame (mu_ held). Returns false when
   /// the frame must be shed (open breaker, non-control).
   [[nodiscard]] bool breaker_admit_locked(const WireFrame& frame,

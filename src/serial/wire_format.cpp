@@ -15,7 +15,8 @@ namespace {
 /// v4: one message per frame; the sub-frame count is gone.
 /// v5: the weight-codec id and base version are gone; the weight frame's own
 /// header carries them (DESIGN.md §11).
-constexpr std::uint8_t kWireFormatVersion = 5;
+/// v6: chunk index and chunk count; the body segment is one chunk.
+constexpr std::uint8_t kWireFormatVersion = 6;
 
 void encode_node(BinWriter& writer, const NodeId& id) {
   writer.u16(id.machine);
@@ -38,7 +39,9 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
                             bool with_crc) {
   WireFrame frame;
   frame.body = std::move(body);
-  frame.trace_id = header.trace_id();
+  frame.body_offset = std::size_t{header.chunk_index} * kChunkBytes;
+  frame.body_length = chunk_length(header.body_size, header.chunk_index);
+  frame.trace_id = header.last_chunk() ? header.trace_id() : 0;
   frame.tclass = header.tclass;
   BinWriter writer;
   writer.u8(kWireFormatVersion);
@@ -49,10 +52,12 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
   writer.u8(static_cast<std::uint8_t>(header.type));
   writer.u8(static_cast<std::uint8_t>(header.tclass));
   writer.boolean(header.compressed);
-  writer.u64(frame.body->size());
+  writer.u64(header.body_size);
   writer.u64(header.uncompressed_size);
   writer.i64(header.created_ns);
   writer.u32(header.tag);
+  writer.u32(header.chunk_index);
+  writer.u32(header.chunk_count);
   frame.control = writer.take();
   if (with_crc) {
     frame.crc_present = true;
@@ -63,11 +68,13 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
 
 std::uint32_t wire_frame_crc(const WireFrame& frame) {
   const std::uint32_t crc = crc32(frame.control.data(), frame.control.size());
-  return crc32(frame.body->data(), frame.body->size(), crc);
+  const std::span<const std::uint8_t> segment = frame.segment();
+  return crc32(segment.data(), segment.size(), crc);
 }
 
 std::optional<Message> decode_wire_frame(const WireFrame& frame) {
-  if (frame.crc_present && wire_frame_crc(frame) != frame.crc) {
+  const std::size_t buffer = frame.body->size();
+  if (frame.body_offset > buffer || frame.body_length > buffer - frame.body_offset) {
     return std::nullopt;
   }
   BinReader reader(frame.control);
@@ -106,17 +113,29 @@ std::optional<Message> decode_wire_frame(const WireFrame& frame) {
   const auto uncompressed = reader.u64();
   const auto created = reader.i64();
   const auto tag = reader.u32();
-  if (!compressed || !body_size || !uncompressed || !created || !tag ||
-      !reader.exhausted()) {
+  const auto chunk_index = reader.u32();
+  const auto chunk_count = reader.u32();
+  if (!compressed || !body_size || !uncompressed || !created || !tag || !chunk_index ||
+      !chunk_count || !reader.exhausted()) {
     return std::nullopt;
   }
-  if (*body_size != frame.body->size()) return std::nullopt;
+  // The chunk must be one of the body's and the segment exactly its range.
+  if (*chunk_index >= *chunk_count || *chunk_count != chunk_count_for(*body_size) ||
+      frame.body_length != chunk_length(*body_size, *chunk_index)) {
+    return std::nullopt;
+  }
   header.compressed = *compressed;
   header.body_size = *body_size;
   header.uncompressed_size = *uncompressed;
   header.created_ns = *created;
   header.tag = *tag;
+  header.chunk_index = *chunk_index;
+  header.chunk_count = *chunk_count;
   header.link_seq = frame.link_seq;
+  // Last: a malformed control segment is rejected without reading the body.
+  if (frame.crc_present && wire_frame_crc(frame) != frame.crc) {
+    return std::nullopt;
+  }
   message.body = frame.body;
   return message;
 }

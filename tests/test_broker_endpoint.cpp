@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <thread>
 
 namespace xt {
@@ -337,6 +339,201 @@ TEST(BrokerEndpoint, QueueDepthSnapshotListsTheRouterAndEveryInbox) {
   while (auto routed = parked->try_pop()) {
     broker.store().release(routed->header.object_id);
   }
+}
+
+// --- Chunked bodies (DESIGN.md §9) -----------------------------------------
+
+/// The header of chunk `index` of a message from `src`, as a far broker
+/// decodes it (`link_seq` is nonzero when a reliable link carried it).
+MessageHeader chunk_header(std::uint64_t msg_id, const NodeId& src,
+                           const NodeId& dst, std::uint64_t body_size,
+                           std::uint32_t index, std::uint64_t link_seq = 0) {
+  MessageHeader header;
+  header.msg_id = msg_id;
+  header.src = src;
+  header.dsts = {dst};
+  header.type = MsgType::kRollout;
+  header.tclass = TrafficClass::kExperience;
+  header.body_size = body_size;
+  header.chunk_count = static_cast<std::uint32_t>(chunk_count_for(body_size));
+  header.chunk_index = index;
+  header.link_seq = link_seq;
+  return header;
+}
+
+TEST(RemoteChunks, LostChunkWithoutReliabilityDropsItsBodyOnce) {
+  Broker broker(1);
+  Endpoint receiver(learner_id(1), broker);
+  const NodeId src = explorer_id(0, 0);
+  const std::uint64_t size = 2 * kChunkBytes + 10;  // three chunks
+  const Payload body = bytes_payload(size, 5);
+  const auto deliver = [&](std::uint64_t id, std::uint64_t body_size,
+                           std::uint32_t index) {
+    broker.deliver_remote(chunk_header(id, src, receiver.id(), body_size, index),
+                          body_size == size ? body : bytes_payload(body_size, 6));
+  };
+  const auto incomplete = [&] {
+    return broker.dropped_messages(DropReason::kIncompleteBody);
+  };
+
+  // A gap: chunk 1 of message 1 was lost, so its last chunk ends it.
+  deliver(1, size, 0);
+  deliver(1, size, 2);
+  EXPECT_EQ(incomplete(), 1u);
+  EXPECT_EQ(broker.partial_bodies(), 0u);
+
+  // The last chunk of message 2 was lost: the sender's next message of the
+  // same class ends it and is itself delivered.
+  deliver(2, size, 0);
+  deliver(2, size, 1);
+  EXPECT_EQ(broker.partial_bodies(), 1u);
+  deliver(3, 40, 0);
+  EXPECT_EQ(incomplete(), 2u);
+  EXPECT_EQ(broker.partial_bodies(), 0u);
+
+  for (std::uint32_t i = 0; i < 3; ++i) deliver(4, size, i);
+  for (const std::uint64_t expected : {std::uint64_t{3}, std::uint64_t{4}}) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(5));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->header.msg_id, expected);
+  }
+  EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(20)).has_value());
+
+  // The table stays bounded: bodies that each lose their tail hold one entry.
+  for (std::uint64_t id = 10; id < 60; ++id) {
+    deliver(id, size, 0);
+    EXPECT_LE(broker.partial_bodies(), 1u);
+  }
+  EXPECT_EQ(incomplete(), 2u + 49u);
+  EXPECT_EQ(broker.dropped_messages(), incomplete());
+  receiver.stop();
+  EXPECT_EQ(broker.store().live_objects(), 0u);
+}
+
+TEST(RemoteChunks, ReliableLinkChunksMayArriveInAnyOrder) {
+  Broker broker(1);
+  Endpoint receiver(learner_id(1), broker);
+  const NodeId src = explorer_id(0, 0);
+  const std::uint64_t size = 2 * kChunkBytes + 10;
+  const Payload body = bytes_payload(size, 5);
+  std::uint64_t seq = 0;
+  const auto deliver = [&](std::uint64_t id, std::uint32_t index) {
+    broker.deliver_remote(chunk_header(id, src, receiver.id(), size, index, ++seq),
+                          body);
+  };
+  // A retransmitted chunk arrives after later ones, even after a newer
+  // message from the same sender.
+  deliver(1, 2);
+  deliver(1, 0);
+  deliver(2, 0);
+  deliver(2, 1);
+  deliver(2, 2);
+  deliver(1, 1);
+  for (const std::uint64_t expected : {std::uint64_t{2}, std::uint64_t{1}}) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(5));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->header.msg_id, expected);
+    EXPECT_EQ(msg->body->size(), size);
+  }
+  EXPECT_EQ(broker.partial_bodies(), 0u);
+
+  // Bodies whose missing chunks were given up stay until the table is full;
+  // then the least recently extended one goes.
+  constexpr std::uint64_t kExtra = 5;
+  for (std::uint64_t id = 10; id < 10 + Broker::kMaxPartialBodies + kExtra; ++id) {
+    deliver(id, 0);
+  }
+  EXPECT_EQ(broker.partial_bodies(), Broker::kMaxPartialBodies);
+  EXPECT_EQ(broker.dropped_messages(DropReason::kIncompleteBody), kExtra);
+  receiver.stop();
+  EXPECT_EQ(broker.store().live_objects(), 0u);
+}
+
+TEST(Chunking, BrokerStopMidMessageBalancesTheStore) {
+  Broker::Options options;
+  options.ipc_bandwidth_bytes_per_sec = 20e6;  // 4 chunks take ~52 ms
+  options.compression.enabled = false;
+  Broker broker(0, options);
+  std::mutex mu;
+  std::vector<std::uint32_t> forwarded;
+  broker.set_remote_sink(1, [&](MessageHeader header, Payload) {
+    std::scoped_lock lock(mu);
+    forwarded.push_back(header.chunk_index);
+  });
+  Endpoint sender(explorer_id(0, 0), broker);
+  Endpoint local(learner_id(0), broker);
+  ASSERT_TRUE(sender.send(make_outbound(sender.id(), {local.id(), learner_id(1)},
+                                        MsgType::kRollout,
+                                        bytes_payload(4 * kChunkBytes, 3))));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  broker.stop();
+  sender.stop();
+  local.stop();
+  EXPECT_FALSE(local.try_receive().has_value());
+  {
+    std::scoped_lock lock(mu);
+    EXPECT_LT(forwarded.size(), 4u);
+  }
+  EXPECT_EQ(broker.store().live_objects(), 0u);
+}
+
+TEST(Chunking, ShedFirstChunkHeaderSkipsItsWholeMessage) {
+  Broker::Options options;
+  options.overload.high_watermark = 1;
+  options.overload.shed_policy = ShedPolicy::kNewest;
+  Broker broker(0, options);
+  // The sink parks the router on its first forward, so the router queue
+  // fills behind it.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> forwarded;
+  broker.set_remote_sink(1, [&](MessageHeader header, Payload) {
+    std::unique_lock lock(mu);
+    forwarded.emplace_back(header.msg_id, header.chunk_index);
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  const auto put = [&](std::uint64_t size) {
+    MessageHeader header = chunk_header(next_message_id(), explorer_id(0, 0),
+                                        learner_id(1), size, 0);
+    header.object_id = broker.store().put(bytes_payload(size, 1),
+                                          broker.expected_fetches(header));
+    return header;
+  };
+  const auto submit = [&](MessageHeader header, std::uint32_t index) {
+    header.chunk_index = index;
+    ASSERT_TRUE(broker.submit(header));
+  };
+  const MessageHeader blocker = put(16);
+  submit(blocker, 0);
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return !forwarded.empty(); }));
+  }
+  const MessageHeader kept = put(2 * kChunkBytes + 1);
+  const MessageHeader shed = put(2 * kChunkBytes + 1);
+  submit(kept, 0);  // fills the queue to its watermark
+  submit(shed, 0);  // shed: the newest at the watermark
+  EXPECT_EQ(broker.shed_messages(), 1u);
+  for (std::uint32_t i = 1; i < 3; ++i) {  // later chunks are pinned
+    submit(kept, i);
+    submit(shed, i);
+  }
+  EXPECT_EQ(broker.shed_messages(), 1u);
+  {
+    std::scoped_lock lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  broker.stop();  // drains the router queue
+  const std::vector<std::pair<std::uint64_t, std::uint32_t>> expected = {
+      {blocker.msg_id, 0}, {kept.msg_id, 0}, {kept.msg_id, 1}, {kept.msg_id, 2}};
+  EXPECT_EQ(forwarded, expected);
+  EXPECT_EQ(broker.shed_messages(), 1u);
+  EXPECT_EQ(broker.dropped_messages(), 0u);
+  EXPECT_EQ(broker.store().live_objects(), 0u);
 }
 
 }  // namespace

@@ -465,7 +465,7 @@ std::vector<FrameInput> wire_frame_corpus() {
 
 TEST(WireFrameFuzz, CorpusReplays) {
   const std::vector<FrameInput> corpus = wire_frame_corpus();
-  ASSERT_GE(corpus.size(), 12u);
+  ASSERT_GE(corpus.size(), 16u);
   for (const FrameInput& entry : corpus) {
     SCOPED_TRACE(entry.name);
     run_fuzz_target(fuzz_input(entry.control, entry.body));
@@ -474,6 +474,7 @@ TEST(WireFrameFuzz, CorpusReplays) {
     WireFrame frame;
     frame.control = entry.control;
     frame.body = make_payload(entry.body);
+    frame.body_length = entry.body.size();
     EXPECT_EQ(decode_wire_frame(frame).has_value(), entry.name.rfind("ok_", 0) == 0);
   }
 }
@@ -481,7 +482,9 @@ TEST(WireFrameFuzz, CorpusReplays) {
 TEST(WireFrameFuzz, SeededMutationsOfCorpus) {
   // Truncations of the control segment and of the body, bit flips anywhere
   // in the input (its size prefix included), and every control byte forced
-  // to 0x00 and 0xFF, over every well-formed corpus frame.
+  // to 0x00 and 0xFF, over every well-formed corpus frame. A seed of a
+  // whole 256 KiB chunk takes fewer flips: each case reads its body three
+  // times.
   Rng rng(53);
   std::size_t cases = 0;
   const auto check = [&](const Bytes& input) {
@@ -502,7 +505,9 @@ TEST(WireFrameFuzz, SeededMutationsOfCorpus) {
       check(fuzz_input(control, prefix(seed.body, len)));
     }
     const Bytes input = fuzz_input(control, seed.body);
-    for (int i = 0; i < 400; ++i) {
+    const std::size_t flip_cases =
+        400 * 4096 / std::max<std::size_t>(input.size(), 4096);
+    for (std::size_t i = 0; i < flip_cases; ++i) {
       Bytes mangled = input;
       for (int flips = 1 + static_cast<int>(rng.uniform_index(3)); flips > 0; --flips) {
         mangled[rng.uniform_index(mangled.size())] ^=
@@ -608,6 +613,171 @@ TEST(ReliableLink, LossyLinkDeliversEveryMessageOnce) {
   fabric.stop();
   a.stop();
   b.stop();
+}
+
+// --- Chunked bodies across links (DESIGN.md §9) ---------------------------
+
+/// A body whose every byte depends on its tag and position, so a chunk out
+/// of place or from another message shows.
+Payload patterned_body(std::size_t size, std::uint32_t tag) {
+  Bytes bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 31 + i / kChunkBytes + tag * 7);
+  }
+  return make_payload(std::move(bytes));
+}
+
+bool is_patterned(const Payload& body, std::size_t size, std::uint32_t tag) {
+  return body != nullptr && *body == *patterned_body(size, tag);
+}
+
+TEST(Chunking, MixedMessagesKeepFifoOrderPerDestination) {
+  Broker a(0);
+  Broker b(1);
+  Fabric fabric(LinkConfig{1e9, 10'000, 0});
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint local(learner_id(0), a);
+  Endpoint remote(learner_id(1), b);
+  // One chunk, exactly one chunk, one byte over, several chunks, empty.
+  const std::vector<std::size_t> sizes = {100, kChunkBytes, kChunkBytes + 1,
+                                          3 * kChunkBytes + 5, 0};
+  constexpr std::uint32_t kMessages = 20;
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    const std::size_t size = sizes[i % sizes.size()];
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {local.id(), remote.id()},
+                                          MsgType::kRollout,
+                                          patterned_body(size, i), i)));
+  }
+  for (Endpoint* receiver : {&local, &remote}) {
+    SCOPED_TRACE(receiver->id().name());
+    for (std::uint32_t i = 0; i < kMessages; ++i) {
+      const auto msg = receiver->receive_for(std::chrono::seconds(10));
+      ASSERT_TRUE(msg.has_value());
+      ASSERT_EQ(msg->header.tag, i);
+      EXPECT_TRUE(is_patterned(msg->body, sizes[i % sizes.size()], i));
+    }
+  }
+  sender.stop();
+  local.stop();
+  remote.stop();
+  fabric.stop();
+  EXPECT_EQ(a.store().live_objects(), 0u);
+  EXPECT_EQ(b.store().live_objects(), 0u);
+  EXPECT_EQ(b.partial_bodies(), 0u);
+  EXPECT_EQ(a.dropped_messages() + b.dropped_messages(), 0u);
+}
+
+TEST(Chunking, LossyReliableLinkDeliversEachWholeBodyOnce) {
+  Broker a(0);
+  Broker b(1);
+  LinkConfig link{1e9, 10'000, 0};
+  link.faults.seed = 29;
+  link.faults.drop_probability = 0.2;
+  link.faults.corrupt_probability = 0.1;
+  ReliabilityConfig reliability;
+  reliability.enabled = true;
+  reliability.rto_ms = 10.0;
+  Fabric fabric(link, reliability);
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint receiver(learner_id(1), b);
+  // Retransmitted chunks land after later ones, out of order within their
+  // body and across bodies.
+  constexpr std::uint32_t kMessages = 8;
+  const auto size_of = [](std::uint32_t i) {
+    return (i % 2 == 0) ? 2 * kChunkBytes + 100 * i : 64 * i;
+  };
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
+                                          MsgType::kRollout,
+                                          patterned_body(size_of(i), i), i)));
+  }
+  std::vector<bool> got(kMessages, false);
+  for (std::uint32_t n = 0; n < kMessages; ++n) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(20));
+    ASSERT_TRUE(msg.has_value()) << "after " << n << " messages";
+    const std::uint32_t tag = msg->header.tag;
+    ASSERT_LT(tag, kMessages);
+    EXPECT_FALSE(got[tag]) << "duplicate delivery of tag " << tag;
+    got[tag] = true;
+    EXPECT_TRUE(is_patterned(msg->body, size_of(tag), tag)) << "tag " << tag;
+  }
+  EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(100)).has_value());
+  std::uint64_t retransmits = 0;
+  for (const ReliableChannel* channel : fabric.channels()) {
+    retransmits += channel->retransmits();
+  }
+  EXPECT_GT(retransmits, 0u);
+  sender.stop();
+  receiver.stop();
+  fabric.stop();
+  EXPECT_EQ(b.partial_bodies(), 0u);
+  EXPECT_EQ(b.dropped_messages(DropReason::kIncompleteBody), 0u);
+  EXPECT_EQ(a.store().live_objects(), 0u);
+  EXPECT_EQ(b.store().live_objects(), 0u);
+}
+
+TEST(Chunking, QueuedFramesAreNotRetransmitted) {
+  // An unpaced put queues every chunk at once on a 4 MB/s link, so the
+  // last chunks wait ~700 ms for the wire, past the 200 ms timeout. The
+  // timer starts as a frame's serialization starts, so a fault-free link
+  // sends each frame once. A chunk serializes in 66 ms, which leaves the
+  // far end's CRC check time to ack it within the timeout on a slow
+  // (sanitized, loaded) host.
+  Broker a(0);
+  Broker b(1);
+  ReliabilityConfig reliability;
+  reliability.enabled = true;
+  reliability.rto_ms = 200.0;
+  Fabric fabric(LinkConfig{4e6, 10'000, 0}, reliability);
+  fabric.connect(a, b);
+  Endpoint sender(explorer_id(0, 0), a);
+  Endpoint receiver(learner_id(1), b);
+  constexpr std::uint32_t kMessages = 3;
+  const std::size_t size = 4 * kChunkBytes - 7;
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    ASSERT_TRUE(sender.send(make_outbound(sender.id(), {receiver.id()},
+                                          MsgType::kRollout,
+                                          patterned_body(size, i), i)));
+  }
+  for (std::uint32_t i = 0; i < kMessages; ++i) {
+    const auto msg = receiver.receive_for(std::chrono::seconds(10));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->header.tag, i);
+    EXPECT_TRUE(is_patterned(msg->body, size, i));
+  }
+  sender.stop();
+  receiver.stop();
+  fabric.stop();
+  EXPECT_EQ(a.store().live_objects(), 0u);
+  EXPECT_EQ(b.store().live_objects(), 0u);
+  for (const ReliableChannel* channel : fabric.channels()) {
+    EXPECT_EQ(channel->retransmits(), 0u);
+  }
+  std::uint64_t duplicates = 0;
+  for (const auto& [name, value] : a.metrics().counters()) {
+    if (name.rfind("xt_link_duplicate_frames_total", 0) == 0) duplicates += value;
+  }
+  for (const auto& [name, value] : b.metrics().counters()) {
+    if (name.rfind("xt_link_duplicate_frames_total", 0) == 0) duplicates += value;
+  }
+  EXPECT_EQ(duplicates, 0u);
+  // The data direction carried each body once plus one control segment per
+  // chunk frame.
+  MessageHeader header = make_outbound(sender.id(), {receiver.id()},
+                                       MsgType::kRollout, empty_payload())
+                             .header;
+  header.body_size = size;
+  header.chunk_count = static_cast<std::uint32_t>(chunk_count_for(size));
+  const std::size_t control =
+      encode_wire_frame(header, patterned_body(size, 0), true).control.size();
+  const std::uint64_t frames = kMessages * header.chunk_count;
+  for (const PacedPipe* pipe : fabric.pipes()) {
+    if (pipe->name() != "m0>m1") continue;
+    EXPECT_EQ(pipe->frames_transferred(), frames);
+    EXPECT_EQ(pipe->bytes_transferred(), kMessages * size + frames * control);
+  }
 }
 
 }  // namespace

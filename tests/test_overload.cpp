@@ -96,6 +96,37 @@ TEST(ClassedQueue, ExperienceShedsNewestWhenPolicyIsNewest) {
   EXPECT_EQ(q.try_pop().value(), 2);
 }
 
+TEST(ClassedQueue, PinnedItemsAreNeverShedNorDisplaced) {
+  // Negative values are pinned, as the broker pins every chunk header after
+  // a body's first.
+  std::vector<int> shed;
+  ClassedQueue<int> q(
+      bounded_cfg(2), [&](TrafficClass, int&& v) { shed.push_back(v); },
+      [](const int& v) { return v < 0; });
+  EXPECT_EQ(q.push(kExp, -1), PushResult::kEnqueued);
+  EXPECT_EQ(q.push(kExp, 2), PushResult::kEnqueued);
+  // At the watermark: a pinned push soft-overflows it...
+  EXPECT_EQ(q.push(kExp, -3), PushResult::kEnqueued);
+  // ...and kOldest displaces the oldest item that is not pinned.
+  EXPECT_EQ(q.push(kExp, 4), PushResult::kEnqueued);
+  EXPECT_EQ(shed, std::vector<int>({2}));
+  // Pinned items stay at the front; 4 is now the oldest it may displace.
+  EXPECT_EQ(q.push(kExp, 5), PushResult::kEnqueued);
+  EXPECT_EQ(shed, std::vector<int>({2, 4}));
+  // With only pinned items queued, the incoming item is shed, and weights
+  // soft-overflow.
+  ClassedQueue<int> pinned_only(
+      bounded_cfg(1), [&](TrafficClass, int&& v) { shed.push_back(v); },
+      [](const int& v) { return v < 0; });
+  EXPECT_EQ(pinned_only.push(kExp, -1), PushResult::kEnqueued);
+  EXPECT_EQ(pinned_only.push(kExp, 6), PushResult::kShed);
+  EXPECT_EQ(pinned_only.push(kWts, 7), PushResult::kEnqueued);
+  EXPECT_EQ(shed, std::vector<int>({2, 4, 6}));
+  EXPECT_EQ(q.try_pop().value(), -1);
+  EXPECT_EQ(q.try_pop().value(), -3);
+  EXPECT_EQ(q.try_pop().value(), 5);
+}
+
 TEST(ClassedQueue, ControlLaneIsNeverBounded) {
   ClassedQueue<int> q(bounded_cfg(1));
   EXPECT_EQ(q.push(kExp, 0), PushResult::kEnqueued);  // data plane now full

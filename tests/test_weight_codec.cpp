@@ -514,6 +514,26 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   EXPECT_GE(registry.histogram("ratio").quantile(0.5), 2.0);
 }
 
+TEST(WeightSessions, KeyframeRepliesCountTheirRawBytes) {
+  // One fp32 broadcast and three keyframe replies: the raw and wire tallies
+  // differ only by the blob's and the frame's headers, so their ratio is 1
+  // within that (it read 0.25 when replies went uncounted).
+  MetricsRegistry registry;
+  WeightCodecInstruments instruments;
+  instruments.bytes_out = &registry.counter("bytes");
+  instruments.raw_bytes = &registry.counter("raw");
+  WeightEncoderSession enc(config_for(WeightCodec::kFp32), &instruments);
+  const Bytes blob = random_blob(31);
+  const auto broadcast = enc.encode(blob, 1, dsts(), false);
+  ASSERT_TRUE(broadcast.has_value());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(enc.encode_keyframe(blob, 1).has_value());
+  const double raw = static_cast<double>(registry.counter("raw").value());
+  const double wire = static_cast<double>(registry.counter("bytes").value());
+  EXPECT_EQ(raw, 4.0 * static_cast<double>(blob.size()));
+  EXPECT_EQ(wire, 4.0 * static_cast<double>((*broadcast)->size()));
+  EXPECT_NEAR(raw / wire, 1.0, 0.05);
+}
+
 // ---------------------------------------------------------------------------
 // decode_weight_frame fuzz target (tests/fuzz/weight_frame_fuzz.cpp). It
 // aborts on a broken invariant, so a crash here is a failure.
