@@ -160,14 +160,12 @@ SweepPoint run_comm_point(int explorers) {
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int>(kWarmupSeconds * 1e3)));
   const std::uint64_t before =
-      learner.counters().messages_received.load() +
-      controller.counters().messages_received.load();
+      learner.messages_received() + controller.messages_received();
   const std::int64_t t0 = now_ns();
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int>(kMeasureSeconds * 1e3)));
   const std::uint64_t after =
-      learner.counters().messages_received.load() +
-      controller.counters().messages_received.load();
+      learner.messages_received() + controller.messages_received();
   const double seconds = static_cast<double>(now_ns() - t0) * 1e-9;
 
   stop.store(true);

@@ -142,7 +142,7 @@ int main() {
                     ": critical path reconstructed traced lifecycles",
                 cp.messages > 0);
     shape_check(std::string(test_case.name) + ": dominant stage identified",
-                !xt_report.dominant_stage.empty());
+                !cp.dominant_stage.empty());
     // The stage decomposition must account for the end-to-end latency it
     // attributes: stage totals (incl. the explicit unattributed bucket) sum
     // to the measured e2e within 5%.

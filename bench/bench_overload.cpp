@@ -149,8 +149,12 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   overload.low_watermark = kLowWatermark;
   overload.shed_policy = ShedPolicy::kOldest;
 
+  // One registry for every machine, as in the runtime: the pipes' shed and
+  // fault counters are read from it below.
+  MetricsRegistry metrics;
   Broker::Options options;
   options.overload = overload;
+  options.metrics = &metrics;
   std::vector<std::unique_ptr<Broker>> brokers;
   for (std::uint16_t m = 0; m < kDriverMachines + 1; ++m) {
     brokers.push_back(std::make_unique<Broker>(m, options));
@@ -172,7 +176,6 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   // A real Supervisor watches the three driver sources. The respawn
   // callback only counts: with every source alive and beating for the whole
   // run, any invocation is a false positive.
-  MetricsRegistry metrics;
   SupervisionConfig sup;
   sup.enabled = true;
   sup.heartbeat_every_s = 1.0 / kHeartbeatsPerExplorerPerSec;
@@ -263,19 +266,15 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
 
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int>(warmup_s * 1e3)));
-  const std::uint64_t learner_before =
-      learner.counters().messages_received.load();
-  const std::uint64_t controller_before =
-      controller.counters().messages_received.load();
+  const std::uint64_t learner_before = learner.messages_received();
+  const std::uint64_t controller_before = controller.messages_received();
   measuring.store(true);
   const std::int64_t t0 = now_ns();
   std::this_thread::sleep_for(
       std::chrono::milliseconds(static_cast<int>(measure_s * 1e3)));
   measuring.store(false);
-  const std::uint64_t learner_after =
-      learner.counters().messages_received.load();
-  const std::uint64_t controller_after =
-      controller.counters().messages_received.load();
+  const std::uint64_t learner_after = learner.messages_received();
+  const std::uint64_t controller_after = controller.messages_received();
   const double seconds = static_cast<double>(now_ns() - t0) * 1e-9;
 
   stop.store(true);
@@ -296,10 +295,8 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
     result.messages_shed += broker->shed_messages();
     broker->stop();
   }
-  for (const PacedPipe* pipe : fabric.pipes()) {
-    result.frames_shed += pipe->frames_shed();
-    result.faults_injected += pipe->frames_dropped();
-  }
+  result.frames_shed = metrics.family_total("xt_frames_shed_total");
+  result.faults_injected = metrics.family_total("xt_faults_injected_total");
   std::sort(control_latencies_ms.begin(), control_latencies_ms.end());
   if (!control_latencies_ms.empty()) {
     const auto idx = static_cast<std::size_t>(

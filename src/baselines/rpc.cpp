@@ -13,9 +13,9 @@ RpcTransport::RpcTransport(std::uint16_t n_machines, RpcConfig config)
   from_driver_.resize(n_machines);
   for (std::uint16_t m = 1; m < n_machines; ++m) {
     to_driver_[m] = std::make_unique<PacedPipe>(
-        "rpc-m" + std::to_string(m) + ">m0", config_.link);
+        "rpc-m" + std::to_string(m) + ">m0", config_.link, metrics_);
     from_driver_[m] = std::make_unique<PacedPipe>(
-        "rpc-m0>m" + std::to_string(m), config_.link);
+        "rpc-m0>m" + std::to_string(m), config_.link, metrics_);
   }
 }
 
@@ -73,14 +73,7 @@ void RpcTransport::push(std::uint16_t to_machine, const Bytes& data) {
 }
 
 std::uint64_t RpcTransport::cross_machine_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& pipe : to_driver_) {
-    if (pipe) total += pipe->bytes_transferred();
-  }
-  for (const auto& pipe : from_driver_) {
-    if (pipe) total += pipe->bytes_transferred();
-  }
-  return total;
+  return metrics_.family_total("xt_pipe_wire_bytes_total");
 }
 
 void chunked_transfer_delay(std::size_t bytes, const ChunkedTransferConfig& config) {

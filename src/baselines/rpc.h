@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "netsim/paced_pipe.h"
+#include "obs/metrics.h"
 
 namespace xt::baselines {
 
@@ -59,6 +60,8 @@ class RpcTransport {
   void blocking_pipe_transfer(PacedPipe& pipe, std::size_t bytes);
 
   const RpcConfig config_;
+  /// The pipes' own series: a pull run reports only its `xt_pull_*` metrics.
+  MetricsRegistry metrics_;
   std::vector<std::unique_ptr<PacedPipe>> to_driver_;    ///< index = machine
   std::vector<std::unique_ptr<PacedPipe>> from_driver_;  ///< index = machine
 };

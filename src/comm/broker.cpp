@@ -13,26 +13,8 @@ namespace {
 /// Warn about drops at most this often (satellite: no per-message spam).
 constexpr std::int64_t kDropWarnIntervalNs = 5'000'000'000;  // 5 s
 
-std::string machine_label(const char* base, std::uint16_t machine) {
-  return std::string(base) + "{machine=\"" + std::to_string(machine) + "\"}";
-}
-
-std::string drop_label(std::uint16_t machine, DropReason reason) {
-  return std::string("xt_broker_dropped_total{machine=\"") +
-         std::to_string(machine) + "\",reason=\"" +
-         drop_reason_name(reason) + "\"}";
-}
-
 /// Only a message's first chunk header may be shed; the rest are committed.
 bool pinned_chunk(const MessageHeader& header) { return header.chunk_index != 0; }
-
-std::string shed_label(std::uint16_t machine, const char* reason) {
-  // Only experience is ever shed by the queue policy (control is never
-  // dropped, weights are backpressured), so the class label is fixed.
-  return std::string("xt_messages_shed_total{machine=\"") +
-         std::to_string(machine) + "\",class=\"experience\",reason=\"" +
-         reason + "\"}";
-}
 
 }  // namespace
 
@@ -60,15 +42,22 @@ Broker::Broker(std::uint16_t machine, Options options)
                          : std::make_unique<MetricsRegistry>()),
       metrics_(options_.metrics != nullptr ? *options_.metrics : *owned_metrics_),
       trace_(options_.trace),
-      inst_{metrics_.counter(machine_label("xt_broker_routed_total", machine)),
-            metrics_.counter(machine_label("xt_broker_forwarded_total", machine)),
-            metrics_.counter(machine_label("xt_broker_rehosted_total", machine)),
-            metrics_.counter(machine_label("xt_broker_dropped_total", machine)),
-            metrics_.gauge(machine_label("xt_broker_queue_depth", machine)),
-            metrics_.histogram(machine_label("xt_broker_route_ms", machine)),
-            metrics_.histogram(machine_label("xt_queue_wait_ms", machine)),
+      inst_{metrics_.counter(
+                series_name("xt_broker_routed_total", {{"machine", machine}})),
             metrics_.counter(
-                machine_label("xt_frames_corrupted_total", machine))},
+                series_name("xt_broker_forwarded_total", {{"machine", machine}})),
+            metrics_.counter(
+                series_name("xt_broker_rehosted_total", {{"machine", machine}})),
+            metrics_.counter(
+                series_name("xt_broker_dropped_total", {{"machine", machine}})),
+            metrics_.gauge(
+                series_name("xt_broker_queue_depth", {{"machine", machine}})),
+            metrics_.histogram(
+                series_name("xt_broker_route_ms", {{"machine", machine}})),
+            metrics_.histogram(
+                series_name("xt_queue_wait_ms", {{"machine", machine}})),
+            metrics_.counter(
+                series_name("xt_frames_corrupted_total", {{"machine", machine}}))},
       // A one-chunk message's shed header owned every store reference
       // submit() took for it; a longer message keeps them until the router
       // skips its last chunk.
@@ -79,33 +68,43 @@ Broker::Broker(std::uint16_t machine, Options options)
                     },
                     pinned_chunk) {
   for (std::size_t i = 0; i < drop_by_reason_.size(); ++i) {
-    drop_by_reason_[i] =
-        &metrics_.counter(drop_label(machine, static_cast<DropReason>(i)));
+    drop_by_reason_[i] = &metrics_.counter(series_name(
+        "xt_broker_dropped_total",
+        {{"machine", machine},
+         {"reason", drop_reason_name(static_cast<DropReason>(i))}}));
   }
-  codec_instruments_.compress_ms =
-      &metrics_.histogram(machine_label("xt_codec_compress_ms", machine));
-  codec_instruments_.decompress_ms =
-      &metrics_.histogram(machine_label("xt_codec_decompress_ms", machine));
-  codec_instruments_.bytes_in =
-      &metrics_.counter(machine_label("xt_codec_bytes_in_total", machine));
-  codec_instruments_.bytes_out =
-      &metrics_.counter(machine_label("xt_codec_bytes_out_total", machine));
-  codec_instruments_.messages_compressed =
-      &metrics_.counter(machine_label("xt_codec_messages_compressed_total", machine));
+  codec_instruments_.compress_ms = &metrics_.histogram(
+      series_name("xt_codec_compress_ms", {{"machine", machine}}));
+  codec_instruments_.decompress_ms = &metrics_.histogram(
+      series_name("xt_codec_decompress_ms", {{"machine", machine}}));
+  codec_instruments_.bytes_in = &metrics_.counter(
+      series_name("xt_codec_bytes_in_total", {{"machine", machine}}));
+  codec_instruments_.bytes_out = &metrics_.counter(
+      series_name("xt_codec_bytes_out_total", {{"machine", machine}}));
+  codec_instruments_.messages_compressed = &metrics_.counter(
+      series_name("xt_codec_messages_compressed_total", {{"machine", machine}}));
 
   StoreInstruments store_instruments;
-  store_instruments.puts =
-      &metrics_.counter(machine_label("xt_store_puts_total", machine));
-  store_instruments.put_bytes =
-      &metrics_.counter(machine_label("xt_store_put_bytes_total", machine));
-  store_instruments.fetches =
-      &metrics_.counter(machine_label("xt_store_fetches_total", machine));
-  store_instruments.live_bytes =
-      &metrics_.gauge(machine_label("xt_store_live_bytes", machine));
+  store_instruments.puts = &metrics_.counter(
+      series_name("xt_store_puts_total", {{"machine", machine}}));
+  store_instruments.put_bytes = &metrics_.counter(
+      series_name("xt_store_put_bytes_total", {{"machine", machine}}));
+  store_instruments.fetches = &metrics_.counter(
+      series_name("xt_store_fetches_total", {{"machine", machine}}));
+  store_instruments.live_bytes = &metrics_.gauge(
+      series_name("xt_store_live_bytes", {{"machine", machine}}));
   store_.bind_instruments(store_instruments);
 
-  shed_router_ = &metrics_.counter(shed_label(machine, "router_overflow"));
-  shed_inbox_ = &metrics_.counter(shed_label(machine, "inbox_overflow"));
+  // Only experience is ever shed by the queue policy (control is never
+  // dropped, weights are backpressured), so the class label is fixed.
+  shed_router_ = &metrics_.counter(series_name(
+      "xt_messages_shed_total", {{"machine", machine},
+                                 {"class", "experience"},
+                                 {"reason", "router_overflow"}}));
+  shed_inbox_ = &metrics_.counter(series_name(
+      "xt_messages_shed_total", {{"machine", machine},
+                                 {"class", "experience"},
+                                 {"reason", "inbox_overflow"}}));
 
   router_ = std::thread([this] {
     set_current_thread_name("router-m" + std::to_string(machine_));
@@ -195,8 +194,7 @@ void Broker::note_drop(DropReason reason) {
   std::uint64_t since = 0;
   {
     std::scoped_lock lock(mu_);
-    ++dropped_;
-    total = dropped_;
+    total = inst_.dropped.value();
     const std::int64_t now = now_ns();
     if (!warned_once_ || now - last_drop_warn_ns_ >= kDropWarnIntervalNs) {
       warn = true;
@@ -414,10 +412,7 @@ void Broker::reject_corrupt_frame() {
   note_drop(DropReason::kCrcFail);
 }
 
-std::uint64_t Broker::dropped_messages() const {
-  std::scoped_lock lock(mu_);
-  return dropped_;
-}
+std::uint64_t Broker::dropped_messages() const { return inst_.dropped.value(); }
 
 std::uint64_t Broker::dropped_messages(DropReason reason) const {
   return static_cast<std::uint64_t>(

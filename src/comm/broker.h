@@ -167,9 +167,9 @@ class Broker {
   /// Stop the router thread (idempotent). In-flight headers are drained.
   void stop();
 
-  /// Messages that could not be delivered (any reason). Also surfaced as
-  /// `xt_broker_dropped_total{machine=...}` plus per-reason counters
-  /// `xt_broker_dropped_total{machine=...,reason=...}`.
+  /// Messages that could not be delivered (any reason): this machine's
+  /// `xt_broker_dropped_total{machine=...}`, next to the per-reason
+  /// counters `xt_broker_dropped_total{machine=...,reason=...}`.
   [[nodiscard]] std::uint64_t dropped_messages() const;
 
   /// Drops attributed to one specific reason.
@@ -248,7 +248,6 @@ class Broker {
   mutable std::mutex mu_;
   std::unordered_map<NodeId, std::shared_ptr<IdQueue>> endpoints_;
   std::unordered_map<std::uint16_t, RemoteSink> remote_sinks_;
-  std::uint64_t dropped_ = 0;
   std::int64_t last_drop_warn_ns_ = 0;
   std::uint64_t dropped_at_last_warn_ = 0;
   bool warned_once_ = false;

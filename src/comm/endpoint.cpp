@@ -8,16 +8,6 @@
 namespace xt {
 namespace {
 
-std::string machine_label(const char* base, std::uint16_t machine) {
-  return std::string(base) + "{machine=\"" + std::to_string(machine) + "\"}";
-}
-
-std::string shed_label(std::uint16_t machine, const char* reason) {
-  return std::string("xt_messages_shed_total{machine=\"") +
-         std::to_string(machine) + "\",class=\"experience\",reason=\"" +
-         reason + "\"}";
-}
-
 /// The send buffer follows the broker's `[comm]` overload policy when one is
 /// configured; otherwise a legacy capacity becomes a degenerate config whose
 /// high and low watermarks coincide, reproducing the historical
@@ -37,23 +27,23 @@ Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
     : id_(id),
       broker_(broker),
       inst_{broker.metrics().counter(
-                machine_label("xt_messages_sent_total", id.machine)),
+                series_name("xt_messages_sent_total", {{"machine", id.machine}})),
             broker.metrics().counter(
-                machine_label("xt_bytes_sent_total", id.machine)),
+                series_name("xt_bytes_sent_total", {{"machine", id.machine}})),
+            broker.metrics().counter(series_name("xt_messages_received_total",
+                                                 {{"machine", id.machine}})),
             broker.metrics().counter(
-                machine_label("xt_messages_received_total", id.machine)),
-            broker.metrics().counter(
-                machine_label("xt_bytes_received_total", id.machine)),
-            broker.metrics().counter(
-                machine_label("xt_store_deep_copy_bytes_total", id.machine)),
+                series_name("xt_bytes_received_total", {{"machine", id.machine}})),
+            broker.metrics().counter(series_name("xt_store_deep_copy_bytes_total",
+                                                 {{"machine", id.machine}})),
             broker.metrics().histogram(
-                machine_label("xt_send_serialize_ms", id.machine)),
+                series_name("xt_send_serialize_ms", {{"machine", id.machine}})),
             broker.metrics().histogram(
-                machine_label("xt_store_put_ms", id.machine)),
+                series_name("xt_store_put_ms", {{"machine", id.machine}})),
             broker.metrics().histogram(
-                machine_label("xt_recv_decode_ms", id.machine)),
+                series_name("xt_recv_decode_ms", {{"machine", id.machine}})),
             broker.metrics().histogram(
-                machine_label("xt_transmission_ms", id.machine))},
+                series_name("xt_transmission_ms", {{"machine", id.machine}}))},
       id_queue_(broker.register_endpoint(id)),
       send_buffer_(buffer_config(broker.options().overload, send_capacity),
                    [this](TrafficClass /*cls*/, Outbound&& /*message*/) {
@@ -63,10 +53,14 @@ Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
                    [this](TrafficClass /*cls*/, Message&& /*message*/) {
                      shed_recv_->inc();
                    }) {
-  shed_send_ = &broker.metrics().counter(
-      shed_label(id.machine, "sendbuf_overflow"));
-  shed_recv_ = &broker.metrics().counter(
-      shed_label(id.machine, "recvbuf_overflow"));
+  shed_send_ = &broker.metrics().counter(series_name(
+      "xt_messages_shed_total", {{"machine", id.machine},
+                                 {"class", "experience"},
+                                 {"reason", "sendbuf_overflow"}}));
+  shed_recv_ = &broker.metrics().counter(series_name(
+      "xt_messages_shed_total", {{"machine", id.machine},
+                                 {"class", "experience"},
+                                 {"reason", "recvbuf_overflow"}}));
   sender_ = std::thread([this] {
     set_current_thread_name("snd-" + id_.name());
     sender_loop();
@@ -123,7 +117,6 @@ void Endpoint::sender_loop() {
     } else {
       body = std::move(outbound->body);
     }
-    counters_.bytes_sent.fetch_add(body->size(), std::memory_order_relaxed);
     inst_.bytes_sent.inc(body->size());
 
     EncodedBody encoded;
@@ -164,7 +157,16 @@ void Endpoint::sender_loop() {
         sealed += chunk_length(header.body_size, i);
         if (ipc_bw > 0.0) {
           const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
-          precise_sleep_ns(static_cast<std::int64_t>(due_ns) - clock.elapsed_ns());
+          const std::int64_t wait_ns =
+              static_cast<std::int64_t>(due_ns) - clock.elapsed_ns();
+          // Only the last chunk pays precise_sleep_ns's spin tail: an earlier
+          // chunk that wakes late only delays its own header, and the next
+          // chunk's absolute deadline absorbs the overshoot.
+          if (i + 1 == header.chunk_count) {
+            precise_sleep_ns(wait_ns);
+          } else if (wait_ns > 0) {
+            std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
+          }
         }
         header.chunk_index = i;
         submitted = broker_.submit(header);
@@ -178,7 +180,6 @@ void Endpoint::sender_loop() {
         continue;
       }
     }
-    counters_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     inst_.messages_sent.inc();
   }
 }
@@ -229,8 +230,7 @@ void Endpoint::receiver_loop() {
     inst_.recv_decode_ms.observe(decode_clock.elapsed_ms());
     recv_span.finish();
 
-    counters_.messages_received.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_received.fetch_add((*body)->size(), std::memory_order_relaxed);
+    messages_received_.fetch_add(1, std::memory_order_relaxed);
     inst_.messages_received.inc();
     inst_.bytes_received.inc((*body)->size());
     inst_.transmission_ms.observe(ns_to_ms(now_ns() - header.created_ns));

@@ -27,13 +27,6 @@ namespace xt {
 /// recipient) is doing.
 class Endpoint {
  public:
-  struct Counters {
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};       ///< pre-compression sizes
-    std::atomic<std::uint64_t> messages_received{0};
-    std::atomic<std::uint64_t> bytes_received{0};   ///< post-decompression sizes
-  };
-
   /// `send_capacity` bounds the send buffer (0 = unbounded): when full,
   /// send() blocks the workhorse until the sender thread drains a slot.
   /// This is the natural backpressure of a fixed-size shared-memory object
@@ -75,7 +68,12 @@ class Endpoint {
   /// Messages already transmitted and waiting in the receive buffer.
   [[nodiscard]] std::size_t pending_received() const { return recv_buffer_.size(); }
 
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  /// Messages this endpoint put into its receive buffer. The registry's
+  /// `xt_messages_received_total{machine}` sums every endpoint of a machine;
+  /// this count tells one endpoint's share apart.
+  [[nodiscard]] std::uint64_t messages_received() const {
+    return messages_received_.load(std::memory_order_relaxed);
+  }
 
   /// Optional: record per-message transmission latency (created -> receive
   /// buffer), in milliseconds. Used by the Fig. 8-10 latency decompositions.
@@ -112,7 +110,7 @@ class Endpoint {
   ClassedQueue<Outbound> send_buffer_;
   ClassedQueue<Message> recv_buffer_;
 
-  Counters counters_;
+  std::atomic<std::uint64_t> messages_received_{0};
   LatencyRecorder* latency_recorder_ = nullptr;
 
   std::thread sender_;

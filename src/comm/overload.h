@@ -87,8 +87,8 @@ enum class PushResult : std::uint8_t {
 ///    paths use this door — it is how backpressure reaches the explorer.
 ///
 /// Every shed item is handed to the `ShedFn` so the owner can release
-/// object-store references and bump `xt_messages_shed_total`. The callback
-/// runs outside the queue lock. Items the `PinFn` names are never shed or
+/// object-store references and bump its shed counter (the queue keeps no
+/// tally of its own). The callback runs outside the queue lock. Items the `PinFn` names are never shed or
 /// displaced; they soft-overflow the watermark like weights. The broker pins
 /// each chunk header after a body's first, because a message whose first
 /// chunk was admitted is committed to the rest. Items rejected because the
@@ -216,12 +216,6 @@ class ClassedQueue {
     return lanes_[lane_index(cls)].size();
   }
 
-  /// Items shed from this queue (per class), cumulative.
-  [[nodiscard]] std::uint64_t sheds(TrafficClass cls) const {
-    std::scoped_lock lock(mu_);
-    return sheds_[lane_index(cls)];
-  }
-
   [[nodiscard]] const OverloadConfig& config() const { return cfg_; }
 
  private:
@@ -261,7 +255,6 @@ class ClassedQueue {
       lane.push_back(std::move(value));
       return true;
     }
-    sheds_[lane_index(TrafficClass::kExperience)]++;
     shed.emplace_back(TrafficClass::kExperience, std::move(value));
     return false;
   }
@@ -273,7 +266,6 @@ class ClassedQueue {
     auto it = experience.begin();
     if (pinned_) it = std::find_if_not(it, experience.end(), pinned_);
     if (it == experience.end()) return false;
-    sheds_[lane_index(TrafficClass::kExperience)]++;
     shed.emplace_back(TrafficClass::kExperience, std::move(*it));
     experience.erase(it);
     return true;
@@ -313,7 +305,6 @@ class ClassedQueue {
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::array<std::deque<T>, kTrafficClassCount> lanes_;
-  std::array<std::uint64_t, kTrafficClassCount> sheds_{};
   const OverloadConfig cfg_;
   const ShedFn on_shed_;
   const PinFn pinned_;

@@ -173,7 +173,8 @@ struct RunReport {
   std::uint64_t faults_injected = 0;    ///< drops+corruptions+delays+blackouts
   std::uint64_t frames_corrupted = 0;   ///< CRC rejects at broker ingress
   std::uint64_t retransmits = 0;        ///< reliable-link re-sends
-  std::uint64_t heartbeats_missed = 0;  ///< supervision timeout events
+  /// Silence episodes: each missed heartbeat timeout makes a worker suspect.
+  std::uint64_t workers_suspected = 0;
   std::uint64_t worker_restarts = 0;    ///< total respawns
   std::uint64_t explorer_restarts = 0;
   std::uint64_t learner_restarts = 0;   ///< each restored from checkpoint
@@ -183,17 +184,12 @@ struct RunReport {
   std::uint64_t messages_shed = 0;      ///< experience shed by bounded queues
   std::uint64_t frames_shed = 0;        ///< experience frames shed at pipes
   std::uint64_t breaker_opens = 0;      ///< link circuit-breaker trips
-  std::uint64_t workers_suspected = 0;  ///< silence episodes (suspect state)
   std::uint64_t respawns_suppressed = 0;  ///< rate-limited respawn attempts
 
   // Bottleneck attribution (filled when tracing / profiling were enabled).
   /// Per-stage latency breakdown over every traced message lifecycle
   /// (paper Fig. 7's serialize/transmit/deserialize bars, generalized).
   CriticalPathReport critical_path;
-  /// Stage with the largest share of end-to-end latency ("" if no traced
-  /// lifecycles completed). Duplicate of critical_path.dominant_stage for
-  /// one-line access.
-  std::string dominant_stage;
   /// Per-thread busy% and self-time per annotated scope from the sampling
   /// profiler (empty unless profile.enabled).
   std::vector<ThreadProfile> thread_profiles;

@@ -25,25 +25,24 @@ ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
       agent_(std::move(agent)),
       trace_(broker.trace()),
       rollout_hist_(broker.metrics().histogram(
-          "xt_explorer_rollout_ms{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_explorer_rollout_ms", {{"machine", node.machine}}))),
       wait_weights_hist_(broker.metrics().histogram(
-          "xt_explorer_wait_ms{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_explorer_wait_ms", {{"machine", node.machine}}))),
       env_steps_counter_(broker.metrics().counter(
-          "xt_explorer_env_steps_total{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_explorer_env_steps_total", {{"machine", node.machine}}))),
       batches_counter_(broker.metrics().counter(
-          "xt_explorer_batches_total{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_explorer_batches_total", {{"machine", node.machine}}))),
       weights_applied_counter_(broker.metrics().counter(
-          "xt_weights_applied_total{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_weights_applied_total", {{"machine", node.machine}}))),
       weights_nack_counter_(broker.metrics().counter(
-          "xt_weights_nacks_total{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_weights_nacks_total", {{"machine", node.machine}}))),
       broadcast_ms_hist_(broker.metrics().histogram(
-          "xt_weights_broadcast_ms{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_weights_broadcast_ms", {{"machine", node.machine}}))),
       metrics_(broker.metrics()) {
   codec_instruments_.decode_ms = &metrics_.histogram(
-      "xt_weights_decode_ms{machine=\"" + std::to_string(node.machine) + "\"}");
+      series_name("xt_weights_decode_ms", {{"machine", node.machine}}));
   codec_instruments_.decode_failures = &metrics_.counter(
-      "xt_weights_decode_failures_total{machine=\"" + std::to_string(node.machine) +
-      "\"}");
+      series_name("xt_weights_decode_failures_total", {{"machine", node.machine}}));
   send_weight_acks_ = weight_codec_uses_base(config.weight_sync.codec);
   if (config.supervision.enabled) {
     heartbeat_ = std::make_unique<Heartbeater>(

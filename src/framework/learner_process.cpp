@@ -22,29 +22,27 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
       trace_(broker.trace()),
       metrics_(broker.metrics()),
       wait_hist_(broker.metrics().histogram(
-          "xt_learner_wait_ms{machine=\"" + std::to_string(node.machine) + "\"}")),
+          series_name("xt_learner_wait_ms", {{"machine", node.machine}}))),
       train_hist_(broker.metrics().histogram(
-          "xt_learner_train_ms{machine=\"" + std::to_string(node.machine) + "\"}")),
-      keyframe_requests_counter_(broker.metrics().counter(
-          "xt_weights_keyframe_requests_total{machine=\"" +
-          std::to_string(node.machine) + "\"}")),
+          series_name("xt_learner_train_ms", {{"machine", node.machine}}))),
+      keyframe_requests_counter_(broker.metrics().counter(series_name(
+          "xt_weights_keyframe_requests_total", {{"machine", node.machine}}))),
       steps_consumed_(initial_steps) {
   endpoint_.set_latency_recorder(&transmission_ms_);
-  const std::string machine = std::to_string(node_.machine);
-  codec_instruments_.encode_ms =
-      &metrics_.histogram("xt_weights_encode_ms{machine=\"" + machine + "\"}");
+  const std::uint16_t machine = node_.machine;
+  codec_instruments_.encode_ms = &metrics_.histogram(
+      series_name("xt_weights_encode_ms", {{"machine", machine}}));
   codec_instruments_.compression_ratio = &metrics_.histogram(
-      "xt_weights_compression_ratio{machine=\"" + machine + "\"}");
-  codec_instruments_.bytes_out = &metrics_.counter(
-      "xt_weights_bytes_total{codec=\"" +
-      std::string(weight_codec_name(config.weight_sync.codec)) + "\",machine=\"" +
-      machine + "\"}");
-  codec_instruments_.raw_bytes =
-      &metrics_.counter("xt_weights_raw_bytes_total{machine=\"" + machine + "\"}");
-  codec_instruments_.skipped =
-      &metrics_.counter("xt_weights_skipped_total{machine=\"" + machine + "\"}");
-  codec_instruments_.keyframes =
-      &metrics_.counter("xt_weights_keyframes_total{machine=\"" + machine + "\"}");
+      series_name("xt_weights_compression_ratio", {{"machine", machine}}));
+  codec_instruments_.bytes_out = &metrics_.counter(series_name(
+      "xt_weights_bytes_total",
+      {{"codec", weight_codec_name(config.weight_sync.codec)}, {"machine", machine}}));
+  codec_instruments_.raw_bytes = &metrics_.counter(
+      series_name("xt_weights_raw_bytes_total", {{"machine", machine}}));
+  codec_instruments_.skipped = &metrics_.counter(
+      series_name("xt_weights_skipped_total", {{"machine", machine}}));
+  codec_instruments_.keyframes = &metrics_.counter(
+      series_name("xt_weights_keyframes_total", {{"machine", machine}}));
   encoder_ = std::make_unique<WeightEncoderSession>(config.weight_sync,
                                                     &codec_instruments_);
   force_every_broadcast_ = algorithm_->explorers_block_on_weights();

@@ -17,21 +17,6 @@
 namespace xt {
 namespace {
 
-/// Mean across every histogram of the family (e.g. all machines' labeled
-/// `xt_explorer_rollout_ms{machine="..."}` series): sum of sums over sum of
-/// counts. 0 when the family has no observations.
-double family_mean(const MetricsRegistry& registry, const std::string& family) {
-  double sum = 0.0;
-  std::uint64_t count = 0;
-  for (const auto& [name, hist] : registry.histograms()) {
-    if (name.compare(0, family.size(), family) != 0) continue;
-    if (name.size() > family.size() && name[family.size()] != '{') continue;
-    sum += hist->sum();
-    count += hist->count();
-  }
-  return count > 0 ? sum / static_cast<double>(count) : 0.0;
-}
-
 /// Compact top-like suffix for the periodic stats line: the three busiest
 /// threads and the three deepest queues from the latest saturation tick.
 std::string profile_stats_suffix(
@@ -56,58 +41,6 @@ std::string profile_stats_suffix(
   }
   out << ']';
   return out.str();
-}
-
-/// Quantile across every histogram of a family, merged bucket by bucket
-/// (the family members share the default bucket layout; any member with a
-/// different layout is skipped rather than mis-merged). Mirrors
-/// Histogram::quantile's within-bucket linear interpolation.
-double family_quantile(const MetricsRegistry& registry, const std::string& family,
-                       double q) {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;
-  std::uint64_t total = 0;
-  for (const auto& [name, hist] : registry.histograms()) {
-    if (name.compare(0, family.size(), family) != 0) continue;
-    if (name.size() > family.size() && name[family.size()] != '{') continue;
-    const auto bucket_counts = hist->bucket_counts();
-    if (bounds.empty()) {
-      bounds = hist->bounds();
-      counts.assign(bucket_counts.size(), 0);
-    }
-    if (bucket_counts.size() != counts.size()) continue;
-    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += bucket_counts[i];
-    total += hist->count();
-  }
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    if (static_cast<double>(seen + counts[i]) < target) {
-      seen += counts[i];
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : bounds[i - 1];
-    const double hi = i < bounds.size() ? bounds[i] : lo * 2.0;
-    const double within =
-        (target - static_cast<double>(seen)) / static_cast<double>(counts[i]);
-    return lo + within * (hi - lo);
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
-/// Sum across every counter of the family (e.g. all links' labeled
-/// `xt_faults_injected_total{link="...",kind="..."}` series).
-std::uint64_t family_total(const MetricsRegistry& registry,
-                           const std::string& family) {
-  std::uint64_t total = 0;
-  for (const auto& [name, value] : registry.counters()) {
-    if (name.compare(0, family.size(), family) != 0) continue;
-    if (name.size() > family.size() && name[family.size()] != '{') continue;
-    total += value;
-  }
-  return total;
 }
 
 }  // namespace
@@ -266,12 +199,13 @@ void XingTianRuntime::start_profiling() {
         for (const auto& broker : brokers_) {
           for (const auto& [queue, depth] : broker->queue_depths()) {
             const auto d = static_cast<double>(depth);
-            metrics_->gauge("xt_queue_depth{queue=\"" + queue + "\"}").set(d);
+            metrics_->gauge(series_name("xt_queue_depth", {{"queue", queue}}))
+                .set(d);
             depths.emplace_back(queue, d);
           }
           metrics_
-              ->gauge("xt_store_live_objects{machine=\"" +
-                      std::to_string(broker->machine()) + "\"}")
+              ->gauge(series_name("xt_store_live_objects",
+                                  {{"machine", broker->machine()}}))
               .set(static_cast<double>(broker->store().live_objects()));
         }
         if (auto pool = compute_pool()) {
@@ -285,19 +219,20 @@ void XingTianRuntime::start_profiling() {
         const auto pipes = fabric_->pipes();
         for (std::size_t i = 0; i < pipes.size(); ++i) {
           const PacedPipe* pipe = pipes[i];
+          const std::string queue = "pipe-" + pipe->name();
           const auto backlog = static_cast<double>(pipe->queued_frames());
-          metrics_
-              ->gauge("xt_queue_depth{queue=\"pipe-" + pipe->name() + "\"}")
+          metrics_->gauge(series_name("xt_queue_depth", {{"queue", queue}}))
               .set(backlog);
-          depths.emplace_back("pipe-" + pipe->name(), backlog);
-          const std::uint64_t bytes = pipe->bytes_transferred();
+          depths.emplace_back(queue, backlog);
+          const std::uint64_t bytes = pipe->wire_bytes();
           if (i < pipe_bytes_prev_.size() && dt_s > 0.0) {
             const double rate =
                 static_cast<double>(bytes - pipe_bytes_prev_[i]) / dt_s;
             const double util = std::clamp(
                 rate / pipe->config().bandwidth_bytes_per_sec, 0.0, 1.0);
             metrics_
-                ->gauge("xt_link_utilization{link=\"" + pipe->name() + "\"}")
+                ->gauge(series_name("xt_link_utilization",
+                                    {{"link", pipe->name()}}))
                 .set(util);
             pipe_bytes_prev_[i] = bytes;
           }
@@ -507,8 +442,8 @@ RunReport XingTianRuntime::run() {
       XT_LOG_INFO << "stats t=" << elapsed << "s steps=" << steps
                   << " throughput=" << (elapsed > 0 ? static_cast<double>(steps) / elapsed : 0.0)
                   << "/s episodes=" << episodes_reported()
-                  << " wait_ms=" << family_mean(*metrics_, "xt_learner_wait_ms")
-                  << " train_ms=" << family_mean(*metrics_, "xt_learner_train_ms")
+                  << " wait_ms=" << metrics_->family_mean("xt_learner_wait_ms")
+                  << " train_ms=" << metrics_->family_mean("xt_learner_train_ms")
                   << " spans=" << trace_->total_recorded() << profile_suffix;
     }
     if (config_.max_steps_consumed > 0 &&
@@ -558,11 +493,11 @@ RunReport XingTianRuntime::run() {
   // The latency decomposition comes from the telemetry histograms; the
   // learner's LatencyRecorders back the CDF (reservoir of raw samples).
   report.mean_transmission_ms = learner_->transmission_ms().mean();
-  report.mean_wait_ms = family_mean(*metrics_, "xt_learner_wait_ms");
-  report.mean_train_ms = family_mean(*metrics_, "xt_learner_train_ms");
-  report.mean_rollout_ms = family_mean(*metrics_, "xt_explorer_rollout_ms");
-  report.mean_gemm_ms = family_mean(*metrics_, "xt_gemm_ms");
-  report.gemm_flops = family_total(*metrics_, "xt_gemm_flops_total");
+  report.mean_wait_ms = metrics_->family_mean("xt_learner_wait_ms");
+  report.mean_train_ms = metrics_->family_mean("xt_learner_train_ms");
+  report.mean_rollout_ms = metrics_->family_mean("xt_explorer_rollout_ms");
+  report.mean_gemm_ms = metrics_->family_mean("xt_gemm_ms");
+  report.gemm_flops = metrics_->family_total("xt_gemm_flops_total");
   if (const LatencyRecorder* sample = learner_->algorithm().replay_sample_latency()) {
     report.mean_replay_sample_ms = sample->mean();
   }
@@ -570,34 +505,33 @@ RunReport XingTianRuntime::run() {
   report.rollout_messages = learner_->rollout_messages();
   report.rollout_bytes = learner_->rollout_bytes();
   report.weight_broadcasts = learner_->weight_broadcasts();
-  report.weights_applied = family_total(*metrics_, "xt_weights_applied_total");
+  report.weights_applied = metrics_->family_total("xt_weights_applied_total");
   // Weight-codec layer (DESIGN.md §11): encoded vs fp32-equivalent publish
   // volume plus the lazy/keyframe/fallback protocol tallies.
-  report.weights_wire_bytes = family_total(*metrics_, "xt_weights_bytes_total");
-  report.weights_raw_bytes = family_total(*metrics_, "xt_weights_raw_bytes_total");
-  report.weights_skipped = family_total(*metrics_, "xt_weights_skipped_total");
-  report.weights_keyframes = family_total(*metrics_, "xt_weights_keyframes_total");
+  report.weights_wire_bytes = metrics_->family_total("xt_weights_bytes_total");
+  report.weights_raw_bytes = metrics_->family_total("xt_weights_raw_bytes_total");
+  report.weights_skipped = metrics_->family_total("xt_weights_skipped_total");
+  report.weights_keyframes = metrics_->family_total("xt_weights_keyframes_total");
   report.weights_keyframe_requests =
-      family_total(*metrics_, "xt_weights_keyframe_requests_total");
+      metrics_->family_total("xt_weights_keyframe_requests_total");
   report.weights_decode_failures =
-      family_total(*metrics_, "xt_weights_decode_failures_total");
+      metrics_->family_total("xt_weights_decode_failures_total");
   report.weights_broadcast_p99_ms =
-      family_quantile(*metrics_, "xt_weights_broadcast_ms", 0.99);
+      metrics_->family_quantile("xt_weights_broadcast_ms", 0.99);
 
   // Robustness: chaos-fabric and supervision tallies (all zero when faults
   // are off and every worker stayed alive).
-  report.faults_injected = family_total(*metrics_, "xt_faults_injected_total");
+  report.faults_injected = metrics_->family_total("xt_faults_injected_total");
   report.frames_corrupted =
-      family_total(*metrics_, "xt_frames_corrupted_total");
-  report.retransmits = family_total(*metrics_, "xt_retransmits_total");
+      metrics_->family_total("xt_frames_corrupted_total");
+  report.retransmits = metrics_->family_total("xt_retransmits_total");
   // Overload-model tallies: sheds across every bounded stage (router,
   // inbox, endpoint buffers), pipe-level frame sheds, and breaker trips.
-  report.messages_shed = family_total(*metrics_, "xt_messages_shed_total");
-  report.frames_shed = family_total(*metrics_, "xt_frames_shed_total");
+  report.messages_shed = metrics_->family_total("xt_messages_shed_total");
+  report.frames_shed = metrics_->family_total("xt_frames_shed_total");
   report.breaker_opens =
-      family_total(*metrics_, "xt_link_breaker_opens_total");
+      metrics_->family_total("xt_link_breaker_opens_total");
   if (supervisor_) {
-    report.heartbeats_missed = supervisor_->heartbeats_missed();
     report.worker_restarts = supervisor_->restarts();
     report.explorer_restarts = supervisor_->explorer_restarts();
     report.learner_restarts = supervisor_->learner_restarts();
@@ -617,14 +551,12 @@ RunReport XingTianRuntime::run() {
   // paper's Fig. 7 decomposition, computed instead of hand-measured).
   if (config_.obs.tracing) {
     report.critical_path = analyze_critical_path(trace_->snapshot());
-    report.dominant_stage = report.critical_path.dominant_stage;
-    if (report.critical_path.messages > 0) {
-      XT_LOG_INFO << "critical path: " << report.critical_path.messages
-                  << " message(s), mean e2e "
-                  << report.critical_path.mean_end_to_end_ms
-                  << " ms, dominant stage '" << report.dominant_stage << "' ("
-                  << static_cast<int>(report.critical_path.dominant_share * 100.0 + 0.5)
-                  << "%)";
+    const CriticalPathReport& cp = report.critical_path;
+    if (cp.messages > 0) {
+      XT_LOG_INFO << "critical path: " << cp.messages << " message(s), mean e2e "
+                  << cp.mean_end_to_end_ms << " ms, dominant stage '"
+                  << cp.dominant_stage << "' ("
+                  << static_cast<int>(cp.dominant_share * 100.0 + 0.5) << "%)";
     }
   }
   report.thread_profiles = std::move(thread_profiles);

@@ -32,10 +32,9 @@ void Heartbeater::tick() {
 
 Supervisor::Supervisor(SupervisionConfig config, MetricsRegistry& metrics)
     : config_(config),
-      missed_counter_(metrics.counter("xt_heartbeats_missed_total")),
-      restarts_counter_(metrics.counter("xt_worker_restarts_total")),
-      suspected_counter_(metrics.counter("xt_workers_suspected_total")),
-      suppressed_counter_(metrics.counter("xt_respawns_suppressed_total")) {}
+      restarts_(metrics.counter("xt_worker_restarts_total")),
+      suspects_(metrics.counter("xt_workers_suspected_total")),
+      suppressed_(metrics.counter("xt_respawns_suppressed_total")) {}
 
 void Supervisor::set_congestion_probe(CongestionProbe probe) {
   congestion_probe_ = std::move(probe);
@@ -84,10 +83,7 @@ void Supervisor::poll() {
       // Entering the suspect state: count the missed heartbeat once per
       // silence episode and start the grace clock.
       w.suspect_since_ns = now;
-      ++heartbeats_missed_;
-      missed_counter_.inc();
-      ++suspects_;
-      suspected_counter_.inc();
+      suspects_.inc();
       XT_LOG_WARN << "supervisor: " << id.name() << " silent for "
                   << static_cast<double>(now - w.last_beat_ns) / 1e9
                   << "s, suspect";
@@ -109,8 +105,7 @@ void Supervisor::poll() {
         now - w.last_respawn_ns < min_interval_ns) {
       if (!w.suppression_counted) {
         w.suppression_counted = true;
-        ++respawns_suppressed_;
-        suppressed_counter_.inc();
+        suppressed_.inc();
       }
       continue;
     }
@@ -131,8 +126,7 @@ void Supervisor::poll() {
       continue;
     }
     ++w.restarts;
-    ++restarts_;
-    restarts_counter_.inc();
+    restarts_.inc();
     if (id.kind == NodeKind::kLearner) {
       ++learner_restarts_;
     } else {

@@ -94,23 +94,23 @@ class Supervisor {
   /// controller loop.
   void poll();
 
-  [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
+  /// Respawns: `xt_worker_restarts_total`.
+  [[nodiscard]] std::uint64_t restarts() const { return restarts_.value(); }
   [[nodiscard]] std::uint64_t explorer_restarts() const {
     return explorer_restarts_;
   }
   [[nodiscard]] std::uint64_t learner_restarts() const {
     return learner_restarts_;
   }
-  [[nodiscard]] std::uint64_t heartbeats_missed() const {
-    return heartbeats_missed_;
-  }
   /// Workers abandoned after exhausting their restart budget.
   [[nodiscard]] std::uint64_t degraded() const { return degraded_; }
-  /// Silence episodes that entered the suspect state.
-  [[nodiscard]] std::uint64_t suspects() const { return suspects_; }
-  /// Respawn attempts suppressed by the per-worker rate limit.
+  /// Silence episodes that entered the suspect state, each a missed
+  /// heartbeat timeout: `xt_workers_suspected_total`.
+  [[nodiscard]] std::uint64_t suspects() const { return suspects_.value(); }
+  /// Respawn attempts suppressed by the per-worker rate limit:
+  /// `xt_respawns_suppressed_total`.
   [[nodiscard]] std::uint64_t respawns_suppressed() const {
-    return respawns_suppressed_;
+    return suppressed_.value();
   }
 
  private:
@@ -128,19 +128,14 @@ class Supervisor {
   };
 
   const SupervisionConfig config_;
-  Counter& missed_counter_;      ///< xt_heartbeats_missed_total
-  Counter& restarts_counter_;    ///< xt_worker_restarts_total
-  Counter& suspected_counter_;   ///< xt_workers_suspected_total
-  Counter& suppressed_counter_;  ///< xt_respawns_suppressed_total
+  Counter& restarts_;
+  Counter& suspects_;
+  Counter& suppressed_;
   CongestionProbe congestion_probe_;
   std::unordered_map<NodeId, Watched> watched_;
-  std::uint64_t restarts_ = 0;
   std::uint64_t explorer_restarts_ = 0;
   std::uint64_t learner_restarts_ = 0;
-  std::uint64_t heartbeats_missed_ = 0;
   std::uint64_t degraded_ = 0;
-  std::uint64_t suspects_ = 0;
-  std::uint64_t respawns_suppressed_ = 0;
 };
 
 }  // namespace xt

@@ -23,31 +23,9 @@ void Fabric::connect(Broker& a, Broker& b, LinkConfig link) {
 
 PacedPipe* Fabric::make_pipe(Broker& from, Broker& to,
                              const LinkConfig& link) {
-  const std::string name =
-      "m" + std::to_string(from.machine()) + ">m" + std::to_string(to.machine());
-  const std::string label = "{link=\"" + name + "\"}";
-  PacedPipe::Observability obs;
-  obs.trace = from.trace();
-  obs.transmit_ms = &from.metrics().histogram("xt_pipe_transmit_ms" + label);
-  obs.wire_bytes = &from.metrics().counter("xt_pipe_wire_bytes_total" + label);
-  obs.frames = &from.metrics().counter("xt_pipe_frames_total" + label);
-  obs.pid = from.machine();
-  if (link.faults.enabled()) {
-    auto fault_counter = [&](const char* kind) {
-      return &from.metrics().counter(
-          std::string("xt_faults_injected_total{link=\"") + name +
-          "\",kind=\"" + kind + "\"}");
-    };
-    obs.faults_dropped = fault_counter("drop");
-    obs.faults_corrupted = fault_counter("corrupt");
-    obs.faults_delayed = fault_counter("delay");
-    obs.faults_blackout = fault_counter("blackout");
-  }
-  if (link.overload.bounded()) {
-    obs.frames_shed =
-        &from.metrics().counter("xt_frames_shed_total" + label);
-  }
-  auto pipe = std::make_unique<PacedPipe>(name, link, obs);
+  auto pipe = std::make_unique<PacedPipe>(
+      "m" + std::to_string(from.machine()) + ">m" + std::to_string(to.machine()),
+      link, from.metrics(), from.trace(), from.machine());
   PacedPipe* raw = pipe.get();
   std::scoped_lock lock(mu_);
   pipes_.push_back(std::move(pipe));
@@ -57,25 +35,10 @@ PacedPipe* Fabric::make_pipe(Broker& from, Broker& to,
 void Fabric::connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
                              PacedPipe* data_pipe, PacedPipe* ack_pipe) {
   Broker* target = &to;
-  const std::string name = data_pipe->name();
-  const std::string label = "{link=\"" + name + "\"}";
 
   if (reliability_.enabled) {
-    ReliableChannel::Instruments inst;
-    inst.retransmits =
-        &from.metrics().counter("xt_retransmits_total" + label);
-    inst.give_ups =
-        &from.metrics().counter("xt_retransmit_give_ups_total" + label);
-    inst.duplicates =
-        &from.metrics().counter("xt_link_duplicate_frames_total" + label);
-    inst.acks = &from.metrics().counter("xt_link_acks_total" + label);
-    inst.link_state = &from.metrics().gauge("xt_link_state" + label);
-    inst.breaker_opens =
-        &from.metrics().counter("xt_link_breaker_opens_total" + label);
-    inst.breaker_shed =
-        &from.metrics().counter("xt_link_breaker_shed_total" + label);
     auto channel = std::make_unique<ReliableChannel>(
-        name, reliability_, *data_pipe, *target, inst);
+        data_pipe->name(), reliability_, *data_pipe, *target, from.metrics());
     ReliableChannel* ch = channel.get();
     // Acks ride the reverse pipe so they share its fault plan: a lost or
     // corrupted ack frame leaves its seq pending and the sender
@@ -137,7 +100,7 @@ void Fabric::stop() {
 std::uint64_t Fabric::total_bytes() const {
   std::scoped_lock lock(mu_);
   std::uint64_t total = 0;
-  for (const auto& pipe : pipes_) total += pipe->bytes_transferred();
+  for (const auto& pipe : pipes_) total += pipe->wire_bytes();
   return total;
 }
 

@@ -48,7 +48,8 @@ class Fabric {
   /// brokers.
   void stop();
 
-  /// Total bytes moved across all links (both directions).
+  /// Total bytes moved across all links (both directions): the sum of every
+  /// pipe's `xt_pipe_wire_bytes_total`.
   [[nodiscard]] std::uint64_t total_bytes() const;
 
   /// Access individual pipes for per-link diagnostics.

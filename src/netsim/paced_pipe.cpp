@@ -8,21 +8,51 @@
 
 namespace xt {
 
-PacedPipe::PacedPipe(std::string name, LinkConfig config)
-    : PacedPipe(std::move(name), config, Observability{}) {}
+PacedPipe::Faults::Faults(const FaultPlan& plan, MetricsRegistry& metrics,
+                          const std::string& link)
+    : injector(plan),
+      dropped(metrics.counter(series_name("xt_faults_injected_total",
+                                          {{"link", link}, {"kind", "drop"}}))),
+      corrupted(metrics.counter(series_name(
+          "xt_faults_injected_total", {{"link", link}, {"kind", "corrupt"}}))),
+      delayed(metrics.counter(series_name("xt_faults_injected_total",
+                                          {{"link", link}, {"kind", "delay"}}))),
+      blackout(metrics.counter(series_name(
+          "xt_faults_injected_total", {{"link", link}, {"kind", "blackout"}}))) {}
 
-PacedPipe::PacedPipe(std::string name, LinkConfig config, Observability obs)
+void PacedPipe::Faults::count(const FaultOutcome& outcome) {
+  if (outcome.extra_latency_ns > 0) delayed.inc();
+  if (outcome.drop) {
+    (outcome.blackout ? blackout : dropped).inc();
+  } else if (outcome.corrupt) {
+    corrupted.inc();
+  }
+}
+
+PacedPipe::PacedPipe(std::string name, LinkConfig config,
+                     MetricsRegistry& metrics, TraceCollector* trace,
+                     std::uint32_t pid)
     : name_(std::move(name)),
       config_(config),
-      obs_(obs),
+      trace_(trace),
+      pid_(pid),
+      transmit_ms_(metrics.histogram(
+          series_name("xt_pipe_transmit_ms", {{"link", name_}}))),
+      wire_bytes_(metrics.counter(
+          series_name("xt_pipe_wire_bytes_total", {{"link", name_}}))),
+      frames_(metrics.counter(
+          series_name("xt_pipe_frames_total", {{"link", name_}}))),
+      frames_shed_(config.overload.bounded()
+                       ? &metrics.counter(series_name("xt_frames_shed_total",
+                                                      {{"link", name_}}))
+                       : nullptr),
+      faults_(config.faults.enabled()
+                  ? std::make_unique<Faults>(config.faults, metrics, name_)
+                  : nullptr),
       queue_(config.overload, [this](TrafficClass /*cls*/, Frame&& frame) {
-        frames_shed_.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.frames_shed != nullptr) obs_.frames_shed->inc();
+        frames_shed_->inc();
         if (frame.on_start) frame.on_start();
       }) {
-  if (config_.faults.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(config_.faults);
-  }
   transmitter_ = std::thread([this] {
     set_current_thread_name("pipe-" + name_);
     transmit_loop();
@@ -72,7 +102,7 @@ void PacedPipe::transmit_loop() {
     const std::int64_t start_ns = now_ns();
     if (frame->on_start) frame->on_start();
     FaultOutcome outcome;
-    if (injector_) outcome = injector_->next_frame(link_clock.elapsed_s());
+    if (faults_) outcome = faults_->injector.next_frame(link_clock.elapsed_s());
 
     // Pacing: even a frame destined to vanish occupies the sender's NIC for
     // its serialization time, exactly like a packet lost downstream.
@@ -81,25 +111,10 @@ void PacedPipe::transmit_loop() {
     precise_sleep_ns(static_cast<std::int64_t>(
         std::llround(total_bytes / config_.bandwidth_bytes_per_sec * 1e9)));
 
-    bytes_transferred_.fetch_add(frame->wire_bytes, std::memory_order_relaxed);
-    frames_transferred_.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.wire_bytes != nullptr) obs_.wire_bytes->inc(frame->wire_bytes);
-    if (obs_.frames != nullptr) obs_.frames->inc();
-    if (outcome.extra_latency_ns > 0 && obs_.faults_delayed != nullptr) {
-      obs_.faults_delayed->inc();
-    }
-    if (outcome.drop) {
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-      if (outcome.blackout) {
-        if (obs_.faults_blackout != nullptr) obs_.faults_blackout->inc();
-      } else if (obs_.faults_dropped != nullptr) {
-        obs_.faults_dropped->inc();
-      }
-      continue;
-    }
-    if (outcome.corrupt && obs_.faults_corrupted != nullptr) {
-      obs_.faults_corrupted->inc();
-    }
+    wire_bytes_.inc(frame->wire_bytes);
+    frames_.inc();
+    if (faults_) faults_->count(outcome);
+    if (outcome.drop) continue;
     const std::int64_t due_ns =
         now_ns() + config_.latency_ns + outcome.extra_latency_ns;
     in_flight_.push(InFlight{std::move(*frame), outcome, start_ns, due_ns});
@@ -110,22 +125,20 @@ void PacedPipe::delivery_loop() {
   while (auto item = in_flight_.pop()) {
     precise_sleep_ns(item->due_ns - now_ns());
     const std::int64_t end_ns = now_ns();
-    if (obs_.transmit_ms != nullptr) {
-      obs_.transmit_ms->observe(ns_to_ms(end_ns - item->start_ns));
-    }
+    transmit_ms_.observe(ns_to_ms(end_ns - item->start_ns));
     // The span covers serialization plus propagation and ends as the far
     // end takes the frame, like the endpoint's queue.wait span.
-    if (obs_.trace != nullptr && obs_.trace->enabled()) {
+    if (trace_ != nullptr && trace_->enabled()) {
       TraceSpan span;
       span.name = "pipe.transmit";
       span.category = "comm";
       span.trace_id = item->frame.trace_id;
       span.start_ns = item->start_ns;
       span.dur_ns = end_ns - item->start_ns;
-      span.pid = obs_.pid;
+      span.pid = pid_;
       span.tid = trace_thread_id();
       span.bytes = item->frame.wire_bytes;
-      obs_.trace->record(span);
+      trace_->record(span);
     }
     ProfScope prof("deliver");
     item->frame.deliver(item->outcome);

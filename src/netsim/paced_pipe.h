@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -58,26 +57,16 @@ class PacedPipe {
   /// behind other frames never reads as a loss.
   using StartHook = std::function<void()>;
 
-  /// Optional telemetry: the `pipe.transmit` lifecycle span plus bytes/
-  /// frames-on-wire metrics and injected-fault counters. All pointers may
-  /// be null.
-  struct Observability {
-    TraceCollector* trace = nullptr;
-    /// Serialization start to far-end delivery (with the `pipe.transmit`
-    /// span, recorded at delivery; dropped frames record neither).
-    Histogram* transmit_ms = nullptr;
-    Counter* wire_bytes = nullptr;
-    Counter* frames = nullptr;
-    Counter* faults_dropped = nullptr;
-    Counter* faults_corrupted = nullptr;
-    Counter* faults_delayed = nullptr;
-    Counter* faults_blackout = nullptr;
-    Counter* frames_shed = nullptr;  ///< experience shed at the high watermark
-    std::uint32_t pid = 0;             ///< span process group (source machine)
-  };
-
-  PacedPipe(std::string name, LinkConfig config);
-  PacedPipe(std::string name, LinkConfig config, Observability obs);
+  /// The pipe registers its series, labeled `{link="<name>"}`, in `metrics`:
+  /// `xt_pipe_transmit_ms` (serialization start to far-end delivery; dropped
+  /// frames record nothing), `xt_pipe_wire_bytes_total` and
+  /// `xt_pipe_frames_total` (every frame that occupied the wire, dropped or
+  /// not), `xt_faults_injected_total{link,kind}` when the FaultPlan is
+  /// enabled, and `xt_frames_shed_total` when the overload policy is
+  /// bounded. With a `trace` collector each delivered frame records a
+  /// `pipe.transmit` span in process group `pid` (the source machine).
+  PacedPipe(std::string name, LinkConfig config, MetricsRegistry& metrics,
+            TraceCollector* trace = nullptr, std::uint32_t pid = 0);
   ~PacedPipe();
 
   PacedPipe(const PacedPipe&) = delete;
@@ -110,18 +99,8 @@ class PacedPipe {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }
-  [[nodiscard]] std::uint64_t bytes_transferred() const {
-    return bytes_transferred_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t frames_transferred() const {
-    return frames_transferred_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t frames_dropped() const {
-    return frames_dropped_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t frames_shed() const {
-    return frames_shed_.load(std::memory_order_relaxed);
-  }
+  /// Bytes that occupied the wire: this link's `xt_pipe_wire_bytes_total`.
+  [[nodiscard]] std::uint64_t wire_bytes() const { return wire_bytes_.value(); }
   /// Frames waiting for the wire (not those already propagating).
   [[nodiscard]] std::size_t queued_frames() const { return queue_.size(); }
 
@@ -141,21 +120,38 @@ class PacedPipe {
     std::int64_t due_ns;    ///< far-end delivery time
   };
 
+  /// The fault schedule and the counters of what it injected; the pipe has
+  /// one only when its FaultPlan is enabled.
+  struct Faults {
+    Faults(const FaultPlan& plan, MetricsRegistry& metrics,
+           const std::string& link);
+    /// Count one frame's outcome under its kind.
+    void count(const FaultOutcome& outcome);
+
+    FaultInjector injector;  ///< transmit thread only
+    Counter& dropped;
+    Counter& corrupted;
+    Counter& delayed;
+    Counter& blackout;
+  };
+
   void transmit_loop();
   void delivery_loop();
 
   const std::string name_;
   const LinkConfig config_;
-  const Observability obs_;
-  std::unique_ptr<FaultInjector> injector_;  ///< transmit thread only
+  TraceCollector* const trace_;
+  const std::uint32_t pid_;
+  Histogram& transmit_ms_;
+  Counter& wire_bytes_;
+  Counter& frames_;
+  /// Registered only under a bounded overload policy, the only one that sheds.
+  Counter* const frames_shed_;
+  const std::unique_ptr<Faults> faults_;
   ClassedQueue<Frame> queue_;
   /// The delay line. Unbounded: deliver actions never block, so it holds at
   /// most about latency / minimum serialization time frames.
   BlockingQueue<InFlight> in_flight_;
-  std::atomic<std::uint64_t> bytes_transferred_{0};
-  std::atomic<std::uint64_t> frames_transferred_{0};
-  std::atomic<std::uint64_t> frames_dropped_{0};
-  std::atomic<std::uint64_t> frames_shed_{0};
   std::thread transmitter_;
   std::thread deliverer_;
 };

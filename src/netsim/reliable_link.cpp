@@ -37,12 +37,22 @@ const char* link_state_name(LinkState state) {
 
 ReliableChannel::ReliableChannel(std::string name, ReliabilityConfig config,
                                  PacedPipe& data_pipe, Broker& receiver,
-                                 Instruments inst)
+                                 MetricsRegistry& metrics)
     : name_(std::move(name)),
       config_(config),
       pipe_(data_pipe),
       receiver_(receiver),
-      inst_(inst) {
+      inst_{metrics.counter(series_name("xt_retransmits_total", {{"link", name_}})),
+            metrics.counter(
+                series_name("xt_retransmit_give_ups_total", {{"link", name_}})),
+            metrics.counter(
+                series_name("xt_link_duplicate_frames_total", {{"link", name_}})),
+            metrics.counter(series_name("xt_link_acks_total", {{"link", name_}})),
+            metrics.gauge(series_name("xt_link_state", {{"link", name_}})),
+            metrics.counter(
+                series_name("xt_link_breaker_opens_total", {{"link", name_}})),
+            metrics.counter(
+                series_name("xt_link_breaker_shed_total", {{"link", name_}}))} {
   retransmitter_ = std::thread([this] {
     set_current_thread_name("rexmit-" + name_);
     retransmit_loop();
@@ -77,9 +87,7 @@ LinkState ReliableChannel::state() const {
 
 void ReliableChannel::set_state_locked(LinkState state) {
   state_ = state;
-  if (inst_.link_state != nullptr) {
-    inst_.link_state->set(static_cast<double>(state));
-  }
+  inst_.link_state.set(static_cast<double>(state));
 }
 
 bool ReliableChannel::breaker_admit_locked(const WireFrame& frame,
@@ -99,7 +107,7 @@ bool ReliableChannel::breaker_admit_locked(const WireFrame& frame,
     probe_in_flight_ = true;  // admit exactly one frame to test the link
     return true;
   }
-  if (inst_.breaker_shed != nullptr) inst_.breaker_shed->inc();
+  inst_.breaker_shed.inc();
   return false;
 }
 
@@ -117,7 +125,7 @@ void ReliableChannel::note_give_up_locked(std::int64_t now) {
   set_state_locked(LinkState::kOpen);
   probe_deadline_ns_ = now + ms_to_ns(config_.breaker_probe_ms);
   probe_in_flight_ = false;
-  if (inst_.breaker_opens != nullptr) inst_.breaker_opens->inc();
+  inst_.breaker_opens.inc();
   std::size_t shed = 0;
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.frame.tclass == TrafficClass::kControl) {
@@ -127,9 +135,7 @@ void ReliableChannel::note_give_up_locked(std::int64_t now) {
     ++shed;
     it = pending_.erase(it);
   }
-  if (inst_.breaker_shed != nullptr && shed > 0) {
-    inst_.breaker_shed->inc(shed);
-  }
+  inst_.breaker_shed.inc(shed);
   XT_LOG_WARN << "link " << name_ << ": circuit breaker open after "
               << consecutive_give_ups_ << " consecutive give-up(s), shed "
               << shed << " pending frame(s)";
@@ -184,7 +190,7 @@ void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
     duplicate = seq <= recv_floor_ || recv_seen_.count(seq) != 0;
   }
   if (duplicate) {
-    if (inst_.duplicates != nullptr) inst_.duplicates->inc();
+    inst_.duplicates.inc();
     send_ack(seq);
     return;
   }
@@ -210,7 +216,7 @@ void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
 
 void ReliableChannel::send_ack(std::uint64_t seq) {
   if (!ack_sender_) return;
-  if (inst_.acks != nullptr) inst_.acks->inc();
+  inst_.acks.inc();
   ack_sender_(seq);
 }
 
@@ -264,7 +270,7 @@ void ReliableChannel::retransmit_loop() {
         continue;
       }
       if (entry.retries >= config_.max_retries) {
-        if (inst_.give_ups != nullptr) inst_.give_ups->inc();
+        inst_.give_ups.inc();
         ++abandoned;
         it = pending_.erase(it);
         // May trip the breaker, which erases pending non-control entries —
@@ -291,7 +297,7 @@ void ReliableChannel::retransmit_loop() {
     if (!due.empty()) {
       ProfScope prof("retransmit");
       for (WireFrame& frame : due) {
-        if (inst_.retransmits != nullptr) inst_.retransmits->inc();
+        inst_.retransmits.inc();
         transmit(frame.link_seq, frame);
       }
     }

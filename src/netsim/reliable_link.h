@@ -70,18 +70,11 @@ class ReliableChannel {
   /// the reverse pipe, so it shares that direction's fault plan).
   using AckSender = std::function<void(std::uint64_t seq)>;
 
-  struct Instruments {
-    Counter* retransmits = nullptr;  ///< xt_retransmits_total{link=...}
-    Counter* give_ups = nullptr;
-    Counter* duplicates = nullptr;   ///< retransmitted frames already seen
-    Counter* acks = nullptr;
-    Gauge* link_state = nullptr;     ///< xt_link_state{link=...} (LinkState)
-    Counter* breaker_opens = nullptr;   ///< closed/half-open -> open edges
-    Counter* breaker_shed = nullptr;    ///< frames shed by an open breaker
-  };
-
+  /// The channel registers its series, labeled `{link="<name>"}`, in
+  /// `metrics` (the sending machine's registry).
   ReliableChannel(std::string name, ReliabilityConfig config,
-                  PacedPipe& data_pipe, Broker& receiver, Instruments inst);
+                  PacedPipe& data_pipe, Broker& receiver,
+                  MetricsRegistry& metrics);
   ~ReliableChannel();
 
   ReliableChannel(const ReliableChannel&) = delete;
@@ -103,23 +96,22 @@ class ReliableChannel {
   /// abandoned.
   void stop();
 
-  [[nodiscard]] std::uint64_t retransmits() const {
-    return inst_.retransmits != nullptr ? inst_.retransmits->value() : 0;
-  }
-  [[nodiscard]] std::uint64_t give_ups() const {
-    return inst_.give_ups != nullptr ? inst_.give_ups->value() : 0;
-  }
   [[nodiscard]] std::size_t pending() const;
 
   /// Breaker state of this direction (kClosed when the breaker is disabled).
   [[nodiscard]] LinkState state() const;
-  [[nodiscard]] std::uint64_t breaker_opens() const {
-    return inst_.breaker_opens != nullptr
-               ? static_cast<std::uint64_t>(inst_.breaker_opens->value())
-               : 0;
-  }
 
  private:
+  struct Instruments {
+    Counter& retransmits;    ///< xt_retransmits_total
+    Counter& give_ups;       ///< xt_retransmit_give_ups_total
+    Counter& duplicates;     ///< retransmitted frames already seen
+    Counter& acks;
+    Gauge& link_state;       ///< xt_link_state (the LinkState value)
+    Counter& breaker_opens;  ///< closed/half-open -> open edges
+    Counter& breaker_shed;   ///< frames shed by an open breaker
+  };
+
   struct Pending {
     WireFrame frame;
     std::int64_t deadline_ns = 0;

@@ -5,6 +5,30 @@
 #include <functional>
 
 namespace xt {
+namespace {
+
+bool in_family(const std::string& name, std::string_view family) {
+  return name.compare(0, family.size(), family) == 0 &&
+         (name.size() == family.size() || name[family.size()] == '{');
+}
+
+}  // namespace
+
+std::string series_name(std::string_view family,
+                        std::initializer_list<MetricLabel> labels) {
+  std::string name(family);
+  char sep = '{';
+  for (const MetricLabel& label : labels) {
+    name += sep;
+    name += label.key;
+    name += "=\"";
+    name += label.value;
+    name += '"';
+    sep = ',';
+  }
+  if (labels.size() > 0) name += '}';
+  return name;
+}
 
 void Gauge::add(double delta) {
   double current = value_.load(std::memory_order_relaxed);
@@ -138,6 +162,58 @@ std::vector<std::pair<std::string, const Histogram*>> MetricsRegistry::histogram
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::uint64_t MetricsRegistry::family_total(std::string_view family) const {
+  std::uint64_t total = 0;
+  for (const auto& [name, value] : counters()) {
+    if (in_family(name, family)) total += value;
+  }
+  return total;
+}
+
+double MetricsRegistry::family_mean(std::string_view family) const {
+  double sum = 0.0;
+  std::uint64_t count = 0;
+  for (const auto& [name, hist] : histograms()) {
+    if (!in_family(name, family)) continue;
+    sum += hist->sum();
+    count += hist->count();
+  }
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+}
+
+double MetricsRegistry::family_quantile(std::string_view family, double q) const {
+  std::vector<double> bounds;
+  std::vector<std::uint64_t> counts;
+  std::uint64_t total = 0;
+  for (const auto& [name, hist] : histograms()) {
+    if (!in_family(name, family)) continue;
+    const auto bucket_counts = hist->bucket_counts();
+    if (bounds.empty()) {
+      bounds = hist->bounds();
+      counts.assign(bucket_counts.size(), 0);
+    }
+    if (bucket_counts.size() != counts.size()) continue;
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += bucket_counts[i];
+    total += hist->count();
+  }
+  if (total == 0) return 0.0;
+  const double target = q * static_cast<double>(total);
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) continue;
+    if (static_cast<double>(seen + counts[i]) < target) {
+      seen += counts[i];
+      continue;
+    }
+    const double lo = i == 0 ? 0.0 : bounds[i - 1];
+    const double hi = i < bounds.size() ? bounds[i] : lo * 2.0;
+    const double within =
+        (target - static_cast<double>(seen)) / static_cast<double>(counts[i]);
+    return lo + within * (hi - lo);
+  }
+  return bounds.empty() ? 0.0 : bounds.back();
 }
 
 }  // namespace xt

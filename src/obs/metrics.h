@@ -3,9 +3,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -79,6 +81,22 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
+/// One `key="value"` label of a series name. An integral value (a machine
+/// index) is written in decimal.
+struct MetricLabel {
+  MetricLabel(std::string_view k, std::string_view v) : key(k), value(v) {}
+  MetricLabel(std::string_view k, std::uint64_t v)
+      : key(k), value(std::to_string(v)) {}
+  std::string_view key;
+  std::string value;
+};
+
+/// The registry's name of one labeled series: `family{key="value",...}`, or
+/// the bare family without labels. Values go in verbatim; the text exporter
+/// escapes them.
+[[nodiscard]] std::string series_name(std::string_view family,
+                                      std::initializer_list<MetricLabel> labels);
+
 /// Lock-sharded name -> metric registry. Lookup (`counter()` / `gauge()` /
 /// `histogram()`) hashes the name to a shard and takes that shard's mutex
 /// only for the map access; the returned reference stays valid for the
@@ -87,7 +105,9 @@ class Histogram {
 ///
 /// Naming convention: Prometheus-style full names including labels, e.g.
 /// `xt_broker_routed_total{machine="0"}`. The text exporter groups families
-/// by the name before the label block.
+/// by the name before the label block. The `family_*` readers aggregate every
+/// series of a family (`family` itself and each `family{labels}`) and read 0
+/// for a family nothing has registered, without registering it.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -104,6 +124,16 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
   [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
+
+  /// Sum of the family's counters (e.g. every link's
+  /// `xt_faults_injected_total{link="...",kind="..."}`).
+  [[nodiscard]] std::uint64_t family_total(std::string_view family) const;
+  /// Mean over the family's histograms: sum of sums over sum of counts.
+  [[nodiscard]] double family_mean(std::string_view family) const;
+  /// Quantile of the family's histograms merged bucket by bucket (members
+  /// with a different bucket layout are skipped rather than mis-merged),
+  /// interpolated within a bucket like Histogram::quantile.
+  [[nodiscard]] double family_quantile(std::string_view family, double q) const;
 
  private:
   static constexpr std::size_t kShards = 8;

@@ -205,10 +205,13 @@ TEST(BrokerEndpoint, CountersTrackTraffic) {
   // the receiver can see it first; joining both threads publishes every count.
   sender.stop();
   receiver.stop();
-  EXPECT_EQ(sender.counters().messages_sent.load(), 3u);
-  EXPECT_EQ(sender.counters().bytes_sent.load(), 300u);
-  EXPECT_EQ(receiver.counters().messages_received.load(), 3u);
-  EXPECT_EQ(receiver.counters().bytes_received.load(), 300u);
+  const MetricsRegistry& metrics = broker.metrics();
+  EXPECT_EQ(metrics.family_total("xt_messages_sent_total"), 3u);
+  EXPECT_EQ(metrics.family_total("xt_bytes_sent_total"), 300u);
+  EXPECT_EQ(metrics.family_total("xt_messages_received_total"), 3u);
+  EXPECT_EQ(metrics.family_total("xt_bytes_received_total"), 300u);
+  EXPECT_EQ(receiver.messages_received(), 3u);
+  EXPECT_EQ(sender.messages_received(), 0u);
 }
 
 TEST(BrokerEndpoint, StopIsIdempotentAndCleansUp) {

@@ -97,11 +97,9 @@ TEST(ReliableLink, SurvivesHeavyLossAndCorruption) {
     }
   }
 
-  std::uint64_t retransmits = 0;
-  for (const ReliableChannel* channel : fabric.channels()) {
-    retransmits += channel->retransmits();
-  }
-  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(machine0.metrics().family_total("xt_retransmits_total") +
+                machine1.metrics().family_total("xt_retransmits_total"),
+            0u);
 
   sender.stop();
   receiver.stop();
@@ -179,7 +177,7 @@ TEST(ChaosRun, SurvivesFaultyLinkAndWorkerDeaths) {
   EXPECT_GE(report.worker_restarts, 2u);
   EXPECT_GE(report.explorer_restarts, 1u);
   EXPECT_GE(report.learner_restarts, 1u);
-  EXPECT_GT(report.heartbeats_missed, 0u);
+  EXPECT_GT(report.workers_suspected, 0u);
   EXPECT_GT(report.faults_injected, 0u);
   EXPECT_EQ(report.degraded_workers, 0u);
 
@@ -413,7 +411,7 @@ TEST(ChaosRun, NoSupervisionMeansNoRestarts) {
 
   EXPECT_GE(report.steps_consumed, 1'000u);
   EXPECT_EQ(report.worker_restarts, 0u);
-  EXPECT_EQ(report.heartbeats_missed, 0u);
+  EXPECT_EQ(report.workers_suspected, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "algo/ppo.h"
 #include "framework/dummy_transmission.h"
 
@@ -216,6 +219,73 @@ TEST(XingTianRuntime, BoundedSendBuffersStillCompleteRuns) {
   XingTianRuntime runtime(tiny_impala_setup(), deployment);
   const RunReport report = runtime.run();
   EXPECT_GE(report.steps_consumed, 1'000u);
+}
+
+/// Every metric family the end-to-end benchmark (bench/e2e/measure.cpp)
+/// reads. A renamed family would read 0 there and silently zero a per-layer
+/// metric, so a rename must fail here first.
+constexpr const char* kBenchmarkFamilies[] = {
+    "xt_broker_dropped_total",   "xt_broker_route_ms",
+    "xt_codec_bytes_in_total",   "xt_codec_bytes_out_total",
+    "xt_codec_compress_ms",      "xt_codec_decompress_ms",
+    "xt_explorer_rollout_ms",    "xt_explorer_wait_ms",
+    "xt_gemm_flops_total",       "xt_gemm_ms",
+    "xt_learner_train_ms",       "xt_learner_wait_ms",
+    "xt_messages_sent_total",    "xt_messages_shed_total",
+    "xt_pipe_frames_total",      "xt_pipe_transmit_ms",
+    "xt_pipe_wire_bytes_total",  "xt_queue_wait_ms",
+    "xt_recv_decode_ms",         "xt_send_serialize_ms",
+    "xt_store_put_bytes_total",  "xt_store_put_ms",
+    "xt_weights_applied_total",  "xt_weights_broadcast_ms",
+    "xt_weights_bytes_total",    "xt_weights_decode_failures_total",
+    "xt_weights_decode_ms",      "xt_weights_encode_ms",
+    "xt_weights_raw_bytes_total",
+};
+/// Registered only with reliable links and a bounded overload policy.
+constexpr const char* kConditionalFamilies[] = {"xt_retransmits_total",
+                                                "xt_frames_shed_total"};
+
+/// The families (series names up to the label block) a run registered.
+std::set<std::string> registered_families(const MetricsRegistry& metrics) {
+  std::set<std::string> families;
+  const auto add = [&](const std::string& name) {
+    families.insert(name.substr(0, name.find('{')));
+  };
+  for (const auto& [name, value] : metrics.counters()) add(name);
+  for (const auto& [name, value] : metrics.histograms()) add(name);
+  return families;
+}
+
+TEST(MetricNames, RunsRegisterEveryFamilyTheBenchmarkReads) {
+  DeploymentConfig deployment;
+  deployment.explorers_per_machine = {1, 1};
+  deployment.max_steps_consumed = 500;
+  deployment.max_seconds = 30.0;
+  {
+    XingTianRuntime runtime(tiny_impala_setup(), deployment);
+    (void)runtime.run();
+    const std::set<std::string> families = registered_families(runtime.metrics());
+    for (const char* family : kBenchmarkFamilies) {
+      EXPECT_TRUE(families.contains(family)) << family;
+    }
+    for (const char* family : kConditionalFamilies) {
+      EXPECT_FALSE(families.contains(family)) << family;
+    }
+  }
+
+  deployment.reliability.enabled = true;
+  deployment.link.faults.seed = 3;
+  deployment.link.faults.drop_probability = 0.01;
+  deployment.overload.high_watermark = 64;
+  XingTianRuntime runtime(tiny_impala_setup(), deployment);
+  (void)runtime.run();
+  const std::set<std::string> families = registered_families(runtime.metrics());
+  for (const char* family : kBenchmarkFamilies) {
+    EXPECT_TRUE(families.contains(family)) << family;
+  }
+  for (const char* family : kConditionalFamilies) {
+    EXPECT_TRUE(families.contains(family)) << family;
+  }
 }
 
 // End-to-end smoke across every algorithm kind under the full runtime.

@@ -108,6 +108,40 @@ TEST(MetricsRegistry, SnapshotsAreSortedByName) {
   EXPECT_EQ(counters[2].first, "xt_c_total");
 }
 
+TEST(MetricsRegistry, SeriesNameJoinsLabelsInOrder) {
+  EXPECT_EQ(series_name("xt_plain_total", {}), "xt_plain_total");
+  EXPECT_EQ(series_name("xt_routed_total", {{"machine", std::uint16_t{3}}}),
+            "xt_routed_total{machine=\"3\"}");
+  EXPECT_EQ(series_name("xt_faults_total", {{"link", "m0>m1"}, {"kind", "drop"}}),
+            "xt_faults_total{link=\"m0>m1\",kind=\"drop\"}");
+}
+
+TEST(MetricsRegistry, FamilyReadersAggregateEveryLabeledSeries) {
+  MetricsRegistry registry;
+  registry.counter("xt_x_total").inc(1);
+  registry.counter("xt_x_total{machine=\"0\"}").inc(2);
+  registry.counter("xt_x_total_other").inc(100);  // another family, same prefix
+  EXPECT_EQ(registry.family_total("xt_x_total"), 3u);
+  EXPECT_EQ(registry.family_total("xt_absent_total"), 0u);
+
+  registry.histogram("xt_h_ms{machine=\"0\"}").observe(1.0);
+  registry.histogram("xt_h_ms{machine=\"1\"}").observe(3.0);
+  registry.histogram("xt_h_ms{machine=\"1\"}").observe(5.0);
+  EXPECT_DOUBLE_EQ(registry.family_mean("xt_h_ms"), 3.0);
+  // Merged buckets: the median lies in 3.0's bucket (2.048, 4.096], the max
+  // in 5.0's (4.096, 8.192].
+  EXPECT_GT(registry.family_quantile("xt_h_ms", 0.5), 2.0);
+  EXPECT_LT(registry.family_quantile("xt_h_ms", 0.5), 4.1);
+  EXPECT_GT(registry.family_quantile("xt_h_ms", 1.0), 4.1);
+  EXPECT_LT(registry.family_quantile("xt_h_ms", 1.0), 8.2);
+  EXPECT_EQ(registry.family_mean("xt_absent_ms"), 0.0);
+  EXPECT_EQ(registry.family_quantile("xt_absent_ms", 0.5), 0.0);
+
+  // Reading a family registers nothing.
+  EXPECT_EQ(registry.counters().size(), 3u);
+  EXPECT_EQ(registry.histograms().size(), 2u);
+}
+
 TEST(PrometheusExporter, GoldenOutput) {
   MetricsRegistry registry;
   registry.counter("xt_routed_total{machine=\"0\"}").inc(7);

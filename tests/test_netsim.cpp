@@ -55,11 +55,21 @@ bool wait_for(const std::function<bool()>& done) {
   return done();
 }
 
+/// One link's injected faults of one kind.
+std::uint64_t faults_injected(MetricsRegistry& metrics, const std::string& link,
+                              const char* kind) {
+  return metrics
+      .counter(series_name("xt_faults_injected_total",
+                           {{"link", link}, {"kind", kind}}))
+      .value();
+}
+
 /// Sends one frame per entry of `sizes` and returns the order in which they
 /// were delivered, once stop() has drained the pipe.
 std::vector<int> delivery_order(const LinkConfig& link,
                                 const std::vector<std::size_t>& sizes) {
-  PacedPipe pipe("order", link);
+  MetricsRegistry metrics;
+  PacedPipe pipe("order", link, metrics);
   std::mutex mu;
   std::vector<int> delivered;
   for (int i = 0; i < static_cast<int>(sizes.size()); ++i) {
@@ -98,7 +108,8 @@ TEST(PacedPipe, PropagationOverlapsSerialization) {
   // Ten tiny frames on a 50 ms link. Each frame holds the wire only for its
   // serialization, so all of them land about one latency after the first
   // send, not ten latencies (500 ms) later.
-  PacedPipe pipe("overlap", LinkConfig{1e12, 50'000'000, 0});
+  MetricsRegistry metrics;
+  PacedPipe pipe("overlap", LinkConfig{1e12, 50'000'000, 0}, metrics);
   std::atomic<int> delivered{0};
   const Stopwatch clock;
   for (int i = 0; i < 10; ++i) {
@@ -110,7 +121,8 @@ TEST(PacedPipe, PropagationOverlapsSerialization) {
 }
 
 TEST(PacedPipe, StopDeliversFramesInFlight) {
-  PacedPipe pipe("drain", LinkConfig{1e12, 20'000'000, 0});
+  MetricsRegistry metrics;
+  PacedPipe pipe("drain", LinkConfig{1e12, 20'000'000, 0}, metrics);
   std::atomic<int> delivered{0};
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
@@ -127,7 +139,8 @@ TEST(PacedPipe, PacesAtConfiguredBandwidth) {
   link.bandwidth_bytes_per_sec = 100e6;
   link.latency_ns = 0;
   link.frame_overhead_bytes = 0;
-  PacedPipe pipe("bw", link);
+  MetricsRegistry metrics;
+  PacedPipe pipe("bw", link, metrics);
   std::atomic<bool> done{false};
   const Stopwatch clock;
   ASSERT_TRUE(pipe.send(10'000'000, [&] { done.store(true); }));
@@ -145,10 +158,7 @@ TEST(PacedPipe, AppliesPropagationLatency) {
   MetricsRegistry metrics;
   TraceCollector trace;
   trace.enable();
-  PacedPipe::Observability obs;
-  obs.trace = &trace;
-  obs.transmit_ms = &metrics.histogram("xt_pipe_transmit_ms");
-  PacedPipe pipe("lat", link, obs);
+  PacedPipe pipe("lat", link, metrics, &trace);
   std::atomic<bool> done{false};
   const Stopwatch clock;
   ASSERT_TRUE(pipe.send(1, [&] { done.store(true); }, /*trace_id=*/7));
@@ -156,8 +166,10 @@ TEST(PacedPipe, AppliesPropagationLatency) {
   EXPECT_GE(clock.elapsed_ms(), 19.0);
   // The transmit histogram and span still run to the far-end delivery, so
   // they include the propagation delay, not just serialization.
-  EXPECT_EQ(obs.transmit_ms->count(), 1u);
-  EXPECT_GE(obs.transmit_ms->sum(), 19.0);
+  const Histogram& transmit_ms =
+      metrics.histogram(series_name("xt_pipe_transmit_ms", {{"link", "lat"}}));
+  EXPECT_EQ(transmit_ms.count(), 1u);
+  EXPECT_GE(transmit_ms.sum(), 19.0);
   const std::vector<TraceSpan> spans = trace.snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_STREQ(spans[0].name, "pipe.transmit");
@@ -166,18 +178,21 @@ TEST(PacedPipe, AppliesPropagationLatency) {
 }
 
 TEST(PacedPipe, CountsBytesAndFrames) {
-  PacedPipe pipe("count", LinkConfig{1e12, 0, 0});
+  MetricsRegistry metrics;
+  PacedPipe pipe("count", LinkConfig{1e12, 0, 0}, metrics);
   std::atomic<int> delivered{0};
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pipe.send(100, [&] { delivered.fetch_add(1); }));
   }
   while (delivered.load() < 5) std::this_thread::yield();
-  EXPECT_EQ(pipe.bytes_transferred(), 500u);
-  EXPECT_EQ(pipe.frames_transferred(), 5u);
+  EXPECT_EQ(pipe.wire_bytes(), 500u);
+  EXPECT_EQ(metrics.family_total("xt_pipe_wire_bytes_total"), 500u);
+  EXPECT_EQ(metrics.family_total("xt_pipe_frames_total"), 5u);
 }
 
 TEST(PacedPipe, StopRejectsFurtherSends) {
-  PacedPipe pipe("stop", LinkConfig{1e12, 0, 0});
+  MetricsRegistry metrics;
+  PacedPipe pipe("stop", LinkConfig{1e12, 0, 0}, metrics);
   pipe.stop();
   EXPECT_FALSE(pipe.send(10, [] {}));
 }
@@ -265,22 +280,24 @@ TEST(Fabric, RemoteTransmissionIsBandwidthBound) {
 TEST(PacedPipe, FullDropPlanDeliversNothingButCountsFrames) {
   LinkConfig link{1e9, 0, 0};
   link.faults.drop_probability = 1.0;
-  PacedPipe pipe("lossy", link);
+  MetricsRegistry metrics;
+  PacedPipe pipe("lossy", link, metrics);
   std::atomic<int> delivered{0};
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
   }
   pipe.stop();
   EXPECT_EQ(delivered.load(), 0);
-  EXPECT_EQ(pipe.frames_dropped(), 20u);
+  EXPECT_EQ(faults_injected(metrics, "lossy", "drop"), 20u);
   // Dropped frames still occupied the wire (send-side pacing happened).
-  EXPECT_EQ(pipe.frames_transferred(), 20u);
+  EXPECT_EQ(metrics.family_total("xt_pipe_frames_total"), 20u);
 }
 
 TEST(PacedPipe, FullCorruptionPlanFlagsEveryDeliveredFrame) {
   LinkConfig link{1e9, 0, 0};
   link.faults.corrupt_probability = 1.0;
-  PacedPipe pipe("noisy", link);
+  MetricsRegistry metrics;
+  PacedPipe pipe("noisy", link, metrics);
   std::atomic<int> corrupted{0};
   std::atomic<int> delivered{0};
   for (int i = 0; i < 20; ++i) {
@@ -295,7 +312,8 @@ TEST(PacedPipe, FullCorruptionPlanFlagsEveryDeliveredFrame) {
   pipe.stop();
   EXPECT_EQ(delivered.load(), 20);
   EXPECT_EQ(corrupted.load(), 20);
-  EXPECT_EQ(pipe.frames_dropped(), 0u);
+  EXPECT_EQ(faults_injected(metrics, "noisy", "corrupt"), 20u);
+  EXPECT_EQ(faults_injected(metrics, "noisy", "drop"), 0u);
 }
 
 TEST(PacedPipe, BlackoutWindowDropsFramesInsideIt) {
@@ -303,14 +321,15 @@ TEST(PacedPipe, BlackoutWindowDropsFramesInsideIt) {
   LinkConfig link{1e9, 0, 0};
   link.faults.blackout_start_s = 0.0;
   link.faults.blackout_duration_s = 3600.0;
-  PacedPipe pipe("dark", link);
+  MetricsRegistry metrics;
+  PacedPipe pipe("dark", link, metrics);
   std::atomic<int> delivered{0};
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
   }
   pipe.stop();
   EXPECT_EQ(delivered.load(), 0);
-  EXPECT_EQ(pipe.frames_dropped(), 5u);
+  EXPECT_EQ(faults_injected(metrics, "dark", "blackout"), 5u);
 }
 
 TEST(FaultPlan, BlackoutWindowsRepeatWithPeriod) {
@@ -704,11 +723,9 @@ TEST(Chunking, LossyReliableLinkDeliversEachWholeBodyOnce) {
     EXPECT_TRUE(is_patterned(msg->body, size_of(tag), tag)) << "tag " << tag;
   }
   EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(100)).has_value());
-  std::uint64_t retransmits = 0;
-  for (const ReliableChannel* channel : fabric.channels()) {
-    retransmits += channel->retransmits();
-  }
-  EXPECT_GT(retransmits, 0u);
+  EXPECT_GT(a.metrics().family_total("xt_retransmits_total") +
+                b.metrics().family_total("xt_retransmits_total"),
+            0u);
   sender.stop();
   receiver.stop();
   fabric.stop();
@@ -752,17 +769,10 @@ TEST(Chunking, QueuedFramesAreNotRetransmitted) {
   fabric.stop();
   EXPECT_EQ(a.store().live_objects(), 0u);
   EXPECT_EQ(b.store().live_objects(), 0u);
-  for (const ReliableChannel* channel : fabric.channels()) {
-    EXPECT_EQ(channel->retransmits(), 0u);
+  for (Broker* broker : {&a, &b}) {
+    EXPECT_EQ(broker->metrics().family_total("xt_retransmits_total"), 0u);
+    EXPECT_EQ(broker->metrics().family_total("xt_link_duplicate_frames_total"), 0u);
   }
-  std::uint64_t duplicates = 0;
-  for (const auto& [name, value] : a.metrics().counters()) {
-    if (name.rfind("xt_link_duplicate_frames_total", 0) == 0) duplicates += value;
-  }
-  for (const auto& [name, value] : b.metrics().counters()) {
-    if (name.rfind("xt_link_duplicate_frames_total", 0) == 0) duplicates += value;
-  }
-  EXPECT_EQ(duplicates, 0u);
   // The data direction carried each body once plus one control segment per
   // chunk frame.
   MessageHeader header = make_outbound(sender.id(), {receiver.id()},
@@ -773,11 +783,12 @@ TEST(Chunking, QueuedFramesAreNotRetransmitted) {
   const std::size_t control =
       encode_wire_frame(header, patterned_body(size, 0), true).control.size();
   const std::uint64_t frames = kMessages * header.chunk_count;
-  for (const PacedPipe* pipe : fabric.pipes()) {
-    if (pipe->name() != "m0>m1") continue;
-    EXPECT_EQ(pipe->frames_transferred(), frames);
-    EXPECT_EQ(pipe->bytes_transferred(), kMessages * size + frames * control);
-  }
+  EXPECT_EQ(a.metrics().counter(series_name("xt_pipe_frames_total",
+                                            {{"link", "m0>m1"}})).value(),
+            frames);
+  EXPECT_EQ(a.metrics().counter(series_name("xt_pipe_wire_bytes_total",
+                                            {{"link", "m0>m1"}})).value(),
+            kMessages * size + frames * control);
 }
 
 }  // namespace

@@ -56,12 +56,13 @@ TEST(ClassedQueue, PopDrainsControlBeforeWeightsBeforeExperience) {
 }
 
 TEST(ClassedQueue, UnboundedQueueNeverSheds) {
-  ClassedQueue<int> q;
+  int sheds = 0;
+  ClassedQueue<int> q({}, [&](TrafficClass, int&&) { ++sheds; });
   for (int i = 0; i < 1000; ++i) {
     ASSERT_EQ(q.push(kExp, i), PushResult::kEnqueued);
   }
   EXPECT_EQ(q.size(), 1000u);
-  EXPECT_EQ(q.sheds(kExp), 0u);
+  EXPECT_EQ(sheds, 0);
 }
 
 TEST(ClassedQueue, ExperienceShedsOldestAtHighWatermark) {
@@ -77,7 +78,6 @@ TEST(ClassedQueue, ExperienceShedsOldestAtHighWatermark) {
   // experience is displaced through the shed callback.
   EXPECT_EQ(q.push(kExp, 3), PushResult::kEnqueued);
   EXPECT_EQ(shed, std::vector<int>({1}));
-  EXPECT_EQ(q.sheds(kExp), 1u);
   EXPECT_EQ(q.try_pop().value(), 2);
   EXPECT_EQ(q.try_pop().value(), 3);
 }
@@ -91,7 +91,6 @@ TEST(ClassedQueue, ExperienceShedsNewestWhenPolicyIsNewest) {
   // kNewest keeps what is queued and drops the incoming element instead.
   EXPECT_EQ(q.push(kExp, 3), PushResult::kShed);
   EXPECT_EQ(shed, std::vector<int>({3}));
-  EXPECT_EQ(q.sheds(kExp), 1u);
   EXPECT_EQ(q.try_pop().value(), 1);
   EXPECT_EQ(q.try_pop().value(), 2);
 }
@@ -128,13 +127,14 @@ TEST(ClassedQueue, PinnedItemsAreNeverShedNorDisplaced) {
 }
 
 TEST(ClassedQueue, ControlLaneIsNeverBounded) {
-  ClassedQueue<int> q(bounded_cfg(1));
+  int sheds = 0;
+  ClassedQueue<int> q(bounded_cfg(1), [&](TrafficClass, int&&) { ++sheds; });
   EXPECT_EQ(q.push(kExp, 0), PushResult::kEnqueued);  // data plane now full
   for (int i = 0; i < 100; ++i) {
     ASSERT_EQ(q.push(kCtl, i), PushResult::kEnqueued);
   }
   EXPECT_EQ(q.size(kCtl), 100u);
-  EXPECT_EQ(q.sheds(kExp), 0u);
+  EXPECT_EQ(sheds, 0);
 }
 
 TEST(ClassedQueue, WeightsEvictQueuedExperienceInsteadOfDropping) {
@@ -154,14 +154,15 @@ TEST(ClassedQueue, WeightsEvictQueuedExperienceInsteadOfDropping) {
 }
 
 TEST(ClassedQueue, WeightsSoftOverflowWhenNoExperienceToEvict) {
-  ClassedQueue<int> q(bounded_cfg(2));
+  int sheds = 0;
+  ClassedQueue<int> q(bounded_cfg(2), [&](TrafficClass, int&&) { ++sheds; });
   EXPECT_EQ(q.push(kWts, 1), PushResult::kEnqueued);
   EXPECT_EQ(q.push(kWts, 2), PushResult::kEnqueued);
   // Weights are never dropped: with no experience to evict the data plane
   // soft-overflows its watermark instead.
   EXPECT_EQ(q.push(kWts, 3), PushResult::kEnqueued);
   EXPECT_EQ(q.size(kWts), 3u);
-  EXPECT_EQ(q.sheds(kExp), 0u);
+  EXPECT_EQ(sheds, 0);
 }
 
 TEST(ClassedQueue, ShedCallbackRunsOutsideTheQueueLock) {
@@ -176,7 +177,9 @@ TEST(ClassedQueue, ShedCallbackRunsOutsideTheQueueLock) {
 }
 
 TEST(ClassedQueue, GatedExperienceBlocksUntilLowWatermark) {
-  ClassedQueue<int> q(bounded_cfg(4, 2));
+  std::atomic<int> sheds{0};
+  ClassedQueue<int> q(bounded_cfg(4, 2),
+                      [&](TrafficClass, int&&) { sheds.fetch_add(1); });
   for (int i = 0; i < 4; ++i) ASSERT_EQ(q.push(kExp, i), PushResult::kEnqueued);
   std::atomic<bool> admitted{false};
   std::atomic<int> waits{0};
@@ -197,7 +200,7 @@ TEST(ClassedQueue, GatedExperienceBlocksUntilLowWatermark) {
   producer.join();
   EXPECT_TRUE(admitted.load());
   EXPECT_GT(waits.load(), 0);  // on_wait kept firing while blocked
-  EXPECT_EQ(q.sheds(kExp), 0u);
+  EXPECT_EQ(sheds.load(), 0);
 }
 
 TEST(ClassedQueue, GatedWeightsFallBackToEvictionAfterDeadline) {
@@ -251,7 +254,6 @@ TEST(ClassedQueue, PushOnClosedQueueReportsClosedWithoutShedCallback) {
   EXPECT_EQ(q.push(kExp, 1), PushResult::kClosed);
   EXPECT_EQ(q.push(kCtl, 2), PushResult::kClosed);
   EXPECT_EQ(callbacks.load(), 0);
-  EXPECT_EQ(q.sheds(kExp), 0u);
 }
 
 TEST(ClassedQueue, CloseDrainsAllLanesInPriorityOrderThenReportsEnd) {
@@ -283,7 +285,7 @@ struct BreakerHarness {
                           double breaker_probe_ms) {
     LinkConfig link{1e12, 0, 0};
     link.faults.drop_probability = 1.0;  // nothing ever reaches the far side
-    pipe = std::make_unique<PacedPipe>("breaker-test", link);
+    pipe = std::make_unique<PacedPipe>("breaker-test", link, metrics);
 
     ReliabilityConfig cfg;
     cfg.enabled = true;
@@ -294,14 +296,8 @@ struct BreakerHarness {
     cfg.breaker_failures = breaker_failures;
     cfg.breaker_probe_ms = breaker_probe_ms;
 
-    shed_counter = &metrics.counter("breaker_shed");
-    ReliableChannel::Instruments inst;
-    inst.give_ups = &metrics.counter("give_ups");
-    inst.link_state = &metrics.gauge("link_state");
-    inst.breaker_opens = &metrics.counter("breaker_opens");
-    inst.breaker_shed = shed_counter;
     channel = std::make_unique<ReliableChannel>("breaker-test", cfg, *pipe,
-                                                broker, inst);
+                                                broker, metrics);
     channel->set_ack_sender([](std::uint64_t) {});
   }
 
@@ -329,10 +325,15 @@ struct BreakerHarness {
   }
 
   [[nodiscard]] std::uint64_t shed() const {
-    return static_cast<std::uint64_t>(shed_counter->value());
+    return metrics.family_total("xt_link_breaker_shed_total");
+  }
+  [[nodiscard]] std::uint64_t give_ups() const {
+    return metrics.family_total("xt_retransmit_give_ups_total");
+  }
+  [[nodiscard]] std::uint64_t breaker_opens() const {
+    return metrics.family_total("xt_link_breaker_opens_total");
   }
 
-  Counter* shed_counter = nullptr;
   MetricsRegistry metrics;
   Broker broker{0};
   std::unique_ptr<PacedPipe> pipe;
@@ -344,9 +345,9 @@ TEST(CircuitBreaker, OpensAfterConsecutiveGiveUps) {
   h.send(MsgType::kRollout);
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }))
-      << "breaker never opened; give_ups=" << h.channel->give_ups();
-  EXPECT_EQ(h.channel->breaker_opens(), 1u);
-  EXPECT_GE(h.channel->give_ups(), 2u);
+      << "breaker never opened; give_ups=" << h.give_ups();
+  EXPECT_EQ(h.breaker_opens(), 1u);
+  EXPECT_GE(h.give_ups(), 2u);
 }
 
 TEST(CircuitBreaker, OpenBreakerShedsExperienceButAdmitsControl) {
@@ -387,7 +388,7 @@ TEST(CircuitBreaker, FailedHalfOpenProbeReopensTheBreaker) {
   const std::uint64_t shed_before = h.shed();
   h.send(MsgType::kRollout);
   EXPECT_EQ(h.shed(), shed_before);
-  ASSERT_TRUE(h.wait_for([&] { return h.channel->breaker_opens() >= 2; }))
+  ASSERT_TRUE(h.wait_for([&] { return h.breaker_opens() >= 2; }))
       << "failed probe did not re-trip; state="
       << link_state_name(h.channel->state());
 }
@@ -395,9 +396,9 @@ TEST(CircuitBreaker, FailedHalfOpenProbeReopensTheBreaker) {
 TEST(CircuitBreaker, DisabledBreakerNeverTrips) {
   BreakerHarness h(/*breaker_failures=*/0, 10'000);
   for (int i = 0; i < 4; ++i) h.send(MsgType::kRollout);
-  ASSERT_TRUE(h.wait_for([&] { return h.channel->give_ups() >= 4; }));
+  ASSERT_TRUE(h.wait_for([&] { return h.give_ups() >= 4; }));
   EXPECT_EQ(h.channel->state(), LinkState::kClosed);
-  EXPECT_EQ(h.channel->breaker_opens(), 0u);
+  EXPECT_EQ(h.breaker_opens(), 0u);
   EXPECT_EQ(h.shed(), 0u);
 }
 

@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <chrono>
@@ -303,9 +304,10 @@ TEST(RuntimeTracing, ReadyPayloadLocalPathIsZeroCopyWithNoSerializeSpan) {
   bool saw_recv = false;
   for (const TraceSpan& span : trace.snapshot()) {
     if (span.trace_id != trace_id) continue;
-    EXPECT_NE(span.name, "msg.serialize")
+    const std::string_view name = span.name;
+    EXPECT_NE(name, "msg.serialize")
         << "ready-Payload send must not pay a serialize hop";
-    if (span.name == "msg.recv") saw_recv = true;
+    if (name == "msg.recv") saw_recv = true;
   }
   EXPECT_TRUE(saw_recv) << "lifecycle was not traced at all";
 }
