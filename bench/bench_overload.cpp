@@ -91,7 +91,6 @@ void submit_direct(Broker& broker, const NodeId& src, const NodeId& dst,
   header.src = src;
   header.dsts = {dst};
   header.type = type;
-  header.tclass = traffic_class_of(type);
   header.body_size = body->size();
   header.created_ns = now_ns();
   const std::uint32_t fetches = broker.expected_fetches(header);

@@ -174,7 +174,7 @@ Algorithm::TrainResult DqnAlgorithm::train_session() {
     } else {
       batch = fetch_batch(config_.batch_size);
     }
-    sample_latency_ms_.add(sample_clock.elapsed_ms());
+    sample_latency_ms_.observe(sample_clock.elapsed_ms());
   }
   if (batch.empty()) return result;
 

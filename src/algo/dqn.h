@@ -87,7 +87,7 @@ class DqnAlgorithm : public Algorithm {
 
   [[nodiscard]] virtual std::size_t replay_size() const;
   [[nodiscard]] int training_sessions() const { return sessions_; }
-  [[nodiscard]] const LatencyRecorder* replay_sample_latency() const override {
+  [[nodiscard]] const Histogram* replay_sample_latency() const override {
     return &sample_latency_ms_;
   }
 
@@ -111,7 +111,7 @@ class DqnAlgorithm : public Algorithm {
   std::size_t pending_inserts_ = 0;  ///< inserts since last session
   int sessions_ = 0;
   std::uint32_t version_ = 1;
-  LatencyRecorder sample_latency_ms_;
+  Histogram sample_latency_ms_;
 };
 
 }  // namespace xt

@@ -7,7 +7,7 @@
 
 #include "algo/rollout.h"
 #include "common/bytes.h"
-#include "common/stats.h"
+#include "obs/metrics.h"
 
 namespace xt {
 
@@ -67,11 +67,11 @@ class Algorithm {
     return false;
   }
 
-  /// Per-training-session replay sampling latency, if this algorithm
+  /// Per-training-session replay sampling latency in ms, if this algorithm
   /// maintains a replay buffer (the Fig. 9(b) "sample & transmission"
   /// series: local sampling in XingTian vs a replay actor behind RPC in the
   /// pull-based baseline). nullptr for algorithms without replay.
-  [[nodiscard]] virtual const LatencyRecorder* replay_sample_latency() const {
+  [[nodiscard]] virtual const Histogram* replay_sample_latency() const {
     return nullptr;
   }
 };

@@ -230,7 +230,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
   report.mean_transmission_ms = state.transmission_hist.mean();
   report.mean_wait_ms = state.wait_hist.mean();
   report.mean_train_ms = state.train_hist.mean();
-  if (const LatencyRecorder* sample = algorithm->replay_sample_latency()) {
+  if (const Histogram* sample = algorithm->replay_sample_latency()) {
     report.mean_replay_sample_ms = sample->mean();
   }
   report.wait_cdf = state.wait_ms.cdf(101);

@@ -81,7 +81,7 @@ std::vector<Transition> RemoteReplayActor::sample(std::size_t n) {
   lock.unlock();
   precise_sleep_ns(dispatch_ns_);  // response dispatch
   auto result = deserialize_transitions(slot->data);
-  sample_latency_ms_.add(clock.elapsed_ms());
+  sample_latency_ms_.observe(clock.elapsed_ms());
   return result;
 }
 

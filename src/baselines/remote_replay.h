@@ -7,7 +7,7 @@
 
 #include "algo/dqn.h"
 #include "common/blocking_queue.h"
-#include "common/stats.h"
+#include "obs/metrics.h"
 #include "replay/replay_buffer.h"
 
 namespace xt::baselines {
@@ -41,7 +41,7 @@ class RemoteReplayActor {
 
   /// Per-sample() round-trip durations (the "RLLib Sample & Trans." series
   /// of paper Fig. 9(b)).
-  [[nodiscard]] const LatencyRecorder& sample_latency_ms() const {
+  [[nodiscard]] const Histogram& sample_latency_ms() const {
     return sample_latency_ms_;
   }
 
@@ -64,7 +64,7 @@ class RemoteReplayActor {
   UniformReplay replay_;
   const std::int64_t dispatch_ns_;
   BlockingQueue<Request> requests_;
-  LatencyRecorder sample_latency_ms_;
+  Histogram sample_latency_ms_;
   std::thread service_;
 };
 

@@ -1,11 +1,13 @@
 #include "comm/broker.h"
 
+#include <optional>
 #include <set>
 
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "obs/profiler.h"
+#include "serial/wire_format.h"
 
 namespace xt {
 namespace {
@@ -63,7 +65,7 @@ Broker::Broker(std::uint16_t machine, Options options)
       // skips its last chunk.
       router_queue_(options_.overload,
                     [this](TrafficClass /*cls*/, MessageHeader&& header) {
-                      if (header.chunk_count == 1) release_refs(header);
+                      if (header.chunk_count() == 1) release_refs(header);
                       shed_router_->inc();
                     },
                     pinned_chunk) {
@@ -144,7 +146,7 @@ void Broker::unregister_endpoint(const NodeId& id) {
 }
 
 bool Broker::submit(MessageHeader header) {
-  const TrafficClass cls = header.tclass;
+  const TrafficClass cls = header.tclass();
   // kShed counts as accepted: the shed callback already released the
   // header's store references, so the caller must not release them again.
   if (router_queue_.push(cls, std::move(header)) == PushResult::kClosed) {
@@ -220,7 +222,7 @@ void Broker::route(MessageHeader header) {
   TraceScope route_span(trace_, "router.route", "comm", trace_id, machine_,
                         header.body_size);
 
-  if (header.chunk_count > 1) {
+  if (header.chunk_count() > 1) {
     // A message whose first chunk never reached the router was shed there:
     // skip its chunks, and release its references with the last one.
     if (header.chunk_index == 0) {
@@ -240,22 +242,7 @@ void Broker::route(MessageHeader header) {
     if (dst.machine != machine_) remote_machines.insert(dst.machine);
   }
 
-  const std::int64_t routed_ns = now_ns();
-  for (const NodeId& dst : header.dsts) {
-    if (!last || dst.machine != machine_) continue;
-    std::shared_ptr<IdQueue> queue;
-    {
-      std::scoped_lock lock(mu_);
-      auto it = endpoints_.find(dst);
-      if (it != endpoints_.end()) queue = it->second;
-    }
-    if (!queue) {
-      store_.release(header.object_id);
-      note_drop(DropReason::kUnknownDest);
-    } else {
-      push_inbox(*queue, header, routed_ns);
-    }
-  }
+  if (last) fan_out_local(header);
 
   for (std::uint16_t machine : remote_machines) {
     RemoteSink sink;
@@ -287,9 +274,9 @@ void Broker::route(MessageHeader header) {
   inst_.route_ms.observe(route_clock.elapsed_ms());
 }
 
-bool Broker::reassemble(const MessageHeader& header, Payload& body) {
-  const bool in_order = header.link_seq == 0;
-  bool complete = header.chunk_count == 1;
+bool Broker::reassemble(const MessageHeader& header, Payload& body,
+                        bool in_order) {
+  bool complete = header.chunk_count() == 1;
   std::uint32_t lost = 0;
   {
     std::scoped_lock lock(partial_mu_);
@@ -299,7 +286,7 @@ bool Broker::reassemble(const MessageHeader& header, Payload& body) {
       for (auto it = partial_.begin(); it != partial_.end();) {
         const PartialBody& older = it->second;
         if (it->first != header.msg_id && older.in_order && older.src == header.src &&
-            older.tclass == header.tclass) {
+            older.tclass == header.tclass()) {
           if (!older.lost) ++lost;
           it = partial_.erase(it);
         } else {
@@ -312,7 +299,7 @@ bool Broker::reassemble(const MessageHeader& header, Payload& body) {
       PartialBody& partial = it->second;
       if (fresh) {
         partial.src = header.src;
-        partial.tclass = header.tclass;
+        partial.tclass = header.tclass();
         partial.in_order = in_order;
         partial.body = body;
       }
@@ -323,7 +310,7 @@ bool Broker::reassemble(const MessageHeader& header, Payload& body) {
       }
       ++partial.arrived;
       partial.touched = ++partial_clock_;
-      if (!partial.lost && partial.arrived == header.chunk_count) {
+      if (!partial.lost && partial.arrived == header.chunk_count()) {
         complete = true;
         body = std::move(partial.body);
         partial_.erase(it);
@@ -354,8 +341,16 @@ std::size_t Broker::partial_bodies() const {
   return partial_.size();
 }
 
-void Broker::deliver_remote(MessageHeader header, Payload body) {
-  if (!reassemble(header, body)) return;
+bool Broker::deliver_frame(const WireFrame& frame, bool retransmits) {
+  std::optional<Message> message = decode_wire_frame(frame);
+  if (!message.has_value()) {
+    inst_.corrupted.inc();
+    if (!retransmits) note_drop(DropReason::kCrcFail);
+    return false;
+  }
+  MessageHeader& header = message->header;
+  Payload& body = message->body;
+  if (!reassemble(header, body, /*in_order=*/!retransmits)) return true;
   ProfScope prof("rehost");
   TraceScope rehost_span(trace_, "broker.rehost", "comm", header.trace_id(),
                          machine_, body->size());
@@ -367,11 +362,15 @@ void Broker::deliver_remote(MessageHeader header, Payload body) {
   }
   if (local == 0) {
     note_drop(DropReason::kNoLocalDest);
-    return;
+    return true;
   }
   header.object_id = store_.put(std::move(body), local);
   inst_.rehosted.inc();
+  fan_out_local(header);
+  return true;
+}
 
+void Broker::fan_out_local(const MessageHeader& header) {
   const std::int64_t routed_ns = now_ns();
   for (const NodeId& dst : header.dsts) {
     if (dst.machine != machine_) continue;
@@ -384,32 +383,22 @@ void Broker::deliver_remote(MessageHeader header, Payload body) {
     if (!queue) {
       store_.release(header.object_id);
       note_drop(DropReason::kUnknownDest);
-    } else {
-      push_inbox(*queue, header, routed_ns);
+      continue;
+    }
+    switch (queue->push(header.tclass(), RoutedHeader{header, routed_ns})) {
+      case PushResult::kEnqueued:
+        inst_.routed.inc();
+        break;
+      case PushResult::kShed:
+        // The inbox shed callback released the store reference and counted
+        // the shed; not a drop (the overload policy worked as designed).
+        break;
+      case PushResult::kClosed:
+        store_.release(header.object_id);
+        note_drop(DropReason::kClosedDest);
+        break;
     }
   }
-}
-
-void Broker::push_inbox(IdQueue& queue, const MessageHeader& header,
-                        std::int64_t routed_ns) {
-  switch (queue.push(header.tclass, RoutedHeader{header, routed_ns})) {
-    case PushResult::kEnqueued:
-      inst_.routed.inc();
-      break;
-    case PushResult::kShed:
-      // The inbox shed callback released the store reference and counted
-      // the shed; not a drop (the overload policy worked as designed).
-      break;
-    case PushResult::kClosed:
-      store_.release(header.object_id);
-      note_drop(DropReason::kClosedDest);
-      break;
-  }
-}
-
-void Broker::reject_corrupt_frame() {
-  inst_.corrupted.inc();
-  note_drop(DropReason::kCrcFail);
 }
 
 std::uint64_t Broker::dropped_messages() const { return inst_.dropped.value(); }

@@ -21,6 +21,8 @@
 
 namespace xt {
 
+struct WireFrame;
+
 /// What the router puts into a destination's ID queue: the per-destination
 /// header copy plus the router's enqueue timestamp, which gives the
 /// destination-queue-wait hop of the message lifecycle (receiver pop time
@@ -38,7 +40,7 @@ struct RoutedHeader {
 using IdQueue = ClassedQueue<RoutedHeader>;
 
 /// Sink for messages leaving this machine; the network simulator implements
-/// it with a bandwidth-paced link whose far end calls deliver_remote() on
+/// it with a bandwidth-paced link whose far end calls deliver_frame() on
 /// the target machine's broker.
 using RemoteSink = std::function<void(MessageHeader, Payload)>;
 
@@ -48,7 +50,7 @@ using RemoteSink = std::function<void(MessageHeader, Payload)>;
 enum class DropReason : std::uint8_t {
   kUnknownDest = 0,     ///< destination was never registered
   kClosedDest = 1,      ///< destination queue closed (endpoint shut down)
-  kCrcFail = 2,         ///< cross-machine frame failed its CRC check
+  kCrcFail = 2,         ///< a frame failed its CRC on a link that never resends it
   kNoSink = 3,          ///< no forwarding sink for the destination machine
   kMissingBody = 4,     ///< object store had no body for a remote forward
   kNoLocalDest = 5,     ///< remote delivery addressed nothing on this machine
@@ -137,32 +139,28 @@ class Broker {
   /// Install the forwarding sink toward another machine's broker.
   void set_remote_sink(std::uint16_t machine, RemoteSink sink);
 
-  /// Ingress path for message chunks arriving from another machine: once
-  /// every chunk of the body has arrived, re-hosts the body in the local
-  /// object store and fans the header out to local ID queues. Local
-  /// workhorses never perceive the difference (Section 3.2.1). The caller
-  /// has already checked the wire frame's CRC; routing drops (no local
-  /// destination, closed queue, a body that lost a chunk) are counted here,
-  /// and retransmitting cannot repair them.
+  /// The one ingress for wire frames arriving from another machine. A frame
+  /// that fails its CRC or does not decode counts as a corrupted frame and
+  /// returns false, so a link that retransmits (`retransmits`) withholds its
+  /// ack and a resend repairs it; where nothing resends it, the reject is
+  /// also a kCrcFail drop. Otherwise the frame's chunk joins its body, and
+  /// once every chunk is in, the body is re-hosted in the local object store
+  /// and the header fanned out to local ID queues: local workhorses never
+  /// perceive the difference (Section 3.2.1). Routing drops (no local
+  /// destination, closed queue, a body that lost a chunk) are counted here
+  /// and return true, because retransmitting cannot repair them.
   ///
-  /// A chunk without a link sequence number came over a link that does not
-  /// retransmit, which delivers one sender's messages of one class in
-  /// order: a gap in a body's chunks, its last chunk arriving short, or a
-  /// newer message from the same sender and class ends the body as one
-  /// kIncompleteBody drop. Chunks from a reliable link may arrive out of
-  /// order; a body that never completes there stays until the table holds
-  /// kMaxPartialBodies and it is the least recently extended.
-  void deliver_remote(MessageHeader header, Payload body);
+  /// A link that does not retransmit delivers one sender's messages of one
+  /// class in order: a gap in a body's chunks, its last chunk arriving
+  /// short, or a newer message from the same sender and class ends the body
+  /// as one kIncompleteBody drop. Chunks from a link that retransmits may
+  /// arrive out of order; a body that never completes there stays until the
+  /// table holds kMaxPartialBodies and it is the least recently extended.
+  bool deliver_frame(const WireFrame& frame, bool retransmits);
 
   /// Remote bodies with some chunks in and some missing.
   static constexpr std::size_t kMaxPartialBodies = 64;
   [[nodiscard]] std::size_t partial_bodies() const;
-
-  /// Ingress accounting for a corrupted *wire frame*: it failed its chained
-  /// CRC, so its chunk is rejected exactly once — one corrupted-frame tick
-  /// and one CRC-fail drop. The caller (fabric or reliable channel)
-  /// never delivers it.
-  void reject_corrupt_frame();
 
   /// Stop the router thread (idempotent). In-flight headers are drained.
   void stop();
@@ -175,8 +173,9 @@ class Broker {
   /// Drops attributed to one specific reason.
   [[nodiscard]] std::uint64_t dropped_messages(DropReason reason) const;
 
-  /// Cross-machine frames rejected by the CRC check (a subset of drops,
-  /// also `xt_frames_corrupted_total{machine=...}`).
+  /// Cross-machine frames deliver_frame rejected,
+  /// `xt_frames_corrupted_total{machine=...}`. Only those from a link that
+  /// does not retransmit are kCrcFail drops as well.
   [[nodiscard]] std::uint64_t corrupted_frames() const;
 
   /// Experience messages shed by bounded queues on this machine (router
@@ -202,7 +201,7 @@ class Broker {
     Gauge& queue_depth;         ///< router header-queue depth
     Histogram& route_ms;        ///< one route() pass
     Histogram& queue_wait_ms;   ///< ID-queue wait (router enqueue -> receiver pop)
-    Counter& corrupted;         ///< CRC-failed cross-machine frames
+    Counter& corrupted;         ///< cross-machine frames that failed decode
   };
 
   /// A remote body streaming in as chunks.
@@ -220,13 +219,14 @@ class Broker {
   void route(MessageHeader header);
   /// Release every store reference submit() took for the header's message.
   void release_refs(const MessageHeader& header);
-  /// Account one remote chunk; true when it completes its body, which is
-  /// then in `body`.
-  [[nodiscard]] bool reassemble(const MessageHeader& header, Payload& body);
-  /// Push a routed header into an ID queue, translating the outcome into
-  /// ref-accounting + drop/shed telemetry (shared by route/deliver_remote).
-  void push_inbox(IdQueue& queue, const MessageHeader& header,
-                  std::int64_t routed_ns);
+  /// Account one remote chunk, which arrived in order unless its link
+  /// retransmits; true when it completes its body, which is then in `body`.
+  [[nodiscard]] bool reassemble(const MessageHeader& header, Payload& body,
+                                bool in_order);
+  /// Hand the header to the ID queue of each destination on this machine.
+  /// Each destination holds one store reference; a failed push releases it
+  /// and counts the drop, a shed one was released by the queue.
+  void fan_out_local(const MessageHeader& header);
   /// Count a drop (total + per-reason) and emit a rate-limited warning (one
   /// line per warning interval, not one per dropped message).
   void note_drop(DropReason reason);
@@ -252,7 +252,7 @@ class Broker {
   std::uint64_t dropped_at_last_warn_ = 0;
   bool warned_once_ = false;
 
-  /// Remote bodies by msg_id; deliver_remote runs on every incoming pipe.
+  /// Remote bodies by msg_id; deliver_frame runs on every incoming pipe.
   mutable std::mutex partial_mu_;
   std::unordered_map<std::uint64_t, PartialBody> partial_;
   std::uint64_t partial_clock_ = 0;

@@ -87,7 +87,7 @@ bool Endpoint::send(Outbound message) {
 }
 
 bool Endpoint::send(Outbound message, const std::function<void()>& on_wait) {
-  const TrafficClass cls = message.header.tclass;
+  const TrafficClass cls = message.header.tclass();
   return send_buffer_.push_gated(cls, std::move(message), on_wait);
 }
 
@@ -143,17 +143,15 @@ void Endpoint::sender_loop() {
       const double ipc_bw = broker_.options().ipc_bandwidth_bytes_per_sec;
 
       header.body_size = encoded.data->size();
-      header.compressed = encoded.compressed;
-      header.uncompressed_size = encoded.uncompressed_size;
-      header.chunk_count =
-          static_cast<std::uint32_t>(chunk_count_for(header.body_size));
+      header.uncompressed_size = encoded.compressed ? encoded.uncompressed_size : 0;
+      const std::uint64_t chunks = header.chunk_count();
 
       const std::uint32_t fetches = broker_.expected_fetches(header);
       header.object_id = broker_.store().put(std::move(encoded.data), fetches);
 
       bool submitted = true;
       std::uint64_t sealed = 0;
-      for (std::uint32_t i = 0; i < header.chunk_count && submitted; ++i) {
+      for (std::uint32_t i = 0; i < chunks && submitted; ++i) {
         sealed += chunk_length(header.body_size, i);
         if (ipc_bw > 0.0) {
           const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
@@ -162,7 +160,7 @@ void Endpoint::sender_loop() {
           // Only the last chunk pays precise_sleep_ns's spin tail: an earlier
           // chunk that wakes late only delays its own header, and the next
           // chunk's absolute deadline absorbs the overshoot.
-          if (i + 1 == header.chunk_count) {
+          if (i + 1 == chunks) {
             precise_sleep_ns(wait_ns);
           } else if (wait_ns > 0) {
             std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
@@ -220,7 +218,7 @@ void Endpoint::receiver_loop() {
       stored = make_payload(Bytes(*stored));
       inst_.deep_copy_bytes.inc(stored->size());
     }
-    auto body = maybe_decompress(stored, header.compressed,
+    auto body = maybe_decompress(stored, header.compressed(),
                                  header.uncompressed_size,
                                  &broker_.codec_instruments());
     if (!body) {
@@ -239,7 +237,7 @@ void Endpoint::receiver_loop() {
     }
     // Never stall the receiver thread: a bounded buffer sheds experience
     // (counted as recvbuf_overflow) so control keeps flowing.
-    const TrafficClass cls = header.tclass;
+    const TrafficClass cls = header.tclass();
     recv_buffer_.push(cls, Message{std::move(header), std::move(*body)});
   }
 }

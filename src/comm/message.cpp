@@ -20,7 +20,6 @@ Outbound make_outbound(NodeId src, std::vector<NodeId> dsts, MsgType type,
   out.header.src = src;
   out.header.dsts = std::move(dsts);
   out.header.type = type;
-  out.header.tclass = traffic_class_of(type);
   out.header.created_ns = now_ns();
   out.header.tag = tag;
   out.body = std::move(body);

@@ -37,8 +37,8 @@ enum class TrafficClass : std::uint8_t {
 };
 inline constexpr std::uint8_t kTrafficClassCount = 3;
 
-/// Default class for a message type. Callers can override per-message (the
-/// field lives in the header), but in practice the type determines the class.
+/// The class of a message type: a header's class is derived from its type,
+/// never stored (MessageHeader::tclass).
 ///
 /// Strict priority is only starvation-free when the higher lanes are low-rate
 /// by construction. Heartbeats are rate-limited per worker, commands are
@@ -108,24 +108,22 @@ struct MessageHeader {
   MsgType type = MsgType::kDummy;
   std::uint64_t object_id = 0;  ///< body handle in the object store (0 = none yet)
   std::uint64_t body_size = 0;  ///< stored (possibly compressed) size in bytes
-  bool compressed = false;
+  /// Size of the body before LZ4 packed it; 0 for a body shipped raw.
   std::uint64_t uncompressed_size = 0;
   std::int64_t created_ns = 0;  ///< when the workhorse produced the message
   std::uint32_t tag = 0;        ///< free-form (e.g. training iteration, PBT rank)
-  /// Overload arbitration lane (see TrafficClass). Stamped by make_outbound
-  /// from the message type and carried in its wire frame's control segment.
-  TrafficClass tclass = TrafficClass::kExperience;
-
-  /// The chunk of the body this header announces, and how many the body
-  /// streams as (chunk_count_for(body_size)). Every other field is the same
-  /// in each chunk's header; local destinations see only the last one.
+  /// The chunk of the body this header announces. Every other field is the
+  /// same in each chunk's header; local destinations see only the last one.
   std::uint32_t chunk_index = 0;
-  std::uint32_t chunk_count = 1;
-  [[nodiscard]] bool last_chunk() const { return chunk_index + 1 == chunk_count; }
 
-  /// Per-link sequence number assigned by the reliable channel (0 = none).
-  /// Wire integrity is checked per frame, not per message (WireFrame::crc).
-  std::uint64_t link_seq = 0;
+  /// Overload arbitration lane (see TrafficClass), fixed by the type.
+  [[nodiscard]] TrafficClass tclass() const { return traffic_class_of(type); }
+  /// Chunks the body streams as.
+  [[nodiscard]] std::uint64_t chunk_count() const { return chunk_count_for(body_size); }
+  [[nodiscard]] bool last_chunk() const {
+    return std::uint64_t{chunk_index} + 1 == chunk_count();
+  }
+  [[nodiscard]] bool compressed() const { return uncompressed_size != 0; }
 
   /// Trace id stitching this message's lifecycle spans together across hops
   /// and machines. Deliberately aliased to the process-unique msg_id so

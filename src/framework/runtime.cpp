@@ -67,15 +67,11 @@ XingTianRuntime::XingTianRuntime(AlgoSetup setup, DeploymentConfig config)
 
   // `[comm]` overload policy: the one config drives every bounded stage —
   // broker router/inbox queues, endpoint buffers, paced pipes, and (only
-  // when watermarks are actually set) the reliable links' circuit breakers.
-  // Unbounded by default, which leaves legacy configs behaviourally
-  // untouched.
+  // when watermarks are actually set) the reliable links' circuit breakers,
+  // which read it from their pipes. Unbounded by default, which leaves
+  // legacy configs behaviourally untouched.
   config_.broker.overload = config_.overload;
   config_.link.overload = config_.overload;
-  if (config_.overload.bounded()) {
-    config_.reliability.breaker_failures = config_.overload.breaker_failures;
-    config_.reliability.breaker_probe_ms = config_.overload.breaker_probe_ms;
-  }
 
   // Probe the environment once for network sizing.
   auto probe = make_environment(setup_.env_name);
@@ -498,7 +494,7 @@ RunReport XingTianRuntime::run() {
   report.mean_rollout_ms = metrics_->family_mean("xt_explorer_rollout_ms");
   report.mean_gemm_ms = metrics_->family_mean("xt_gemm_ms");
   report.gemm_flops = metrics_->family_total("xt_gemm_flops_total");
-  if (const LatencyRecorder* sample = learner_->algorithm().replay_sample_latency()) {
+  if (const Histogram* sample = learner_->algorithm().replay_sample_latency()) {
     report.mean_replay_sample_ms = sample->mean();
   }
   report.wait_cdf = learner_->wait_times_ms().cdf(101);

@@ -1,6 +1,5 @@
 #include "netsim/fabric.h"
 
-#include <optional>
 #include <utility>
 
 namespace xt {
@@ -76,14 +75,8 @@ void Fabric::connect_one_way(Broker& from, Broker& to, const LinkConfig& link,
         data_pipe->send_faultable(
             frame->wire_size(),
             [target, frame](const FaultOutcome& outcome) {
-              std::optional<Message> message =
-                  decode_wire_frame(apply_corruption(*frame, outcome));
-              if (!message.has_value()) {
-                target->reject_corrupt_frame();
-                return;
-              }
-              target->deliver_remote(std::move(message->header),
-                                     std::move(message->body));
+              target->deliver_frame(apply_corruption(*frame, outcome),
+                                    /*retransmits=*/false);
             },
             frame->trace_id, frame->tclass);
       });

@@ -23,12 +23,12 @@ namespace xt {
 ///
 /// When the link's FaultPlan is enabled every outgoing frame carries a
 /// chained CRC over both segments so corruption is caught at the far side —
-/// a corrupted frame rejects its chunk exactly once, so its body never
-/// completes. With reliability
-/// enabled each direction gets a ReliableChannel layered on its pipe (frame
-/// seq numbers, one ack per frame over the reverse pipe, retransmit with
-/// capped exponential backoff). With faults and reliability off, the wiring
-/// is the zero-overhead path the benchmarks measure.
+/// Broker::deliver_frame rejects a corrupted frame's chunk exactly once, so
+/// its body never completes. With reliability enabled each direction gets a
+/// ReliableChannel layered on its pipe (frame seq numbers, one ack per frame
+/// over the reverse pipe, retransmit with capped exponential backoff). With
+/// faults and reliability off, the wiring is the zero-overhead path the
+/// benchmarks measure.
 class Fabric {
  public:
   explicit Fabric(LinkConfig default_link = {},

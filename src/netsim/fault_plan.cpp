@@ -19,12 +19,10 @@ FaultOutcome FaultInjector::next_frame(double elapsed_s) {
   if (plan_.blackout_at(elapsed_s)) {
     outcome.drop = true;
     outcome.blackout = true;
-    ++blackouts_;
     return outcome;
   }
   if (plan_.drop_probability > 0.0 && rng_.bernoulli(plan_.drop_probability)) {
     outcome.drop = true;
-    ++drops_;
     return outcome;
   }
   if (plan_.corrupt_probability > 0.0 &&
@@ -33,11 +31,9 @@ FaultOutcome FaultInjector::next_frame(double elapsed_s) {
     outcome.corrupt_offset = rng_.next_u64();
     outcome.corrupt_mask =
         static_cast<std::uint8_t>(rng_.uniform_int(1, 255));
-    ++corruptions_;
   }
   if (plan_.delay_probability > 0.0 && rng_.bernoulli(plan_.delay_probability)) {
     outcome.extra_latency_ns = plan_.delay_ns;
-    ++delays_;
   }
   return outcome;
 }

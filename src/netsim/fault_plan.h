@@ -55,8 +55,9 @@ struct FaultOutcome {
   std::uint8_t corrupt_mask = 0;     ///< XORed into that byte (never 0)
 };
 
-/// Seeded per-link fault source. Not thread-safe: each PacedPipe owns one
-/// and consults it exclusively from its transmit thread.
+/// Seeded per-link fault source. Not thread-safe: each PacedPipe owns one,
+/// consults it exclusively from its transmit thread, and counts its
+/// outcomes as `xt_faults_injected_total{link,kind}`.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultPlan plan);
@@ -65,24 +66,9 @@ class FaultInjector {
   /// came up (used only for blackout windows).
   [[nodiscard]] FaultOutcome next_frame(double elapsed_s);
 
-  /// Plain tallies for tests and diagnostics (metrics are the pipe's job).
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t corruptions() const { return corruptions_; }
-  [[nodiscard]] std::uint64_t delays() const { return delays_; }
-  [[nodiscard]] std::uint64_t blackouts() const { return blackouts_; }
-  [[nodiscard]] std::uint64_t total_injected() const {
-    return drops_ + corruptions_ + delays_ + blackouts_;
-  }
-
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
-
  private:
   const FaultPlan plan_;
   Rng rng_;
-  std::uint64_t drops_ = 0;
-  std::uint64_t corruptions_ = 0;
-  std::uint64_t delays_ = 0;
-  std::uint64_t blackouts_ = 0;
 };
 
 /// Apply a corrupt outcome to a wire frame: the flipped byte lands at

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -41,6 +40,9 @@ ReliableChannel::ReliableChannel(std::string name, ReliabilityConfig config,
     : name_(std::move(name)),
       config_(config),
       pipe_(data_pipe),
+      breaker_failures_(data_pipe.config().overload.bounded()
+                            ? data_pipe.config().overload.breaker_failures
+                            : 0),
       receiver_(receiver),
       inst_{metrics.counter(series_name("xt_retransmits_total", {{"link", name_}})),
             metrics.counter(
@@ -92,7 +94,7 @@ void ReliableChannel::set_state_locked(LinkState state) {
 
 bool ReliableChannel::breaker_admit_locked(const WireFrame& frame,
                                            std::int64_t now) {
-  if (config_.breaker_failures == 0 || state_ == LinkState::kClosed) {
+  if (breaker_failures_ == 0 || state_ == LinkState::kClosed) {
     return true;
   }
   // Control always flows: heartbeats and acks are the cheapest possible
@@ -112,18 +114,18 @@ bool ReliableChannel::breaker_admit_locked(const WireFrame& frame,
 }
 
 void ReliableChannel::note_give_up_locked(std::int64_t now) {
-  if (config_.breaker_failures == 0) return;
+  if (breaker_failures_ == 0) return;
   ++consecutive_give_ups_;
   const bool probe_failed = state_ == LinkState::kHalfOpen;
   if (!probe_failed && (state_ == LinkState::kOpen ||
-                        consecutive_give_ups_ < config_.breaker_failures)) {
+                        consecutive_give_ups_ < breaker_failures_)) {
     return;
   }
   // Trip (or re-trip after a failed probe): shed pending non-control frames
   // so the retransmit queue stops growing against a dead link; control
   // frames stay pending — they are the probes that will close the breaker.
   set_state_locked(LinkState::kOpen);
-  probe_deadline_ns_ = now + ms_to_ns(config_.breaker_probe_ms);
+  probe_deadline_ns_ = now + ms_to_ns(pipe_.config().overload.breaker_probe_ms);
   probe_in_flight_ = false;
   inst_.breaker_opens.inc();
   std::size_t shed = 0;
@@ -194,18 +196,13 @@ void ReliableChannel::deliver(std::uint64_t seq, const WireFrame& frame,
     send_ack(seq);
     return;
   }
-  std::optional<Message> message =
-      decode_wire_frame(apply_corruption(frame, outcome));
-  if (!message.has_value()) {
-    // The frame failed its chained CRC: the message is rejected, and the
-    // withheld ack makes a retransmit repair it.
-    receiver_.reject_corrupt_frame();
+  // A frame that fails its CRC goes unacked, so a retransmit repairs it.
+  // Routing drops (no local dest, closed queue) cannot be repaired that
+  // way, so they never withhold the ack.
+  if (!receiver_.deliver_frame(apply_corruption(frame, outcome),
+                               /*retransmits=*/true)) {
     return;
   }
-  // Integrity was already enforced; routing drops inside deliver_remote (no
-  // local dest, closed queue) are not repairable by a retransmit, so they
-  // never withhold the frame's ack.
-  receiver_.deliver_remote(std::move(message->header), std::move(message->body));
   {
     std::scoped_lock lock(recv_mu_);
     recv_seen_.insert(seq);
@@ -226,7 +223,7 @@ void ReliableChannel::on_ack(std::uint64_t seq) {
   {
     std::scoped_lock lock(mu_);
     erased = pending_.erase(seq) != 0;
-    if (config_.breaker_failures != 0) {
+    if (breaker_failures_ != 0) {
       // Any ack proves the link carries traffic end to end again: reset the
       // failure streak and close the breaker.
       consecutive_give_ups_ = 0;

@@ -25,15 +25,6 @@ struct ReliabilityConfig {
   double max_rto_ms = 2000.0;  ///< RTO cap
   std::uint32_t max_retries = 12;  ///< then the frame is abandoned
   std::size_t ack_wire_bytes = 16; ///< modeled size of an ack frame
-  /// Circuit breaker: this many *consecutive* retransmit give-ups open the
-  /// link (0 = disabled, the historical retransmit-forever behaviour).
-  /// An open link sheds non-control traffic instead of feeding a dead pipe;
-  /// control frames keep flowing as natural probes, and the first ack from
-  /// the far side closes the breaker.
-  std::uint32_t breaker_failures = 0;
-  /// How long an open breaker waits before re-admitting one non-control
-  /// frame as a half-open probe.
-  double breaker_probe_ms = 250.0;
 };
 
 /// Circuit-breaker state of one link direction, exported as
@@ -64,6 +55,14 @@ enum class LinkState : std::uint8_t {
 /// learner trains on whatever arrives) or superseded (weights, heartbeats
 /// — a newer copy is already on the way), so bounded effort beats an
 /// ever-growing retransmit queue.
+///
+/// The circuit breaker is armed exactly when the data pipe's overload
+/// policy (`LinkConfig::overload`) is bounded, and takes its settings from
+/// that policy: `breaker_failures` consecutive give-ups open the link
+/// (0 = never), which then sheds non-control traffic instead of feeding a
+/// dead pipe. Control frames keep flowing as natural probes; after
+/// `breaker_probe_ms` one non-control frame goes through as a half-open
+/// probe, and the first ack from the far side closes the breaker.
 class ReliableChannel {
  public:
   /// Sends one ack frame carrying `seq` back to the transmitting side (over
@@ -98,7 +97,7 @@ class ReliableChannel {
 
   [[nodiscard]] std::size_t pending() const;
 
-  /// Breaker state of this direction (kClosed when the breaker is disabled).
+  /// Breaker state of this direction (kClosed when the breaker is not armed).
   [[nodiscard]] LinkState state() const;
 
  private:
@@ -129,7 +128,7 @@ class ReliableChannel {
                                           std::int64_t now);
   void set_state_locked(LinkState state);
   /// One give-up observed (mu_ held): trips the breaker after
-  /// breaker_failures consecutive ones, dropping pending non-control frames.
+  /// breaker_failures_ consecutive ones, dropping pending non-control frames.
   void note_give_up_locked(std::int64_t now);
   /// Runs on the data pipe's delivery thread when a frame survives the wire.
   void deliver(std::uint64_t seq, const WireFrame& frame,
@@ -140,6 +139,8 @@ class ReliableChannel {
   const std::string name_;
   const ReliabilityConfig config_;
   PacedPipe& pipe_;
+  /// Give-ups that open the breaker; 0 when it is not armed.
+  const std::uint32_t breaker_failures_;
   Broker& receiver_;
   const Instruments inst_;
   AckSender ack_sender_;

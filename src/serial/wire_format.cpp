@@ -16,7 +16,9 @@ namespace {
 /// v5: the weight-codec id and base version are gone; the weight frame's own
 /// header carries them (DESIGN.md §11).
 /// v6: chunk index and chunk count; the body segment is one chunk.
-constexpr std::uint8_t kWireFormatVersion = 6;
+/// v7: the traffic class, compressed flag and chunk count are gone; the
+/// type, uncompressed size and body size determine them.
+constexpr std::uint8_t kWireFormatVersion = 7;
 
 void encode_node(BinWriter& writer, const NodeId& id) {
   writer.u16(id.machine);
@@ -42,7 +44,7 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
   frame.body_offset = std::size_t{header.chunk_index} * kChunkBytes;
   frame.body_length = chunk_length(header.body_size, header.chunk_index);
   frame.trace_id = header.last_chunk() ? header.trace_id() : 0;
-  frame.tclass = header.tclass;
+  frame.tclass = header.tclass();
   BinWriter writer;
   writer.u8(kWireFormatVersion);
   writer.u64(header.msg_id);
@@ -50,14 +52,11 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
   writer.u32(static_cast<std::uint32_t>(header.dsts.size()));
   for (const NodeId& dst : header.dsts) encode_node(writer, dst);
   writer.u8(static_cast<std::uint8_t>(header.type));
-  writer.u8(static_cast<std::uint8_t>(header.tclass));
-  writer.boolean(header.compressed);
   writer.u64(header.body_size);
   writer.u64(header.uncompressed_size);
   writer.i64(header.created_ns);
   writer.u32(header.tag);
   writer.u32(header.chunk_index);
-  writer.u32(header.chunk_count);
   frame.control = writer.take();
   if (with_crc) {
     frame.crc_present = true;
@@ -105,33 +104,30 @@ std::optional<Message> decode_wire_frame(const WireFrame& frame) {
     return std::nullopt;
   }
   header.type = static_cast<MsgType>(*type);
-  const auto tclass = reader.u8();
-  if (!tclass || *tclass >= kTrafficClassCount) return std::nullopt;
-  header.tclass = static_cast<TrafficClass>(*tclass);
-  const auto compressed = reader.boolean();
   const auto body_size = reader.u64();
   const auto uncompressed = reader.u64();
   const auto created = reader.i64();
   const auto tag = reader.u32();
   const auto chunk_index = reader.u32();
-  const auto chunk_count = reader.u32();
-  if (!compressed || !body_size || !uncompressed || !created || !tag || !chunk_index ||
-      !chunk_count || !reader.exhausted()) {
+  if (!body_size || !uncompressed || !created || !tag || !chunk_index ||
+      !reader.exhausted()) {
     return std::nullopt;
   }
   // The chunk must be one of the body's and the segment exactly its range.
-  if (*chunk_index >= *chunk_count || *chunk_count != chunk_count_for(*body_size) ||
+  if (*chunk_index >= chunk_count_for(*body_size) ||
       frame.body_length != chunk_length(*body_size, *chunk_index)) {
     return std::nullopt;
   }
-  header.compressed = *compressed;
+  // maybe_compress ships a packed body only when it shrank, and LZ4 packs a
+  // nonempty body into a nonempty one.
+  if (*uncompressed != 0 && (*body_size == 0 || *uncompressed <= *body_size)) {
+    return std::nullopt;
+  }
   header.body_size = *body_size;
   header.uncompressed_size = *uncompressed;
   header.created_ns = *created;
   header.tag = *tag;
   header.chunk_index = *chunk_index;
-  header.chunk_count = *chunk_count;
-  header.link_seq = frame.link_seq;
   // Last: a malformed control segment is rejected without reading the body.
   if (frame.crc_present && wire_frame_crc(frame) != frame.crc) {
     return std::nullopt;

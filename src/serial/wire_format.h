@@ -18,7 +18,8 @@ namespace xt {
 ///
 /// Integrity, pacing, faults and retransmission operate on the frame: `crc`
 /// covers control then the body segment, and the reliable link's `link_seq`
-/// numbers frames.
+/// numbers frames. `trace_id` and `tclass` are the link's view of the
+/// header, set once by encode_wire_frame; neither is encoded.
 ///
 /// `body` is the whole body on a link; a corrupted copy, or a frame a decoder
 /// is fed from outside, holds just the segment's bytes.
@@ -47,8 +48,7 @@ struct WireFrame {
 
 /// Serialize the header into a control segment and adopt chunk
 /// `header.chunk_index` of the whole body `body` (never null) as the body
-/// segment: no body bytes are copied. The header's link_seq is not encoded:
-/// the frame carries its own. With `with_crc` the frame is stamped with the
+/// segment: no body bytes are copied. With `with_crc` the frame is stamped with the
 /// chained CRC over both segments. Only a message's last chunk carries its
 /// trace id: the earlier chunks cross the link while the sender still puts
 /// the body, off the message's critical path.
@@ -62,8 +62,8 @@ struct WireFrame {
 /// Parse a frame back into its message chunk. Returns nullopt when the
 /// segment lies outside its buffer, the frame fails its CRC (if present),
 /// or the control segment is malformed or inconsistent with the segment —
-/// the caller rejects the chunk. The decoded header carries the frame's
-/// link_seq; the body is the frame's shared buffer (zero copy).
+/// the caller rejects the chunk. The body is the frame's shared buffer (zero
+/// copy).
 [[nodiscard]] std::optional<Message> decode_wire_frame(const WireFrame& frame);
 
 }  // namespace xt

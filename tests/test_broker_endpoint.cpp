@@ -1,6 +1,7 @@
 #include "comm/broker.h"
 #include "comm/endpoint.h"
 #include "obs/metrics.h"
+#include "serial/wire_format.h"
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,28 @@ namespace {
 
 Payload bytes_payload(std::size_t n, std::uint8_t fill) {
   return make_payload(Bytes(n, fill));
+}
+
+/// The header of chunk `index` of a rollout from `src` to `dst`.
+MessageHeader chunk_header(std::uint64_t msg_id, const NodeId& src,
+                           const NodeId& dst, std::uint64_t body_size,
+                           std::uint32_t index) {
+  MessageHeader header;
+  header.msg_id = msg_id;
+  header.src = src;
+  header.dsts = {dst};
+  header.type = MsgType::kRollout;
+  header.body_size = body_size;
+  header.chunk_index = index;
+  return header;
+}
+
+/// Hand the far broker chunk `header.chunk_index` of `body` the way a link
+/// does: as a CRC-stamped wire frame.
+bool deliver_chunk(Broker& broker, const MessageHeader& header,
+                   const Payload& body, bool retransmits) {
+  return broker.deliver_frame(encode_wire_frame(header, body, /*with_crc=*/true),
+                              retransmits);
 }
 
 TEST(NodeId, NamesAndPacking) {
@@ -125,16 +148,22 @@ TEST(BrokerEndpoint, UnknownDestinationIsDroppedAndCounted) {
 
 // A broker built without telemetry sinks owns its registry and records no
 // spans: another broker of the same machine id shares none of its counters.
+// A reject is a dropped message only where no retransmit repairs it.
 TEST(BrokerEndpoint, StandaloneBrokersCountOnlyTheirOwnRejects) {
   Broker first(1);
   Broker second(1);
-  first.reject_corrupt_frame();
-  first.reject_corrupt_frame();
-  second.reject_corrupt_frame();
+  const Payload body = bytes_payload(4, 1);
+  WireFrame corrupt = encode_wire_frame(
+      chunk_header(next_message_id(), explorer_id(0, 0), learner_id(1), 4, 0),
+      body, /*with_crc=*/true);
+  corrupt.control[3] ^= 0x10;  // fails the CRC
+  EXPECT_FALSE(first.deliver_frame(corrupt, /*retransmits=*/false));
+  EXPECT_FALSE(first.deliver_frame(corrupt, /*retransmits=*/false));
+  EXPECT_FALSE(second.deliver_frame(corrupt, /*retransmits=*/true));
   EXPECT_EQ(first.corrupted_frames(), 2u);
   EXPECT_EQ(second.corrupted_frames(), 1u);
   EXPECT_EQ(first.dropped_messages(DropReason::kCrcFail), 2u);
-  EXPECT_EQ(second.dropped_messages(DropReason::kCrcFail), 1u);
+  EXPECT_EQ(second.dropped_messages(), 0u);
   EXPECT_EQ(first.trace(), nullptr);
 }
 
@@ -143,13 +172,10 @@ TEST(BrokerEndpoint, DeliverRemoteWithoutLocalDestinationStillAcks) {
   // so it is counted as a routing drop, never as a corrupted frame (the
   // reliable link withholds its ack only for those).
   Broker broker(0);
-  MessageHeader header;
-  header.msg_id = next_message_id();
-  header.src = explorer_id(1, 0);
-  header.dsts = {learner_id(2)};  // nothing on machine 0
-  header.type = MsgType::kDummy;
-  header.body_size = 4;
-  broker.deliver_remote(header, bytes_payload(4, 9));
+  // Addressed to machine 2 only: nothing here.
+  const MessageHeader header =
+      chunk_header(next_message_id(), explorer_id(1, 0), learner_id(2), 4, 0);
+  EXPECT_TRUE(deliver_chunk(broker, header, bytes_payload(4, 9), /*retransmits=*/true));
   EXPECT_EQ(broker.dropped_messages(DropReason::kNoLocalDest), 1u);
   EXPECT_EQ(broker.dropped_messages(DropReason::kCrcFail), 0u);
   EXPECT_EQ(broker.corrupted_frames(), 0u);
@@ -167,7 +193,7 @@ TEST(BrokerEndpoint, CompressionAppliedAboveThreshold) {
                                         bytes_payload(100'000, 0))));
   const auto msg = receiver.receive_for(std::chrono::seconds(5));
   ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(msg->header.compressed);
+  EXPECT_TRUE(msg->header.compressed());
   EXPECT_LT(msg->header.body_size, 100'000u);      // wire size shrank
   EXPECT_EQ(msg->body->size(), 100'000u);          // restored on receive
   EXPECT_EQ(msg->body->front(), 0);
@@ -346,24 +372,6 @@ TEST(BrokerEndpoint, QueueDepthSnapshotListsTheRouterAndEveryInbox) {
 
 // --- Chunked bodies (DESIGN.md §9) -----------------------------------------
 
-/// The header of chunk `index` of a message from `src`, as a far broker
-/// decodes it (`link_seq` is nonzero when a reliable link carried it).
-MessageHeader chunk_header(std::uint64_t msg_id, const NodeId& src,
-                           const NodeId& dst, std::uint64_t body_size,
-                           std::uint32_t index, std::uint64_t link_seq = 0) {
-  MessageHeader header;
-  header.msg_id = msg_id;
-  header.src = src;
-  header.dsts = {dst};
-  header.type = MsgType::kRollout;
-  header.tclass = TrafficClass::kExperience;
-  header.body_size = body_size;
-  header.chunk_count = static_cast<std::uint32_t>(chunk_count_for(body_size));
-  header.chunk_index = index;
-  header.link_seq = link_seq;
-  return header;
-}
-
 TEST(RemoteChunks, LostChunkWithoutReliabilityDropsItsBodyOnce) {
   Broker broker(1);
   Endpoint receiver(learner_id(1), broker);
@@ -372,8 +380,9 @@ TEST(RemoteChunks, LostChunkWithoutReliabilityDropsItsBodyOnce) {
   const Payload body = bytes_payload(size, 5);
   const auto deliver = [&](std::uint64_t id, std::uint64_t body_size,
                            std::uint32_t index) {
-    broker.deliver_remote(chunk_header(id, src, receiver.id(), body_size, index),
-                          body_size == size ? body : bytes_payload(body_size, 6));
+    deliver_chunk(broker, chunk_header(id, src, receiver.id(), body_size, index),
+                  body_size == size ? body : bytes_payload(body_size, 6),
+                  /*retransmits=*/false);
   };
   const auto incomplete = [&] {
     return broker.dropped_messages(DropReason::kIncompleteBody);
@@ -419,10 +428,9 @@ TEST(RemoteChunks, ReliableLinkChunksMayArriveInAnyOrder) {
   const NodeId src = explorer_id(0, 0);
   const std::uint64_t size = 2 * kChunkBytes + 10;
   const Payload body = bytes_payload(size, 5);
-  std::uint64_t seq = 0;
   const auto deliver = [&](std::uint64_t id, std::uint32_t index) {
-    broker.deliver_remote(chunk_header(id, src, receiver.id(), size, index, ++seq),
-                          body);
+    deliver_chunk(broker, chunk_header(id, src, receiver.id(), size, index), body,
+                  /*retransmits=*/true);
   };
   // A retransmitted chunk arrives after later ones, even after a newer
   // message from the same sender.

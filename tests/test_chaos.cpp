@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "algo/ppo.h"
 #include "netsim/fabric.h"
@@ -25,29 +26,36 @@ TEST(FaultInjector, SameSeedSameFaultSequence) {
   // No blackout: blackout windows key off wall-clock time, which would make
   // the comparison below timing-dependent. Every probabilistic draw comes
   // from the seeded PRNG, so two injectors must agree frame by frame.
+  const auto same = [](const FaultOutcome& x, const FaultOutcome& y) {
+    return x.drop == y.drop && x.corrupt == y.corrupt &&
+           x.extra_latency_ns == y.extra_latency_ns &&
+           x.corrupt_offset == y.corrupt_offset && x.corrupt_mask == y.corrupt_mask;
+  };
+  constexpr int kFrames = 20'000;
   FaultInjector a(plan);
   FaultInjector b(plan);
-  for (int i = 0; i < 20'000; ++i) {
+  std::vector<FaultOutcome> sequence;
+  std::uint64_t injected = 0;
+  for (int i = 0; i < kFrames; ++i) {
     const FaultOutcome oa = a.next_frame(0.0);
     const FaultOutcome ob = b.next_frame(0.0);
-    ASSERT_EQ(oa.drop, ob.drop) << "frame " << i;
-    ASSERT_EQ(oa.corrupt, ob.corrupt) << "frame " << i;
-    ASSERT_EQ(oa.extra_latency_ns, ob.extra_latency_ns) << "frame " << i;
-    ASSERT_EQ(oa.corrupt_offset, ob.corrupt_offset) << "frame " << i;
-    ASSERT_EQ(oa.corrupt_mask, ob.corrupt_mask) << "frame " << i;
+    ASSERT_TRUE(same(oa, ob)) << "frame " << i;
+    injected += (oa.drop ? 1 : 0) + (oa.corrupt ? 1 : 0) +
+                (oa.extra_latency_ns != 0 ? 1 : 0);
+    sequence.push_back(oa);
   }
-  EXPECT_EQ(a.drops(), b.drops());
-  EXPECT_EQ(a.corruptions(), b.corruptions());
-  EXPECT_EQ(a.delays(), b.delays());
-  EXPECT_EQ(a.total_injected(), b.total_injected());
   // With these probabilities 20k frames essentially cannot stay fault-free.
-  EXPECT_GT(a.total_injected(), 0u);
+  EXPECT_GT(injected, 0u);
 
+  // Another seed draws another sequence.
   FaultPlan other = plan;
   other.seed = 78;
   FaultInjector c(other);
-  for (int i = 0; i < 20'000; ++i) (void)c.next_frame(0.0);
-  EXPECT_NE(c.total_injected(), a.total_injected());
+  int differing = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    if (!same(c.next_frame(0.0), sequence[static_cast<std::size_t>(i)])) ++differing;
+  }
+  EXPECT_GT(differing, 0);
 }
 
 // --- Reliable link under heavy loss -----------------------------------------
@@ -100,6 +108,11 @@ TEST(ReliableLink, SurvivesHeavyLossAndCorruption) {
   EXPECT_GT(machine0.metrics().family_total("xt_retransmits_total") +
                 machine1.metrics().family_total("xt_retransmits_total"),
             0u);
+  // Each corrupted frame was repaired by its retransmit, so it counts as a
+  // corrupted frame and never as a dropped message.
+  EXPECT_GT(machine0.corrupted_frames(), 0u);
+  EXPECT_EQ(machine0.dropped_messages(), 0u);
+  EXPECT_EQ(machine1.dropped_messages(), 0u);
 
   sender.stop();
   receiver.stop();

@@ -38,7 +38,6 @@ MessageHeader control_header(MsgType type, NodeId dst, const Payload& body,
   header.src = explorer_id(0, 0);
   header.dsts = {dst};
   header.type = type;
-  header.tclass = traffic_class_of(type);
   header.body_size = body->size();
   header.created_ns = 123;
   header.tag = tag;
@@ -379,7 +378,6 @@ TEST(WireFrame, RoundTripSharesBodySegments) {
   EXPECT_EQ(frame.wire_size(), frame.control.size() + 64);
   EXPECT_EQ(frame.trace_id, stats.trace_id());
   EXPECT_EQ(frame.tclass, TrafficClass::kExperience);
-  frame.link_seq = 42;
 
   const auto decoded = decode_wire_frame(frame);
   ASSERT_TRUE(decoded.has_value());
@@ -392,8 +390,6 @@ TEST(WireFrame, RoundTripSharesBodySegments) {
   EXPECT_EQ(header.body_size, 64u);
   EXPECT_EQ(header.tag, 9u);
   EXPECT_EQ(header.created_ns, 123);
-  // The frame's link seq is propagated to the message.
-  EXPECT_EQ(header.link_seq, 42u);
   // Scatter-gather: the decoded body IS the encoded segment — the same
   // buffer the sender's object store held, never copied onto the wire.
   EXPECT_EQ(decoded->body.get(), stats_body.get());
@@ -435,6 +431,59 @@ TEST(WireFrame, ChainedCrcCoversControlAndEveryBody) {
   EXPECT_NE(body_hit.body.get(), frame.body.get());
   EXPECT_EQ(frame.body.get(), body.get());
   EXPECT_TRUE(decode_wire_frame(frame).has_value());
+}
+
+TEST(WireFrame, ControlSegmentHoldsEachFactOnce) {
+  // Wire format v7 (DESIGN.md §9): 51 bytes plus 5 per destination.
+  const std::vector<std::vector<NodeId>> destinations = {
+      {},
+      {learner_id(0)},
+      {explorer_id(1, 0), explorer_id(1, 1), explorer_id(2, 0)}};
+  for (const std::vector<NodeId>& dsts : destinations) {
+    MessageHeader header =
+        control_header(MsgType::kWeights, learner_id(0), empty_payload());
+    header.dsts = dsts;
+    EXPECT_EQ(encode_wire_frame(header, empty_payload(), /*with_crc=*/true)
+                  .control.size(),
+              51 + 5 * dsts.size());
+  }
+
+  // The class, chunk count and compressed flag are not on the wire: the
+  // type, body size and uncompressed size that determine them are.
+  struct Case {
+    const char* name;
+    MessageHeader header;
+    Payload body;
+    TrafficClass tclass;
+    std::uint64_t chunks;
+    bool compressed;
+  };
+  const Payload raw_body = bytes_payload(300, 1);
+  const Payload packed_body = bytes_payload(26, 2);
+  const Payload long_body = bytes_payload(2 * kChunkBytes + 100, 3);
+  Case raw{"raw", control_header(MsgType::kHeartbeat, controller_id(1), raw_body),
+           raw_body, TrafficClass::kControl, 1, false};
+  Case packed{"compressed",
+              control_header(MsgType::kWeights, explorer_id(1, 0), packed_body),
+              packed_body, TrafficClass::kWeights, 1, true};
+  packed.header.uncompressed_size = 2000;
+  Case chunked{"three chunks",
+               control_header(MsgType::kRollout, learner_id(1), long_body),
+               long_body, TrafficClass::kExperience, 3, false};
+  chunked.header.chunk_index = 1;
+  for (const Case& c : {raw, packed, chunked}) {
+    SCOPED_TRACE(c.name);
+    const WireFrame frame = encode_wire_frame(c.header, c.body, /*with_crc=*/true);
+    EXPECT_EQ(frame.tclass, c.tclass);
+    const auto decoded = decode_wire_frame(frame);
+    ASSERT_TRUE(decoded.has_value());
+    const MessageHeader& header = decoded->header;
+    EXPECT_EQ(header.tclass(), c.tclass);
+    EXPECT_EQ(header.chunk_count(), c.chunks);
+    EXPECT_EQ(header.compressed(), c.compressed);
+    EXPECT_EQ(header.chunk_index, c.header.chunk_index);
+    EXPECT_EQ(header.uncompressed_size, c.header.uncompressed_size);
+  }
 }
 
 // --- decode_wire_frame fuzz target (tests/fuzz/wire_frame_fuzz.cpp) -------
@@ -779,10 +828,9 @@ TEST(Chunking, QueuedFramesAreNotRetransmitted) {
                                        MsgType::kRollout, empty_payload())
                              .header;
   header.body_size = size;
-  header.chunk_count = static_cast<std::uint32_t>(chunk_count_for(size));
   const std::size_t control =
       encode_wire_frame(header, patterned_body(size, 0), true).control.size();
-  const std::uint64_t frames = kMessages * header.chunk_count;
+  const std::uint64_t frames = kMessages * header.chunk_count();
   EXPECT_EQ(a.metrics().counter(series_name("xt_pipe_frames_total",
                                             {{"link", "m0>m1"}})).value(),
             frames);

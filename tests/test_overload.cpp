@@ -277,14 +277,26 @@ TEST(ClassedQueue, PopForTimesOutOnEmptyOpenQueue) {
 
 // ---------------------------------------------------------------------------
 // Circuit breaker (ReliableChannel over a 100%-lossy pipe: every frame is
-// dropped on the wire, so every send ends in a retransmit give-up).
+// dropped on the wire, so every send ends in a retransmit give-up). The
+// channel arms its breaker from its pipe's overload policy when it is
+// bounded.
 // ---------------------------------------------------------------------------
 
+/// A bounded policy whose watermark no breaker test reaches.
+OverloadConfig breaker_policy(std::uint32_t breaker_failures,
+                              std::uint32_t breaker_probe_ms) {
+  OverloadConfig overload;
+  overload.high_watermark = 1'000'000;
+  overload.breaker_failures = breaker_failures;
+  overload.breaker_probe_ms = breaker_probe_ms;
+  return overload;
+}
+
 struct BreakerHarness {
-  explicit BreakerHarness(std::uint32_t breaker_failures,
-                          double breaker_probe_ms) {
+  explicit BreakerHarness(const OverloadConfig& overload) {
     LinkConfig link{1e12, 0, 0};
     link.faults.drop_probability = 1.0;  // nothing ever reaches the far side
+    link.overload = overload;
     pipe = std::make_unique<PacedPipe>("breaker-test", link, metrics);
 
     ReliabilityConfig cfg;
@@ -293,8 +305,6 @@ struct BreakerHarness {
     cfg.backoff = 1.0;
     cfg.max_rto_ms = 1.0;
     cfg.max_retries = 0;  // one lost transmission = one give-up
-    cfg.breaker_failures = breaker_failures;
-    cfg.breaker_probe_ms = breaker_probe_ms;
 
     channel = std::make_unique<ReliableChannel>("breaker-test", cfg, *pipe,
                                                 broker, metrics);
@@ -341,7 +351,7 @@ struct BreakerHarness {
 };
 
 TEST(CircuitBreaker, OpensAfterConsecutiveGiveUps) {
-  BreakerHarness h(/*breaker_failures=*/2, /*breaker_probe_ms=*/10'000);
+  BreakerHarness h(breaker_policy(/*breaker_failures=*/2, /*breaker_probe_ms=*/10'000));
   h.send(MsgType::kRollout);
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }))
@@ -351,7 +361,7 @@ TEST(CircuitBreaker, OpensAfterConsecutiveGiveUps) {
 }
 
 TEST(CircuitBreaker, OpenBreakerShedsExperienceButAdmitsControl) {
-  BreakerHarness h(2, 10'000);
+  BreakerHarness h(breaker_policy(2, 10'000));
   h.send(MsgType::kRollout);
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }));
@@ -364,7 +374,7 @@ TEST(CircuitBreaker, OpenBreakerShedsExperienceButAdmitsControl) {
 }
 
 TEST(CircuitBreaker, AckFromFarSideClosesTheBreaker) {
-  BreakerHarness h(2, 10'000);
+  BreakerHarness h(breaker_policy(2, 10'000));
   h.send(MsgType::kRollout);
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }));
@@ -378,7 +388,7 @@ TEST(CircuitBreaker, AckFromFarSideClosesTheBreaker) {
 }
 
 TEST(CircuitBreaker, FailedHalfOpenProbeReopensTheBreaker) {
-  BreakerHarness h(2, /*breaker_probe_ms=*/20);
+  BreakerHarness h(breaker_policy(2, /*breaker_probe_ms=*/20));
   h.send(MsgType::kRollout);
   h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.channel->state() == LinkState::kOpen; }));
@@ -394,7 +404,9 @@ TEST(CircuitBreaker, FailedHalfOpenProbeReopensTheBreaker) {
 }
 
 TEST(CircuitBreaker, DisabledBreakerNeverTrips) {
-  BreakerHarness h(/*breaker_failures=*/0, 10'000);
+  // An unbounded policy leaves the breaker unarmed, whatever its
+  // breaker_failures (3 by default) says.
+  BreakerHarness h(OverloadConfig{});
   for (int i = 0; i < 4; ++i) h.send(MsgType::kRollout);
   ASSERT_TRUE(h.wait_for([&] { return h.give_ups() >= 4; }));
   EXPECT_EQ(h.channel->state(), LinkState::kClosed);

@@ -191,8 +191,7 @@ TEST(TraceScope, RecordsOnceOnFinishAndDestruction) {
 TEST(MessageHeader, TracingAddsNoHeaderBytes) {
   // trace_id is aliased to msg_id: enabling the telemetry layer must not
   // grow the struct copied once per destination. (The budget covers the
-  // wire-protocol fields, link_seq among them, which telemetry must not
-  // push past.)
+  // wire-protocol fields, which telemetry must not push past.)
   EXPECT_LE(sizeof(MessageHeader), 120u);
   MessageHeader header;
   header.msg_id = 77;
