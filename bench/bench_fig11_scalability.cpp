@@ -64,27 +64,6 @@ struct SweepPoint {
   double delivered_per_s = 0.0;     ///< total delivered msgs/s
 };
 
-/// Submit one message straight into a machine's broker, the way an
-/// endpoint's sender thread would (store body with the expected fetch
-/// count, then hand the header to the router).
-void submit_direct(Broker& broker, const NodeId& src, const NodeId& dst,
-                   MsgType type, const Payload& body) {
-  MessageHeader header;
-  header.msg_id = next_message_id();
-  header.src = src;
-  header.dsts = {dst};
-  header.type = type;
-  header.body_size = body->size();
-  header.created_ns = now_ns();
-  const std::uint32_t fetches = broker.expected_fetches(header);
-  header.object_id = broker.store().put(body, fetches);
-  if (!broker.submit(header)) {
-    for (std::uint32_t i = 0; i < fetches; ++i) {
-      broker.store().release(header.object_id);
-    }
-  }
-}
-
 /// One machine's worth of simulated explorers: a single thread emitting the
 /// aggregate paced message mix for `explorers` of them.
 void driver_loop(Broker& broker, std::uint16_t machine, int explorers,

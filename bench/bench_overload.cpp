@@ -82,26 +82,6 @@ struct OverloadResult {
   std::uint64_t faults_injected = 0;
 };
 
-/// Submit one message straight into a machine's broker, the way an
-/// endpoint's sender thread would.
-void submit_direct(Broker& broker, const NodeId& src, const NodeId& dst,
-                   MsgType type, const Payload& body) {
-  MessageHeader header;
-  header.msg_id = next_message_id();
-  header.src = src;
-  header.dsts = {dst};
-  header.type = type;
-  header.body_size = body->size();
-  header.created_ns = now_ns();
-  const std::uint32_t fetches = broker.expected_fetches(header);
-  header.object_id = broker.store().put(body, fetches);
-  if (!broker.submit(header)) {
-    for (std::uint32_t i = 0; i < fetches; ++i) {
-      broker.store().release(header.object_id);
-    }
-  }
-}
-
 /// One machine's worth of simulated explorers, paced like the Fig. 11 sweep.
 void driver_loop(Broker& broker, std::uint16_t machine, int explorers,
                  const NodeId& learner, const NodeId& controller,

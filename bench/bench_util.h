@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "comm/broker.h"
+#include "common/clock.h"
 #include "common/stats.h"
 #include "framework/deployment.h"
 
@@ -64,6 +66,21 @@ inline void print_time_breakdown(const char* label, const RunReport& report) {
                 static_cast<double>(report.gemm_flops) / 1e9);
   }
   std::printf("\n");
+}
+
+/// Submit one message straight into a machine's broker, the way an
+/// endpoint's sender thread would: put the body once and hand the header to
+/// the router with the claim on it.
+inline void submit_direct(Broker& broker, const NodeId& src, const NodeId& dst,
+                          MsgType type, const Payload& body) {
+  MessageHeader header;
+  header.msg_id = next_message_id();
+  header.src = src;
+  header.dsts = {dst};
+  header.type = type;
+  header.body_size = body->size();
+  header.created_ns = now_ns();
+  (void)broker.submit(std::move(header), broker.store().hold(body));
 }
 
 /// Print the shape summary; returns the process exit code.

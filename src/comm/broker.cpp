@@ -1,5 +1,6 @@
 #include "comm/broker.h"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -15,9 +16,6 @@ namespace {
 /// Warn about drops at most this often (satellite: no per-message spam).
 constexpr std::int64_t kDropWarnIntervalNs = 5'000'000'000;  // 5 s
 
-/// Only a message's first chunk header may be shed; the rest are committed.
-bool pinned_chunk(const MessageHeader& header) { return header.chunk_index != 0; }
-
 }  // namespace
 
 const char* drop_reason_name(DropReason reason) {
@@ -26,7 +24,6 @@ const char* drop_reason_name(DropReason reason) {
     case DropReason::kClosedDest: return "closed_dest";
     case DropReason::kCrcFail: return "crc_fail";
     case DropReason::kNoSink: return "no_sink";
-    case DropReason::kMissingBody: return "missing_body";
     case DropReason::kNoLocalDest: return "no_local_dest";
     case DropReason::kIncompleteBody: return "incomplete_body";
     case DropReason::kCount: break;
@@ -60,15 +57,16 @@ Broker::Broker(std::uint16_t machine, Options options)
                 series_name("xt_queue_wait_ms", {{"machine", machine}})),
             metrics_.counter(
                 series_name("xt_frames_corrupted_total", {{"machine", machine}}))},
-      // A one-chunk message's shed header owned every store reference
-      // submit() took for it; a longer message keeps them until the router
-      // skips its last chunk.
+      store_(metrics_, machine),
+      // Only a message's first chunk header may be shed; the rest are
+      // committed. A shed header's claim goes with it.
       router_queue_(options_.overload,
-                    [this](TrafficClass /*cls*/, MessageHeader&& header) {
-                      if (header.chunk_count() == 1) release_refs(header);
+                    [this](TrafficClass /*cls*/, Submitted&& /*shed*/) {
                       shed_router_->inc();
                     },
-                    pinned_chunk) {
+                    [](const Submitted& item) {
+                      return item.header.chunk_index != 0;
+                    }) {
   for (std::size_t i = 0; i < drop_by_reason_.size(); ++i) {
     drop_by_reason_[i] = &metrics_.counter(series_name(
         "xt_broker_dropped_total",
@@ -85,17 +83,6 @@ Broker::Broker(std::uint16_t machine, Options options)
       series_name("xt_codec_bytes_out_total", {{"machine", machine}}));
   codec_instruments_.messages_compressed = &metrics_.counter(
       series_name("xt_codec_messages_compressed_total", {{"machine", machine}}));
-
-  StoreInstruments store_instruments;
-  store_instruments.puts = &metrics_.counter(
-      series_name("xt_store_puts_total", {{"machine", machine}}));
-  store_instruments.put_bytes = &metrics_.counter(
-      series_name("xt_store_put_bytes_total", {{"machine", machine}}));
-  store_instruments.fetches = &metrics_.counter(
-      series_name("xt_store_fetches_total", {{"machine", machine}}));
-  store_instruments.live_bytes = &metrics_.gauge(
-      series_name("xt_store_live_bytes", {{"machine", machine}}));
-  store_.bind_instruments(store_instruments);
 
   // Only experience is ever shed by the queue policy (control is never
   // dropped, weights are backpressured), so the class label is fixed.
@@ -122,10 +109,9 @@ void Broker::stop() {
 }
 
 std::shared_ptr<IdQueue> Broker::register_endpoint(const NodeId& id) {
-  // Every RoutedHeader in an inbox owns exactly one store reference.
+  // A shed RoutedHeader's claim goes with it.
   auto queue = std::make_shared<IdQueue>(
-      options_.overload, [this](TrafficClass /*cls*/, RoutedHeader&& routed) {
-        store_.release(routed.header.object_id);
+      options_.overload, [this](TrafficClass /*cls*/, RoutedHeader&& /*shed*/) {
         shed_inbox_->inc();
       });
   std::scoped_lock lock(mu_);
@@ -145,34 +131,15 @@ void Broker::unregister_endpoint(const NodeId& id) {
   queue->close();
 }
 
-bool Broker::submit(MessageHeader header) {
+bool Broker::submit(MessageHeader header, StoreClaim claim) {
   const TrafficClass cls = header.tclass();
-  // kShed counts as accepted: the shed callback already released the
-  // header's store references, so the caller must not release them again.
-  if (router_queue_.push(cls, std::move(header)) == PushResult::kClosed) {
+  // kShed counts as accepted: the overload policy worked as designed.
+  if (router_queue_.push(cls, Submitted{std::move(header), std::move(claim)}) ==
+      PushResult::kClosed) {
     return false;
   }
   inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
   return true;
-}
-
-std::uint32_t Broker::expected_fetches(const MessageHeader& header) const {
-  std::uint32_t local = 0;
-  std::set<std::uint16_t> remote_machines;
-  for (const NodeId& dst : header.dsts) {
-    if (dst.machine == machine_) {
-      ++local;
-    } else {
-      remote_machines.insert(dst.machine);
-    }
-  }
-  const auto total = local + static_cast<std::uint32_t>(remote_machines.size());
-  return total == 0 ? 1 : total;
-}
-
-void Broker::release_refs(const MessageHeader& header) {
-  const std::uint32_t refs = expected_fetches(header);
-  for (std::uint32_t i = 0; i < refs; ++i) store_.release(header.object_id);
 }
 
 void Broker::set_remote_sink(std::uint16_t machine, RemoteSink sink) {
@@ -181,9 +148,9 @@ void Broker::set_remote_sink(std::uint16_t machine, RemoteSink sink) {
 }
 
 void Broker::router_loop() {
-  while (auto header = router_queue_.pop()) {
+  while (auto item = router_queue_.pop()) {
     inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
-    route(std::move(*header));
+    route(std::move(item->header), std::move(item->claim));
   }
   inst_.queue_depth.set(0.0);
 }
@@ -213,7 +180,7 @@ void Broker::note_drop(DropReason reason) {
   }
 }
 
-void Broker::route(MessageHeader header) {
+void Broker::route(MessageHeader header, StoreClaim claim) {
   const Stopwatch route_clock;
   ProfScope prof("route");
   // Like its wire frame, only a message's last chunk is traced as its own.
@@ -224,11 +191,10 @@ void Broker::route(MessageHeader header) {
 
   if (header.chunk_count() > 1) {
     // A message whose first chunk never reached the router was shed there:
-    // skip its chunks, and release its references with the last one.
+    // skip its chunks, each one's claim with it.
     if (header.chunk_index == 0) {
       streaming_.insert(header.msg_id);
     } else if (!streaming_.contains(header.msg_id)) {
-      if (last) release_refs(header);
       return;
     }
     if (last) streaming_.erase(header.msg_id);
@@ -242,8 +208,10 @@ void Broker::route(MessageHeader header) {
     if (dst.machine != machine_) remote_machines.insert(dst.machine);
   }
 
-  if (last) fan_out_local(header);
+  if (last) fan_out_local(header, claim);
 
+  // Every chunk reads the body in place through its claim; the last one
+  // counts the message's forward or its drop.
   for (std::uint16_t machine : remote_machines) {
     RemoteSink sink;
     {
@@ -251,24 +219,12 @@ void Broker::route(MessageHeader header) {
       auto it = remote_sinks_.find(machine);
       if (it != remote_sinks_.end()) sink = it->second;
     }
-    // Earlier chunks read the body in place; the last takes the machine's
-    // reference and accounts for a failed forward. An earlier chunk finds
-    // no body only when its sender met a stopping broker and released the
-    // references itself.
-    Payload body =
-        last ? store_.fetch(header.object_id) : store_.peek(header.object_id);
-    if (!sink || !body) {
-      if (!last) continue;
-      if (body == nullptr) {
-        note_drop(DropReason::kMissingBody);
-      } else {
-        store_.release(header.object_id);
-        note_drop(DropReason::kNoSink);
-      }
+    if (!sink) {
+      if (last) note_drop(DropReason::kNoSink);
       continue;
     }
     if (last) inst_.forwarded.inc();
-    sink(header, std::move(body));
+    sink(header, claim.peek());
   }
 
   inst_.route_ms.observe(route_clock.elapsed_ms());
@@ -354,23 +310,19 @@ bool Broker::deliver_frame(const WireFrame& frame, bool retransmits) {
   ProfScope prof("rehost");
   TraceScope rehost_span(trace_, "broker.rehost", "comm", header.trace_id(),
                          machine_, body->size());
-  // Count destinations that live here; the forwarding router already split
-  // the message per machine, so remote dsts in the header are not ours.
-  std::uint32_t local = 0;
-  for (const NodeId& dst : header.dsts) {
-    if (dst.machine == machine_) ++local;
-  }
-  if (local == 0) {
+  // The forwarding router already split the message per machine, so remote
+  // dsts in the header are not ours.
+  if (std::none_of(header.dsts.begin(), header.dsts.end(),
+                   [this](const NodeId& dst) { return dst.machine == machine_; })) {
     note_drop(DropReason::kNoLocalDest);
     return true;
   }
-  header.object_id = store_.put(std::move(body), local);
   inst_.rehosted.inc();
-  fan_out_local(header);
+  fan_out_local(header, store_.hold(std::move(body)));
   return true;
 }
 
-void Broker::fan_out_local(const MessageHeader& header) {
+void Broker::fan_out_local(const MessageHeader& header, const StoreClaim& claim) {
   const std::int64_t routed_ns = now_ns();
   for (const NodeId& dst : header.dsts) {
     if (dst.machine != machine_) continue;
@@ -381,20 +333,19 @@ void Broker::fan_out_local(const MessageHeader& header) {
       if (it != endpoints_.end()) queue = it->second;
     }
     if (!queue) {
-      store_.release(header.object_id);
       note_drop(DropReason::kUnknownDest);
       continue;
     }
-    switch (queue->push(header.tclass(), RoutedHeader{header, routed_ns})) {
+    switch (queue->push(header.tclass(),
+                        RoutedHeader{header, routed_ns, claim.share()})) {
       case PushResult::kEnqueued:
         inst_.routed.inc();
         break;
       case PushResult::kShed:
-        // The inbox shed callback released the store reference and counted
-        // the shed; not a drop (the overload policy worked as designed).
+        // The inbox shed callback counted the shed; not a drop (the overload
+        // policy worked as designed).
         break;
       case PushResult::kClosed:
-        store_.release(header.object_id);
         note_drop(DropReason::kClosedDest);
         break;
     }

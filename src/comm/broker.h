@@ -24,16 +24,18 @@ namespace xt {
 struct WireFrame;
 
 /// What the router puts into a destination's ID queue: the per-destination
-/// header copy plus the router's enqueue timestamp, which gives the
+/// header copy, the destination's claim on the body, through which its
+/// receiver fetches it, and the router's enqueue timestamp, which gives the
 /// destination-queue-wait hop of the message lifecycle (receiver pop time
 /// minus routed_ns) without growing MessageHeader itself.
 struct RoutedHeader {
   MessageHeader header;
   std::int64_t routed_ns = 0;
+  StoreClaim claim;
 };
 
 /// Per-destination queue of message headers ("ID queue" in paper Fig. 2(a)):
-/// the router passes object ids + metadata to each destination process here.
+/// the router passes body claims + metadata to each destination process here.
 /// Classed: a heartbeat routed into a deep inbox is still popped next, and
 /// under a bounded `[comm]` overload config the data plane sheds experience
 /// instead of growing without limit.
@@ -52,9 +54,8 @@ enum class DropReason : std::uint8_t {
   kClosedDest = 1,      ///< destination queue closed (endpoint shut down)
   kCrcFail = 2,         ///< a frame failed its CRC on a link that never resends it
   kNoSink = 3,          ///< no forwarding sink for the destination machine
-  kMissingBody = 4,     ///< object store had no body for a remote forward
-  kNoLocalDest = 5,     ///< remote delivery addressed nothing on this machine
-  kIncompleteBody = 6,  ///< a remote body lost a chunk, so it never completed
+  kNoLocalDest = 4,     ///< remote delivery addressed nothing on this machine
+  kIncompleteBody = 5,  ///< a remote body lost a chunk, so it never completed
   kCount,
 };
 
@@ -64,7 +65,7 @@ enum class DropReason : std::uint8_t {
 /// communicator (header queues + object store) and runs the
 /// algorithm-agnostic router on one thread, `router-mN`.
 ///
-/// The router only parses headers — source, destinations, object id — and
+/// The router only parses headers — source, destinations, chunk — and
 /// never inspects message bodies, so the same broker serves every DRL
 /// algorithm (and the dummy transmission benchmark) unchanged.
 class Broker {
@@ -121,20 +122,14 @@ class Broker {
   /// remain poppable until drained. Thread-safe.
   void unregister_endpoint(const NodeId& id);
 
-  /// Submit a header whose body is already in the object store with a
-  /// reference count equal to expected_fetches(header) computed at submit
-  /// time. A body of several chunks is submitted as one header per chunk, in
-  /// order, as each chunk is sealed; the router forwards each chunk to
-  /// remote machines at once, hands local destinations the last one, and
-  /// consumes the references with the last. Returns false if the broker is
-  /// shutting down (caller must release the store references itself in that
-  /// case, even when earlier chunks went through).
-  [[nodiscard]] bool submit(MessageHeader header);
-
-  /// Number of store references `submit` expects for this header from this
-  /// machine: one per local destination plus one per distinct remote machine
-  /// (the router fetches once per remote machine to forward the body).
-  [[nodiscard]] std::uint32_t expected_fetches(const MessageHeader& header) const;
+  /// Submit a header with a claim on its body in this machine's store. A
+  /// body of several chunks is submitted as one header per chunk, in order,
+  /// as each chunk is sealed, each with its own claim; the router forwards
+  /// each chunk to remote machines at once and shares the last one's claim
+  /// with each local destination. Returns false if the broker is shutting
+  /// down. The claim is spent either way: a header that is shed, refused or
+  /// skipped releases its body's claim by being destroyed.
+  [[nodiscard]] bool submit(MessageHeader header, StoreClaim claim);
 
   /// Install the forwarding sink toward another machine's broker.
   void set_remote_sink(std::uint16_t machine, RemoteSink sink);
@@ -215,18 +210,22 @@ class Broker {
     Payload body;
   };
 
+  /// A submitted chunk header and the claim it carries.
+  struct Submitted {
+    MessageHeader header;
+    StoreClaim claim;
+  };
+
   void router_loop();
-  void route(MessageHeader header);
-  /// Release every store reference submit() took for the header's message.
-  void release_refs(const MessageHeader& header);
+  void route(MessageHeader header, StoreClaim claim);
   /// Account one remote chunk, which arrived in order unless its link
   /// retransmits; true when it completes its body, which is then in `body`.
   [[nodiscard]] bool reassemble(const MessageHeader& header, Payload& body,
                                 bool in_order);
-  /// Hand the header to the ID queue of each destination on this machine.
-  /// Each destination holds one store reference; a failed push releases it
-  /// and counts the drop, a shed one was released by the queue.
-  void fan_out_local(const MessageHeader& header);
+  /// Hand the header to the ID queue of each destination on this machine,
+  /// each with its own share of `claim`. A failed push counts the drop; a
+  /// shed one was counted by the queue.
+  void fan_out_local(const MessageHeader& header, const StoreClaim& claim);
   /// Count a drop (total + per-reason) and emit a rate-limited warning (one
   /// line per warning interval, not one per dropped message).
   void note_drop(DropReason reason);
@@ -243,6 +242,7 @@ class Broker {
   Counter* shed_router_ = nullptr;  ///< xt_messages_shed_total{...router_overflow}
   Counter* shed_inbox_ = nullptr;   ///< xt_messages_shed_total{...inbox_overflow}
   CodecInstruments codec_instruments_;
+  /// Declared before every queue that holds claims on its bodies.
   ObjectStore store_;
 
   mutable std::mutex mu_;
@@ -260,7 +260,7 @@ class Broker {
   std::unordered_set<std::uint64_t> streaming_;
 
   /// Headers submitted on this machine, waiting for the router thread.
-  ClassedQueue<MessageHeader> router_queue_;
+  ClassedQueue<Submitted> router_queue_;
   std::thread router_;  ///< declared last: it uses every member above
 };
 

@@ -87,6 +87,8 @@ bool Endpoint::send(Outbound message) {
 }
 
 bool Endpoint::send(Outbound message, const std::function<void()>& on_wait) {
+  // A body no destination fetches would end as neither a delivery nor a drop.
+  if (message.header.dsts.empty()) return false;
   const TrafficClass cls = message.header.tclass();
   return send_buffer_.push_gated(cls, std::move(message), on_wait);
 }
@@ -135,6 +137,8 @@ void Endpoint::sender_loop() {
     // copy is paced chunk by chunk against absolute deadlines, so it still
     // takes size / ipc_bw in all, and each chunk's header is submitted as
     // the chunk is sealed, so the router streams it while the rest is put.
+    // Each chunk's header carries a claim on the body; the last takes the
+    // sender's own.
     {
       ProfScope prof("store.put");
       TraceScope span(trace, "store.put", "comm", header.trace_id(),
@@ -146,12 +150,11 @@ void Endpoint::sender_loop() {
       header.uncompressed_size = encoded.compressed ? encoded.uncompressed_size : 0;
       const std::uint64_t chunks = header.chunk_count();
 
-      const std::uint32_t fetches = broker_.expected_fetches(header);
-      header.object_id = broker_.store().put(std::move(encoded.data), fetches);
-
+      StoreClaim claim = broker_.store().hold(std::move(encoded.data));
       bool submitted = true;
       std::uint64_t sealed = 0;
       for (std::uint32_t i = 0; i < chunks && submitted; ++i) {
+        const bool last = i + 1 == chunks;
         sealed += chunk_length(header.body_size, i);
         if (ipc_bw > 0.0) {
           const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
@@ -160,23 +163,17 @@ void Endpoint::sender_loop() {
           // Only the last chunk pays precise_sleep_ns's spin tail: an earlier
           // chunk that wakes late only delays its own header, and the next
           // chunk's absolute deadline absorbs the overshoot.
-          if (i + 1 == chunks) {
+          if (last) {
             precise_sleep_ns(wait_ns);
           } else if (wait_ns > 0) {
             std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
           }
         }
         header.chunk_index = i;
-        submitted = broker_.submit(header);
+        submitted = broker_.submit(header, last ? std::move(claim) : claim.share());
       }
       inst_.store_put_ms.observe(clock.elapsed_ms());
-      if (!submitted) {
-        // Broker is shutting down: balance the store references we created.
-        for (std::uint32_t i = 0; i < fetches; ++i) {
-          broker_.store().release(header.object_id);
-        }
-        continue;
-      }
+      if (!submitted) continue;  // the broker is shutting down
     }
     inst_.messages_sent.inc();
   }
@@ -208,11 +205,7 @@ void Endpoint::receiver_loop() {
     TraceScope recv_span(trace, "msg.recv", "comm", header.trace_id(),
                          id_.machine, header.body_size);
     const Stopwatch decode_clock;
-    Payload stored = broker_.store().fetch(header.object_id);
-    if (!stored) {
-      XT_LOG_WARN << id_.name() << ": body missing for msg " << header.msg_id;
-      continue;
-    }
+    Payload stored = routed->claim.fetch();
     if (broker_.options().deep_copy_store) {
       // Ablation: pay the copy that the zero-copy object store avoids.
       stored = make_payload(Bytes(*stored));

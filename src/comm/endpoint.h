@@ -47,7 +47,8 @@ class Endpoint {
   /// immediately; data classes go through the send-credit gate when the
   /// buffer is bounded (experience blocks until the sender drains below the
   /// low watermark — that pause is how backpressure reaches the producer).
-  /// False once the endpoint is stopped.
+  /// False once the endpoint is stopped, and for a message with no
+  /// destination, which is not sent.
   bool send(Outbound message);
 
   /// Same, invoking `on_wait` roughly every 5ms while gated so the caller
@@ -64,9 +65,6 @@ class Endpoint {
 
   /// Non-blocking receive.
   std::optional<Message> try_receive();
-
-  /// Messages already transmitted and waiting in the receive buffer.
-  [[nodiscard]] std::size_t pending_received() const { return recv_buffer_.size(); }
 
   /// Messages this endpoint put into its receive buffer. The registry's
   /// `xt_messages_received_total{machine}` sums every endpoint of a machine;

@@ -64,18 +64,6 @@ inline constexpr std::uint8_t kTrafficClassCount = 3;
   return TrafficClass::kExperience;
 }
 
-[[nodiscard]] constexpr const char* traffic_class_name(TrafficClass cls) {
-  switch (cls) {
-    case TrafficClass::kControl:
-      return "control";
-    case TrafficClass::kWeights:
-      return "weights";
-    case TrafficClass::kExperience:
-      return "experience";
-  }
-  return "experience";
-}
-
 /// Bodies stream in chunks of this size (DESIGN.md §9). The sender paces its
 /// modeled put chunk by chunk and submits one header per chunk, the router
 /// forwards each chunk to remote machines at once, and each chunk crosses a
@@ -99,14 +87,14 @@ inline constexpr std::size_t kChunkBytes = std::size_t{256} * 1024;
 }
 
 /// Lightweight metadata that travels through header/ID queues. Bodies move
-/// separately through the zero-copy object store; only this struct is
+/// separately through the zero-copy object store, and a header in a queue
+/// rides with a claim on its body (comm/object_store.h); only this struct is
 /// copied per destination.
 struct MessageHeader {
   std::uint64_t msg_id = 0;
   NodeId src;
   std::vector<NodeId> dsts;     ///< weights broadcast => several destinations
   MsgType type = MsgType::kDummy;
-  std::uint64_t object_id = 0;  ///< body handle in the object store (0 = none yet)
   std::uint64_t body_size = 0;  ///< stored (possibly compressed) size in bytes
   /// Size of the body before LZ4 packed it; 0 for a body shipped raw.
   std::uint64_t uncompressed_size = 0;

@@ -4,40 +4,73 @@
 
 namespace xt {
 
-std::uint64_t ObjectStore::put(Payload body, std::uint32_t expected_fetches) {
-  assert(expected_fetches >= 1);
+StoreClaim& StoreClaim::operator=(StoreClaim&& other) noexcept {
+  if (this != &other) {
+    if (store_ != nullptr) store_->release(id_);
+    store_ = std::exchange(other.store_, nullptr);
+    id_ = other.id_;
+  }
+  return *this;
+}
+
+StoreClaim::~StoreClaim() {
+  if (store_ != nullptr) store_->release(id_);
+}
+
+StoreClaim StoreClaim::share() const {
+  if (store_ == nullptr) return {};
+  store_->retain(id_);
+  return {store_, id_};
+}
+
+Payload StoreClaim::fetch() {
+  if (store_ == nullptr) return nullptr;
+  return std::exchange(store_, nullptr)->fetch(id_);
+}
+
+Payload StoreClaim::peek() const {
+  return store_ == nullptr ? nullptr : store_->peek(id_);
+}
+
+ObjectStore::ObjectStore()
+    : owned_metrics_(std::make_unique<MetricsRegistry>()),
+      inst_(register_series(*owned_metrics_, 0)) {}
+
+ObjectStore::ObjectStore(MetricsRegistry& metrics, std::uint16_t machine)
+    : inst_(register_series(metrics, machine)) {}
+
+ObjectStore::Instruments ObjectStore::register_series(MetricsRegistry& metrics,
+                                                      std::uint16_t machine) {
+  const auto name = [machine](std::string_view family) {
+    return series_name(family, {{"machine", machine}});
+  };
+  return {metrics.counter(name("xt_store_puts_total")),
+          metrics.counter(name("xt_store_put_bytes_total")),
+          metrics.counter(name("xt_store_fetches_total")),
+          metrics.gauge(name("xt_store_live_bytes"))};
+}
+
+StoreClaim ObjectStore::hold(Payload body) { return {this, put(std::move(body), 1)}; }
+
+std::uint64_t ObjectStore::put(Payload body, std::uint32_t claims) {
+  assert(claims >= 1);
   const std::size_t size = body->size();
   std::uint64_t id;
   {
     std::scoped_lock lock(mu_);
     id = next_id_++;
     live_bytes_ += size;
-    objects_.emplace(id, Entry{std::move(body), expected_fetches});
-    if (instruments_.live_bytes != nullptr) {
-      instruments_.live_bytes->set(static_cast<double>(live_bytes_));
-    }
+    objects_.emplace(id, Entry{std::move(body), claims});
+    inst_.live_bytes.set(static_cast<double>(live_bytes_));
   }
-  if (instruments_.puts != nullptr) instruments_.puts->inc();
-  if (instruments_.put_bytes != nullptr) instruments_.put_bytes->inc(size);
+  inst_.puts.inc();
+  inst_.put_bytes.inc(size);
   return id;
 }
 
 Payload ObjectStore::fetch(std::uint64_t object_id) {
-  Payload body;
-  {
-    std::scoped_lock lock(mu_);
-    auto it = objects_.find(object_id);
-    if (it == objects_.end()) return nullptr;
-    body = it->second.body;
-    if (--it->second.remaining == 0) {
-      live_bytes_ -= body->size();
-      objects_.erase(it);
-      if (instruments_.live_bytes != nullptr) {
-        instruments_.live_bytes->set(static_cast<double>(live_bytes_));
-      }
-    }
-  }
-  if (instruments_.fetches != nullptr) instruments_.fetches->inc();
+  Payload body = release(object_id);
+  if (body != nullptr) inst_.fetches.inc();
   return body;
 }
 
@@ -47,17 +80,24 @@ Payload ObjectStore::peek(std::uint64_t object_id) const {
   return it == objects_.end() ? nullptr : it->second.body;
 }
 
-void ObjectStore::release(std::uint64_t object_id) {
+void ObjectStore::retain(std::uint64_t object_id) {
   std::scoped_lock lock(mu_);
   auto it = objects_.find(object_id);
-  if (it == objects_.end()) return;
+  assert(it != objects_.end());
+  ++it->second.remaining;
+}
+
+Payload ObjectStore::release(std::uint64_t object_id) {
+  std::scoped_lock lock(mu_);
+  auto it = objects_.find(object_id);
+  if (it == objects_.end()) return nullptr;
+  Payload body = it->second.body;
   if (--it->second.remaining == 0) {
-    live_bytes_ -= it->second.body->size();
+    live_bytes_ -= body->size();
     objects_.erase(it);
-    if (instruments_.live_bytes != nullptr) {
-      instruments_.live_bytes->set(static_cast<double>(live_bytes_));
-    }
+    inst_.live_bytes.set(static_cast<double>(live_bytes_));
   }
+  return body;
 }
 
 std::size_t ObjectStore::live_objects() const {

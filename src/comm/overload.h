@@ -24,10 +24,6 @@ enum class ShedPolicy : std::uint8_t {
   kNewest = 1,  ///< drop the incoming experience, keep what is queued
 };
 
-[[nodiscard]] constexpr const char* shed_policy_name(ShedPolicy p) {
-  return p == ShedPolicy::kOldest ? "oldest" : "newest";
-}
-
 /// Overload policy shared by every bounded comm queue (DESIGN.md §10).
 /// `high_watermark == 0` keeps historical behaviour: unbounded queues, no
 /// shedding, no credit gate, breaker disabled — overload handling is strictly
@@ -58,14 +54,14 @@ struct OverloadConfig {
   return static_cast<std::size_t>(cls);
 }
 
-/// Outcome of a policy push. Callers that own external resources per item
-/// (the broker's store references) need to distinguish "the queue shed it —
-/// the shed callback already cleaned up" from "the queue is closed — clean
-/// up yourself", exactly like BlockingQueue::push returning false.
+/// Outcome of a policy push. Callers that count what they lose need to
+/// distinguish "the queue shed it — the shed callback already counted it"
+/// from "the queue is closed — count it yourself", exactly like
+/// BlockingQueue::push returning false.
 enum class PushResult : std::uint8_t {
   kEnqueued = 0,
   kShed = 1,    ///< displaced per policy; ShedFn was invoked with the item
-  kClosed = 2,  ///< queue closed; ShedFn NOT invoked, caller balances
+  kClosed = 2,  ///< queue closed; ShedFn NOT invoked, the item is destroyed
 };
 
 /// Priority queue with one lane per traffic class and a bounded data plane.
@@ -86,15 +82,15 @@ enum class PushResult : std::uint8_t {
 ///    `weights_block_ms` then fall back to the `push` policy. Workhorse send
 ///    paths use this door — it is how backpressure reaches the explorer.
 ///
-/// Every shed item is handed to the `ShedFn` so the owner can release
-/// object-store references and bump its shed counter (the queue keeps no
-/// tally of its own). The callback runs outside the queue lock. Items the `PinFn` names are never shed or
-/// displaced; they soft-overflow the watermark like weights. The broker pins
-/// each chunk header after a body's first, because a message whose first
-/// chunk was admitted is committed to the rest. Items rejected because the
-/// queue is *closed* do not go through the callback — that mirrors
-/// `BlockingQueue::push` returning false, and callers already balance
-/// references on that path.
+/// Every shed item is handed to the `ShedFn` so the owner can bump its shed
+/// counter (the queue keeps no tally of its own); the callback runs, and the
+/// item is destroyed, outside the queue lock. Items the `PinFn` names are
+/// never shed or displaced; they soft-overflow the watermark like weights.
+/// The broker pins each chunk header after a body's first, because a
+/// message whose first chunk was admitted is committed to the rest. Items
+/// rejected because the queue is *closed* do not go through the callback —
+/// that mirrors `BlockingQueue::push` returning false, and callers count
+/// that path themselves.
 template <typename T>
 class ClassedQueue {
  public:

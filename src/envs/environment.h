@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,27 +30,6 @@ class Environment {
   [[nodiscard]] virtual std::size_t observation_dim() const = 0;
   [[nodiscard]] virtual std::int32_t action_count() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Runs `count` independent copies of an environment with per-copy seeds;
-/// convenience for tests and throughput workloads.
-class VectorEnv {
- public:
-  VectorEnv(std::vector<std::unique_ptr<Environment>> envs, std::uint64_t base_seed);
-
-  /// Reset all copies; returns the initial observations.
-  std::vector<std::vector<float>> reset_all();
-
-  /// Step every copy; copies that finish are auto-reset (done still reported).
-  std::vector<StepResult> step_all(const std::vector<std::int32_t>& actions);
-
-  [[nodiscard]] std::size_t size() const { return envs_.size(); }
-  [[nodiscard]] Environment& env(std::size_t i) { return *envs_[i]; }
-
- private:
-  std::vector<std::unique_ptr<Environment>> envs_;
-  std::uint64_t base_seed_;
-  std::uint64_t episode_counter_ = 0;
 };
 
 }  // namespace xt

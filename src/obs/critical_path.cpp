@@ -5,6 +5,8 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "obs/exporters.h"
+
 namespace xt {
 namespace {
 
@@ -24,25 +26,6 @@ bool is_sender_stage(const char* stage) {
   return std::strcmp(stage, "serialize") == 0 ||
          std::strcmp(stage, "compress") == 0 ||
          std::strcmp(stage, "store.put") == 0;
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 std::string format_number(double v) {

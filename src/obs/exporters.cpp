@@ -11,7 +11,6 @@
 #include "common/log.h"
 
 namespace xt {
-namespace {
 
 void append_json_escaped(std::string& out, const std::string& s) {
   for (char c : s) {
@@ -31,6 +30,8 @@ void append_json_escaped(std::string& out, const std::string& s) {
     }
   }
 }
+
+namespace {
 
 std::string format_double(double v) {
   char buf[64];

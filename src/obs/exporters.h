@@ -12,6 +12,9 @@
 
 namespace xt {
 
+/// Append `s` to `out` as the body of a JSON string literal.
+void append_json_escaped(std::string& out, const std::string& s);
+
 /// Serialize the collector's spans as Chrome trace_event JSON ("X" complete
 /// events plus process/thread name metadata). The output loads directly in
 /// chrome://tracing and Perfetto: one process per simulated machine, one

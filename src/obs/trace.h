@@ -46,7 +46,6 @@ class TraceCollector {
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
   void enable() { enabled_.store(true, std::memory_order_relaxed); }
-  void disable() { enabled_.store(false, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }

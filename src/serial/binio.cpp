@@ -34,16 +34,6 @@ void BinWriter::f32_vec(const std::vector<float>& v) {
   raw(v.data(), v.size() * sizeof(float));
 }
 
-void BinWriter::f64_vec(const std::vector<double>& v) {
-  u64(v.size());
-  raw(v.data(), v.size() * sizeof(double));
-}
-
-void BinWriter::i32_vec(const std::vector<std::int32_t>& v) {
-  u64(v.size());
-  raw(v.data(), v.size() * sizeof(std::int32_t));
-}
-
 bool BinReader::raw(void* p, std::size_t n) {
   if (pos_ + n > size_) return false;
   std::memcpy(p, data_ + pos_, n);
@@ -90,31 +80,14 @@ std::optional<Bytes> BinReader::bytes() {
   return out;
 }
 
-template <typename T>
-static std::optional<std::vector<T>> read_vec(const std::uint8_t* data,
-                                              std::size_t size, std::size_t& pos) {
-  if (pos + sizeof(std::uint64_t) > size) return std::nullopt;
-  std::uint64_t n;
-  std::memcpy(&n, data + pos, sizeof(n));
-  pos += sizeof(n);
-  // Guard against overflow from hostile length prefixes.
-  if (n > (size - pos) / sizeof(T)) return std::nullopt;
-  std::vector<T> out(n);
-  std::memcpy(out.data(), data + pos, n * sizeof(T));
-  pos += n * sizeof(T);
-  return out;
-}
-
 std::optional<std::vector<float>> BinReader::f32_vec() {
-  return read_vec<float>(data_, size_, pos_);
-}
-
-std::optional<std::vector<double>> BinReader::f64_vec() {
-  return read_vec<double>(data_, size_, pos_);
-}
-
-std::optional<std::vector<std::int32_t>> BinReader::i32_vec() {
-  return read_vec<std::int32_t>(data_, size_, pos_);
+  auto n = u64();
+  // Guard against overflow from hostile length prefixes.
+  if (!n || *n > (size_ - pos_) / sizeof(float)) return std::nullopt;
+  std::vector<float> out(*n);
+  std::memcpy(out.data(), data_ + pos_, *n * sizeof(float));
+  pos_ += *n * sizeof(float);
+  return out;
 }
 
 }  // namespace xt

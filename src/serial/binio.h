@@ -28,8 +28,6 @@ class BinWriter {
   void bytes(const Bytes& v);
   /// Length-prefixed float vector; the hot path for observations/weights.
   void f32_vec(const std::vector<float>& v);
-  void f64_vec(const std::vector<double>& v);
-  void i32_vec(const std::vector<std::int32_t>& v);
 
   [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
@@ -60,8 +58,6 @@ class BinReader {
   std::optional<std::string> str();
   std::optional<Bytes> bytes();
   std::optional<std::vector<float>> f32_vec();
-  std::optional<std::vector<double>> f64_vec();
-  std::optional<std::vector<std::int32_t>> i32_vec();
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }

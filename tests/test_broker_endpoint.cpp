@@ -146,6 +146,37 @@ TEST(BrokerEndpoint, UnknownDestinationIsDroppedAndCounted) {
   EXPECT_EQ(broker.dropped_messages(DropReason::kCrcFail), 0u);
 }
 
+// A body no destination fetches would end as neither a delivery nor a drop.
+TEST(BrokerEndpoint, MessageWithoutDestinationIsNotSent) {
+  Broker broker(0);
+  Endpoint sender(explorer_id(0, 0), broker);
+  EXPECT_FALSE(sender.send(make_outbound(sender.id(), {}, MsgType::kDummy,
+                                         bytes_payload(64, 0))));
+  sender.stop();
+  broker.stop();
+  EXPECT_EQ(broker.store().live_objects(), 0u);
+  EXPECT_EQ(broker.metrics().family_total("xt_store_puts_total"), 0u);
+  EXPECT_EQ(broker.metrics().family_total("xt_messages_sent_total"), 0u);
+}
+
+// Each destination holds its own claim on the body: a remote copy with no
+// sink is dropped without taking the local destination's copy with it.
+TEST(BrokerEndpoint, MissingSinkDropsOnlyTheRemoteCopy) {
+  Broker broker(0);
+  Endpoint sender(explorer_id(0, 0), broker);
+  Endpoint local(learner_id(0), broker);
+  ASSERT_TRUE(sender.send(make_outbound(sender.id(), {local.id(), learner_id(1)},
+                                        MsgType::kRollout, bytes_payload(64, 3))));
+  const auto msg = local.receive_for(std::chrono::seconds(5));
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(*msg->body, Bytes(64, 3));
+  broker.stop();  // joins the router: its counts are in
+  EXPECT_EQ(broker.dropped_messages(DropReason::kNoSink), 1u);
+  EXPECT_EQ(broker.dropped_messages(), 1u);
+  EXPECT_EQ(broker.metrics().family_total("xt_store_fetches_total"), 1u);
+  EXPECT_EQ(broker.store().live_objects(), 0u);
+}
+
 // A broker built without telemetry sinks owns its registry and records no
 // spans: another broker of the same machine id shares none of its counters.
 // A reject is a dropped message only where no retransmit repairs it.
@@ -345,8 +376,7 @@ TEST(BrokerEndpoint, QueueDepthSnapshotListsTheRouterAndEveryInbox) {
     header.msg_id = next_message_id();
     header.src = learner.id();
     header.dsts = {explorer_id(0, 1)};
-    header.object_id = broker.store().put(bytes_payload(4, 1), 1);
-    ASSERT_TRUE(broker.submit(header));
+    ASSERT_TRUE(broker.submit(header, broker.store().hold(bytes_payload(4, 1))));
   }
   for (int i = 0; i < 2500 && parked->size() < 3; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -365,9 +395,9 @@ TEST(BrokerEndpoint, QueueDepthSnapshotListsTheRouterAndEveryInbox) {
       {"inbox-explorer-m0-1", 3},
   };
   EXPECT_EQ(depths, expected);
-  while (auto routed = parked->try_pop()) {
-    broker.store().release(routed->header.object_id);
-  }
+  // A routed header gives its body back when it is destroyed.
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(parked->try_pop().has_value());
+  EXPECT_EQ(broker.store().live_objects(), 0u);
 }
 
 // --- Chunked bodies (DESIGN.md §9) -----------------------------------------
@@ -505,16 +535,20 @@ TEST(Chunking, ShedFirstChunkHeaderSkipsItsWholeMessage) {
     cv.notify_all();
     cv.wait(lock, [&] { return release; });
   });
+  // Like an endpoint's sender: each chunk header carries a share of its
+  // message's claim, and the last one the claim itself.
+  std::map<std::uint64_t, StoreClaim> claims;
   const auto put = [&](std::uint64_t size) {
     MessageHeader header = chunk_header(next_message_id(), explorer_id(0, 0),
                                         learner_id(1), size, 0);
-    header.object_id = broker.store().put(bytes_payload(size, 1),
-                                          broker.expected_fetches(header));
+    claims.emplace(header.msg_id, broker.store().hold(bytes_payload(size, 1)));
     return header;
   };
   const auto submit = [&](MessageHeader header, std::uint32_t index) {
     header.chunk_index = index;
-    ASSERT_TRUE(broker.submit(header));
+    StoreClaim& claim = claims.at(header.msg_id);
+    const bool last = header.last_chunk();
+    ASSERT_TRUE(broker.submit(header, last ? std::move(claim) : claim.share()));
   };
   const MessageHeader blocker = put(16);
   submit(blocker, 0);

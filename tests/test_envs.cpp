@@ -248,20 +248,5 @@ TEST(SynthSpaceInvaders, LosingAllLivesEndsEpisode) {
   EXPECT_TRUE(r.done);
 }
 
-TEST(VectorEnv, StepsAllCopiesAndAutoResets) {
-  std::vector<std::unique_ptr<Environment>> envs;
-  for (int i = 0; i < 3; ++i) envs.push_back(std::make_unique<CartPole>());
-  VectorEnv vec(std::move(envs), 7);
-  auto obs = vec.reset_all();
-  ASSERT_EQ(obs.size(), 3u);
-  for (int step = 0; step < 300; ++step) {
-    const auto results = vec.step_all({1, 1, 1});
-    ASSERT_EQ(results.size(), 3u);
-    for (const auto& r : results) {
-      ASSERT_EQ(r.observation.size(), 4u);  // done copies are auto-reset
-    }
-  }
-}
-
 }  // namespace
 }  // namespace xt

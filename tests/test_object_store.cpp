@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -48,19 +49,87 @@ TEST(ObjectStore, BroadcastKeepsSingleCopyAlive) {
   EXPECT_EQ(store.live_bytes(), 0u);
 }
 
-TEST(ObjectStore, ReleaseDropsClaimWithoutCopy) {
+TEST(ObjectStore, DroppedClaimFreesTheBodyWithoutAFetch) {
+  MetricsRegistry metrics;
+  ObjectStore store(metrics, 3);
+  {
+    const StoreClaim claim = store.hold(payload_of({1, 2}));
+    const StoreClaim share = claim.share();
+    EXPECT_EQ(store.live_objects(), 1u);
+  }
+  EXPECT_EQ(store.live_objects(), 0u);
+  EXPECT_EQ(store.live_bytes(), 0u);
+  // The store's own series: one put of 2 bytes, no fetch, nothing resident.
+  const std::vector<std::pair<std::string, std::uint64_t>> counters = {
+      {R"(xt_store_fetches_total{machine="3"})", 0},
+      {R"(xt_store_put_bytes_total{machine="3"})", 2},
+      {R"(xt_store_puts_total{machine="3"})", 1}};
+  EXPECT_EQ(metrics.counters(), counters);
+  const std::vector<std::pair<std::string, double>> gauges = {
+      {R"(xt_store_live_bytes{machine="3"})", 0.0}};
+  EXPECT_EQ(metrics.gauges(), gauges);
+}
+
+TEST(ObjectStore, EmptyClaimHoldsNothing) {
   ObjectStore store;
-  const auto id = store.put(payload_of({1}), 2);
-  store.release(id);
+  const StoreClaim kept = store.hold(payload_of({1}));
+  {
+    StoreClaim empty;
+    EXPECT_EQ(empty.peek(), nullptr);
+    EXPECT_EQ(empty.share().peek(), nullptr);
+    EXPECT_EQ(empty.fetch(), nullptr);
+  }
   EXPECT_EQ(store.live_objects(), 1u);
-  store.release(id);
+}
+
+TEST(ObjectStore, EntryLeavesWithItsLastClaim) {
+  MetricsRegistry metrics;
+  ObjectStore store(metrics, 0);
+  const Payload original = payload_of({4, 2});
+  StoreClaim first = store.hold(original);
+  std::optional<StoreClaim> second(first.share());
+  const Payload fetched = first.fetch();
+  EXPECT_EQ(fetched.get(), original.get());
+  EXPECT_EQ(first.fetch(), nullptr);  // spent
+  EXPECT_EQ(store.live_objects(), 1u);  // the share still holds it
+  EXPECT_EQ(second->peek().get(), original.get());
+  second.reset();
+  EXPECT_EQ(store.live_objects(), 0u);
+  EXPECT_EQ(metrics.family_total("xt_store_fetches_total"), 1u);
+}
+
+TEST(ObjectStore, MovedFromClaimReleasesNothing) {
+  ObjectStore store;
+  StoreClaim source = store.hold(payload_of({7}));
+  StoreClaim moved(std::move(source));
+  source = StoreClaim();  // NOLINT(bugprone-use-after-move): resets it
+  EXPECT_EQ(store.live_objects(), 1u);
+  StoreClaim other = store.hold(payload_of({8}));
+  other = std::move(moved);  // the body `other` held goes with its claim
+  EXPECT_EQ(store.live_objects(), 1u);
+  EXPECT_EQ(moved.peek(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(*other.fetch(), (Bytes{7}));
   EXPECT_EQ(store.live_objects(), 0u);
 }
 
-TEST(ObjectStore, ReleaseUnknownIdIsHarmless) {
+TEST(ObjectStore, SharesFetchedOnManyThreadsFreeTheBodyOnce) {
   ObjectStore store;
-  store.release(12345);
-  EXPECT_EQ(store.live_objects(), 0u);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 200;
+  std::atomic<int> fetched{0};
+  for (int round = 0; round < kRounds; ++round) {
+    StoreClaim claim = store.hold(payload_of({5}));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([share = claim.share(), &fetched]() mutable {
+        if (share.fetch() != nullptr) fetched.fetch_add(1);
+      });
+    }
+    claim = StoreClaim();
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(store.live_objects(), 0u);
+  }
+  EXPECT_EQ(fetched.load(), kThreads * kRounds);
 }
 
 TEST(ObjectStore, FetchUnknownIdReturnsNull) {
