@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
+#include "obs/exporters.h"
 
 namespace {
 
@@ -123,15 +124,6 @@ struct Entry {
   double pooled_gflops;
 };
 
-std::string json_escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out.push_back('\\');
-    out.push_back(*p);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,7 +146,6 @@ int main(int argc, char** argv) {
     for (const Shape& shape : kShapes) {
       if ((shape.kernels & bit(kernel)) == 0) continue;
       Entry e{kernel, shape, 0, 0, 0};
-      set_compute_threads(0);
       e.scalar_gflops = measure_gflops(kernel, shape, /*scalar=*/true, rng);
       set_compute_threads(1);
       e.serial_gflops = measure_gflops(kernel, shape, /*scalar=*/false, rng);
@@ -198,12 +189,14 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"pooled_threads\": %d,\n  \"entries\": [\n", hw_threads);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
+    std::string why;
+    append_json_escaped(why, e.shape.why);
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
                  "\"why\": \"%s\", \"scalar_gflops\": %.3f, \"serial_gflops\": "
                  "%.3f, \"pooled_gflops\": %.3f}%s\n",
                  kernel_name(e.kernel), e.shape.m, e.shape.k, e.shape.n,
-                 json_escape(e.shape.why).c_str(), e.scalar_gflops,
+                 why.c_str(), e.scalar_gflops,
                  e.serial_gflops, e.pooled_gflops,
                  i + 1 < entries.size() ? "," : "");
   }

@@ -126,7 +126,6 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   OverloadConfig overload;
   overload.high_watermark = kHighWatermark;
   overload.low_watermark = kLowWatermark;
-  overload.shed_policy = ShedPolicy::kOldest;
 
   // One registry for every machine, as in the runtime: the pipes' shed and
   // fault counters are read from it below.

@@ -103,7 +103,8 @@ void PpoAlgorithm::prepare_data(RolloutBatch batch) {
     ++stale_dropped_;
     return;
   }
-  Fragment fragment{std::move(batch)};
+  Fragment fragment;
+  fragment.batch = std::move(batch);
   // A fragment the next train() consumes is prepared now, while the learner
   // waits for the rest: no training runs before that train(), so its values
   // are the ones train() would compute. A later session's fragment waits

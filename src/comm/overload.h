@@ -17,13 +17,6 @@
 
 namespace xt {
 
-/// What to do with experience-class traffic when a bounded queue hits its
-/// high watermark.
-enum class ShedPolicy : std::uint8_t {
-  kOldest = 0,  ///< drop the oldest queued experience to admit the new one
-  kNewest = 1,  ///< drop the incoming experience, keep what is queued
-};
-
 /// Overload policy shared by every bounded comm queue (DESIGN.md §10).
 /// `high_watermark == 0` keeps historical behaviour: unbounded queues, no
 /// shedding, no credit gate, breaker disabled — overload handling is strictly
@@ -34,7 +27,6 @@ struct OverloadConfig {
   /// Depth the credit gate waits for before re-admitting producers
   /// (hysteresis). 0 means half the high watermark.
   std::size_t low_watermark = 0;
-  ShedPolicy shed_policy = ShedPolicy::kOldest;
   /// How long a weights-class push may wait for drainage before falling back
   /// to shed-experience-to-make-room. Weights are never dropped.
   std::uint32_t weights_block_ms = 100;
@@ -73,9 +65,10 @@ enum class PushResult : std::uint8_t {
 ///  - `push` applies the overload policy without blocking: control is always
 ///    admitted (the control lane is unbounded — it is tiny by construction),
 ///    weights shed queued experience to make room (soft-overflowing if there
-///    is none; weights are never dropped), experience is shed per
-///    `ShedPolicy`. Router and retransmit threads use this door: they must
-///    never stall on a slow peer.
+///    is none; weights are never dropped), experience sheds the oldest queued
+///    experience to make room (or is shed itself when all of it is pinned).
+///    Router and retransmit threads use this door: they must never stall on
+///    a slow peer.
 ///  - `push_gated` is the producer-side credit gate: experience blocks until
 ///    the data plane drains below the low watermark (invoking `on_wait`
 ///    periodically so the caller can keep heartbeating), weights wait up to
@@ -237,17 +230,11 @@ class ClassedQueue {
       lane.push_back(std::move(value));
       return true;
     }
+    // At the watermark the oldest queued experience makes room. Weights are
+    // never dropped: with no experience to evict they soft-overflow the
+    // watermark, where experience is shed itself.
     auto& experience = lanes_[lane_index(TrafficClass::kExperience)];
-    if (cls == TrafficClass::kWeights) {
-      // Weights are never dropped: evict queued experience to make room, or
-      // soft-overflow the watermark when there is none to evict.
-      shed_oldest_locked(experience, shed);
-      lane.push_back(std::move(value));
-      return true;
-    }
-    // Experience at the watermark: shed per policy.
-    if (cfg_.shed_policy == ShedPolicy::kOldest &&
-        shed_oldest_locked(experience, shed)) {
+    if (shed_oldest_locked(experience, shed) || cls == TrafficClass::kWeights) {
       lane.push_back(std::move(value));
       return true;
     }

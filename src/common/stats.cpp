@@ -94,7 +94,6 @@ void ThroughputSeries::add(double t_seconds, double amount) {
   const auto idx = static_cast<std::size_t>(t_seconds / window_);
   if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0.0);
   buckets_[idx] += amount;
-  total_ += amount;
 }
 
 std::vector<ThroughputSeries::Point> ThroughputSeries::series() const {
@@ -105,11 +104,6 @@ std::vector<ThroughputSeries::Point> ThroughputSeries::series() const {
     out.push_back({static_cast<double>(i) * window_, buckets_[i] / window_});
   }
   return out;
-}
-
-double ThroughputSeries::total() const {
-  std::scoped_lock lock(mu_);
-  return total_;
 }
 
 std::string format_bytes(double bytes) {

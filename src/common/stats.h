@@ -60,13 +60,11 @@ class ThroughputSeries {
     double rate;  ///< amount per second within the window
   };
   [[nodiscard]] std::vector<Point> series() const;
-  [[nodiscard]] double total() const;
 
  private:
   mutable std::mutex mu_;
   double window_;
   std::vector<double> buckets_;
-  double total_ = 0.0;
 };
 
 /// Render helpers for benchmark output tables.

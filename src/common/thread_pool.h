@@ -82,8 +82,8 @@ class ThreadPool {
 // itself with one pool per worker. Configured via `[compute] threads` in the
 // launch config:
 //   -1  auto: std::thread::hardware_concurrency()
-//    0  serial: kernels run their scalar reference path, bit-identical to
-//       the pre-pool implementation (deterministic-tests mode)
+//    0  serial: no pool, every kernel on the caller's thread (the same
+//       path, and the same bits, as 1)
 //    N  N compute threads total (a pool of N-1 workers plus the caller)
 
 /// Set the configured compute-thread count (see above). Safe at any time;

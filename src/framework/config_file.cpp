@@ -221,15 +221,6 @@ Rejection env_by_name(LaunchConfig& config, const std::string& value) {
   return " '" + value + "' (want one of " + want + ")";
 }
 
-Rejection shed_policy(LaunchConfig& config, const std::string& value) {
-  if (value != "oldest" && value != "newest") {
-    return " '" + value + "' (want oldest or newest)";
-  }
-  config.deployment.overload.shed_policy =
-      value == "oldest" ? ShedPolicy::kOldest : ShedPolicy::kNewest;
-  return std::nullopt;
-}
-
 Rejection weights_codec(LaunchConfig& config, const std::string& value) {
   const auto codec = parse_weight_codec(value);
   if (!codec) {
@@ -324,7 +315,6 @@ const std::vector<Key>& key_table() {
        integer(XT_FIELDS(c.deployment.overload.high_watermark), 0, 100'000'000)},
       {"comm", "overload_low_watermark",
        integer(XT_FIELDS(c.deployment.overload.low_watermark), 0, 100'000'000)},
-      {"comm", "shed_policy", shed_policy},
       {"comm", "weights_block_ms",
        integer(XT_FIELDS(c.deployment.overload.weights_block_ms), 0, 60'000)},
       {"comm", "breaker_failures",

@@ -81,9 +81,9 @@ struct DeploymentConfig {
   std::uint32_t checkpoint_every_versions = 25;
 
   /// Compute-thread count for the NN kernels (`[compute] threads`):
-  /// -1 = auto (hardware_concurrency), 0 = serial scalar-reference kernels
-  /// (bit-exact with pre-pool runs, the deterministic-tests mode), N = a
-  /// shared pool of N compute threads. Applied process-wide at runtime
+  /// -1 = auto (hardware_concurrency), 0 = serial (no pool, the same path
+  /// as 1), N = a shared pool of N compute threads. Results are
+  /// bit-identical at every count. Applied process-wide at runtime
   /// construction (the pool is shared across all workers of the process).
   int compute_threads = -1;
 

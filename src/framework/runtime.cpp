@@ -477,6 +477,13 @@ RunReport XingTianRuntime::run() {
   learner_->request_stop();
   for (auto& explorer : explorers_) explorer->shutdown();
   learner_->shutdown();
+  // Land what is still in flight before the report: the fabric delivers
+  // its queued frames (to endpoints now gone, so the brokers count them as
+  // drops), then the brokers drain their router queues. The registry is
+  // final from here on, and the dump below sees every drop.
+  controller_endpoint_->stop();
+  fabric_->stop();
+  for (auto& broker : brokers_) broker->stop();
 
   RunReport report;
   report.steps_consumed = learner_->steps_consumed();
@@ -576,8 +583,6 @@ RunReport XingTianRuntime::run() {
                   << config_.obs.chrome_trace_path;
     }
   }
-  // Snapshot metrics last: frames still in flight at shutdown are dropped by
-  // the brokers while the report is assembled, and the dump should see them.
   report.prometheus = prometheus_text(*metrics_);
   if (!config_.obs.prometheus_path.empty()) {
     std::ofstream out(config_.obs.prometheus_path);

@@ -23,12 +23,12 @@ struct LinkConfig {
   std::size_t frame_overhead_bytes = 128; ///< header/framing cost per message
   /// Chaos schedule for this link (disabled by default). When enabled the
   /// pipe drops/corrupts/delays frames per the seeded plan.
-  FaultPlan faults;
+  FaultPlan faults{};
   /// Overload policy for the transmit queue (watermarks in frames). Default
   /// = unbounded; when bounded, experience frames are shed at the high
   /// watermark while control (heartbeats, acks, commands) always queues —
   /// the priority lanes that keep supervision live past link capacity.
-  OverloadConfig overload;
+  OverloadConfig overload{};
 };
 
 /// One direction of a simulated NIC, paced in real wall-clock time at the

@@ -11,14 +11,12 @@
 // gradients, sums, the fused clip+Adam step) run inline on the caller in
 // the same vector type.
 //
-// Determinism contract (see DESIGN.md "Compute kernels"):
-//  * `[compute] threads = 0` dispatches to the scalar kernels in
-//    matrix_ref.cpp, and Adam::step to its scalar clip and update loops,
-//    bit-identical to the pre-pool implementation.
-//  * In blocked mode every output element is accumulated by exactly one
-//    chunk, in ascending k, so results do not depend on thread count or
-//    chunk boundaries. Elementwise kernels pad a tail into one more vector,
-//    so an element's bits depend only on its inputs, never on its position.
+// Determinism contract (see DESIGN.md "Compute kernels"): every output
+// element is accumulated by exactly one chunk, in ascending k, so results do
+// not depend on thread count or chunk boundaries; `[compute] threads` 0 and
+// 1 both run everything on the caller. Elementwise kernels pad a tail into
+// one more vector, so an element's bits depend only on its inputs, never on
+// its position.
 
 #include "nn/matrix.h"
 
@@ -447,7 +445,6 @@ bool allclose(const Matrix& a, const Matrix& b, float atol, float rtol) {
 Matrix matmul(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.rows());
   KernelScope scope(a.rows(), a.cols(), b.cols());
-  if (compute_threads() == 0) return reference::matmul(a, b);
   return gemm(plain(a), plain(b), a.rows(), a.cols(), b.cols(), nullptr);
 }
 
@@ -455,25 +452,18 @@ Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias_row) {
   assert(a.cols() == b.rows());
   assert(bias_row.rows() == 1 && bias_row.cols() == b.cols());
   KernelScope scope(a.rows(), a.cols(), b.cols());
-  if (compute_threads() == 0) {
-    Matrix c = reference::matmul(a, b);
-    add_row_inplace(c, bias_row);
-    return c;
-  }
   return gemm(plain(a), plain(b), a.rows(), a.cols(), b.cols(), bias_row.row_ptr(0));
 }
 
 Matrix matmul_at(const Matrix& a, const Matrix& b) {
   assert(a.rows() == b.rows());
   KernelScope scope(a.cols(), a.rows(), b.cols());
-  if (compute_threads() == 0) return reference::matmul_at(a, b);
   return gemm(transposed(a), plain(b), a.cols(), a.rows(), b.cols(), nullptr);
 }
 
 Matrix matmul_bt(const Matrix& a, const Matrix& b) {
   assert(a.cols() == b.cols());
   KernelScope scope(a.rows(), a.cols(), b.rows());
-  if (compute_threads() == 0) return reference::matmul_bt(a, b);
   return gemm(plain(a), transposed(b), a.rows(), a.cols(), b.rows(), nullptr);
 }
 
@@ -483,19 +473,8 @@ void matmul_bias_rows(const Matrix& a, const Matrix& b, const Matrix& bias_row,
   assert(bias_row.rows() == 1 && bias_row.cols() == b.cols());
   assert(r0 <= r1 && r1 <= c.rows());
   KernelScope scope(r1 - r0, a.cols(), b.cols());
-  const float* bias = bias_row.row_ptr(0);
-  if (compute_threads() != 0) {
-    float* out = c.data().data();
-    gemm_rows(plain(a), plain(b), a.cols(), b.cols(), bias, out, false, r0, r1);
-    return;
-  }
-  reference::matmul_rows(a, b, c, r0, r1);
-  for (std::size_t r = r0; r < r1; ++r) {
-    float* cr = c.row_ptr(r);
-    for_lanes(c.cols(), [cr, bias](std::size_t j, std::size_t w) {
-      store(cr + j, load(cr + j, w) + load(bias + j, w), w);
-    });
-  }
+  gemm_rows(plain(a), plain(b), a.cols(), b.cols(), bias_row.row_ptr(0),
+            c.data().data(), false, r0, r1);
 }
 
 void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
@@ -503,12 +482,8 @@ void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
   assert(a.cols() == b.cols() && c.rows() == a.rows() && c.cols() == b.rows());
   assert(r0 <= r1 && r1 <= c.rows());
   KernelScope scope(r1 - r0, a.cols(), b.rows());
-  if (compute_threads() == 0) {
-    reference::matmul_bt_rows(a, b, c, r0, r1);
-    return;
-  }
-  float* out = c.data().data();
-  gemm_rows(plain(a), transposed(b), a.cols(), b.rows(), nullptr, out, false, r0, r1);
+  gemm_rows(plain(a), transposed(b), a.cols(), b.rows(), nullptr, c.data().data(),
+            false, r0, r1);
 }
 
 void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
@@ -516,19 +491,8 @@ void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t
   assert(a.rows() == b.rows() && c.rows() == a.cols() && c.cols() == b.cols());
   assert(r0 <= r1 && r1 <= c.rows());
   KernelScope scope(r1 - r0, a.rows(), b.cols());
-  if (compute_threads() != 0) {
-    float* out = c.data().data();
-    gemm_rows(transposed(a), plain(b), a.rows(), b.cols(), nullptr, out, true, r0, r1);
-    return;
-  }
-  // The reference product of these rows, then the add.
-  Matrix product(c.rows(), c.cols());
-  reference::matmul_at_rows(a, b, product, r0, r1);
-  float* x = c.row_ptr(r0);
-  const float* y = product.row_ptr(r0);
-  for_lanes((r1 - r0) * c.cols(), [x, y](std::size_t i, std::size_t w) {
-    store(x + i, load(x + i, w) + load(y + i, w), w);
-  });
+  gemm_rows(transposed(a), plain(b), a.rows(), b.cols(), nullptr, c.data().data(),
+            true, r0, r1);
 }
 
 void add_row_inplace(Matrix& x, const Matrix& bias_row) {
@@ -556,10 +520,6 @@ Matrix col_sums(const Matrix& x) {
 void tanh_inplace(Matrix& x) { tanh_inplace(x.data().data(), x.size()); }
 
 void tanh_inplace(float* x, std::size_t n) {
-  if (compute_threads() == 0) {
-    reference::tanh_inplace(x, n);
-    return;
-  }
   for_lanes(n, [x](std::size_t i, std::size_t w) {
     store(x + i, tanh_rational(load(x + i, w)), w);
   });
@@ -573,10 +533,6 @@ void relu_inplace(float* x, std::size_t n) {
 }
 
 void tanh_grad_inplace(float* grad, const float* h, std::size_t n) {
-  if (compute_threads() == 0) {
-    reference::tanh_grad_inplace(grad, h, n);
-    return;
-  }
   for_lanes(n, [grad, h](std::size_t i, std::size_t w) {
     const Vf16 hi = load(h + i, w);
     store(grad + i, load(grad + i, w) * (1.0f - hi * hi), w);

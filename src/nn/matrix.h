@@ -56,7 +56,7 @@ class Matrix {
   void scale_inplace(float s);
 
   /// Exact bitwise equality (shape and every float). Use only where exact
-  /// reproducibility is the point (the serial-determinism contract, wire
+  /// reproducibility is the point (the determinism contract, wire
   /// round-trips); numeric comparisons belong with allclose().
   bool operator==(const Matrix&) const = default;
 
@@ -84,8 +84,6 @@ inline constexpr double kMinParallelFlops = 1 << 18;
 /// C = A * B^T; used for input gradients dX = dY W^T.
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
 /// C = A * B + bias broadcast over rows — the fused MLP layer forward.
-/// In serial mode decomposes into reference::matmul + add_row_inplace so
-/// the result stays bit-identical to the pre-fusion pipeline.
 [[nodiscard]] Matrix matmul_bias(const Matrix& a, const Matrix& b, const Matrix& bias_row);
 
 // Row-range forms for callers that spread a batch's rows over threads
@@ -110,10 +108,9 @@ void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t
 void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// 1 x n column sums of X (bias gradient).
 [[nodiscard]] Matrix col_sums(const Matrix& x);
-/// Elementwise tanh, in place, on the calling thread. Blocked mode runs a
-/// vectorized rational approximation (absolute error below 3e-7, |y| <= 1,
-/// NaN stays NaN) whose bits for an element depend only on that element;
-/// serial mode is reference::tanh_inplace.
+/// Elementwise tanh, in place, on the calling thread: a vectorized rational
+/// approximation (absolute error below 3e-7, |y| <= 1, NaN stays NaN) whose
+/// bits for an element depend only on that element.
 void tanh_inplace(Matrix& x);
 /// The elementwise kernels over the n floats at x (a run of whole rows, say).
 /// An element's bits depend only on its inputs, never on its position.
@@ -121,31 +118,19 @@ void tanh_inplace(float* x, std::size_t n);
 /// x = max(x, 0), with NaN mapped to 0: ReLU.
 void relu_inplace(float* x, std::size_t n);
 /// grad *= 1 - h^2: tanh's derivative, written in terms of its output h.
-/// Serial mode is reference::tanh_grad_inplace.
 void tanh_grad_inplace(float* grad, const float* h, std::size_t n);
 /// grad = 0 wherever h <= 0: ReLU's derivative, in terms of its output h.
 void relu_grad_inplace(float* grad, const float* h, std::size_t n);
 
-/// The retained scalar kernels — the exact pre-optimization implementations,
-/// built in their own translation unit with the project's stock flags. They
-/// are the ground truth the blocked/pooled kernels are property-tested
-/// against, the bit-exact path `[compute] threads = 0` dispatches to, and
-/// the "pre-PR scalar" baseline bench_kernels reports GFLOP/s against.
+/// The retained scalar matmuls — the exact pre-optimization loops, built in
+/// their own translation unit with the project's stock flags. Only tests and
+/// bench_kernels call them: they are the ground truth the blocked kernels are
+/// property-tested against, and the "pre-PR scalar" baseline bench_kernels
+/// reports GFLOP/s against.
 namespace reference {
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
-/// The same loops over output rows [r0, r1) only, into those rows of `c`
-/// (sized to the whole product), which they overwrite.
-void matmul_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
-                 std::size_t r1);
-void matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
-                    std::size_t r1);
-void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
-                    std::size_t r1);
-/// std::tanh on each of the n floats at x.
-void tanh_inplace(float* x, std::size_t n);
-void tanh_grad_inplace(float* grad, const float* h, std::size_t n);
 }  // namespace reference
 
 /// Record per-kernel telemetry for matmuls run on the calling thread into

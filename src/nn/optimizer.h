@@ -16,9 +16,8 @@ class Adam {
   /// Apply one update step; params[i] and grads[i] are paired. With
   /// `max_norm`, the gradients are first scaled in place so that their
   /// global L2 norm is at most *max_norm (global-norm clipping), and the
-  /// pre-clip norm is returned; without it, 0. Serial mode
-  /// (`[compute] threads = 0`) runs the scalar clip and update loops;
-  /// blocked mode runs adam_kernel.
+  /// pre-clip norm is returned; without it, 0. Runs adam_kernel on the
+  /// calling thread.
   float step(const std::vector<Matrix*>& params, const std::vector<Matrix*>& grads,
              std::optional<float> max_norm = std::nullopt);
 
@@ -35,8 +34,8 @@ struct AdamCoefficients {
   float bias1, bias2;
 };
 
-/// Blocked mode's clip+Adam kernel, defined in matrix.cpp, the translation
-/// unit built for the host's vector ISA: a fixed-order pass takes the global
+/// The clip+Adam kernel, defined in matrix.cpp, the translation unit built
+/// for the host's vector ISA: a fixed-order pass takes the global
 /// gradient norm (only with `max_norm`), then one vector pass per tensor
 /// scales each gradient, updates the moments m and v, and steps the
 /// parameter. Returns the pre-clip norm, or 0 without `max_norm`.

@@ -55,21 +55,6 @@ std::shared_ptr<prof::ThreadState> Profiler::attach_thread(
   return state;
 }
 
-void Profiler::rename_thread(std::uint64_t id, const std::string& name) {
-  std::scoped_lock lock(mu_);
-  for (Entry& entry : entries_) {
-    if (entry.state->id == id) {
-      entry.name = name;
-      return;
-    }
-  }
-}
-
-void Profiler::register_current_thread(const std::string& name) {
-  prof::ThreadState& state = prof::current_state();
-  rename_thread(state.id, name.empty() ? current_thread_name() : name);
-}
-
 void Profiler::start(double hz) {
   stop();
   {
@@ -83,15 +68,6 @@ void Profiler::start(double hz) {
 void Profiler::stop() {
   running_.store(false, std::memory_order_release);
   if (sampler_.joinable()) sampler_.join();
-}
-
-bool Profiler::running() const {
-  return running_.load(std::memory_order_acquire);
-}
-
-double Profiler::sampling_hz() const {
-  std::scoped_lock lock(mu_);
-  return hz_;
 }
 
 int Profiler::add_probe(Probe probe, double hz) {

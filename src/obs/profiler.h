@@ -91,18 +91,11 @@ class Profiler {
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  /// Re-register the calling thread under `name` (defaults to the
-  /// current_thread_name() captured on first scope). Useful when a thread
-  /// names itself after its first annotated scope ran.
-  void register_current_thread(const std::string& name = {});
-
   /// Start the sampler at `hz` samples/second (clamped to [1, 10'000]).
   /// Idempotent; a second start() with a different rate restarts the
   /// sampler. Tallies accumulate across start/stop cycles until reset().
   void start(double hz);
   void stop();
-  [[nodiscard]] bool running() const;
-  [[nodiscard]] double sampling_hz() const;
 
   /// Current tallies, merged by thread name, scopes sorted by sample count.
   /// Threads never caught in any scope still appear with samples > 0 (their
@@ -123,7 +116,6 @@ class Profiler {
   // Internal: attach the calling thread's state (see prof::current_state).
   [[nodiscard]] std::shared_ptr<prof::ThreadState> attach_thread(
       const std::string& name);
-  void rename_thread(std::uint64_t id, const std::string& name);
 
  private:
   Profiler() = default;

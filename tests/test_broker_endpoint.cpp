@@ -521,7 +521,6 @@ TEST(Chunking, BrokerStopMidMessageBalancesTheStore) {
 TEST(Chunking, ShedFirstChunkHeaderSkipsItsWholeMessage) {
   Broker::Options options;
   options.overload.high_watermark = 1;
-  options.overload.shed_policy = ShedPolicy::kNewest;
   Broker broker(0, options);
   // The sink parks the router on its first forward, so the router queue
   // fills behind it.
@@ -559,8 +558,8 @@ TEST(Chunking, ShedFirstChunkHeaderSkipsItsWholeMessage) {
   }
   const MessageHeader kept = put(2 * kChunkBytes + 1);
   const MessageHeader shed = put(2 * kChunkBytes + 1);
-  submit(kept, 0);  // fills the queue to its watermark
-  submit(shed, 0);  // shed: the newest at the watermark
+  submit(shed, 0);  // fills the queue to its watermark
+  submit(kept, 0);  // sheds the oldest queued header: shed's first chunk
   EXPECT_EQ(broker.shed_messages(), 1u);
   for (std::uint32_t i = 1; i < 3; ++i) {  // later chunks are pinned
     submit(kept, i);

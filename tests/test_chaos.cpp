@@ -288,7 +288,6 @@ TEST(ChaosRun, OverloadAndBlackoutShedExperienceWithoutFalseRespawns) {
   // bounded memory + shedding instead of an ever-growing backlog.
   deployment.overload.high_watermark = 32;
   deployment.overload.low_watermark = 8;
-  deployment.overload.shed_policy = ShedPolicy::kOldest;
 
   deployment.supervision.enabled = true;
   deployment.supervision.heartbeat_every_s = 0.1;

@@ -289,6 +289,8 @@ TEST(ConfigFile, CommSection) {
   EXPECT_NE(error.find("unknown [comm] key"), std::string::npos) << error;
   EXPECT_FALSE(parse_launch_config("[comm]\nrouter_shards = 4\n", &error));
   EXPECT_NE(error.find("unknown [comm] key"), std::string::npos) << error;
+  EXPECT_FALSE(parse_launch_config("[comm]\nshed_policy = oldest\n", &error));
+  EXPECT_NE(error.find("unknown [comm] key 'shed_policy'"), std::string::npos) << error;
 }
 
 TEST(ConfigFile, CommOverloadSection) {
@@ -296,7 +298,6 @@ TEST(ConfigFile, CommOverloadSection) {
 [comm]
 overload_high_watermark = 4096
 overload_low_watermark = 1024
-shed_policy = newest
 weights_block_ms = 250
 breaker_failures = 5
 breaker_probe_ms = 500
@@ -308,7 +309,6 @@ breaker_probe_ms = 500
   EXPECT_TRUE(overload.bounded());
   EXPECT_EQ(overload.high_watermark, 4096u);
   EXPECT_EQ(overload.low_watermark, 1024u);
-  EXPECT_EQ(overload.shed_policy, ShedPolicy::kNewest);
   EXPECT_EQ(overload.weights_block_ms, 250u);
   EXPECT_EQ(overload.breaker_failures, 5u);
   EXPECT_EQ(overload.breaker_probe_ms, 500u);
@@ -319,7 +319,6 @@ TEST(ConfigFile, CommOverloadDefaultsToUnbounded) {
   ASSERT_TRUE(config.has_value());
   // The master switch stays off: zero watermark = legacy unbounded queues.
   EXPECT_FALSE(config->deployment.overload.bounded());
-  EXPECT_EQ(config->deployment.overload.shed_policy, ShedPolicy::kOldest);
 }
 
 TEST(ConfigFile, CommOverloadRejectsOutOfRangeValues) {
@@ -339,9 +338,6 @@ TEST(ConfigFile, CommOverloadRejectsOutOfRangeValues) {
       "[comm]\noverload_high_watermark = 64\n"
       "overload_low_watermark = 200000000\n", &error));
   EXPECT_NE(error.find("bad overload_low_watermark"), std::string::npos);
-  EXPECT_FALSE(parse_launch_config("[comm]\nshed_policy = random\n", &error));
-  EXPECT_NE(error.find("bad shed_policy 'random'"), std::string::npos);
-  EXPECT_NE(error.find("oldest or newest"), std::string::npos);
   EXPECT_FALSE(parse_launch_config("[comm]\nweights_block_ms = -1\n", &error));
   EXPECT_NE(error.find("bad weights_block_ms"), std::string::npos);
   EXPECT_FALSE(parse_launch_config("[comm]\nweights_block_ms = 60001\n"));

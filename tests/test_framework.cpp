@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "algo/ppo.h"
 #include "framework/dummy_transmission.h"
+#include "obs/exporters.h"
 
 namespace xt {
 namespace {
@@ -133,6 +136,24 @@ TEST(XingTianRuntime, MultiMachineDeploymentRuns) {
   XingTianRuntime runtime(tiny_impala_setup(), deployment);
   const RunReport report = runtime.run();
   EXPECT_GE(report.steps_consumed, 1'500u);
+}
+
+// Frames still queued on a link when the workers stop land inside run(),
+// where the brokers count them as drops to endpoints already gone, so the
+// report's dump is final: nothing moves the registry after run() returns.
+// The remote explorers outrun their 5 MB/s link, as in
+// configs/chaos_impala.conf, so the run ends with frames in flight.
+TEST(XingTianRuntime, RegistryFrozenAfterRun) {
+  DeploymentConfig deployment;
+  deployment.explorers_per_machine = {2, 2};  // learner on machine 0
+  deployment.link.bandwidth_bytes_per_sec = 5e6;
+  deployment.max_steps_consumed = 20'000;
+  deployment.max_seconds = 30.0;
+
+  XingTianRuntime runtime(tiny_impala_setup(), deployment);
+  const RunReport report = runtime.run();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(prometheus_text(runtime.metrics()), report.prometheus);
 }
 
 TEST(XingTianRuntime, LatencyInstrumentationPopulated) {

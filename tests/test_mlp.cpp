@@ -77,9 +77,9 @@ INSTANTIATE_TEST_SUITE_P(Activations, MlpGradCheckTest,
                                            Activation::kTanh,
                                            Activation::kRelu));
 
-/// Runs the enclosing scope at `[compute] threads = 0`.
+/// Runs the enclosing scope on one compute thread.
 struct SerialMode {
-  SerialMode() { set_compute_threads(0); }
+  SerialMode() { set_compute_threads(1); }
   ~SerialMode() { set_compute_threads(-1); }
 };
 
@@ -88,24 +88,22 @@ struct TrainStep {
   std::vector<Matrix> gradients;  ///< weight, bias per layer
 };
 
-/// One training step of a net with zeroed gradients, written out by hand:
-/// scalar reference matmuls, a std::tanh or max(z, 0) forward, and each
-/// activation's derivative recomputed from its pre-activation.
+/// One training step of a net with zeroed gradients, written out by hand
+/// from the whole-matrix kernels: matmul_bias, then tanh_inplace or
+/// max(z, 0), forward; each activation's derivative recomputed from its
+/// pre-activation, then matmul_at and matmul_bt, backward.
 TrainStep reference_train_step(Mlp& net, const std::vector<Activation>& acts,
                                const Matrix& x, const Matrix& grad_out) {
   const std::vector<Matrix*> params = net.parameters();
   std::vector<Matrix> inputs, preacts;
   Matrix h = x;
   for (std::size_t l = 0; l < acts.size(); ++l) {
-    const Matrix& bias = *params[2 * l + 1];
-    Matrix z = reference::matmul(h, *params[2 * l]);
-    for (std::size_t i = 0; i < z.rows(); ++i)
-      for (std::size_t j = 0; j < z.cols(); ++j) z.at(i, j) += bias.at(0, j);
+    Matrix z = matmul_bias(h, *params[2 * l], *params[2 * l + 1]);
     inputs.push_back(h);
     preacts.push_back(z);
-    for (float& v : z.data()) {
-      if (acts[l] == Activation::kTanh) v = std::tanh(v);
-      if (acts[l] == Activation::kRelu) v = v > 0.0f ? v : 0.0f;
+    if (acts[l] == Activation::kTanh) tanh_inplace(z);
+    if (acts[l] == Activation::kRelu) {
+      for (float& v : z.data()) v = v > 0.0f ? v : 0.0f;
     }
     h = z;
   }
@@ -113,27 +111,31 @@ TrainStep reference_train_step(Mlp& net, const std::vector<Activation>& acts,
   TrainStep step{h, std::vector<Matrix>(2 * acts.size())};
   Matrix g = grad_out;
   for (std::size_t l = acts.size(); l-- > 0;) {
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      const float z = preacts[l].data()[i];
-      if (acts[l] == Activation::kTanh) {
-        const float t = std::tanh(z);
-        g.data()[i] *= 1.0f - t * t;
-      }
-      if (acts[l] == Activation::kRelu && z <= 0.0f) g.data()[i] = 0.0f;
+    if (acts[l] == Activation::kTanh) {
+      // The kernel, not `g *= 1 - t * t` here: this file may be built for
+      // another vector ISA than matrix.cpp, and round differently.
+      Matrix t = preacts[l];
+      tanh_inplace(t);
+      tanh_grad_inplace(g.data().data(), t.data().data(), g.size());
     }
-    step.gradients[2 * l] = reference::matmul_at(inputs[l], g);
+    if (acts[l] == Activation::kRelu) {
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        if (preacts[l].data()[i] <= 0.0f) g.data()[i] = 0.0f;
+      }
+    }
+    step.gradients[2 * l] = matmul_at(inputs[l], g);
     Matrix bias_grad(1, g.cols());
     for (std::size_t i = 0; i < g.rows(); ++i)
       for (std::size_t j = 0; j < g.cols(); ++j) bias_grad.at(0, j) += g.at(i, j);
     step.gradients[2 * l + 1] = bias_grad;
-    if (l > 0) g = reference::matmul_bt(g, *params[2 * l]);
+    if (l > 0) g = matmul_bt(g, *params[2 * l]);
   }
   return step;
 }
 
-// Caching layer outputs, deriving tanh' and ReLU' from them, and skipping
-// the input gradient must leave the serial training step bit-identical to
-// the computation it replaced.
+// Caching layer outputs, deriving tanh' and ReLU' from them, splitting the
+// step into row pieces and skipping the input gradient must leave the
+// training step bit-identical to the whole-matrix computation it replaced.
 TEST(Mlp, SerialTrainingStepBitIdenticalToReference) {
   SerialMode serial;
   for (Activation act : {Activation::kTanh, Activation::kRelu}) {

@@ -20,12 +20,10 @@ constexpr TrafficClass kCtl = TrafficClass::kControl;
 constexpr TrafficClass kWts = TrafficClass::kWeights;
 constexpr TrafficClass kExp = TrafficClass::kExperience;
 
-OverloadConfig bounded_cfg(std::size_t high, std::size_t low = 0,
-                           ShedPolicy policy = ShedPolicy::kOldest) {
+OverloadConfig bounded_cfg(std::size_t high, std::size_t low = 0) {
   OverloadConfig cfg;
   cfg.high_watermark = high;
   cfg.low_watermark = low;
-  cfg.shed_policy = policy;
   return cfg;
 }
 
@@ -82,19 +80,6 @@ TEST(ClassedQueue, ExperienceShedsOldestAtHighWatermark) {
   EXPECT_EQ(q.try_pop().value(), 3);
 }
 
-TEST(ClassedQueue, ExperienceShedsNewestWhenPolicyIsNewest) {
-  std::vector<int> shed;
-  ClassedQueue<int> q(bounded_cfg(2, 0, ShedPolicy::kNewest),
-                      [&](TrafficClass, int&& v) { shed.push_back(v); });
-  EXPECT_EQ(q.push(kExp, 1), PushResult::kEnqueued);
-  EXPECT_EQ(q.push(kExp, 2), PushResult::kEnqueued);
-  // kNewest keeps what is queued and drops the incoming element instead.
-  EXPECT_EQ(q.push(kExp, 3), PushResult::kShed);
-  EXPECT_EQ(shed, std::vector<int>({3}));
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_EQ(q.try_pop().value(), 2);
-}
-
 TEST(ClassedQueue, PinnedItemsAreNeverShedNorDisplaced) {
   // Negative values are pinned, as the broker pins every chunk header after
   // a body's first.
@@ -106,7 +91,7 @@ TEST(ClassedQueue, PinnedItemsAreNeverShedNorDisplaced) {
   EXPECT_EQ(q.push(kExp, 2), PushResult::kEnqueued);
   // At the watermark: a pinned push soft-overflows it...
   EXPECT_EQ(q.push(kExp, -3), PushResult::kEnqueued);
-  // ...and kOldest displaces the oldest item that is not pinned.
+  // ...and an experience push displaces the oldest item that is not pinned.
   EXPECT_EQ(q.push(kExp, 4), PushResult::kEnqueued);
   EXPECT_EQ(shed, std::vector<int>({2}));
   // Pinned items stay at the front; 4 is now the oldest it may displace.
@@ -169,10 +154,11 @@ TEST(ClassedQueue, ShedCallbackRunsOutsideTheQueueLock) {
   // The callback re-enters the queue's own locked accessors; this deadlocks
   // (and times out the test) if sheds were dispatched under the lock.
   std::atomic<std::size_t> observed{0};
-  ClassedQueue<int> q(bounded_cfg(1, 0, ShedPolicy::kNewest),
+  ClassedQueue<int> q(bounded_cfg(1),
                       [&](TrafficClass, int&&) { observed.store(q.size()); });
   EXPECT_EQ(q.push(kExp, 1), PushResult::kEnqueued);
-  EXPECT_EQ(q.push(kExp, 2), PushResult::kShed);
+  // 1 is displaced; its callback sees 2 queued in its place.
+  EXPECT_EQ(q.push(kExp, 2), PushResult::kEnqueued);
   EXPECT_EQ(observed.load(), 1u);
 }
 

@@ -116,7 +116,7 @@ TEST(PpoAlgorithm, DropsVeryStaleFragments) {
   // A fragment from version 1 is now ancient and must be dropped.
   RolloutBatch stale;
   stale.weights_version = 1;
-  stale.steps.push_back(RolloutStep{{0, 0, 0, 0}, 0, 0.0f, true, -0.5f});
+  stale.steps.push_back(RolloutStep{{0, 0, 0, 0}, 0, 0.0f, true, -0.5f, {}});
   algorithm.prepare_data(std::move(stale));
   EXPECT_EQ(algorithm.stale_fragments_dropped(), 1u);
   EXPECT_FALSE(algorithm.ready_to_train());
@@ -183,13 +183,13 @@ std::map<std::string, std::uint64_t> bits(const std::map<std::string, double>& s
 // Blocked kernels give the same bits at every thread count, and each
 // minibatch's phases are row-local pieces or full-minibatch products, so a
 // whole training session does too, whether the phases run inline (threads
-// 1), on fewer threads than tasks (2, 3), one task per thread (4) or with
-// threads to spare (8).
+// 1, and 0, which has no pool either), on fewer threads than tasks (2, 3),
+// one task per thread (4) or with threads to spare (8).
 TEST(PpoAlgorithm, TrainingSessionInvariantAcrossThreadCounts) {
   const Sync2mSession session;
   const auto [weights, stats] = session.train(1);
   EXPECT_EQ(stats.size(), 3u);
-  for (int threads : {2, 3, 4, 8}) {
+  for (int threads : {0, 2, 3, 4, 8}) {
     const auto [got_weights, got_stats] = session.train(threads);
     EXPECT_TRUE(got_weights == weights) << "threads=" << threads;
     EXPECT_EQ(bits(got_stats), bits(stats)) << "threads=" << threads;
