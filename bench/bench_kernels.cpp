@@ -136,7 +136,15 @@ int main(int argc, char** argv) {
     set_compute_threads(-1);
     return compute_threads();
   }();
-  std::printf("pooled mode uses %d compute thread(s)\n\n", hw_threads);
+  // The scalar reference column moves with the optimization level (-O2 vs
+  // -O3), so a run compares only with a baseline of its own build type.
+  const std::string build_type = XT_BUILD_TYPE;
+  std::printf("build type %s; pooled mode uses %d compute thread(s)\n\n",
+              build_type.c_str(), hw_threads);
+  if (build_type != "Release") {
+    std::printf("WARNING: not a Release build: BENCH_kernels.json is recorded from "
+                "Release, so its columns do not compare with this run\n\n");
+  }
   std::printf("%-10s %-34s %10s %10s %10s %8s\n", "kernel", "shape (m,k,n)",
               "scalar", "serial", "pooled", "pool/sc");
 
@@ -186,6 +194,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"bench_kernels\",\n");
+  std::fprintf(out, "  \"build_type\": \"%s\",\n", build_type.c_str());
   std::fprintf(out, "  \"pooled_threads\": %d,\n  \"entries\": [\n", hw_threads);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];

@@ -73,17 +73,6 @@ Broker::Broker(std::uint16_t machine, Options options)
         {{"machine", machine},
          {"reason", drop_reason_name(static_cast<DropReason>(i))}}));
   }
-  codec_instruments_.compress_ms = &metrics_.histogram(
-      series_name("xt_codec_compress_ms", {{"machine", machine}}));
-  codec_instruments_.decompress_ms = &metrics_.histogram(
-      series_name("xt_codec_decompress_ms", {{"machine", machine}}));
-  codec_instruments_.bytes_in = &metrics_.counter(
-      series_name("xt_codec_bytes_in_total", {{"machine", machine}}));
-  codec_instruments_.bytes_out = &metrics_.counter(
-      series_name("xt_codec_bytes_out_total", {{"machine", machine}}));
-  codec_instruments_.messages_compressed = &metrics_.counter(
-      series_name("xt_codec_messages_compressed_total", {{"machine", machine}}));
-
   // Only experience is ever shed by the queue policy (control is never
   // dropped, weights are backpressured), so the class label is fixed.
   shed_router_ = &metrics_.counter(series_name(

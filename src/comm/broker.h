@@ -107,10 +107,6 @@ class Broker {
   /// collector was injected.
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] TraceCollector* trace() { return trace_; }
-  /// Shared codec hooks for every endpoint on this machine.
-  [[nodiscard]] const CodecInstruments& codec_instruments() const {
-    return codec_instruments_;
-  }
   /// Destination-queue wait histogram (observed by endpoint receivers).
   [[nodiscard]] Histogram& queue_wait_histogram() { return inst_.queue_wait_ms; }
 
@@ -241,7 +237,6 @@ class Broker {
       drop_by_reason_{};
   Counter* shed_router_ = nullptr;  ///< xt_messages_shed_total{...router_overflow}
   Counter* shed_inbox_ = nullptr;   ///< xt_messages_shed_total{...inbox_overflow}
-  CodecInstruments codec_instruments_;
   /// Declared before every queue that holds claims on its bodies.
   ObjectStore store_;
 

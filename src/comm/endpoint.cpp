@@ -43,7 +43,17 @@ Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
             broker.metrics().histogram(
                 series_name("xt_recv_decode_ms", {{"machine", id.machine}})),
             broker.metrics().histogram(
-                series_name("xt_transmission_ms", {{"machine", id.machine}}))},
+                series_name("xt_transmission_ms", {{"machine", id.machine}})),
+            broker.metrics().histogram(
+                series_name("xt_codec_compress_ms", {{"machine", id.machine}})),
+            broker.metrics().histogram(
+                series_name("xt_codec_decompress_ms", {{"machine", id.machine}})),
+            broker.metrics().counter(
+                series_name("xt_codec_bytes_in_total", {{"machine", id.machine}})),
+            broker.metrics().counter(
+                series_name("xt_codec_bytes_out_total", {{"machine", id.machine}})),
+            broker.metrics().counter(series_name("xt_codec_messages_compressed_total",
+                                                 {{"machine", id.machine}}))},
       id_queue_(broker.register_endpoint(id)),
       send_buffer_(buffer_config(broker.options().overload, send_capacity),
                    [this](TrafficClass /*cls*/, Outbound&& /*message*/) {
@@ -126,9 +136,16 @@ void Endpoint::sender_loop() {
       ProfScope prof("compress");
       TraceScope span(trace, "msg.compress", "comm", header.trace_id(),
                       id_.machine, body->size());
-      encoded = maybe_compress(body, broker_.options().compression,
-                               &broker_.codec_instruments());
+      const CompressionConfig& compression = broker_.options().compression;
+      const Stopwatch clock;
+      encoded = maybe_compress(body, compression);
+      if (compression.attempts(body->size())) {
+        inst_.compress_ms.observe(clock.elapsed_ms());
+      }
     }
+    inst_.codec_bytes_in.inc(body->size());
+    inst_.codec_bytes_out.inc(encoded.data->size());
+    if (encoded.compressed) inst_.messages_compressed.inc();
 
     // Pay the modeled object-store insertion cost here, on the sender
     // thread — the workhorse already moved on. The store.put span covers
@@ -211,9 +228,9 @@ void Endpoint::receiver_loop() {
       stored = make_payload(Bytes(*stored));
       inst_.deep_copy_bytes.inc(stored->size());
     }
-    auto body = maybe_decompress(stored, header.compressed(),
-                                 header.uncompressed_size,
-                                 &broker_.codec_instruments());
+    const Stopwatch decompress_clock;
+    auto body = maybe_decompress(stored, header.compressed(), header.uncompressed_size);
+    if (header.compressed()) inst_.decompress_ms.observe(decompress_clock.elapsed_ms());
     if (!body) {
       XT_LOG_ERROR << id_.name() << ": corrupt body for msg " << header.msg_id;
       continue;

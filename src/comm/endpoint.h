@@ -93,6 +93,13 @@ class Endpoint {
     Histogram& store_put_ms;        ///< modeled IPC pacing + store insert
     Histogram& recv_decode_ms;      ///< fetch + decompress on the receiver thread
     Histogram& transmission_ms;     ///< message created -> receive buffer
+    // Body compression (xt_codec_*): bytes in and out of maybe_compress,
+    // LZ4 time per attempt, and bodies that shipped packed.
+    Histogram& compress_ms;
+    Histogram& decompress_ms;
+    Counter& codec_bytes_in;
+    Counter& codec_bytes_out;
+    Counter& messages_compressed;
   };
 
   void sender_loop();

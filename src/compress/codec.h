@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/bytes.h"
-#include "obs/metrics.h"
 
 namespace xt {
 
@@ -20,6 +19,12 @@ namespace xt {
 struct CompressionConfig {
   bool enabled = true;
   std::size_t threshold_bytes = 1u << 20;  // 1 MB, the paper's default
+
+  /// Whether maybe_compress runs LZ4 on a body of `size` bytes: compression
+  /// on and the body at or above the threshold.
+  [[nodiscard]] bool attempts(std::size_t size) const {
+    return enabled && size >= threshold_bytes;
+  }
 };
 
 /// Result of maybe_compress: the (possibly compressed) payload plus the
@@ -30,32 +35,16 @@ struct EncodedBody {
   std::size_t uncompressed_size = 0;
 };
 
-/// Optional telemetry hooks for the codec: compress/decompress time and the
-/// byte flows that give the compression ratio (`bytes_out / bytes_in`).
-/// All pointers may be null; callers resolve them once from a
-/// MetricsRegistry and pass the same struct per call (hot-path cost is a
-/// null test + atomic adds).
-struct CodecInstruments {
-  Histogram* compress_ms = nullptr;
-  Histogram* decompress_ms = nullptr;
-  Counter* bytes_in = nullptr;              ///< pre-compression body bytes
-  Counter* bytes_out = nullptr;             ///< bytes actually shipped
-  Counter* messages_compressed = nullptr;   ///< bodies that shrank and shipped packed
-};
-
-/// Compress `body` if the policy says so: compression on, the body at or
-/// above the threshold, and its first window worth compressing. Falls back
-/// to the original bytes, zero-copy, when the first window does not pay or
-/// the whole body would not shrink. `compress_ms` times the attempt either
-/// way.
+/// Compress `body` if the policy says so: the config attempts it and its
+/// first window is worth compressing. Falls back to the original bytes,
+/// zero-copy, when the first window does not pay or the whole body would not
+/// shrink. The endpoint that calls it records the `xt_codec_*` series.
 [[nodiscard]] EncodedBody maybe_compress(const Payload& body,
-                                         const CompressionConfig& config,
-                                         const CodecInstruments* instruments = nullptr);
+                                         const CompressionConfig& config);
 
 /// Undo maybe_compress. Returns nullopt on corrupt data.
 [[nodiscard]] std::optional<Payload> maybe_decompress(const Payload& data,
                                                       bool compressed,
-                                                      std::size_t uncompressed_size,
-                                                      const CodecInstruments* instruments = nullptr);
+                                                      std::size_t uncompressed_size);
 
 }  // namespace xt

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/clock.h"
+#include "nn/mlp.h"
 #include "serial/binio.h"
 
 namespace xt {
@@ -17,109 +18,7 @@ namespace {
 constexpr std::uint32_t kWeightFrameMagic = 0x43575458u;
 constexpr std::uint8_t kWeightFrameVersion = 1;
 constexpr std::uint8_t kFlagKeyframe = 0x01;
-// nn::Activation's values (identity, relu, tanh): Mlp::deserialize rejects
-// any other activation byte, so a frame that names one is corrupt.
-constexpr std::uint8_t kActivationCount = 3;
-
-// ---------------------------------------------------------------------------
-// Mlp weight blob view: structure metadata + byte spans of the f32 tensors.
-// The blob layout is nn::Mlp::serialize (u64 input_dim, u32 n_layers, per
-// layer {u64 rows, u64 cols, u8 activation, f32_vec weight, f32_vec bias}).
-// Parsing treats the blob as untrusted: every read is bounds-checked.
-// ---------------------------------------------------------------------------
-
-struct LayerMeta {
-  std::uint64_t rows = 0;
-  std::uint64_t cols = 0;
-  std::uint8_t activation = 0;
-};
-
-struct TensorSpan {
-  std::size_t offset = 0;  ///< byte offset of the first float in the blob
-  std::size_t count = 0;   ///< number of f32 entries
-};
-
-struct WeightBlobView {
-  std::uint64_t input_dim = 0;
-  std::vector<LayerMeta> layers;
-  std::vector<TensorSpan> tensors;  ///< weight, bias per layer, in order
-  std::size_t total_floats = 0;
-};
-
-class Cursor {
- public:
-  explicit Cursor(const Bytes& data) : data_(data.data()), size_(data.size()) {}
-
-  template <typename T>
-  bool scalar(T* out) {
-    if (size_ - pos_ < sizeof(T)) return false;
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-  bool span(std::size_t bytes, std::size_t* offset) {
-    if (size_ - pos_ < bytes) return false;
-    *offset = pos_;
-    pos_ += bytes;
-    return true;
-  }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-  [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-std::optional<WeightBlobView> parse_weight_blob(const Bytes& blob) {
-  Cursor c(blob);
-  WeightBlobView view;
-  std::uint32_t n_layers = 0;
-  if (!c.scalar(&view.input_dim) || !c.scalar(&n_layers)) return std::nullopt;
-  // A layer costs at least 25 bytes of metadata; reject hostile counts early.
-  if (n_layers > blob.size() / 25) return std::nullopt;
-  view.layers.reserve(n_layers);
-  view.tensors.reserve(2u * n_layers);
-  for (std::uint32_t i = 0; i < n_layers; ++i) {
-    LayerMeta layer;
-    if (!c.scalar(&layer.rows) || !c.scalar(&layer.cols) ||
-        !c.scalar(&layer.activation)) {
-      return std::nullopt;
-    }
-    for (int t = 0; t < 2; ++t) {
-      std::uint64_t count = 0;
-      if (!c.scalar(&count)) return std::nullopt;
-      const std::uint64_t expect = t == 0 ? layer.rows * layer.cols : layer.cols;
-      if (count != expect || count > (blob.size() - c.pos()) / sizeof(float)) {
-        return std::nullopt;
-      }
-      TensorSpan span;
-      span.count = static_cast<std::size_t>(count);
-      if (!c.span(span.count * sizeof(float), &span.offset)) return std::nullopt;
-      view.tensors.push_back(span);
-      view.total_floats += span.count;
-    }
-    view.layers.push_back(layer);
-  }
-  if (!c.exhausted()) return std::nullopt;
-  return view;
-}
-
-void load_tensor(const Bytes& blob, const TensorSpan& span, std::vector<float>* out) {
-  out->resize(span.count);
-  std::memcpy(out->data(), blob.data() + span.offset, span.count * sizeof(float));
-}
-
-bool same_structure(const WeightBlobView& a, const WeightBlobView& b) {
-  if (a.input_dim != b.input_dim || a.layers.size() != b.layers.size()) return false;
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    if (a.layers[i].rows != b.layers[i].rows || a.layers[i].cols != b.layers[i].cols) {
-      return false;
-    }
-  }
-  return true;
-}
+constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 8;
 
 // ---------------------------------------------------------------------------
 // Scalar conversions.
@@ -207,99 +106,51 @@ std::int8_t quantize_i8(float v, float inv_scale) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-tensor frame coding. Writers append to `payload`; the matching reader
-// consumes from a Cursor over the frame. `recon` receives the dequantized
-// values the decoder will reconstruct.
+// Per-tensor frame coding. Encoders append to the frame and leave in
+// `recon` the values the decoder will reconstruct; decoders read the frame
+// in the same order.
 // ---------------------------------------------------------------------------
 
-void write_raw(const char* data, std::size_t bytes, Bytes* payload) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(data);
-  payload->insert(payload->end(), p, p + bytes);
-}
-
-template <typename T>
-void write_scalar(T v, Bytes* payload) {
-  write_raw(reinterpret_cast<const char*>(&v), sizeof(v), payload);
-}
-
-void encode_tensor_fp32(const std::vector<float>& cur, Bytes* payload,
+void encode_tensor_fp32(const std::vector<float>& cur, BinWriter& frame,
                         std::vector<float>* recon) {
-  write_raw(reinterpret_cast<const char*>(cur.data()), cur.size() * sizeof(float),
-            payload);
+  frame.raw(cur.data(), cur.size() * sizeof(float));
   *recon = cur;
-}
-
-bool decode_tensor_fp32(Cursor* c, const Bytes& payload, std::size_t count,
-                        std::vector<float>* out) {
-  std::size_t offset = 0;
-  if (!c->span(count * sizeof(float), &offset)) return false;
-  out->resize(count);
-  std::memcpy(out->data(), payload.data() + offset, count * sizeof(float));
-  return true;
 }
 
 template <typename Narrow, typename Widen>
 void encode_tensor_16(const std::vector<float>& cur, Narrow narrow, Widen widen,
-                      Bytes* payload, std::vector<float>* recon) {
+                      BinWriter& frame, std::vector<float>* recon) {
   recon->resize(cur.size());
   for (std::size_t i = 0; i < cur.size(); ++i) {
     const std::uint16_t h = narrow(cur[i]);
-    write_scalar(h, payload);
+    frame.u16(h);
     (*recon)[i] = widen(h);
   }
 }
 
-template <typename Widen>
-bool decode_tensor_16(Cursor* c, const Bytes& payload, std::size_t count,
-                      Widen widen, std::vector<float>* out) {
-  std::size_t offset = 0;
-  if (!c->span(count * sizeof(std::uint16_t), &offset)) return false;
-  out->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint16_t h;
-    std::memcpy(&h, payload.data() + offset + i * sizeof(h), sizeof(h));
-    (*out)[i] = widen(h);
-  }
-  return true;
-}
-
 /// Shared by kInt8 (values quantized absolutely) and kDeltaInt8 (the caller
 /// passes cur - base and adds the base back into recon).
-void encode_tensor_i8(const std::vector<float>& values, Bytes* payload,
+void encode_tensor_i8(const std::vector<float>& values, BinWriter& frame,
                       std::vector<float>* recon) {
   const float max_abs = max_abs_of(values);
   const float scale = max_abs / 127.0f;
-  write_scalar(scale, payload);
+  frame.f32(scale);
   recon->resize(values.size());
   if (scale == 0.0f) {
-    payload->insert(payload->end(), values.size(), 0u);
+    for (std::size_t i = 0; i < values.size(); ++i) frame.u8(0);
     std::fill(recon->begin(), recon->end(), 0.0f);
     return;
   }
   const float inv_scale = 1.0f / scale;
   for (std::size_t i = 0; i < values.size(); ++i) {
     const std::int8_t q = quantize_i8(values[i], inv_scale);
-    write_scalar(q, payload);
+    frame.u8(static_cast<std::uint8_t>(q));
     (*recon)[i] = static_cast<float>(q) * scale;
   }
 }
 
-bool decode_tensor_i8(Cursor* c, const Bytes& payload, std::size_t count,
-                      std::vector<float>* out) {
-  float scale = 0.0f;
-  std::size_t offset = 0;
-  if (!c->scalar(&scale) || !std::isfinite(scale)) return false;
-  if (!c->span(count, &offset)) return false;
-  out->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto q = static_cast<std::int8_t>(payload[offset + i]);
-    (*out)[i] = static_cast<float>(q) * scale;
-  }
-  return true;
-}
-
 void encode_tensor_topk(const std::vector<float>& cur, const std::vector<float>& base,
-                        double fraction, Bytes* payload, std::vector<float>* recon) {
+                        double fraction, BinWriter& frame, std::vector<float>* recon) {
   const std::size_t n = cur.size();
   auto k = static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(n)));
   k = std::min(n, std::max<std::size_t>(1, k));
@@ -311,25 +162,56 @@ void encode_tensor_topk(const std::vector<float>& cur, const std::vector<float>&
                    });
   order.resize(k);
   std::sort(order.begin(), order.end());
-  write_scalar(static_cast<std::uint32_t>(k), payload);
+  frame.u32(static_cast<std::uint32_t>(k));
   *recon = base;
   for (std::uint32_t idx : order) {
-    write_scalar(idx, payload);
-    write_scalar(cur[idx], payload);
+    frame.u32(idx);
+    frame.f32(cur[idx]);
     (*recon)[idx] = cur[idx];  // carried values are exact f32
   }
 }
 
-bool decode_tensor_topk(Cursor* c, const std::vector<float>& base, std::size_t count,
+bool decode_tensor_fp32(BinReader& frame, std::size_t count, std::vector<float>* out) {
+  const auto data = frame.span(count * sizeof(float));
+  if (!data) return false;
+  out->resize(count);
+  std::copy_n(*data, count * sizeof(float), reinterpret_cast<std::uint8_t*>(out->data()));
+  return true;
+}
+
+/// Reads `count` values of T, each widened to a float.
+template <typename T, typename Widen>
+bool decode_tensor(BinReader& frame, std::size_t count, Widen widen,
+                   std::vector<float>* out) {
+  const auto data = frame.span(count * sizeof(T));
+  if (!data) return false;
+  out->resize(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    T value;
+    std::memcpy(&value, *data + i * sizeof(T), sizeof(T));
+    (*out)[i] = widen(value);
+  }
+  return true;
+}
+
+bool decode_tensor_i8(BinReader& frame, std::size_t count, std::vector<float>* out) {
+  const auto scale = frame.f32();
+  if (!scale || !std::isfinite(*scale)) return false;
+  return decode_tensor<std::int8_t>(
+      frame, count, [s = *scale](std::int8_t q) { return static_cast<float>(q) * s; },
+      out);
+}
+
+bool decode_tensor_topk(BinReader& frame, const std::vector<float>& base,
                         std::vector<float>* out) {
-  std::uint32_t k = 0;
-  if (!c->scalar(&k) || k > count) return false;
+  const auto k = frame.u32();
+  if (!k || *k > base.size()) return false;
   *out = base;
-  for (std::uint32_t i = 0; i < k; ++i) {
-    std::uint32_t idx = 0;
-    float value = 0.0f;
-    if (!c->scalar(&idx) || !c->scalar(&value) || idx >= count) return false;
-    (*out)[idx] = value;
+  for (std::uint32_t i = 0; i < *k; ++i) {
+    const auto idx = frame.u32();
+    const auto value = frame.f32();
+    if (!idx || !value || *idx >= base.size()) return false;
+    (*out)[*idx] = *value;
   }
   return true;
 }
@@ -341,47 +223,50 @@ WeightCodec frame_codec_for(WeightCodec codec, bool keyframe) {
   return codec;
 }
 
-void append_frame_header(WeightCodec codec, std::uint8_t flags, std::uint32_t version,
-                         std::uint32_t base_version, std::uint64_t raw_size,
-                         Bytes* payload) {
-  write_scalar(kWeightFrameMagic, payload);
-  write_scalar(kWeightFrameVersion, payload);
-  write_scalar(static_cast<std::uint8_t>(codec), payload);
-  write_scalar(flags, payload);
-  write_scalar(std::uint8_t{0}, payload);  // reserved
-  write_scalar(version, payload);
-  write_scalar(base_version, payload);
-  write_scalar(raw_size, payload);
+void write_frame_header(const WeightFrameInfo& info, BinWriter& frame) {
+  frame.u32(kWeightFrameMagic);
+  frame.u8(kWeightFrameVersion);
+  frame.u8(static_cast<std::uint8_t>(info.codec));
+  frame.u8(info.keyframe ? kFlagKeyframe : 0);
+  frame.u8(0);  // reserved
+  frame.u32(info.version);
+  frame.u32(info.base_version);
+  frame.u64(info.raw_size);
 }
 
-constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 1 + 1 + 1 + 4 + 4 + 8;
-
-std::optional<WeightFrameInfo> parse_frame_header(Cursor* c) {
-  std::uint32_t magic = 0;
-  std::uint8_t frame_version = 0;
-  std::uint8_t codec = 0;
-  std::uint8_t flags = 0;
-  std::uint8_t reserved = 0;
-  WeightFrameInfo info;
-  if (!c->scalar(&magic) || magic != kWeightFrameMagic) return std::nullopt;
-  if (!c->scalar(&frame_version) || frame_version != kWeightFrameVersion) {
+std::optional<WeightFrameInfo> read_frame_header(BinReader& frame) {
+  const auto magic = frame.u32();
+  const auto frame_version = frame.u8();
+  const auto codec = frame.u8();
+  const auto flags = frame.u8();
+  const auto reserved = frame.u8();
+  const auto version = frame.u32();
+  const auto base_version = frame.u32();
+  const auto raw_size = frame.u64();
+  // The encoder writes no other flag and a zero reserved byte.
+  if (!magic || *magic != kWeightFrameMagic || !frame_version ||
+      *frame_version != kWeightFrameVersion || !codec || *codec >= kWeightCodecCount ||
+      !flags || (*flags & ~kFlagKeyframe) != 0 || !reserved || *reserved != 0 ||
+      !version || !base_version || !raw_size) {
     return std::nullopt;
   }
-  if (!c->scalar(&codec) || codec >= kWeightCodecCount) return std::nullopt;
-  if (!c->scalar(&flags) || !c->scalar(&reserved)) return std::nullopt;
-  if (!c->scalar(&info.version) || !c->scalar(&info.base_version) ||
-      !c->scalar(&info.raw_size)) {
-    return std::nullopt;
-  }
-  info.codec = static_cast<WeightCodec>(codec);
-  info.keyframe = (flags & kFlagKeyframe) != 0;
-  // The encoder writes no other flag and a zero reserved byte. A frame is a
-  // keyframe exactly when its codec needs no base, and a keyframe names no
-  // base version.
-  if ((flags & ~kFlagKeyframe) != 0 || reserved != 0) return std::nullopt;
+  const WeightFrameInfo info{static_cast<WeightCodec>(*codec),
+                             (*flags & kFlagKeyframe) != 0, *version, *base_version,
+                             *raw_size};
+  // A frame is a keyframe exactly when its codec needs no base, and a
+  // keyframe names no base version.
   if (info.keyframe == weight_codec_uses_base(info.codec)) return std::nullopt;
   if (info.keyframe && info.base_version != 0) return std::nullopt;
   return info;
+}
+
+/// The blob a base-referencing frame is coded against; nullopt when `base`
+/// is missing or its sizes differ from `shape`.
+std::optional<nn::MlpBlob> parse_base(const Bytes* base, const nn::MlpShape& shape) {
+  if (base == nullptr) return std::nullopt;
+  auto blob = nn::parse_mlp_blob(*base);
+  if (!blob || !blob->shape.same_sizes(shape)) return std::nullopt;
+  return blob;
 }
 
 }  // namespace
@@ -417,8 +302,8 @@ bool weight_codec_uses_base(WeightCodec codec) {
 }
 
 std::optional<WeightFrameInfo> peek_weight_frame(const Bytes& payload) {
-  Cursor c(payload);
-  return parse_frame_header(&c);
+  BinReader frame(payload);
+  return read_frame_header(frame);
 }
 
 std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
@@ -426,122 +311,74 @@ std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
                                                       const WeightSyncConfig& config,
                                                       bool keyframe, const Bytes* base,
                                                       std::uint32_t base_version) {
-  const auto view = parse_weight_blob(fp32_blob);
-  if (!view) return std::nullopt;
-
-  EncodedWeightFrame out;
+  const auto blob = nn::parse_mlp_blob(fp32_blob);
+  if (!blob) return std::nullopt;
   const WeightCodec frame_codec = frame_codec_for(config.codec, keyframe);
-  std::optional<WeightBlobView> base_view;
+  std::optional<nn::MlpBlob> base_blob;
   if (weight_codec_uses_base(frame_codec)) {
-    if (base == nullptr) return std::nullopt;
-    base_view = parse_weight_blob(*base);
-    if (!base_view || !same_structure(*view, *base_view)) return std::nullopt;
+    base_blob = parse_base(base, blob->shape);
+    if (!base_blob) return std::nullopt;
   } else {
     base_version = 0;
   }
 
+  EncodedWeightFrame out;
   out.keyframe = !weight_codec_uses_base(frame_codec);
-  out.payload.reserve(kFrameHeaderBytes + fp32_blob.size() / 2);
-  append_frame_header(frame_codec, out.keyframe ? kFlagKeyframe : 0, version,
-                      base_version, fp32_blob.size(), &out.payload);
-
+  BinWriter frame;
+  frame.reserve(kFrameHeaderBytes + fp32_blob.size() / 2);
+  write_frame_header(
+      {frame_codec, out.keyframe, version, base_version, fp32_blob.size()}, frame);
   // Structure segment: enough to rebuild the exact Mlp::serialize stream.
-  write_scalar(view->input_dim, &out.payload);
-  write_scalar(static_cast<std::uint32_t>(view->layers.size()), &out.payload);
-  for (const LayerMeta& layer : view->layers) {
-    write_scalar(layer.rows, &out.payload);
-    write_scalar(layer.cols, &out.payload);
-    write_scalar(layer.activation, &out.payload);
-  }
+  blob->shape.write(frame);
 
-  BinWriter recon;
-  recon.reserve(fp32_blob.size());
-  recon.u64(view->input_dim);
-  recon.u32(static_cast<std::uint32_t>(view->layers.size()));
-  std::vector<float> cur;
-  std::vector<float> base_floats;
+  nn::MlpBlobWriter recon(blob->shape);
   std::vector<float> delta;
   std::vector<float> tensor_recon;
-  for (std::size_t li = 0; li < view->layers.size(); ++li) {
-    const LayerMeta& layer = view->layers[li];
-    recon.u64(layer.rows);
-    recon.u64(layer.cols);
-    recon.u8(layer.activation);
-    for (int t = 0; t < 2; ++t) {
-      const TensorSpan& span = view->tensors[2 * li + t];
-      load_tensor(fp32_blob, span, &cur);
-      switch (frame_codec) {
-        case WeightCodec::kFp32:
-          encode_tensor_fp32(cur, &out.payload, &tensor_recon);
-          break;
-        case WeightCodec::kFp16:
-          encode_tensor_16(cur, f32_to_f16, f16_to_f32, &out.payload, &tensor_recon);
-          break;
-        case WeightCodec::kBf16:
-          encode_tensor_16(cur, f32_to_bf16, bf16_to_f32, &out.payload, &tensor_recon);
-          break;
-        case WeightCodec::kInt8:
-          encode_tensor_i8(cur, &out.payload, &tensor_recon);
-          break;
-        case WeightCodec::kDeltaInt8: {
-          load_tensor(*base, base_view->tensors[2 * li + t], &base_floats);
-          delta.resize(cur.size());
-          for (std::size_t i = 0; i < cur.size(); ++i) delta[i] = cur[i] - base_floats[i];
-          encode_tensor_i8(delta, &out.payload, &tensor_recon);
-          for (std::size_t i = 0; i < cur.size(); ++i) tensor_recon[i] += base_floats[i];
-          break;
-        }
-        case WeightCodec::kTopK:
-          load_tensor(*base, base_view->tensors[2 * li + t], &base_floats);
-          encode_tensor_topk(cur, base_floats, config.topk_fraction, &out.payload,
-                             &tensor_recon);
-          break;
+  for (std::size_t t = 0; t < blob->tensors.size(); ++t) {
+    const std::vector<float>& cur = blob->tensors[t];
+    switch (frame_codec) {
+      case WeightCodec::kFp32:
+        encode_tensor_fp32(cur, frame, &tensor_recon);
+        break;
+      case WeightCodec::kFp16:
+        encode_tensor_16(cur, f32_to_f16, f16_to_f32, frame, &tensor_recon);
+        break;
+      case WeightCodec::kBf16:
+        encode_tensor_16(cur, f32_to_bf16, bf16_to_f32, frame, &tensor_recon);
+        break;
+      case WeightCodec::kInt8:
+        encode_tensor_i8(cur, frame, &tensor_recon);
+        break;
+      case WeightCodec::kDeltaInt8: {
+        const std::vector<float>& base_floats = base_blob->tensors[t];
+        delta.resize(cur.size());
+        for (std::size_t i = 0; i < cur.size(); ++i) delta[i] = cur[i] - base_floats[i];
+        encode_tensor_i8(delta, frame, &tensor_recon);
+        for (std::size_t i = 0; i < cur.size(); ++i) tensor_recon[i] += base_floats[i];
+        break;
       }
-      recon.f32_vec(tensor_recon);
+      case WeightCodec::kTopK:
+        encode_tensor_topk(cur, base_blob->tensors[t], config.topk_fraction, frame,
+                           &tensor_recon);
+        break;
     }
+    recon.add(tensor_recon);
   }
+  out.payload = frame.take();
   out.reconstructed = recon.take();
   return out;
 }
 
 std::optional<Bytes> decode_weight_frame(const Bytes& payload, const Bytes* base) {
-  Cursor c(payload);
-  const auto info = parse_frame_header(&c);
+  BinReader frame(payload);
+  const auto info = read_frame_header(frame);
   if (!info) return std::nullopt;
-
-  std::uint64_t input_dim = 0;
-  std::uint32_t n_layers = 0;
-  if (!c.scalar(&input_dim) || !c.scalar(&n_layers)) return std::nullopt;
-  if (n_layers > payload.size() / 17) return std::nullopt;
-  std::vector<LayerMeta> layers(n_layers);
-  for (LayerMeta& layer : layers) {
-    if (!c.scalar(&layer.rows) || !c.scalar(&layer.cols) ||
-        !c.scalar(&layer.activation) || layer.activation >= kActivationCount) {
-      return std::nullopt;
-    }
-    // Tensor sizes must be consistent with what the frame can possibly hold;
-    // each entry costs at least one byte in every codec except top-k, whose
-    // k field is validated against count below.
-    if (layer.cols == 0 ||
-        layer.rows > std::numeric_limits<std::uint32_t>::max() / layer.cols) {
-      return std::nullopt;
-    }
-  }
-
-  std::optional<WeightBlobView> base_view;
+  const auto shape = nn::MlpShape::read(frame);
+  if (!shape) return std::nullopt;
+  std::optional<nn::MlpBlob> base_blob;
   if (weight_codec_uses_base(info->codec)) {
-    if (base == nullptr) return std::nullopt;
-    base_view = parse_weight_blob(*base);
-    if (!base_view || base_view->layers.size() != n_layers ||
-        base_view->input_dim != input_dim) {
-      return std::nullopt;
-    }
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-      if (base_view->layers[i].rows != layers[i].rows ||
-          base_view->layers[i].cols != layers[i].cols) {
-        return std::nullopt;
-      }
-    }
+    base_blob = parse_base(base, *shape);
+    if (!base_blob) return std::nullopt;
   }
 
   // Allocation guard: raw_size and the structure segment must agree on the
@@ -550,84 +387,62 @@ std::optional<Bytes> decode_weight_frame(const Bytes& payload, const Bytes* base
   // every entry also costs at least one payload byte, which bounds the
   // structure a frame of this size can legitimately claim (base-referencing
   // codecs are bounded by the structure match against the in-memory base).
-  std::uint64_t expected_raw = 8 + 4;
-  std::uint64_t total_floats = 0;
-  for (const LayerMeta& layer : layers) {
-    const std::uint64_t wcount = layer.rows * layer.cols;
-    expected_raw += 17 + (8 + 4 * wcount) + (8 + 4 * layer.cols);
-    total_floats += wcount + layer.cols;
-  }
-  if (info->raw_size != expected_raw) return std::nullopt;
-  if (!weight_codec_uses_base(info->codec) && total_floats > payload.size()) {
+  if (info->raw_size != shape->blob_bytes()) return std::nullopt;
+  if (!weight_codec_uses_base(info->codec) && shape->float_count() > payload.size()) {
     return std::nullopt;
   }
 
-  BinWriter w;
-  w.reserve(static_cast<std::size_t>(info->raw_size));
-  w.u64(input_dim);
-  w.u32(n_layers);
-  std::vector<float> out;
-  std::vector<float> base_floats;
-  for (std::size_t li = 0; li < layers.size(); ++li) {
-    const LayerMeta& layer = layers[li];
-    w.u64(layer.rows);
-    w.u64(layer.cols);
-    w.u8(layer.activation);
-    for (int t = 0; t < 2; ++t) {
-      const auto count = static_cast<std::size_t>(
-          t == 0 ? layer.rows * layer.cols : layer.cols);
-      bool ok = false;
-      switch (info->codec) {
-        case WeightCodec::kFp32:
-          ok = decode_tensor_fp32(&c, payload, count, &out);
-          break;
-        case WeightCodec::kFp16:
-          ok = decode_tensor_16(&c, payload, count, f16_to_f32, &out);
-          break;
-        case WeightCodec::kBf16:
-          ok = decode_tensor_16(&c, payload, count, bf16_to_f32, &out);
-          break;
-        case WeightCodec::kInt8:
-          ok = decode_tensor_i8(&c, payload, count, &out);
-          break;
-        case WeightCodec::kDeltaInt8: {
-          load_tensor(*base, base_view->tensors[2 * li + t], &base_floats);
-          ok = decode_tensor_i8(&c, payload, count, &out);
-          if (ok) {
-            for (std::size_t i = 0; i < count; ++i) out[i] += base_floats[i];
-          }
-          break;
+  nn::MlpBlobWriter out(*shape);
+  std::vector<float> values;
+  for (std::size_t t = 0; t < shape->tensor_count(); ++t) {
+    const auto count = static_cast<std::size_t>(shape->tensor_size(t));
+    bool ok = false;
+    switch (info->codec) {
+      case WeightCodec::kFp32:
+        ok = decode_tensor_fp32(frame, count, &values);
+        break;
+      case WeightCodec::kFp16:
+        ok = decode_tensor<std::uint16_t>(frame, count, f16_to_f32, &values);
+        break;
+      case WeightCodec::kBf16:
+        ok = decode_tensor<std::uint16_t>(frame, count, bf16_to_f32, &values);
+        break;
+      case WeightCodec::kInt8:
+        ok = decode_tensor_i8(frame, count, &values);
+        break;
+      case WeightCodec::kDeltaInt8: {
+        const std::vector<float>& base_floats = base_blob->tensors[t];
+        ok = decode_tensor_i8(frame, count, &values);
+        if (ok) {
+          for (std::size_t i = 0; i < count; ++i) values[i] += base_floats[i];
         }
-        case WeightCodec::kTopK:
-          load_tensor(*base, base_view->tensors[2 * li + t], &base_floats);
-          ok = decode_tensor_topk(&c, base_floats, count, &out);
-          break;
+        break;
       }
-      if (!ok || out.size() != count) return std::nullopt;
-      w.f32_vec(out);
+      case WeightCodec::kTopK:
+        ok = decode_tensor_topk(frame, base_blob->tensors[t], &values);
+        break;
     }
+    if (!ok) return std::nullopt;
+    out.add(values);
   }
-  if (!c.exhausted()) return std::nullopt;
-  return w.take();
+  if (!frame.exhausted()) return std::nullopt;
+  return out.take();
 }
 
 double relative_update_norm(const Bytes& cur, const Bytes& prev) {
-  const auto cur_view = parse_weight_blob(cur);
-  const auto prev_view = parse_weight_blob(prev);
-  if (!cur_view || !prev_view || !same_structure(*cur_view, *prev_view)) {
+  const auto a = nn::parse_mlp_blob(cur);
+  const auto b = nn::parse_mlp_blob(prev);
+  if (!a || !b || !a->shape.same_sizes(b->shape)) {
     return std::numeric_limits<double>::infinity();
   }
   double num = 0.0;
   double den = 0.0;
-  std::vector<float> a;
-  std::vector<float> b;
-  for (std::size_t i = 0; i < cur_view->tensors.size(); ++i) {
-    load_tensor(cur, cur_view->tensors[i], &a);
-    load_tensor(prev, prev_view->tensors[i], &b);
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      const double d = static_cast<double>(a[j]) - static_cast<double>(b[j]);
-      num += d * d;
-      den += static_cast<double>(b[j]) * static_cast<double>(b[j]);
+  for (std::size_t t = 0; t < a->tensors.size(); ++t) {
+    for (std::size_t j = 0; j < a->tensors[t].size(); ++j) {
+      const double x = a->tensors[t][j];
+      const double y = b->tensors[t][j];
+      num += (x - y) * (x - y);
+      den += y * y;
     }
   }
   return std::sqrt(num) / (std::sqrt(den) + 1e-12);
@@ -659,8 +474,22 @@ void WeightRing::push(std::uint32_t version, std::shared_ptr<const Bytes> blob) 
 // ---------------------------------------------------------------------------
 
 WeightEncoderSession::WeightEncoderSession(WeightSyncConfig config,
-                                           const WeightCodecInstruments* instruments)
-    : config_(config), instruments_(instruments) {}
+                                           MetricsRegistry& metrics,
+                                           std::uint16_t machine)
+    : config_(config),
+      encode_ms_(metrics.histogram(
+          series_name("xt_weights_encode_ms", {{"machine", machine}}))),
+      compression_ratio_(metrics.histogram(
+          series_name("xt_weights_compression_ratio", {{"machine", machine}}))),
+      bytes_out_(metrics.counter(series_name(
+          "xt_weights_bytes_total",
+          {{"codec", weight_codec_name(config.codec)}, {"machine", machine}}))),
+      raw_bytes_(metrics.counter(
+          series_name("xt_weights_raw_bytes_total", {{"machine", machine}}))),
+      skipped_(metrics.counter(
+          series_name("xt_weights_skipped_total", {{"machine", machine}}))),
+      keyframes_(metrics.counter(
+          series_name("xt_weights_keyframes_total", {{"machine", machine}}))) {}
 
 std::optional<std::uint32_t> WeightEncoderSession::common_ack(
     const std::vector<std::string>& dst_keys) const {
@@ -677,9 +506,7 @@ std::optional<std::uint32_t> WeightEncoderSession::common_ack(
 std::optional<Payload> WeightEncoderSession::encode(
     const Bytes& fp32_blob, std::uint32_t version,
     const std::vector<std::string>& dst_keys, bool force) {
-  if (instruments_ != nullptr && instruments_->raw_bytes != nullptr) {
-    instruments_->raw_bytes->inc(fp32_blob.size());
-  }
+  raw_bytes_.inc(fp32_blob.size());
 
   // LAPG-style lazy broadcast: small updates are not worth a broadcast.
   const Bytes* last = ring_.newest();
@@ -687,9 +514,7 @@ std::optional<Payload> WeightEncoderSession::encode(
       skip_streak_ < config_.max_staleness) {
     if (relative_update_norm(fp32_blob, *last) < config_.lazy_threshold) {
       ++skip_streak_;
-      if (instruments_ != nullptr && instruments_->skipped != nullptr) {
-        instruments_->skipped->inc();
-      }
+      skipped_.inc();
       return std::nullopt;
     }
   }
@@ -726,9 +551,7 @@ std::optional<Payload> WeightEncoderSession::encode(
 
 std::optional<Payload> WeightEncoderSession::encode_keyframe(const Bytes& fp32_blob,
                                                              std::uint32_t version) {
-  if (instruments_ != nullptr && instruments_->raw_bytes != nullptr) {
-    instruments_->raw_bytes->inc(fp32_blob.size());
-  }
+  raw_bytes_.inc(fp32_blob.size());
   const Stopwatch clock;
   auto frame = encode_weight_frame(fp32_blob, version, config_, true, nullptr, 0);
   if (!frame) return std::nullopt;
@@ -737,19 +560,11 @@ std::optional<Payload> WeightEncoderSession::encode_keyframe(const Bytes& fp32_b
 
 Payload WeightEncoderSession::publish(EncodedWeightFrame frame, std::uint32_t version,
                                       std::size_t raw_size, double encode_ms) {
-  if (instruments_ != nullptr) {
-    if (instruments_->encode_ms != nullptr) instruments_->encode_ms->observe(encode_ms);
-    if (instruments_->bytes_out != nullptr) {
-      instruments_->bytes_out->inc(frame.payload.size());
-    }
-    if (instruments_->compression_ratio != nullptr) {
-      instruments_->compression_ratio->observe(
-          static_cast<double>(raw_size) / static_cast<double>(frame.payload.size()));
-    }
-    if (frame.keyframe && instruments_->keyframes != nullptr) {
-      instruments_->keyframes->inc();
-    }
-  }
+  encode_ms_.observe(encode_ms);
+  bytes_out_.inc(frame.payload.size());
+  compression_ratio_.observe(static_cast<double>(raw_size) /
+                             static_cast<double>(frame.payload.size()));
+  if (frame.keyframe) keyframes_.inc();
   ring_.push(version, std::make_shared<const Bytes>(std::move(frame.reconstructed)));
   return make_payload(std::move(frame.payload));
 }
@@ -763,6 +578,13 @@ void WeightEncoderSession::note_ack(const std::string& dst_key, std::uint32_t ve
 // Decoder session.
 // ---------------------------------------------------------------------------
 
+WeightDecoderSession::WeightDecoderSession(MetricsRegistry& metrics,
+                                           std::uint16_t machine)
+    : decode_ms_(metrics.histogram(
+          series_name("xt_weights_decode_ms", {{"machine", machine}}))),
+      decode_failures_(metrics.counter(
+          series_name("xt_weights_decode_failures_total", {{"machine", machine}}))) {}
+
 WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload) {
   Result result;
   if (payload == nullptr) {
@@ -771,9 +593,7 @@ WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload)
   }
   const auto info = peek_weight_frame(*payload);
   if (!info) {
-    if (instruments_ != nullptr && instruments_->decode_failures != nullptr) {
-      instruments_->decode_failures->inc();
-    }
+    decode_failures_.inc();
     result.outcome = Outcome::kCorrupt;
     return result;
   }
@@ -795,13 +615,9 @@ WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload)
 
   Stopwatch clock;
   auto decoded = decode_weight_frame(*payload, base);
-  if (instruments_ != nullptr && instruments_->decode_ms != nullptr) {
-    instruments_->decode_ms->observe(clock.elapsed_ms());
-  }
+  decode_ms_.observe(clock.elapsed_ms());
   if (!decoded) {
-    if (instruments_ != nullptr && instruments_->decode_failures != nullptr) {
-      instruments_->decode_failures->inc();
-    }
+    decode_failures_.inc();
     result.outcome = Outcome::kCorrupt;
     result.version = info->version;
     return result;

@@ -52,26 +52,12 @@ struct WeightSyncConfig {
   std::uint32_t max_staleness = 8;  ///< 1..100000
 };
 
-/// Optional telemetry hooks, mirroring CodecInstruments for body
-/// compression. All pointers may be null; resolve once from a
-/// MetricsRegistry and reuse per call.
-struct WeightCodecInstruments {
-  Histogram* encode_ms = nullptr;
-  Histogram* decode_ms = nullptr;
-  Histogram* compression_ratio = nullptr;  ///< raw bytes / encoded bytes, per frame
-  Counter* bytes_out = nullptr;        ///< xt_weights_bytes_total{codec=...}
-  Counter* raw_bytes = nullptr;        ///< fp32-equivalent bytes per encode
-                                       ///< attempt and keyframe reply
-  Counter* skipped = nullptr;          ///< xt_weights_skipped_total
-  Counter* keyframes = nullptr;        ///< keyframes published
-  Counter* decode_failures = nullptr;  ///< corrupt frames rejected by a decoder
-};
-
 // ---------------------------------------------------------------------------
 // Stateless frame coding. A frame is self-describing: a fixed header (magic,
 // codec, flags, version, base_version, raw size) followed by the tensor
 // structure and per-tensor codec data. decode reconstructs the exact
-// byte layout nn::Mlp::serialize emits, so Agent::apply_weights is untouched.
+// weight blob nn::Mlp::serialize emits (nn::MlpShape owns its layout), so
+// Agent::apply_weights is untouched.
 // ---------------------------------------------------------------------------
 
 /// Parsed frame header, readable without decoding the tensors. The frame
@@ -100,8 +86,8 @@ struct EncodedWeightFrame {
 /// Encodes one fp32 weight blob (nn::Mlp::serialize output). `keyframe`
 /// forces a standalone frame; for base-referencing codecs a non-keyframe
 /// encode requires `base` (the reconstructed blob of `base_version`).
-/// Returns nullopt when the blob does not parse as Mlp weights, or when a
-/// delta's base has another structure (the caller then retries as a
+/// Returns nullopt when the blob is not one nn::parse_mlp_blob accepts, or
+/// when a delta's base has other sizes (the caller then retries as a
 /// keyframe).
 [[nodiscard]] std::optional<EncodedWeightFrame> encode_weight_frame(
     const Bytes& fp32_blob, std::uint32_t version, const WeightSyncConfig& config,
@@ -147,8 +133,10 @@ class WeightRing {
 
 class WeightEncoderSession {
  public:
-  explicit WeightEncoderSession(WeightSyncConfig config,
-                                const WeightCodecInstruments* instruments = nullptr);
+  /// Registers the learner's `xt_weights_*` series of `machine` in
+  /// `metrics` and records into them.
+  WeightEncoderSession(WeightSyncConfig config, MetricsRegistry& metrics,
+                       std::uint16_t machine);
 
   /// Decides and encodes the broadcast of `version` to the destinations in
   /// `dst_keys` (stable per-explorer keys; used to pick an acked delta
@@ -174,12 +162,17 @@ class WeightEncoderSession {
   /// when any destination has never acked.
   [[nodiscard]] std::optional<std::uint32_t> common_ack(
       const std::vector<std::string>& dst_keys) const;
-  /// Records one encoded frame in the instruments and the ring.
+  /// Records one encoded frame in the series and the ring.
   Payload publish(EncodedWeightFrame frame, std::uint32_t version,
                   std::size_t raw_size, double encode_ms);
 
   WeightSyncConfig config_;
-  const WeightCodecInstruments* instruments_;
+  Histogram& encode_ms_;
+  Histogram& compression_ratio_;  ///< raw bytes / encoded bytes, per frame
+  Counter& bytes_out_;            ///< xt_weights_bytes_total{codec=...}
+  Counter& raw_bytes_;            ///< fp32 bytes per encode attempt and keyframe reply
+  Counter& skipped_;
+  Counter& keyframes_;
   WeightRing ring_;
   std::unordered_map<std::string, std::uint32_t> acked_;
   std::uint32_t since_keyframe_ = 0;  ///< publishes since the last keyframe
@@ -200,8 +193,9 @@ class WeightDecoderSession {
     std::uint32_t version = 0;
   };
 
-  explicit WeightDecoderSession(const WeightCodecInstruments* instruments = nullptr)
-      : instruments_(instruments) {}
+  /// Registers the explorer's `xt_weights_decode_*` series of `machine` in
+  /// `metrics` and records into them.
+  WeightDecoderSession(MetricsRegistry& metrics, std::uint16_t machine);
 
   /// Decodes one received weights body, a weight frame that carries its own
   /// version. Anything else, a raw fp32 blob included, is kCorrupt.
@@ -212,7 +206,8 @@ class WeightDecoderSession {
   [[nodiscard]] bool applied_any() const { return applied_any_; }
 
  private:
-  const WeightCodecInstruments* instruments_;
+  Histogram& decode_ms_;
+  Counter& decode_failures_;  ///< corrupt frames rejected
   WeightRing ring_;
   std::uint32_t version_ = 0;
   bool applied_any_ = false;

@@ -25,23 +25,27 @@ bool Checkpointer::maybe_save(const Bytes& weights, std::uint32_t weights_versio
   return save(weights, weights_version, steps_consumed);
 }
 
-bool Checkpointer::save(const Bytes& weights, std::uint32_t weights_version,
-                        std::uint64_t steps_consumed) {
+Bytes Checkpointer::encode(const Bytes& weights, std::uint32_t weights_version,
+                           std::uint64_t steps_consumed) {
   BinWriter w;
   w.u32(kMagic);
   w.u32(kFormatVersion);
   w.u32(weights_version);
   w.u64(steps_consumed);
   w.bytes(weights);
+  return w.take();
+}
 
+bool Checkpointer::save(const Bytes& weights, std::uint32_t weights_version,
+                        std::uint64_t steps_consumed) {
+  const Bytes data = encode(weights, weights_version, steps_consumed);
   const std::string tmp = path_ + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
     XT_LOG_ERROR << "checkpoint: cannot open " << tmp;
     return false;
   }
-  const bool wrote = std::fwrite(w.buffer().data(), 1, w.buffer().size(), file) ==
-                     w.buffer().size();
+  const bool wrote = std::fwrite(data.data(), 1, data.size(), file) == data.size();
   std::fclose(file);
   if (!wrote || std::rename(tmp.c_str(), path_.c_str()) != 0) {
     XT_LOG_ERROR << "checkpoint: failed writing " << path_;
@@ -68,32 +72,35 @@ std::optional<Checkpointer::Snapshot> Checkpointer::load(const std::string& path
     }
   }
   std::fclose(file);
+  std::string error;
+  auto snapshot = decode(data, &error);
+  if (!snapshot) XT_LOG_WARN << "checkpoint: " << path << " " << error << ", rejecting";
+  return snapshot;
+}
 
+std::optional<Checkpointer::Snapshot> Checkpointer::decode(const Bytes& data,
+                                                           std::string* error) {
+  const auto reject = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return std::nullopt;
+  };
   if (data.size() < kMinFileBytes) {
-    XT_LOG_WARN << "checkpoint: " << path << " too small (" << data.size()
-                << " bytes), rejecting";
-    return std::nullopt;
+    return reject("is too small (" + std::to_string(data.size()) + " bytes)");
   }
-
-  BinReader r(data);
-  auto magic = r.u32();
-  auto format = r.u32();
-  auto version = r.u32();
-  auto steps = r.u64();
+  BinReader r(data);  // kMinFileBytes holds every fixed field
+  if (r.u32() != kMagic) return reject("has no checkpoint magic");
+  if (r.u32() != kFormatVersion) return reject("has an unknown format");
+  const std::uint32_t version = *r.u32();
+  const std::uint64_t steps = *r.u64();
   auto weights = r.bytes();
-  if (!magic || *magic != kMagic || !format || *format != kFormatVersion ||
-      !version || !steps || !weights) {
-    return std::nullopt;
-  }
+  if (!weights) return reject("has a payload past its end");
   // The payload length prefix must account for the file exactly: a reader
   // with leftover bytes means the length was short (truncated rewrite,
   // concatenated garbage) and the weights cannot be trusted.
   if (!r.exhausted()) {
-    XT_LOG_WARN << "checkpoint: " << path << " has " << r.remaining()
-                << " trailing byte(s), rejecting";
-    return std::nullopt;
+    return reject("has " + std::to_string(r.remaining()) + " trailing byte(s)");
   }
-  return Snapshot{std::move(*weights), *version, *steps};
+  return Snapshot{std::move(*weights), version, steps};
 }
 
 }  // namespace xt

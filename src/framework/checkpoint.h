@@ -14,6 +14,7 @@ namespace xt {
 ///
 /// A checkpoint file is a small self-describing container:
 ///   magic "XTCP" | version u32 | weights_version u32 | steps u64 | payload
+/// where the payload is the learner's weight blob with a u64 length prefix.
 /// Writes are atomic (temp file + rename), so a crash mid-write never
 /// corrupts the latest good checkpoint.
 class Checkpointer {
@@ -39,6 +40,15 @@ class Checkpointer {
 
   /// Load the checkpoint at `path`; nullopt if missing or corrupt.
   [[nodiscard]] static std::optional<Snapshot> load(const std::string& path);
+
+  /// The bytes of a checkpoint file.
+  [[nodiscard]] static Bytes encode(const Bytes& weights, std::uint32_t weights_version,
+                                    std::uint64_t steps_consumed);
+  /// Reads a checkpoint file's bytes; nullopt, with the reason in `error`
+  /// when one is given, unless they are exactly one checkpoint. The
+  /// weights are returned as stored, unparsed.
+  [[nodiscard]] static std::optional<Snapshot> decode(const Bytes& data,
+                                                      std::string* error = nullptr);
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::uint32_t saves() const { return saves_; }

@@ -38,11 +38,8 @@ ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
           series_name("xt_weights_nacks_total", {{"machine", node.machine}}))),
       broadcast_ms_hist_(broker.metrics().histogram(
           series_name("xt_weights_broadcast_ms", {{"machine", node.machine}}))),
-      metrics_(broker.metrics()) {
-  codec_instruments_.decode_ms = &metrics_.histogram(
-      series_name("xt_weights_decode_ms", {{"machine", node.machine}}));
-  codec_instruments_.decode_failures = &metrics_.counter(
-      series_name("xt_weights_decode_failures_total", {{"machine", node.machine}}));
+      metrics_(broker.metrics()),
+      decoder_(broker.metrics(), node.machine) {
   send_weight_acks_ = weight_codec_uses_base(config.weight_sync.codec);
   if (config.supervision.enabled) {
     heartbeat_ = std::make_unique<Heartbeater>(

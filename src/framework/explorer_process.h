@@ -85,8 +85,7 @@ class ExplorerProcess {
   std::uint64_t episodes_ = 0;         ///< worker thread only
 
   // Weight codec (DESIGN.md §11); worker thread only.
-  WeightCodecInstruments codec_instruments_;
-  WeightDecoderSession decoder_{&codec_instruments_};
+  WeightDecoderSession decoder_;
   /// Acks feed the learner's delta-base bookkeeping; pointless for
   /// standalone codecs, so only base-referencing configs send them.
   bool send_weight_acks_ = false;

@@ -19,6 +19,7 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
       explorers_(std::move(explorers)),
       endpoint_(node, broker),
       algorithm_(std::move(algorithm)),
+      encoder_(config.weight_sync, broker.metrics(), node.machine),
       trace_(broker.trace()),
       metrics_(broker.metrics()),
       wait_hist_(broker.metrics().histogram(
@@ -29,22 +30,6 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
           "xt_weights_keyframe_requests_total", {{"machine", node.machine}}))),
       steps_consumed_(initial_steps) {
   endpoint_.set_latency_recorder(&transmission_ms_);
-  const std::uint16_t machine = node_.machine;
-  codec_instruments_.encode_ms = &metrics_.histogram(
-      series_name("xt_weights_encode_ms", {{"machine", machine}}));
-  codec_instruments_.compression_ratio = &metrics_.histogram(
-      series_name("xt_weights_compression_ratio", {{"machine", machine}}));
-  codec_instruments_.bytes_out = &metrics_.counter(series_name(
-      "xt_weights_bytes_total",
-      {{"codec", weight_codec_name(config.weight_sync.codec)}, {"machine", machine}}));
-  codec_instruments_.raw_bytes = &metrics_.counter(
-      series_name("xt_weights_raw_bytes_total", {{"machine", machine}}));
-  codec_instruments_.skipped = &metrics_.counter(
-      series_name("xt_weights_skipped_total", {{"machine", machine}}));
-  codec_instruments_.keyframes = &metrics_.counter(
-      series_name("xt_weights_keyframes_total", {{"machine", machine}}));
-  encoder_ = std::make_unique<WeightEncoderSession>(config.weight_sync,
-                                                    &codec_instruments_);
   force_every_broadcast_ = algorithm_->explorers_block_on_weights();
   if (config.supervision.enabled) {
     heartbeat_ = std::make_unique<Heartbeater>(
@@ -97,7 +82,7 @@ bool LearnerProcess::ingest(Message message) {
       return false;
     case MsgType::kWeightsAck:
       // tag = the version this explorer applied; feeds delta-base selection.
-      encoder_->note_ack(message.header.src.name(), message.header.tag);
+      encoder_.note_ack(message.header.src.name(), message.header.tag);
       return true;
     case MsgType::kWeightsReq:
       // The explorer hit a decode error or a base-version miss (DESIGN.md
@@ -113,7 +98,7 @@ bool LearnerProcess::ingest(Message message) {
 
 void LearnerProcess::send_keyframe(const NodeId& dst) {
   const std::uint32_t version = algorithm_->weights_version();
-  auto frame = encoder_->encode_keyframe(algorithm_->weights(), version);
+  auto frame = encoder_.encode_keyframe(algorithm_->weights(), version);
   if (!frame) return;
   (void)endpoint_.send(
       make_outbound(node_, {dst}, MsgType::kWeights, std::move(*frame), version));
@@ -139,7 +124,7 @@ void LearnerProcess::broadcast_weights(const std::vector<std::uint32_t>& respond
   std::vector<std::string> dst_keys;
   dst_keys.reserve(dsts.size());
   for (const NodeId& dst : dsts) dst_keys.push_back(dst.name());
-  auto frame = encoder_->encode(weights, version, dst_keys,
+  auto frame = encoder_.encode(weights, version, dst_keys,
                                 force || force_every_broadcast_);
   // Lazy broadcast: the update norm was below threshold, nothing shipped.
   if (!frame) return;

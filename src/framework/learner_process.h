@@ -87,11 +87,9 @@ class LearnerProcess {
   std::unique_ptr<Heartbeater> heartbeat_;     ///< trainer thread only
   std::unique_ptr<Checkpointer> checkpointer_; ///< trainer thread only
 
-  // Weight codec (DESIGN.md §11). The encoder session and its instruments
-  // are trainer-thread-only; the counters/histograms themselves are
-  // thread-safe registry handles.
-  WeightCodecInstruments codec_instruments_;
-  std::unique_ptr<WeightEncoderSession> encoder_;  ///< trainer thread only
+  // Weight codec (DESIGN.md §11). The encoder session is trainer-thread
+  // only; the series it records into are thread-safe registry handles.
+  WeightEncoderSession encoder_;
   /// Lazy skipping deadlocks algorithms whose explorers block on every
   /// version (PPO); resolved once from the algorithm.
   bool force_every_broadcast_ = false;

@@ -495,17 +495,6 @@ void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t
             true, r0, r1);
 }
 
-void add_row_inplace(Matrix& x, const Matrix& bias_row) {
-  assert(bias_row.rows() == 1 && bias_row.cols() == x.cols());
-  const float* bias = bias_row.row_ptr(0);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    float* xr = x.row_ptr(r);
-    for_lanes(x.cols(), [xr, bias](std::size_t j, std::size_t w) {
-      store(xr + j, load(xr + j, w) + load(bias + j, w), w);
-    });
-  }
-}
-
 Matrix col_sums(const Matrix& x) {
   Matrix out(1, x.cols());
   // Each column's sum accumulates the rows in ascending order.

@@ -104,8 +104,6 @@ void matmul_bt_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
 void add_matmul_at_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0,
                         std::size_t r1);
 
-/// Add a 1 x n bias row to every row of X, in place.
-void add_row_inplace(Matrix& x, const Matrix& bias_row);
 /// 1 x n column sums of X (bias gradient).
 [[nodiscard]] Matrix col_sums(const Matrix& x);
 /// Elementwise tanh, in place, on the calling thread: a vectorized rational

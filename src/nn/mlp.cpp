@@ -4,10 +4,10 @@
 #include <cassert>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/thread_pool.h"
 #include "obs/profiler.h"
-#include "serial/binio.h"
 
 namespace xt::nn {
 
@@ -276,64 +276,167 @@ void Mlp::copy_parameters_from(const Mlp& other) {
   }
 }
 
-Bytes Mlp::serialize() const {
-  BinWriter w;
-  w.u64(input_dim_);
-  w.u32(static_cast<std::uint32_t>(layers_.size()));
+MlpShape Mlp::shape() const {
+  MlpShape out{input_dim_, {}};
   for (const Layer& layer : layers_) {
-    w.u64(layer.weight.rows());
-    w.u64(layer.weight.cols());
-    w.u8(static_cast<std::uint8_t>(layer.activation));
-    w.f32_vec(layer.weight.data());
-    w.f32_vec(layer.bias.data());
+    out.layers.push_back({layer.weight.rows(), layer.weight.cols(), layer.activation});
   }
-  return w.take();
+  return out;
+}
+
+Bytes Mlp::serialize() const {
+  MlpBlobWriter out(shape());
+  for (const Layer& layer : layers_) {
+    out.add(layer.weight.data());
+    out.add(layer.bias.data());
+  }
+  return out.take();
 }
 
 std::optional<Mlp> Mlp::deserialize(const Bytes& data) {
-  BinReader r(data);
-  auto input_dim = r.u64();
-  auto n_layers = r.u32();
-  if (!input_dim || !n_layers) return std::nullopt;
+  auto blob = parse_mlp_blob(data);
+  if (!blob) return std::nullopt;
   Mlp out;
-  out.input_dim_ = *input_dim;
-  for (std::uint32_t i = 0; i < *n_layers; ++i) {
-    auto rows = r.u64();
-    auto cols = r.u64();
-    auto act = r.u8();
-    if (!rows || !cols || !act || *act > 2) return std::nullopt;
-    auto weight = r.f32_vec();
-    auto bias = r.f32_vec();
-    if (!weight || !bias || weight->size() != *rows * *cols || bias->size() != *cols) {
-      return std::nullopt;
-    }
+  out.input_dim_ = blob->shape.input_dim;
+  for (std::size_t l = 0; l < blob->shape.layers.size(); ++l) {
+    const LayerShape& shape = blob->shape.layers[l];
     Layer layer;
-    layer.weight = Matrix(*rows, *cols);
-    layer.weight.data() = std::move(*weight);
-    layer.bias = Matrix(1, *cols);
-    layer.bias.data() = std::move(*bias);
-    layer.grad_weight = Matrix::zeros(*rows, *cols);
-    layer.grad_bias = Matrix::zeros(1, *cols);
-    layer.activation = static_cast<Activation>(*act);
+    layer.weight = Matrix(shape.rows, shape.cols);
+    layer.weight.data() = std::move(blob->tensors[2 * l]);
+    layer.bias = Matrix(1, shape.cols);
+    layer.bias.data() = std::move(blob->tensors[2 * l + 1]);
+    layer.grad_weight = Matrix::zeros(shape.rows, shape.cols);
+    layer.grad_bias = Matrix::zeros(1, shape.cols);
+    layer.activation = shape.activation;
     out.layers_.push_back(std::move(layer));
   }
   return out;
 }
 
 bool Mlp::load_weights(const Bytes& data) {
-  auto loaded = deserialize(data);
-  if (!loaded || loaded->layers_.size() != layers_.size() ||
-      loaded->input_dim_ != input_dim_) {
-    return false;
+  auto blob = parse_mlp_blob(data);
+  if (!blob || !blob->shape.same_sizes(shape())) return false;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].weight.data() = std::move(blob->tensors[2 * l]);
+    layers_[l].bias.data() = std::move(blob->tensors[2 * l + 1]);
   }
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (loaded->layers_[i].weight.rows() != layers_[i].weight.rows() ||
-        loaded->layers_[i].weight.cols() != layers_[i].weight.cols()) {
-      return false;
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// The weight blob (MlpShape).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// rows, cols and activation: the bytes a layer's shape costs.
+constexpr std::size_t kLayerShapeBytes = 8 + 8 + 1;
+constexpr std::uint64_t kMaxTensorEntries = std::numeric_limits<std::uint32_t>::max();
+
+void write_layer(BinWriter& out, const LayerShape& layer) {
+  out.u64(layer.rows);
+  out.u64(layer.cols);
+  out.u8(static_cast<std::uint8_t>(layer.activation));
+}
+
+/// Reads a shape under MlpShape's rules and, where `tensors` is given, the
+/// blob's tensors after each layer's shape. A hostile layer count is
+/// refused before anything is reserved, since each layer costs
+/// kLayerShapeBytes. Under these rules a layer's tensors hold under 2^35
+/// bytes, so the blob size of a shape read from under 8 GiB cannot wrap.
+std::optional<MlpShape> read_shape(BinReader& in,
+                                   std::vector<std::vector<float>>* tensors) {
+  const auto input_dim = in.u64();
+  const auto count = in.u32();
+  if (!input_dim || !count || *count > in.remaining() / kLayerShapeBytes) {
+    return std::nullopt;
+  }
+  MlpShape shape{*input_dim, {}};
+  shape.layers.reserve(*count);
+  std::uint64_t fan_in = *input_dim;
+  for (std::uint32_t l = 0; l < *count; ++l) {
+    const auto rows = in.u64();
+    const auto cols = in.u64();
+    const auto activation = in.u8();
+    if (!rows || !cols || !activation || *rows != fan_in ||
+        *activation > static_cast<std::uint8_t>(Activation::kTanh) || *cols == 0 ||
+        *cols > kMaxTensorEntries || *rows > kMaxTensorEntries / *cols) {
+      return std::nullopt;
+    }
+    shape.layers.push_back({*rows, *cols, static_cast<Activation>(*activation)});
+    fan_in = *cols;
+    if (tensors == nullptr) continue;
+    for (const std::uint64_t size : {*rows * *cols, *cols}) {
+      auto values = in.f32_vec();
+      if (!values || values->size() != size) return std::nullopt;
+      tensors->push_back(std::move(*values));
     }
   }
-  copy_parameters_from(*loaded);
-  return true;
+  return shape;
+}
+
+}  // namespace
+
+std::uint64_t MlpShape::tensor_size(std::size_t t) const {
+  const LayerShape& layer = layers[t / 2];
+  return t % 2 == 0 ? layer.rows * layer.cols : layer.cols;
+}
+
+std::uint64_t MlpShape::float_count() const {
+  std::uint64_t total = 0;
+  for (std::size_t t = 0; t < tensor_count(); ++t) total += tensor_size(t);
+  return total;
+}
+
+std::uint64_t MlpShape::blob_bytes() const {
+  // Each tensor carries a u64 length prefix.
+  return 8 + 4 + layers.size() * (kLayerShapeBytes + 2 * 8) +
+         float_count() * sizeof(float);
+}
+
+bool MlpShape::same_sizes(const MlpShape& other) const {
+  return input_dim == other.input_dim && layers.size() == other.layers.size() &&
+         std::equal(layers.begin(), layers.end(), other.layers.begin(),
+                    [](const LayerShape& a, const LayerShape& b) {
+                      return a.rows == b.rows && a.cols == b.cols;
+                    });
+}
+
+void MlpShape::write(BinWriter& out) const {
+  out.u64(input_dim);
+  out.u32(static_cast<std::uint32_t>(layers.size()));
+  for (const LayerShape& layer : layers) write_layer(out, layer);
+}
+
+std::optional<MlpShape> MlpShape::read(BinReader& in) {
+  return read_shape(in, nullptr);
+}
+
+std::optional<MlpBlob> parse_mlp_blob(const Bytes& blob) {
+  BinReader in(blob);
+  MlpBlob out;
+  auto shape = read_shape(in, &out.tensors);
+  if (!shape || !in.exhausted()) return std::nullopt;
+  out.shape = std::move(*shape);
+  return out;
+}
+
+MlpBlobWriter::MlpBlobWriter(MlpShape shape) : shape_(std::move(shape)) {
+  out_.reserve(static_cast<std::size_t>(shape_.blob_bytes()));
+  out_.u64(shape_.input_dim);
+  out_.u32(static_cast<std::uint32_t>(shape_.layers.size()));
+}
+
+void MlpBlobWriter::add(const std::vector<float>& tensor) {
+  assert(next_ < shape_.tensor_count() && tensor.size() == shape_.tensor_size(next_));
+  if (next_ % 2 == 0) write_layer(out_, shape_.layers[next_ / 2]);
+  out_.f32_vec(tensor);
+  ++next_;
+}
+
+Bytes MlpBlobWriter::take() {
+  assert(next_ == shape_.tensor_count());
+  return out_.take();
 }
 
 }  // namespace xt::nn

@@ -7,6 +7,7 @@
 
 #include "common/bytes.h"
 #include "nn/matrix.h"
+#include "serial/binio.h"
 
 namespace xt::nn {
 
@@ -15,6 +16,68 @@ enum class Activation : std::uint8_t { kIdentity = 0, kRelu = 1, kTanh = 2 };
 struct LayerSpec {
   std::size_t width;
   Activation activation = Activation::kRelu;
+};
+
+/// One layer of a weight blob: a rows x cols weight, a cols-wide bias, and
+/// the activation of the layer's output.
+struct LayerShape {
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  Activation activation = Activation::kIdentity;
+};
+
+/// The structure of an Mlp weight blob, the weights message body (paper
+/// Fig. 2, blue arrows). This file owns the blob's layout; nothing else
+/// reads or writes it (DESIGN.md §11):
+///   u64 input_dim | u32 layer count | per layer: u64 rows | u64 cols
+///   | u8 activation | f32_vec weight (rows x cols) | f32_vec bias (cols)
+/// A weight frame's structure segment is the same fields without the
+/// tensors. Every reader enforces the same rules: a known activation; the
+/// first layer has input_dim rows and each later one its predecessor's cols;
+/// a layer has at least one unit and each of its tensors fewer than 2^32
+/// entries, so no size derived from a shape wraps; and a blob's tensors hold
+/// exactly their shape's entries and end it.
+struct MlpShape {
+  std::uint64_t input_dim = 0;
+  std::vector<LayerShape> layers;
+
+  /// Tensors in blob order: layer l's weight is tensor 2l, its bias 2l + 1.
+  [[nodiscard]] std::size_t tensor_count() const { return 2 * layers.size(); }
+  [[nodiscard]] std::uint64_t tensor_size(std::size_t t) const;
+  /// Entries of every tensor.
+  [[nodiscard]] std::uint64_t float_count() const;
+  /// Bytes of the blob.
+  [[nodiscard]] std::uint64_t blob_bytes() const;
+  /// Same input and layer sizes; activations may differ.
+  [[nodiscard]] bool same_sizes(const MlpShape& other) const;
+
+  /// The structure segment: the blob's fields without its tensors.
+  void write(BinWriter& out) const;
+  [[nodiscard]] static std::optional<MlpShape> read(BinReader& in);
+};
+
+/// A weight blob, parsed: its shape and its tensors in blob order.
+struct MlpBlob {
+  MlpShape shape;
+  std::vector<std::vector<float>> tensors;
+};
+
+/// nullopt unless `blob` keeps every rule of MlpShape.
+[[nodiscard]] std::optional<MlpBlob> parse_mlp_blob(const Bytes& blob);
+
+/// Writes the blob of a shape, one tensor at a time in blob order.
+class MlpBlobWriter {
+ public:
+  explicit MlpBlobWriter(MlpShape shape);
+  /// Appends the next tensor, tensor_size() entries.
+  void add(const std::vector<float>& tensor);
+  /// The blob, once every tensor is in.
+  [[nodiscard]] Bytes take();
+
+ private:
+  const MlpShape shape_;
+  BinWriter out_;
+  std::size_t next_ = 0;
 };
 
 /// Multi-layer perceptron with explicit forward/backward passes. This is
@@ -88,11 +151,12 @@ class Mlp {
   /// network sync, weight broadcast application).
   void copy_parameters_from(const Mlp& other);
 
-  /// Weight wire format: this is the message body the learner broadcasts to
-  /// explorers (paper: blue arrows in Fig. 2).
+  /// The weight blob (MlpShape): the message body the learner broadcasts
+  /// to explorers.
+  [[nodiscard]] MlpShape shape() const;
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<Mlp> deserialize(const Bytes& data);
-  /// Load weights (architecture must match) from serialized form.
+  /// Load weights from a blob whose shape has this net's sizes.
   bool load_weights(const Bytes& data);
 
  private:

@@ -34,10 +34,17 @@ void BinWriter::f32_vec(const std::vector<float>& v) {
   raw(v.data(), v.size() * sizeof(float));
 }
 
-bool BinReader::raw(void* p, std::size_t n) {
-  if (pos_ + n > size_) return false;
-  std::memcpy(p, data_ + pos_, n);
+std::optional<const std::uint8_t*> BinReader::span(std::size_t n) {
+  if (n > size_ - pos_) return std::nullopt;
+  const std::uint8_t* first = data_ + pos_;
   pos_ += n;
+  return first;
+}
+
+bool BinReader::raw(void* p, std::size_t n) {
+  const auto bytes = span(n);
+  if (!bytes) return false;
+  std::memcpy(p, *bytes, n);
   return true;
 }
 
@@ -85,7 +92,8 @@ std::optional<std::vector<float>> BinReader::f32_vec() {
   // Guard against overflow from hostile length prefixes.
   if (!n || *n > (size_ - pos_) / sizeof(float)) return std::nullopt;
   std::vector<float> out(*n);
-  std::memcpy(out.data(), data_ + pos_, *n * sizeof(float));
+  // An empty vector's data() may be null, which memcpy must not be given.
+  if (*n > 0) std::memcpy(out.data(), data_ + pos_, *n * sizeof(float));
   pos_ += *n * sizeof(float);
   return out;
 }

@@ -28,13 +28,14 @@ class BinWriter {
   void bytes(const Bytes& v);
   /// Length-prefixed float vector; the hot path for observations/weights.
   void f32_vec(const std::vector<float>& v);
+  /// The n bytes at p as they are, with no length prefix.
+  void raw(const void* p, std::size_t n);
 
   [[nodiscard]] const Bytes& buffer() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }
   void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
-  void raw(const void* p, std::size_t n);
   Bytes buf_;
 };
 
@@ -58,6 +59,8 @@ class BinReader {
   std::optional<std::string> str();
   std::optional<Bytes> bytes();
   std::optional<std::vector<float>> f32_vec();
+  /// The first of the next n bytes, read as they are (no length prefix).
+  std::optional<const std::uint8_t*> span(std::size_t n);
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }

@@ -230,6 +230,52 @@ TEST(BrokerEndpoint, CompressionAppliedAboveThreshold) {
   EXPECT_EQ(msg->body->front(), 0);
 }
 
+// The codec series of one machine: every body counts its size in and its
+// shipped size out; LZ4's time is observed for each body at or above the
+// 1 MB threshold, whether it shrank or not, and decompression only for a
+// packed body.
+TEST(BrokerEndpoint, CodecSeriesCountEveryBodyAndTimeEachLz4Attempt) {
+  Broker broker(0);
+  Endpoint sender(explorer_id(0, 0), broker);
+  Endpoint receiver(learner_id(0), broker);
+  constexpr std::size_t kLarge = 2'000'000;
+  constexpr std::size_t kSmall = 10'000;
+  Bytes noise(kLarge);
+  std::uint64_t state = 12345;
+  for (std::uint8_t& byte : noise) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    byte = static_cast<std::uint8_t>(state >> 56);
+  }
+  const std::vector<Payload> bodies = {bytes_payload(kLarge, 7),
+                                       make_payload(std::move(noise)),
+                                       bytes_payload(kSmall, 7)};
+  std::uint64_t packed = 0;
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    ASSERT_TRUE(sender.send(
+        make_outbound(sender.id(), {receiver.id()}, MsgType::kRollout, bodies[i])));
+    const auto msg = receiver.receive_for(std::chrono::seconds(5));
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(*msg->body, *bodies[i]);
+    EXPECT_EQ(msg->header.compressed(), i == 0);
+    if (i == 0) packed = msg->header.body_size;
+  }
+  ASSERT_GT(packed, 0u);
+  ASSERT_LT(packed, kLarge);
+
+  MetricsRegistry& metrics = broker.metrics();
+  const auto counter = [&](const char* family) {
+    return metrics.counter(series_name(family, {{"machine", 0}})).value();
+  };
+  const auto observations = [&](const char* family) {
+    return metrics.histogram(series_name(family, {{"machine", 0}})).count();
+  };
+  EXPECT_EQ(counter("xt_codec_bytes_in_total"), 2 * kLarge + kSmall);
+  EXPECT_EQ(counter("xt_codec_bytes_out_total"), packed + kLarge + kSmall);
+  EXPECT_EQ(counter("xt_codec_messages_compressed_total"), 1u);
+  EXPECT_EQ(observations("xt_codec_compress_ms"), 2u);
+  EXPECT_EQ(observations("xt_codec_decompress_ms"), 1u);
+}
+
 TEST(BrokerEndpoint, LatencyRecorderObservesTransmissions) {
   Broker broker(0);
   Endpoint sender(explorer_id(0, 0), broker);

@@ -2,9 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/factory.h"
+#include "common/rng.h"
+#include "nn/mlp.h"
+
+// tests/fuzz/checkpoint_fuzz.cpp
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
 
 namespace xt {
 namespace {
@@ -155,6 +167,99 @@ TEST_F(CheckpointTest, RestoresRealAlgorithmWeights) {
   restored_setup.initial_weights = snapshot->weights;
   auto restored = make_algorithm(restored_setup, 4, 2);
   EXPECT_EQ(restored->weights(), original->weights());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpointer::decode fuzz target (tests/fuzz/checkpoint_fuzz.cpp). It
+// aborts on a broken invariant, so a crash here is a failure.
+// ---------------------------------------------------------------------------
+
+void run_fuzz_target(const Bytes& input) {
+  (void)LLVMFuzzerTestOneInput(input.data(), input.size());
+}
+
+std::vector<std::pair<std::string, Bytes>> checkpoint_corpus() {
+  std::vector<std::pair<std::string, Bytes>> entries;
+  const std::filesystem::path dir =
+      std::filesystem::path(XT_SOURCE_DIR) / "tests/fuzz/corpus/checkpoint";
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    entries.emplace_back(file.path().filename().string(),
+                         Bytes((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>()));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST(CheckpointFuzz, CorpusReplays) {
+  // ok_* files were written by Checkpointer::save, one of them with an Mlp's
+  // weights; bad_* files each break one rule of decode: a short file, the
+  // magic, the format, a payload length past the end, trailing bytes.
+  std::size_t mlp_snapshots = 0;
+  std::size_t rejects = 0;
+  for (const auto& [name, file] : checkpoint_corpus()) {
+    SCOPED_TRACE(name);
+    run_fuzz_target(file);
+    const auto snapshot = Checkpointer::decode(file);
+    if (name.rfind("ok_", 0) == 0) {
+      ASSERT_TRUE(snapshot.has_value());
+      if (nn::Mlp::deserialize(snapshot->weights)) ++mlp_snapshots;
+    } else {
+      std::string error;
+      EXPECT_FALSE(Checkpointer::decode(file, &error).has_value());
+      EXPECT_FALSE(error.empty());
+      ++rejects;
+    }
+  }
+  EXPECT_EQ(mlp_snapshots, 1u);
+  EXPECT_EQ(rejects, 5u);
+}
+
+TEST(CheckpointFuzz, SeededMutationsOfCorpus) {
+  // Over every well-formed corpus file: each strict prefix, which must be
+  // rejected; bit flips anywhere and in the header; every header byte
+  // forced to 0x00 and 0xFF; and bit flips in an Mlp blob re-wrapped as a
+  // valid checkpoint, so they reach the Mlp parser.
+  Rng rng(61);
+  std::size_t cases = 0;
+  const auto check = [&](const Bytes& input) {
+    run_fuzz_target(input);
+    ++cases;
+  };
+  for (const auto& [name, file] : checkpoint_corpus()) {
+    if (name.rfind("ok_", 0) != 0) continue;
+    SCOPED_TRACE(name);
+    for (std::size_t len = 0; len < file.size(); ++len) {
+      const Bytes prefix(file.begin(), file.begin() + static_cast<std::ptrdiff_t>(len));
+      EXPECT_FALSE(Checkpointer::decode(prefix).has_value());
+      check(prefix);
+    }
+    for (int i = 0; i < 300; ++i) {
+      Bytes mangled = file;
+      const std::size_t region = i % 2 == 0 ? mangled.size() : 28;
+      mangled[rng.uniform_index(std::min(region, mangled.size()))] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      check(mangled);
+    }
+    for (std::size_t at = 0; at < 28; ++at) {
+      for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+        Bytes forced = file;
+        forced[at] = value;
+        check(forced);
+      }
+    }
+    const auto snapshot = Checkpointer::decode(file);
+    ASSERT_TRUE(snapshot.has_value());
+    for (int i = 0; i < 300 && !snapshot->weights.empty(); ++i) {
+      Bytes weights = snapshot->weights;
+      weights[rng.uniform_index(weights.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      check(Checkpointer::encode(weights, snapshot->weights_version,
+                                 snapshot->steps_consumed));
+    }
+  }
+  EXPECT_GT(cases, 2'000u);
 }
 
 }  // namespace

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+
+// tests/fuzz/config_fuzz.cpp
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
 
 namespace xt {
 namespace {
@@ -613,6 +622,98 @@ TEST(ConfigFile, ReadmeReferenceAndShippedConfigsMatchTheParser) {
         << entry.path() << ": " << error;
   }
   EXPECT_GT(configs, 0);
+}
+
+// ---------------------------------------------------------------------------
+// parse_launch_config fuzz target (tests/fuzz/config_fuzz.cpp). It aborts
+// on a broken invariant, so a crash here is a failure.
+// ---------------------------------------------------------------------------
+
+void run_fuzz_target(const std::string& input) {
+  (void)LLVMFuzzerTestOneInput(reinterpret_cast<const std::uint8_t*>(input.data()),
+                               input.size());
+}
+
+std::vector<std::pair<std::string, std::string>> config_corpus() {
+  std::vector<std::pair<std::string, std::string>> entries;
+  const std::filesystem::path dir =
+      std::filesystem::path(XT_SOURCE_DIR) / "tests/fuzz/corpus/config";
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(file.path(), std::ios::binary);
+    entries.emplace_back(file.path().filename().string(),
+                         std::string((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>()));
+  }
+  std::sort(entries.begin(), entries.end());
+  return entries;
+}
+
+TEST(ConfigFuzz, CorpusReplays) {
+  // ok_* entries are copies of configs/*.conf; bad_* entries each hold one
+  // class of rejection: section syntax, unknown section or key, a line
+  // without '=', a key outside a section, a malformed, out-of-range or NaN
+  // value, and each cross-field check.
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const auto& [name, text] : config_corpus()) {
+    SCOPED_TRACE(name);
+    run_fuzz_target(text);
+    std::string error;
+    const bool parsed = parse_launch_config(text, &error).has_value();
+    if (name.rfind("ok_", 0) == 0) {
+      EXPECT_TRUE(parsed) << error;
+      ++accepted;
+    } else {
+      EXPECT_FALSE(parsed);
+      ++rejected;
+    }
+  }
+  EXPECT_GE(accepted, 6u);
+  EXPECT_GE(rejected, 12u);
+}
+
+TEST(ConfigFuzz, SeededMutationsOfCorpus) {
+  // Over every corpus entry: the prefix that ends at each line break and at
+  // random cuts, single bytes replaced by the format's own punctuation or
+  // by bytes outside it, and a line deleted or repeated.
+  const std::string alphabet = std::string("[]=#\n\r\t ,.-+0123456789eEnax") +
+                               std::string(1, '\0') + "\xff";
+  Rng rng(67);
+  std::size_t cases = 0;
+  const auto check = [&](const std::string& input) {
+    run_fuzz_target(input);
+    ++cases;
+  };
+  for (const auto& [name, text] : config_corpus()) {
+    SCOPED_TRACE(name);
+    for (std::size_t at = 0; at < text.size(); ++at) {
+      if (text[at] == '\n') check(text.substr(0, at));
+    }
+    for (int i = 0; i < 40 && !text.empty(); ++i) {
+      check(text.substr(0, rng.uniform_index(text.size())));
+    }
+    for (int i = 0; i < 200 && !text.empty(); ++i) {
+      std::string mangled = text;
+      mangled[rng.uniform_index(mangled.size())] =
+          alphabet[rng.uniform_index(alphabet.size())];
+      check(mangled);
+    }
+    std::vector<std::string> lines;
+    std::stringstream stream(text);
+    for (std::string line; std::getline(stream, line);) lines.push_back(line + "\n");
+    for (std::size_t l = 0; l < lines.size(); ++l) {
+      std::string without;
+      std::string doubled;
+      for (std::size_t k = 0; k < lines.size(); ++k) {
+        if (k != l) without += lines[k];
+        doubled += lines[k];
+        if (k == l) doubled += lines[k];
+      }
+      check(without);
+      check(doubled);
+    }
+  }
+  EXPECT_GT(cases, 3'000u);
 }
 
 }  // namespace

@@ -76,14 +76,6 @@ TEST(Matrix, MatmulBtEqualsExplicitTranspose) {
   EXPECT_TRUE(allclose(c, expect, 1e-5f));
 }
 
-TEST(Matrix, AddRowInplaceBroadcastsBias) {
-  Matrix x = make(2, 3, {1, 2, 3, 4, 5, 6});
-  const Matrix bias = make(1, 3, {10, 20, 30});
-  add_row_inplace(x, bias);
-  EXPECT_FLOAT_EQ(x.at(0, 0), 11.0f);
-  EXPECT_FLOAT_EQ(x.at(1, 2), 36.0f);
-}
-
 TEST(Matrix, ColSums) {
   const Matrix x = make(3, 2, {1, 2, 3, 4, 5, 6});
   const Matrix sums = col_sums(x);

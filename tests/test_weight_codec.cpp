@@ -1,7 +1,8 @@
-// Weight codec layer (DESIGN.md §11): per-codec round-trip properties,
-// encoder/decoder session protocol (delta chains, keyframe recovery, lazy
-// broadcast staleness bound), and the decoder's fuzz target replayed over its
-// corpus and seeded mutations of it.
+// Weight codec layer (DESIGN.md §11): per-codec round-trip properties, the
+// one weight-blob reader that Mlp and the codec share, encoder/decoder
+// session protocol (delta chains, keyframe recovery, lazy broadcast
+// staleness bound), and the decoder's fuzz target replayed over its corpus
+// and seeded mutations of it.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "compress/weight_codec.h"
 #include "nn/mlp.h"
+#include "serial/binio.h"
 
 // tests/fuzz/weight_frame_fuzz.cpp
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size);
@@ -232,7 +234,8 @@ TEST(WeightCodec, NonMlpBlobsAreNotEncoded) {
   EXPECT_FALSE(encode_weight_frame(blob, 3, config_for(WeightCodec::kInt8), true,
                                    nullptr, 0)
                    .has_value());
-  WeightEncoderSession enc(config_for(WeightCodec::kFp32));
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config_for(WeightCodec::kFp32), registry, 0);
   EXPECT_FALSE(enc.encode(blob, 1, {"E0"}, true).has_value());
   EXPECT_FALSE(enc.encode_keyframe(blob, 1).has_value());
 }
@@ -252,6 +255,89 @@ TEST(WeightCodec, PeekExposesHeaderFields) {
   EXPECT_FALSE(peek_weight_frame(blob).has_value());  // raw Mlp blobs are not frames
 }
 
+// ---------------------------------------------------------------------------
+// One reader of the weight blob (nn::MlpShape).
+// ---------------------------------------------------------------------------
+
+/// The blob of one layer, fed by `input_dim`, with the given tensors.
+Bytes one_layer_blob(std::uint64_t input_dim, std::uint64_t rows, std::uint64_t cols,
+                     std::uint8_t activation, const std::vector<float>& weight,
+                     const std::vector<float>& bias) {
+  BinWriter w;
+  w.u64(input_dim);
+  w.u32(1);
+  w.u64(rows);
+  w.u64(cols);
+  w.u8(activation);
+  w.f32_vec(weight);
+  w.f32_vec(bias);
+  return w.take();
+}
+
+bool encodes_with_any_codec(const Bytes& blob) {
+  for (std::uint8_t c = 0; c < kWeightCodecCount; ++c) {
+    const auto codec = static_cast<WeightCodec>(c);
+    if (encode_weight_frame(blob, 1, config_for(codec), true, nullptr, 0)) return true;
+  }
+  return false;
+}
+
+// Blobs that Mlp::deserialize and the weight codec once judged by different
+// rules. Each is rejected by both, and a valid blob still round-trips byte
+// for byte through both.
+TEST(WeightBlob, MlpAndCodecRejectTheSameBlobs) {
+  const Bytes valid = random_blob(40);
+  // rows * cols wraps to 0, so an empty weight vector used to match it.
+  const std::uint64_t huge = std::uint64_t{1} << 63;
+  const Bytes wrapping = one_layer_blob(huge, huge, 2, 0, {}, {0.5f, -0.5f});
+  Bytes unknown_activation = valid;
+  unknown_activation[8 + 4 + 8 + 8] = 7;  // the first layer's activation byte
+  Bytes trailing_byte = valid;
+  trailing_byte.push_back(0);
+  for (const Bytes& blob : {wrapping, unknown_activation, trailing_byte}) {
+    EXPECT_FALSE(nn::Mlp::deserialize(blob).has_value());
+    EXPECT_FALSE(encodes_with_any_codec(blob));
+  }
+
+  const auto net = nn::Mlp::deserialize(valid);
+  ASSERT_TRUE(net.has_value());
+  EXPECT_EQ(net->serialize(), valid);
+  const auto frame =
+      encode_weight_frame(valid, 1, config_for(WeightCodec::kFp32), true, nullptr, 0);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(decode_weight_frame(frame->payload, nullptr), valid);
+}
+
+// The rest of the shape rules, checked in the blob parser and in the
+// frame's structure segment alike.
+TEST(WeightBlob, EveryReaderKeepsTheShapeRules) {
+  const Bytes ok = one_layer_blob(2, 2, 1, 0, {1.0f, 2.0f}, {3.0f});
+  ASSERT_TRUE(nn::parse_mlp_blob(ok).has_value());
+  // Rows other than input_dim, a layer without units, a short weight, a
+  // short bias, and 2^32 biases.
+  const std::vector<Bytes> broken = {
+      one_layer_blob(3, 2, 1, 0, {1.0f, 2.0f}, {3.0f}),
+      one_layer_blob(2, 2, 0, 0, {}, {}),
+      one_layer_blob(2, 2, 1, 0, {1.0f}, {3.0f}),
+      one_layer_blob(2, 2, 1, 0, {1.0f, 2.0f}, {}),
+      one_layer_blob(0, 0, std::uint64_t{1} << 32, 0, {}, {}),
+  };
+  for (const Bytes& blob : broken) {
+    EXPECT_FALSE(nn::parse_mlp_blob(blob).has_value());
+    EXPECT_FALSE(nn::Mlp::deserialize(blob).has_value());
+    EXPECT_FALSE(encodes_with_any_codec(blob));
+  }
+  // A frame whose structure segment breaks a rule does not decode: the
+  // valid frame of `ok` with its structure's rows rewritten to 3.
+  auto frame = encode_weight_frame(ok, 1, config_for(WeightCodec::kFp32), true,
+                                   nullptr, 0);
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_TRUE(decode_weight_frame(frame->payload, nullptr).has_value());
+  Bytes payload = frame->payload;
+  payload[24 + 8 + 4] = 3;  // header, input_dim, layer count, then rows
+  EXPECT_FALSE(decode_weight_frame(payload, nullptr).has_value());
+}
+
 TEST(WeightCodec, RelativeUpdateNormBehaves) {
   const Bytes blob = random_blob(10);
   EXPECT_NEAR(relative_update_norm(blob, blob), 0.0, 1e-12);
@@ -267,14 +353,21 @@ TEST(WeightCodec, RelativeUpdateNormBehaves) {
 
 std::vector<std::string> dsts() { return {"E0", "E1"}; }
 
+/// The total of a session's counter family.
+std::uint64_t count_of(MetricsRegistry& registry, const char* family) {
+  return registry.family_total(family);
+}
+/// Observations in a session's histogram on machine 0.
+std::uint64_t observations_of(MetricsRegistry& registry, const char* family) {
+  return registry.histogram(series_name(family, {{"machine", 0}})).count();
+}
+
 TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 100;  // keep cadence out of the way
   MetricsRegistry registry;
-  WeightCodecInstruments instruments;
-  instruments.keyframes = &registry.counter("keyframes");
-  WeightEncoderSession enc(config, &instruments);
-  WeightDecoderSession dec;
+  WeightEncoderSession enc(config, registry, 0);
+  WeightDecoderSession dec(registry, 0);
 
   Bytes blob = random_blob(20);
   std::uint32_t acked = 0;
@@ -290,14 +383,15 @@ TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
     acked = v;
     for (const auto& d : dsts()) enc.note_ack(d, acked);
   }
-  EXPECT_EQ(registry.counter("keyframes").value(), 1u);
+  EXPECT_EQ(count_of(registry, "xt_weights_keyframes_total"), 1u);
   EXPECT_EQ(dec.version(), 6u);
 }
 
 TEST(WeightSessions, UnackedDestinationForcesKeyframe) {
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 100;
-  WeightEncoderSession enc(config);
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config, registry, 0);
   Bytes blob = random_blob(21);
   auto first = enc.encode(blob, 1, dsts(), false);
   ASSERT_TRUE(first.has_value());
@@ -323,8 +417,9 @@ TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
   // the commonly-acked v1 — the LAPG-style resilience of delta-vs-last-ack.
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 100;
-  WeightEncoderSession enc(config);
-  WeightDecoderSession dec;
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config, registry, 0);
+  WeightDecoderSession dec(registry, 0);
   Bytes blob = random_blob(22);
   auto v1 = enc.encode(blob, 1, dsts(), false);
   ASSERT_EQ(dec.apply(*v1).outcome,
@@ -350,8 +445,9 @@ TEST(WeightSessions, MissingBaseForcesKeyframeRecovery) {
   // signal kNeedKeyframe, and the encoder's keyframe reply must restore it.
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 100;
-  WeightEncoderSession enc(config);
-  WeightDecoderSession stale_dec;
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config, registry, 0);
+  WeightDecoderSession stale_dec(registry, 0);
   Bytes blob = random_blob(23);
   (void)enc.encode(blob, 1, dsts(), false);
   for (const auto& d : dsts()) enc.note_ack(d, 1);
@@ -374,7 +470,8 @@ TEST(WeightSessions, MissingBaseForcesKeyframeRecovery) {
 TEST(WeightSessions, KeyframeCadenceIsHonored) {
   WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
   config.keyframe_every = 3;
-  WeightEncoderSession enc(config);
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config, registry, 0);
   Bytes blob = random_blob(24);
   std::vector<bool> keyframes;
   for (std::uint32_t v = 1; v <= 7; ++v) {
@@ -394,9 +491,7 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
   config.lazy_threshold = 0.5;  // huge: everything after the first is "small"
   config.max_staleness = 3;
   MetricsRegistry registry;
-  WeightCodecInstruments instruments;
-  instruments.skipped = &registry.counter("skipped");
-  WeightEncoderSession enc(config, &instruments);
+  WeightEncoderSession enc(config, registry, 0);
   const Bytes blob = random_blob(25);
   ASSERT_TRUE(enc.encode(blob, 1, dsts(), false).has_value());
   std::uint32_t version = 1;
@@ -409,7 +504,7 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
   auto forced = enc.encode(perturb(blob, 1e-5, 950), ++version, dsts(), false);
   ASSERT_TRUE(forced.has_value());
   EXPECT_TRUE(header_of(*forced).keyframe);
-  EXPECT_EQ(registry.counter("skipped").value(), 3u);
+  EXPECT_EQ(count_of(registry, "xt_weights_skipped_total"), 3u);
   // A genuinely large update is never skipped.
   auto big = enc.encode(perturb(blob, 10.0, 951), ++version, dsts(), false);
   EXPECT_TRUE(big.has_value());
@@ -419,8 +514,9 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
 }
 
 TEST(WeightSessions, DecoderRejectsStaleAndCorrupt) {
-  WeightEncoderSession enc(config_for(WeightCodec::kFp16));
-  WeightDecoderSession dec;
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config_for(WeightCodec::kFp16), registry, 0);
+  WeightDecoderSession dec(registry, 0);
   const Bytes blob = random_blob(26);
   auto v2 = enc.encode(blob, 2, dsts(), false);
   ASSERT_EQ(dec.apply(*v2).outcome, WeightDecoderSession::Outcome::kApplied);
@@ -441,10 +537,8 @@ TEST(WeightSessions, DecoderRejectsStaleAndCorrupt) {
 // explorer asks for a keyframe and the genuine frame still applies.
 TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
   MetricsRegistry registry;
-  WeightCodecInstruments instruments;
-  instruments.decode_failures = &registry.counter("decode_failures");
-  WeightEncoderSession enc(config_for(WeightCodec::kFp16));
-  WeightDecoderSession dec(&instruments);
+  WeightEncoderSession enc(config_for(WeightCodec::kFp16), registry, 0);
+  WeightDecoderSession dec(registry, 0);
   const Bytes blob = random_blob(27);
   EXPECT_EQ(dec.apply(make_payload(Bytes(blob))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
@@ -461,7 +555,7 @@ TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
     EXPECT_EQ(result.fp32, nullptr);
     EXPECT_EQ(dec.version(), 1u);
   }
-  EXPECT_EQ(registry.counter("decode_failures").value(), 3u);
+  EXPECT_EQ(count_of(registry, "xt_weights_decode_failures_total"), 3u);
 
   const auto genuine = dec.apply(*v2);
   EXPECT_EQ(genuine.outcome, WeightDecoderSession::Outcome::kApplied);
@@ -471,21 +565,11 @@ TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
 
 TEST(WeightSessions, InstrumentsCountTheProtocol) {
   MetricsRegistry registry;
-  WeightCodecInstruments instruments;
-  instruments.bytes_out = &registry.counter("bytes");
-  instruments.raw_bytes = &registry.counter("raw");
-  instruments.skipped = &registry.counter("skipped");
-  instruments.keyframes = &registry.counter("keyframes");
-  instruments.decode_failures = &registry.counter("decode_failures");
-  instruments.encode_ms = &registry.histogram("encode_ms");
-  instruments.decode_ms = &registry.histogram("decode_ms");
-  instruments.compression_ratio = &registry.histogram("ratio");
-
   WeightSyncConfig config = config_for(WeightCodec::kInt8);
   config.lazy_threshold = 0.5;
   config.max_staleness = 10;
-  WeightEncoderSession enc(config, &instruments);
-  WeightDecoderSession dec(&instruments);
+  WeightEncoderSession enc(config, registry, 0);
+  WeightDecoderSession dec(registry, 0);
   const Bytes blob = random_blob(28, 32,
                                  {{64, nn::Activation::kRelu},
                                   {32, nn::Activation::kTanh}});
@@ -503,15 +587,17 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   EXPECT_EQ(dec.apply(make_payload(std::move(corrupt))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
 
-  EXPECT_EQ(registry.counter("skipped").value(), 1u);
-  EXPECT_EQ(registry.counter("raw").value(), 2 * blob.size());
-  EXPECT_GT(registry.counter("bytes").value(), 0u);
-  EXPECT_LT(registry.counter("bytes").value(), blob.size() / 2);
-  EXPECT_EQ(registry.counter("keyframes").value(), 1u);
-  EXPECT_EQ(registry.counter("decode_failures").value(), 1u);
-  EXPECT_EQ(registry.histogram("encode_ms").count(), 1u);
-  EXPECT_EQ(registry.histogram("decode_ms").count(), 2u);  // applied + torn
-  EXPECT_GE(registry.histogram("ratio").quantile(0.5), 2.0);
+  const Counter& bytes = registry.counter(
+      series_name("xt_weights_bytes_total", {{"codec", "int8"}, {"machine", 0}}));
+  EXPECT_EQ(count_of(registry, "xt_weights_skipped_total"), 1u);
+  EXPECT_EQ(count_of(registry, "xt_weights_raw_bytes_total"), 2 * blob.size());
+  EXPECT_GT(bytes.value(), 0u);
+  EXPECT_LT(bytes.value(), blob.size() / 2);
+  EXPECT_EQ(count_of(registry, "xt_weights_keyframes_total"), 1u);
+  EXPECT_EQ(count_of(registry, "xt_weights_decode_failures_total"), 1u);
+  EXPECT_EQ(observations_of(registry, "xt_weights_encode_ms"), 1u);
+  EXPECT_EQ(observations_of(registry, "xt_weights_decode_ms"), 2u);  // applied + torn
+  EXPECT_GE(registry.family_quantile("xt_weights_compression_ratio", 0.5), 2.0);
 }
 
 TEST(WeightSessions, KeyframeRepliesCountTheirRawBytes) {
@@ -519,16 +605,14 @@ TEST(WeightSessions, KeyframeRepliesCountTheirRawBytes) {
   // differ only by the blob's and the frame's headers, so their ratio is 1
   // within that (it read 0.25 when replies went uncounted).
   MetricsRegistry registry;
-  WeightCodecInstruments instruments;
-  instruments.bytes_out = &registry.counter("bytes");
-  instruments.raw_bytes = &registry.counter("raw");
-  WeightEncoderSession enc(config_for(WeightCodec::kFp32), &instruments);
+  WeightEncoderSession enc(config_for(WeightCodec::kFp32), registry, 0);
   const Bytes blob = random_blob(31);
   const auto broadcast = enc.encode(blob, 1, dsts(), false);
   ASSERT_TRUE(broadcast.has_value());
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(enc.encode_keyframe(blob, 1).has_value());
-  const double raw = static_cast<double>(registry.counter("raw").value());
-  const double wire = static_cast<double>(registry.counter("bytes").value());
+  const double raw =
+      static_cast<double>(count_of(registry, "xt_weights_raw_bytes_total"));
+  const double wire = static_cast<double>(count_of(registry, "xt_weights_bytes_total"));
   EXPECT_EQ(raw, 4.0 * static_cast<double>(blob.size()));
   EXPECT_EQ(wire, 4.0 * static_cast<double>((*broadcast)->size()));
   EXPECT_NEAR(raw / wire, 1.0, 0.05);
