@@ -1,6 +1,5 @@
 #include "algo/rollout.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "serial/binio.h"
@@ -24,24 +23,27 @@ void fill_frame(Bytes& frame, std::size_t size, std::uint64_t salt) {
   }
 }
 
+namespace {
+/// The fields of a step besides its observation and frame bytes: the two
+/// length prefixes, action, reward, done and behavior_logp.
+constexpr std::size_t kStepFixedBytes = 8 + 4 + 4 + 1 + 4 + 8;
+}  // namespace
+
 Bytes RolloutBatch::serialize() const {
-  BinWriter w;
-  const std::size_t obs_dim = steps.empty() ? 0 : steps.front().observation.size();
-  const std::size_t frame_dim = steps.empty() ? 0 : steps.front().frame.size();
-  w.reserve(64 + steps.size() * (obs_dim * sizeof(float) + frame_dim + 24));
-  w.u32(weights_version);
-  w.u32(explorer_index);
-  w.f32_vec(final_observation);
-  w.u64(steps.size());
-  for (const RolloutStep& step : steps) {
-    w.f32_vec(step.observation);
-    w.i32(step.action);
-    w.f32(step.reward);
-    w.boolean(step.done);
-    w.f32(step.behavior_logp);
-    w.bytes(step.frame);
-  }
-  return w.take();
+  return BinWriter::exact([this](BinWriter& w) {
+    w.u32(weights_version);
+    w.u32(explorer_index);
+    w.f32_vec(final_observation);
+    w.u64(steps.size());
+    for (const RolloutStep& step : steps) {
+      w.f32_vec(step.observation);
+      w.i32(step.action);
+      w.f32(step.reward);
+      w.boolean(step.done);
+      w.f32(step.behavior_logp);
+      w.bytes(step.frame);
+    }
+  });
 }
 
 std::optional<RolloutBatch> RolloutBatch::deserialize(const Bytes& data) {
@@ -52,11 +54,13 @@ std::optional<RolloutBatch> RolloutBatch::deserialize(const Bytes& data) {
   auto final_obs = r.f32_vec();
   auto count = r.u64();
   if (!version || !explorer || !final_obs || !count) return std::nullopt;
+  // Every step costs at least kStepFixedBytes, so a count the rest cannot
+  // hold is refused before anything is reserved.
+  if (*count > r.remaining() / kStepFixedBytes) return std::nullopt;
   out.weights_version = *version;
   out.explorer_index = *explorer;
   out.final_observation = std::move(*final_obs);
-  // Never trust a wire length for allocation sizing; grow as records parse.
-  out.steps.reserve(std::min<std::uint64_t>(*count, 4096));
+  out.steps.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
     auto obs = r.f32_vec();
     auto action = r.i32();
@@ -70,6 +74,8 @@ std::optional<RolloutBatch> RolloutBatch::deserialize(const Bytes& data) {
     out.steps.push_back(RolloutStep{std::move(*obs), *action, *reward, *done,
                                     *logp, std::move(*frame)});
   }
+  // The last step must end the body: trailing bytes mean a wrong length.
+  if (!r.exhausted()) return std::nullopt;
   return out;
 }
 

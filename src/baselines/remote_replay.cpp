@@ -9,17 +9,17 @@
 namespace xt::baselines {
 
 Bytes serialize_transitions(const std::vector<Transition>& transitions) {
-  BinWriter w;
-  w.u64(transitions.size());
-  for (const Transition& t : transitions) {
-    w.f32_vec(t.observation);
-    w.i32(t.action);
-    w.f32(t.reward);
-    w.f32_vec(t.next_observation);
-    w.boolean(t.done);
-    w.bytes(t.frame);
-  }
-  return w.take();
+  return BinWriter::exact([&](BinWriter& w) {
+    w.u64(transitions.size());
+    for (const Transition& t : transitions) {
+      w.f32_vec(t.observation);
+      w.i32(t.action);
+      w.f32(t.reward);
+      w.f32_vec(t.next_observation);
+      w.boolean(t.done);
+      w.bytes(t.frame);
+    }
+  });
 }
 
 std::vector<Transition> deserialize_transitions(const Bytes& data) {

@@ -1,5 +1,7 @@
 #include "comm/endpoint.h"
 
+#include <utility>
+
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
@@ -117,13 +119,15 @@ void Endpoint::sender_loop() {
     MessageHeader header = std::move(outbound->header);
 
     // Deferred serialization runs here, off the workhorse's critical path.
+    // The producer, and what it captured (a whole RolloutBatch), goes as
+    // soon as its body exists, not after the put.
     Payload body;
     if (outbound->producer) {
       ProfScope prof("serialize");
       TraceScope span(trace, "msg.serialize", "comm", header.trace_id(),
                       id_.machine);
       const Stopwatch clock;
-      body = make_payload(outbound->producer());
+      body = make_payload(std::exchange(outbound->producer, nullptr)());
       inst_.serialize_ms.observe(clock.elapsed_ms());
       span.set_bytes(body->size());
     } else {

@@ -1,6 +1,7 @@
 #include "compress/weight_codec.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -149,11 +150,16 @@ void encode_tensor_i8(const std::vector<float>& values, BinWriter& frame,
   }
 }
 
+/// How many of a tensor's n entries a top-k frame carries.
+std::size_t topk_count(std::size_t n, double fraction) {
+  const auto k = static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(n)));
+  return std::min(n, std::max<std::size_t>(1, k));
+}
+
 void encode_tensor_topk(const std::vector<float>& cur, const std::vector<float>& base,
                         double fraction, BinWriter& frame, std::vector<float>* recon) {
   const std::size_t n = cur.size();
-  auto k = static_cast<std::size_t>(std::ceil(fraction * static_cast<double>(n)));
-  k = std::min(n, std::max<std::size_t>(1, k));
+  const std::size_t k = topk_count(n, fraction);
   std::vector<std::uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
   std::nth_element(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k) - 1,
@@ -214,6 +220,23 @@ bool decode_tensor_topk(BinReader& frame, const std::vector<float>& base,
     (*out)[*idx] = *value;
   }
   return true;
+}
+
+/// The bytes the encoder above for `codec` writes for a tensor of n entries.
+std::size_t encoded_tensor_bytes(WeightCodec codec, std::size_t n, double topk_fraction) {
+  switch (codec) {
+    case WeightCodec::kFp32:
+      return n * sizeof(float);
+    case WeightCodec::kFp16:
+    case WeightCodec::kBf16:
+      return n * sizeof(std::uint16_t);
+    case WeightCodec::kInt8:
+    case WeightCodec::kDeltaInt8:
+      return sizeof(float) + n;  // scale, then one byte per entry
+    case WeightCodec::kTopK:
+      return 4 + topk_count(n, topk_fraction) * (4 + sizeof(float));
+  }
+  return 0;
 }
 
 /// The encoding a frame actually uses: keyframes of base-referencing codecs
@@ -322,10 +345,16 @@ std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
     base_version = 0;
   }
 
+  // The frame is allocated once, at its exact size.
+  std::size_t frame_bytes = kFrameHeaderBytes + blob->shape.structure_bytes();
+  for (const std::vector<float>& tensor : blob->tensors) {
+    frame_bytes += encoded_tensor_bytes(frame_codec, tensor.size(), config.topk_fraction);
+  }
+
   EncodedWeightFrame out;
   out.keyframe = !weight_codec_uses_base(frame_codec);
   BinWriter frame;
-  frame.reserve(kFrameHeaderBytes + fp32_blob.size() / 2);
+  frame.reserve(frame_bytes);
   write_frame_header(
       {frame_codec, out.keyframe, version, base_version, fp32_blob.size()}, frame);
   // Structure segment: enough to rebuild the exact Mlp::serialize stream.
@@ -364,6 +393,7 @@ std::optional<EncodedWeightFrame> encode_weight_frame(const Bytes& fp32_blob,
     }
     recon.add(tensor_recon);
   }
+  assert(frame.buffer().size() == frame_bytes);
   out.payload = frame.take();
   out.reconstructed = recon.take();
   return out;

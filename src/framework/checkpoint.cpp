@@ -27,13 +27,13 @@ bool Checkpointer::maybe_save(const Bytes& weights, std::uint32_t weights_versio
 
 Bytes Checkpointer::encode(const Bytes& weights, std::uint32_t weights_version,
                            std::uint64_t steps_consumed) {
-  BinWriter w;
-  w.u32(kMagic);
-  w.u32(kFormatVersion);
-  w.u32(weights_version);
-  w.u64(steps_consumed);
-  w.bytes(weights);
-  return w.take();
+  return BinWriter::exact([&](BinWriter& w) {
+    w.u32(kMagic);
+    w.u32(kFormatVersion);
+    w.u32(weights_version);
+    w.u64(steps_consumed);
+    w.bytes(weights);
+  });
 }
 
 bool Checkpointer::save(const Bytes& weights, std::uint32_t weights_version,

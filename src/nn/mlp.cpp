@@ -390,8 +390,11 @@ std::uint64_t MlpShape::float_count() const {
 
 std::uint64_t MlpShape::blob_bytes() const {
   // Each tensor carries a u64 length prefix.
-  return 8 + 4 + layers.size() * (kLayerShapeBytes + 2 * 8) +
-         float_count() * sizeof(float);
+  return structure_bytes() + tensor_count() * 8 + float_count() * sizeof(float);
+}
+
+std::uint64_t MlpShape::structure_bytes() const {
+  return 8 + 4 + layers.size() * kLayerShapeBytes;
 }
 
 bool MlpShape::same_sizes(const MlpShape& other) const {

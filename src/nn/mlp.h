@@ -48,6 +48,8 @@ struct MlpShape {
   [[nodiscard]] std::uint64_t float_count() const;
   /// Bytes of the blob.
   [[nodiscard]] std::uint64_t blob_bytes() const;
+  /// Bytes of the structure segment that write() emits.
+  [[nodiscard]] std::uint64_t structure_bytes() const;
   /// Same input and layer sizes; activations may differ.
   [[nodiscard]] bool same_sizes(const MlpShape& other) const;
 

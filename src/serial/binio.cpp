@@ -5,6 +5,10 @@
 namespace xt {
 
 void BinWriter::raw(const void* p, std::size_t n) {
+  if (counting_) {
+    counted_ += n;
+    return;
+  }
   const auto* b = static_cast<const std::uint8_t*>(p);
   buf_.insert(buf_.end(), b, b + n);
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -14,6 +15,23 @@ namespace xt {
 class BinWriter {
  public:
   BinWriter() = default;
+
+  /// The bytes `fields(writer)` writes, in a buffer allocated once at
+  /// exactly their size: `fields` runs first on a writer that only counts,
+  /// then on one reserved to the count. A body is then never reallocated
+  /// (each growth would copy it whole), and its size cannot drift from the
+  /// code that writes it. `fields` must write the same sequence both times.
+  template <typename Fields>
+  [[nodiscard]] static Bytes exact(const Fields& fields) {
+    BinWriter counter;
+    counter.counting_ = true;
+    fields(counter);
+    BinWriter writer;
+    writer.buf_.reserve(counter.counted_);
+    fields(writer);
+    assert(writer.buf_.size() == counter.counted_);
+    return writer.take();
+  }
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
@@ -37,6 +55,8 @@ class BinWriter {
 
  private:
   Bytes buf_;
+  bool counting_ = false;     ///< exact()'s first pass: count, write nothing
+  std::size_t counted_ = 0;
 };
 
 /// Bounds-checked reader over a byte span. Every accessor returns nullopt

@@ -5,14 +5,14 @@
 namespace xt {
 
 Bytes StatsRecord::serialize() const {
-  BinWriter w;
-  w.str(source);
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  for (const auto& [key, value] : values) {
-    w.str(key);
-    w.f64(value);
-  }
-  return w.take();
+  return BinWriter::exact([this](BinWriter& w) {
+    w.str(source);
+    w.u32(static_cast<std::uint32_t>(values.size()));
+    for (const auto& [key, value] : values) {
+      w.str(key);
+      w.f64(value);
+    }
+  });
 }
 
 std::optional<StatsRecord> StatsRecord::deserialize(const Bytes& data) {

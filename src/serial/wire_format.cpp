@@ -45,19 +45,19 @@ WireFrame encode_wire_frame(const MessageHeader& header, Payload body,
   frame.body_length = chunk_length(header.body_size, header.chunk_index);
   frame.trace_id = header.last_chunk() ? header.trace_id() : 0;
   frame.tclass = header.tclass();
-  BinWriter writer;
-  writer.u8(kWireFormatVersion);
-  writer.u64(header.msg_id);
-  encode_node(writer, header.src);
-  writer.u32(static_cast<std::uint32_t>(header.dsts.size()));
-  for (const NodeId& dst : header.dsts) encode_node(writer, dst);
-  writer.u8(static_cast<std::uint8_t>(header.type));
-  writer.u64(header.body_size);
-  writer.u64(header.uncompressed_size);
-  writer.i64(header.created_ns);
-  writer.u32(header.tag);
-  writer.u32(header.chunk_index);
-  frame.control = writer.take();
+  frame.control = BinWriter::exact([&header](BinWriter& writer) {
+    writer.u8(kWireFormatVersion);
+    writer.u64(header.msg_id);
+    encode_node(writer, header.src);
+    writer.u32(static_cast<std::uint32_t>(header.dsts.size()));
+    for (const NodeId& dst : header.dsts) encode_node(writer, dst);
+    writer.u8(static_cast<std::uint8_t>(header.type));
+    writer.u64(header.body_size);
+    writer.u64(header.uncompressed_size);
+    writer.i64(header.created_ns);
+    writer.u32(header.tag);
+    writer.u32(header.chunk_index);
+  });
   if (with_crc) {
     frame.crc_present = true;
     frame.crc = wire_frame_crc(frame);

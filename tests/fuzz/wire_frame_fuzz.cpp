@@ -10,7 +10,8 @@
 // must be rejected. A decoded chunk must be one of its body's chunks, its
 // segment exactly that chunk's length, and a packed body nonempty and
 // smaller than its uncompressed size; it must share the frame's body
-// buffer, and its header must encode back to the same control segment.
+// buffer, and its header must encode back to the same control segment,
+// allocated at exactly its size.
 //
 // test_netsim links this function and replays tests/fuzz/corpus/wire_frame
 // plus seeded mutations of it under the sanitizers; a clang build with
@@ -66,10 +67,10 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   }
   if (plain->body.get() != frame.body.get()) std::abort();
   // Every field decodes verbatim, so the header encodes back to the same
-  // control segment (the encoder reads no body bytes without a CRC).
-  if (xt::encode_wire_frame(plain->header, plain->body, /*with_crc=*/false).control !=
-      frame.control) {
-    std::abort();
-  }
+  // control segment (the encoder reads no body bytes without a CRC), in a
+  // buffer of exactly its size.
+  const xt::Bytes control =
+      xt::encode_wire_frame(plain->header, plain->body, /*with_crc=*/false).control;
+  if (control != frame.control || control.capacity() != control.size()) std::abort();
   return 0;
 }

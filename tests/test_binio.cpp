@@ -100,6 +100,36 @@ TEST(BinIo, RemainingTracksPosition) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
+TEST(BinIo, ExactAllocatesOnceAtTheWrittenSize) {
+  const std::vector<float> floats(1'000, 0.5f);
+  const auto fields = [&](BinWriter& w) {
+    w.u8(1);
+    w.str("stats");
+    w.f32_vec(floats);
+    w.bytes(Bytes(3'000, 7));
+    w.f64(2.0);
+  };
+  BinWriter grown;
+  fields(grown);
+  const Bytes exact = BinWriter::exact(fields);
+  EXPECT_EQ(exact, grown.buffer());
+  EXPECT_EQ(exact.capacity(), exact.size());
+  EXPECT_TRUE(BinWriter::exact([](BinWriter&) {}).empty());
+}
+
+TEST(StatsRecord, SerializeAllocatesExactlyTheRecord) {
+  StatsRecord record;
+  record.source = "explorer-m1-0";
+  record.values["episode_return"] = 21.5;
+  record.values["episode_steps"] = 77;
+  record.values["env_steps"] = 1e6;
+  for (const StatsRecord& r : {record, StatsRecord{}}) {
+    const Bytes body = r.serialize();
+    EXPECT_EQ(body.capacity(), body.size());
+    EXPECT_TRUE(StatsRecord::deserialize(body) == r);
+  }
+}
+
 TEST(StatsRecord, RoundTrip) {
   StatsRecord record;
   record.source = "explorer-m0-3";

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -96,7 +97,9 @@ TEST(BrokerEndpoint, BroadcastReachesAllDestinations) {
     EXPECT_EQ(msg->header.tag, 3u);
     EXPECT_EQ(msg->body->size(), 128u);
   }
-  // Broadcast must not leak store entries.
+  // Broadcast must not leak store entries. The router's own claim goes with
+  // its queue item, after the fan-out, so count once the router has stopped.
+  broker.stop();
   EXPECT_EQ(broker.store().live_objects(), 0u);
 }
 
@@ -130,6 +133,42 @@ TEST(BrokerEndpoint, DeferredProducerRunsOffCallerThread) {
   EXPECT_EQ(msg->body->size(), 16u);
 }
 
+TEST(BrokerEndpoint, DeferredProducerIsDestroyedBeforeItsBodyIsPut) {
+  // What a producer captures (a whole rollout batch) must not live through
+  // the put. The producer holds a probe that records its destruction, and
+  // the remote sink reads that record as each chunk of the body arrives.
+  // The put is paced, so a producer kept for the whole put would still be
+  // alive when the first chunk arrives.
+  struct Probe {
+    std::atomic<bool>& destroyed;
+    ~Probe() { destroyed.store(true); }
+  };
+  std::atomic<bool> destroyed{false};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<bool> destroyed_at_chunk;
+  Broker::Options options;
+  options.ipc_bandwidth_bytes_per_sec = 100e6;  // 3 chunks take ~8 ms
+  Broker broker(0, options);
+  broker.set_remote_sink(1, [&](MessageHeader, Payload) {
+    std::scoped_lock lock(mu);
+    destroyed_at_chunk.push_back(destroyed.load());
+    cv.notify_all();
+  });
+  Endpoint sender(explorer_id(0, 0), broker);
+  auto probe = std::make_shared<Probe>(destroyed);
+  ASSERT_TRUE(sender.send(make_deferred_outbound(
+      sender.id(), {learner_id(1)}, MsgType::kRollout,
+      [probe = std::move(probe)] { return Bytes(3 * kChunkBytes, 5); })));
+  std::unique_lock lock(mu);
+  const bool arrived = cv.wait_for(lock, std::chrono::seconds(5),
+                                   [&] { return destroyed_at_chunk.size() == 3; });
+  const std::vector<bool> seen = destroyed_at_chunk;
+  lock.unlock();
+  ASSERT_TRUE(arrived);
+  EXPECT_EQ(seen, (std::vector<bool>{true, true, true}));
+}
+
 TEST(BrokerEndpoint, UnknownDestinationIsDroppedAndCounted) {
   Broker broker(0);
   Endpoint sender(explorer_id(0, 0), broker);
@@ -140,6 +179,7 @@ TEST(BrokerEndpoint, UnknownDestinationIsDroppedAndCounted) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(broker.dropped_messages(), 1u);
+  broker.stop();  // the router's claim goes with its queue item
   EXPECT_EQ(broker.store().live_objects(), 0u);  // claim released
   // The drop is attributed to its reason, not just the total.
   EXPECT_EQ(broker.dropped_messages(DropReason::kUnknownDest), 1u);
@@ -351,6 +391,7 @@ TEST(BrokerEndpoint, ManyEndpointsStress) {
     ++received;
   }
   for (auto& thread : senders) thread.join();
+  broker.stop();  // the router's claim on the last body goes with its queue item
   EXPECT_EQ(broker.store().live_objects(), 0u);
 }
 

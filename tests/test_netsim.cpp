@@ -434,7 +434,8 @@ TEST(WireFrame, ChainedCrcCoversControlAndEveryBody) {
 }
 
 TEST(WireFrame, ControlSegmentHoldsEachFactOnce) {
-  // Wire format v7 (DESIGN.md §9): 51 bytes plus 5 per destination.
+  // Wire format v7 (DESIGN.md §9): 51 bytes plus 5 per destination, in a
+  // buffer allocated at exactly that size.
   const std::vector<std::vector<NodeId>> destinations = {
       {},
       {learner_id(0)},
@@ -443,9 +444,10 @@ TEST(WireFrame, ControlSegmentHoldsEachFactOnce) {
     MessageHeader header =
         control_header(MsgType::kWeights, learner_id(0), empty_payload());
     header.dsts = dsts;
-    EXPECT_EQ(encode_wire_frame(header, empty_payload(), /*with_crc=*/true)
-                  .control.size(),
-              51 + 5 * dsts.size());
+    const Bytes control =
+        encode_wire_frame(header, empty_payload(), /*with_crc=*/true).control;
+    EXPECT_EQ(control.size(), 51 + 5 * dsts.size());
+    EXPECT_EQ(control.capacity(), control.size());
   }
 
   // The class, chunk count and compressed flag are not on the wire: the

@@ -19,7 +19,9 @@ Transition make_transition(int tag, std::size_t frame_bytes = 0) {
 TEST(TransitionSerialization, RoundTrip) {
   std::vector<Transition> transitions;
   for (int i = 0; i < 10; ++i) transitions.push_back(make_transition(i, 64));
-  const auto restored = deserialize_transitions(serialize_transitions(transitions));
+  const Bytes body = serialize_transitions(transitions);
+  EXPECT_EQ(body.capacity(), body.size());  // allocated once, at its size
+  const auto restored = deserialize_transitions(body);
   ASSERT_EQ(restored.size(), 10u);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(restored[i].observation, transitions[i].observation);

@@ -212,6 +212,8 @@ TEST(WeightCodecRoundTrip, AllCodecsSurviveRandomArchitectures) {
       auto frame = encode_weight_frame(blob, 2, config, keyframe,
                                        keyframe ? nullptr : &prev, 1);
       ASSERT_TRUE(frame.has_value()) << weight_codec_name(codec);
+      EXPECT_EQ(frame->payload.capacity(), frame->payload.size())
+          << weight_codec_name(codec);
       const auto decoded =
           decode_weight_frame(frame->payload, keyframe ? nullptr : &prev);
       ASSERT_TRUE(decoded.has_value()) << weight_codec_name(codec);
@@ -223,6 +225,33 @@ TEST(WeightCodecRoundTrip, AllCodecsSurviveRandomArchitectures) {
                                ? 0.051
                                : std::max(0.5, max_abs(blob)) * 0.02;
       EXPECT_LE(max_error(blob, *decoded), bound) << weight_codec_name(codec);
+    }
+  }
+}
+
+TEST(WeightCodec, EveryCodecAllocatesExactlyItsFrame) {
+  // ppo_sync_2m's policy: 128 inputs, two hidden layers of 128, 4 actions.
+  const Bytes blob = random_blob(21, 128,
+                                 {{128, nn::Activation::kRelu},
+                                  {128, nn::Activation::kRelu},
+                                  {4, nn::Activation::kIdentity}});
+  const Bytes prev = perturb(blob, 0.01, 22);
+  const std::size_t pinned[kWeightCodecCount] = {134'247, 67'167, 67'167,
+                                                 33'651, 33'651, 0};
+  for (std::uint8_t c = 0; c < kWeightCodecCount; ++c) {
+    const auto codec = static_cast<WeightCodec>(c);
+    SCOPED_TRACE(weight_codec_name(codec));
+    const bool keyframe = !weight_codec_uses_base(codec);
+    for (const double fraction : {0.001, 0.1, 1.0}) {
+      WeightSyncConfig config = config_for(codec);
+      config.topk_fraction = fraction;
+      const auto frame = encode_weight_frame(blob, 2, config, keyframe,
+                                             keyframe ? nullptr : &prev, 1);
+      ASSERT_TRUE(frame.has_value());
+      EXPECT_EQ(frame->payload.capacity(), frame->payload.size());
+      if (pinned[c] != 0) {
+        EXPECT_EQ(frame->payload.size(), pinned[c]);
+      }
     }
   }
 }
