@@ -293,25 +293,14 @@ int main(int argc, char** argv) {
       points.back().per_explorer_per_s >=
           0.5 * points.front().per_explorer_per_s);
 
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::printf("cannot write %s\n", json_path);
-    return 1;
+  std::vector<std::vector<JsonField>> entries;
+  for (const SweepPoint& p : points) {
+    entries.push_back({{"name", std::to_string(p.explorers)},
+                       {"explorers", p.explorers},
+                       {"throughput_per_explorer_per_s", p.per_explorer_per_s}});
   }
-  std::fprintf(out, "{\n  \"bench\": \"bench_fig11\",\n");
-  std::fprintf(out, "  \"driver_machines\": %d,\n", kDriverMachines);
-  std::fprintf(out, "  \"entries\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%d\", \"explorers\": %d, "
-                 "\"throughput_per_explorer_per_s\": %.2f}%s\n",
-                 p.explorers, p.explorers, p.per_explorer_per_s,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  const std::vector<JsonField> fields = {{"driver_machines", kDriverMachines}};
+  if (!write_artifact(json_path, "bench_fig11", fields, entries)) return 1;
 
   if (!json_only) {
     banner("Fig. 11: Scalability (IMPALA, BeamRider-like, env step = 1 ms)");

@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
-#include "obs/exporters.h"
 
 namespace {
 
@@ -188,30 +187,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::printf("cannot write %s\n", json_path);
-    return 1;
+  std::vector<std::vector<JsonField>> rows;
+  for (const Entry& e : entries) {
+    rows.push_back({{"kernel", kernel_name(e.kernel)},
+                    {"m", e.shape.m},
+                    {"k", e.shape.k},
+                    {"n", e.shape.n},
+                    {"why", e.shape.why},
+                    {"scalar_gflops", e.scalar_gflops},
+                    {"serial_gflops", e.serial_gflops},
+                    {"pooled_gflops", e.pooled_gflops}});
   }
-  std::fprintf(out, "{\n  \"bench\": \"bench_kernels\",\n");
-  std::fprintf(out, "  \"build_type\": \"%s\",\n", build_type.c_str());
-  std::fprintf(out, "  \"pooled_threads\": %d,\n  \"entries\": [\n", hw_threads);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    std::string why;
-    append_json_escaped(why, e.shape.why);
-    std::fprintf(out,
-                 "    {\"kernel\": \"%s\", \"m\": %zu, \"k\": %zu, \"n\": %zu, "
-                 "\"why\": \"%s\", \"scalar_gflops\": %.3f, \"serial_gflops\": "
-                 "%.3f, \"pooled_gflops\": %.3f}%s\n",
-                 kernel_name(e.kernel), e.shape.m, e.shape.k, e.shape.n,
-                 why.c_str(), e.scalar_gflops,
-                 e.serial_gflops, e.pooled_gflops,
-                 i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  const std::vector<JsonField> fields = {{"build_type", build_type},
+                                         {"pooled_threads", hw_threads}};
+  if (!write_artifact(json_path, "bench_kernels", fields, rows)) return 1;
 
   return finish("bench_kernels");
 }

@@ -357,25 +357,16 @@ int main(int argc, char** argv) {
   shape_check("fault injection engaged on the paced links",
               r.faults_injected > 0);
 
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::printf("cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"bench_overload\",\n");
-  std::fprintf(out, "  \"high_watermark\": %zu,\n  \"low_watermark\": %zu,\n",
-               kHighWatermark, kLowWatermark);
-  std::fprintf(out, "  \"entries\": [\n");
-  std::fprintf(out,
-               "    {\"name\": \"overload\", \"explorers\": %d, "
-               "\"control_p99_ms\": %.3f, "
-               "\"delivered_control_per_s\": %.1f, "
-               "\"delivered_experience_per_s\": %.1f}\n",
-               r.explorers, r.control_p99_ms, r.delivered_control_per_s,
-               r.delivered_experience_per_s);
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  const std::vector<JsonField> fields = {{"high_watermark", kHighWatermark},
+                                         {"low_watermark", kLowWatermark}};
+  const std::vector<JsonField> entry = {
+      {"name", "overload"},
+      {"explorers", r.explorers},
+      {"control_p99_ms", r.control_p99_ms},
+      {"delivered_control_per_s", r.delivered_control_per_s},
+      {"delivered_experience_per_s", r.delivered_experience_per_s},
+  };
+  if (!write_artifact(json_path, "bench_overload", fields, {entry})) return 1;
 
   return finish("bench_overload");
 }

@@ -190,23 +190,15 @@ int main(int argc, char** argv) {
 
   // Machine-readable artifact for tools/perf_diff (the checked-in
   // BENCH_table1.json baseline tracks these rows across PRs).
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::printf("cannot write %s\n", json_path);
-    return 1;
+  std::vector<std::vector<JsonField>> entries;
+  for (const Row& row : rows) {
+    entries.push_back({{"name", row.name},
+                       {"rollout_kb", row.size_kb},
+                       {"pull_ms", row.pull_ms},
+                       {"buffer_ms", row.buffer_ms},
+                       {"train_ms", row.train_ms}});
   }
-  std::fprintf(out, "{\n  \"bench\": \"bench_table1\",\n  \"entries\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"rollout_kb\": %.1f, "
-                 "\"pull_ms\": %.3f, \"buffer_ms\": %.3f, \"train_ms\": %.3f}%s\n",
-                 row.name, row.size_kb, row.pull_ms, row.buffer_ms, row.train_ms,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  if (!write_artifact(json_path, "bench_table1", {}, entries)) return 1;
 
   return finish("bench_table1");
 }

@@ -5,6 +5,7 @@
 // match the paper — who wins, by roughly what factor), and the common
 // modeled-cost constants documented in DESIGN.md / EXPERIMENTS.md.
 
+#include <concepts>
 #include <cstdarg>
 #include <cstdio>
 #include <string>
@@ -14,6 +15,7 @@
 #include "common/clock.h"
 #include "common/stats.h"
 #include "framework/deployment.h"
+#include "obs/exporters.h"
 
 namespace xt::bench {
 
@@ -81,6 +83,54 @@ inline void submit_direct(Broker& broker, const NodeId& src, const NodeId& dst,
   header.body_size = body->size();
   header.created_ns = now_ns();
   (void)broker.submit(std::move(header), broker.store().hold(body));
+}
+
+/// One `"key": value` field of a gate artifact: a number (`%.6g`, integers
+/// exact) or an escaped string.
+struct JsonField {
+  JsonField(const char* k, double value) : key(k) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+    text = buf;
+  }
+  template <std::integral T>
+  JsonField(const char* k, T value) : key(k), text(std::to_string(value)) {}
+  JsonField(const char* k, const std::string& value) : key(k), text("\"") {
+    append_json_escaped(text, value);
+    text += '"';
+  }
+  const char* key;
+  std::string text;
+};
+
+/// Write a gate bench's artifact, the file tools/perf_diff compares with its
+/// checked-in BENCH_<name>.json: `{"bench": bench, <fields>, "entries":
+/// [{<entry>}, ...]}`. False (after saying so) when it cannot be written.
+inline bool write_artifact(const char* path, const char* bench,
+                           const std::vector<JsonField>& fields,
+                           const std::vector<std::vector<JsonField>>& entries) {
+  std::FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
+    std::printf("cannot write %s\n", path);
+    return false;
+  }
+  std::fprintf(out, "{\n  \"bench\": \"%s\",\n", bench);
+  for (const JsonField& field : fields) {
+    std::fprintf(out, "  \"%s\": %s,\n", field.key, field.text.c_str());
+  }
+  std::fprintf(out, "  \"entries\": [\n");
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::fprintf(out, "    {");
+    for (std::size_t j = 0; j < entries[i].size(); ++j) {
+      std::fprintf(out, "%s\"%s\": %s", j > 0 ? ", " : "", entries[i][j].key,
+                   entries[i][j].text.c_str());
+    }
+    std::fprintf(out, "}%s\n", i + 1 < entries.size() ? "," : "");
+  }
+  std::fprintf(out, "  ]\n}\n");
+  std::fclose(out);
+  std::printf("\nwrote %s\n", path);
+  return true;
 }
 
 /// Print the shape summary; returns the process exit code.

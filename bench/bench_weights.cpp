@@ -244,44 +244,30 @@ int main(int argc, char** argv) {
   shape_check("no decode failures in any healthy run",
               total_decode_failures == 0);
 
-  std::FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::printf("cannot write %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"bench_weights\",\n");
-  std::fprintf(out, "  \"steps\": %llu,\n",
-               static_cast<unsigned long long>(steps));
-  std::fprintf(out, "  \"entries\": [\n");
+  std::vector<std::vector<JsonField>> entries;
   for (std::uint8_t c = 0; c < kWeightCodecCount; ++c) {
-    const char* name = weight_codec_name(static_cast<WeightCodec>(c));
-    std::fprintf(out,
-                 "    {\"name\": \"micro_%s\", \"encode_ms\": %.4f, "
-                 "\"decode_ms\": %.4f, \"compression_ratio\": %.3f, "
-                 "\"max_abs_error\": %.6g},\n",
-                 name, micro[c].encode_ms, micro[c].decode_ms,
-                 micro[c].compression_ratio, micro[c].max_abs_error);
+    const std::string name = weight_codec_name(static_cast<WeightCodec>(c));
+    entries.push_back({{"name", "micro_" + name},
+                       {"encode_ms", micro[c].encode_ms},
+                       {"decode_ms", micro[c].decode_ms},
+                       {"compression_ratio", micro[c].compression_ratio},
+                       {"max_abs_error", micro[c].max_abs_error}});
   }
   for (std::uint8_t c = 0; c < kWeightCodecCount; ++c) {
-    const char* name = weight_codec_name(static_cast<WeightCodec>(c));
-    std::fprintf(out,
-                 "    {\"name\": \"e2e_%s\", \"wire_compression_ratio\": %.3f, "
-                 "\"broadcast_p99_ms\": %.3f, \"avg_return\": %.3f, "
-                 "\"broadcasts\": %llu, \"keyframes\": %llu},\n",
-                 name, e2e[c].wire_compression_ratio, e2e[c].broadcast_p99_ms,
-                 e2e[c].avg_return,
-                 static_cast<unsigned long long>(e2e[c].broadcasts),
-                 static_cast<unsigned long long>(e2e[c].keyframes));
+    const std::string name = weight_codec_name(static_cast<WeightCodec>(c));
+    entries.push_back({{"name", "e2e_" + name},
+                       {"wire_compression_ratio", e2e[c].wire_compression_ratio},
+                       {"broadcast_p99_ms", e2e[c].broadcast_p99_ms},
+                       {"avg_return", e2e[c].avg_return},
+                       {"broadcasts", e2e[c].broadcasts},
+                       {"keyframes", e2e[c].keyframes}});
   }
-  std::fprintf(out,
-               "    {\"name\": \"lazy_fp16\", \"wire_compression_ratio\": %.3f, "
-               "\"skipped\": %llu, \"avg_return\": %.3f}\n",
-               lazy_result.wire_compression_ratio,
-               static_cast<unsigned long long>(lazy_result.skipped),
-               lazy_result.avg_return);
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  entries.push_back({{"name", "lazy_fp16"},
+                     {"wire_compression_ratio", lazy_result.wire_compression_ratio},
+                     {"skipped", lazy_result.skipped},
+                     {"avg_return", lazy_result.avg_return}});
+  const std::vector<JsonField> fields = {{"steps", steps}};
+  if (!write_artifact(json_path, "bench_weights", fields, entries)) return 1;
 
   return finish("bench_weights");
 }

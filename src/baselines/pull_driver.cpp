@@ -123,14 +123,14 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
     // everything, trains, then broadcasts — each phase strictly after the
     // previous one (paper Section 2.2 / Fig. 10).
     while (!goal_reached(deployment, state, clock, returns)) {
-      std::vector<PullWorker::TicketPtr> tickets;
+      std::vector<PullWorker::Ticket> tickets;
       tickets.reserve(workers.size());
       for (auto& worker : workers) tickets.push_back(worker->sample_async());
 
       Stopwatch wait_clock;
       for (std::size_t i = 0; i < workers.size(); ++i) {
         Stopwatch pull_clock;
-        const Bytes data = workers[i]->sample_get(tickets[i]);
+        const Bytes data = workers[i]->sample_get(std::move(tickets[i]));
         state.transmission_hist.observe(pull_clock.elapsed_ms());
         consume(state, *algorithm, data);
       }
@@ -150,7 +150,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
     // Async IMPALA on the pull model: one outstanding sample per worker;
     // the driver polls for a finished task, pulls it (paying the transfer
     // on its own thread), trains, replies with weights, resubmits.
-    std::vector<PullWorker::TicketPtr> tickets;
+    std::vector<PullWorker::Ticket> tickets;
     tickets.reserve(workers.size());
     for (auto& worker : workers) tickets.push_back(worker->sample_async());
 
@@ -159,7 +159,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
       std::size_t chosen = workers.size();
       while (chosen == workers.size()) {
         for (std::size_t i = 0; i < workers.size(); ++i) {
-          if (tickets[i]->ready()) {
+          if (tickets[i].ready()) {
             chosen = i;
             break;
           }
@@ -172,7 +172,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
       if (chosen == workers.size()) break;
 
       Stopwatch pull_clock;
-      const Bytes data = workers[chosen]->sample_get(tickets[chosen]);
+      const Bytes data = workers[chosen]->sample_get(std::move(tickets[chosen]));
       state.transmission_hist.observe(pull_clock.elapsed_ms());
       state.add_wait(wait_clock.elapsed_ms());
       consume(state, *algorithm, data);
@@ -191,10 +191,10 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
     auto& worker = *workers.front();
     int sessions_since_broadcast = 0;
     while (!goal_reached(deployment, state, clock, returns)) {
-      auto ticket = worker.sample_async();
+      PullWorker::Ticket ticket = worker.sample_async();
       Stopwatch wait_clock;
       Stopwatch pull_clock;
-      const Bytes data = worker.sample_get(ticket);
+      const Bytes data = worker.sample_get(std::move(ticket));
       state.transmission_hist.observe(pull_clock.elapsed_ms());
       consume(state, *algorithm, data);  // forwards into the replay actor
       state.add_wait(wait_clock.elapsed_ms());

@@ -1,7 +1,6 @@
 #include "baselines/pull_dummy.h"
 
-#include <condition_variable>
-#include <mutex>
+#include <future>
 #include <thread>
 
 #include "common/blocking_queue.h"
@@ -15,14 +14,6 @@ namespace {
 /// the driver pulls.
 class DummyPullWorker {
  public:
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    Bytes data;
-    bool ready = false;
-  };
-  using SlotPtr = std::shared_ptr<Slot>;
-
   DummyPullWorker(std::uint16_t machine, const Bytes& payload_template,
                   const RpcTransport& transport)
       : machine_(machine), template_(payload_template), transport_(transport) {
@@ -38,41 +29,35 @@ class DummyPullWorker {
     if (service_.joinable()) service_.join();
   }
 
-  [[nodiscard]] SlotPtr produce_async() {
-    auto slot = std::make_shared<Slot>();
-    if (!requests_.push(slot)) {
-      std::scoped_lock lock(slot->mu);
-      slot->ready = true;
+  /// A stopped worker hands back an empty payload at once.
+  [[nodiscard]] std::future<Bytes> produce_async() {
+    std::promise<Bytes> reply;
+    std::future<Bytes> result = reply.get_future();
+    if (!requests_.push(std::move(reply))) {
+      std::promise<Bytes> empty;  // the dropped request broke its promise
+      empty.set_value({});
+      result = empty.get_future();
     }
-    return slot;
+    return result;
   }
 
-  [[nodiscard]] Bytes get(const SlotPtr& slot, RpcTransport& transport) {
-    Bytes data;
-    {
-      std::unique_lock lock(slot->mu);
-      slot->cv.wait(lock, [&] { return slot->ready; });
-      data = std::move(slot->data);
-    }
-    return transport.pull(machine_, data);
+  [[nodiscard]] Bytes get(std::future<Bytes> result, RpcTransport& transport) {
+    return transport.pull(machine_, result.get());
   }
 
  private:
   void service_loop() {
-    while (auto slot = requests_.pop()) {
+    while (auto reply = requests_.pop()) {
       Bytes data = template_;  // message materialization (the compute)
       transport_.pace_ipc(data.size());  // worker-side object-store copy
-      std::scoped_lock lock((*slot)->mu);
-      (*slot)->data = std::move(data);
-      (*slot)->ready = true;
-      (*slot)->cv.notify_one();
+      reply->set_value(std::move(data));
     }
   }
 
   const std::uint16_t machine_;
   const Bytes& template_;
   const RpcTransport& transport_;
-  BlockingQueue<SlotPtr> requests_;
+  BlockingQueue<std::promise<Bytes>> requests_;
   std::thread service_;
 };
 
@@ -99,12 +84,12 @@ DummyResult run_dummy_transmission_pullhub(const DummyConfig& config,
   const Stopwatch clock;
   for (int round = 0; round < config.messages_per_explorer; ++round) {
     // Central logic: schedule every worker's task for this round...
-    std::vector<DummyPullWorker::SlotPtr> slots;
-    slots.reserve(workers.size());
-    for (auto& worker : workers) slots.push_back(worker->produce_async());
+    std::vector<std::future<Bytes>> results;
+    results.reserve(workers.size());
+    for (auto& worker : workers) results.push_back(worker->produce_async());
     // ...then ask for the data, one synchronous pull after another.
     for (std::size_t i = 0; i < workers.size(); ++i) {
-      const Bytes data = workers[i]->get(slots[i], transport);
+      const Bytes data = workers[i]->get(std::move(results[i]), transport);
       ++result.messages_received;
       result.bytes_received += data.size();
     }

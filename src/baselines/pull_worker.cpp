@@ -27,11 +27,6 @@ std::uint64_t ReturnsCollector::episodes() const {
   return episodes_;
 }
 
-bool PullWorker::Ticket::ready() const {
-  std::scoped_lock lock(mu);
-  return is_ready;
-}
-
 PullWorker::PullWorker(std::uint16_t machine, std::uint32_t index,
                        std::unique_ptr<Environment> env,
                        std::unique_ptr<Agent> agent, RpcTransport& transport,
@@ -56,61 +51,49 @@ void PullWorker::stop() {
   if (service_.joinable()) service_.join();
 }
 
-PullWorker::TicketPtr PullWorker::sample_async() {
-  auto ticket = std::make_shared<Ticket>();
+PullWorker::Ticket PullWorker::sample_async() {
   Request request;
   request.kind = Request::Kind::kSample;
-  request.ticket = ticket;
+  Ticket ticket(request.reply.get_future());
   if (!requests_.push(std::move(request))) {
-    std::scoped_lock lock(ticket->mu);
-    ticket->is_ready = true;  // stopped: deliver an empty result
+    std::promise<Bytes> empty;  // stopped: the dropped request broke its promise
+    empty.set_value({});
+    ticket = Ticket(empty.get_future());
   }
   return ticket;
 }
 
-Bytes PullWorker::sample_get(const TicketPtr& ticket) {
-  Bytes data;
-  {
-    std::unique_lock lock(ticket->mu);
-    ticket->cv.wait(lock, [&] { return ticket->is_ready; });
-    data = std::move(ticket->data);
-  }
+Bytes PullWorker::sample_get(Ticket ticket) {
   // The pull: bytes only cross the process/machine boundary now, on the
   // caller's (driver's) thread.
-  return transport_.pull(machine_, data);
+  return transport_.pull(machine_, ticket.result_.get());
 }
 
 void PullWorker::set_weights(const Bytes& weights, std::uint32_t version) {
   transport_.push(machine_, weights);
-  auto ack = std::make_shared<Ticket>();
   Request request;
   request.kind = Request::Kind::kSetWeights;
   request.weights = weights;  // the worker-side landing copy
   request.version = version;
-  request.ack = ack;
-  if (!requests_.push(std::move(request))) return;
-  std::unique_lock lock(ack->mu);
-  ack->cv.wait(lock, [&] { return ack->is_ready; });
+  std::future<Bytes> applied = request.reply.get_future();
+  if (requests_.push(std::move(request))) applied.wait();
 }
 
 void PullWorker::service_loop() {
   while (auto request = requests_.pop()) {
     switch (request->kind) {
       case Request::Kind::kSample:
-        run_sample(request->ticket);
+        request->reply.set_value(run_sample());
         break;
-      case Request::Kind::kSetWeights: {
+      case Request::Kind::kSetWeights:
         (void)agent_->apply_weights(request->weights, request->version);
-        std::scoped_lock lock(request->ack->mu);
-        request->ack->is_ready = true;
-        request->ack->cv.notify_one();
+        request->reply.set_value({});
         break;
-      }
     }
   }
 }
 
-void PullWorker::run_sample(const TicketPtr& ticket) {
+Bytes PullWorker::run_sample() {
   if (!episode_live_) {
     obs_ = env_->reset(episode_seed_++);
     episode_return_ = 0.0;
@@ -134,10 +117,7 @@ void PullWorker::run_sample(const TicketPtr& ticket) {
   Bytes data = agent_->take_batch().serialize();
   // Worker-side copy into its object store (parallel across workers).
   transport_.pace_ipc(data.size());
-  std::scoped_lock lock(ticket->mu);
-  ticket->data = std::move(data);
-  ticket->is_ready = true;
-  ticket->cv.notify_one();
+  return data;
 }
 
 }  // namespace xt::baselines

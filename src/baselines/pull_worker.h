@@ -1,7 +1,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -39,16 +40,15 @@ class PullWorker {
   /// A parked sample result awaiting the driver's pull.
   class Ticket {
    public:
-    [[nodiscard]] bool ready() const;
+    [[nodiscard]] bool ready() const {
+      return result_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    }
 
    private:
     friend class PullWorker;
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    Bytes data;
-    bool is_ready = false;
+    explicit Ticket(std::future<Bytes> result) : result_(std::move(result)) {}
+    std::future<Bytes> result_;
   };
-  using TicketPtr = std::shared_ptr<Ticket>;
 
   PullWorker(std::uint16_t machine, std::uint32_t index,
              std::unique_ptr<Environment> env, std::unique_ptr<Agent> agent,
@@ -58,13 +58,14 @@ class PullWorker {
   PullWorker(const PullWorker&) = delete;
   PullWorker& operator=(const PullWorker&) = delete;
 
-  /// Submit a sample task (async). The worker produces one rollout fragment.
-  [[nodiscard]] TicketPtr sample_async();
+  /// Submit a sample task (async). The worker produces one rollout fragment;
+  /// a stopped worker hands back an empty one at once.
+  [[nodiscard]] Ticket sample_async();
 
   /// Pull a completed (or pending) sample: blocks until the compute finishes,
   /// then pays the full transfer cost on the calling thread. Returns the
   /// serialized RolloutBatch.
-  [[nodiscard]] Bytes sample_get(const TicketPtr& ticket);
+  [[nodiscard]] Bytes sample_get(Ticket ticket);
 
   /// Blocking weights update: pushes the bytes and waits for the apply ack.
   void set_weights(const Bytes& weights, std::uint32_t version);
@@ -78,14 +79,13 @@ class PullWorker {
  private:
   struct Request {
     enum class Kind { kSample, kSetWeights } kind;
-    TicketPtr ticket;            // kSample
     Bytes weights;               // kSetWeights
     std::uint32_t version = 0;   // kSetWeights
-    std::shared_ptr<Ticket> ack; // kSetWeights
+    std::promise<Bytes> reply;   // the sample, or an empty apply ack
   };
 
   void service_loop();
-  void run_sample(const TicketPtr& ticket);
+  [[nodiscard]] Bytes run_sample();
 
   const std::uint16_t machine_;
   const std::uint32_t index_;

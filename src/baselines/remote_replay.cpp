@@ -69,18 +69,15 @@ void RemoteReplayActor::insert(const std::vector<Transition>& transitions) {
 
 std::vector<Transition> RemoteReplayActor::sample(std::size_t n) {
   const Stopwatch clock;
-  auto slot = std::make_shared<ResponseSlot>();
   Request request;
   request.kind = Request::Kind::kSample;
   request.count = n;
-  request.response = slot;
+  std::future<Bytes> response = request.response.get_future();
   precise_sleep_ns(dispatch_ns_);
   if (!requests_.push(std::move(request))) return {};
-  std::unique_lock lock(slot->mu);
-  slot->cv.wait(lock, [&] { return slot->ready; });
-  lock.unlock();
+  const Bytes data = response.get();
   precise_sleep_ns(dispatch_ns_);  // response dispatch
-  auto result = deserialize_transitions(slot->data);
+  auto result = deserialize_transitions(data);
   sample_latency_ms_.observe(clock.elapsed_ms());
   return result;
 }
@@ -93,14 +90,10 @@ void RemoteReplayActor::service_loop() {
           replay_.add(std::move(t));
         }
         break;
-      case Request::Kind::kSample: {
-        Bytes data = serialize_transitions(replay_.sample(request->count));
-        std::scoped_lock lock(request->response->mu);
-        request->response->data = std::move(data);
-        request->response->ready = true;
-        request->response->cv.notify_one();
+      case Request::Kind::kSample:
+        request->response.set_value(
+            serialize_transitions(replay_.sample(request->count)));
         break;
-      }
     }
   }
 }

@@ -1,8 +1,7 @@
 #pragma once
 
-#include <condition_variable>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "algo/dqn.h"
@@ -46,17 +45,11 @@ class RemoteReplayActor {
   }
 
  private:
-  struct ResponseSlot {
-    std::mutex mu;
-    std::condition_variable cv;
-    Bytes data;
-    bool ready = false;
-  };
   struct Request {
     enum class Kind { kInsert, kSample } kind;
     Bytes payload;
     std::size_t count = 0;
-    std::shared_ptr<ResponseSlot> response;
+    std::promise<Bytes> response;  // kSample
   };
 
   void service_loop();

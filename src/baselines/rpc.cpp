@@ -1,7 +1,7 @@
 #include "baselines/rpc.h"
 
-#include <condition_variable>
-#include <mutex>
+#include <future>
+#include <memory>
 
 #include "common/clock.h"
 
@@ -31,17 +31,11 @@ void RpcTransport::stop() {
 }
 
 void RpcTransport::blocking_pipe_transfer(PacedPipe& pipe, std::size_t bytes) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  const bool queued = pipe.send(bytes, [&] {
-    std::scoped_lock lock(mu);
-    done = true;
-    cv.notify_one();
-  });
-  if (!queued) return;
-  std::unique_lock lock(mu);
-  cv.wait(lock, [&] { return done; });
+  // The frame owns the promise, so the delivery thread never touches a
+  // promise this thread has already destroyed.
+  auto delivered = std::make_shared<std::promise<void>>();
+  std::future<void> done = delivered->get_future();
+  if (pipe.send(bytes, [delivered] { delivered->set_value(); })) done.wait();
 }
 
 void RpcTransport::pace_ipc(std::size_t bytes) const {

@@ -7,7 +7,6 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
-#include "obs/profiler.h"
 #include "serial/wire_format.h"
 
 namespace xt {
@@ -51,10 +50,8 @@ Broker::Broker(std::uint16_t machine, Options options)
                 series_name("xt_broker_dropped_total", {{"machine", machine}})),
             metrics_.gauge(
                 series_name("xt_broker_queue_depth", {{"machine", machine}})),
-            metrics_.histogram(
-                series_name("xt_broker_route_ms", {{"machine", machine}})),
-            metrics_.histogram(
-                series_name("xt_queue_wait_ms", {{"machine", machine}})),
+            stage_histogram(metrics_, StageId::kRoute, {{"machine", machine}}),
+            stage_histogram(metrics_, StageId::kQueueWait, {{"machine", machine}}),
             metrics_.counter(
                 series_name("xt_frames_corrupted_total", {{"machine", machine}}))},
       store_(metrics_, machine),
@@ -170,13 +167,10 @@ void Broker::note_drop(DropReason reason) {
 }
 
 void Broker::route(MessageHeader header, StoreClaim claim) {
-  const Stopwatch route_clock;
-  ProfScope prof("route");
   // Like its wire frame, only a message's last chunk is traced as its own.
   const bool last = header.last_chunk();
-  const std::uint64_t trace_id = last ? header.trace_id() : 0;
-  TraceScope route_span(trace_, "router.route", "comm", trace_id, machine_,
-                        header.body_size);
+  const Stage stage(StageId::kRoute, &inst_.route_ms, trace_,
+                    last ? header.trace_id() : 0, machine_, header.body_size);
 
   if (header.chunk_count() > 1) {
     // A message whose first chunk never reached the router was shed there:
@@ -215,8 +209,6 @@ void Broker::route(MessageHeader header, StoreClaim claim) {
     if (last) inst_.forwarded.inc();
     sink(header, claim.peek());
   }
-
-  inst_.route_ms.observe(route_clock.elapsed_ms());
 }
 
 bool Broker::reassemble(const MessageHeader& header, Payload& body,
@@ -296,9 +288,8 @@ bool Broker::deliver_frame(const WireFrame& frame, bool retransmits) {
   MessageHeader& header = message->header;
   Payload& body = message->body;
   if (!reassemble(header, body, /*in_order=*/!retransmits)) return true;
-  ProfScope prof("rehost");
-  TraceScope rehost_span(trace_, "broker.rehost", "comm", header.trace_id(),
-                         machine_, body->size());
+  const Stage stage(StageId::kRehost, nullptr, trace_, header.trace_id(), machine_,
+                    body->size());
   // The forwarding router already split the message per machine, so remote
   // dsts in the header are not ours.
   if (std::none_of(header.dsts.begin(), header.dsts.end(),

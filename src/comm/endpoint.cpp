@@ -5,7 +5,6 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
-#include "obs/profiler.h"
 
 namespace xt {
 namespace {
@@ -38,16 +37,16 @@ Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
                 series_name("xt_bytes_received_total", {{"machine", id.machine}})),
             broker.metrics().counter(series_name("xt_store_deep_copy_bytes_total",
                                                  {{"machine", id.machine}})),
-            broker.metrics().histogram(
-                series_name("xt_send_serialize_ms", {{"machine", id.machine}})),
-            broker.metrics().histogram(
-                series_name("xt_store_put_ms", {{"machine", id.machine}})),
-            broker.metrics().histogram(
-                series_name("xt_recv_decode_ms", {{"machine", id.machine}})),
+            stage_histogram(broker.metrics(), StageId::kSerialize,
+                            {{"machine", id.machine}}),
+            stage_histogram(broker.metrics(), StageId::kStorePut,
+                            {{"machine", id.machine}}),
+            stage_histogram(broker.metrics(), StageId::kRecv,
+                            {{"machine", id.machine}}),
             broker.metrics().histogram(
                 series_name("xt_transmission_ms", {{"machine", id.machine}})),
-            broker.metrics().histogram(
-                series_name("xt_codec_compress_ms", {{"machine", id.machine}})),
+            stage_histogram(broker.metrics(), StageId::kCompress,
+                            {{"machine", id.machine}}),
             broker.metrics().histogram(
                 series_name("xt_codec_decompress_ms", {{"machine", id.machine}})),
             broker.metrics().counter(
@@ -123,13 +122,10 @@ void Endpoint::sender_loop() {
     // soon as its body exists, not after the put.
     Payload body;
     if (outbound->producer) {
-      ProfScope prof("serialize");
-      TraceScope span(trace, "msg.serialize", "comm", header.trace_id(),
-                      id_.machine);
-      const Stopwatch clock;
+      Stage serialize(StageId::kSerialize, &inst_.serialize_ms, trace,
+                      header.trace_id(), id_.machine);
       body = make_payload(std::exchange(outbound->producer, nullptr)());
-      inst_.serialize_ms.observe(clock.elapsed_ms());
-      span.set_bytes(body->size());
+      serialize.set_bytes(body->size());
     } else {
       body = std::move(outbound->body);
     }
@@ -137,15 +133,13 @@ void Endpoint::sender_loop() {
 
     EncodedBody encoded;
     {
-      ProfScope prof("compress");
-      TraceScope span(trace, "msg.compress", "comm", header.trace_id(),
-                      id_.machine, body->size());
+      // The codec's series times only the bodies LZ4 attempts (its own rule).
       const CompressionConfig& compression = broker_.options().compression;
-      const Stopwatch clock;
+      Histogram* attempt_ms =
+          compression.attempts(body->size()) ? &inst_.compress_ms : nullptr;
+      const Stage compress(StageId::kCompress, attempt_ms, trace, header.trace_id(),
+                           id_.machine, body->size());
       encoded = maybe_compress(body, compression);
-      if (compression.attempts(body->size())) {
-        inst_.compress_ms.observe(clock.elapsed_ms());
-      }
     }
     inst_.codec_bytes_in.inc(body->size());
     inst_.codec_bytes_out.inc(encoded.data->size());
@@ -161,10 +155,8 @@ void Endpoint::sender_loop() {
     // Each chunk's header carries a claim on the body; the last takes the
     // sender's own.
     {
-      ProfScope prof("store.put");
-      TraceScope span(trace, "store.put", "comm", header.trace_id(),
+      const Stage put(StageId::kStorePut, &inst_.store_put_ms, trace, header.trace_id(),
                       id_.machine, encoded.data->size());
-      const Stopwatch clock;
       const double ipc_bw = broker_.options().ipc_bandwidth_bytes_per_sec;
 
       header.body_size = encoded.data->size();
@@ -180,7 +172,7 @@ void Endpoint::sender_loop() {
         if (ipc_bw > 0.0) {
           const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
           const std::int64_t wait_ns =
-              static_cast<std::int64_t>(due_ns) - clock.elapsed_ns();
+              static_cast<std::int64_t>(due_ns) - put.elapsed_ns();
           // Only the last chunk pays precise_sleep_ns's spin tail: an earlier
           // chunk that wakes late only delays its own header, and the next
           // chunk's absolute deadline absorbs the overshoot.
@@ -193,7 +185,6 @@ void Endpoint::sender_loop() {
         header.chunk_index = i;
         submitted = broker_.submit(header, last ? std::move(claim) : claim.share());
       }
-      inst_.store_put_ms.observe(clock.elapsed_ms());
       if (!submitted) continue;  // the broker is shutting down
     }
     inst_.messages_sent.inc();
@@ -207,48 +198,37 @@ void Endpoint::receiver_loop() {
 
     // Destination ID-queue wait: router enqueue -> this pop.
     if (routed->routed_ns > 0) {
-      const std::int64_t waited_ns = now_ns() - routed->routed_ns;
-      broker_.queue_wait_histogram().observe(ns_to_ms(waited_ns));
-      if (trace != nullptr && trace->enabled()) {
-        TraceSpan span;
-        span.name = "queue.wait";
-        span.category = "comm";
-        span.trace_id = header.trace_id();
-        span.start_ns = routed->routed_ns;
-        span.dur_ns = waited_ns;
-        span.pid = id_.machine;
-        span.bytes = header.body_size;
-        trace->record(span);
-      }
+      Stage::since(routed->routed_ns, StageId::kQueueWait,
+                   &broker_.queue_wait_histogram(), trace, header.trace_id(),
+                   id_.machine, header.body_size);
     }
 
-    ProfScope prof("recv");
-    TraceScope recv_span(trace, "msg.recv", "comm", header.trace_id(),
-                         id_.machine, header.body_size);
-    const Stopwatch decode_clock;
+    Stage recv(StageId::kRecv, &inst_.recv_decode_ms, trace, header.trace_id(),
+               id_.machine, header.body_size);
     Payload stored = routed->claim.fetch();
     if (broker_.options().deep_copy_store) {
       // Ablation: pay the copy that the zero-copy object store avoids.
       stored = make_payload(Bytes(*stored));
       inst_.deep_copy_bytes.inc(stored->size());
     }
-    const Stopwatch decompress_clock;
+    // The codec's series times the unpacking of a packed body alone.
+    const std::int64_t unpack_start_ns = header.compressed() ? now_ns() : 0;
     auto body = maybe_decompress(stored, header.compressed(), header.uncompressed_size);
-    if (header.compressed()) inst_.decompress_ms.observe(decompress_clock.elapsed_ms());
+    if (header.compressed()) {
+      inst_.decompress_ms.observe(ns_to_ms(now_ns() - unpack_start_ns));
+    }
     if (!body) {
       XT_LOG_ERROR << id_.name() << ": corrupt body for msg " << header.msg_id;
       continue;
     }
-    inst_.recv_decode_ms.observe(decode_clock.elapsed_ms());
-    recv_span.finish();
+    recv.finish();
 
     messages_received_.fetch_add(1, std::memory_order_relaxed);
     inst_.messages_received.inc();
     inst_.bytes_received.inc((*body)->size());
-    inst_.transmission_ms.observe(ns_to_ms(now_ns() - header.created_ns));
-    if (latency_recorder_ != nullptr) {
-      latency_recorder_->add(ns_to_ms(now_ns() - header.created_ns));
-    }
+    const double transmitted_ms = ns_to_ms(now_ns() - header.created_ns);
+    inst_.transmission_ms.observe(transmitted_ms);
+    if (latency_recorder_ != nullptr) latency_recorder_->add(transmitted_ms);
     // Never stall the receiver thread: a bounded buffer sheds experience
     // (counted as recvbuf_overflow) so control keeps flowing.
     const TrafficClass cls = header.tclass();

@@ -24,10 +24,11 @@ ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
       env_(std::move(env)),
       agent_(std::move(agent)),
       trace_(broker.trace()),
-      rollout_hist_(broker.metrics().histogram(
-          series_name("xt_explorer_rollout_ms", {{"machine", node.machine}}))),
-      wait_weights_hist_(broker.metrics().histogram(
-          series_name("xt_explorer_wait_ms", {{"machine", node.machine}}))),
+      rollout_hist_(stage_histogram(broker.metrics(), StageId::kExplorerRollout,
+                                    {{"machine", node.machine}})),
+      wait_weights_hist_(stage_histogram(broker.metrics(),
+                                         StageId::kExplorerWaitWeights,
+                                         {{"machine", node.machine}})),
       env_steps_counter_(broker.metrics().counter(
           series_name("xt_explorer_env_steps_total", {{"machine", node.machine}}))),
       batches_counter_(broker.metrics().counter(
@@ -133,19 +134,9 @@ void ExplorerProcess::ship_batch() {
   // The rollout span shares the outgoing message's trace id, so the
   // environment-interaction phase lines up with the comm lifecycle of the
   // batch it produced.
-  const std::int64_t now = now_ns();
   if (rollout_start_ns_ > 0) {
-    rollout_hist_.observe(ns_to_ms(now - rollout_start_ns_));
-    if (trace_ != nullptr && trace_->enabled()) {
-      TraceSpan span;
-      span.name = "explorer.rollout";
-      span.category = "app";
-      span.trace_id = out.header.trace_id();
-      span.start_ns = rollout_start_ns_;
-      span.dur_ns = now - rollout_start_ns_;
-      span.pid = node_.machine;
-      trace_->record(span);
-    }
+    Stage::since(rollout_start_ns_, StageId::kExplorerRollout, &rollout_hist_, trace_,
+                 out.header.trace_id(), node_.machine);
   }
   // Backpressure gate: with a bounded overload config this send blocks
   // while the fabric sits above its high watermark (the explorer pauses
@@ -164,9 +155,8 @@ void ExplorerProcess::ship_batch() {
 void ExplorerProcess::await_weights_newer_than(std::uint32_t version) {
   // Other explorers keep exploring; their transmissions overlap with our
   // waiting (Section 3.2.1).
-  const Stopwatch wait_clock;
-  ProfScope prof("wait_weights", /*idle=*/true);
-  TraceScope wait_span(trace_, "explorer.wait_weights", "app", 0, node_.machine);
+  const Stage wait(StageId::kExplorerWaitWeights, &wait_weights_hist_, trace_, 0,
+                   node_.machine);
   while (!stop_.load() && !crashed_.load() && agent_->weights_version() <= version) {
     if (heartbeat_) heartbeat_->tick();
     auto msg = endpoint_.receive_for(std::chrono::milliseconds(20));
@@ -177,8 +167,6 @@ void ExplorerProcess::await_weights_newer_than(std::uint32_t version) {
       stop_.store(true);
     }
   }
-  wait_span.finish();
-  wait_weights_hist_.observe(wait_clock.elapsed_ms());
 }
 
 void ExplorerProcess::report_episode(double episode_return,

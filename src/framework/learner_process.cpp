@@ -4,7 +4,6 @@
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "nn/matrix.h"
-#include "obs/profiler.h"
 #include "serial/record.h"
 
 namespace xt {
@@ -22,10 +21,10 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
       encoder_(config.weight_sync, broker.metrics(), node.machine),
       trace_(broker.trace()),
       metrics_(broker.metrics()),
-      wait_hist_(broker.metrics().histogram(
-          series_name("xt_learner_wait_ms", {{"machine", node.machine}}))),
-      train_hist_(broker.metrics().histogram(
-          series_name("xt_learner_train_ms", {{"machine", node.machine}}))),
+      wait_hist_(stage_histogram(broker.metrics(), StageId::kLearnerWait,
+                                 {{"machine", node.machine}})),
+      train_hist_(stage_histogram(broker.metrics(), StageId::kLearnerTrain,
+                                  {{"machine", node.machine}})),
       keyframe_requests_counter_(broker.metrics().counter(series_name(
           "xt_weights_keyframe_requests_total", {{"machine", node.machine}}))),
       steps_consumed_(initial_steps) {
@@ -151,22 +150,17 @@ void LearnerProcess::trainer_loop() {
     // of paper Fig. 8(b)/(c): with the asynchronous channel the data is
     // usually already staged, so the wait is far below the transmission
     // latency of any single message.
-    Stopwatch wait_clock;
-    TraceScope wait_span(trace_, "learner.wait", "app", 0, node_.machine);
-    {
-      ProfScope prof("wait_data", /*idle=*/true);
-      while (!algorithm_->ready_to_train() && !stop_.load() &&
-             !crashed_.load()) {
-        if (heartbeat_) heartbeat_->tick();
-        auto msg = endpoint_.receive_for(std::chrono::milliseconds(20));
-        if (msg && !ingest(std::move(*msg))) break;
-      }
+    Stage wait(StageId::kLearnerWait, &wait_hist_, trace_, 0, node_.machine);
+    while (!algorithm_->ready_to_train() && !stop_.load() && !crashed_.load()) {
+      if (heartbeat_) heartbeat_->tick();
+      auto msg = endpoint_.receive_for(std::chrono::milliseconds(20));
+      if (msg && !ingest(std::move(*msg))) break;
     }
-    if (stop_.load() || crashed_.load()) break;
-    wait_span.finish();
-    const double waited_ms = wait_clock.elapsed_ms();
-    wait_ms_.add(waited_ms);
-    wait_hist_.observe(waited_ms);
+    if (stop_.load() || crashed_.load()) {
+      wait.cancel();
+      break;
+    }
+    wait_ms_.add(wait.finish());
 
     // Aggressively drain everything else that has already arrived.
     while (auto msg = endpoint_.try_receive()) {
@@ -174,16 +168,11 @@ void LearnerProcess::trainer_loop() {
     }
     if (stop_.load()) break;
 
-    Stopwatch train_clock;
-    TraceScope train_span(trace_, "learner.train", "app", 0, node_.machine);
     Algorithm::TrainResult result;
     {
-      ProfScope prof("train");
+      const Stage train(StageId::kLearnerTrain, &train_hist_, trace_, 0, node_.machine);
       result = algorithm_->train();
     }
-    train_span.finish();
-    const double trained_ms = train_clock.elapsed_ms();
-    train_hist_.observe(trained_ms);
 
     steps_consumed_.fetch_add(result.steps_consumed, std::memory_order_relaxed);
     sessions_.fetch_add(1, std::memory_order_relaxed);

@@ -36,8 +36,8 @@ PacedPipe::PacedPipe(std::string name, LinkConfig config,
       config_(config),
       trace_(trace),
       pid_(pid),
-      transmit_ms_(metrics.histogram(
-          series_name("xt_pipe_transmit_ms", {{"link", name_}}))),
+      transmit_ms_(
+          stage_histogram(metrics, StageId::kPipeTransmit, {{"link", name_}})),
       wire_bytes_(metrics.counter(
           series_name("xt_pipe_wire_bytes_total", {{"link", name_}}))),
       frames_(metrics.counter(
@@ -124,22 +124,10 @@ void PacedPipe::transmit_loop() {
 void PacedPipe::delivery_loop() {
   while (auto item = in_flight_.pop()) {
     precise_sleep_ns(item->due_ns - now_ns());
-    const std::int64_t end_ns = now_ns();
-    transmit_ms_.observe(ns_to_ms(end_ns - item->start_ns));
-    // The span covers serialization plus propagation and ends as the far
-    // end takes the frame, like the endpoint's queue.wait span.
-    if (trace_ != nullptr && trace_->enabled()) {
-      TraceSpan span;
-      span.name = "pipe.transmit";
-      span.category = "comm";
-      span.trace_id = item->frame.trace_id;
-      span.start_ns = item->start_ns;
-      span.dur_ns = end_ns - item->start_ns;
-      span.pid = pid_;
-      span.tid = trace_thread_id();
-      span.bytes = item->frame.wire_bytes;
-      trace_->record(span);
-    }
+    // The stage covers serialization plus propagation and ends as the far
+    // end takes the frame, like the endpoint's queue.wait.
+    Stage::since(item->start_ns, StageId::kPipeTransmit, &transmit_ms_, trace_,
+                 item->frame.trace_id, pid_, item->frame.wire_bytes);
     ProfScope prof("deliver");
     item->frame.deliver(item->outcome);
   }

@@ -22,10 +22,10 @@ struct Lifecycle {
   bool has_recv = false;
 };
 
-bool is_sender_stage(const char* stage) {
-  return std::strcmp(stage, "serialize") == 0 ||
-         std::strcmp(stage, "compress") == 0 ||
-         std::strcmp(stage, "store.put") == 0;
+/// The row's critical-path key, or the raw name of a span the table does not
+/// know, so new instrumentation shows up without analyzer changes.
+const char* path_key(const StageRow* row, const char* span_name) {
+  return row != nullptr && row->path_key != nullptr ? row->path_key : span_name;
 }
 
 std::string format_number(double v) {
@@ -37,15 +37,7 @@ std::string format_number(double v) {
 }  // namespace
 
 const char* stage_for_span(const char* span_name) {
-  if (std::strcmp(span_name, "msg.serialize") == 0) return "serialize";
-  if (std::strcmp(span_name, "msg.compress") == 0) return "compress";
-  if (std::strcmp(span_name, "store.put") == 0) return "store.put";
-  if (std::strcmp(span_name, "router.route") == 0) return "route";
-  if (std::strcmp(span_name, "pipe.transmit") == 0) return "pipe.transmit";
-  if (std::strcmp(span_name, "broker.rehost") == 0) return "rehost";
-  if (std::strcmp(span_name, "queue.wait") == 0) return "queue.wait";
-  if (std::strcmp(span_name, "msg.recv") == 0) return "recv";
-  return span_name;
+  return path_key(find_stage(span_name), span_name);
 }
 
 CriticalPathReport analyze_critical_path(const std::vector<TraceSpan>& spans) {
@@ -56,12 +48,12 @@ CriticalPathReport analyze_critical_path(const std::vector<TraceSpan>& spans) {
   for (const TraceSpan& span : spans) {
     if (span.trace_id == 0) continue;
     if (std::strcmp(span.category, "comm") != 0) continue;
-    const char* stage = stage_for_span(span.name);
+    const StageRow* row = find_stage(span.name);
     Lifecycle& life = by_message[span.trace_id];
-    life.intervals.push_back(
-        Interval{span.start_ns, span.start_ns + span.dur_ns, stage});
-    if (is_sender_stage(stage)) life.has_sender = true;
-    if (std::strcmp(stage, "recv") == 0) life.has_recv = true;
+    life.intervals.push_back(Interval{span.start_ns, span.start_ns + span.dur_ns,
+                                      path_key(row, span.name)});
+    if (row != nullptr && row->sender) life.has_sender = true;
+    if (row != nullptr && row->id == StageId::kRecv) life.has_recv = true;
   }
 
   CriticalPathReport report;

@@ -46,15 +46,16 @@ struct CriticalPathReport {
                                        ///< "unattributed" when non-zero
 };
 
-/// Canonical stage key for a comm span name ("msg.serialize" -> "serialize",
-/// "pipe.transmit" -> "pipe.transmit", ...). Unknown comm spans keep their
-/// raw name so new instrumentation shows up without analyzer changes.
+/// Canonical stage key for a comm span name: its stage row's `path_key`
+/// ("msg.serialize" -> "serialize", see kStages in obs/trace.h). Unknown comm
+/// spans keep their raw name so new instrumentation shows up without analyzer
+/// changes.
 [[nodiscard]] const char* stage_for_span(const char* span_name);
 
 /// Analyze a span snapshot (TraceCollector::snapshot() order-independent;
 /// spans may arrive shuffled). Only comm-category spans with trace_id != 0
 /// participate; a lifecycle is complete when it has both a sender-side span
-/// (serialize/compress/store.put) and a recv span.
+/// (a `sender` row: serialize, compress, store.put) and a recv span.
 [[nodiscard]] CriticalPathReport analyze_critical_path(
     const std::vector<TraceSpan>& spans);
 

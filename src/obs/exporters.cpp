@@ -204,7 +204,7 @@ void write_prometheus_text(const MetricsRegistry& registry, std::ostream& os) {
     const auto [family, labels] = split_labels(name);
     type_line(family, "histogram");
     const std::vector<std::uint64_t> counts = histogram->bucket_counts();
-    const std::vector<double>& bounds = histogram->bounds();
+    const auto& bounds = Histogram::bounds();
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       cumulative += counts[i];

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
 
 namespace xt {
@@ -10,6 +9,31 @@ namespace {
 bool in_family(const std::string& name, std::string_view family) {
   return name.compare(0, family.size(), family) == 0 &&
          (name.size() == family.size() || name[family.size()] == '{');
+}
+
+/// Histogram::quantile's rule over counts laid out like Histogram::bounds():
+/// linear interpolation within the bucket holding the q-th observation; the
+/// lower edge for an empty bucket or the +inf bucket; 0 when empty.
+double bucket_quantile(const std::vector<std::uint64_t>& counts, double q) {
+  const auto& bounds = Histogram::bounds();
+  std::uint64_t total = 0;
+  for (std::uint64_t c : counts) total += c;
+  if (total == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * static_cast<double>(total);
+  std::uint64_t cumulative = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (static_cast<double>(cumulative + counts[i]) < target) {
+      cumulative += counts[i];
+      continue;
+    }
+    const double lo = i == 0 ? 0.0 : bounds[i - 1];
+    if (i == bounds.size() || counts[i] == 0) return lo;
+    const double frac =
+        (target - static_cast<double>(cumulative)) / static_cast<double>(counts[i]);
+    return lo + (bounds[i] - lo) * std::clamp(frac, 0.0, 1.0);
+  }
+  return bounds.back();
 }
 
 }  // namespace
@@ -30,28 +54,22 @@ std::string series_name(std::string_view family,
   return name;
 }
 
-void Gauge::add(double delta) {
-  double current = value_.load(std::memory_order_relaxed);
-  while (!value_.compare_exchange_weak(current, current + delta,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-Histogram::Histogram(const Options& options) {
-  assert(options.buckets >= 1);
-  assert(options.first_bound > 0.0 && options.growth > 1.0);
-  bounds_.reserve(options.buckets);
-  double bound = options.first_bound;
-  for (std::size_t i = 0; i < options.buckets; ++i) {
-    bounds_.push_back(bound);
-    bound *= options.growth;
-  }
-  counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
+const std::array<double, Histogram::kBuckets>& Histogram::bounds() {
+  static constexpr std::array<double, kBuckets> kBounds = [] {
+    std::array<double, kBuckets> out{};
+    double bound = 0.001;
+    for (double& b : out) {
+      b = bound;
+      bound *= 2.0;
+    }
+    return out;
+  }();
+  return kBounds;
 }
 
 void Histogram::observe(double v) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
+  const auto it = std::lower_bound(bounds().begin(), bounds().end(), v);
+  const auto idx = static_cast<std::size_t>(it - bounds().begin());
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   double current = sum_.load(std::memory_order_relaxed);
@@ -66,32 +84,11 @@ double Histogram::mean() const {
 }
 
 double Histogram::quantile(double q) const {
-  const std::vector<std::uint64_t> counts = bucket_counts();
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (static_cast<double>(cumulative + counts[i]) < target) {
-      cumulative += counts[i];
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : bounds_[i - 1];
-    // The +inf bucket has no upper bound; report its lower edge.
-    if (i == bounds_.size()) return lo;
-    const double hi = bounds_[i];
-    if (counts[i] == 0) return lo;
-    const double frac =
-        (target - static_cast<double>(cumulative)) / static_cast<double>(counts[i]);
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-  }
-  return bounds_.back();
+  return bucket_quantile(bucket_counts(), q);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(bounds_.size() + 1);
+  std::vector<std::uint64_t> out(kBuckets + 1);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = counts_[i].load(std::memory_order_relaxed);
   }
@@ -118,12 +115,11 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      const Histogram::Options& options) {
+Histogram& MetricsRegistry::histogram(const std::string& name) {
   Shard& shard = shard_for(name);
   std::scoped_lock lock(shard.mu);
   auto& slot = shard.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>(options);
+  if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
 }
 
@@ -184,36 +180,13 @@ double MetricsRegistry::family_mean(std::string_view family) const {
 }
 
 double MetricsRegistry::family_quantile(std::string_view family, double q) const {
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> counts;
-  std::uint64_t total = 0;
+  std::vector<std::uint64_t> counts(Histogram::kBuckets + 1);
   for (const auto& [name, hist] : histograms()) {
     if (!in_family(name, family)) continue;
-    const auto bucket_counts = hist->bucket_counts();
-    if (bounds.empty()) {
-      bounds = hist->bounds();
-      counts.assign(bucket_counts.size(), 0);
-    }
-    if (bucket_counts.size() != counts.size()) continue;
-    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += bucket_counts[i];
-    total += hist->count();
+    const std::vector<std::uint64_t> member = hist->bucket_counts();
+    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += member[i];
   }
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    if (static_cast<double>(seen + counts[i]) < target) {
-      seen += counts[i];
-      continue;
-    }
-    const double lo = i == 0 ? 0.0 : bounds[i - 1];
-    const double hi = i < bounds.size() ? bounds[i] : lo * 2.0;
-    const double within =
-        (target - static_cast<double>(seen)) / static_cast<double>(counts[i]);
-    return lo + within * (hi - lo);
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
+  return bucket_quantile(counts, q);
 }
 
 }  // namespace xt

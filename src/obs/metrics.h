@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +33,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta);
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
@@ -41,23 +41,15 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed exponential-bucket histogram. Buckets are chosen at construction
-/// (`first_bound * growth^i` upper bounds plus a +inf overflow bucket);
-/// observe() is two relaxed atomic adds plus a short bound scan, safe from
-/// any thread. Quantiles are estimated by linear interpolation within the
-/// containing bucket — good enough for the paper's latency breakdowns, and
-/// bounded memory unlike a sample log.
-struct HistogramOptions {
-  double first_bound = 0.001;  ///< upper bound of the first bucket
-  double growth = 2.0;         ///< bound ratio between adjacent buckets
-  std::size_t buckets = 28;    ///< finite buckets (+inf bucket is implicit)
-};
-
+/// Exponential-bucket histogram with one layout for every series: finite
+/// upper bounds `0.001 * 2^i` for i < kBuckets (1 us to ~134 s when observing
+/// ms) plus a +inf overflow bucket. observe() is two relaxed atomic adds plus
+/// a short bound scan, safe from any thread. Quantiles are estimated by
+/// linear interpolation within the containing bucket — good enough for the
+/// paper's latency breakdowns, and bounded memory unlike a sample log.
 class Histogram {
  public:
-  using Options = HistogramOptions;
-
-  explicit Histogram(const Options& options = Options());
+  static constexpr std::size_t kBuckets = 28;
 
   void observe(double v);
 
@@ -70,13 +62,12 @@ class Histogram {
   [[nodiscard]] double quantile(double q) const;
 
   /// Finite bucket upper bounds (ascending).
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts; has bounds().size() + 1 entries, last is +inf.
+  [[nodiscard]] static const std::array<double, kBuckets>& bounds();
+  /// Per-bucket counts; has kBuckets + 1 entries, last is +inf.
   [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
 
  private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  // bounds_.size() + 1
+  std::array<std::atomic<std::uint64_t>, kBuckets + 1> counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
 };
@@ -116,9 +107,7 @@ class MetricsRegistry {
 
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
-  /// `options` applies only when the histogram does not exist yet.
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     const Histogram::Options& options = {});
+  [[nodiscard]] Histogram& histogram(const std::string& name);
 
   /// Snapshots for exporters, sorted by name for deterministic output.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
@@ -130,9 +119,8 @@ class MetricsRegistry {
   [[nodiscard]] std::uint64_t family_total(std::string_view family) const;
   /// Mean over the family's histograms: sum of sums over sum of counts.
   [[nodiscard]] double family_mean(std::string_view family) const;
-  /// Quantile of the family's histograms merged bucket by bucket (members
-  /// with a different bucket layout are skipped rather than mis-merged),
-  /// interpolated within a bucket like Histogram::quantile.
+  /// Quantile of the family's histograms merged bucket by bucket, by
+  /// Histogram::quantile's rule: a family of one reads that histogram's.
   [[nodiscard]] double family_quantile(std::string_view family, double q) const;
 
  private:

@@ -1,10 +1,22 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/thread_util.h"
 
 namespace xt {
+namespace {
+
+constexpr bool rows_follow_stage_ids() {
+  for (std::size_t i = 0; i < std::size(kStages); ++i) {
+    if (static_cast<std::size_t>(kStages[i].id) != i) return false;
+  }
+  return true;
+}
+static_assert(rows_follow_stage_ids(), "stage_row() indexes kStages by StageId");
+
+}  // namespace
 
 std::uint64_t trace_thread_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -66,6 +78,39 @@ std::vector<std::pair<std::uint64_t, std::string>> TraceCollector::thread_names(
     const {
   std::scoped_lock lock(mu_);
   return threads_;
+}
+
+const StageRow* find_stage(std::string_view span_name) {
+  for (const StageRow& row : kStages) {
+    if (span_name == row.span) return &row;
+  }
+  return nullptr;
+}
+
+Histogram& stage_histogram(MetricsRegistry& metrics, StageId id,
+                           std::initializer_list<MetricLabel> labels) {
+  return metrics.histogram(series_name(stage_row(id).histogram, labels));
+}
+
+double Stage::finish() {
+  const std::int64_t end_ns = timed_ ? now_ns() : 0;
+  prof_.reset();
+  if (!timed_) return 0.0;
+  timed_ = false;
+  const double ms = ns_to_ms(end_ns - start_ns_);
+  if (histogram_ != nullptr) histogram_->observe(ms);
+  if (trace_ != nullptr) {
+    TraceSpan span;
+    span.name = row_->span;
+    span.category = row_->category;
+    span.trace_id = trace_id_;
+    span.start_ns = start_ns_;
+    span.dur_ns = end_ns - start_ns_;
+    span.pid = pid_;
+    span.bytes = bytes_;
+    trace_->record(span);
+  }
+  return ms;
 }
 
 void TraceCollector::clear() {

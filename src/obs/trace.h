@@ -3,12 +3,17 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace xt {
 
@@ -79,44 +84,143 @@ class TraceCollector {
   std::vector<std::pair<std::uint64_t, std::string>> threads_;
 };
 
-/// RAII span: samples the clock only when the collector is enabled, records
-/// on destruction (or finish()). Pass nullptr to compile the whole scope
-/// down to a pointer test.
-class TraceScope {
+// ---------------------------------------------------------------------------
+// The stage table: every timed stage of a message's life (category "comm",
+// in the order a message meets them) and of the workhorse loops ("app").
+// Each row is the one place the stage's names are spelled; `Stage` reads
+// them, and the critical-path analyzer maps span names back to rows.
+
+enum class StageId : std::uint8_t {
+  kSerialize,
+  kCompress,
+  kStorePut,
+  kRoute,
+  kPipeTransmit,
+  kRehost,
+  kQueueWait,
+  kRecv,
+  kExplorerRollout,
+  kExplorerWaitWeights,
+  kLearnerWait,
+  kLearnerTrain,
+};
+
+struct StageRow {
+  StageId id;
+  const char* span;        ///< trace span name
+  const char* category;    ///< span category: "comm" or "app"
+  const char* prof_label;  ///< profiler scope label; nullptr for a stage
+                           ///< whose start is stamped elsewhere
+  bool idle;               ///< the scope is waiting, not busy, time
+  const char* path_key;    ///< critical-path key; nullptr for "app" rows
+  bool sender;             ///< a sending hop: with a recv, a whole lifecycle
+  const char* histogram;   ///< histogram family; nullptr when none
+};
+
+inline constexpr StageRow kStages[] = {
+    {StageId::kSerialize, "msg.serialize", "comm", "serialize", false, "serialize",
+     true, "xt_send_serialize_ms"},
+    {StageId::kCompress, "msg.compress", "comm", "compress", false, "compress", true,
+     "xt_codec_compress_ms"},
+    {StageId::kStorePut, "store.put", "comm", "store.put", false, "store.put", true,
+     "xt_store_put_ms"},
+    {StageId::kRoute, "router.route", "comm", "route", false, "route", false,
+     "xt_broker_route_ms"},
+    {StageId::kPipeTransmit, "pipe.transmit", "comm", nullptr, false, "pipe.transmit",
+     false, "xt_pipe_transmit_ms"},
+    {StageId::kRehost, "broker.rehost", "comm", "rehost", false, "rehost", false,
+     nullptr},
+    {StageId::kQueueWait, "queue.wait", "comm", nullptr, false, "queue.wait", false,
+     "xt_queue_wait_ms"},
+    {StageId::kRecv, "msg.recv", "comm", "recv", false, "recv", false,
+     "xt_recv_decode_ms"},
+    {StageId::kExplorerRollout, "explorer.rollout", "app", nullptr, false, nullptr,
+     false, "xt_explorer_rollout_ms"},
+    {StageId::kExplorerWaitWeights, "explorer.wait_weights", "app", "wait_weights",
+     true, nullptr, false, "xt_explorer_wait_ms"},
+    {StageId::kLearnerWait, "learner.wait", "app", "wait_data", true, nullptr, false,
+     "xt_learner_wait_ms"},
+    {StageId::kLearnerTrain, "learner.train", "app", "train", false, nullptr, false,
+     "xt_learner_train_ms"},
+};
+
+[[nodiscard]] constexpr const StageRow& stage_row(StageId id) {
+  return kStages[static_cast<std::size_t>(id)];
+}
+
+/// The row whose span is `span_name`, or nullptr.
+[[nodiscard]] const StageRow* find_stage(std::string_view span_name);
+
+/// The owner's series of a stage's histogram family, e.g.
+/// `xt_store_put_ms{machine="1"}`. The stage must have a family.
+[[nodiscard]] Histogram& stage_histogram(MetricsRegistry& metrics, StageId id,
+                                         std::initializer_list<MetricLabel> labels);
+
+/// Times one stage once. From that one interval it observes `histogram` (in
+/// ms) and, while `trace` is enabled, records the row's span; for its whole
+/// life it holds the row's profiler label. Either record may be nullptr. A
+/// stage with neither reads no clock. finish() or the destructor ends it.
+class Stage {
  public:
-  TraceScope(TraceCollector* collector, const char* name, const char* category,
-             std::uint64_t trace_id, std::uint32_t pid, std::uint64_t bytes = 0)
-      : collector_(collector != nullptr && collector->enabled() ? collector
-                                                                : nullptr) {
-    if (collector_ == nullptr) return;
-    span_.name = name;
-    span_.category = category;
-    span_.trace_id = trace_id;
-    span_.pid = pid;
-    span_.bytes = bytes;
-    span_.tid = trace_thread_id();
-    span_.start_ns = now_ns();
+  Stage(StageId id, Histogram* histogram, TraceCollector* trace, std::uint64_t trace_id,
+        std::uint32_t pid, std::uint64_t bytes = 0)
+      : Stage(id, histogram, trace, trace_id, pid, bytes, kNow) {}
+
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  ~Stage() { finish(); }
+
+  /// The backdated form, for a stage whose start `start_ns` was stamped
+  /// elsewhere (a queue push, another thread): it ends now.
+  static void since(std::int64_t start_ns, StageId id, Histogram* histogram,
+                    TraceCollector* trace, std::uint64_t trace_id, std::uint32_t pid,
+                    std::uint64_t bytes = 0) {
+    Stage(id, histogram, trace, trace_id, pid, bytes, start_ns).finish();
   }
 
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+  void set_bytes(std::uint64_t bytes) { bytes_ = bytes; }
 
-  ~TraceScope() { finish(); }
+  /// Time since the start; only a timed stage has read it.
+  [[nodiscard]] std::int64_t elapsed_ns() const { return now_ns() - start_ns_; }
 
-  void set_bytes(std::uint64_t bytes) {
-    if (collector_ != nullptr) span_.bytes = bytes;
-  }
+  /// Ends the stage and records it once; returns its length in ms (0 when
+  /// untimed or already ended).
+  double finish();
 
-  void finish() {
-    if (collector_ == nullptr) return;
-    span_.dur_ns = now_ns() - span_.start_ns;
-    collector_->record(span_);
-    collector_ = nullptr;
+  /// Ends the stage without recording it (a wait cut short by a stop).
+  void cancel() {
+    timed_ = false;
+    prof_.reset();
   }
 
  private:
-  TraceCollector* collector_;
-  TraceSpan span_{};
+  static constexpr std::int64_t kNow = -1;
+
+  Stage(StageId id, Histogram* histogram, TraceCollector* trace, std::uint64_t trace_id,
+        std::uint32_t pid, std::uint64_t bytes, std::int64_t start_ns)
+      : row_(&stage_row(id)),
+        histogram_(histogram),
+        trace_(trace != nullptr && trace->enabled() ? trace : nullptr),
+        trace_id_(trace_id),
+        pid_(pid),
+        bytes_(bytes),
+        timed_(histogram_ != nullptr || trace_ != nullptr),
+        start_ns_(start_ns) {
+    if (start_ns_ != kNow) return;
+    if (row_->prof_label != nullptr) prof_.emplace(row_->prof_label, row_->idle);
+    if (timed_) start_ns_ = now_ns();
+  }
+
+  const StageRow* row_;
+  Histogram* histogram_;
+  TraceCollector* trace_;
+  std::uint64_t trace_id_;
+  std::uint32_t pid_;
+  std::uint64_t bytes_;
+  bool timed_;
+  std::int64_t start_ns_;
+  std::optional<ProfScope> prof_;
 };
 
 }  // namespace xt

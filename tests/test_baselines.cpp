@@ -1,12 +1,15 @@
 #include "baselines/buffer_hub.h"
 #include "baselines/pull_driver.h"
 #include "baselines/pull_dummy.h"
+#include "baselines/pull_worker.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "algo/factory.h"
 #include "common/clock.h"
+#include "envs/registry.h"
 
 namespace xt::baselines {
 namespace {
@@ -85,6 +88,30 @@ TEST(BufferhubDummy, DeliversAllMessages) {
   const DummyResult result = run_dummy_transmission_bufferhub(config, transfer);
   EXPECT_EQ(result.messages_received, 6u);
   EXPECT_EQ(result.bytes_received, 6u * 16 * 1024);
+}
+
+TEST(PullWorker, ParksASampleAndAStoppedWorkerAnswersEmptyAtOnce) {
+  AlgoSetup setup;
+  setup.kind = AlgoKind::kImpala;
+  setup.env_name = "CartPole";
+  setup.impala.hidden = {8};
+  setup.impala.fragment_len = 20;
+  auto env = make_environment(setup.env_name);
+  const std::size_t obs_dim = env->observation_dim();
+  const std::int32_t n_actions = env->action_count();
+  RpcTransport transport(1, RpcConfig{0, {}});
+  PullWorker worker(0, 0, std::move(env), make_agent(setup, obs_dim, n_actions, 0),
+                    transport, nullptr);
+
+  PullWorker::Ticket ticket = worker.sample_async();
+  EXPECT_FALSE(worker.sample_get(std::move(ticket)).empty());
+  EXPECT_EQ(worker.env_steps(), 20u);
+
+  worker.stop();
+  PullWorker::Ticket stopped = worker.sample_async();
+  EXPECT_TRUE(stopped.ready());
+  EXPECT_TRUE(worker.sample_get(std::move(stopped)).empty());
+  worker.set_weights(Bytes(16, 1), 1);  // returns: nothing will apply it
 }
 
 TEST(PullDriver, ImpalaRunConsumesSteps) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string_view>
 
 #include "obs/trace.h"
 #include "perf_diff.h"  // tools JSON parser, reused to validate emitted JSON
@@ -49,6 +50,28 @@ std::vector<TraceSpan> full_lifecycle(std::uint64_t id,
       make_span("queue.wait", id, at(52), at(60)),
       make_span("msg.recv", id, at(60), at(65)),
   };
+}
+
+TEST(CriticalPath, EveryKeyTheBenchmarkReadsHasAStageRow) {
+  // bench/e2e/measure.cpp turns these keys into its path.* metrics; a row
+  // renamed away would zero one of them instead of failing here.
+  const char* const kBenchmarkKeys[] = {
+      "serialize",     "compress", "store.put",  "route",
+      "pipe.transmit", "rehost",   "queue.wait", "recv",
+  };
+  for (const char* key : kBenchmarkKeys) {
+    const StageRow* found = nullptr;
+    for (const StageRow& row : kStages) {
+      if (row.path_key != nullptr && std::string_view(row.path_key) == key) {
+        found = &row;
+      }
+    }
+    ASSERT_NE(found, nullptr) << key;
+    EXPECT_STREQ(found->category, "comm") << key;
+    EXPECT_STREQ(stage_for_span(found->span), key) << key;
+  }
+  // A span the table does not know keeps its raw name.
+  EXPECT_STREQ(stage_for_span("pipe.queue"), "pipe.queue");
 }
 
 TEST(CriticalPath, ExactBreakdownOfASyntheticLifecycle) {

@@ -33,13 +33,13 @@ TEST(Counter, ConcurrentIncrementsAreExact) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Gauge, SetAndAdd) {
+TEST(Gauge, SetReplacesTheValue) {
   MetricsRegistry registry;
   Gauge& gauge = registry.gauge("xt_test_gauge");
   EXPECT_EQ(gauge.value(), 0.0);
   gauge.set(42.5);
   EXPECT_EQ(gauge.value(), 42.5);
-  gauge.add(-2.5);
+  gauge.set(40.0);
   EXPECT_EQ(gauge.value(), 40.0);
 }
 
@@ -142,19 +142,29 @@ TEST(MetricsRegistry, FamilyReadersAggregateEveryLabeledSeries) {
   EXPECT_EQ(registry.histograms().size(), 2u);
 }
 
+TEST(MetricsRegistry, FamilyOfOneReadsItsHistogramsQuantile) {
+  MetricsRegistry registry;
+  Histogram& hist = registry.histogram("xt_q_ms{machine=\"0\"}");
+  // The first bucket (<= 1 us) stays empty; 1e9 ms overflows the last bound.
+  for (const double v : {5.0, 6.0, 7.0, 1e9}) hist.observe(v);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(registry.family_quantile("xt_q_ms", q), hist.quantile(q))
+        << "q=" << q;
+  }
+  // The +inf bucket reads its lower edge, an empty bucket its lower edge too.
+  EXPECT_DOUBLE_EQ(hist.quantile(1.0), Histogram::bounds().back());
+  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 0.0);
+}
+
 TEST(PrometheusExporter, GoldenOutput) {
   MetricsRegistry registry;
   registry.counter("xt_routed_total{machine=\"0\"}").inc(7);
   registry.counter("xt_routed_total{machine=\"1\"}").inc(3);
   registry.gauge("xt_depth").set(2.0);
-  Histogram::Options options;
-  options.first_bound = 1.0;
-  options.growth = 10.0;
-  options.buckets = 2;
-  Histogram& hist = registry.histogram("xt_lat_ms", options);
-  hist.observe(0.5);   // <= 1
-  hist.observe(5.0);   // <= 10
-  hist.observe(100.0); // +Inf
+  Histogram& hist = registry.histogram("xt_lat_ms");
+  hist.observe(0.5);       // <= 0.512
+  hist.observe(5.0);       // <= 8.192
+  hist.observe(200000.0);  // +Inf
 
   const std::string expected =
       "# TYPE xt_routed_total counter\n"
@@ -163,10 +173,36 @@ TEST(PrometheusExporter, GoldenOutput) {
       "# TYPE xt_depth gauge\n"
       "xt_depth 2\n"
       "# TYPE xt_lat_ms histogram\n"
-      "xt_lat_ms_bucket{le=\"1\"} 1\n"
-      "xt_lat_ms_bucket{le=\"10\"} 2\n"
+      "xt_lat_ms_bucket{le=\"0.001\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.002\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.004\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.008\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.016\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.032\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.064\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.128\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.256\"} 0\n"
+      "xt_lat_ms_bucket{le=\"0.512\"} 1\n"
+      "xt_lat_ms_bucket{le=\"1.024\"} 1\n"
+      "xt_lat_ms_bucket{le=\"2.048\"} 1\n"
+      "xt_lat_ms_bucket{le=\"4.096\"} 1\n"
+      "xt_lat_ms_bucket{le=\"8.192\"} 2\n"
+      "xt_lat_ms_bucket{le=\"16.384\"} 2\n"
+      "xt_lat_ms_bucket{le=\"32.768\"} 2\n"
+      "xt_lat_ms_bucket{le=\"65.536\"} 2\n"
+      "xt_lat_ms_bucket{le=\"131.072\"} 2\n"
+      "xt_lat_ms_bucket{le=\"262.144\"} 2\n"
+      "xt_lat_ms_bucket{le=\"524.288\"} 2\n"
+      "xt_lat_ms_bucket{le=\"1048.58\"} 2\n"
+      "xt_lat_ms_bucket{le=\"2097.15\"} 2\n"
+      "xt_lat_ms_bucket{le=\"4194.3\"} 2\n"
+      "xt_lat_ms_bucket{le=\"8388.61\"} 2\n"
+      "xt_lat_ms_bucket{le=\"16777.2\"} 2\n"
+      "xt_lat_ms_bucket{le=\"33554.4\"} 2\n"
+      "xt_lat_ms_bucket{le=\"67108.9\"} 2\n"
+      "xt_lat_ms_bucket{le=\"134218\"} 2\n"
       "xt_lat_ms_bucket{le=\"+Inf\"} 3\n"
-      "xt_lat_ms_sum 105.5\n"
+      "xt_lat_ms_sum 200006\n"
       "xt_lat_ms_count 3\n"
       "# TYPE xt_log_warnings_total counter\n"
       "xt_log_warnings_total " + std::to_string(log_warning_count()) + "\n";
@@ -209,15 +245,11 @@ TEST(PrometheusExporter, HostileLabelValuesAreEscaped) {
 
 TEST(PrometheusExporter, HostileLabelsOnHistogramFamilies) {
   MetricsRegistry registry;
-  Histogram::Options options;
-  options.first_bound = 1.0;
-  options.growth = 10.0;
-  options.buckets = 1;
-  registry.histogram("xt_h_ms{tag=\"a\\b\"}", options).observe(0.5);
+  registry.histogram("xt_h_ms{tag=\"a\\b\"}").observe(0.5);
 
   const std::string text = prometheus_text(registry);
   // The le label is appended after the (escaped) user labels.
-  EXPECT_NE(text.find("xt_h_ms_bucket{tag=\"a\\\\b\",le=\"1\"} 1"),
+  EXPECT_NE(text.find("xt_h_ms_bucket{tag=\"a\\\\b\",le=\"0.512\"} 1"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("xt_h_ms_sum{tag=\"a\\\\b\"} 0.5"), std::string::npos)

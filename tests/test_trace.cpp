@@ -12,6 +12,7 @@
 #include <vector>
 
 #include <chrono>
+#include <thread>
 
 #include "comm/broker.h"
 #include "comm/endpoint.h"
@@ -164,28 +165,118 @@ TEST(TraceCollector, RingOverwritesOldestWhenFull) {
   EXPECT_EQ(spans.back().trace_id, 10u);
 }
 
-TEST(TraceScope, NullCollectorIsSafe) {
-  TraceScope scope(nullptr, "msg.recv", "comm", 1, 0);
-  scope.set_bytes(100);
-  scope.finish();  // no-op, no crash
+TEST(Stage, NullCollectorIsSafe) {
+  Stage stage(StageId::kRecv, nullptr, nullptr, 1, 0);
+  stage.set_bytes(100);
+  // Neither a histogram nor a collector: the stage reads no clock.
+  EXPECT_EQ(stage.finish(), 0.0);
 }
 
-TEST(TraceScope, RecordsOnceOnFinishAndDestruction) {
+TEST(Stage, RecordsOnceOnFinishAndDestruction) {
   TraceCollector collector(16);
   collector.enable();
   {
-    TraceScope scope(&collector, "router.route", "comm", 9, 2, 123);
-    scope.finish();
-    scope.finish();  // idempotent
+    Stage stage(StageId::kRoute, nullptr, &collector, 9, 2, 123);
+    stage.finish();
+    stage.finish();  // idempotent
   }                  // destructor must not double-record
   EXPECT_EQ(collector.total_recorded(), 1u);
   const auto spans = collector.snapshot();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_STREQ(spans[0].name, "router.route");
+  EXPECT_STREQ(spans[0].category, "comm");
   EXPECT_EQ(spans[0].trace_id, 9u);
   EXPECT_EQ(spans[0].pid, 2u);
   EXPECT_EQ(spans[0].bytes, 123u);
   EXPECT_GE(spans[0].dur_ns, 0);
+}
+
+TEST(Stage, SpanDurationIsTheObservedValue) {
+  TraceCollector collector(16);
+  collector.enable();
+  Histogram histogram;
+  double finished_ms = 0.0;
+  {
+    Stage stage(StageId::kStorePut, &histogram, &collector, 4, 1, 64);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    finished_ms = stage.finish();
+  }
+  ASSERT_EQ(collector.total_recorded(), 1u);
+  ASSERT_EQ(histogram.count(), 1u);
+  const TraceSpan span = collector.snapshot().front();
+  EXPECT_STREQ(span.name, "store.put");
+  EXPECT_GE(span.dur_ns, 1'000'000);
+  // One interval feeds both records.
+  EXPECT_EQ(ns_to_ms(span.dur_ns), histogram.sum());
+  EXPECT_EQ(finished_ms, histogram.sum());
+}
+
+TEST(Stage, DisabledCollectorRecordsNoSpan) {
+  TraceCollector collector(16);  // never enabled
+  Histogram histogram;
+  { Stage stage(StageId::kSerialize, &histogram, &collector, 4, 0); }
+  EXPECT_EQ(collector.total_recorded(), 0u);
+  EXPECT_EQ(histogram.count(), 1u);
+  // Without a histogram as well, the stage is untimed: no clock, no record.
+  Stage untimed(StageId::kSerialize, nullptr, &collector, 4, 0);
+  EXPECT_EQ(untimed.finish(), 0.0);
+  EXPECT_EQ(collector.total_recorded(), 0u);
+}
+
+TEST(Stage, BackdatedStageStartsWhereItWasStamped) {
+  TraceCollector collector(16);
+  collector.enable();
+  Histogram histogram;
+  const std::int64_t stamped_ns = now_ns() - 2'000'000;
+  Stage::since(stamped_ns, StageId::kQueueWait, &histogram, &collector, 5, 1, 32);
+  const TraceSpan span = collector.snapshot().front();
+  EXPECT_STREQ(span.name, "queue.wait");
+  EXPECT_EQ(span.start_ns, stamped_ns);
+  EXPECT_GE(span.dur_ns, 2'000'000);
+  EXPECT_EQ(span.bytes, 32u);
+  EXPECT_EQ(ns_to_ms(span.dur_ns), histogram.sum());
+}
+
+TEST(Stage, CancelRecordsNothing) {
+  TraceCollector collector(16);
+  collector.enable();
+  Histogram histogram;
+  {
+    Stage stage(StageId::kLearnerWait, &histogram, &collector, 0, 0);
+    stage.cancel();
+  }
+  EXPECT_EQ(collector.total_recorded(), 0u);
+  EXPECT_EQ(histogram.count(), 0u);
+}
+
+TEST(Stage, HoldsItsRowsProfilerLabelUntilFinished) {
+  prof::ThreadState& state = prof::current_state();
+  const std::uint32_t depth = state.depth.load();
+  {
+    Stage stage(StageId::kLearnerWait, nullptr, nullptr, 0, 0);
+    ASSERT_EQ(state.depth.load(), depth + 1);
+    EXPECT_STREQ(state.stack[depth].label.load(), "wait_data");
+    EXPECT_TRUE(state.stack[depth].idle.load());
+    stage.finish();
+    EXPECT_EQ(state.depth.load(), depth);
+  }
+  EXPECT_EQ(state.depth.load(), depth);
+  // A stage stamped elsewhere holds no label.
+  Stage::since(now_ns(), StageId::kPipeTransmit, nullptr, nullptr, 0, 0);
+  EXPECT_EQ(state.depth.load(), depth);
+}
+
+TEST(StageTable, RowsAreFoundByTheirSpanNames) {
+  MetricsRegistry registry;
+  Histogram& put =
+      stage_histogram(registry, StageId::kStorePut, {{"machine", std::uint16_t{1}}});
+  EXPECT_EQ(&put, &registry.histogram("xt_store_put_ms{machine=\"1\"}"));
+  for (const StageRow& row : kStages) {
+    EXPECT_EQ(find_stage(row.span), &row) << row.span;
+    EXPECT_EQ(row.path_key != nullptr, std::string_view(row.category) == "comm")
+        << row.span;
+  }
+  EXPECT_EQ(find_stage("no.such.span"), nullptr);
 }
 
 TEST(MessageHeader, TracingAddsNoHeaderBytes) {
