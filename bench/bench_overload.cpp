@@ -36,6 +36,7 @@
 #include "common/clock.h"
 #include "framework/supervisor.h"
 #include "netsim/fabric.h"
+#include "obs/catalog.h"
 
 namespace {
 
@@ -267,14 +268,14 @@ OverloadResult run_overload_point(int explorers, double warmup_s,
   OverloadResult result;
   result.explorers = explorers;
   result.false_respawns = false_respawns.load();
-  result.suspects = supervisor.suspects();
+  result.suspects = metrics.total(metric::xt_workers_suspected_total);
   result.max_queue_depth = max_depth.load();
   for (const auto& broker : brokers) {
     result.messages_shed += broker->shed_messages();
     broker->stop();
   }
-  result.frames_shed = metrics.family_total("xt_frames_shed_total");
-  result.faults_injected = metrics.family_total("xt_faults_injected_total");
+  result.frames_shed = metrics.total(metric::xt_frames_shed_total);
+  result.faults_injected = metrics.total(metric::xt_faults_injected_total);
   std::sort(control_latencies_ms.begin(), control_latencies_ms.end());
   if (!control_latencies_ms.empty()) {
     const auto idx = static_cast<std::size_t>(

@@ -9,6 +9,7 @@
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "envs/registry.h"
+#include "obs/catalog.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 
@@ -17,11 +18,11 @@ namespace {
 
 struct DriverState {
   explicit DriverState(MetricsRegistry& registry)
-      : wait_hist(registry.histogram("xt_pull_wait_ms")),
-        train_hist(registry.histogram("xt_pull_train_ms")),
-        transmission_hist(registry.histogram("xt_pull_transmission_ms")),
-        pulls(registry.counter("xt_pull_messages_total")),
-        pull_bytes(registry.counter("xt_pull_bytes_total")) {}
+      : wait_hist(registry.histogram(metric::xt_pull_wait_ms)),
+        train_hist(registry.histogram(metric::xt_pull_train_ms)),
+        transmission_hist(registry.histogram(metric::xt_pull_transmission_ms)),
+        pulls(registry.counter(metric::xt_pull_messages_total)),
+        pull_bytes(registry.counter(metric::xt_pull_bytes_total)) {}
 
   ThroughputSeries throughput{1.0};
   LatencyRecorder wait_ms;  ///< RunReport.wait_cdf (Fig. 8(c))

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/clock.h"
+#include "obs/catalog.h"
 
 namespace xt::baselines {
 
@@ -67,7 +68,7 @@ void RpcTransport::push(std::uint16_t to_machine, const Bytes& data) {
 }
 
 std::uint64_t RpcTransport::cross_machine_bytes() const {
-  return metrics_.family_total("xt_pipe_wire_bytes_total");
+  return metrics_.total(metric::xt_pipe_wire_bytes_total);
 }
 
 void chunked_transfer_delay(std::size_t bytes, const ChunkedTransferConfig& config) {

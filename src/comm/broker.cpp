@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
+#include "obs/catalog.h"
 #include "serial/wire_format.h"
 
 namespace xt {
@@ -40,46 +41,34 @@ Broker::Broker(std::uint16_t machine, Options options)
                          : std::make_unique<MetricsRegistry>()),
       metrics_(options_.metrics != nullptr ? *options_.metrics : *owned_metrics_),
       trace_(options_.trace),
-      inst_{metrics_.counter(
-                series_name("xt_broker_routed_total", {{"machine", machine}})),
-            metrics_.counter(
-                series_name("xt_broker_forwarded_total", {{"machine", machine}})),
-            metrics_.counter(
-                series_name("xt_broker_rehosted_total", {{"machine", machine}})),
-            metrics_.counter(
-                series_name("xt_broker_dropped_total", {{"machine", machine}})),
-            metrics_.gauge(
-                series_name("xt_broker_queue_depth", {{"machine", machine}})),
-            stage_histogram(metrics_, StageId::kRoute, {{"machine", machine}}),
-            stage_histogram(metrics_, StageId::kQueueWait, {{"machine", machine}}),
-            metrics_.counter(
-                series_name("xt_frames_corrupted_total", {{"machine", machine}}))},
+      inst_{metrics_.counter(metric::xt_broker_routed_total, {machine}),
+            metrics_.counter(metric::xt_broker_forwarded_total, {machine}),
+            metrics_.counter(metric::xt_broker_rehosted_total, {machine}),
+            metrics_.counter(metric::xt_broker_dropped_total, {machine}),
+            stage_histogram(metrics_, StageId::kRoute, {machine}),
+            stage_histogram(metrics_, StageId::kQueueWait, {machine}),
+            metrics_.counter(metric::xt_frames_corrupted_total, {machine}),
+            // Only experience is ever shed by the queue policy (control is
+            // never dropped, weights are backpressured): the class is fixed.
+            metrics_.counter(metric::xt_messages_shed_total,
+                             {machine, "experience", "router_overflow"}),
+            metrics_.counter(metric::xt_messages_shed_total,
+                             {machine, "experience", "inbox_overflow"})},
       store_(metrics_, machine),
       // Only a message's first chunk header may be shed; the rest are
       // committed. A shed header's claim goes with it.
       router_queue_(options_.overload,
                     [this](TrafficClass /*cls*/, Submitted&& /*shed*/) {
-                      shed_router_->inc();
+                      inst_.shed_router.inc();
                     },
                     [](const Submitted& item) {
                       return item.header.chunk_index != 0;
                     }) {
   for (std::size_t i = 0; i < drop_by_reason_.size(); ++i) {
-    drop_by_reason_[i] = &metrics_.counter(series_name(
-        "xt_broker_dropped_total",
-        {{"machine", machine},
-         {"reason", drop_reason_name(static_cast<DropReason>(i))}}));
+    drop_by_reason_[i] =
+        &metrics_.counter(metric::xt_broker_drops_by_reason_total,
+                          {machine, drop_reason_name(static_cast<DropReason>(i))});
   }
-  // Only experience is ever shed by the queue policy (control is never
-  // dropped, weights are backpressured), so the class label is fixed.
-  shed_router_ = &metrics_.counter(series_name(
-      "xt_messages_shed_total", {{"machine", machine},
-                                 {"class", "experience"},
-                                 {"reason", "router_overflow"}}));
-  shed_inbox_ = &metrics_.counter(series_name(
-      "xt_messages_shed_total", {{"machine", machine},
-                                 {"class", "experience"},
-                                 {"reason", "inbox_overflow"}}));
 
   router_ = std::thread([this] {
     set_current_thread_name("router-m" + std::to_string(machine_));
@@ -98,7 +87,7 @@ std::shared_ptr<IdQueue> Broker::register_endpoint(const NodeId& id) {
   // A shed RoutedHeader's claim goes with it.
   auto queue = std::make_shared<IdQueue>(
       options_.overload, [this](TrafficClass /*cls*/, RoutedHeader&& /*shed*/) {
-        shed_inbox_->inc();
+        inst_.shed_inbox.inc();
       });
   std::scoped_lock lock(mu_);
   endpoints_[id] = queue;
@@ -124,7 +113,6 @@ bool Broker::submit(MessageHeader header, StoreClaim claim) {
       PushResult::kClosed) {
     return false;
   }
-  inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
   return true;
 }
 
@@ -135,10 +123,8 @@ void Broker::set_remote_sink(std::uint16_t machine, RemoteSink sink) {
 
 void Broker::router_loop() {
   while (auto item = router_queue_.pop()) {
-    inst_.queue_depth.set(static_cast<double>(router_queue_.size()));
     route(std::move(item->header), std::move(item->claim));
   }
-  inst_.queue_depth.set(0.0);
 }
 
 void Broker::note_drop(DropReason reason) {
@@ -335,8 +321,7 @@ void Broker::fan_out_local(const MessageHeader& header, const StoreClaim& claim)
 std::uint64_t Broker::dropped_messages() const { return inst_.dropped.value(); }
 
 std::uint64_t Broker::dropped_messages(DropReason reason) const {
-  return static_cast<std::uint64_t>(
-      drop_by_reason_[static_cast<std::size_t>(reason)]->value());
+  return drop_by_reason_[static_cast<std::size_t>(reason)]->value();
 }
 
 std::uint64_t Broker::corrupted_frames() const {
@@ -344,8 +329,7 @@ std::uint64_t Broker::corrupted_frames() const {
 }
 
 std::uint64_t Broker::shed_messages() const {
-  return static_cast<std::uint64_t>(shed_router_->value()) +
-         static_cast<std::uint64_t>(shed_inbox_->value());
+  return inst_.shed_router.value() + inst_.shed_inbox.value();
 }
 
 std::vector<std::pair<std::string, std::size_t>> Broker::queue_depths() const {

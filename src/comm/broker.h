@@ -47,7 +47,7 @@ using IdQueue = ClassedQueue<RoutedHeader>;
 using RemoteSink = std::function<void(MessageHeader, Payload)>;
 
 /// Why the broker refused to deliver a message. Each reason has its own
-/// `xt_broker_dropped_total{machine=...,reason=...}` counter so chaos runs
+/// `xt_broker_drops_by_reason_total{machine=...,reason=...}` counter so chaos runs
 /// can tell integrity rejects from routing failures at a glance.
 enum class DropReason : std::uint8_t {
   kUnknownDest = 0,     ///< destination was never registered
@@ -158,7 +158,7 @@ class Broker {
 
   /// Messages that could not be delivered (any reason): this machine's
   /// `xt_broker_dropped_total{machine=...}`, next to the per-reason
-  /// counters `xt_broker_dropped_total{machine=...,reason=...}`.
+  /// counters `xt_broker_drops_by_reason_total{machine=...,reason=...}`.
   [[nodiscard]] std::uint64_t dropped_messages() const;
 
   /// Drops attributed to one specific reason.
@@ -189,10 +189,11 @@ class Broker {
     Counter& forwarded;         ///< bodies forwarded to remote machines
     Counter& rehosted;          ///< remote bodies re-hosted locally
     Counter& dropped;
-    Gauge& queue_depth;         ///< router header-queue depth
     Histogram& route_ms;        ///< one route() pass
     Histogram& queue_wait_ms;   ///< ID-queue wait (router enqueue -> receiver pop)
     Counter& corrupted;         ///< cross-machine frames that failed decode
+    Counter& shed_router;       ///< xt_messages_shed_total{...router_overflow}
+    Counter& shed_inbox;        ///< xt_messages_shed_total{...inbox_overflow}
   };
 
   /// A remote body streaming in as chunks.
@@ -235,8 +236,6 @@ class Broker {
   Instruments inst_;
   std::array<Counter*, static_cast<std::size_t>(DropReason::kCount)>
       drop_by_reason_{};
-  Counter* shed_router_ = nullptr;  ///< xt_messages_shed_total{...router_overflow}
-  Counter* shed_inbox_ = nullptr;   ///< xt_messages_shed_total{...inbox_overflow}
   /// Declared before every queue that holds claims on its bodies.
   ObjectStore store_;
 

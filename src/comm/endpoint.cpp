@@ -5,6 +5,7 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "common/thread_util.h"
+#include "obs/catalog.h"
 
 namespace xt {
 namespace {
@@ -27,51 +28,35 @@ OverloadConfig buffer_config(const OverloadConfig& overload,
 Endpoint::Endpoint(NodeId id, Broker& broker, std::size_t send_capacity)
     : id_(id),
       broker_(broker),
-      inst_{broker.metrics().counter(
-                series_name("xt_messages_sent_total", {{"machine", id.machine}})),
-            broker.metrics().counter(
-                series_name("xt_bytes_sent_total", {{"machine", id.machine}})),
-            broker.metrics().counter(series_name("xt_messages_received_total",
-                                                 {{"machine", id.machine}})),
-            broker.metrics().counter(
-                series_name("xt_bytes_received_total", {{"machine", id.machine}})),
-            broker.metrics().counter(series_name("xt_store_deep_copy_bytes_total",
-                                                 {{"machine", id.machine}})),
-            stage_histogram(broker.metrics(), StageId::kSerialize,
-                            {{"machine", id.machine}}),
-            stage_histogram(broker.metrics(), StageId::kStorePut,
-                            {{"machine", id.machine}}),
-            stage_histogram(broker.metrics(), StageId::kRecv,
-                            {{"machine", id.machine}}),
-            broker.metrics().histogram(
-                series_name("xt_transmission_ms", {{"machine", id.machine}})),
-            stage_histogram(broker.metrics(), StageId::kCompress,
-                            {{"machine", id.machine}}),
-            broker.metrics().histogram(
-                series_name("xt_codec_decompress_ms", {{"machine", id.machine}})),
-            broker.metrics().counter(
-                series_name("xt_codec_bytes_in_total", {{"machine", id.machine}})),
-            broker.metrics().counter(
-                series_name("xt_codec_bytes_out_total", {{"machine", id.machine}})),
-            broker.metrics().counter(series_name("xt_codec_messages_compressed_total",
-                                                 {{"machine", id.machine}}))},
+      inst_{broker.metrics().counter(metric::xt_messages_sent_total, {id.machine}),
+            broker.metrics().counter(metric::xt_bytes_sent_total, {id.machine}),
+            broker.metrics().counter(metric::xt_messages_received_total, {id.machine}),
+            broker.metrics().counter(metric::xt_bytes_received_total, {id.machine}),
+            broker.metrics().counter(metric::xt_store_deep_copy_bytes_total,
+                                     {id.machine}),
+            stage_histogram(broker.metrics(), StageId::kSerialize, {id.machine}),
+            stage_histogram(broker.metrics(), StageId::kStorePut, {id.machine}),
+            stage_histogram(broker.metrics(), StageId::kRecv, {id.machine}),
+            broker.metrics().histogram(metric::xt_transmission_ms, {id.machine}),
+            stage_histogram(broker.metrics(), StageId::kCompress, {id.machine}),
+            broker.metrics().histogram(metric::xt_codec_decompress_ms, {id.machine}),
+            broker.metrics().counter(metric::xt_codec_bytes_in_total, {id.machine}),
+            broker.metrics().counter(metric::xt_codec_bytes_out_total, {id.machine}),
+            broker.metrics().counter(metric::xt_codec_messages_compressed_total,
+                                     {id.machine}),
+            broker.metrics().counter(metric::xt_messages_shed_total,
+                                     {id.machine, "experience", "sendbuf_overflow"}),
+            broker.metrics().counter(metric::xt_messages_shed_total,
+                                     {id.machine, "experience", "recvbuf_overflow"})},
       id_queue_(broker.register_endpoint(id)),
       send_buffer_(buffer_config(broker.options().overload, send_capacity),
                    [this](TrafficClass /*cls*/, Outbound&& /*message*/) {
-                     shed_send_->inc();
+                     inst_.shed_send.inc();
                    }),
       recv_buffer_(broker.options().overload,
                    [this](TrafficClass /*cls*/, Message&& /*message*/) {
-                     shed_recv_->inc();
+                     inst_.shed_recv.inc();
                    }) {
-  shed_send_ = &broker.metrics().counter(series_name(
-      "xt_messages_shed_total", {{"machine", id.machine},
-                                 {"class", "experience"},
-                                 {"reason", "sendbuf_overflow"}}));
-  shed_recv_ = &broker.metrics().counter(series_name(
-      "xt_messages_shed_total", {{"machine", id.machine},
-                                 {"class", "experience"},
-                                 {"reason", "recvbuf_overflow"}}));
   sender_ = std::thread([this] {
     set_current_thread_name("snd-" + id_.name());
     sender_loop();

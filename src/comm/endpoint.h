@@ -100,6 +100,8 @@ class Endpoint {
     Counter& codec_bytes_in;
     Counter& codec_bytes_out;
     Counter& messages_compressed;
+    Counter& shed_send;  ///< xt_messages_shed_total{...sendbuf_overflow}
+    Counter& shed_recv;  ///< xt_messages_shed_total{...recvbuf_overflow}
   };
 
   void sender_loop();
@@ -108,8 +110,6 @@ class Endpoint {
   const NodeId id_;
   Broker& broker_;
   Instruments inst_;
-  Counter* shed_send_ = nullptr;  ///< xt_messages_shed_total{...sendbuf_overflow}
-  Counter* shed_recv_ = nullptr;  ///< xt_messages_shed_total{...recvbuf_overflow}
   std::shared_ptr<IdQueue> id_queue_;
 
   ClassedQueue<Outbound> send_buffer_;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/catalog.h"
+
 namespace xt {
 
 StoreClaim& StoreClaim::operator=(StoreClaim&& other) noexcept {
@@ -41,13 +43,10 @@ ObjectStore::ObjectStore(MetricsRegistry& metrics, std::uint16_t machine)
 
 ObjectStore::Instruments ObjectStore::register_series(MetricsRegistry& metrics,
                                                       std::uint16_t machine) {
-  const auto name = [machine](std::string_view family) {
-    return series_name(family, {{"machine", machine}});
-  };
-  return {metrics.counter(name("xt_store_puts_total")),
-          metrics.counter(name("xt_store_put_bytes_total")),
-          metrics.counter(name("xt_store_fetches_total")),
-          metrics.gauge(name("xt_store_live_bytes"))};
+  return {metrics.counter(metric::xt_store_puts_total, {machine}),
+          metrics.counter(metric::xt_store_put_bytes_total, {machine}),
+          metrics.counter(metric::xt_store_fetches_total, {machine}),
+          metrics.gauge(metric::xt_store_live_bytes, {machine})};
 }
 
 StoreClaim ObjectStore::hold(Payload body) { return {this, put(std::move(body), 1)}; }

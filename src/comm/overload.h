@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -186,6 +187,21 @@ class ClassedQueue {
     }
     not_empty_.notify_all();
     not_full_.notify_all();
+  }
+
+  /// Close and empty the queue at once: producers fail fast, consumers see
+  /// nullopt, and every queued item, lane by lane, is handed to the caller.
+  [[nodiscard]] std::vector<T> close_and_take() {
+    std::vector<T> taken;
+    {
+      std::scoped_lock lock(mu_);
+      closed_ = true;
+      for (auto& lane : lanes_) std::ranges::move(lane, std::back_inserter(taken));
+      lanes_ = {};
+    }
+    not_empty_.notify_all();
+    not_full_.notify_all();
+    return taken;
   }
 
   [[nodiscard]] bool closed() const {

@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "nn/mlp.h"
+#include "obs/catalog.h"
 #include "serial/binio.h"
 
 namespace xt {
@@ -507,19 +508,15 @@ WeightEncoderSession::WeightEncoderSession(WeightSyncConfig config,
                                            MetricsRegistry& metrics,
                                            std::uint16_t machine)
     : config_(config),
-      encode_ms_(metrics.histogram(
-          series_name("xt_weights_encode_ms", {{"machine", machine}}))),
-      compression_ratio_(metrics.histogram(
-          series_name("xt_weights_compression_ratio", {{"machine", machine}}))),
-      bytes_out_(metrics.counter(series_name(
-          "xt_weights_bytes_total",
-          {{"codec", weight_codec_name(config.codec)}, {"machine", machine}}))),
-      raw_bytes_(metrics.counter(
-          series_name("xt_weights_raw_bytes_total", {{"machine", machine}}))),
-      skipped_(metrics.counter(
-          series_name("xt_weights_skipped_total", {{"machine", machine}}))),
-      keyframes_(metrics.counter(
-          series_name("xt_weights_keyframes_total", {{"machine", machine}}))) {}
+      encode_ms_(metrics.histogram(metric::xt_weights_encode_ms, {machine})),
+      compression_ratio_(
+          metrics.histogram(metric::xt_weights_compression_ratio, {machine})),
+      ack_lag_(metrics.histogram(metric::xt_weights_ack_lag, {machine})),
+      bytes_out_(metrics.counter(metric::xt_weights_bytes_total,
+                                 {weight_codec_name(config.codec), machine})),
+      raw_bytes_(metrics.counter(metric::xt_weights_raw_bytes_total, {machine})),
+      skipped_(metrics.counter(metric::xt_weights_skipped_total, {machine})),
+      keyframes_(metrics.counter(metric::xt_weights_keyframes_total, {machine})) {}
 
 std::optional<std::uint32_t> WeightEncoderSession::common_ack(
     const std::vector<std::string>& dst_keys) const {
@@ -558,10 +555,11 @@ std::optional<Payload> WeightEncoderSession::encode(
                since_keyframe_ + 1 >= config_.keyframe_every;
     if (!keyframe) {
       // The newest version every destination acked, if the ring holds it.
-      if (const auto acked = common_ack(dst_keys)) {
-        base_version = *acked;
-        base = ring_.find(base_version);
-      }
+      // Without one, some destination never acked: its lag counts from 0.
+      const auto acked = common_ack(dst_keys);
+      if (!dst_keys.empty()) ack_lag_.observe(version - acked.value_or(0));
+      base_version = acked.value_or(0);
+      if (acked) base = ring_.find(base_version);
       keyframe = base == nullptr;
     }
   }
@@ -610,10 +608,9 @@ void WeightEncoderSession::note_ack(const std::string& dst_key, std::uint32_t ve
 
 WeightDecoderSession::WeightDecoderSession(MetricsRegistry& metrics,
                                            std::uint16_t machine)
-    : decode_ms_(metrics.histogram(
-          series_name("xt_weights_decode_ms", {{"machine", machine}}))),
-      decode_failures_(metrics.counter(
-          series_name("xt_weights_decode_failures_total", {{"machine", machine}}))) {}
+    : decode_ms_(metrics.histogram(metric::xt_weights_decode_ms, {machine})),
+      decode_failures_(
+          metrics.counter(metric::xt_weights_decode_failures_total, {machine})) {}
 
 WeightDecoderSession::Result WeightDecoderSession::apply(const Payload& payload) {
   Result result;

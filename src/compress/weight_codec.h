@@ -169,6 +169,7 @@ class WeightEncoderSession {
   WeightSyncConfig config_;
   Histogram& encode_ms_;
   Histogram& compression_ratio_;  ///< raw bytes / encoded bytes, per frame
+  Histogram& ack_lag_;            ///< versions behind the common ack
   Counter& bytes_out_;            ///< xt_weights_bytes_total{codec=...}
   Counter& raw_bytes_;            ///< fp32 bytes per encode attempt and keyframe reply
   Counter& skipped_;

@@ -4,6 +4,7 @@
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "nn/matrix.h"
+#include "obs/catalog.h"
 #include "obs/profiler.h"
 #include "serial/record.h"
 
@@ -24,21 +25,20 @@ ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
       env_(std::move(env)),
       agent_(std::move(agent)),
       trace_(broker.trace()),
-      rollout_hist_(stage_histogram(broker.metrics(), StageId::kExplorerRollout,
-                                    {{"machine", node.machine}})),
-      wait_weights_hist_(stage_histogram(broker.metrics(),
-                                         StageId::kExplorerWaitWeights,
-                                         {{"machine", node.machine}})),
-      env_steps_counter_(broker.metrics().counter(
-          series_name("xt_explorer_env_steps_total", {{"machine", node.machine}}))),
-      batches_counter_(broker.metrics().counter(
-          series_name("xt_explorer_batches_total", {{"machine", node.machine}}))),
-      weights_applied_counter_(broker.metrics().counter(
-          series_name("xt_weights_applied_total", {{"machine", node.machine}}))),
-      weights_nack_counter_(broker.metrics().counter(
-          series_name("xt_weights_nacks_total", {{"machine", node.machine}}))),
-      broadcast_ms_hist_(broker.metrics().histogram(
-          series_name("xt_weights_broadcast_ms", {{"machine", node.machine}}))),
+      rollout_hist_(
+          stage_histogram(broker.metrics(), StageId::kExplorerRollout, {node.machine})),
+      wait_weights_hist_(stage_histogram(
+          broker.metrics(), StageId::kExplorerWaitWeights, {node.machine})),
+      env_steps_counter_(broker.metrics().counter(metric::xt_explorer_env_steps_total,
+                                                  {node.machine})),
+      batches_counter_(
+          broker.metrics().counter(metric::xt_explorer_batches_total, {node.machine})),
+      weights_applied_counter_(
+          broker.metrics().counter(metric::xt_weights_applied_total, {node.machine})),
+      weights_nack_counter_(
+          broker.metrics().counter(metric::xt_weights_nacks_total, {node.machine})),
+      broadcast_ms_hist_(
+          broker.metrics().histogram(metric::xt_weights_broadcast_ms, {node.machine})),
       metrics_(broker.metrics()),
       decoder_(broker.metrics(), node.machine) {
   send_weight_acks_ = weight_codec_uses_base(config.weight_sync.codec);
@@ -50,8 +50,7 @@ ExplorerProcess::ExplorerProcess(NodeId node, std::uint32_t explorer_index,
     set_current_thread_name("work-" + node_.name());
     // Attribute this thread's matmul time/flops (rollout inference) to the
     // run's registry, split from the learner's by the role label.
-    nn::bind_kernel_metrics(&metrics_, "role=\"explorer\",machine=\"" +
-                                           std::to_string(node_.machine) + "\"");
+    nn::bind_kernel_metrics(&metrics_, "explorer", node_.machine);
     worker_loop();
   });
 }

@@ -4,6 +4,7 @@
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "nn/matrix.h"
+#include "obs/catalog.h"
 #include "serial/record.h"
 
 namespace xt {
@@ -21,12 +22,12 @@ LearnerProcess::LearnerProcess(NodeId node, Broker& broker,
       encoder_(config.weight_sync, broker.metrics(), node.machine),
       trace_(broker.trace()),
       metrics_(broker.metrics()),
-      wait_hist_(stage_histogram(broker.metrics(), StageId::kLearnerWait,
-                                 {{"machine", node.machine}})),
-      train_hist_(stage_histogram(broker.metrics(), StageId::kLearnerTrain,
-                                  {{"machine", node.machine}})),
-      keyframe_requests_counter_(broker.metrics().counter(series_name(
-          "xt_weights_keyframe_requests_total", {{"machine", node.machine}}))),
+      wait_hist_(
+          stage_histogram(broker.metrics(), StageId::kLearnerWait, {node.machine})),
+      train_hist_(
+          stage_histogram(broker.metrics(), StageId::kLearnerTrain, {node.machine})),
+      keyframe_requests_counter_(broker.metrics().counter(
+          metric::xt_weights_keyframe_requests_total, {node.machine})),
       steps_consumed_(initial_steps) {
   endpoint_.set_latency_recorder(&transmission_ms_);
   force_every_broadcast_ = algorithm_->explorers_block_on_weights();
@@ -47,8 +48,7 @@ void LearnerProcess::start() {
     set_current_thread_name("train-" + node_.name());
     // Attribute this thread's matmul time/flops to the run's registry
     // (train vs. infer kernel split in RunReport / bench_fig7_time).
-    nn::bind_kernel_metrics(&metrics_, "role=\"learner\",machine=\"" +
-                                           std::to_string(node_.machine) + "\"");
+    nn::bind_kernel_metrics(&metrics_, "learner", node_.machine);
     trainer_loop();
   });
 }

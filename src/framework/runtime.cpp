@@ -11,6 +11,7 @@
 #include "common/thread_util.h"
 #include "envs/registry.h"
 #include "framework/checkpoint.h"
+#include "obs/catalog.h"
 #include "obs/exporters.h"
 #include "serial/record.h"
 
@@ -185,23 +186,19 @@ void XingTianRuntime::start_profiling() {
   saturation_prev_ns_ = now_ns();
 
   // The saturation probe runs on the sampler thread at its own (slower)
-  // cadence: queue depths and pool backlog into `xt_queue_depth{queue=...}` /
-  // `xt_pool_pending_chunks`, link occupancy into
-  // `xt_link_utilization{link=...}` from byte-counter deltas.
-  Gauge& pool_pending = metrics_->gauge("xt_pool_pending_chunks");
+  // cadence: queue depths, pool backlog and link occupancy (from byte-counter
+  // deltas) into the sampler's gauges.
+  Gauge& pool_pending = metrics_->gauge(metric::xt_pool_pending_chunks);
   saturation_probe_token_ = profiler.add_probe(
       [this, &pool_pending] {
         std::vector<std::pair<std::string, double>> depths;
         for (const auto& broker : brokers_) {
           for (const auto& [queue, depth] : broker->queue_depths()) {
             const auto d = static_cast<double>(depth);
-            metrics_->gauge(series_name("xt_queue_depth", {{"queue", queue}}))
-                .set(d);
+            metrics_->gauge(metric::xt_queue_depth, {queue}).set(d);
             depths.emplace_back(queue, d);
           }
-          metrics_
-              ->gauge(series_name("xt_store_live_objects",
-                                  {{"machine", broker->machine()}}))
+          metrics_->gauge(metric::xt_store_live_objects, {broker->machine()})
               .set(static_cast<double>(broker->store().live_objects()));
         }
         if (auto pool = compute_pool()) {
@@ -217,8 +214,7 @@ void XingTianRuntime::start_profiling() {
           const PacedPipe* pipe = pipes[i];
           const std::string queue = "pipe-" + pipe->name();
           const auto backlog = static_cast<double>(pipe->queued_frames());
-          metrics_->gauge(series_name("xt_queue_depth", {{"queue", queue}}))
-              .set(backlog);
+          metrics_->gauge(metric::xt_queue_depth, {queue}).set(backlog);
           depths.emplace_back(queue, backlog);
           const std::uint64_t bytes = pipe->wire_bytes();
           if (i < pipe_bytes_prev_.size() && dt_s > 0.0) {
@@ -226,10 +222,7 @@ void XingTianRuntime::start_profiling() {
                 static_cast<double>(bytes - pipe_bytes_prev_[i]) / dt_s;
             const double util = std::clamp(
                 rate / pipe->config().bandwidth_bytes_per_sec, 0.0, 1.0);
-            metrics_
-                ->gauge(series_name("xt_link_utilization",
-                                    {{"link", pipe->name()}}))
-                .set(util);
+            metrics_->gauge(metric::xt_link_utilization, {pipe->name()}).set(util);
             pipe_bytes_prev_[i] = bytes;
           }
         }
@@ -438,8 +431,8 @@ RunReport XingTianRuntime::run() {
       XT_LOG_INFO << "stats t=" << elapsed << "s steps=" << steps
                   << " throughput=" << (elapsed > 0 ? static_cast<double>(steps) / elapsed : 0.0)
                   << "/s episodes=" << episodes_reported()
-                  << " wait_ms=" << metrics_->family_mean("xt_learner_wait_ms")
-                  << " train_ms=" << metrics_->family_mean("xt_learner_train_ms")
+                  << " wait_ms=" << metrics_->mean(metric::xt_learner_wait_ms)
+                  << " train_ms=" << metrics_->mean(metric::xt_learner_train_ms)
                   << " spans=" << trace_->total_recorded() << profile_suffix;
     }
     if (config_.max_steps_consumed > 0 &&
@@ -496,11 +489,11 @@ RunReport XingTianRuntime::run() {
   // The latency decomposition comes from the telemetry histograms; the
   // learner's LatencyRecorders back the CDF (reservoir of raw samples).
   report.mean_transmission_ms = learner_->transmission_ms().mean();
-  report.mean_wait_ms = metrics_->family_mean("xt_learner_wait_ms");
-  report.mean_train_ms = metrics_->family_mean("xt_learner_train_ms");
-  report.mean_rollout_ms = metrics_->family_mean("xt_explorer_rollout_ms");
-  report.mean_gemm_ms = metrics_->family_mean("xt_gemm_ms");
-  report.gemm_flops = metrics_->family_total("xt_gemm_flops_total");
+  report.mean_wait_ms = metrics_->mean(metric::xt_learner_wait_ms);
+  report.mean_train_ms = metrics_->mean(metric::xt_learner_train_ms);
+  report.mean_rollout_ms = metrics_->mean(metric::xt_explorer_rollout_ms);
+  report.mean_gemm_ms = metrics_->mean(metric::xt_gemm_ms);
+  report.gemm_flops = metrics_->total(metric::xt_gemm_flops_total);
   if (const Histogram* sample = learner_->algorithm().replay_sample_latency()) {
     report.mean_replay_sample_ms = sample->mean();
   }
@@ -508,39 +501,37 @@ RunReport XingTianRuntime::run() {
   report.rollout_messages = learner_->rollout_messages();
   report.rollout_bytes = learner_->rollout_bytes();
   report.weight_broadcasts = learner_->weight_broadcasts();
-  report.weights_applied = metrics_->family_total("xt_weights_applied_total");
+  report.weights_applied = metrics_->total(metric::xt_weights_applied_total);
   // Weight-codec layer (DESIGN.md §11): encoded vs fp32-equivalent publish
   // volume plus the lazy/keyframe/fallback protocol tallies.
-  report.weights_wire_bytes = metrics_->family_total("xt_weights_bytes_total");
-  report.weights_raw_bytes = metrics_->family_total("xt_weights_raw_bytes_total");
-  report.weights_skipped = metrics_->family_total("xt_weights_skipped_total");
-  report.weights_keyframes = metrics_->family_total("xt_weights_keyframes_total");
+  report.weights_wire_bytes = metrics_->total(metric::xt_weights_bytes_total);
+  report.weights_raw_bytes = metrics_->total(metric::xt_weights_raw_bytes_total);
+  report.weights_skipped = metrics_->total(metric::xt_weights_skipped_total);
+  report.weights_keyframes = metrics_->total(metric::xt_weights_keyframes_total);
   report.weights_keyframe_requests =
-      metrics_->family_total("xt_weights_keyframe_requests_total");
+      metrics_->total(metric::xt_weights_keyframe_requests_total);
   report.weights_decode_failures =
-      metrics_->family_total("xt_weights_decode_failures_total");
+      metrics_->total(metric::xt_weights_decode_failures_total);
   report.weights_broadcast_p99_ms =
-      metrics_->family_quantile("xt_weights_broadcast_ms", 0.99);
+      metrics_->quantile(metric::xt_weights_broadcast_ms, 0.99);
 
   // Robustness: chaos-fabric and supervision tallies (all zero when faults
   // are off and every worker stayed alive).
-  report.faults_injected = metrics_->family_total("xt_faults_injected_total");
-  report.frames_corrupted =
-      metrics_->family_total("xt_frames_corrupted_total");
-  report.retransmits = metrics_->family_total("xt_retransmits_total");
+  report.faults_injected = metrics_->total(metric::xt_faults_injected_total);
+  report.frames_corrupted = metrics_->total(metric::xt_frames_corrupted_total);
+  report.retransmits = metrics_->total(metric::xt_retransmits_total);
   // Overload-model tallies: sheds across every bounded stage (router,
   // inbox, endpoint buffers), pipe-level frame sheds, and breaker trips.
-  report.messages_shed = metrics_->family_total("xt_messages_shed_total");
-  report.frames_shed = metrics_->family_total("xt_frames_shed_total");
-  report.breaker_opens =
-      metrics_->family_total("xt_link_breaker_opens_total");
+  report.messages_shed = metrics_->total(metric::xt_messages_shed_total);
+  report.frames_shed = metrics_->total(metric::xt_frames_shed_total);
+  report.breaker_opens = metrics_->total(metric::xt_link_breaker_opens_total);
+  report.worker_restarts = metrics_->total(metric::xt_worker_restarts_total);
+  report.workers_suspected = metrics_->total(metric::xt_workers_suspected_total);
+  report.respawns_suppressed = metrics_->total(metric::xt_respawns_suppressed_total);
   if (supervisor_) {
-    report.worker_restarts = supervisor_->restarts();
     report.explorer_restarts = supervisor_->explorer_restarts();
     report.learner_restarts = supervisor_->learner_restarts();
     report.degraded_workers = supervisor_->degraded();
-    report.workers_suspected = supervisor_->suspects();
-    report.respawns_suppressed = supervisor_->respawns_suppressed();
     if (report.worker_restarts > 0) {
       XT_LOG_INFO << "run survived " << report.worker_restarts
                   << " worker restart(s) (" << report.explorer_restarts

@@ -5,6 +5,7 @@
 #include "common/clock.h"
 #include "common/log.h"
 #include "comm/message.h"
+#include "obs/catalog.h"
 
 namespace xt {
 namespace {
@@ -32,9 +33,9 @@ void Heartbeater::tick() {
 
 Supervisor::Supervisor(SupervisionConfig config, MetricsRegistry& metrics)
     : config_(config),
-      restarts_(metrics.counter("xt_worker_restarts_total")),
-      suspects_(metrics.counter("xt_workers_suspected_total")),
-      suppressed_(metrics.counter("xt_respawns_suppressed_total")) {}
+      restarts_(metrics.counter(metric::xt_worker_restarts_total)),
+      suspects_(metrics.counter(metric::xt_workers_suspected_total)),
+      suppressed_(metrics.counter(metric::xt_respawns_suppressed_total)) {}
 
 void Supervisor::set_congestion_probe(CongestionProbe probe) {
   congestion_probe_ = std::move(probe);

@@ -94,8 +94,7 @@ class Supervisor {
   /// controller loop.
   void poll();
 
-  /// Respawns: `xt_worker_restarts_total`.
-  [[nodiscard]] std::uint64_t restarts() const { return restarts_.value(); }
+  /// Respawns by role; `xt_worker_restarts_total` counts them all.
   [[nodiscard]] std::uint64_t explorer_restarts() const {
     return explorer_restarts_;
   }
@@ -104,14 +103,6 @@ class Supervisor {
   }
   /// Workers abandoned after exhausting their restart budget.
   [[nodiscard]] std::uint64_t degraded() const { return degraded_; }
-  /// Silence episodes that entered the suspect state, each a missed
-  /// heartbeat timeout: `xt_workers_suspected_total`.
-  [[nodiscard]] std::uint64_t suspects() const { return suspects_.value(); }
-  /// Respawn attempts suppressed by the per-worker rate limit:
-  /// `xt_respawns_suppressed_total`.
-  [[nodiscard]] std::uint64_t respawns_suppressed() const {
-    return suppressed_.value();
-  }
 
  private:
   struct Watched {

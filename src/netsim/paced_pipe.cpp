@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "common/thread_util.h"
+#include "obs/catalog.h"
 #include "obs/profiler.h"
 
 namespace xt {
@@ -11,14 +12,10 @@ namespace xt {
 PacedPipe::Faults::Faults(const FaultPlan& plan, MetricsRegistry& metrics,
                           const std::string& link)
     : injector(plan),
-      dropped(metrics.counter(series_name("xt_faults_injected_total",
-                                          {{"link", link}, {"kind", "drop"}}))),
-      corrupted(metrics.counter(series_name(
-          "xt_faults_injected_total", {{"link", link}, {"kind", "corrupt"}}))),
-      delayed(metrics.counter(series_name("xt_faults_injected_total",
-                                          {{"link", link}, {"kind", "delay"}}))),
-      blackout(metrics.counter(series_name(
-          "xt_faults_injected_total", {{"link", link}, {"kind", "blackout"}}))) {}
+      dropped(metrics.counter(metric::xt_faults_injected_total, {link, "drop"})),
+      corrupted(metrics.counter(metric::xt_faults_injected_total, {link, "corrupt"})),
+      delayed(metrics.counter(metric::xt_faults_injected_total, {link, "delay"})),
+      blackout(metrics.counter(metric::xt_faults_injected_total, {link, "blackout"})) {}
 
 void PacedPipe::Faults::count(const FaultOutcome& outcome) {
   if (outcome.extra_latency_ns > 0) delayed.inc();
@@ -36,15 +33,12 @@ PacedPipe::PacedPipe(std::string name, LinkConfig config,
       config_(config),
       trace_(trace),
       pid_(pid),
-      transmit_ms_(
-          stage_histogram(metrics, StageId::kPipeTransmit, {{"link", name_}})),
-      wire_bytes_(metrics.counter(
-          series_name("xt_pipe_wire_bytes_total", {{"link", name_}}))),
-      frames_(metrics.counter(
-          series_name("xt_pipe_frames_total", {{"link", name_}}))),
+      transmit_ms_(stage_histogram(metrics, StageId::kPipeTransmit, {name_})),
+      wire_bytes_(metrics.counter(metric::xt_pipe_wire_bytes_total, {name_})),
+      frames_(metrics.counter(metric::xt_pipe_frames_total, {name_})),
+      shutdown_drops_(metrics.counter(metric::xt_pipe_shutdown_drops_total, {name_})),
       frames_shed_(config.overload.bounded()
-                       ? &metrics.counter(series_name("xt_frames_shed_total",
-                                                      {{"link", name_}}))
+                       ? &metrics.counter(metric::xt_frames_shed_total, {name_})
                        : nullptr),
       faults_(config.faults.enabled()
                   ? std::make_unique<Faults>(config.faults, metrics, name_)
@@ -66,7 +60,9 @@ PacedPipe::PacedPipe(std::string name, LinkConfig config,
 PacedPipe::~PacedPipe() { stop(); }
 
 void PacedPipe::stop() {
-  queue_.close();
+  // Frames still waiting for the wire are dropped, unpaced and undelivered;
+  // the frame on the wire finishes its serialization.
+  shutdown_drops_.inc(queue_.close_and_take().size());
   if (transmitter_.joinable()) transmitter_.join();
   // The transmitter has handed its last frame to the delay line; the
   // delivery thread lands everything still in flight, then exits.

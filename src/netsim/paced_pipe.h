@@ -61,7 +61,8 @@ class PacedPipe {
   /// `xt_pipe_transmit_ms` (serialization start to far-end delivery; dropped
   /// frames record nothing), `xt_pipe_wire_bytes_total` and
   /// `xt_pipe_frames_total` (every frame that occupied the wire, dropped or
-  /// not), `xt_faults_injected_total{link,kind}` when the FaultPlan is
+  /// not), `xt_pipe_shutdown_drops_total` (frames stop() dropped from the
+  /// queue), `xt_faults_injected_total{link,kind}` when the FaultPlan is
   /// enabled, and `xt_frames_shed_total` when the overload policy is
   /// bounded. With a `trace` collector each delivered frame records a
   /// `pipe.transmit` span in process group `pid` (the source machine).
@@ -93,8 +94,10 @@ class PacedPipe {
                       TrafficClass cls = TrafficClass::kExperience,
                       StartHook on_start = nullptr);
 
-  /// Drain and stop (idempotent): the transmit queue is paced out, then
-  /// every frame in flight is delivered at its due time.
+  /// Stop (idempotent): each frame still queued is dropped once, unpaced, its
+  /// deliver action destroyed unrun, and counted in
+  /// `xt_pipe_shutdown_drops_total`. The frame on the wire and every frame
+  /// in flight still land at their due times.
   void stop();
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -145,6 +148,7 @@ class PacedPipe {
   Histogram& transmit_ms_;
   Counter& wire_bytes_;
   Counter& frames_;
+  Counter& shutdown_drops_;
   /// Registered only under a bounded overload policy, the only one that sheds.
   Counter* const frames_shed_;
   const std::unique_ptr<Faults> faults_;

@@ -10,6 +10,7 @@
 #include "common/log.h"
 #include "common/thread_util.h"
 #include "netsim/fault_plan.h"
+#include "obs/catalog.h"
 #include "obs/profiler.h"
 
 namespace xt {
@@ -44,17 +45,13 @@ ReliableChannel::ReliableChannel(std::string name, ReliabilityConfig config,
                             ? data_pipe.config().overload.breaker_failures
                             : 0),
       receiver_(receiver),
-      inst_{metrics.counter(series_name("xt_retransmits_total", {{"link", name_}})),
-            metrics.counter(
-                series_name("xt_retransmit_give_ups_total", {{"link", name_}})),
-            metrics.counter(
-                series_name("xt_link_duplicate_frames_total", {{"link", name_}})),
-            metrics.counter(series_name("xt_link_acks_total", {{"link", name_}})),
-            metrics.gauge(series_name("xt_link_state", {{"link", name_}})),
-            metrics.counter(
-                series_name("xt_link_breaker_opens_total", {{"link", name_}})),
-            metrics.counter(
-                series_name("xt_link_breaker_shed_total", {{"link", name_}}))} {
+      inst_{metrics.counter(metric::xt_retransmits_total, {name_}),
+            metrics.counter(metric::xt_retransmit_give_ups_total, {name_}),
+            metrics.counter(metric::xt_link_duplicate_frames_total, {name_}),
+            metrics.counter(metric::xt_link_acks_total, {name_}),
+            metrics.gauge(metric::xt_link_state, {name_}),
+            metrics.counter(metric::xt_link_breaker_opens_total, {name_}),
+            metrics.counter(metric::xt_link_breaker_shed_total, {name_})} {
   retransmitter_ = std::thread([this] {
     set_current_thread_name("rexmit-" + name_);
     retransmit_loop();

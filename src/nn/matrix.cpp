@@ -27,6 +27,7 @@
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "nn/optimizer.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
@@ -397,14 +398,15 @@ class KernelScope {
 
 }  // namespace
 
-void bind_kernel_metrics(MetricsRegistry* registry, const std::string& labels) {
+void bind_kernel_metrics(MetricsRegistry* registry, std::string_view role,
+                         std::uint16_t machine) {
   if (registry == nullptr) {
     t_kernel_sink = KernelMetrics{};
     return;
   }
-  const std::string suffix = labels.empty() ? "" : "{" + labels + "}";
-  t_kernel_sink.gemm_ms = &registry->histogram("xt_gemm_ms" + suffix);
-  t_kernel_sink.gemm_flops = &registry->counter("xt_gemm_flops_total" + suffix);
+  t_kernel_sink.gemm_ms = &registry->histogram(metric::xt_gemm_ms, {role, machine});
+  t_kernel_sink.gemm_flops =
+      &registry->counter(metric::xt_gemm_flops_total, {role, machine});
 }
 
 KernelMetrics kernel_metrics() { return t_kernel_sink; }

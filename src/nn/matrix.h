@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -132,12 +133,13 @@ namespace reference {
 }  // namespace reference
 
 /// Record per-kernel telemetry for matmuls run on the calling thread into
-/// `registry`: `xt_gemm_ms{labels}` (histogram, wall time per call) and
-/// `xt_gemm_flops_total{labels}` (counter, 2*m*n*k per call). Handles are
-/// resolved once here, so the kernels pay two relaxed atomics per call.
+/// `registry`: `xt_gemm_ms{role,machine}` (histogram, wall time per call) and
+/// `xt_gemm_flops_total{role,machine}` (counter, 2*m*n*k per call). Handles
+/// are resolved once here, so the kernels pay two relaxed atomics per call.
 /// Thread-local: worker threads bind their runtime's registry at loop
 /// entry; pass nullptr to unbind (e.g. before the registry dies).
-void bind_kernel_metrics(MetricsRegistry* registry, const std::string& labels = "");
+void bind_kernel_metrics(MetricsRegistry* registry, std::string_view role = {},
+                         std::uint16_t machine = 0);
 
 /// A thread's kernel telemetry binding, as a value that work handed to
 /// another thread can carry along. Both handles are null when unbound.

@@ -5,10 +5,10 @@
 #include <fstream>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/log.h"
+#include "obs/catalog.h"
 
 namespace xt {
 
@@ -52,56 +52,21 @@ void append_label_value_escaped(std::string& out, const std::string& value) {
   }
 }
 
-/// Re-emit a raw `a="b",c="d"` label block with every value escaped. Metric
-/// names embed label values verbatim (see MetricsRegistry's naming
-/// convention), so a value holding a backslash, quote or newline would
-/// otherwise corrupt the exposition output. A quote is treated as closing
-/// its value when followed by `,` or the end of the block; anything else —
-/// including embedded quotes — is value content.
-std::string sanitize_labels(const std::string& labels) {
+/// A series' label block, `{key="value",...,extra}`, with its values escaped;
+/// empty for a series without labels and without `extra`.
+std::string label_block(const MetricsRegistry::Series& series,
+                        const std::string& extra = "") {
   std::string out;
-  out.reserve(labels.size() + 8);
-  std::size_t i = 0;
-  while (i < labels.size()) {
-    const std::size_t eq = labels.find('=', i);
-    if (eq == std::string::npos) {
-      out.append(labels, i, labels.size() - i);  // malformed: pass through
-      break;
-    }
-    out.append(labels, i, eq - i + 1);
-    i = eq + 1;
-    if (i >= labels.size() || labels[i] != '"') continue;
+  for (std::size_t i = 0; i < series.values.size(); ++i) {
+    out += i == 0 ? "{" : ",";
+    out += series.row->labels.begin()[i];
+    out += "=\"";
+    append_label_value_escaped(out, series.values[i]);
     out += '"';
-    ++i;
-    std::string value;
-    while (i < labels.size() &&
-           !(labels[i] == '"' &&
-             (i + 1 == labels.size() || labels[i + 1] == ','))) {
-      value += labels[i++];
-    }
-    append_label_value_escaped(out, value);
-    out += '"';
-    if (i < labels.size()) ++i;  // closing quote
-    if (i < labels.size() && labels[i] == ',') {
-      out += ',';
-      ++i;
-    }
   }
+  if (!extra.empty()) out += (out.empty() ? "{" : ",") + extra;
+  if (!out.empty()) out += '}';
   return out;
-}
-
-/// Split `xt_name_total{a="b"}` into ("xt_name_total", "a=\"b\"") with the
-/// label values escaped for exposition output.
-std::pair<std::string, std::string> split_labels(const std::string& name) {
-  const std::size_t brace = name.find('{');
-  if (brace == std::string::npos || name.back() != '}') return {name, ""};
-  return {name.substr(0, brace),
-          sanitize_labels(name.substr(brace + 1, name.size() - brace - 2))};
-}
-
-std::string with_label(const std::string& labels, const std::string& extra) {
-  if (labels.empty()) return "{" + extra + "}";
-  return "{" + labels + "," + extra + "}";
 }
 
 }  // namespace
@@ -178,60 +143,51 @@ bool write_chrome_trace_file(const TraceCollector& collector,
   return static_cast<bool>(file);
 }
 
-void write_prometheus_text(const MetricsRegistry& registry, std::ostream& os) {
+std::string prometheus_text(const MetricsRegistry& registry) {
+  const std::vector<const MetricsRegistry::Series*> series = registry.series();
   std::string out;
-  std::string last_family;
-
-  auto type_line = [&](const std::string& family, const char* type) {
-    if (family == last_family) return;
-    last_family = family;
-    out += "# TYPE " + family + " " + type + "\n";
-  };
-
-  for (const auto& [name, value] : registry.counters()) {
-    const auto [family, labels] = split_labels(name);
-    type_line(family, "counter");
-    out += family + (labels.empty() ? "" : "{" + labels + "}") + " " +
-           std::to_string(value) + "\n";
-  }
-  for (const auto& [name, value] : registry.gauges()) {
-    const auto [family, labels] = split_labels(name);
-    type_line(family, "gauge");
-    out += family + (labels.empty() ? "" : "{" + labels + "}") + " " +
-           format_double(value) + "\n";
-  }
-  for (const auto& [name, histogram] : registry.histograms()) {
-    const auto [family, labels] = split_labels(name);
-    type_line(family, "histogram");
-    const std::vector<std::uint64_t> counts = histogram->bucket_counts();
-    const auto& bounds = Histogram::bounds();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += counts[i];
-      out += family + "_bucket" +
-             with_label(labels, "le=\"" + format_double(bounds[i]) + "\"") + " " +
-             std::to_string(cumulative) + "\n";
+  // Counters, then gauges, then histograms; each family under one TYPE line.
+  for (const MetricKind kind :
+       {MetricKind::kCounter, MetricKind::kGauge, MetricKind::kHistogram}) {
+    const MetricRow* last_row = nullptr;
+    for (const MetricsRegistry::Series* s : series) {
+      const MetricRow& row = *s->row;
+      if (row.kind != kind) continue;
+      const std::string family = row.name;
+      if (&row != last_row) {
+        out += "# TYPE " + family + " " + metric_kind_name(kind) + "\n";
+      }
+      last_row = &row;
+      const std::string labels = label_block(*s);
+      if (s->counter) {
+        out += family + labels + " " + std::to_string(s->counter->value()) + "\n";
+      } else if (s->gauge) {
+        out += family + labels + " " + format_double(s->gauge->value()) + "\n";
+      } else {
+        const Histogram& histogram = *s->histogram;
+        const std::vector<std::uint64_t> counts = histogram.bucket_counts();
+        const auto& bounds = Histogram::bounds();
+        std::uint64_t cumulative = 0;
+        for (std::size_t i = 0; i <= bounds.size(); ++i) {
+          cumulative += counts[i];
+          const std::string le =
+              i < bounds.size() ? format_double(bounds[i]) : std::string("+Inf");
+          out += family + "_bucket" + label_block(*s, "le=\"" + le + "\"") + " " +
+                 std::to_string(cumulative) + "\n";
+        }
+        out += family + "_sum" + labels + " " + format_double(histogram.sum()) + "\n";
+        out += family + "_count" + labels + " " + std::to_string(histogram.count()) +
+               "\n";
+      }
     }
-    cumulative += counts[bounds.size()];
-    out += family + "_bucket" + with_label(labels, "le=\"+Inf\"") + " " +
-           std::to_string(cumulative) + "\n";
-    out += family + "_sum" + (labels.empty() ? "" : "{" + labels + "}") + " " +
-           format_double(histogram->sum()) + "\n";
-    out += family + "_count" + (labels.empty() ? "" : "{" + labels + "}") + " " +
-           std::to_string(histogram->count()) + "\n";
   }
 
   // Process-wide logging health: emitted warn/error lines (see common/log.h).
-  out += "# TYPE xt_log_warnings_total counter\n";
-  out += "xt_log_warnings_total " + std::to_string(log_warning_count()) + "\n";
-
-  os << out;
-}
-
-std::string prometheus_text(const MetricsRegistry& registry) {
-  std::ostringstream os;
-  write_prometheus_text(registry, os);
-  return os.str();
+  const MetricRow& warnings = metric::xt_log_warnings_total;
+  out += std::string("# TYPE ") + warnings.name + " " +
+         metric_kind_name(warnings.kind) + "\n";
+  out += std::string(warnings.name) + " " + std::to_string(log_warning_count()) + "\n";
+  return out;
 }
 
 std::string profile_json(

@@ -25,12 +25,10 @@ void write_chrome_trace(const TraceCollector& collector, std::ostream& os);
 bool write_chrome_trace_file(const TraceCollector& collector,
                              const std::string& path);
 
-/// Render the registry in the Prometheus text exposition format (counters,
-/// gauges, and histograms with `_bucket`/`_sum`/`_count` series). Also
-/// appends the process-wide `xt_log_warnings_total` counter maintained by
-/// the logging layer. Output is sorted by metric name (deterministic).
-void write_prometheus_text(const MetricsRegistry& registry, std::ostream& os);
-
+/// The registry in the Prometheus text exposition format: counters, gauges,
+/// then histograms (with `_bucket`/`_sum`/`_count` series), each family's
+/// series in name order under its row's TYPE line, label values escaped,
+/// then the logging layer's process-wide `xt_log_warnings_total`.
 [[nodiscard]] std::string prometheus_text(const MetricsRegistry& registry);
 
 /// The run's `profile.json` artifact: the critical-path breakdown, the

@@ -1,15 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
+#include <stdexcept>
 
 namespace xt {
 namespace {
-
-bool in_family(const std::string& name, std::string_view family) {
-  return name.compare(0, family.size(), family) == 0 &&
-         (name.size() == family.size() || name[family.size()] == '{');
-}
 
 /// Histogram::quantile's rule over counts laid out like Histogram::bounds():
 /// linear interpolation within the bucket holding the q-th observation; the
@@ -37,22 +33,6 @@ double bucket_quantile(const std::vector<std::uint64_t>& counts, double q) {
 }
 
 }  // namespace
-
-std::string series_name(std::string_view family,
-                        std::initializer_list<MetricLabel> labels) {
-  std::string name(family);
-  char sep = '{';
-  for (const MetricLabel& label : labels) {
-    name += sep;
-    name += label.key;
-    name += "=\"";
-    name += label.value;
-    name += '"';
-    sep = ',';
-  }
-  if (labels.size() > 0) name += '}';
-  return name;
-}
 
 const std::array<double, Histogram::kBuckets>& Histogram::bounds() {
   static constexpr std::array<double, kBuckets> kBounds = [] {
@@ -95,53 +75,71 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-MetricsRegistry::Shard& MetricsRegistry::shard_for(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShards];
+const MetricsRegistry::Series& MetricsRegistry::add(
+    const MetricRow& row, MetricKind kind, std::initializer_list<LabelValue> values) {
+  if (row.kind != kind || values.size() != row.labels.size()) {
+    throw std::invalid_argument(std::string(row.name) + ": values do not fit the row");
+  }
+  std::pair<std::string_view, std::string> key{row.name, row.name};
+  const char* const* label = row.labels.begin();
+  for (const LabelValue& value : values) {
+    key.second += label == row.labels.begin() ? '{' : ',';
+    key.second += *label++;
+    key.second += "=\"" + value.text + '"';
+  }
+  if (values.size() > 0) key.second += '}';
+
+  std::scoped_lock lock(mu_);
+  const auto it = series_.lower_bound(key);
+  if (it != series_.end() && it->first == key) return it->second;
+  // A family's series are adjacent and share its row: a neighbour shows it.
+  const auto held = [&](auto n) {
+    return n->first.first == row.name && n->second.row != &row;
+  };
+  if ((it != series_.end() && held(it)) ||
+      (it != series_.begin() && held(std::prev(it)))) {
+    throw std::invalid_argument(std::string(row.name) + ": another row holds the name");
+  }
+  Series series{&row, {}, {}, nullptr, nullptr, nullptr};
+  for (const LabelValue& value : values) series.values.push_back(value.text);
+  if (kind == MetricKind::kCounter) series.counter = std::make_unique<Counter>();
+  if (kind == MetricKind::kGauge) series.gauge = std::make_unique<Gauge>();
+  if (kind == MetricKind::kHistogram) series.histogram = std::make_unique<Histogram>();
+  const auto added = series_.emplace_hint(it, std::move(key), std::move(series));
+  added->second.name = added->first.second;
+  return added->second;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  Shard& shard = shard_for(name);
-  std::scoped_lock lock(shard.mu);
-  auto& slot = shard.counters[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
+Counter& MetricsRegistry::counter(const MetricRow& row,
+                                  std::initializer_list<LabelValue> values) {
+  return *add(row, MetricKind::kCounter, values).counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  Shard& shard = shard_for(name);
-  std::scoped_lock lock(shard.mu);
-  auto& slot = shard.gauges[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+Gauge& MetricsRegistry::gauge(const MetricRow& row,
+                              std::initializer_list<LabelValue> values) {
+  return *add(row, MetricKind::kGauge, values).gauge;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  Shard& shard = shard_for(name);
-  std::scoped_lock lock(shard.mu);
-  auto& slot = shard.histograms[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+Histogram& MetricsRegistry::histogram(const MetricRow& row,
+                                      std::initializer_list<LabelValue> values) {
+  return *add(row, MetricKind::kHistogram, values).histogram;
+}
+
+std::vector<const MetricsRegistry::Series*> MetricsRegistry::series(
+    const MetricRow* family) const {
+  std::vector<const Series*> out;
+  std::scoped_lock lock(mu_);
+  auto it = family ? series_.lower_bound({family->name, ""}) : series_.begin();
+  for (; it != series_.end() && (!family || it->first.first == family->name); ++it) {
+    out.push_back(&it->second);
+  }
+  return out;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::counters() const {
   std::vector<std::pair<std::string, std::uint64_t>> out;
-  for (const Shard& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [name, counter] : shard.counters) {
-      out.emplace_back(name, counter->value());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::gauges() const {
-  std::vector<std::pair<std::string, double>> out;
-  for (const Shard& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [name, gauge] : shard.gauges) {
-      out.emplace_back(name, gauge->value());
-    }
+  for (const Series* s : series()) {
+    if (s->counter) out.emplace_back(s->name, s->counter->value());
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -150,40 +148,37 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::gauges() const {
 std::vector<std::pair<std::string, const Histogram*>> MetricsRegistry::histograms()
     const {
   std::vector<std::pair<std::string, const Histogram*>> out;
-  for (const Shard& shard : shards_) {
-    std::scoped_lock lock(shard.mu);
-    for (const auto& [name, histogram] : shard.histograms) {
-      out.emplace_back(name, histogram.get());
-    }
+  for (const Series* s : series()) {
+    if (s->histogram) out.emplace_back(s->name, s->histogram.get());
   }
   std::sort(out.begin(), out.end());
   return out;
 }
 
-std::uint64_t MetricsRegistry::family_total(std::string_view family) const {
+std::uint64_t MetricsRegistry::total(const MetricRow& family) const {
   std::uint64_t total = 0;
-  for (const auto& [name, value] : counters()) {
-    if (in_family(name, family)) total += value;
+  for (const Series* s : series(&family)) {
+    if (s->counter) total += s->counter->value();
   }
   return total;
 }
 
-double MetricsRegistry::family_mean(std::string_view family) const {
+double MetricsRegistry::mean(const MetricRow& family) const {
   double sum = 0.0;
   std::uint64_t count = 0;
-  for (const auto& [name, hist] : histograms()) {
-    if (!in_family(name, family)) continue;
-    sum += hist->sum();
-    count += hist->count();
+  for (const Series* s : series(&family)) {
+    if (!s->histogram) continue;
+    sum += s->histogram->sum();
+    count += s->histogram->count();
   }
   return count > 0 ? sum / static_cast<double>(count) : 0.0;
 }
 
-double MetricsRegistry::family_quantile(std::string_view family, double q) const {
+double MetricsRegistry::quantile(const MetricRow& family, double q) const {
   std::vector<std::uint64_t> counts(Histogram::kBuckets + 1);
-  for (const auto& [name, hist] : histograms()) {
-    if (!in_family(name, family)) continue;
-    const std::vector<std::uint64_t> member = hist->bucket_counts();
+  for (const Series* s : series(&family)) {
+    if (!s->histogram) continue;
+    const std::vector<std::uint64_t> member = s->histogram->bucket_counts();
     for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += member[i];
   }
   return bucket_quantile(counts, q);

@@ -2,14 +2,15 @@
 
 #include <array>
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,69 +73,92 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// One `key="value"` label of a series name. An integral value (a machine
-/// index) is written in decimal.
-struct MetricLabel {
-  MetricLabel(std::string_view k, std::string_view v) : key(k), value(v) {}
-  MetricLabel(std::string_view k, std::uint64_t v)
-      : key(k), value(std::to_string(v)) {}
-  std::string_view key;
-  std::string value;
+/// What a family records; the exporter writes it as the family's `# TYPE`.
+enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
+
+[[nodiscard]] constexpr const char* metric_kind_name(MetricKind kind) {
+  constexpr const char* kNames[] = {"counter", "gauge", "histogram"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+/// One metric family: its name, its kind and its label keys in series order.
+/// The catalog (obs/catalog.h) holds a row for every family the program
+/// records; a test may define its own. A row is a named variable that
+/// outlives its registries, which point to it and its keys; strings are literals.
+struct MetricRow {
+  const char* name;
+  MetricKind kind;
+  std::initializer_list<const char*> labels = {};
 };
 
-/// The registry's name of one labeled series: `family{key="value",...}`, or
-/// the bare family without labels. Values go in verbatim; the text exporter
-/// escapes them.
-[[nodiscard]] std::string series_name(std::string_view family,
-                                      std::initializer_list<MetricLabel> labels);
+/// One label value of a series, given in its row's key order. An integral
+/// value (a machine index) is written in decimal.
+struct LabelValue {
+  template <typename T>
+    requires std::convertible_to<const T&, std::string_view>
+  LabelValue(const T& v) : text(std::string_view(v)) {}
+  template <std::integral T>
+  LabelValue(T v) : text(std::to_string(v)) {}
 
-/// Lock-sharded name -> metric registry. Lookup (`counter()` / `gauge()` /
-/// `histogram()`) hashes the name to a shard and takes that shard's mutex
-/// only for the map access; the returned reference stays valid for the
-/// registry's lifetime, so callers resolve handles once and record lock-free
-/// afterwards.
-///
-/// Naming convention: Prometheus-style full names including labels, e.g.
-/// `xt_broker_routed_total{machine="0"}`. The text exporter groups families
-/// by the name before the label block. The `family_*` readers aggregate every
-/// series of a family (`family` itself and each `family{labels}`) and read 0
-/// for a family nothing has registered, without registering it.
+  std::string text;
+};
+
+/// Family -> series registry. A series is registered and found through its
+/// family's row plus one value per label key; its name, `family{key="value",
+/// ...}` with the values verbatim, is rendered once. Lookup takes the mutex;
+/// the returned reference lives as long as the registry, so callers resolve
+/// handles once and record lock-free afterwards. The family readers `total`,
+/// `mean` and `quantile` visit that family's series alone and read 0 for a
+/// family nothing has registered, without registering it.
 class MetricsRegistry {
  public:
+  /// One registered series; the one metric its row's kind names is set.
+  struct Series {
+    const MetricRow* row;
+    std::vector<std::string> values;  ///< in the row's key order
+    std::string_view name;            ///< views the registry's key
+    std::unique_ptr<Counter> counter;
+    std::unique_ptr<Gauge> gauge;
+    std::unique_ptr<Histogram> histogram;
+  };
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  [[nodiscard]] Counter& counter(const std::string& name);
-  [[nodiscard]] Gauge& gauge(const std::string& name);
-  [[nodiscard]] Histogram& histogram(const std::string& name);
+  /// The series of `row` with `values`. Throws std::invalid_argument when
+  /// they do not match the row's kind and keys, or another row holds its name.
+  [[nodiscard]] Counter& counter(const MetricRow& row,
+                                 std::initializer_list<LabelValue> values = {});
+  [[nodiscard]] Gauge& gauge(const MetricRow& row,
+                             std::initializer_list<LabelValue> values = {});
+  [[nodiscard]] Histogram& histogram(const MetricRow& row,
+                                     std::initializer_list<LabelValue> values = {});
 
-  /// Snapshots for exporters, sorted by name for deterministic output.
+  /// Snapshots by series name, sorted by name.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> counters() const;
-  [[nodiscard]] std::vector<std::pair<std::string, double>> gauges() const;
   [[nodiscard]] std::vector<std::pair<std::string, const Histogram*>> histograms() const;
 
-  /// Sum of the family's counters (e.g. every link's
-  /// `xt_faults_injected_total{link="...",kind="..."}`).
-  [[nodiscard]] std::uint64_t family_total(std::string_view family) const;
+  /// The series of `family`, or every series: families in name order, each
+  /// family's series in name order. The pointers live as long as the registry.
+  [[nodiscard]] std::vector<const Series*> series(
+      const MetricRow* family = nullptr) const;
+
+  /// Sum of the family's counters.
+  [[nodiscard]] std::uint64_t total(const MetricRow& family) const;
   /// Mean over the family's histograms: sum of sums over sum of counts.
-  [[nodiscard]] double family_mean(std::string_view family) const;
+  [[nodiscard]] double mean(const MetricRow& family) const;
   /// Quantile of the family's histograms merged bucket by bucket, by
   /// Histogram::quantile's rule: a family of one reads that histogram's.
-  [[nodiscard]] double family_quantile(std::string_view family, double q) const;
+  [[nodiscard]] double quantile(const MetricRow& family, double q) const;
 
  private:
-  static constexpr std::size_t kShards = 8;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::unique_ptr<Counter>> counters;
-    std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms;
-  };
+  const Series& add(const MetricRow& row, MetricKind kind,
+                    std::initializer_list<LabelValue> values);
 
-  [[nodiscard]] Shard& shard_for(const std::string& name);
-
-  Shard shards_[kShards];
+  mutable std::mutex mu_;
+  /// Keyed by (family, series name), so a family's series are adjacent.
+  std::map<std::pair<std::string_view, std::string>, Series> series_;
 };
 
 }  // namespace xt

@@ -88,8 +88,8 @@ const StageRow* find_stage(std::string_view span_name) {
 }
 
 Histogram& stage_histogram(MetricsRegistry& metrics, StageId id,
-                           std::initializer_list<MetricLabel> labels) {
-  return metrics.histogram(series_name(stage_row(id).histogram, labels));
+                           std::initializer_list<LabelValue> values) {
+  return metrics.histogram(*stage_row(id).histogram, values);
 }
 
 double Stage::finish() {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 
@@ -107,41 +108,41 @@ enum class StageId : std::uint8_t {
 
 struct StageRow {
   StageId id;
-  const char* span;        ///< trace span name
-  const char* category;    ///< span category: "comm" or "app"
-  const char* prof_label;  ///< profiler scope label; nullptr for a stage
-                           ///< whose start is stamped elsewhere
-  bool idle;               ///< the scope is waiting, not busy, time
-  const char* path_key;    ///< critical-path key; nullptr for "app" rows
-  bool sender;             ///< a sending hop: with a recv, a whole lifecycle
-  const char* histogram;   ///< histogram family; nullptr when none
+  const char* span;            ///< trace span name
+  const char* category;        ///< span category: "comm" or "app"
+  const char* prof_label;      ///< profiler scope label; nullptr for a stage
+                               ///< whose start is stamped elsewhere
+  bool idle;                   ///< the scope is waiting, not busy, time
+  const char* path_key;        ///< critical-path key; nullptr for "app" rows
+  bool sender;                 ///< a sending hop: with a recv, a whole lifecycle
+  const MetricRow* histogram;  ///< catalog row of its histogram; nullptr when none
 };
 
 inline constexpr StageRow kStages[] = {
     {StageId::kSerialize, "msg.serialize", "comm", "serialize", false, "serialize",
-     true, "xt_send_serialize_ms"},
+     true, &metric::xt_send_serialize_ms},
     {StageId::kCompress, "msg.compress", "comm", "compress", false, "compress", true,
-     "xt_codec_compress_ms"},
+     &metric::xt_codec_compress_ms},
     {StageId::kStorePut, "store.put", "comm", "store.put", false, "store.put", true,
-     "xt_store_put_ms"},
+     &metric::xt_store_put_ms},
     {StageId::kRoute, "router.route", "comm", "route", false, "route", false,
-     "xt_broker_route_ms"},
+     &metric::xt_broker_route_ms},
     {StageId::kPipeTransmit, "pipe.transmit", "comm", nullptr, false, "pipe.transmit",
-     false, "xt_pipe_transmit_ms"},
+     false, &metric::xt_pipe_transmit_ms},
     {StageId::kRehost, "broker.rehost", "comm", "rehost", false, "rehost", false,
      nullptr},
     {StageId::kQueueWait, "queue.wait", "comm", nullptr, false, "queue.wait", false,
-     "xt_queue_wait_ms"},
+     &metric::xt_queue_wait_ms},
     {StageId::kRecv, "msg.recv", "comm", "recv", false, "recv", false,
-     "xt_recv_decode_ms"},
+     &metric::xt_recv_decode_ms},
     {StageId::kExplorerRollout, "explorer.rollout", "app", nullptr, false, nullptr,
-     false, "xt_explorer_rollout_ms"},
+     false, &metric::xt_explorer_rollout_ms},
     {StageId::kExplorerWaitWeights, "explorer.wait_weights", "app", "wait_weights",
-     true, nullptr, false, "xt_explorer_wait_ms"},
+     true, nullptr, false, &metric::xt_explorer_wait_ms},
     {StageId::kLearnerWait, "learner.wait", "app", "wait_data", true, nullptr, false,
-     "xt_learner_wait_ms"},
+     &metric::xt_learner_wait_ms},
     {StageId::kLearnerTrain, "learner.train", "app", "train", false, nullptr, false,
-     "xt_learner_train_ms"},
+     &metric::xt_learner_train_ms},
 };
 
 [[nodiscard]] constexpr const StageRow& stage_row(StageId id) {
@@ -154,7 +155,7 @@ inline constexpr StageRow kStages[] = {
 /// The owner's series of a stage's histogram family, e.g.
 /// `xt_store_put_ms{machine="1"}`. The stage must have a family.
 [[nodiscard]] Histogram& stage_histogram(MetricsRegistry& metrics, StageId id,
-                                         std::initializer_list<MetricLabel> labels);
+                                         std::initializer_list<LabelValue> values);
 
 /// Times one stage once. From that one interval it observes `histogram` (in
 /// ms) and, while `trace` is enabled, records the row's span; for its whole

@@ -1,5 +1,6 @@
 #include "comm/broker.h"
 #include "comm/endpoint.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "serial/wire_format.h"
 
@@ -195,8 +196,8 @@ TEST(BrokerEndpoint, MessageWithoutDestinationIsNotSent) {
   sender.stop();
   broker.stop();
   EXPECT_EQ(broker.store().live_objects(), 0u);
-  EXPECT_EQ(broker.metrics().family_total("xt_store_puts_total"), 0u);
-  EXPECT_EQ(broker.metrics().family_total("xt_messages_sent_total"), 0u);
+  EXPECT_EQ(broker.metrics().total(metric::xt_store_puts_total), 0u);
+  EXPECT_EQ(broker.metrics().total(metric::xt_messages_sent_total), 0u);
 }
 
 // Each destination holds its own claim on the body: a remote copy with no
@@ -213,7 +214,7 @@ TEST(BrokerEndpoint, MissingSinkDropsOnlyTheRemoteCopy) {
   broker.stop();  // joins the router: its counts are in
   EXPECT_EQ(broker.dropped_messages(DropReason::kNoSink), 1u);
   EXPECT_EQ(broker.dropped_messages(), 1u);
-  EXPECT_EQ(broker.metrics().family_total("xt_store_fetches_total"), 1u);
+  EXPECT_EQ(broker.metrics().total(metric::xt_store_fetches_total), 1u);
   EXPECT_EQ(broker.store().live_objects(), 0u);
 }
 
@@ -303,17 +304,17 @@ TEST(BrokerEndpoint, CodecSeriesCountEveryBodyAndTimeEachLz4Attempt) {
   ASSERT_LT(packed, kLarge);
 
   MetricsRegistry& metrics = broker.metrics();
-  const auto counter = [&](const char* family) {
-    return metrics.counter(series_name(family, {{"machine", 0}})).value();
+  const auto counter = [&](const MetricRow& row) {
+    return metrics.counter(row, {0}).value();
   };
-  const auto observations = [&](const char* family) {
-    return metrics.histogram(series_name(family, {{"machine", 0}})).count();
+  const auto observations = [&](const MetricRow& row) {
+    return metrics.histogram(row, {0}).count();
   };
-  EXPECT_EQ(counter("xt_codec_bytes_in_total"), 2 * kLarge + kSmall);
-  EXPECT_EQ(counter("xt_codec_bytes_out_total"), packed + kLarge + kSmall);
-  EXPECT_EQ(counter("xt_codec_messages_compressed_total"), 1u);
-  EXPECT_EQ(observations("xt_codec_compress_ms"), 2u);
-  EXPECT_EQ(observations("xt_codec_decompress_ms"), 1u);
+  EXPECT_EQ(counter(metric::xt_codec_bytes_in_total), 2 * kLarge + kSmall);
+  EXPECT_EQ(counter(metric::xt_codec_bytes_out_total), packed + kLarge + kSmall);
+  EXPECT_EQ(counter(metric::xt_codec_messages_compressed_total), 1u);
+  EXPECT_EQ(observations(metric::xt_codec_compress_ms), 2u);
+  EXPECT_EQ(observations(metric::xt_codec_decompress_ms), 1u);
 }
 
 TEST(BrokerEndpoint, LatencyRecorderObservesTransmissions) {
@@ -349,10 +350,10 @@ TEST(BrokerEndpoint, CountersTrackTraffic) {
   sender.stop();
   receiver.stop();
   const MetricsRegistry& metrics = broker.metrics();
-  EXPECT_EQ(metrics.family_total("xt_messages_sent_total"), 3u);
-  EXPECT_EQ(metrics.family_total("xt_bytes_sent_total"), 300u);
-  EXPECT_EQ(metrics.family_total("xt_messages_received_total"), 3u);
-  EXPECT_EQ(metrics.family_total("xt_bytes_received_total"), 300u);
+  EXPECT_EQ(metrics.total(metric::xt_messages_sent_total), 3u);
+  EXPECT_EQ(metrics.total(metric::xt_bytes_sent_total), 300u);
+  EXPECT_EQ(metrics.total(metric::xt_messages_received_total), 3u);
+  EXPECT_EQ(metrics.total(metric::xt_bytes_received_total), 300u);
   EXPECT_EQ(receiver.messages_received(), 3u);
   EXPECT_EQ(sender.messages_received(), 0u);
 }

@@ -10,6 +10,7 @@
 #include "algo/ppo.h"
 #include "netsim/fabric.h"
 #include "netsim/fault_plan.h"
+#include "obs/catalog.h"
 
 namespace xt {
 namespace {
@@ -105,8 +106,8 @@ TEST(ReliableLink, SurvivesHeavyLossAndCorruption) {
     }
   }
 
-  EXPECT_GT(machine0.metrics().family_total("xt_retransmits_total") +
-                machine1.metrics().family_total("xt_retransmits_total"),
+  EXPECT_GT(machine0.metrics().total(metric::xt_retransmits_total) +
+                machine1.metrics().total(metric::xt_retransmits_total),
             0u);
   // Each corrupted frame was repaired by its retransmit, so it counts as a
   // corrupted frame and never as a dropped message.

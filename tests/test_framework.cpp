@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "algo/ppo.h"
+#include "baselines/pull_driver.h"
 #include "framework/dummy_transmission.h"
+#include "obs/catalog.h"
 #include "obs/exporters.h"
 
 namespace xt {
@@ -138,9 +144,10 @@ TEST(XingTianRuntime, MultiMachineDeploymentRuns) {
   EXPECT_GE(report.steps_consumed, 1'500u);
 }
 
-// Frames still queued on a link when the workers stop land inside run(),
-// where the brokers count them as drops to endpoints already gone, so the
-// report's dump is final: nothing moves the registry after run() returns.
+// Frames still queued on a link when the workers stop are dropped by the
+// stopping pipe, and those in flight land inside run(), where the brokers
+// count them as drops to endpoints already gone, so the report's dump is
+// final: nothing moves the registry after run() returns.
 // The remote explorers outrun their 5 MB/s link, as in
 // configs/chaos_impala.conf, so the run ends with frames in flight.
 TEST(XingTianRuntime, RegistryFrozenAfterRun) {
@@ -306,6 +313,108 @@ TEST(MetricNames, RunsRegisterEveryFamilyTheBenchmarkReads) {
   }
   for (const char* family : kConditionalFamilies) {
     EXPECT_TRUE(families.contains(family)) << family;
+  }
+}
+
+/// A Prometheus dump's families: each one's TYPE and the label keys of each
+/// of its sample lines (a bucket line's `le` left out).
+struct DumpFamily {
+  std::string type;
+  std::set<std::vector<std::string>> label_keys;
+};
+
+std::map<std::string, DumpFamily> dump_families(const std::string& text) {
+  std::map<std::string, DumpFamily> families;
+  DumpFamily* family = nullptr;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.starts_with("# TYPE ")) {
+      std::istringstream fields(line.substr(7));
+      std::string name;
+      fields >> name;
+      family = &families[name];
+      fields >> family->type;
+      continue;
+    }
+    // A sample line, `name{key="value",...} value`, under its family's TYPE.
+    EXPECT_NE(family, nullptr) << line;
+    if (family == nullptr) continue;
+    std::vector<std::string> keys;
+    std::size_t i = line.find('{');
+    if (i < line.find(' ')) {
+      while (line[i] != '}') {
+        const std::size_t eq = line.find('=', i + 1);
+        keys.push_back(line.substr(i + 1, eq - i - 1));
+        i = eq + 2;  // past `="`
+        while (line[i] != '"') i += line[i] == '\\' ? 2 : 1;
+        ++i;  // past the closing quote, onto `,` or `}`
+      }
+    }
+    if (!keys.empty() && keys.back() == "le") keys.pop_back();
+    family->label_keys.insert(keys);
+  }
+  return families;
+}
+
+const MetricRow* catalog_row(std::string_view name) {
+  for (const MetricRow* row : metric::kCatalog) {
+    if (name == row->name) return row;
+  }
+  return nullptr;
+}
+
+TEST(MetricCatalog, RowNamesAreUnique) {
+  std::set<std::string_view> names;
+  for (const MetricRow* row : metric::kCatalog) {
+    EXPECT_TRUE(names.insert(row->name).second) << row->name;
+  }
+}
+
+TEST(MetricCatalog, EveryFamilyTheBenchmarkReadsIsARow) {
+  for (const char* family : kBenchmarkFamilies) {
+    EXPECT_NE(catalog_row(family), nullptr) << family;
+  }
+}
+
+// Between them, a runtime run with every optional layer on (reliable links,
+// faults, a bounded overload policy, supervision and profiling) and a pull
+// baseline run dump every catalog row, and nothing else.
+TEST(MetricCatalog, RunsDumpEveryRowAndOnlyRows) {
+  DeploymentConfig deployment;
+  deployment.explorers_per_machine = {1, 1};
+  deployment.max_steps_consumed = 0;
+  deployment.max_seconds = 0.5;
+  deployment.reliability.enabled = true;
+  deployment.link.faults.seed = 3;
+  deployment.link.faults.drop_probability = 0.01;
+  deployment.overload.high_watermark = 64;
+  deployment.supervision.enabled = true;
+  deployment.profile.enabled = true;
+  deployment.profile.saturation_hz = 50.0;
+  XingTianRuntime runtime(tiny_impala_setup(), deployment);
+  const std::string runtime_dump = runtime.run().prometheus;
+
+  baselines::PullDeployment pull;
+  pull.explorers_per_machine = {2};
+  pull.max_steps_consumed = 200;
+  pull.max_seconds = 30.0;
+  const std::string pull_dump =
+      baselines::run_pullhub(tiny_impala_setup(), pull).prometheus;
+
+  std::set<std::string> dumped;
+  for (const std::string& dump : {runtime_dump, pull_dump}) {
+    for (const auto& [name, family] : dump_families(dump)) {
+      dumped.insert(name);
+      const MetricRow* row = catalog_row(name);
+      ASSERT_NE(row, nullptr) << name;
+      EXPECT_EQ(family.type, metric_kind_name(row->kind)) << name;
+      const std::vector<std::string> keys(row->labels.begin(), row->labels.end());
+      EXPECT_EQ(family.label_keys, std::set{keys}) << name;
+    }
+  }
+  for (const MetricRow* row : metric::kCatalog) {
+    EXPECT_TRUE(dumped.contains(row->name)) << row->name;
   }
 }
 

@@ -22,6 +22,7 @@
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 
 namespace xt::nn {
@@ -304,7 +305,7 @@ TEST_F(MatrixKernels, TanhKernelBitsIndependentOfPosition) {
 TEST_F(MatrixKernels, KernelMetricsRecordTimeAndFlops) {
   set_compute_threads(2);
   MetricsRegistry registry;
-  bind_kernel_metrics(&registry, "role=\"test\"");
+  bind_kernel_metrics(&registry, "test", 2);
   Rng rng(107);
   const Matrix a = random(32, 48, rng);
   const Matrix b = random(48, 16, rng);
@@ -312,10 +313,12 @@ TEST_F(MatrixKernels, KernelMetricsRecordTimeAndFlops) {
   (void)matmul_bias(a, b, random(1, 16, rng));
   bind_kernel_metrics(nullptr);
   (void)matmul(a, b);  // unbound: must not record
-  const auto& hist = registry.histogram("xt_gemm_ms{role=\"test\"}");
+  const auto& hist = registry.histogram(metric::xt_gemm_ms, {"test", 2});
   EXPECT_EQ(hist.count(), 2u);
-  EXPECT_EQ(registry.counter("xt_gemm_flops_total{role=\"test\"}").value(),
+  EXPECT_EQ(registry.counter(metric::xt_gemm_flops_total, {"test", 2}).value(),
             2ull * 2 * 32 * 48 * 16);
+  EXPECT_EQ(registry.counters().front().first,
+            "xt_gemm_flops_total{role=\"test\",machine=\"2\"}");
 }
 
 TEST(MatrixAllclose, ShapeValueAndNanRules) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,9 +15,15 @@
 namespace xt {
 namespace {
 
+using enum MetricKind;
+
+constexpr MetricRow kTestTotal{"xt_test_total", kCounter};
+constexpr MetricRow kTestGauge{"xt_test_gauge", kGauge};
+constexpr MetricRow kTestMs{"xt_test_ms", kHistogram};
+
 TEST(Counter, ConcurrentIncrementsAreExact) {
   MetricsRegistry registry;
-  Counter& counter = registry.counter("xt_test_total");
+  Counter& counter = registry.counter(kTestTotal);
 
   constexpr int kThreads = 8;
   constexpr int kPerThread = 100'000;
@@ -35,7 +42,7 @@ TEST(Counter, ConcurrentIncrementsAreExact) {
 
 TEST(Gauge, SetReplacesTheValue) {
   MetricsRegistry registry;
-  Gauge& gauge = registry.gauge("xt_test_gauge");
+  Gauge& gauge = registry.gauge(kTestGauge);
   EXPECT_EQ(gauge.value(), 0.0);
   gauge.set(42.5);
   EXPECT_EQ(gauge.value(), 42.5);
@@ -45,7 +52,7 @@ TEST(Gauge, SetReplacesTheValue) {
 
 TEST(Histogram, ConcurrentObservationsKeepTotalsConsistent) {
   MetricsRegistry registry;
-  Histogram& hist = registry.histogram("xt_test_ms");
+  Histogram& hist = registry.histogram(kTestMs);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50'000;
@@ -85,22 +92,36 @@ TEST(Histogram, QuantileIsMonotoneAndBracketsData) {
 }
 
 TEST(MetricsRegistry, SameNameReturnsSameHandle) {
+  const MetricRow kDupTotal{"xt_dup_total", kCounter, {"machine"}};
+  const MetricRow kDupMs{"xt_dup_ms", kHistogram};
   MetricsRegistry registry;
-  Counter& a = registry.counter("xt_dup_total");
-  Counter& b = registry.counter("xt_dup_total");
-  EXPECT_EQ(&a, &b);
-  Histogram& h1 = registry.histogram("xt_dup_ms");
-  Histogram& h2 = registry.histogram("xt_dup_ms");
-  EXPECT_EQ(&h1, &h2);
-  // A counter and a histogram may share a namespace without aliasing.
-  EXPECT_NE(static_cast<void*>(&a), static_cast<void*>(&h1));
+  Counter& a = registry.counter(kDupTotal, {0});
+  EXPECT_EQ(&a, &registry.counter(kDupTotal, {std::uint16_t{0}}));
+  EXPECT_NE(&a, &registry.counter(kDupTotal, {1}));
+  Histogram& h1 = registry.histogram(kDupMs);
+  EXPECT_EQ(&h1, &registry.histogram(kDupMs));
+}
+
+TEST(MetricsRegistry, OneRowPerFamilyAndValuesThatFitIt) {
+  const MetricRow kRow{"xt_row_total", kCounter, {"machine"}};
+  const MetricRow kOtherRow{"xt_row_total", kCounter, {"link"}};
+  MetricsRegistry registry;
+  (void)registry.counter(kRow, {3});
+  EXPECT_THROW((void)registry.gauge(kRow, {3}), std::invalid_argument);
+  EXPECT_THROW((void)registry.counter(kRow), std::invalid_argument);
+  EXPECT_THROW((void)registry.counter(kRow, {3, 4}), std::invalid_argument);
+  EXPECT_THROW((void)registry.counter(kOtherRow, {3}), std::invalid_argument);
+  EXPECT_EQ(registry.series().size(), 1u);
 }
 
 TEST(MetricsRegistry, SnapshotsAreSortedByName) {
+  const MetricRow kB{"xt_b_total", kCounter};
+  const MetricRow kA{"xt_a_total", kCounter};
+  const MetricRow kC{"xt_c_total", kCounter};
   MetricsRegistry registry;
-  registry.counter("xt_b_total").inc(2);
-  registry.counter("xt_a_total").inc(1);
-  registry.counter("xt_c_total").inc(3);
+  registry.counter(kB).inc(2);
+  registry.counter(kA).inc(1);
+  registry.counter(kC).inc(3);
   const auto counters = registry.counters();
   ASSERT_EQ(counters.size(), 3u);
   EXPECT_EQ(counters[0].first, "xt_a_total");
@@ -109,33 +130,50 @@ TEST(MetricsRegistry, SnapshotsAreSortedByName) {
 }
 
 TEST(MetricsRegistry, SeriesNameJoinsLabelsInOrder) {
-  EXPECT_EQ(series_name("xt_plain_total", {}), "xt_plain_total");
-  EXPECT_EQ(series_name("xt_routed_total", {{"machine", std::uint16_t{3}}}),
-            "xt_routed_total{machine=\"3\"}");
-  EXPECT_EQ(series_name("xt_faults_total", {{"link", "m0>m1"}, {"kind", "drop"}}),
-            "xt_faults_total{link=\"m0>m1\",kind=\"drop\"}");
+  const MetricRow kPlain{"xt_plain_total", kCounter};
+  const MetricRow kRouted{"xt_routed_total", kCounter, {"machine"}};
+  const MetricRow kFaults{"xt_faults_total", kCounter, {"link", "kind"}};
+  MetricsRegistry registry;
+  (void)registry.counter(kPlain);
+  (void)registry.counter(kRouted, {std::uint16_t{3}});
+  (void)registry.counter(kFaults, {"m0>m1", "drop"});
+  std::vector<std::string> names;
+  for (const auto& [name, value] : registry.counters()) names.push_back(name);
+  const std::vector<std::string> expected = {
+      R"(xt_faults_total{link="m0>m1",kind="drop"})", "xt_plain_total",
+      R"(xt_routed_total{machine="3"})"};
+  EXPECT_EQ(names, expected);
+  const auto series = registry.series();
+  ASSERT_EQ(series.size(), 3u);
+  EXPECT_EQ(series[0]->row, &kFaults);
+  EXPECT_EQ(series[0]->values, (std::vector<std::string>{"m0>m1", "drop"}));
 }
 
 TEST(MetricsRegistry, FamilyReadersAggregateEveryLabeledSeries) {
+  const MetricRow kX{"xt_x_total", kCounter, {"machine"}};
+  const MetricRow kXOther{"xt_x_total_other", kCounter};
+  const MetricRow kAbsentTotal{"xt_absent_total", kCounter};
+  const MetricRow kH{"xt_h_ms", kHistogram, {"machine"}};
+  const MetricRow kAbsentMs{"xt_absent_ms", kHistogram};
   MetricsRegistry registry;
-  registry.counter("xt_x_total").inc(1);
-  registry.counter("xt_x_total{machine=\"0\"}").inc(2);
-  registry.counter("xt_x_total_other").inc(100);  // another family, same prefix
-  EXPECT_EQ(registry.family_total("xt_x_total"), 3u);
-  EXPECT_EQ(registry.family_total("xt_absent_total"), 0u);
+  registry.counter(kX, {0}).inc(1);
+  registry.counter(kX, {1}).inc(2);
+  registry.counter(kXOther).inc(100);  // another family, same prefix
+  EXPECT_EQ(registry.total(kX), 3u);
+  EXPECT_EQ(registry.total(kAbsentTotal), 0u);
 
-  registry.histogram("xt_h_ms{machine=\"0\"}").observe(1.0);
-  registry.histogram("xt_h_ms{machine=\"1\"}").observe(3.0);
-  registry.histogram("xt_h_ms{machine=\"1\"}").observe(5.0);
-  EXPECT_DOUBLE_EQ(registry.family_mean("xt_h_ms"), 3.0);
+  registry.histogram(kH, {0}).observe(1.0);
+  registry.histogram(kH, {1}).observe(3.0);
+  registry.histogram(kH, {1}).observe(5.0);
+  EXPECT_DOUBLE_EQ(registry.mean(kH), 3.0);
   // Merged buckets: the median lies in 3.0's bucket (2.048, 4.096], the max
   // in 5.0's (4.096, 8.192].
-  EXPECT_GT(registry.family_quantile("xt_h_ms", 0.5), 2.0);
-  EXPECT_LT(registry.family_quantile("xt_h_ms", 0.5), 4.1);
-  EXPECT_GT(registry.family_quantile("xt_h_ms", 1.0), 4.1);
-  EXPECT_LT(registry.family_quantile("xt_h_ms", 1.0), 8.2);
-  EXPECT_EQ(registry.family_mean("xt_absent_ms"), 0.0);
-  EXPECT_EQ(registry.family_quantile("xt_absent_ms", 0.5), 0.0);
+  EXPECT_GT(registry.quantile(kH, 0.5), 2.0);
+  EXPECT_LT(registry.quantile(kH, 0.5), 4.1);
+  EXPECT_GT(registry.quantile(kH, 1.0), 4.1);
+  EXPECT_LT(registry.quantile(kH, 1.0), 8.2);
+  EXPECT_EQ(registry.mean(kAbsentMs), 0.0);
+  EXPECT_EQ(registry.quantile(kAbsentMs, 0.5), 0.0);
 
   // Reading a family registers nothing.
   EXPECT_EQ(registry.counters().size(), 3u);
@@ -143,13 +181,13 @@ TEST(MetricsRegistry, FamilyReadersAggregateEveryLabeledSeries) {
 }
 
 TEST(MetricsRegistry, FamilyOfOneReadsItsHistogramsQuantile) {
+  const MetricRow kQ{"xt_q_ms", kHistogram, {"machine"}};
   MetricsRegistry registry;
-  Histogram& hist = registry.histogram("xt_q_ms{machine=\"0\"}");
+  Histogram& hist = registry.histogram(kQ, {0});
   // The first bucket (<= 1 us) stays empty; 1e9 ms overflows the last bound.
   for (const double v : {5.0, 6.0, 7.0, 1e9}) hist.observe(v);
   for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(registry.family_quantile("xt_q_ms", q), hist.quantile(q))
-        << "q=" << q;
+    EXPECT_DOUBLE_EQ(registry.quantile(kQ, q), hist.quantile(q)) << "q=" << q;
   }
   // The +inf bucket reads its lower edge, an empty bucket its lower edge too.
   EXPECT_DOUBLE_EQ(hist.quantile(1.0), Histogram::bounds().back());
@@ -157,11 +195,14 @@ TEST(MetricsRegistry, FamilyOfOneReadsItsHistogramsQuantile) {
 }
 
 TEST(PrometheusExporter, GoldenOutput) {
+  const MetricRow kRouted{"xt_routed_total", kCounter, {"machine"}};
+  const MetricRow kDepth{"xt_depth", kGauge};
+  const MetricRow kLat{"xt_lat_ms", kHistogram};
   MetricsRegistry registry;
-  registry.counter("xt_routed_total{machine=\"0\"}").inc(7);
-  registry.counter("xt_routed_total{machine=\"1\"}").inc(3);
-  registry.gauge("xt_depth").set(2.0);
-  Histogram& hist = registry.histogram("xt_lat_ms");
+  registry.counter(kRouted, {0}).inc(7);
+  registry.counter(kRouted, {1}).inc(3);
+  registry.gauge(kDepth).set(2.0);
+  Histogram& hist = registry.histogram(kLat);
   hist.observe(0.5);       // <= 0.512
   hist.observe(5.0);       // <= 8.192
   hist.observe(200000.0);  // +Inf
@@ -210,13 +251,17 @@ TEST(PrometheusExporter, GoldenOutput) {
 }
 
 TEST(PrometheusExporter, HostileLabelValuesAreEscaped) {
+  const MetricRow kPath{"xt_path_total", kCounter, {"path"}};
+  const MetricRow kQuote{"xt_quote_total", kCounter, {"q"}};
+  const MetricRow kNl{"xt_nl", kGauge, {"queue"}};
+  const MetricRow kMulti{"xt_multi_total", kCounter, {"a", "b"}};
   MetricsRegistry registry;
-  // Metric names embed label values verbatim; the exporter must escape
+  // Label values go into series names verbatim; the exporter must escape
   // backslashes, quotes and newlines per the exposition format.
-  registry.counter("xt_path_total{path=\"C:\\tmp\"}").inc(1);
-  registry.counter("xt_quote_total{q=\"he said \"hi\"\"}").inc(2);
-  registry.gauge("xt_nl{queue=\"a\nb\"}").set(3.0);
-  registry.counter("xt_multi_total{a=\"x\\\",b=\"y\"}").inc(4);
+  registry.counter(kPath, {"C:\\tmp"}).inc(1);
+  registry.counter(kQuote, {"he said \"hi\""}).inc(2);
+  registry.gauge(kNl, {"a\nb"}).set(3.0);
+  registry.counter(kMulti, {"x\\\",b=\"y", "z"}).inc(4);
 
   const std::string text = prometheus_text(registry);
   EXPECT_NE(text.find("xt_path_total{path=\"C:\\\\tmp\"} 1"),
@@ -226,7 +271,8 @@ TEST(PrometheusExporter, HostileLabelValuesAreEscaped) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("xt_nl{queue=\"a\\nb\"} 3"), std::string::npos) << text;
-  EXPECT_NE(text.find("xt_multi_total{a=\"x\\\\\",b=\"y\"} 4"),
+  // A value that looks like a second label stays one escaped value.
+  EXPECT_NE(text.find("xt_multi_total{a=\"x\\\\\\\",b=\\\"y\",b=\"z\"} 4"),
             std::string::npos)
       << text;
   // No raw newline may survive inside a sample line: every line must look
@@ -244,8 +290,9 @@ TEST(PrometheusExporter, HostileLabelValuesAreEscaped) {
 }
 
 TEST(PrometheusExporter, HostileLabelsOnHistogramFamilies) {
+  const MetricRow kH{"xt_h_ms", kHistogram, {"tag"}};
   MetricsRegistry registry;
-  registry.histogram("xt_h_ms{tag=\"a\\b\"}").observe(0.5);
+  registry.histogram(kH, {"a\\b"}).observe(0.5);
 
   const std::string text = prometheus_text(registry);
   // The le label is appended after the (escaped) user labels.

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "nn/grad_check.h"
+#include "grad_check.h"
 #include "nn/losses.h"
 
 namespace xt::nn {

@@ -9,7 +9,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "comm/endpoint.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serial/wire_format.h"
@@ -57,14 +60,12 @@ bool wait_for(const std::function<bool()>& done) {
 /// One link's injected faults of one kind.
 std::uint64_t faults_injected(MetricsRegistry& metrics, const std::string& link,
                               const char* kind) {
-  return metrics
-      .counter(series_name("xt_faults_injected_total",
-                           {{"link", link}, {"kind", kind}}))
-      .value();
+  return metrics.counter(metric::xt_faults_injected_total, {link, kind}).value();
 }
 
 /// Sends one frame per entry of `sizes` and returns the order in which they
-/// were delivered, once stop() has drained the pipe.
+/// were delivered, once every frame has left the queue and stop() has landed
+/// those in flight.
 std::vector<int> delivery_order(const LinkConfig& link,
                                 const std::vector<std::size_t>& sizes) {
   MetricsRegistry metrics;
@@ -77,6 +78,7 @@ std::vector<int> delivery_order(const LinkConfig& link,
       delivered.push_back(i);
     }));
   }
+  EXPECT_TRUE(wait_for([&] { return pipe.queued_frames() == 0; }));
   pipe.stop();
   return delivered;
 }
@@ -132,6 +134,37 @@ TEST(PacedPipe, StopDeliversFramesInFlight) {
   EXPECT_EQ(delivered.load(), 5);
 }
 
+TEST(PacedPipe, StopDropsQueuedFramesOnceWithoutPacingThem) {
+  // Twenty 0.1 s frames at 10 kB/s: pacing the queue out would take 2 s.
+  MetricsRegistry metrics;
+  PacedPipe pipe("deep", LinkConfig{1e4, 0, 0}, metrics);
+  std::atomic<int> delivered{0};
+  auto landed = std::make_shared<std::promise<void>>();
+  std::future<void> last_landed = landed->get_future();
+  for (int i = 0; i < 19; ++i) {
+    ASSERT_TRUE(pipe.send(1000, [&] { delivered.fetch_add(1); }));
+  }
+  ASSERT_TRUE(pipe.send(1000, [landed] { landed->set_value(); }));
+  landed.reset();
+  ASSERT_TRUE(wait_for([&] { return pipe.queued_frames() < 20; }));
+  const Stopwatch clock;
+  pipe.stop();
+  EXPECT_LT(clock.elapsed_ms(), 1000.0);
+  // The frame on the wire lands; every queued one is dropped once, undelivered.
+  const Counter& dropped =
+      metrics.counter(metric::xt_pipe_shutdown_drops_total, {"deep"});
+  EXPECT_GE(dropped.value(), 18u);
+  EXPECT_EQ(static_cast<std::uint64_t>(delivered.load()) + dropped.value(), 20u);
+  EXPECT_EQ(metrics.total(metric::xt_pipe_frames_total),
+            static_cast<std::uint64_t>(delivered.load()));
+  // The last frame's deliver action was destroyed unrun, which releases a
+  // caller blocked on it.
+  ASSERT_EQ(last_landed.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_THROW(last_landed.get(), std::future_error);
+  pipe.stop();
+  EXPECT_EQ(dropped.value() + static_cast<std::uint64_t>(delivered.load()), 20u);
+}
+
 TEST(PacedPipe, PacesAtConfiguredBandwidth) {
   // 10 MB at 100 MB/s should take ~100 ms.
   LinkConfig link;
@@ -166,7 +199,7 @@ TEST(PacedPipe, AppliesPropagationLatency) {
   // The transmit histogram and span still run to the far-end delivery, so
   // they include the propagation delay, not just serialization.
   const Histogram& transmit_ms =
-      metrics.histogram(series_name("xt_pipe_transmit_ms", {{"link", "lat"}}));
+      metrics.histogram(metric::xt_pipe_transmit_ms, {"lat"});
   EXPECT_EQ(transmit_ms.count(), 1u);
   EXPECT_GE(transmit_ms.sum(), 19.0);
   const std::vector<TraceSpan> spans = trace.snapshot();
@@ -185,8 +218,8 @@ TEST(PacedPipe, CountsBytesAndFrames) {
   }
   while (delivered.load() < 5) std::this_thread::yield();
   EXPECT_EQ(pipe.wire_bytes(), 500u);
-  EXPECT_EQ(metrics.family_total("xt_pipe_wire_bytes_total"), 500u);
-  EXPECT_EQ(metrics.family_total("xt_pipe_frames_total"), 5u);
+  EXPECT_EQ(metrics.total(metric::xt_pipe_wire_bytes_total), 500u);
+  EXPECT_EQ(metrics.total(metric::xt_pipe_frames_total), 5u);
 }
 
 TEST(PacedPipe, StopRejectsFurtherSends) {
@@ -285,11 +318,12 @@ TEST(PacedPipe, FullDropPlanDeliversNothingButCountsFrames) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
   }
+  ASSERT_TRUE(wait_for([&] { return pipe.queued_frames() == 0; }));
   pipe.stop();
   EXPECT_EQ(delivered.load(), 0);
   EXPECT_EQ(faults_injected(metrics, "lossy", "drop"), 20u);
   // Dropped frames still occupied the wire (send-side pacing happened).
-  EXPECT_EQ(metrics.family_total("xt_pipe_frames_total"), 20u);
+  EXPECT_EQ(metrics.total(metric::xt_pipe_frames_total), 20u);
 }
 
 TEST(PacedPipe, FullCorruptionPlanFlagsEveryDeliveredFrame) {
@@ -308,6 +342,7 @@ TEST(PacedPipe, FullCorruptionPlanFlagsEveryDeliveredFrame) {
       }
     }));
   }
+  ASSERT_TRUE(wait_for([&] { return pipe.queued_frames() == 0; }));
   pipe.stop();
   EXPECT_EQ(delivered.load(), 20);
   EXPECT_EQ(corrupted.load(), 20);
@@ -326,6 +361,7 @@ TEST(PacedPipe, BlackoutWindowDropsFramesInsideIt) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(pipe.send(8, [&] { delivered.fetch_add(1); }));
   }
+  ASSERT_TRUE(wait_for([&] { return pipe.queued_frames() == 0; }));
   pipe.stop();
   EXPECT_EQ(delivered.load(), 0);
   EXPECT_EQ(faults_injected(metrics, "dark", "blackout"), 5u);
@@ -774,8 +810,8 @@ TEST(Chunking, LossyReliableLinkDeliversEachWholeBodyOnce) {
     EXPECT_TRUE(is_patterned(msg->body, size_of(tag), tag)) << "tag " << tag;
   }
   EXPECT_FALSE(receiver.receive_for(std::chrono::milliseconds(100)).has_value());
-  EXPECT_GT(a.metrics().family_total("xt_retransmits_total") +
-                b.metrics().family_total("xt_retransmits_total"),
+  EXPECT_GT(a.metrics().total(metric::xt_retransmits_total) +
+                b.metrics().total(metric::xt_retransmits_total),
             0u);
   sender.stop();
   receiver.stop();
@@ -821,8 +857,8 @@ TEST(Chunking, QueuedFramesAreNotRetransmitted) {
   EXPECT_EQ(a.store().live_objects(), 0u);
   EXPECT_EQ(b.store().live_objects(), 0u);
   for (Broker* broker : {&a, &b}) {
-    EXPECT_EQ(broker->metrics().family_total("xt_retransmits_total"), 0u);
-    EXPECT_EQ(broker->metrics().family_total("xt_link_duplicate_frames_total"), 0u);
+    EXPECT_EQ(broker->metrics().total(metric::xt_retransmits_total), 0u);
+    EXPECT_EQ(broker->metrics().total(metric::xt_link_duplicate_frames_total), 0u);
   }
   // The data direction carried each body once plus one control segment per
   // chunk frame.
@@ -833,11 +869,9 @@ TEST(Chunking, QueuedFramesAreNotRetransmitted) {
   const std::size_t control =
       encode_wire_frame(header, patterned_body(size, 0), true).control.size();
   const std::uint64_t frames = kMessages * header.chunk_count();
-  EXPECT_EQ(a.metrics().counter(series_name("xt_pipe_frames_total",
-                                            {{"link", "m0>m1"}})).value(),
+  EXPECT_EQ(a.metrics().counter(metric::xt_pipe_frames_total, {"m0>m1"}).value(),
             frames);
-  EXPECT_EQ(a.metrics().counter(series_name("xt_pipe_wire_bytes_total",
-                                            {{"link", "m0>m1"}})).value(),
+  EXPECT_EQ(a.metrics().counter(metric::xt_pipe_wire_bytes_total, {"m0>m1"}).value(),
             kMessages * size + frames * control);
 }
 

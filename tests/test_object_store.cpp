@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/catalog.h"
+
 namespace xt {
 namespace {
 
@@ -65,9 +67,11 @@ TEST(ObjectStore, DroppedClaimFreesTheBodyWithoutAFetch) {
       {R"(xt_store_put_bytes_total{machine="3"})", 2},
       {R"(xt_store_puts_total{machine="3"})", 1}};
   EXPECT_EQ(metrics.counters(), counters);
-  const std::vector<std::pair<std::string, double>> gauges = {
-      {R"(xt_store_live_bytes{machine="3"})", 0.0}};
-  EXPECT_EQ(metrics.gauges(), gauges);
+  EXPECT_EQ(metrics.series().size(), 4u);  // and one gauge
+  const auto live = metrics.series(&metric::xt_store_live_bytes);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0]->name, R"(xt_store_live_bytes{machine="3"})");
+  EXPECT_EQ(live[0]->gauge->value(), 0.0);
 }
 
 TEST(ObjectStore, EmptyClaimHoldsNothing) {
@@ -95,7 +99,7 @@ TEST(ObjectStore, EntryLeavesWithItsLastClaim) {
   EXPECT_EQ(second->peek().get(), original.get());
   second.reset();
   EXPECT_EQ(store.live_objects(), 0u);
-  EXPECT_EQ(metrics.family_total("xt_store_fetches_total"), 1u);
+  EXPECT_EQ(metrics.total(metric::xt_store_fetches_total), 1u);
 }
 
 TEST(ObjectStore, MovedFromClaimReleasesNothing) {

@@ -11,6 +11,7 @@
 #include "comm/message.h"
 #include "netsim/paced_pipe.h"
 #include "netsim/reliable_link.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 
 namespace xt {
@@ -321,13 +322,13 @@ struct BreakerHarness {
   }
 
   [[nodiscard]] std::uint64_t shed() const {
-    return metrics.family_total("xt_link_breaker_shed_total");
+    return metrics.total(metric::xt_link_breaker_shed_total);
   }
   [[nodiscard]] std::uint64_t give_ups() const {
-    return metrics.family_total("xt_retransmit_give_ups_total");
+    return metrics.total(metric::xt_retransmit_give_ups_total);
   }
   [[nodiscard]] std::uint64_t breaker_opens() const {
-    return metrics.family_total("xt_link_breaker_opens_total");
+    return metrics.total(metric::xt_link_breaker_opens_total);
   }
 
   MetricsRegistry metrics;

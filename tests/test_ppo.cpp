@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "nn/matrix.h"
+#include "obs/catalog.h"
 #include "obs/metrics.h"
 
 namespace xt {
@@ -203,12 +204,12 @@ TEST(PpoAlgorithm, KernelMetricsFollowUpdatesOntoPoolWorkers) {
   const Sync2mSession session;
   const auto recorded = [&session](int threads) {
     MetricsRegistry registry;
-    nn::bind_kernel_metrics(&registry, "role=\"learner\"");
+    nn::bind_kernel_metrics(&registry, "learner");
     (void)session.train(threads);
     nn::bind_kernel_metrics(nullptr);
     return std::pair{
-        registry.counter("xt_gemm_flops_total{role=\"learner\"}").value(),
-        registry.histogram("xt_gemm_ms{role=\"learner\"}").count()};
+        registry.counter(metric::xt_gemm_flops_total, {"learner", 0}).value(),
+        registry.histogram(metric::xt_gemm_ms, {"learner", 0}).count()};
   };
   const auto [flops, calls] = recorded(1);
   EXPECT_GT(flops, 0u);

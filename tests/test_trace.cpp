@@ -268,9 +268,9 @@ TEST(Stage, HoldsItsRowsProfilerLabelUntilFinished) {
 
 TEST(StageTable, RowsAreFoundByTheirSpanNames) {
   MetricsRegistry registry;
-  Histogram& put =
-      stage_histogram(registry, StageId::kStorePut, {{"machine", std::uint16_t{1}}});
-  EXPECT_EQ(&put, &registry.histogram("xt_store_put_ms{machine=\"1\"}"));
+  Histogram& put = stage_histogram(registry, StageId::kStorePut, {std::uint16_t{1}});
+  EXPECT_EQ(&put, &registry.histogram(metric::xt_store_put_ms, {1}));
+  EXPECT_EQ(registry.histograms().front().first, "xt_store_put_ms{machine=\"1\"}");
   for (const StageRow& row : kStages) {
     EXPECT_EQ(find_stage(row.span), &row) << row.span;
     EXPECT_EQ(row.path_key != nullptr, std::string_view(row.category) == "comm")

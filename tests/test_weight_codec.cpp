@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "compress/weight_codec.h"
 #include "nn/mlp.h"
+#include "obs/catalog.h"
 #include "serial/binio.h"
 
 // tests/fuzz/weight_frame_fuzz.cpp
@@ -382,13 +383,9 @@ TEST(WeightCodec, RelativeUpdateNormBehaves) {
 
 std::vector<std::string> dsts() { return {"E0", "E1"}; }
 
-/// The total of a session's counter family.
-std::uint64_t count_of(MetricsRegistry& registry, const char* family) {
-  return registry.family_total(family);
-}
 /// Observations in a session's histogram on machine 0.
-std::uint64_t observations_of(MetricsRegistry& registry, const char* family) {
-  return registry.histogram(series_name(family, {{"machine", 0}})).count();
+std::uint64_t observations_of(MetricsRegistry& registry, const MetricRow& row) {
+  return registry.histogram(row, {0}).count();
 }
 
 TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
@@ -412,7 +409,7 @@ TEST(WeightSessions, DeltaChainAppliesEndToEnd) {
     acked = v;
     for (const auto& d : dsts()) enc.note_ack(d, acked);
   }
-  EXPECT_EQ(count_of(registry, "xt_weights_keyframes_total"), 1u);
+  EXPECT_EQ(registry.total(metric::xt_weights_keyframes_total), 1u);
   EXPECT_EQ(dec.version(), 6u);
 }
 
@@ -439,6 +436,30 @@ TEST(WeightSessions, UnackedDestinationForcesKeyframe) {
   ASSERT_TRUE(third.has_value());
   EXPECT_FALSE(header_of(*third).keyframe);
   EXPECT_EQ(header_of(*third).base_version, 1u);
+}
+
+TEST(WeightSessions, AckLagCountsANeverAckedDestinationAsVersionZero) {
+  WeightSyncConfig config = config_for(WeightCodec::kDeltaInt8);
+  config.keyframe_every = 3;
+  MetricsRegistry registry;
+  WeightEncoderSession enc(config, registry, 0);
+  Bytes blob = random_blob(24);
+  const auto publish = [&](std::uint32_t version) {
+    blob = perturb(blob, 0.01, 600 + version);
+    ASSERT_TRUE(enc.encode(blob, version, dsts(), false).has_value());
+  };
+  publish(1);  // the first publish is a cadence keyframe: no observation
+  enc.note_ack("E0", 1);
+  publish(2);  // E1 never acked, so it counts as 0: lag 2
+  enc.note_ack("E1", 1);
+  publish(3);  // the common ack is 1: lag 2
+  enc.note_ack("E0", 3);
+  publish(4);  // E1 still holds the common ack at 1: lag 3
+  publish(5);  // every third delta after a keyframe is one: no observation
+  const Histogram& lag = registry.histogram(metric::xt_weights_ack_lag, {0});
+  EXPECT_EQ(lag.count(), 3u);
+  EXPECT_EQ(lag.sum(), 7.0);
+  EXPECT_EQ(registry.total(metric::xt_weights_keyframes_total), 3u);
 }
 
 TEST(WeightSessions, DroppedIntermediateVersionRecoversViaOlderBase) {
@@ -533,7 +554,7 @@ TEST(WeightSessions, LazyBroadcastSkipsAndHonorsStalenessBound) {
   auto forced = enc.encode(perturb(blob, 1e-5, 950), ++version, dsts(), false);
   ASSERT_TRUE(forced.has_value());
   EXPECT_TRUE(header_of(*forced).keyframe);
-  EXPECT_EQ(count_of(registry, "xt_weights_skipped_total"), 3u);
+  EXPECT_EQ(registry.total(metric::xt_weights_skipped_total), 3u);
   // A genuinely large update is never skipped.
   auto big = enc.encode(perturb(blob, 10.0, 951), ++version, dsts(), false);
   EXPECT_TRUE(big.has_value());
@@ -584,7 +605,7 @@ TEST(WeightSessions, RawBlobAndMagicFlippedFrameAreRejected) {
     EXPECT_EQ(result.fp32, nullptr);
     EXPECT_EQ(dec.version(), 1u);
   }
-  EXPECT_EQ(count_of(registry, "xt_weights_decode_failures_total"), 3u);
+  EXPECT_EQ(registry.total(metric::xt_weights_decode_failures_total), 3u);
 
   const auto genuine = dec.apply(*v2);
   EXPECT_EQ(genuine.outcome, WeightDecoderSession::Outcome::kApplied);
@@ -616,17 +637,17 @@ TEST(WeightSessions, InstrumentsCountTheProtocol) {
   EXPECT_EQ(dec.apply(make_payload(std::move(corrupt))).outcome,
             WeightDecoderSession::Outcome::kCorrupt);
 
-  const Counter& bytes = registry.counter(
-      series_name("xt_weights_bytes_total", {{"codec", "int8"}, {"machine", 0}}));
-  EXPECT_EQ(count_of(registry, "xt_weights_skipped_total"), 1u);
-  EXPECT_EQ(count_of(registry, "xt_weights_raw_bytes_total"), 2 * blob.size());
+  const Counter& bytes = registry.counter(metric::xt_weights_bytes_total, {"int8", 0});
+  EXPECT_EQ(registry.total(metric::xt_weights_skipped_total), 1u);
+  EXPECT_EQ(registry.total(metric::xt_weights_raw_bytes_total), 2 * blob.size());
   EXPECT_GT(bytes.value(), 0u);
   EXPECT_LT(bytes.value(), blob.size() / 2);
-  EXPECT_EQ(count_of(registry, "xt_weights_keyframes_total"), 1u);
-  EXPECT_EQ(count_of(registry, "xt_weights_decode_failures_total"), 1u);
-  EXPECT_EQ(observations_of(registry, "xt_weights_encode_ms"), 1u);
-  EXPECT_EQ(observations_of(registry, "xt_weights_decode_ms"), 2u);  // applied + torn
-  EXPECT_GE(registry.family_quantile("xt_weights_compression_ratio", 0.5), 2.0);
+  EXPECT_EQ(registry.total(metric::xt_weights_keyframes_total), 1u);
+  EXPECT_EQ(registry.total(metric::xt_weights_decode_failures_total), 1u);
+  EXPECT_EQ(observations_of(registry, metric::xt_weights_encode_ms), 1u);
+  // The applied frame and the torn one.
+  EXPECT_EQ(observations_of(registry, metric::xt_weights_decode_ms), 2u);
+  EXPECT_GE(registry.quantile(metric::xt_weights_compression_ratio, 0.5), 2.0);
 }
 
 TEST(WeightSessions, KeyframeRepliesCountTheirRawBytes) {
@@ -640,8 +661,9 @@ TEST(WeightSessions, KeyframeRepliesCountTheirRawBytes) {
   ASSERT_TRUE(broadcast.has_value());
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(enc.encode_keyframe(blob, 1).has_value());
   const double raw =
-      static_cast<double>(count_of(registry, "xt_weights_raw_bytes_total"));
-  const double wire = static_cast<double>(count_of(registry, "xt_weights_bytes_total"));
+      static_cast<double>(registry.total(metric::xt_weights_raw_bytes_total));
+  const double wire =
+      static_cast<double>(registry.total(metric::xt_weights_bytes_total));
   EXPECT_EQ(raw, 4.0 * static_cast<double>(blob.size()));
   EXPECT_EQ(wire, 4.0 * static_cast<double>((*broadcast)->size()));
   EXPECT_NEAR(raw / wire, 1.0, 0.05);
