@@ -53,7 +53,7 @@ RolloutBatch make_fragment(std::size_t steps, std::size_t frame_bytes,
 double measure_pull_ms(const std::vector<Bytes>& messages) {
   baselines::RpcConfig rpc;
   rpc.ipc_bandwidth_bytes_per_sec = kIpcBandwidth;
-  baselines::RpcTransport transport(1, rpc);
+  baselines::RpcTransport transport(rpc);
   const Stopwatch clock;
   for (const Bytes& message : messages) {
     (void)transport.pull(0, message);

@@ -1,5 +1,6 @@
 #include "baselines/buffer_hub.h"
 
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -44,13 +45,13 @@ DummyResult run_dummy_transmission_bufferhub(const DummyConfig& config,
       static_cast<std::uint64_t>(total_explorers) *
       static_cast<std::uint64_t>(config.messages_per_explorer);
 
-  std::atomic<bool> go{false};
+  std::latch go(1);
   std::vector<std::thread> workers;
   workers.reserve(total_explorers);
   for (int w = 0; w < total_explorers; ++w) {
     workers.emplace_back([&] {
       set_current_thread_name("dummy-bufw");
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      go.wait();
       for (int i = 0; i < config.messages_per_explorer; ++i) {
         const Bytes data = payload_template;  // message materialization
         server.insert(data);
@@ -60,7 +61,7 @@ DummyResult run_dummy_transmission_bufferhub(const DummyConfig& config,
 
   DummyResult result;
   const Stopwatch clock;
-  go.store(true, std::memory_order_release);
+  go.count_down();
   while (result.messages_received < total_messages) {
     auto item = server.take();
     if (!item) {

@@ -89,7 +89,7 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
   const std::size_t obs_dim = probe->observation_dim();
   const std::int32_t n_actions = probe->action_count();
 
-  RpcTransport transport(n_machines, deployment.rpc);
+  RpcTransport transport(deployment.rpc);
   ReturnsCollector returns;
 
   std::vector<std::unique_ptr<PullWorker>> workers;
@@ -216,7 +216,6 @@ RunReport run_pullhub(const AlgoSetup& setup, const PullDeployment& deployment) 
   const double wall = clock.elapsed_s();
   for (auto& worker : workers) worker->stop();
   if (replay_actor) replay_actor->stop();
-  transport.stop();
 
   RunReport report;
   report.steps_consumed = state.steps_consumed;

@@ -67,7 +67,7 @@ DummyResult run_dummy_transmission_pullhub(const DummyConfig& config,
                                            const RpcConfig& rpc) {
   const auto n_machines =
       static_cast<std::uint16_t>(config.explorers_per_machine.size());
-  RpcTransport transport(n_machines, rpc);
+  RpcTransport transport(rpc);
 
   const Bytes payload_template = make_dummy_payload(
       config.message_bytes, config.compressible_payload, /*seed=*/42);
@@ -98,7 +98,6 @@ DummyResult run_dummy_transmission_pullhub(const DummyConfig& config,
 
   for (auto& worker : workers) worker->stop();
   result.cross_machine_bytes = transport.cross_machine_bytes();
-  transport.stop();
 
   result.throughput_mbps = result.end_to_end_seconds > 0
                                ? static_cast<double>(result.bytes_received) /

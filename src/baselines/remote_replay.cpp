@@ -63,7 +63,7 @@ void RemoteReplayActor::insert(const std::vector<Transition>& transitions) {
   Request request;
   request.kind = Request::Kind::kInsert;
   request.payload = serialize_transitions(transitions);
-  precise_sleep_ns(dispatch_ns_);
+  wait_until(now_ns() + dispatch_ns_, Wake::kPrecise);
   (void)requests_.push(std::move(request));
 }
 
@@ -73,10 +73,10 @@ std::vector<Transition> RemoteReplayActor::sample(std::size_t n) {
   request.kind = Request::Kind::kSample;
   request.count = n;
   std::future<Bytes> response = request.response.get_future();
-  precise_sleep_ns(dispatch_ns_);
+  wait_until(now_ns() + dispatch_ns_, Wake::kPrecise);
   if (!requests_.push(std::move(request))) return {};
   const Bytes data = response.get();
-  precise_sleep_ns(dispatch_ns_);  // response dispatch
+  wait_until(now_ns() + dispatch_ns_, Wake::kPrecise);  // response dispatch
   auto result = deserialize_transitions(data);
   sample_latency_ms_.observe(clock.elapsed_ms());
   return result;

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/bytes.h"
+#include "common/clock.h"
 #include "netsim/paced_pipe.h"
-#include "obs/metrics.h"
 
 namespace xt::baselines {
 
@@ -19,6 +17,8 @@ struct RpcConfig {
   std::int64_t dispatch_ns = 200'000;  // 0.2 ms
   /// Cross-machine NIC characteristics (same default as the XingTian fabric
   /// so comparisons isolate the communication model, not the hardware).
+  /// Only its bandwidth, latency and frame overhead apply: a pull has no
+  /// fault plan or overload policy.
   LinkConfig link;
   /// Modeled serialize+copy bandwidth for moving bytes between logical
   /// processes (0 = unpaced). Must be set to the SAME value as the XingTian
@@ -29,16 +29,13 @@ struct RpcConfig {
 };
 
 /// Synchronous byte transfers between the driver (always machine 0) and
-/// workers. Local transfers pay dispatch + a real copy; remote transfers
-/// additionally stream through a bandwidth-paced pipe. All of it blocks the
-/// calling thread — the pull model's defining cost.
+/// workers. Each call pays, one after another on the caller's thread,
+/// dispatch, then for a remote machine the link's serialization and
+/// propagation, then the landing copy — the pull model's defining cost.
+/// pull() and push() come from one thread, machine 0's; pace_ipc() from any.
 class RpcTransport {
  public:
-  RpcTransport(std::uint16_t n_machines, RpcConfig config);
-  ~RpcTransport();
-
-  RpcTransport(const RpcTransport&) = delete;
-  RpcTransport& operator=(const RpcTransport&) = delete;
+  explicit RpcTransport(RpcConfig config) : config_(config) {}
 
   /// Pull `data` from `from_machine` to the driver; returns the delivered
   /// copy. Blocks for the full simulated transfer.
@@ -48,22 +45,22 @@ class RpcTransport {
   void push(std::uint16_t to_machine, const Bytes& data);
 
   /// Pay the modeled local serialize/copy cost for `bytes` on the calling
-  /// thread (used worker-side when a result is parked, and driver-side on
-  /// every pull).
+  /// thread (used worker-side when a result is parked, where each worker
+  /// pays its own in parallel).
   void pace_ipc(std::size_t bytes) const;
 
-  void stop();
-
-  [[nodiscard]] std::uint64_t cross_machine_bytes() const;
+  /// Bytes pull() and push() moved across machines, each counted once.
+  [[nodiscard]] std::uint64_t cross_machine_bytes() const {
+    return cross_machine_bytes_;
+  }
 
  private:
-  void blocking_pipe_transfer(PacedPipe& pipe, std::size_t bytes);
+  /// Blocks the calling thread for one call moving `bytes` to or from `machine`.
+  void call(std::uint16_t machine, std::size_t bytes);
 
   const RpcConfig config_;
-  /// The pipes' own series: a pull run reports only its `xt_pull_*` metrics.
-  MetricsRegistry metrics_;
-  std::vector<std::unique_ptr<PacedPipe>> to_driver_;    ///< index = machine
-  std::vector<std::unique_ptr<PacedPipe>> from_driver_;  ///< index = machine
+  Pacer caller_;  ///< the calling thread, which each call occupies in full
+  std::uint64_t cross_machine_bytes_ = 0;
 };
 
 /// Synchronous chunked transfer a la gRPC streaming with per-chunk

@@ -99,6 +99,8 @@ std::optional<Message> Endpoint::try_receive() { return recv_buffer_.try_pop(); 
 
 void Endpoint::sender_loop() {
   TraceCollector* trace = broker_.trace();
+  const double ipc_bw = broker_.options().ipc_bandwidth_bytes_per_sec;
+  Pacer put_pacer;  // the modeled serialize+copy into the store
   while (auto outbound = send_buffer_.pop()) {
     MessageHeader header = std::move(outbound->header);
 
@@ -134,15 +136,15 @@ void Endpoint::sender_loop() {
     // thread — the workhorse already moved on. The store.put span covers
     // pacing + insert: together they are the per-message serialize/copy cost
     // of paper Fig. 8(b). The body goes into the store once; the modeled
-    // copy is paced chunk by chunk against absolute deadlines, so it still
-    // takes size / ipc_bw in all, and each chunk's header is submitted as
-    // the chunk is sealed, so the router streams it while the rest is put.
-    // Each chunk's header carries a claim on the body; the last takes the
-    // sender's own.
+    // copy is paced chunk by chunk, so chunk i ends at the put's start plus
+    // the bytes through chunk i at ipc_bw, and each chunk's header is
+    // submitted as the chunk is sealed, so the router streams it while the
+    // rest is put. Each chunk's header carries a claim on the body; the last
+    // takes the sender's own.
     {
       const Stage put(StageId::kStorePut, &inst_.store_put_ms, trace, header.trace_id(),
                       id_.machine, encoded.data->size());
-      const double ipc_bw = broker_.options().ipc_bandwidth_bytes_per_sec;
+      const std::int64_t ready_ns = now_ns();
 
       header.body_size = encoded.data->size();
       header.uncompressed_size = encoded.compressed ? encoded.uncompressed_size : 0;
@@ -150,23 +152,14 @@ void Endpoint::sender_loop() {
 
       StoreClaim claim = broker_.store().hold(std::move(encoded.data));
       bool submitted = true;
-      std::uint64_t sealed = 0;
       for (std::uint32_t i = 0; i < chunks && submitted; ++i) {
         const bool last = i + 1 == chunks;
-        sealed += chunk_length(header.body_size, i);
-        if (ipc_bw > 0.0) {
-          const double due_ns = static_cast<double>(sealed) / ipc_bw * 1e9;
-          const std::int64_t wait_ns =
-              static_cast<std::int64_t>(due_ns) - put.elapsed_ns();
-          // Only the last chunk pays precise_sleep_ns's spin tail: an earlier
-          // chunk that wakes late only delays its own header, and the next
-          // chunk's absolute deadline absorbs the overshoot.
-          if (last) {
-            precise_sleep_ns(wait_ns);
-          } else if (wait_ns > 0) {
-            std::this_thread::sleep_for(std::chrono::nanoseconds(wait_ns));
-          }
-        }
+        // An earlier chunk that wakes late only delays its own header: the
+        // next chunk's deadline is absolute. The router sees the last at once.
+        const std::int64_t cost_ns =
+            transfer_ns(chunk_length(header.body_size, i), ipc_bw);
+        wait_until(put_pacer.add(ready_ns, cost_ns),
+                   last ? Wake::kPrecise : Wake::kPlain);
         header.chunk_index = i;
         submitted = broker_.submit(header, last ? std::move(claim) : claim.share());
       }

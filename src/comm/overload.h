@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "comm/message.h"
+#include "common/clock.h"
 
 namespace xt {
 
@@ -122,10 +123,10 @@ class ClassedQueue {
     constexpr auto kSlice = std::chrono::milliseconds(5);
     std::unique_lock lock(mu_);
     if (cls == TrafficClass::kWeights) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(cfg_.weights_block_ms);
+      const std::int64_t deadline_ns =
+          now_ns() + std::int64_t{cfg_.weights_block_ms} * 1'000'000;
       while (!closed_ && data_size_locked() >= cfg_.high_watermark &&
-             std::chrono::steady_clock::now() < deadline) {
+             now_ns() < deadline_ns) {
         wait_slice(lock, kSlice, on_wait);
       }
       if (closed_) return false;

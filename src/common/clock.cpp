@@ -1,5 +1,6 @@
 #include "common/clock.h"
 
+#include <cmath>
 #include <thread>
 
 namespace xt {
@@ -10,17 +11,22 @@ std::int64_t now_ns() {
       .count();
 }
 
-void precise_sleep_ns(std::int64_t ns) {
-  if (ns <= 0) return;
-  const std::int64_t deadline = now_ns() + ns;
-  // Coarse sleep leaves a ~200us tail to absorb scheduler jitter.
-  constexpr std::int64_t kSpinTailNs = 200'000;
-  if (ns > kSpinTailNs) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(ns - kSpinTailNs));
+std::int64_t transfer_ns(std::uint64_t bytes, double bytes_per_sec) {
+  if (bytes_per_sec <= 0.0) return 0;
+  return std::llround(static_cast<double>(bytes) / bytes_per_sec * 1e9);
+}
+
+void wait_until(std::int64_t deadline_ns, Wake wake) {
+  // Under 20 us no timer keeps the deadline; the pacer carries the time.
+  const std::int64_t left_ns = deadline_ns - now_ns();
+  if (left_ns < 20'000) return;
+  if (wake == Wake::kPlain) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(left_ns));
+    return;
   }
-  while (now_ns() < deadline) {
-    std::this_thread::yield();
-  }
+  // Sleep to 200 us short of the deadline, then yield out the tail.
+  std::this_thread::sleep_for(std::chrono::nanoseconds(left_ns - 200'000));
+  while (now_ns() < deadline_ns) std::this_thread::yield();
 }
 
 }  // namespace xt

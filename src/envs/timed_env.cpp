@@ -13,9 +13,9 @@ std::vector<float> TimedEnv::reset(std::uint64_t seed) {
 }
 
 StepResult TimedEnv::step(std::int32_t action) {
-  // sleep_for (not the spin-assisted precise sleep): the point is to yield
-  // the core to other explorers, exactly like an emulator blocked on its
-  // own work would on a many-core testbed.
+  // A plain sleep_for, not a modeled wait with a precise tail: the point is
+  // to yield the core to other explorers, exactly like an emulator blocked
+  // on its own work would on a many-core testbed.
   std::this_thread::sleep_for(std::chrono::nanoseconds(step_delay_ns_));
   return inner_->step(action);
 }

@@ -1,6 +1,7 @@
 #include "framework/dummy_transmission.h"
 
 #include <cstring>
+#include <latch>
 #include <thread>
 
 #include "comm/endpoint.h"
@@ -70,13 +71,13 @@ DummyResult run_dummy_transmission_xingtian(const DummyConfig& config) {
   const Bytes payload_template = make_dummy_payload(
       config.message_bytes, config.compressible_payload, /*seed=*/42);
 
-  std::atomic<bool> go{false};
+  std::latch go(1);
   std::vector<std::thread> workers;
   workers.reserve(explorers.size());
   for (auto& slot : explorers) {
     workers.emplace_back([&, endpoint = slot.endpoint.get(), id = slot.id] {
       set_current_thread_name("dummy-" + id.name());
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      go.wait();
       for (int i = 0; i < config.messages_per_explorer; ++i) {
         (void)endpoint->send(make_deferred_outbound(
             id, {learner}, MsgType::kDummy,
@@ -90,7 +91,7 @@ DummyResult run_dummy_transmission_xingtian(const DummyConfig& config) {
       static_cast<std::uint64_t>(config.messages_per_explorer);
 
   const Stopwatch clock;
-  go.store(true, std::memory_order_release);
+  go.count_down();
 
   DummyResult result;
   // The learner receives `messages_per_explorer` rounds of one message per

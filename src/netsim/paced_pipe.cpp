@@ -1,6 +1,6 @@
 #include "netsim/paced_pipe.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/clock.h"
 #include "common/thread_util.h"
@@ -86,40 +86,42 @@ bool PacedPipe::send_faultable(std::size_t wire_bytes, FaultableDeliver deliver,
   // like a frame lost downstream (a reliable channel recovers it the same
   // way, through the missing ack).
   return queue_.push(cls, Frame{wire_bytes, std::move(deliver), trace_id,
-                                std::move(on_start)}) != PushResult::kClosed;
+                                std::move(on_start), now_ns()}) != PushResult::kClosed;
 }
 
 void PacedPipe::transmit_loop() {
   const Stopwatch link_clock;  // blackout windows key off link uptime
+  Pacer wire;
   while (auto frame = queue_.pop()) {
     // The transmit scope covers serialization only — the link's real
     // occupancy — so this thread's busy% reads as link utilization.
     ProfScope prof("transmit");
-    const std::int64_t start_ns = now_ns();
+    // The frame starts when the wire frees or when it was queued, whichever
+    // is later, so this thread's own bookkeeping never idles the link.
+    const std::int64_t start_ns = std::max(frame->queued_ns, wire.end_ns());
     if (frame->on_start) frame->on_start();
     FaultOutcome outcome;
     if (faults_) outcome = faults_->injector.next_frame(link_clock.elapsed_s());
 
     // Pacing: even a frame destined to vanish occupies the sender's NIC for
     // its serialization time, exactly like a packet lost downstream.
-    const double total_bytes =
-        static_cast<double>(frame->wire_bytes + config_.frame_overhead_bytes);
-    precise_sleep_ns(static_cast<std::int64_t>(
-        std::llround(total_bytes / config_.bandwidth_bytes_per_sec * 1e9)));
+    const std::size_t frame_bytes = frame->wire_bytes + config_.frame_overhead_bytes;
+    const std::int64_t end_ns =
+        wire.add(start_ns, transfer_ns(frame_bytes, config_.bandwidth_bytes_per_sec));
+    wait_until(end_ns, queue_.size() > 0 ? Wake::kPlain : Wake::kPrecise);
 
     wire_bytes_.inc(frame->wire_bytes);
     frames_.inc();
     if (faults_) faults_->count(outcome);
     if (outcome.drop) continue;
-    const std::int64_t due_ns =
-        now_ns() + config_.latency_ns + outcome.extra_latency_ns;
+    const std::int64_t due_ns = end_ns + config_.latency_ns + outcome.extra_latency_ns;
     in_flight_.push(InFlight{std::move(*frame), outcome, start_ns, due_ns});
   }
 }
 
 void PacedPipe::delivery_loop() {
   while (auto item = in_flight_.pop()) {
-    precise_sleep_ns(item->due_ns - now_ns());
+    wait_until(item->due_ns, in_flight_.size() > 0 ? Wake::kPlain : Wake::kPrecise);
     // The stage covers serialization plus propagation and ends as the far
     // end takes the frame, like the endpoint's queue.wait.
     Stage::since(item->start_ns, StageId::kPipeTransmit, &transmit_ms_, trace_,

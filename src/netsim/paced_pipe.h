@@ -32,13 +32,16 @@ struct LinkConfig {
 };
 
 /// One direction of a simulated NIC, paced in real wall-clock time at the
-/// configured bandwidth. Propagation is pipelined the way a real link
-/// overlaps it: the transmit thread holds the wire only for a frame's
-/// serialization time, then hands the frame to a FIFO delay line, and the
-/// pipe's delivery thread runs the delivery action `latency_ns` later while
-/// the wire already carries the next frame. Frames are delivered in order —
-/// none overtakes an earlier one — so delivery actions must not block: a
-/// slow one holds back every frame behind it.
+/// configured bandwidth. A frame holds the wire for its serialization time
+/// from when the wire frees or when send() queued it, whichever is later,
+/// so the link runs at its configured rate however late its threads wake.
+/// Propagation is pipelined the way a real link overlaps it: the transmit
+/// thread hands a serialized frame to a FIFO delay line, and the pipe's
+/// delivery thread runs the delivery action `latency_ns` after the frame's
+/// serialization ends, while the wire already carries the next frame.
+/// Frames are delivered in order — none overtakes an earlier one — so
+/// delivery actions must not block: a slow one holds back every frame behind
+/// it.
 ///
 /// With an enabled FaultPlan the pipe becomes a lossy link: dropped and
 /// blacked-out frames still consume send-side bandwidth but never deliver,
@@ -54,7 +57,8 @@ class PacedPipe {
   /// Runs on the transmit thread when the frame stops waiting in the queue:
   /// as the link starts serializing it, or as the overload policy sheds it.
   /// A reliable link arms its retransmit timer here, so time spent queued
-  /// behind other frames never reads as a loss.
+  /// behind other frames never reads as a loss. Its own time overlaps the
+  /// frame's serialization.
   using StartHook = std::function<void()>;
 
   /// The pipe registers its series, labeled `{link="<name>"}`, in `metrics`:
@@ -113,6 +117,7 @@ class PacedPipe {
     FaultableDeliver deliver;
     std::uint64_t trace_id;
     StartHook on_start;
+    std::int64_t queued_ns;  ///< when send() queued it: the earliest it starts
   };
 
   /// A frame off the wire, propagating toward the far end.

@@ -102,12 +102,11 @@ void Profiler::sampler_loop() {
   }
   std::int64_t next_ns = now_ns() + period_ns;
   while (running_.load(std::memory_order_acquire)) {
+    // Bounded naps keep stop() prompt even at low sampling rates.
+    const std::int64_t wake_ns = std::min<std::int64_t>(next_ns, now_ns() + 20'000'000);
+    wait_until(wake_ns, Wake::kPlain);
+    if (wake_ns < next_ns) continue;
     const std::int64_t now = now_ns();
-    if (now < next_ns) {
-      // Bounded naps keep stop() prompt even at low sampling rates.
-      precise_sleep_ns(std::min<std::int64_t>(next_ns - now, 20'000'000));
-      continue;
-    }
     next_ns += period_ns;
     if (next_ns < now) next_ns = now + period_ns;  // fell behind: no burst
 

@@ -182,9 +182,6 @@ class Stage {
 
   void set_bytes(std::uint64_t bytes) { bytes_ = bytes; }
 
-  /// Time since the start; only a timed stage has read it.
-  [[nodiscard]] std::int64_t elapsed_ns() const { return now_ns() - start_ns_; }
-
   /// Ends the stage and records it once; returns its length in ms (0 when
   /// untimed or already ended).
   double finish();

@@ -15,7 +15,7 @@ namespace xt::baselines {
 namespace {
 
 TEST(RpcTransport, LocalPullReturnsCopy) {
-  RpcTransport transport(1, RpcConfig{0, {}});
+  RpcTransport transport(RpcConfig{0, {}});
   const Bytes data(100, 7);
   const Bytes pulled = transport.pull(0, data);
   EXPECT_EQ(pulled, data);
@@ -24,7 +24,7 @@ TEST(RpcTransport, LocalPullReturnsCopy) {
 TEST(RpcTransport, DispatchOverheadApplies) {
   RpcConfig config;
   config.dispatch_ns = 5'000'000;  // 5 ms
-  RpcTransport transport(1, config);
+  RpcTransport transport(config);
   const Stopwatch clock;
   (void)transport.pull(0, Bytes(10, 1));
   EXPECT_GE(clock.elapsed_ms(), 4.5);
@@ -34,13 +34,17 @@ TEST(RpcTransport, RemotePullPaysBandwidth) {
   RpcConfig config;
   config.dispatch_ns = 0;
   config.link.bandwidth_bytes_per_sec = 100e6;
-  config.link.latency_ns = 0;
+  config.link.latency_ns = 20'000'000;  // 20 ms
   config.link.frame_overhead_bytes = 0;
-  RpcTransport transport(2, config);
+  RpcTransport transport(config);
   const Stopwatch clock;
-  (void)transport.pull(1, Bytes(5'000'000, 1));  // 5 MB at 100 MB/s ~ 50 ms
-  EXPECT_GE(clock.elapsed_ms(), 45.0);
-  EXPECT_GE(transport.cross_machine_bytes(), 5'000'000u);
+  // 5 MB at 100 MB/s ~ 50 ms, then 20 ms of propagation.
+  (void)transport.pull(1, Bytes(5'000'000, 1));
+  EXPECT_GE(clock.elapsed_ms(), 69.9);
+  // A local pull crosses nothing; a push crosses its bytes once more.
+  (void)transport.pull(0, Bytes(1'000, 1));
+  transport.push(1, Bytes(1'000, 1));
+  EXPECT_EQ(transport.cross_machine_bytes(), 5'001'000u);
 }
 
 TEST(ChunkedTransfer, DelayScalesWithSize) {
@@ -99,7 +103,7 @@ TEST(PullWorker, ParksASampleAndAStoppedWorkerAnswersEmptyAtOnce) {
   auto env = make_environment(setup.env_name);
   const std::size_t obs_dim = env->observation_dim();
   const std::int32_t n_actions = env->action_count();
-  RpcTransport transport(1, RpcConfig{0, {}});
+  RpcTransport transport(RpcConfig{0, {}});
   PullWorker worker(0, 0, std::move(env), make_agent(setup, obs_dim, n_actions, 0),
                     transport, nullptr);
 

@@ -182,6 +182,29 @@ TEST(PacedPipe, PacesAtConfiguredBandwidth) {
   EXPECT_LT(elapsed, 0.5);
 }
 
+TEST(PacedPipe, StartHookTimeHidesInSerialization) {
+  // Twenty 2 ms frames whose start hooks take 1 ms each. A frame starts when
+  // the wire frees or when it was queued, not when the transmit thread gets
+  // to it, so the hooks hide in the serialization: ~40 ms, not 60.
+  MetricsRegistry metrics;
+  PacedPipe pipe("hook", LinkConfig{10e6, 0, 0}, metrics);
+  std::atomic<int> delivered{0};
+  std::atomic<std::int64_t> last_ns{0};
+  const auto land = [&](const FaultOutcome&) {
+    last_ns.store(now_ns());
+    delivered.fetch_add(1);
+  };
+  const auto hook = [] { std::this_thread::sleep_for(std::chrono::milliseconds(1)); };
+  const std::int64_t start_ns = now_ns();
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(pipe.send_faultable(20'000, land, 0, TrafficClass::kExperience, hook));
+  }
+  ASSERT_TRUE(wait_for([&] { return delivered.load() == 20; }));
+  const double elapsed_ms = ns_to_ms(last_ns.load() - start_ns);
+  EXPECT_GE(elapsed_ms, 39.9);
+  EXPECT_LT(elapsed_ms, 56.0);  // at least 60 when each hook adds to its frame
+}
+
 TEST(PacedPipe, AppliesPropagationLatency) {
   LinkConfig link;
   link.bandwidth_bytes_per_sec = 1e12;
